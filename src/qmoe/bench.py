@@ -45,6 +45,7 @@ from .moe import (
     CombinedModel,
     combined_predict,
     fit_router,
+    require_finite_rows,
     router_targets,
     youden_threshold,
 )
@@ -196,7 +197,13 @@ class Pipeline:
 
 
 def pipeline_predict(pipeline: Pipeline, x_raw, gamma: float):
-    return combined_predict(pipeline.combined, pipeline.scaler.transform(x_raw), gamma)
+    x_raw = np.asarray(x_raw, dtype=np.float64)
+    # Checked before scaling, and only there: the scaler would clip an
+    # infinity into range, and finite raw rows scale to finite rows.
+    require_finite_rows(x_raw)
+    return combined_predict(
+        pipeline.combined, pipeline.scaler.transform(x_raw), gamma, check_finite=False
+    )
 
 
 def _fold_seeds(master_seed: int, repeat: int, fold: int):
@@ -472,8 +479,44 @@ def _gbdt_to_dict(model: GBDTModel) -> dict:
     }
 
 
+def _check_tree(tree: Tree, n_features: int, index: int) -> None:
+    """Reject node arrays that Tree.predict would loop on or index past.
+
+    Children must sit after their parent, so every root-to-leaf walk ends;
+    a node is a leaf exactly when its feature is -1 and it has no children.
+    """
+    size = tree.feature.shape[0]
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if size == 0 or any(a.shape != (size,) for a in arrays):
+        raise ModelIOError(f"tree {index}: node arrays must be non-empty and of equal length")
+    bad_feature = (tree.feature < -1) | (tree.feature >= n_features)
+    if bad_feature.any():
+        node = int(np.flatnonzero(bad_feature)[0])
+        raise ModelIOError(
+            f"tree {index}, node {node}: feature {tree.feature[node]} out of range "
+            f"for {n_features} features"
+        )
+    leaf = tree.feature == -1
+    childless = (tree.left == -1) & (tree.right == -1)
+    if (leaf != childless).any():
+        node = int(np.flatnonzero(leaf != childless)[0])
+        raise ModelIOError(
+            f"tree {index}, node {node}: a node must be a leaf (feature -1) "
+            f"exactly when it has no children"
+        )
+    nodes = np.arange(size)
+    bad_child = ~leaf & ((tree.left <= nodes) | (tree.left >= size)
+                         | (tree.right <= nodes) | (tree.right >= size))
+    if bad_child.any():
+        node = int(np.flatnonzero(bad_child)[0])
+        raise ModelIOError(
+            f"tree {index}, node {node}: children ({tree.left[node]}, {tree.right[node]}) "
+            f"must lie after the node and below {size}"
+        )
+
+
 def _gbdt_from_dict(d: dict) -> GBDTModel:
-    return GBDTModel(
+    model = GBDTModel(
         params=GBDTParams(**d["params"]),
         n_features=d["n_features"],
         base_score=d["base_score"],
@@ -490,6 +533,9 @@ def _gbdt_from_dict(d: dict) -> GBDTModel:
             for t in d["trees"]
         ],
     )
+    for index, tree in enumerate(model.trees):
+        _check_tree(tree, model.n_features, index)
+    return model
 
 
 def _layers_to_list(params) -> list:

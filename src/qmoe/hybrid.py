@@ -13,8 +13,9 @@ The two objectives combine as
     total = recon_weight * mse(legit rows) + (1 - recon_weight) * bce(all)
 
 and everything trains jointly under one Adam loop: encoder, decoder, head
-by ordinary backprop, circuit parameters by the exact parameter-shift rule
-with the batch-summed upstream weights. When recon_weight is exactly 1 the
+by ordinary backprop, circuit parameters by exact adjoint gradients (the
+values of the parameter-shift rule, from one reverse sweep per batch) with
+the batch-summed upstream weights. When recon_weight is exactly 1 the
 classification weights vanish identically and the circuit evaluation is
 skipped, so the quantum parameters stay bit-frozen rather than drifting by
 rounding.
@@ -235,8 +236,8 @@ def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
     )
 
     # d_exps carries all classification weight; identically zero means the
-    # circuit cannot influence the loss, so skip its 4 * n_params * rows
-    # shifted evaluations and freeze theta exactly.
+    # circuit cannot influence the loss, so skip its adjoint sweep and
+    # freeze theta exactly.
     if np.any(d_exps != 0.0):
         d_theta_all, d_angle_all = batch_parameter_shift(
             cfg.ansatz, model.theta, angles, cfg.measured_qubits

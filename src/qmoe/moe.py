@@ -34,6 +34,7 @@ __all__ = [
     "CombinedModel",
     "RoutedPrediction",
     "combined_predict",
+    "require_finite_rows",
 ]
 
 GAMMA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -129,15 +130,37 @@ class RoutedPrediction:
         return float(self.routed.mean()) if self.routed.size else 0.0
 
 
-def combined_predict(model: CombinedModel, x, gamma: float) -> RoutedPrediction:
+def require_finite_rows(x: np.ndarray) -> None:
+    """Raise InputError naming the first rows of 2-d ``x`` holding NaN or inf.
+
+    Other shapes pass through; the experts' own shape checks reject them.
+    """
+    finite = np.isfinite(x)
+    if x.ndim != 2 or finite.all():
+        return
+    bad = np.flatnonzero(~finite.all(axis=1))
+    raise InputError(
+        f"feature rows must be finite; {bad.size} rows hold NaN or infinity, "
+        f"first at row indices {bad[:5].tolist()}"
+    )
+
+
+def combined_predict(
+    model: CombinedModel, x, gamma: float, *, check_finite: bool = True
+) -> RoutedPrediction:
     """Score rows, handing those the router flags to the secondary expert.
 
     The secondary runs only on flagged rows; that sparsity is the whole
     point of the gate. Hard labels apply the owning expert's threshold.
+    Non-finite rows are rejected up front, so the outcome never depends on
+    whether the gate would have routed them; ``check_finite=False`` is for
+    callers that already checked the rows ``x`` was derived from.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
     x = np.asarray(x, dtype=np.float64)
+    if check_finite:
+        require_finite_rows(x)
     probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
     routed = model.router.predict_proba(x) > gamma
     if routed.any():

@@ -349,11 +349,10 @@ def circuit_value(spec: AnsatzSpec, params, features) -> float:
 
 
 def parameter_shift_grad(spec: AnsatzSpec, params, features):
-    """Exact gradient of circuit_value via +-pi/2 shifts.
+    """Exact gradient of circuit_value for one feature row.
 
-    Returns ``(grad_params, grad_features)`` for the measured qubit. Every
-    gate is a rotation, so the two-point shift rule is exact, not an
-    approximation.
+    Returns ``(grad_params, grad_features)`` for the measured qubit: the
+    single-row case of batch_parameter_shift.
     """
     arr_f = np.asarray(features, dtype=np.float64)
     if arr_f.shape != (spec.n_qubits,):
@@ -380,36 +379,53 @@ def batch_expectations(spec: AnsatzSpec, params, features, qubits=None) -> np.nd
 
 
 def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits=None):
-    """Shift-rule gradients for every row at once.
+    """Exact gradients of <Z_q> for every row at once, by adjoint sweep.
 
     Returns ``(d_theta, d_features)`` with shapes (rows, n_params, len(qubits))
-    and (rows, n_qubits, len(qubits)). Shifted evaluations follow a fixed
-    parameter order, so results are bit-reproducible.
+    and (rows, n_qubits, len(qubits)). The values are those of the two-point
+    parameter-shift rule, which the tests keep as the oracle, computed by
+    one forward pass and one reverse sweep (Jones & Gacon 2020).
+
+    The sweep starts from phi = U psi and lambda_q = Z_q phi, then walks the
+    gates backwards: each rotation is undone on phi, the derivative state
+    0.5 * G(angle + pi) phi is formed (RY'(t) = RY(t + pi) / 2, likewise RZ),
+    its overlap 2 Re<lambda_q|d phi> is recorded, and lambda steps back
+    through the same gate. CNOTs are self-inverse. Walking on through the
+    RY encoding layer yields the feature gradients. Gates are visited in a
+    fixed order, so results are bit-reproducible.
     """
     arr_p = _check_params(spec, params)
     arr_f = _check_features(spec, features)
     measured = _check_qubits(spec, qubits)
-    signs_t = np.stack([_z_signs(spec.n_qubits, q) for q in measured], axis=1)
+    n = spec.n_qubits
     rows = arr_f.shape[0]
-    half_pi = 0.5 * np.pi
 
-    encoded = _encode(arr_f)  # reused across parameter shifts
+    phi = _run_ansatz(_encode(arr_f), spec, arr_p)
+    # One adjoint state per measured qubit, stacked ahead of the row axis so
+    # per-row encoding angles broadcast through _broadcast_coeff.
+    lam = np.stack([_z_signs(n, q) * phi for q in measured])
+
+    def step_back(kernel, qubit: int, angle) -> np.ndarray:
+        nonlocal phi, lam
+        phi = kernel(phi, n, qubit, -angle)
+        d_phi = 0.5 * kernel(phi, n, qubit, angle + np.pi)
+        overlap = np.einsum("qrd,rd->rq", lam.conj(), d_phi)
+        lam = kernel(lam, n, qubit, -angle)
+        return 2.0 * overlap.real
+
     d_theta = np.empty((rows, spec.n_params, len(measured)))
-    for i in range(spec.n_params):
-        shifted = arr_p.copy()
-        shifted[i] = arr_p[i] + half_pi
-        plus = _expect(_run_ansatz(encoded, spec, shifted), signs_t)
-        shifted[i] = arr_p[i] - half_pi
-        minus = _expect(_run_ansatz(encoded, spec, shifted), signs_t)
-        d_theta[:, i, :] = 0.5 * (plus - minus)
+    for layer in reversed(range(spec.n_layers)):
+        base = 2 * n * layer
+        if n > 1:
+            for q in reversed(range(n)):
+                phi = _apply_cnot(phi, n, q, (q + 1) % n)
+                lam = _apply_cnot(lam, n, q, (q + 1) % n)
+        for q in reversed(range(n)):
+            d_theta[:, base + n + q, :] = step_back(_apply_rz, q, arr_p[base + n + q])
+        for q in reversed(range(n)):
+            d_theta[:, base + q, :] = step_back(_apply_ry, q, arr_p[base + q])
 
-    d_feat = np.empty((rows, spec.n_qubits, len(measured)))
-    for j in range(spec.n_qubits):
-        shifted_f = arr_f.copy()
-        shifted_f[:, j] = arr_f[:, j] + half_pi
-        plus = _expect(_run_ansatz(_encode(shifted_f), spec, arr_p), signs_t)
-        shifted_f[:, j] = arr_f[:, j] - half_pi
-        minus = _expect(_run_ansatz(_encode(shifted_f), spec, arr_p), signs_t)
-        d_feat[:, j, :] = 0.5 * (plus - minus)
-
+    d_feat = np.empty((rows, n, len(measured)))
+    for q in reversed(range(n)):
+        d_feat[:, q, :] = step_back(_apply_ry, q, arr_f[:, q])
     return d_theta, d_feat

@@ -220,6 +220,73 @@ def test_load_model_rejects_bad_files(tmp_path):
         load_model(malformed)
 
 
+@pytest.fixture(scope="module")
+def model_doc(dataset, tmp_path_factory):
+    _, pipeline = fit_pipeline(*dataset, CONFIG)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(pipeline, path)
+    return json.loads(path.read_text())
+
+
+def _split_tree(doc):
+    """The first primary tree whose root splits, as an editable dict."""
+    return next(t for t in doc["combined"]["primary"]["trees"] if t["feature"][0] >= 0)
+
+
+def _load_edited(doc, edit, tmp_path):
+    doc = json.loads(json.dumps(doc))
+    edit(_split_tree(doc))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return load_model(path)
+
+
+def test_load_model_rejects_cyclic_tree(model_doc, tmp_path):
+    # Before validation this file loaded, and scoring with it never returned.
+    def edit(t):
+        t["left"][0] = 0
+    with pytest.raises(ModelIOError, match="tree .*node 0: children"):
+        _load_edited(model_doc, edit, tmp_path)
+
+
+def test_load_model_rejects_child_out_of_range(model_doc, tmp_path):
+    def edit(t):
+        t["right"][0] = len(t["right"])
+    with pytest.raises(ModelIOError, match="must lie after the node and below"):
+        _load_edited(model_doc, edit, tmp_path)
+
+
+def test_load_model_rejects_leaf_feature_mismatch(model_doc, tmp_path):
+    def split_without_children(t):
+        leaf = t["feature"].index(-1)
+        t["feature"][leaf] = 0
+
+    def leaf_with_children(t):
+        t["feature"][0] = -1
+
+    for edit in (split_without_children, leaf_with_children):
+        with pytest.raises(ModelIOError, match="leaf"):
+            _load_edited(model_doc, edit, tmp_path)
+
+
+def test_load_model_rejects_feature_out_of_range(model_doc, tmp_path):
+    # Before validation this escaped from predict as a bare IndexError.
+    n_features = model_doc["combined"]["primary"]["n_features"]
+
+    def edit(t):
+        t["feature"][0] = n_features
+    with pytest.raises(ModelIOError, match=f"feature {n_features} out of range"):
+        _load_edited(model_doc, edit, tmp_path)
+
+
+def test_pipeline_predict_rejects_non_finite_raw_rows(dataset, model_doc, tmp_path):
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    x = dataset[0][:50].copy()
+    x[7, 3] = np.inf  # the scaler alone would clip this into range
+    with pytest.raises(InputError, match=r"row indices \[7\]"):
+        pipeline_predict(pipeline, x, 0.5)
+
+
 def test_fold_seeds_are_distinct_and_stable():
     a = _fold_seeds(7, 0, 0)
     b = _fold_seeds(7, 0, 0)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -145,6 +146,40 @@ def test_missing_model_exits_1(tmp_path, capsys):
     assert main(["evaluate", "--model", str(tmp_path / "missing.json"),
                  "--data", "unused.csv"]) == 1
     assert "error: cannot read model file" in capsys.readouterr().err
+
+
+def test_evaluate_non_finite_row_exits_1(workspace, tmp_path, capsys):
+    lines = open(workspace["csv"]).read().splitlines()
+    fields = lines[4].split(",")  # data row 3, after the header line
+    fields[3] = "nan"
+    lines[4] = ",".join(fields)
+    bad_csv = tmp_path / "nan.csv"
+    bad_csv.write_text("\n".join(lines) + "\n")
+    for gamma in ("1.0", "0.5"):
+        assert main(["evaluate", "--model", workspace["model"],
+                     "--data", str(bad_csv), "--gamma", gamma]) == 1
+        assert "row indices [3]" in capsys.readouterr().err
+
+
+def test_evaluate_cyclic_model_exits_1(workspace, tmp_path, capsys):
+    doc = json.loads(open(workspace["model"]).read())
+    tree = next(t for t in doc["combined"]["router"]["trees"] if t["feature"][0] >= 0)
+    tree["left"][0] = 0
+    bad_model = tmp_path / "cyclic.json"
+    bad_model.write_text(json.dumps(doc))
+
+    def hung(signum, frame):
+        raise AssertionError("scoring with a cyclic tree never returned")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        assert main(["evaluate", "--model", str(bad_model),
+                     "--data", workspace["csv"]]) == 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "children" in capsys.readouterr().err
 
 
 def test_unknown_config_field_exits_1(workspace, tmp_path, capsys):

@@ -208,3 +208,23 @@ def test_router_targets_validation():
         router_targets([0.0, 1.0], [0.5], [0.5, 0.5], 0.5, 0.5)
     with pytest.raises(InputError):
         router_targets([0.0, 2.0], [0.5, 0.5], [0.5, 0.5], 0.5, 0.5)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_non_finite_rows_fail_the_same_at_every_gamma(gamma):
+    x, y, primary, secondary = _fitted_pair(seed=12)
+    z = router_targets(y, primary.predict_proba(x), secondary.predict_proba(x), 0.5, 0.5)
+    model = CombinedModel(
+        primary=primary, primary_scaler=IDENTITY,
+        secondary=secondary, secondary_scaler=IDENTITY,
+        router=fit_router(x, z), tau_primary=0.5, tau_secondary=0.5,
+    )
+    routed = combined_predict(model, x, 0.5).routed
+    first_routed = int(np.flatnonzero(routed)[0])
+    first_kept = int(np.flatnonzero(~routed)[0])
+    bad = x.copy()
+    bad[first_routed, 1] = np.nan
+    bad[first_kept, 0] = np.inf
+    expected = sorted([first_routed, first_kept])
+    with pytest.raises(InputError, match=rf"2 rows .* row indices \[{expected[0]}, {expected[1]}\]"):
+        combined_predict(model, bad, gamma)

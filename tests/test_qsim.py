@@ -413,3 +413,55 @@ def test_batch_shift_matches_single_sample_grads():
         sp, sf = qsim.parameter_shift_grad(spec, params, feats[row])
         np.testing.assert_allclose(d_theta[row, :, 0], sp, atol=1e-12)
         np.testing.assert_allclose(d_feat[row, :, 0], sf, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# adjoint gradients against the two-point shift rule
+# ---------------------------------------------------------------------------
+
+
+def shift_rule_oracle(spec, params, features, qubits):
+    """Gradients by the parameter-shift rule: two shifted circuits per angle.
+
+    Every gate is a rotation, so 0.5 * (f(t + pi/2) - f(t - pi/2)) is exact.
+    Returns arrays shaped like batch_parameter_shift's.
+    """
+    params = np.asarray(params, dtype=float)
+    features = np.asarray(features, dtype=float)
+    half_pi = 0.5 * np.pi
+
+    def value(p, f):
+        return qsim.batch_expectations(spec, p, f, qubits)
+
+    d_theta = np.empty((features.shape[0], spec.n_params, len(qubits)))
+    for i in range(spec.n_params):
+        plus, minus = params.copy(), params.copy()
+        plus[i] += half_pi
+        minus[i] -= half_pi
+        d_theta[:, i, :] = 0.5 * (value(plus, features) - value(minus, features))
+    d_feat = np.empty((features.shape[0], spec.n_qubits, len(qubits)))
+    for j in range(spec.n_qubits):
+        plus, minus = features.copy(), features.copy()
+        plus[:, j] += half_pi
+        minus[:, j] -= half_pi
+        d_feat[:, j, :] = 0.5 * (value(params, plus) - value(params, minus))
+    return d_theta, d_feat
+
+
+@pytest.mark.parametrize("rows", [1, 17])
+@pytest.mark.parametrize("all_qubits", [False, True])
+@pytest.mark.parametrize("n_qubits,n_layers", [(1, 1), (2, 1), (3, 2), (6, 2)])
+def test_adjoint_matches_shift_rule_oracle(n_qubits, n_layers, all_qubits, rows):
+    rng = np.random.default_rng(2000 + 100 * n_qubits + 10 * n_layers + rows)
+    spec = AnsatzSpec(n_qubits=n_qubits, n_layers=n_layers, measure_qubit=n_qubits - 1)
+    params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    feats = rng.uniform(-np.pi, np.pi, size=(rows, n_qubits))
+    qubits = tuple(range(n_qubits)) if all_qubits else (spec.measure_qubit,)
+    d_theta, d_feat = qsim.batch_parameter_shift(
+        spec, params, feats, qubits if all_qubits else None
+    )
+    want_theta, want_feat = shift_rule_oracle(spec, params, feats, qubits)
+    assert d_theta.shape == (rows, spec.n_params, len(qubits))
+    assert d_feat.shape == (rows, n_qubits, len(qubits))
+    np.testing.assert_allclose(d_theta, want_theta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_feat, want_feat, rtol=0, atol=1e-12)
