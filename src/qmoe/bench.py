@@ -46,6 +46,7 @@ from .moe import (
     combined_predict,
     fit_router,
     require_finite_rows,
+    route_rows,
     router_targets,
     youden_threshold,
 )
@@ -320,13 +321,16 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
             router=router, tau_primary=tau1, tau_secondary=tau2,
         )
 
+        # Both trees score the holdout once; every arm reuses the scores.
+        require_finite_rows(x_hold)
         n_hold = int(y_hold.size)
         base_probs = apply_temperature(scaler1, primary.predict_proba(x_hold))
         base_hard = (base_probs > tau1).astype(np.float64)
         record.baseline = _arm_metrics(y_hold, base_probs, base_hard, 0.0, n_hold, record)
+        gate = router.predict_proba(x_hold)
 
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
-            out = combined_predict(combined, x_hold, gamma)
+            out = route_rows(combined, x_hold, base_probs, gate, gamma)
             record.combined[str(gamma)] = _arm_metrics(
                 y_hold, out.probs, out.labels, out.routed_fraction, n_hold, record
             )

@@ -12,6 +12,15 @@ when its net gain is >= 0, and ties break toward the lower feature index,
 then the lower threshold. Training is therefore fully deterministic for a
 fixed dataset and parameter set; no row or column subsampling happens
 anywhere.
+
+The columns are sorted once per fit, as in XGBoost's exact greedy method
+with presorted column blocks (Chen & Guestrin, KDD 2016): a stable argsort
+gives an (F, N) block of row indices. Each node carries its own (F, n_node)
+block, every feature row sorted by value and then by row index, and a split
+filters it into the children's blocks with one row-membership mask. The
+search at a node is therefore one gather, two cumulative sums and one gain
+table over all features at once. The tie rule comes from taking the first
+maximum of the flattened (feature, threshold) gain table.
 """
 
 from __future__ import annotations
@@ -124,26 +133,47 @@ class GBDTModel:
 
 
 class _TreeBuilder:
-    """Grows one tree on fixed gradients; collects nodes into flat arrays."""
+    """Grows every tree of one fit; collects each tree's nodes into flat arrays.
 
-    def __init__(self, x, grad, hess, params):
-        self.x = x
+    The stable presort is made once and serves every round. Filtering it
+    keeps, for each feature, exactly the order a stable argsort of the
+    node's ascending rows would give, so the trees match a per-node sort
+    bit for bit. Every feature row of a block keeps exactly ``n_left`` of
+    the left-going rows, so the children's blocks reshape straight to
+    ``(F, n_left)`` and ``(F, n_right)``.
+    """
+
+    def __init__(self, x: np.ndarray, params: GBDTParams):
+        self.xt = np.ascontiguousarray(x.T)
+        self.order = np.argsort(self.xt, axis=1, kind="stable")
+        self.in_left = np.zeros(x.shape[0], dtype=bool)
+        self.params = params
+
+    def grow(self, grad: np.ndarray, hess: np.ndarray) -> Tree:
         self.grad = grad
         self.hess = hess
-        self.params = params
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
+        self._build(np.arange(self.xt.shape[1]), self.order, 0)
+        return Tree(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            value=np.asarray(self.value, dtype=np.float64),
+        )
 
-    def build(self, rows: np.ndarray, depth: int) -> int:
+    def _build(self, rows: np.ndarray, block: Optional[np.ndarray], depth: int) -> int:
         p = self.params
+        # Summed over the ascending rows: the pairwise-sum order fixes the bytes.
         g_sum = float(self.grad[rows].sum())
         h_sum = float(self.hess[rows].sum())
         best = None
         if depth < p.max_depth and rows.size >= 2:
-            best = self._best_split(rows, g_sum, h_sum)
+            best = self._best_split(block, g_sum, h_sum)
         node = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0.0)
@@ -153,53 +183,63 @@ class _TreeBuilder:
         if best is None:
             self.value[node] = -g_sum / (h_sum + p.reg_lambda)
             return node
-        feat, thr, left_rows, right_rows = best
+        feat, pos, thr = best
         self.feature[node] = feat
         self.threshold[node] = thr
-        self.left[node] = self.build(left_rows, depth + 1)
-        self.right[node] = self.build(right_rows, depth + 1)
+        goes_left = block[feat, : pos + 1]
+        self.in_left[goes_left] = True
+        row_left = self.in_left[rows]
+        left_rows, right_rows = rows[row_left], rows[~row_left]
+        left_block = right_block = None
+        if depth + 1 < p.max_depth:  # only children above the depth cap search
+            keep = self.in_left[block].ravel()
+            left_block = np.compress(keep, block).reshape(block.shape[0], left_rows.size)
+            right_block = np.compress(~keep, block).reshape(block.shape[0], right_rows.size)
+        self.in_left[goes_left] = False
+        self.left[node] = self._build(left_rows, left_block, depth + 1)
+        self.right[node] = self._build(right_rows, right_block, depth + 1)
         return node
 
-    def _best_split(self, rows, g_sum, h_sum):
+    def _best_split(self, block: np.ndarray, g_sum: float, h_sum: float):
+        """(feature, position in the block row, threshold) of the best split, or None.
+
+        Each candidate's gain takes the same operations in the same order as
+        the formula in the module docstring, computed in place across the
+        ``(F, n_node - 1)`` table; its first flattened maximum is the lowest
+        feature, then the lowest threshold.
+        """
         p = self.params
         lam = p.reg_lambda
         parent = g_sum * g_sum / (h_sum + lam)
-        g_node = self.grad[rows]
-        h_node = self.hess[rows]
-        best_gain = -np.inf
-        best = None
-        for feat in range(self.x.shape[1]):
-            col = self.x[rows, feat]
-            order = np.argsort(col, kind="stable")
-            xs = col[order]
-            g_left = np.cumsum(g_node[order])[:-1]
-            h_left = np.cumsum(h_node[order])[:-1]
-            ok = xs[:-1] != xs[1:]
-            ok &= (h_left >= p.min_child_weight) & (h_sum - h_left >= p.min_child_weight)
-            if not ok.any():
-                continue
-            g_right = g_sum - g_left
-            h_right = h_sum - h_left
-            gain = (
-                0.5
-                * (
-                    g_left * g_left / (h_left + lam)
-                    + g_right * g_right / (h_right + lam)
-                    - parent
-                )
-                - p.min_split_gain
-            )
-            gain[~ok] = -np.inf
-            i = int(np.argmax(gain))  # first max: the lowest threshold wins ties
-            if gain[i] >= 0.0 and gain[i] > best_gain:
-                best_gain = float(gain[i])
-                best = (
-                    feat,
-                    float(xs[i]),
-                    np.sort(rows[order[: i + 1]]),
-                    np.sort(rows[order[i + 1 :]]),
-                )
-        return best
+        xs = np.take_along_axis(self.xt, block, axis=1)
+        ok = xs[:, :-1] != xs[:, 1:]
+        del xs  # freed before the four float tables below, which set the peak memory
+        g_left = self.grad[block]
+        np.cumsum(g_left, axis=1, out=g_left)
+        g_left = g_left[:, :-1]
+        h_left = self.hess[block]
+        np.cumsum(h_left, axis=1, out=h_left)
+        h_left = h_left[:, :-1]
+        ok &= h_left >= p.min_child_weight
+        h_right = h_sum - h_left
+        ok &= h_right >= p.min_child_weight
+        g_right = g_sum - g_left
+        gain = g_left  # from here on g_left holds the gain
+        gain *= g_left
+        h_left += lam
+        gain /= h_left
+        g_right *= g_right
+        h_right += lam
+        g_right /= h_right
+        gain += g_right
+        gain -= parent
+        gain *= 0.5
+        gain -= p.min_split_gain
+        gain[~ok] = -np.inf
+        feat, pos = divmod(int(np.argmax(gain)), gain.shape[1])
+        if not gain[feat, pos] >= 0.0:
+            return None
+        return feat, pos, float(self.xt[feat, block[feat, pos]])
 
 
 def _logloss(y: np.ndarray, p: np.ndarray) -> float:
@@ -226,6 +266,21 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
     if not np.all((y_arr == 0) | (y_arr == 1)):
         raise InputError("labels must be 0 or 1")
 
+    use_val = x_val is not None and y_val is not None and params.early_stopping_rounds > 0
+    if use_val:
+        x_val = np.asarray(x_val, dtype=np.float64)
+        y_val_arr = np.asarray(y_val, dtype=np.float64)
+        if x_val.ndim != 2 or x_val.shape[1] != x.shape[1]:
+            raise InputError(f"validation features {x_val.shape} do not match {x.shape}")
+        if y_val_arr.shape != (x_val.shape[0],):
+            raise InputError(
+                f"validation features {x_val.shape} and labels {y_val_arr.shape} do not align"
+            )
+        if not np.all(np.isfinite(x_val)):
+            raise InputError("validation features must be finite")
+        if not np.all((y_val_arr == 0) | (y_val_arr == 1)):
+            raise InputError("validation labels must be 0 or 1")
+
     prior = float(np.clip(y_arr.mean(), _PRIOR_EPS, 1.0 - _PRIOR_EPS))
     base = float(np.log(prior) - np.log1p(-prior))
     model = GBDTModel(params=params, n_features=x.shape[1], base_score=base)
@@ -233,32 +288,18 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
     if y_arr.min() == y_arr.max():
         model.degenerate = True
         return model
-
-    use_val = x_val is not None and y_val is not None and params.early_stopping_rounds > 0
     if use_val:
-        x_val = np.asarray(x_val, dtype=np.float64)
-        y_val_arr = np.asarray(y_val, dtype=np.float64)
-        if x_val.ndim != 2 or x_val.shape[1] != x.shape[1]:
-            raise InputError(f"validation features {x_val.shape} do not match {x.shape}")
         val_margin = np.full(x_val.shape[0], base)
 
     margin = np.full(x.shape[0], base)
-    all_rows = np.arange(x.shape[0])
+    builder = _TreeBuilder(x, params)
     best_loss = np.inf
     best_round = -1
     for round_index in range(params.n_estimators):
         p = sigmoid(margin)
         grad = p - y_arr
         hess = p * (1.0 - p)
-        builder = _TreeBuilder(x, grad, hess, params)
-        builder.build(all_rows, 0)
-        tree = Tree(
-            feature=np.asarray(builder.feature, dtype=np.int64),
-            threshold=np.asarray(builder.threshold, dtype=np.float64),
-            left=np.asarray(builder.left, dtype=np.int64),
-            right=np.asarray(builder.right, dtype=np.int64),
-            value=np.asarray(builder.value, dtype=np.float64),
-        )
+        tree = builder.grow(grad, hess)
         model.trees.append(tree)
         margin += params.learning_rate * tree.predict(x)
         if use_val:

@@ -34,6 +34,7 @@ __all__ = [
     "CombinedModel",
     "RoutedPrediction",
     "combined_predict",
+    "route_rows",
     "require_finite_rows",
 ]
 
@@ -162,7 +163,17 @@ def combined_predict(
     if check_finite:
         require_finite_rows(x)
     probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
-    routed = model.router.predict_proba(x) > gamma
+    return route_rows(model, x, probs, model.router.predict_proba(x), gamma)
+
+
+def route_rows(model: CombinedModel, x: np.ndarray, probs: np.ndarray,
+               gate: np.ndarray, gamma: float) -> RoutedPrediction:
+    """Hand the rows whose router output ``gate`` exceeds gamma to the secondary.
+
+    ``probs`` holds the calibrated primary probabilities of ``x`` and is
+    never written to, so one scoring of a batch serves every gamma.
+    """
+    routed = gate > gamma
     if routed.any():
         handed = apply_temperature(
             model.secondary_scaler,

@@ -21,7 +21,7 @@ from qmoe.bench import (
     save_model,
     save_report,
 )
-from qmoe.data import synthesize
+from qmoe.data import split_eval, synthesize
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams
 from qmoe.hybrid import HybridConfig
@@ -320,3 +320,15 @@ def test_degenerate_holdout_is_flagged_not_dropped():
     assert any("one class" in w or "no positive rows" in w for w in record.warnings)
     assert record.sentinel_equals_baseline
     assert set(record.combined) == {str(g) for g in cfg.gamma_grid} | {"1.0"}
+
+
+def test_fit_fold_rejects_non_finite_holdout_rows(dataset):
+    # The arms reuse one scoring of the holdout, so the fold checks it up front.
+    x, y = dataset
+    train_idx, heldout_idx = np.arange(0, len(y), 2), np.arange(1, len(y), 2)
+    split_seed = _fold_seeds(CONFIG.seed, 0, 0)[0]
+    holdout = split_eval(y, heldout_idx, seed=split_seed).holdout
+    bad = x.copy()
+    bad[holdout[3], 4] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        fit_fold(CONFIG, bad, y, train_idx, heldout_idx, 0, 0)

@@ -1,11 +1,143 @@
-"""Boosted-tree tests against a brute-force split oracle and hand cases."""
+"""Boosted-tree tests against a brute-force split oracle, a reference grower and hand cases."""
 
 import numpy as np
 import pytest
 
 from qmoe.errors import ConfigurationError, InputError
-from qmoe.gbdt import GBDTModel, GBDTParams, fit_gbdt, router_params
+from qmoe.gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
 from qmoe.neural import sigmoid
+
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+class ReferenceBuilder:
+    """Exact greedy split search with one stable argsort per node and feature.
+
+    This is the search fit_gbdt ran before it presorted the columns once per
+    fit; the presorted search must grow the same trees bit for bit.
+    """
+
+    def __init__(self, x, grad, hess, params):
+        self.x = x
+        self.grad = grad
+        self.hess = hess
+        self.params = params
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+
+    def build(self, rows, depth):
+        p = self.params
+        g_sum = float(self.grad[rows].sum())
+        h_sum = float(self.hess[rows].sum())
+        best = None
+        if depth < p.max_depth and rows.size >= 2:
+            best = self.best_split(rows, g_sum, h_sum)
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        if best is None:
+            self.value[node] = -g_sum / (h_sum + p.reg_lambda)
+            return node
+        feat, thr, left_rows, right_rows = best
+        self.feature[node] = feat
+        self.threshold[node] = thr
+        self.left[node] = self.build(left_rows, depth + 1)
+        self.right[node] = self.build(right_rows, depth + 1)
+        return node
+
+    def best_split(self, rows, g_sum, h_sum):
+        p = self.params
+        lam = p.reg_lambda
+        parent = g_sum * g_sum / (h_sum + lam)
+        g_node = self.grad[rows]
+        h_node = self.hess[rows]
+        best_gain = -np.inf
+        best = None
+        for feat in range(self.x.shape[1]):
+            col = self.x[rows, feat]
+            order = np.argsort(col, kind="stable")
+            xs = col[order]
+            g_left = np.cumsum(g_node[order])[:-1]
+            h_left = np.cumsum(h_node[order])[:-1]
+            ok = xs[:-1] != xs[1:]
+            ok &= (h_left >= p.min_child_weight) & (h_sum - h_left >= p.min_child_weight)
+            if not ok.any():
+                continue
+            g_right = g_sum - g_left
+            h_right = h_sum - h_left
+            gain = (
+                0.5
+                * (
+                    g_left * g_left / (h_left + lam)
+                    + g_right * g_right / (h_right + lam)
+                    - parent
+                )
+                - p.min_split_gain
+            )
+            gain[~ok] = -np.inf
+            i = int(np.argmax(gain))  # first max: the lowest threshold wins ties
+            if gain[i] >= 0.0 and gain[i] > best_gain:
+                best_gain = float(gain[i])
+                best = (
+                    feat,
+                    float(xs[i]),
+                    np.sort(rows[order[: i + 1]]),
+                    np.sort(rows[order[i + 1 :]]),
+                )
+        return best
+
+
+def reference_fit(params, x, y, x_val=None, y_val=None):
+    """fit_gbdt's boosting loop around ReferenceBuilder: (trees, best_iteration)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    prior = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
+    base = float(np.log(prior) - np.log1p(-prior))
+    if y.min() == y.max():
+        return [], None
+    use_val = x_val is not None and params.early_stopping_rounds > 0
+    if use_val:
+        val_margin = np.full(len(y_val), base)
+    margin = np.full(len(y), base)
+    trees = []
+    best_loss, best_round = np.inf, -1
+    for round_index in range(params.n_estimators):
+        p = sigmoid(margin)
+        builder = ReferenceBuilder(x, p - y, p * (1.0 - p), params)
+        builder.build(np.arange(len(y)), 0)
+        tree = Tree(
+            feature=np.asarray(builder.feature, dtype=np.int64),
+            threshold=np.asarray(builder.threshold, dtype=np.float64),
+            left=np.asarray(builder.left, dtype=np.int64),
+            right=np.asarray(builder.right, dtype=np.int64),
+            value=np.asarray(builder.value, dtype=np.float64),
+        )
+        trees.append(tree)
+        margin += params.learning_rate * tree.predict(x)
+        if use_val:
+            val_margin += params.learning_rate * tree.predict(x_val)
+            loss = logloss(y_val, sigmoid(val_margin))
+            if loss < best_loss:
+                best_loss, best_round = loss, round_index
+            elif round_index - best_round >= params.early_stopping_rounds:
+                break
+    if use_val and best_round >= 0:
+        return trees[: best_round + 1], best_round
+    return trees, None
+
+
+def assert_matches_reference(params, x, y, x_val=None, y_val=None):
+    model = fit_gbdt(params, x, y, x_val, y_val)
+    trees, best_iteration = reference_fit(params, x, y, x_val, y_val)
+    assert model.best_iteration == best_iteration
+    assert len(model.trees) == len(trees)
+    for got, want in zip(model.trees, trees):
+        for name in NODE_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    return model
 
 
 def logloss(y, p):
@@ -212,3 +344,77 @@ def test_validation_errors():
     model = fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0])
     with pytest.raises(InputError):
         model.predict_proba(np.zeros((2, 5)))
+
+
+def _ties(rng):
+    x = rng.integers(0, 3, size=(60, 4)).astype(float)
+    y = (x[:, 0] + x[:, 1] + rng.normal(0, 1, 60) > 2).astype(float)
+    return {}, x, y, None, None
+
+
+def _constant_columns(rng):
+    x = rng.normal(size=(50, 4))
+    x[:, 0] = 1.5
+    x[:, 2] = -3.0
+    y = (x[:, 1] + 0.5 * rng.normal(size=50) > 0).astype(float)
+    return {}, x, y, None, None
+
+
+def _tiny_nodes(rng):
+    # Five rows under a deep cap leave 1-row and 2-row nodes to search.
+    x = rng.normal(size=(5, 2))
+    y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    return {"min_child_weight": 0.0}, x, y, None, None
+
+
+def _min_child_weight(rng):
+    x = np.round(rng.normal(size=(80, 3)), 1)
+    y = (x[:, 0] - x[:, 2] + rng.normal(0, 0.5, 80) > 0).astype(float)
+    return {"min_child_weight": 3.0}, x, y, None, None
+
+
+def _min_split_gain(rng):
+    x = rng.normal(size=(80, 3))
+    y = (x[:, 1] + rng.normal(0, 1, 80) > 0.3).astype(float)
+    return {"min_split_gain": 0.05, "min_child_weight": 0.0}, x, y, None, None
+
+
+def _early_stopping(rng):
+    x = rng.normal(size=(90, 3))
+    y = (x[:, 0] > 0).astype(float)
+    x_val = rng.normal(size=(30, 3))
+    y_val = (x_val[:, 0] + rng.normal(0, 1.5, 30) > 0).astype(float)  # turns after a few rounds
+    return {"n_estimators": 60, "early_stopping_rounds": 3}, x, y, x_val, y_val
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "case",
+    [_ties, _constant_columns, _tiny_nodes, _min_child_weight, _min_split_gain, _early_stopping],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_presorted_search_grows_the_reference_trees(case, depth):
+    rng = np.random.default_rng(depth)
+    overrides, x, y, x_val, y_val = case(rng)
+    params = GBDTParams(**{"n_estimators": 12, "max_depth": depth, **overrides})
+    model = assert_matches_reference(params, x, y, x_val, y_val)
+    assert model.trees
+
+
+def test_validation_rows_must_align_with_labels():
+    x = np.eye(3)
+    with pytest.raises(InputError, match="do not align"):
+        fit_gbdt(GBDTParams(), x, [0.0, 1.0, 0.0], np.eye(3), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validation_features_must_be_finite(bad):
+    x_val = np.eye(3)
+    x_val[1, 2] = bad
+    with pytest.raises(InputError, match="finite"):
+        fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], x_val, [0.0, 1.0, 1.0])
+
+
+def test_validation_labels_must_be_binary():
+    with pytest.raises(InputError, match="0 or 1"):
+        fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], np.eye(3), [0.0, 2.0, 1.0])

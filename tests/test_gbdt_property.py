@@ -1,0 +1,48 @@
+"""Property test: the presorted split search grows the reference grower's trees.
+
+Kept apart from test_gbdt.py so that module still runs where the optional
+``hypothesis`` dev dependency is missing; this one is skipped there.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from test_gbdt import assert_matches_reference  # noqa: E402
+
+from qmoe.gbdt import GBDTParams  # noqa: E402
+
+
+@st.composite
+def fit_cases(draw):
+    rows = draw(st.integers(2, 30))
+    feats = draw(st.integers(1, 4))
+    # A few distinct values per column, so value ties and constant columns are common.
+    value = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3, allow_nan=False)
+    x = np.array(draw(st.lists(value, min_size=rows * feats, max_size=rows * feats)))
+    labels = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows))
+    params = GBDTParams(
+        n_estimators=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(1, 5)),
+        min_child_weight=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        min_split_gain=draw(st.sampled_from([0.0, 0.01])),
+        early_stopping_rounds=draw(st.integers(0, 2)),
+    )
+    x_val = y_val = None
+    if params.early_stopping_rounds:
+        n_val = draw(st.integers(1, 10))
+        x_val = np.array(draw(st.lists(value, min_size=n_val * feats, max_size=n_val * feats)))
+        x_val = x_val.reshape(n_val, feats)
+        y_val = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                       min_size=n_val, max_size=n_val)))
+    return params, x.reshape(rows, feats), np.array(labels), x_val, y_val
+
+
+@settings(max_examples=80, deadline=None)
+@given(fit_cases())
+def test_presorted_search_equals_reference_property(case):
+    params, x, y, x_val, y_val = case
+    assert_matches_reference(params, x, y, x_val, y_val)

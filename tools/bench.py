@@ -1,20 +1,24 @@
-"""Write BENCH_qsim.json: circuit-gradient timings before and after a change.
+"""Write BENCH_<topic>.json: timings of one kernel family before and after a change.
 
 Usage, from the root of the changed checkout, after running perfbench in
 both checkouts over the same seeds (alternate which checkout runs first):
 
     python3 perfbench/run.py --workload <w> --seed <s> --seconds 40
-    python3 tools/bench_qsim.py --parent ../parent-checkout
+    python3 tools/bench.py <topic> --parent ../parent-checkout
+
+The topic picks the kernel table: ``qsim`` times
+``qsim.batch_parameter_shift`` and writes BENCH_qsim.json, ``gbdt`` times
+``gbdt.fit_gbdt`` and writes BENCH_gbdt.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
 their ``.perfbench/results/`` directories, pairs them by seed, and
 summarises each end-to-end metric: median and quartiles per side, the
 pairs the change won, and a verdict against the bound in BENCHMARK.json.
-It then times ``qsim.batch_parameter_shift`` from each checkout's ``src/``
-on the kernel shapes below, each in a fresh interpreter with BLAS pinned
-to one thread, and records the median and interquartile range of
-``REPEATS`` timed calls.
+It then times the topic's kernel from each checkout's ``src/`` on every
+entry of its table, each in a fresh interpreter with BLAS pinned to one
+thread, and records the median and interquartile range of ``REPEATS``
+timed calls.
 """
 
 from __future__ import annotations
@@ -25,35 +29,84 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 WORKLOADS = ("cv-desk", "train-paper", "serve-paper")
-
-# (n_qubits, n_layers, rows, measured qubits): the desk config, the paper
-# config with one and with every qubit measured, and a wide desk batch.
-KERNELS = ((3, 2, 8, 1), (6, 6, 32, 1), (6, 6, 32, 6), (3, 2, 512, 1))
 REPEATS = 7
 
+# The timer runs in a fresh interpreter: ``kernel`` is one table entry, and
+# the topic's set-up defines ``call`` from it.
 _TIMER = """
 import json, sys, time
 import numpy as np
-from qmoe import qsim
-n, layers, rows, q, repeats = (int(v) for v in sys.argv[1:])
+kernel, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 rng = np.random.default_rng(0)
-spec = qsim.AnsatzSpec(n_qubits=n, n_layers=layers)
-params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-feats = rng.uniform(-np.pi, np.pi, size=(rows, n))
-qubits = tuple(range(q))
-qsim.batch_parameter_shift(spec, params, feats, qubits)  # warm-up
+{setup}
+call()  # warm-up
 samples = []
 for _ in range(repeats):
     start = time.perf_counter()
-    qsim.batch_parameter_shift(spec, params, feats, qubits)
+    call()
     samples.append(time.perf_counter() - start)
 print(json.dumps(samples))
 """
+
+
+@dataclass(frozen=True)
+class Topic:
+    title: str  # the "topic" field of the file
+    kernels: tuple  # one dict of named inputs per timed shape
+    setup: str  # timer code defining call() from ``kernel`` and ``rng``
+
+
+TOPICS = {
+    "qsim": Topic(
+        title="qsim.batch_parameter_shift: adjoint sweep replacing the shift-rule loop",
+        # The desk config, the paper config with one and with every qubit
+        # measured, and a wide desk batch.
+        kernels=tuple(
+            {"n_qubits": n, "n_layers": layers, "rows": rows, "measured": q}
+            for n, layers, rows, q in ((3, 2, 8, 1), (6, 6, 32, 1), (6, 6, 32, 6), (3, 2, 512, 1))
+        ),
+        setup="""
+from qmoe import qsim
+spec = qsim.AnsatzSpec(n_qubits=kernel["n_qubits"], n_layers=kernel["n_layers"])
+params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+feats = rng.uniform(-np.pi, np.pi, size=(kernel["rows"], spec.n_qubits))
+qubits = tuple(range(kernel["measured"]))
+call = lambda: qsim.batch_parameter_shift(spec, params, feats, qubits)
+""",
+    ),
+    "gbdt": Topic(
+        title="gbdt.fit_gbdt: presorted, feature-vectorized split search replacing "
+              "the per-node, per-feature argsort loop",
+        # The router's shape (rare positive targets, router_params), the
+        # train-paper primary (an 800-row balanced set, default params,
+        # early stopping on a validation set at the real fraud rate), and
+        # a 16k-row fit.
+        kernels=(
+            {"name": "router", "rows": 1000, "fraud_rate": 0.02, "n_estimators": 100,
+             "max_depth": 3, "early_stopping_rounds": 0, "validation_rows": 0},
+            {"name": "primary", "rows": 800, "fraud_rate": 0.5, "n_estimators": 200,
+             "max_depth": 4, "early_stopping_rounds": 20, "validation_rows": 2500},
+            {"name": "wide", "rows": 16000, "fraud_rate": 0.01, "n_estimators": 20,
+             "max_depth": 4, "early_stopping_rounds": 0, "validation_rows": 0},
+        ),
+        setup="""
+from qmoe import data, gbdt
+x, y, _ = data.synthesize(max(kernel["rows"], 1000), kernel["fraud_rate"], seed=0)
+x, y = x[: kernel["rows"]], y[: kernel["rows"]]  # synthesize shuffles its rows
+val = (data.synthesize(kernel["validation_rows"], 0.01, seed=1)[:2]
+       if kernel["validation_rows"] else (None, None))
+params = gbdt.GBDTParams(n_estimators=kernel["n_estimators"], max_depth=kernel["max_depth"],
+                         early_stopping_rounds=kernel["early_stopping_rounds"])
+call = lambda: gbdt.fit_gbdt(params, x, y, *val)
+""",
+    ),
+}
 
 
 def _quantile(ordered: list, frac: float) -> float:
@@ -69,11 +122,12 @@ def _quartiles(samples: list) -> dict:
             "q3": _quantile(ordered, 0.75), "runs": len(ordered)}
 
 
-def time_kernel(checkout: Path, shape: tuple) -> dict:
+def time_kernel(checkout: Path, topic: Topic, kernel: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, "-c", _TIMER, *(str(v) for v in shape), str(REPEATS)],
+        [sys.executable, "-c", _TIMER.format(setup=topic.setup), json.dumps(kernel),
+         str(REPEATS)],
         env=env, check=True, capture_output=True, text=True,
     )
     q = _quartiles([1e3 * t for t in json.loads(out.stdout)])
@@ -140,9 +194,12 @@ def summarise(parent: dict, change: dict, metrics: list) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("topic", choices=sorted(TOPICS), help="kernel table to time")
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    ap.add_argument("--out", type=Path, default=Path("BENCH_qsim.json"))
+    ap.add_argument("--out", type=Path, help="output file (default BENCH_<topic>.json)")
     args = ap.parse_args(argv)
+    topic = TOPICS[args.topic]
+    out_path = args.out or Path(f"BENCH_{args.topic}.json")
     change = Path(__file__).resolve().parents[1]
     parent = args.parent.resolve()
     metrics = json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]
@@ -160,18 +217,15 @@ def main(argv=None) -> int:
                   f"{row.get('verdict', '')}")
 
     kernels = []
-    for shape in KERNELS:
-        before = time_kernel(parent, shape)
-        after = time_kernel(change, shape)
-        kernels.append({
-            "n_qubits": shape[0], "n_layers": shape[1], "rows": shape[2], "measured": shape[3],
-            "parent": before, "change": after,
-            "speedup": before["median_ms"] / after["median_ms"],
-        })
-        print(f"kernel {shape}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms")
+    for kernel in topic.kernels:
+        before = time_kernel(parent, topic, kernel)
+        after = time_kernel(change, topic, kernel)
+        kernels.append({**kernel, "parent": before, "change": after,
+                        "speedup": before["median_ms"] / after["median_ms"]})
+        print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms")
 
     doc = {
-        "topic": "qsim.batch_parameter_shift: adjoint sweep replacing the shift-rule loop",
+        "topic": topic.title,
         "kernel_environment": {
             "cores": os.cpu_count(),
             "python": platform.python_version(),
@@ -181,8 +235,8 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "kernels": kernels,
     }
-    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {args.out}")
+    out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out_path}")
     return 0
 
 
