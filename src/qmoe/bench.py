@@ -39,7 +39,7 @@ from .data import (
 from .errors import ConfigurationError, InputError, ModelIOError
 from .gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
 from .hybrid import HybridConfig, HybridModel, fit_hybrid
-from .metrics import auprc_trapezoid, average_precision, pr_curve
+from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 from .moe import (
     GAMMA_GRID,
     CombinedModel,
@@ -50,6 +50,7 @@ from .moe import (
     router_targets,
     youden_threshold,
 )
+from .neural import _check_params_shape
 
 __all__ = [
     "RunConfig",
@@ -228,11 +229,7 @@ def _arm_metrics(y, probs, hard, routed_fraction: float, n_points: int,
         return out
     out["ap"] = average_precision(probs, y)
     out["aucpr"] = auprc_trapezoid(pr_curve(probs, y))
-    tp = float(np.sum((hard == 1) & (y == 1)))
-    fp = float(np.sum((hard == 1) & (y == 0)))
-    fn = float(np.sum((hard == 0) & (y == 1)))
-    out["precision"] = tp / (tp + fp) if tp + fp > 0 else 0.0
-    out["recall"] = tp / (tp + fn)
+    out["precision"], out["recall"] = precision_recall(hard, y)
     return out
 
 
@@ -563,15 +560,25 @@ def _hybrid_to_dict(model: HybridModel) -> dict:
 
 
 def _hybrid_from_dict(d: dict) -> HybridModel:
+    """Rebuild a hybrid expert, checking every array against its config."""
     cfg = dict(d["config"])
     cfg["encoder_hidden"] = tuple(cfg["encoder_hidden"])
-    return HybridModel(
-        config=HybridConfig(**cfg),
-        encoder=_layers_from_list(d["encoder"]),
-        decoder=_layers_from_list(d["decoder"]),
-        theta=_array(d["theta"]),
-        head=_layers_from_list(d["head"]),
-    )
+    config = HybridConfig(**cfg)
+    layers = {name: _layers_from_list(d[name]) for name in ("encoder", "decoder", "head")}
+    for name, spec in (("encoder", config.encoder_spec),
+                       ("decoder", config.decoder_spec),
+                       ("head", config.head_spec)):
+        try:
+            _check_params_shape(spec, layers[name])
+        except ConfigurationError as exc:
+            raise ModelIOError(f"hybrid {name}: {exc}") from exc
+    theta = _array(d["theta"])
+    if theta.shape != (config.ansatz.n_params,):
+        raise ModelIOError(
+            f"hybrid theta has shape {theta.shape}, the config needs "
+            f"{config.ansatz.n_params} circuit parameters"
+        )
+    return HybridModel(config=config, theta=theta, **layers)
 
 
 def _temp_to_dict(scaler: TemperatureScaler) -> dict:

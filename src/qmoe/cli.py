@@ -40,7 +40,7 @@ from .data import load_csv, save_csv, synthesize
 from .errors import ConfigurationError, DataError, QmoeError
 from .gbdt import GBDTParams
 from .hybrid import HybridConfig
-from .metrics import auprc_trapezoid, average_precision, pr_curve
+from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 
 ENV_DATASET = "QMOE_DATASET"
 
@@ -126,9 +126,7 @@ def _cmd_evaluate(args) -> int:
     pipeline = load_model(args.model)
     x, y = _load_labeled(args)
     out = pipeline_predict(pipeline, x, args.gamma)
-    tp = float(np.sum((out.labels == 1) & (y == 1)))
-    fp = float(np.sum((out.labels == 1) & (y == 0)))
-    fn = float(np.sum((out.labels == 0) & (y == 1)))
+    precision, recall = precision_recall(out.labels, y)
     result = {
         "rows": int(y.size),
         "positives": int(y.sum()),
@@ -136,8 +134,8 @@ def _cmd_evaluate(args) -> int:
         "routed_fraction": out.routed_fraction,
         "ap": average_precision(out.probs, y) if np.unique(y).size > 1 else None,
         "aucpr": auprc_trapezoid(pr_curve(out.probs, y)) if np.unique(y).size > 1 else None,
-        "precision": tp / (tp + fp) if tp + fp > 0 else 0.0,
-        "recall": tp / (tp + fn) if tp + fn > 0 else None,
+        "precision": precision,
+        "recall": None if np.isnan(recall) else recall,
     }
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0

@@ -276,6 +276,8 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
             raise InputError(
                 f"validation features {x_val.shape} and labels {y_val_arr.shape} do not align"
             )
+        if x_val.shape[0] == 0:
+            raise InputError("cannot early-stop on an empty validation set")
         if not np.all(np.isfinite(x_val)):
             raise InputError("validation features must be finite")
         if not np.all((y_val_arr == 0) | (y_val_arr == 1)):

@@ -2,11 +2,13 @@
 
 The dataflow is: a dense encoder compresses a feature row to one latent per
 qubit, pi * tanh squashes latents into rotation angles, the circuit turns
-angles into Z expectations, and a small dense head maps expectations to a
+angles into Z expectations (of qubit 0, or of every qubit when
+head_all_qubits is set), and a small dense head maps expectations to a
 fraud probability. A mirrored decoder reconstructs the input from the same
 latents, but only legitimate rows contribute reconstruction loss, so the
 latent space organizes around normal traffic while fraud lands where it
-may.
+may. The decoder shapes training only: a fitted HybridModel serves
+predict_proba, which never runs it.
 
 The two objectives combine as
 
@@ -50,8 +52,6 @@ __all__ = [
     "TrainReport",
     "init_hybrid",
     "fit_hybrid",
-    "evaluate_loss",
-    "sign_baseline_predict",
 ]
 
 _EVAL_CHUNK = 512
@@ -124,7 +124,7 @@ class HybridConfig:
     def measured_qubits(self) -> list:
         if self.head_all_qubits:
             return list(range(self.n_qubits))
-        return [self.ansatz.measure_qubit]
+        return [0]
 
 
 @dataclass
@@ -141,30 +141,18 @@ class HybridModel:
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], _EVAL_CHUNK):
             chunk = x[start : start + _EVAL_CHUNK]
-            _, _, _, probs = self._classify(chunk)
+            _, probs = self._classify(chunk)
             out[start : start + _EVAL_CHUNK] = probs
         return out
 
-    def reconstruct(self, x) -> np.ndarray:
-        x = self._check(x)
-        cfg = self.config
-        z, _ = mlp_forward(cfg.encoder_spec, self.encoder, x)
-        x_hat, _ = mlp_forward(cfg.decoder_spec, self.decoder, z)
-        return x_hat
-
-    def latent_angles(self, x) -> np.ndarray:
-        x = self._check(x)
-        z, _ = mlp_forward(self.config.encoder_spec, self.encoder, x)
-        return np.pi * np.tanh(z)
-
     def _classify(self, x):
-        """Encoder -> angles -> expectations -> head, on a prepared batch."""
+        """Encoder -> angles -> expectations -> head; returns (latents, probs)."""
         cfg = self.config
         z, _ = mlp_forward(cfg.encoder_spec, self.encoder, x)
         angles = np.pi * np.tanh(z)
         exps = batch_expectations(cfg.ansatz, self.theta, angles, cfg.measured_qubits)
         probs, _ = mlp_forward(cfg.head_spec, self.head, exps)
-        return z, angles, exps, probs[:, 0]
+        return z, probs[:, 0]
 
     def _check(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -351,36 +339,3 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
     if best_snapshot is not None:
         _set_params(model, best_snapshot)
     return model, report
-
-
-def evaluate_loss(model: HybridModel, x, y):
-    """(total, recon, class) losses on a dataset, without touching params."""
-    x = model._check(x)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (x.shape[0],):
-        raise InputError(f"labels {y.shape} do not match {x.shape[0]} rows")
-    cfg = model.config
-    z, _, _, probs = model._classify(x)
-    class_loss, _ = bce_loss(y, probs)
-    legit = y == 0
-    if legit.any():
-        x_hat, _ = mlp_forward(cfg.decoder_spec, model.decoder, z)
-        recon_loss, _ = mse_loss(x[legit], x_hat[legit])
-    else:
-        recon_loss = 0.0
-    lam = cfg.recon_weight
-    return lam * recon_loss + (1.0 - lam) * class_loss, recon_loss, class_loss
-
-
-def sign_baseline_predict(model: HybridModel, x) -> np.ndarray:
-    """Headless hard labels from the measured expectation's sign.
-
-    Classifies a row as fraud when <Z> on the measured qubit is >= 0. A
-    useful floor: any trained head should beat it.
-    """
-    x = model._check(x)
-    cfg = model.config
-    z, _ = mlp_forward(cfg.encoder_spec, model.encoder, x)
-    angles = np.pi * np.tanh(z)
-    exps = batch_expectations(cfg.ansatz, model.theta, angles, [cfg.ansatz.measure_qubit])
-    return (exps[:, 0] >= 0.0).astype(np.float64)

@@ -1,14 +1,14 @@
 """Precision-recall metrics for heavily imbalanced binary scoring.
 
 All curve computations sweep thresholds over the distinct score values in
-descending order, grouping tied scores into a single operating point. A
-prediction is positive when its score is strictly above the threshold of
-interest.
+descending order, grouping tied scores into a single operating point: the
+point at threshold t counts every score >= t as positive. Precision and
+recall of hard labels, such as a threshold rule's output, come from
+precision_recall.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +17,10 @@ from .errors import InputError
 
 __all__ = [
     "PRCurve",
-    "ThresholdMetrics",
     "pr_curve",
     "auprc_trapezoid",
     "average_precision",
-    "precision_recall_at",
-    "curve_to_csv",
+    "precision_recall",
 ]
 
 
@@ -35,20 +33,7 @@ class PRCurve:
     thresholds: np.ndarray
 
 
-@dataclass(frozen=True)
-class ThresholdMetrics:
-    precision: float
-    recall: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    # 0/0 conventions, flagged so callers can surface degenerate folds
-    no_predicted_positives: bool
-    no_actual_positives: bool
-
-
-def _validated(scores, labels, need_both_classes=True):
+def _validated(scores, labels):
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.ndim != 1 or y.shape != s.shape:
@@ -60,7 +45,7 @@ def _validated(scores, labels, need_both_classes=True):
     y = y.astype(np.int64)
     if not np.all((y == 0) | (y == 1)):
         raise InputError("labels must be 0 or 1")
-    if need_both_classes and (y.min() == y.max()):
+    if y.min() == y.max():
         raise InputError("both classes must be present")
     return s, y
 
@@ -113,29 +98,19 @@ def auprc_trapezoid(curve: PRCurve) -> float:
     return float(np.sum(widths * 0.5 * (p_env[1:] + p_env[:-1])))
 
 
-def precision_recall_at(scores, labels, threshold: float) -> ThresholdMetrics:
-    """Confusion counts for the rule: positive iff score > threshold.
+def precision_recall(labels, y) -> tuple[float, float]:
+    """Precision and recall of hard 0/1 predictions against 0/1 truth.
 
-    Precision with no predicted positives is reported as 0.0 and flagged;
-    recall with no actual positives is reported as NaN and flagged.
+    Precision with no predicted positives is 0.0; recall with no actual
+    positives is NaN.
     """
-    s, y = _validated(scores, labels, need_both_classes=False)
-    pred = s > threshold
-    actual = y == 1
+    pred = np.asarray(labels) == 1
+    actual = np.asarray(y) == 1
+    if pred.shape != actual.shape:
+        raise InputError(f"predictions {pred.shape} and labels {actual.shape} must match")
     tp = int(np.sum(pred & actual))
-    fp = int(np.sum(pred & ~actual))
-    fn = int(np.sum(~pred & actual))
-    tn = int(np.sum(~pred & ~actual))
-    no_pred = (tp + fp) == 0
-    no_actual = (tp + fn) == 0
-    precision = 0.0 if no_pred else tp / (tp + fp)
-    recall = float("nan") if no_actual else tp / (tp + fn)
-    return ThresholdMetrics(precision, recall, tp, fp, tn, fn, no_pred, no_actual)
-
-
-def curve_to_csv(curve: PRCurve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["threshold", "precision", "recall"])
-        for t, p, r in zip(curve.thresholds, curve.precision, curve.recall):
-            writer.writerow([repr(float(t)), repr(float(p)), repr(float(r))])
+    n_pred = int(np.sum(pred))
+    n_actual = int(np.sum(actual))
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_actual if n_actual else float("nan")
+    return precision, recall

@@ -16,7 +16,7 @@ from .errors import ConfigurationError, InputError
 
 PROB_EPS = 1e-7
 
-_ACTIVATIONS = ("linear", "relu", "sigmoid", "scaled_tanh")
+_ACTIVATIONS = ("linear", "relu", "sigmoid")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -37,8 +37,6 @@ def _activate(name: str, pre: np.ndarray) -> np.ndarray:
         return np.maximum(pre, 0.0)
     if name == "sigmoid":
         return sigmoid(pre)
-    if name == "scaled_tanh":
-        return np.pi * np.tanh(pre)
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
@@ -50,9 +48,6 @@ def _activation_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
         return (pre > 0).astype(np.float64)
     if name == "sigmoid":
         return out * (1.0 - out)
-    if name == "scaled_tanh":
-        t = out / np.pi
-        return np.pi * (1.0 - t * t)
     raise ConfigurationError(f"unknown activation {name!r}")
 
 

@@ -1,9 +1,14 @@
-"""Dense statevector simulator for small rotation-plus-CNOT circuits.
+"""Batched dense statevector simulation of the hybrid model's circuit.
+
+The circuit is the angle encoding RY(x_q)|0> on every qubit followed by
+the layered RY/RZ/CNOT-ring ansatz of AnsatzSpec. batch_expectations runs
+it for many feature rows sharing one parameter vector; batch_parameter_shift
+returns the exact gradients of those expectations by an adjoint sweep.
 
 Basis-state layout: qubit 0 is the most significant bit of the amplitude
 index. For three qubits the amplitude at index 0b110 belongs to qubit 0
-in |1>, qubit 1 in |1>, qubit 2 in |0>. Every oracle and test in this
-project assumes that ordering.
+in |1>, qubit 1 in |1>, qubit 2 in |0>. The dense kron-matrix oracle in
+the tests assumes that ordering.
 
 Gate conventions, with theta in radians:
 
@@ -25,78 +30,11 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 
-__all__ = [
-    "MAX_QUBITS",
-    "RY",
-    "RZ",
-    "CNOT",
-    "StateVector",
-    "AnsatzSpec",
-    "apply_gate",
-    "angle_encode",
-    "ansatz_forward",
-    "expectation_z",
-    "circuit_value",
-    "parameter_shift_grad",
-    "batch_expectations",
-    "batch_parameter_shift",
-]
+__all__ = ["MAX_QUBITS", "AnsatzSpec", "batch_expectations", "batch_parameter_shift"]
 
 # Dense simulation keeps the full 2**n amplitude vector; past this size the
 # memory cost is no longer sensible for this package.
 MAX_QUBITS = 16
-
-
-@dataclass(frozen=True)
-class RY:
-    qubit: int
-    angle: float
-
-
-@dataclass(frozen=True)
-class RZ:
-    qubit: int
-    angle: float
-
-
-@dataclass(frozen=True)
-class CNOT:
-    control: int
-    target: int
-
-
-Gate = RY | RZ | CNOT
-
-
-@dataclass
-class StateVector:
-    """Pure n-qubit state held as a dense complex array of length 2**n."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 1 <= int(self.n_qubits) <= MAX_QUBITS:
-            raise ConfigurationError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise ConfigurationError(
-                f"expected {2 ** self.n_qubits} amplitudes for "
-                f"{self.n_qubits} qubits, got shape {amps.shape}"
-            )
-        self.amplitudes = amps
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        """The computational basis state |0...0>."""
-        amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -112,7 +50,6 @@ class AnsatzSpec:
 
     n_qubits: int
     n_layers: int
-    measure_qubit: int = 0
 
     def __post_init__(self) -> None:
         if not 1 <= int(self.n_qubits) <= MAX_QUBITS:
@@ -121,11 +58,6 @@ class AnsatzSpec:
             )
         if int(self.n_layers) < 1:
             raise ConfigurationError(f"n_layers must be >= 1, got {self.n_layers}")
-        if not 0 <= int(self.measure_qubit) < int(self.n_qubits):
-            raise ConfigurationError(
-                f"measure_qubit {self.measure_qubit} out of range for "
-                f"{self.n_qubits} qubits"
-            )
 
     @property
     def n_params(self) -> int:
@@ -235,8 +167,7 @@ def _expect(amps: np.ndarray, signs_t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_angles(values: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _check_angles(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{what} must be finite, got a NaN or infinity")
     return arr
@@ -254,8 +185,6 @@ def _check_params(spec: AnsatzSpec, params) -> np.ndarray:
 
 def _check_features(spec: AnsatzSpec, features) -> np.ndarray:
     arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
     if arr.ndim != 2 or arr.shape[1] != spec.n_qubits:
         raise InputError(
             f"expected feature rows of length {spec.n_qubits}, got shape "
@@ -265,9 +194,9 @@ def _check_features(spec: AnsatzSpec, features) -> np.ndarray:
 
 
 def _check_qubits(spec: AnsatzSpec, qubits) -> tuple[int, ...]:
-    if qubits is None:
-        return (spec.measure_qubit,)
     out = tuple(int(q) for q in qubits)
+    if not out:
+        raise ConfigurationError("measure at least one qubit")
     for q in out:
         if not 0 <= q < spec.n_qubits:
             raise ConfigurationError(
@@ -277,98 +206,11 @@ def _check_qubits(spec: AnsatzSpec, qubits) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# public single-state operations
-# ---------------------------------------------------------------------------
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate and return the resulting state. The input is unchanged."""
-    n = state.n_qubits
-    if isinstance(gate, (RY, RZ)):
-        if not 0 <= gate.qubit < n:
-            raise ConfigurationError(f"qubit {gate.qubit} out of range for {n} qubits")
-        if not np.isfinite(gate.angle):
-            raise InputError(f"gate angle must be finite, got {gate.angle}")
-        kernel = _apply_ry if isinstance(gate, RY) else _apply_rz
-        return StateVector(n, kernel(state.amplitudes, n, gate.qubit, float(gate.angle)))
-    if isinstance(gate, CNOT):
-        if not (0 <= gate.control < n and 0 <= gate.target < n):
-            raise ConfigurationError(
-                f"CNOT({gate.control}, {gate.target}) out of range for {n} qubits"
-            )
-        if gate.control == gate.target:
-            raise ConfigurationError("CNOT control and target must differ")
-        return StateVector(n, _apply_cnot(state.amplitudes, n, gate.control, gate.target))
-    raise InputError(f"unknown gate {gate!r}")
-
-
-def angle_encode(features, n_qubits: int | None = None) -> StateVector:
-    """Encode one feature vector as the product state prod_q RY(x_q)|0>."""
-    arr = _check_angles(np.asarray(features, dtype=np.float64), "feature angles")
-    if arr.ndim != 1:
-        raise InputError(f"expected a 1-d feature vector, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n_qubits is not None and n != n_qubits:
-        raise InputError(f"expected {n_qubits} feature angles, got {n}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ConfigurationError(f"feature count must be in [1, {MAX_QUBITS}], got {n}")
-    return StateVector(n, _encode(arr))
-
-
-def ansatz_forward(spec: AnsatzSpec, params, state: StateVector) -> StateVector:
-    """Run the layered ansatz on ``state`` with the given parameter vector."""
-    if state.n_qubits != spec.n_qubits:
-        raise ConfigurationError(
-            f"state has {state.n_qubits} qubits, spec wants {spec.n_qubits}"
-        )
-    arr = _check_params(spec, params)
-    return StateVector(spec.n_qubits, _run_ansatz(state.amplitudes, spec, arr))
-
-
-def expectation_z(state: StateVector, qubit: int = 0) -> float:
-    """<Z> on one qubit: P(qubit = 0) - P(qubit = 1). Always in [-1, 1]."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ConfigurationError(
-            f"qubit {qubit} out of range for {state.n_qubits} qubits"
-        )
-    signs = _z_signs(state.n_qubits, qubit)
-    return float(_expect(state.amplitudes, signs))
-
-
-def circuit_value(spec: AnsatzSpec, params, features) -> float:
-    """Full evaluation: encode features, run the ansatz, measure <Z>."""
-    arr_p = _check_params(spec, params)
-    arr_f = np.asarray(features, dtype=np.float64)
-    if arr_f.shape != (spec.n_qubits,):
-        raise InputError(
-            f"expected {spec.n_qubits} feature angles, got shape {arr_f.shape}"
-        )
-    _check_angles(arr_f, "feature angles")
-    amps = _run_ansatz(_encode(arr_f), spec, arr_p)
-    return float(_expect(amps, _z_signs(spec.n_qubits, spec.measure_qubit)))
-
-
-def parameter_shift_grad(spec: AnsatzSpec, params, features):
-    """Exact gradient of circuit_value for one feature row.
-
-    Returns ``(grad_params, grad_features)`` for the measured qubit: the
-    single-row case of batch_parameter_shift.
-    """
-    arr_f = np.asarray(features, dtype=np.float64)
-    if arr_f.shape != (spec.n_qubits,):
-        raise InputError(
-            f"expected {spec.n_qubits} feature angles, got shape {arr_f.shape}"
-        )
-    d_theta, d_feat = batch_parameter_shift(spec, params, arr_f[np.newaxis, :])
-    return d_theta[0, :, 0], d_feat[0, :, 0]
-
-
-# ---------------------------------------------------------------------------
 # batched operations: rows of ``features`` share the circuit parameters
 # ---------------------------------------------------------------------------
 
 
-def batch_expectations(spec: AnsatzSpec, params, features, qubits=None) -> np.ndarray:
+def batch_expectations(spec: AnsatzSpec, params, features, qubits) -> np.ndarray:
     """<Z_q> per feature row, shape (rows, len(qubits))."""
     arr_p = _check_params(spec, params)
     arr_f = _check_features(spec, features)
@@ -378,7 +220,7 @@ def batch_expectations(spec: AnsatzSpec, params, features, qubits=None) -> np.nd
     return _expect(amps, signs_t)
 
 
-def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits=None):
+def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
     """Exact gradients of <Z_q> for every row at once, by adjoint sweep.
 
     Returns ``(d_theta, d_features)`` with shapes (rows, n_params, len(qubits))

@@ -25,18 +25,12 @@ from qmoe.bench import (
 from qmoe.calibration import TemperatureScaler, apply_temperature
 from qmoe.data import synthesize
 from qmoe.gbdt import GBDTParams
-from qmoe.hybrid import (
-    HybridConfig,
-    _batch_gradients,
-    _flat_params,
-    _set_params,
-    evaluate_loss,
-    init_hybrid,
-)
+from qmoe.hybrid import HybridConfig, _batch_gradients, _flat_params, _set_params, init_hybrid
 from qmoe.metrics import auprc_trapezoid, average_precision, pr_curve
 from qmoe.moe import GAMMA_GRID, CombinedModel, combined_predict, router_targets
 from qmoe.neural import MLPSpec, bce_loss, init_mlp_params, mlp_backward, mlp_forward, mse_loss
-from qmoe.qsim import AnsatzSpec, circuit_value, parameter_shift_grad
+from qmoe.qsim import AnsatzSpec, batch_expectations, batch_parameter_shift
+from test_hybrid import evaluate_loss
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -84,6 +78,11 @@ def _cnot_mat(n, control, target):
     return m
 
 
+def _circuit_value(spec: AnsatzSpec, params, features) -> float:
+    """<Z_0> for one feature row, the qubit the hybrid head reads."""
+    return float(batch_expectations(spec, params, [features], (0,))[0, 0])
+
+
 def _matrix_oracle(spec: AnsatzSpec, params, features) -> float:
     n = spec.n_qubits
     psi = _kron_vecs([np.array([np.cos(x / 2.0), np.sin(x / 2.0)]) for x in features])
@@ -97,7 +96,7 @@ def _matrix_oracle(spec: AnsatzSpec, params, features) -> float:
             for q in range(n):
                 psi = _cnot_mat(n, q, (q + 1) % n) @ psi
     z = _kron_mats(
-        [np.diag([1.0, -1.0]) if q == spec.measure_qubit else np.eye(2) for q in range(n)]
+        [np.diag([1.0, -1.0]) if q == 0 else np.eye(2) for q in range(n)]
     )
     return float(np.real(np.vdot(psi, z @ psi)))
 
@@ -112,7 +111,7 @@ def test_01_simulator_matches_matrix_oracle():
             spec = AnsatzSpec(n_qubits=n, n_layers=int(rng.integers(1, 4)))
             params = rng.uniform(-np.pi, np.pi, spec.n_params)
             feats = rng.uniform(-np.pi, np.pi, n)
-            worst = max(worst, abs(circuit_value(spec, params, feats)
+            worst = max(worst, abs(_circuit_value(spec, params, feats)
                                    - _matrix_oracle(spec, params, feats)))
             count += 1
     elapsed = time.perf_counter() - t0
@@ -138,18 +137,18 @@ def _circuit_grad_errors(rng, instances=50, h=1e-5):
         spec = AnsatzSpec(n_qubits=n, n_layers=int(rng.integers(1, 3)))
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
         feats = rng.uniform(-np.pi, np.pi, n)
-        d_theta, d_feat = parameter_shift_grad(spec, params, feats)
+        d_theta, d_feat = (g[0, :, 0] for g in batch_parameter_shift(spec, params, [feats], (0,)))
         for i in range(spec.n_params):
             def at(v, i=i):
                 p = params.copy()
                 p[i] = v
-                return circuit_value(spec, p, feats)
+                return _circuit_value(spec, p, feats)
             worst = max(worst, _rel(d_theta[i], _fd(at, params[i], h)))
         for j in range(n):
             def at(v, j=j):
                 f = feats.copy()
                 f[j] = v
-                return circuit_value(spec, params, f)
+                return _circuit_value(spec, params, f)
             worst = max(worst, _rel(d_feat[j], _fd(at, feats[j], h)))
     return worst
 
@@ -295,7 +294,7 @@ def test_02_gradients_match_finite_differences():
     _verdict(
         2,
         ok,
-        f"worst relative error: shift-rule {circuit_err:.2e}, mlp {mlp_err:.2e}, "
+        f"worst relative error: circuit {circuit_err:.2e}, mlp {mlp_err:.2e}, "
         f"losses {loss_err:.2e} (limit 1e-4); full chain {chain_err:.2e} "
         f"(limit 1e-3); {elapsed:.1f} s (limit 60 s)",
     )

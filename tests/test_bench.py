@@ -279,6 +279,34 @@ def test_load_model_rejects_feature_out_of_range(model_doc, tmp_path):
         _load_edited(model_doc, edit, tmp_path)
 
 
+def test_load_model_rejects_mis_shaped_hybrid(model_doc, tmp_path):
+    # Before validation these files loaded and failed at the first predict
+    # with a ConfigurationError.
+    def narrow_encoder(h):
+        h["encoder"][0][0] = [row[:-1] for row in h["encoder"][0][0]]
+
+    def short_decoder_bias(h):
+        h["decoder"][-1][1].pop()
+
+    def drop_head_layer(h):
+        h["head"].pop()
+
+    def short_theta(h):
+        h["theta"].pop()
+
+    for edit, match in ((narrow_encoder, "hybrid encoder"),
+                        (short_decoder_bias, "hybrid decoder"),
+                        (drop_head_layer, "hybrid head"),
+                        (short_theta, "hybrid theta")):
+        doc = json.loads(json.dumps(model_doc))
+        assert doc["combined"]["secondary"]["kind"] == "hybrid"
+        edit(doc["combined"]["secondary"])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelIOError, match=match):
+            load_model(path)
+
+
 def test_pipeline_predict_rejects_non_finite_raw_rows(dataset, model_doc, tmp_path):
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     x = dataset[0][:50].copy()

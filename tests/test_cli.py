@@ -77,6 +77,20 @@ def test_evaluate_reports_metrics(workspace, capsys):
     assert 0.0 <= result["aucpr"] <= 1.0
 
 
+def test_evaluate_without_positives_prints_null_recall(workspace, tmp_path, capsys):
+    lines = open(workspace["csv"]).read().splitlines()
+    legit = [lines[0]] + [line for line in lines[1:] if line.rsplit(",", 1)[1] == "0"]
+    csv_path = tmp_path / "legit.csv"
+    csv_path.write_text("\n".join(legit) + "\n")
+    assert main(["evaluate", "--model", workspace["model"],
+                 "--data", str(csv_path), "--gamma", "1.0"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["positives"] == 0
+    assert result["recall"] is None
+    assert result["ap"] is None and result["aucpr"] is None
+    assert 0.0 <= result["precision"] <= 1.0
+
+
 def test_evaluate_rejects_bad_gamma(workspace, capsys):
     assert main(["evaluate", "--model", workspace["model"],
                  "--data", workspace["csv"], "--gamma", "1.5"]) == 1
@@ -159,6 +173,16 @@ def test_evaluate_non_finite_row_exits_1(workspace, tmp_path, capsys):
         assert main(["evaluate", "--model", workspace["model"],
                      "--data", str(bad_csv), "--gamma", gamma]) == 1
         assert "row indices [3]" in capsys.readouterr().err
+
+
+def test_evaluate_mis_shaped_hybrid_exits_1(workspace, tmp_path, capsys):
+    doc = json.loads(open(workspace["model"]).read())
+    doc["combined"]["secondary"]["theta"].append(0.0)
+    bad_model = tmp_path / "theta.json"
+    bad_model.write_text(json.dumps(doc))
+    assert main(["evaluate", "--model", str(bad_model),
+                 "--data", workspace["csv"]]) == 1
+    assert "error: hybrid theta" in capsys.readouterr().err
 
 
 def test_evaluate_cyclic_model_exits_1(workspace, tmp_path, capsys):

@@ -415,6 +415,16 @@ def test_validation_features_must_be_finite(bad):
         fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], x_val, [0.0, 1.0, 1.0])
 
 
+def test_empty_validation_set_is_rejected():
+    # An empty set has no log-loss to early-stop on.
+    with pytest.raises(InputError, match="empty validation"):
+        fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], np.zeros((0, 3)), [])
+    # Without early stopping the validation set is unused.
+    model = fit_gbdt(GBDTParams(early_stopping_rounds=0), np.eye(3), [0.0, 1.0, 0.0],
+                     np.zeros((0, 3)), [])
+    assert model.best_iteration is None
+
+
 def test_validation_labels_must_be_binary():
     with pytest.raises(InputError, match="0 or 1"):
         fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], np.eye(3), [0.0, 2.0, 1.0])

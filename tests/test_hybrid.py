@@ -5,17 +5,28 @@ import numpy as np
 import pytest
 
 from qmoe.errors import ConfigurationError, InputError
-from qmoe.hybrid import (
-    HybridConfig,
-    _batch_gradients,
-    _flat_params,
-    evaluate_loss,
-    fit_hybrid,
-    init_hybrid,
-    sign_baseline_predict,
-)
+from qmoe.hybrid import HybridConfig, _batch_gradients, _flat_params, fit_hybrid, init_hybrid
 from qmoe.metrics import average_precision
-from qmoe.qsim import batch_expectations
+from qmoe.neural import bce_loss, mlp_forward, mse_loss
+
+
+def evaluate_loss(model, x, y):
+    """(total, recon, class) losses on a dataset, without touching params.
+
+    The finite-difference oracle for _batch_gradients: the same objective,
+    built from forward passes only.
+    """
+    cfg = model.config
+    z, probs = model._classify(x)
+    class_loss, _ = bce_loss(y, probs)
+    legit = y == 0
+    if legit.any():
+        x_hat, _ = mlp_forward(cfg.decoder_spec, model.decoder, z)
+        recon_loss, _ = mse_loss(x[legit], x_hat[legit])
+    else:
+        recon_loss = 0.0
+    lam = cfg.recon_weight
+    return lam * recon_loss + (1.0 - lam) * class_loss, recon_loss, class_loss
 
 
 def assert_close(fd, analytic):
@@ -201,19 +212,6 @@ def test_predict_proba_matches_piecewise_evaluation():
     assert np.all((whole > 0) & (whole < 1))
 
 
-def test_sign_baseline_is_the_expectation_sign():
-    cfg = HybridConfig(seed=6, **TINY)
-    model = init_hybrid(cfg)
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(50, 4))
-    labels = sign_baseline_predict(model, x)
-    assert set(np.unique(labels)) <= {0.0, 1.0}
-    exps = batch_expectations(
-        cfg.ansatz, model.theta, model.latent_angles(x), [cfg.ansatz.measure_qubit]
-    )
-    assert np.array_equal(labels, (exps[:, 0] >= 0.0).astype(float))
-
-
 def test_reconstruction_ignores_fraud_rows():
     cfg = HybridConfig(seed=13, **TINY)
     model = init_hybrid(cfg)
@@ -221,7 +219,8 @@ def test_reconstruction_ignores_fraud_rows():
     x = rng.normal(size=(10, 4))
     y = np.r_[np.zeros(6), np.ones(4)]
     _, recon, _ = evaluate_loss(model, x, y)
-    x_hat = model.reconstruct(x[:6])
+    z, _ = mlp_forward(cfg.encoder_spec, model.encoder, x[:6])
+    x_hat, _ = mlp_forward(cfg.decoder_spec, model.decoder, z)
     assert recon == pytest.approx(np.mean((x_hat - x[:6]) ** 2), rel=1e-12)
     # An all-fraud batch has nothing to reconstruct.
     _, recon_none, _ = evaluate_loss(model, x, np.ones(10))

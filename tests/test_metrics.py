@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from qmoe import metrics
 from qmoe.errors import InputError
-from qmoe.metrics import (
-    auprc_trapezoid,
-    average_precision,
-    curve_to_csv,
-    pr_curve,
-    precision_recall_at,
-)
+from qmoe.metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 
 # Hand-worked case used throughout: scores (0.9, 0.8, 0.7, 0.6) with labels
 # (1, 0, 1, 0). Sweeping cuts: (R=0.5, P=1), (0.5, 0.5), (1, 2/3), (1, 0.5).
@@ -132,29 +125,28 @@ def test_recall_is_non_decreasing_and_thresholds_descend():
 
 
 def test_precision_recall_at_threshold():
-    m = precision_recall_at(HAND_SCORES, HAND_LABELS, 0.75)
-    assert (m.tp, m.fp, m.tn, m.fn) == (1, 1, 1, 1)
-    assert m.precision == pytest.approx(0.5)
-    assert m.recall == pytest.approx(0.5)
-    assert not m.no_predicted_positives and not m.no_actual_positives
-
-
-def test_threshold_rule_is_strictly_greater():
-    m = precision_recall_at(np.array([0.4, 0.4]), np.array([1, 0]), 0.4)
-    assert m.tp == 0 and m.fp == 0
-    assert m.no_predicted_positives
-    assert m.precision == 0.0
+    # Cut the hand case at 0.75: predictions (1, 1, 0, 0) against (1, 0, 1, 0).
+    precision, recall = precision_recall(HAND_SCORES > 0.75, HAND_LABELS)
+    assert precision == pytest.approx(0.5)
+    assert recall == pytest.approx(0.5)
+    precision, recall = precision_recall(HAND_SCORES > 0.65, HAND_LABELS)
+    assert precision == pytest.approx(2.0 / 3.0)
+    assert recall == pytest.approx(1.0)
 
 
 def test_degenerate_flags():
-    m = precision_recall_at(np.array([0.1, 0.2]), np.array([0, 0]), 0.9)
-    assert m.no_actual_positives
-    assert np.isnan(m.recall)
+    # Nothing predicted positive: precision is 0.0 by convention.
+    precision, recall = precision_recall(np.array([0, 0]), np.array([0, 1]))
+    assert precision == 0.0
+    assert recall == 0.0
 
-    m = precision_recall_at(np.array([0.1, 0.2]), np.array([0, 1]), 0.9)
-    assert m.no_predicted_positives
-    assert m.precision == 0.0
-    assert m.recall == 0.0
+    # Nothing actually positive: recall is undefined.
+    precision, recall = precision_recall(np.array([1, 0]), np.array([0, 0]))
+    assert precision == 0.0
+    assert np.isnan(recall)
+
+    with pytest.raises(InputError):
+        precision_recall(np.array([1, 0, 1]), np.array([0, 1]))
 
 
 def test_single_class_curve_is_an_error():
@@ -171,16 +163,3 @@ def test_input_validation():
         pr_curve(np.array([0.1, 0.2]), np.array([0, 2]))
     with pytest.raises(InputError):
         pr_curve(np.array([]), np.array([]))
-
-
-def test_curve_csv_roundtrip(tmp_path):
-    curve = pr_curve(HAND_SCORES, HAND_LABELS)
-    path = tmp_path / "curve.csv"
-    curve_to_csv(curve, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "threshold,precision,recall"
-    assert len(rows) == 1 + len(curve.thresholds)
-    got = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    np.testing.assert_array_equal(got[:, 0], curve.thresholds)
-    np.testing.assert_array_equal(got[:, 1], curve.precision)
-    np.testing.assert_array_equal(got[:, 2], curve.recall)

@@ -89,14 +89,6 @@ def test_batch_rows_match_single_vectors():
         np.testing.assert_allclose(out_batch[i], single, atol=1e-14)
 
 
-def test_scaled_tanh_output_range():
-    rng = np.random.default_rng(1)
-    spec = MLPSpec((3, 4, 2), output_activation="scaled_tanh")
-    params = init_mlp_params(spec, rng)
-    out, _ = mlp_forward(spec, params, rng.normal(size=(50, 3)) * 5)
-    assert np.all(np.abs(out) < np.pi)
-
-
 def test_forward_shape_validation():
     spec = MLPSpec((3, 2))
     params = [(np.zeros((2, 3)), np.zeros(2))]
@@ -174,9 +166,10 @@ def test_linear_regression_gradient_is_input():
     np.testing.assert_allclose(grad_in, params[0][0][0])
 
 
-@pytest.mark.parametrize("out_act", ["linear", "sigmoid", "scaled_tanh"])
+@pytest.mark.parametrize("out_act", ["linear", "sigmoid"])
 def test_backward_matches_finite_differences(out_act):
-    rng = np.random.default_rng(hash(out_act) % 2**32)
+    # A fixed seed per case: str hashes are salted per process.
+    rng = np.random.default_rng({"linear": 31, "sigmoid": 32}[out_act])
     spec = MLPSpec((4, 5, 3), output_activation=out_act)
     params = init_mlp_params(spec, rng)
     x = rng.normal(size=(6, 4))

@@ -1,7 +1,10 @@
 """Statevector simulator tests against a dense kronecker-product oracle.
 
 The oracle builds full 2**n x 2**n unitaries and never shares code with the
-simulator's axis-reshaping kernels, so agreement is a real check.
+simulator's axis-reshaping kernels, so agreement is a real check. Gate,
+encoding and ansatz amplitudes are compared through the kernels that
+batch_expectations and batch_parameter_shift run; expectations and
+gradients go through those two functions themselves.
 """
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 from qmoe import qsim
 from qmoe.errors import ConfigurationError, InputError
-from qmoe.qsim import CNOT, RY, RZ, AnsatzSpec, StateVector
+from qmoe.qsim import AnsatzSpec
 
 # ---------------------------------------------------------------------------
 # oracle: explicit dense matrices, qubit 0 = most significant bit
@@ -75,14 +78,25 @@ def oracle_expect_z(state, n, qubit):
     return float(np.real(np.conj(state) @ op @ state))
 
 
-def oracle_circuit_value(spec, params, features):
+def oracle_circuit_value(spec, params, features, qubit=0):
     state = oracle_ansatz(spec, params, oracle_encode(features))
-    return oracle_expect_z(state, spec.n_qubits, spec.measure_qubit)
+    return oracle_expect_z(state, spec.n_qubits, qubit)
 
 
 def random_state(rng, n):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def ground(n):
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[0] = 1.0
+    return amps
+
+
+def value(spec, params, features, qubit=0):
+    """<Z_qubit> for one feature row, through the batched path."""
+    return float(qsim.batch_expectations(spec, params, [features], (qubit,))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +105,13 @@ def random_state(rng, n):
 
 
 def test_ry_pi_flips_zero_to_one():
-    out = qsim.apply_gate(StateVector.zero(1), RY(0, np.pi))
-    np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-15)
+    out = qsim._apply_ry(ground(1), 1, 0, np.pi)
+    np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
 
 def test_rz_leaves_populations_alone():
-    out = qsim.apply_gate(StateVector.zero(1), RZ(0, 1.234))
-    assert qsim.expectation_z(out, 0) == pytest.approx(1.0, abs=1e-15)
+    out = qsim._apply_rz(ground(1), 1, 0, 1.234)
+    np.testing.assert_allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -109,20 +123,21 @@ def test_each_gate_matches_dense_oracle_on_random_state(trial):
     theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
     other = int((q + 1 + rng.integers(n - 1)) % n)
 
-    for gate, mat in [
-        (RY(q, theta), embed_single(n, q, ry_matrix(theta))),
-        (RZ(q, theta), embed_single(n, q, rz_matrix(theta))),
-        (CNOT(q, other), cnot_matrix(n, q, other)),
+    for got, mat in [
+        (qsim._apply_ry(state, n, q, theta), embed_single(n, q, ry_matrix(theta))),
+        (qsim._apply_rz(state, n, q, theta), embed_single(n, q, rz_matrix(theta))),
+        (qsim._apply_cnot(state, n, q, other), cnot_matrix(n, q, other)),
     ]:
-        got = qsim.apply_gate(state, gate).amplitudes
-        np.testing.assert_allclose(got, mat @ state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(got, mat @ state, atol=1e-12)
 
 
 def test_apply_gate_is_pure():
-    state = StateVector.zero(2)
-    before = state.amplitudes.copy()
-    qsim.apply_gate(state, RY(0, 0.7))
-    np.testing.assert_array_equal(state.amplitudes, before)
+    state = random_state(np.random.default_rng(1), 2)
+    before = state.copy()
+    qsim._apply_ry(state, 2, 0, 0.7)
+    qsim._apply_rz(state, 2, 1, 0.7)
+    qsim._apply_cnot(state, 2, 0, 1)
+    np.testing.assert_array_equal(state, before)
 
 
 def test_norm_preserved_under_random_gate_sequences():
@@ -134,27 +149,31 @@ def test_norm_preserved_under_random_gate_sequences():
             kind = rng.integers(3)
             q = int(rng.integers(n))
             if kind == 0:
-                state = qsim.apply_gate(state, RY(q, float(rng.normal())))
+                state = qsim._apply_ry(state, n, q, float(rng.normal()))
             elif kind == 1:
-                state = qsim.apply_gate(state, RZ(q, float(rng.normal())))
+                state = qsim._apply_rz(state, n, q, float(rng.normal()))
             elif n > 1:
-                t = int((q + 1) % n)
-                state = qsim.apply_gate(state, CNOT(q, t))
-        assert state.norm_error() < 1e-10
+                state = qsim._apply_cnot(state, n, q, int((q + 1) % n))
+        assert abs(float(np.sum(np.abs(state) ** 2)) - 1.0) < 1e-10
 
 
 def test_gate_validation_errors():
-    state = StateVector.zero(2)
+    spec = AnsatzSpec(n_qubits=2, n_layers=1)
+    params = np.zeros(spec.n_params)
+    feats = np.zeros((3, 2))
+    for fn in (qsim.batch_expectations, qsim.batch_parameter_shift):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            fn(spec, params, feats, (2,))
+        with pytest.raises(ConfigurationError, match="at least one"):
+            fn(spec, params, feats, ())
+        bad = params.copy()
+        bad[1] = np.nan
+        with pytest.raises(InputError, match="finite"):
+            fn(spec, bad, feats, (0,))
     with pytest.raises(ConfigurationError):
-        qsim.apply_gate(state, RY(2, 0.1))
+        AnsatzSpec(n_qubits=qsim.MAX_QUBITS + 1, n_layers=1)
     with pytest.raises(ConfigurationError):
-        qsim.apply_gate(state, CNOT(1, 1))
-    with pytest.raises(InputError):
-        qsim.apply_gate(state, RZ(0, float("nan")))
-    with pytest.raises(ConfigurationError):
-        StateVector(2, np.zeros(3))
-    with pytest.raises(ConfigurationError):
-        StateVector(qsim.MAX_QUBITS + 1, np.zeros(2 ** (qsim.MAX_QUBITS + 1)))
+        AnsatzSpec(n_qubits=2, n_layers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,40 +182,46 @@ def test_gate_validation_errors():
 
 
 def test_encode_zeros_gives_ground_state():
-    state = qsim.angle_encode(np.zeros(3))
-    assert state.amplitudes[0] == pytest.approx(1.0)
-    assert qsim.expectation_z(state, 0) == pytest.approx(1.0)
+    amps = qsim._encode(np.zeros((1, 3)))
+    np.testing.assert_allclose(amps[0], ground(3), atol=1e-15)
 
 
 def test_encode_single_qubit_half_pi():
-    state = qsim.angle_encode([np.pi / 2])
+    amps = qsim._encode(np.array([[np.pi / 2]]))
     np.testing.assert_allclose(
-        state.amplitudes, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15
+        amps[0], [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15
     )
 
 
 def test_encode_pi_zero_is_basis_ten():
     # qubit 0 flipped, qubit 1 untouched -> index 0b10
-    state = qsim.angle_encode([np.pi, 0.0])
+    amps = qsim._encode(np.array([[np.pi, 0.0]]))
     expected = np.zeros(4)
     expected[2] = 1.0
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+    np.testing.assert_allclose(amps[0], expected, atol=1e-15)
 
 
 def test_encode_matches_oracle_product_state():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        feats = rng.uniform(-np.pi, np.pi, size=n)
-        got = qsim.angle_encode(feats).amplitudes
-        np.testing.assert_allclose(got, oracle_encode(feats), atol=1e-12)
+        feats = rng.uniform(-np.pi, np.pi, size=(3, n))
+        got = qsim._encode(feats)
+        for row in range(3):
+            np.testing.assert_allclose(got[row], oracle_encode(feats[row]), atol=1e-12)
 
 
 def test_encode_rejects_bad_input():
-    with pytest.raises(InputError):
-        qsim.angle_encode([0.1, np.nan])
-    with pytest.raises(InputError):
-        qsim.angle_encode([0.1, 0.2], n_qubits=3)
+    spec = AnsatzSpec(n_qubits=2, n_layers=1)
+    params = np.zeros(spec.n_params)
+    for fn in (qsim.batch_expectations, qsim.batch_parameter_shift):
+        with pytest.raises(InputError, match="finite"):
+            fn(spec, params, [[0.1, np.nan]], (0,))
+        with pytest.raises(InputError, match="length 2"):
+            fn(spec, params, [[0.1, 0.2, 0.3]], (0,))
+        # A bare feature vector is not a batch of rows.
+        with pytest.raises(InputError, match="length 2"):
+            fn(spec, params, [0.1, 0.2], (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +231,8 @@ def test_encode_rejects_bad_input():
 
 def test_zero_params_act_as_identity_on_ground_state():
     spec = AnsatzSpec(n_qubits=3, n_layers=2)
-    out = qsim.ansatz_forward(spec, np.zeros(spec.n_params), StateVector.zero(3))
-    expected = np.zeros(8)
-    expected[0] = 1.0
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
+    out = qsim._run_ansatz(ground(3), spec, np.zeros(spec.n_params))
+    np.testing.assert_allclose(out, ground(3), atol=1e-15)
 
 
 def test_ansatz_matches_oracle_two_qubits():
@@ -218,8 +241,8 @@ def test_ansatz_matches_oracle_two_qubits():
     for _ in range(30):
         params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         state = random_state(rng, 2)
-        got = qsim.ansatz_forward(spec, params, state).amplitudes
-        np.testing.assert_allclose(got, oracle_ansatz(spec, params, state.amplitudes), atol=1e-12)
+        got = qsim._run_ansatz(state, spec, params)
+        np.testing.assert_allclose(got, oracle_ansatz(spec, params, state), atol=1e-12)
 
 
 def test_four_qubit_layer_gate_order_including_wraparound():
@@ -232,56 +255,59 @@ def test_four_qubit_layer_gate_order_including_wraparound():
 
     explicit = state
     for q in range(4):
-        explicit = qsim.apply_gate(explicit, RY(q, params[q]))
+        explicit = qsim._apply_ry(explicit, 4, q, params[q])
     for q in range(4):
-        explicit = qsim.apply_gate(explicit, RZ(q, params[4 + q]))
+        explicit = qsim._apply_rz(explicit, 4, q, params[4 + q])
     for pair in [(0, 1), (1, 2), (2, 3), (3, 0)]:
-        explicit = qsim.apply_gate(explicit, CNOT(*pair))
+        explicit = qsim._apply_cnot(explicit, 4, *pair)
 
-    got = qsim.ansatz_forward(spec, params, state)
-    np.testing.assert_allclose(got.amplitudes, explicit.amplitudes, atol=1e-12)
+    got = qsim._run_ansatz(state, spec, params)
+    np.testing.assert_allclose(got, explicit, atol=1e-12)
 
 
 def test_single_qubit_skips_the_ring():
     spec = AnsatzSpec(n_qubits=1, n_layers=1)
     assert spec.n_params == 2
-    out = qsim.ansatz_forward(spec, [0.4, 0.9], StateVector.zero(1))
+    out = qsim._run_ansatz(ground(1), spec, np.array([0.4, 0.9]))
     expected = rz_matrix(0.9) @ ry_matrix(0.4) @ np.array([1.0, 0.0])
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
+    np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
 def test_param_count_mismatch_is_a_configuration_error():
     spec = AnsatzSpec(n_qubits=2, n_layers=2)
-    with pytest.raises(ConfigurationError):
-        qsim.ansatz_forward(spec, np.zeros(5), StateVector.zero(2))
+    for fn in (qsim.batch_expectations, qsim.batch_parameter_shift):
+        with pytest.raises(ConfigurationError):
+            fn(spec, np.zeros(5), np.zeros((1, 2)), (0,))
 
 
 # ---------------------------------------------------------------------------
-# expectations and full evaluation
+# expectations
 # ---------------------------------------------------------------------------
 
 
 def test_expectation_z_basis_cases():
-    plus = qsim.apply_gate(StateVector.zero(1), RY(0, np.pi / 2))
-    assert qsim.expectation_z(StateVector.zero(1), 0) == pytest.approx(1.0)
-    assert qsim.expectation_z(plus, 0) == pytest.approx(0.0, abs=1e-12)
+    spec = AnsatzSpec(n_qubits=1, n_layers=1)
+    exps = qsim.batch_expectations(spec, np.zeros(2), [[0.0], [np.pi / 2], [np.pi]], (0,))
+    np.testing.assert_allclose(exps[:, 0], [1.0, 0.0, -1.0], atol=1e-12)
 
 
 def test_expectation_matches_oracle_on_random_states():
     rng = np.random.default_rng(42)
     for _ in range(25):
         n = int(rng.integers(1, 5))
-        state = random_state(rng, n)
+        spec = AnsatzSpec(n_qubits=n, n_layers=int(rng.integers(1, 3)))
+        params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+        feats = rng.uniform(-np.pi, np.pi, size=n)
         q = int(rng.integers(n))
-        assert qsim.expectation_z(state, q) == pytest.approx(
-            oracle_expect_z(state.amplitudes, n, q), abs=1e-12
+        assert value(spec, params, feats, q) == pytest.approx(
+            oracle_circuit_value(spec, params, feats, q), abs=1e-12
         )
 
 
 def test_circuit_value_zero_everything_is_plus_one():
     spec = AnsatzSpec(n_qubits=3, n_layers=2)
-    value = qsim.circuit_value(spec, np.zeros(spec.n_params), np.zeros(3))
-    assert value == pytest.approx(1.0, abs=1e-15)
+    exps = qsim.batch_expectations(spec, np.zeros(spec.n_params), np.zeros((1, 3)), (0, 1, 2))
+    np.testing.assert_allclose(exps, np.ones((1, 3)), atol=1e-15)
 
 
 def test_circuit_value_single_qubit_closed_form():
@@ -290,8 +316,7 @@ def test_circuit_value_single_qubit_closed_form():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a, b = rng.uniform(-np.pi, np.pi, size=2)
-        value = qsim.circuit_value(spec, [a, b], [0.0])
-        assert value == pytest.approx(np.cos(a), abs=1e-12)
+        assert value(spec, [a, b], [0.0]) == pytest.approx(np.cos(a), abs=1e-12)
 
 
 def test_circuit_value_matches_oracle_default_geometry():
@@ -300,7 +325,7 @@ def test_circuit_value_matches_oracle_default_geometry():
     for _ in range(10):
         params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         feats = rng.uniform(-np.pi, np.pi, size=4)
-        got = qsim.circuit_value(spec, params, feats)
+        got = value(spec, params, feats)
         assert got == pytest.approx(oracle_circuit_value(spec, params, feats), abs=1e-10)
 
 
@@ -310,21 +335,21 @@ def test_circuit_value_is_two_pi_periodic_and_bounded():
     for _ in range(20):
         params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         feats = rng.uniform(-np.pi, np.pi, size=2)
-        base = qsim.circuit_value(spec, params, feats)
+        base = value(spec, params, feats)
         assert -1.0 <= base <= 1.0
         i = int(rng.integers(spec.n_params))
         shifted = params.copy()
         shifted[i] += 2 * np.pi
-        assert qsim.circuit_value(spec, shifted, feats) == pytest.approx(base, abs=1e-12)
+        assert value(spec, shifted, feats) == pytest.approx(base, abs=1e-12)
 
 
 def test_measure_qubit_is_configurable():
-    spec = AnsatzSpec(n_qubits=2, n_layers=1, measure_qubit=1)
+    spec = AnsatzSpec(n_qubits=2, n_layers=1)
     rng = np.random.default_rng(5)
     params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     feats = rng.uniform(-np.pi, np.pi, size=2)
-    assert qsim.circuit_value(spec, params, feats) == pytest.approx(
-        oracle_circuit_value(spec, params, feats), abs=1e-12
+    assert value(spec, params, feats, 1) == pytest.approx(
+        oracle_circuit_value(spec, params, feats, 1), abs=1e-12
     )
 
 
@@ -358,9 +383,11 @@ def test_shift_rule_zero_instance_has_zero_ry_grads():
     # At theta = 0, features = 0 the value sits at the cos maximum, so the
     # full gradient vanishes.
     spec = AnsatzSpec(n_qubits=2, n_layers=1)
-    d_params, d_feats = qsim.parameter_shift_grad(spec, np.zeros(spec.n_params), np.zeros(2))
-    np.testing.assert_allclose(d_params, np.zeros(spec.n_params), atol=1e-12)
-    np.testing.assert_allclose(d_feats, np.zeros(2), atol=1e-12)
+    d_params, d_feats = qsim.batch_parameter_shift(
+        spec, np.zeros(spec.n_params), np.zeros((1, 2)), (0,)
+    )
+    np.testing.assert_allclose(d_params, np.zeros((1, spec.n_params, 1)), atol=1e-12)
+    np.testing.assert_allclose(d_feats, np.zeros((1, 2, 1)), atol=1e-12)
 
 
 @pytest.mark.parametrize("n_qubits,n_layers", [(1, 1), (2, 1), (2, 2), (3, 2)])
@@ -370,23 +397,25 @@ def test_shift_rule_matches_finite_differences(n_qubits, n_layers):
     for _ in range(8):
         params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         feats = rng.uniform(-np.pi, np.pi, size=n_qubits)
-        d_params, d_feats = qsim.parameter_shift_grad(spec, params, feats)
-        fd_params = fd_grad(lambda p: qsim.circuit_value(spec, p, feats), params)
-        fd_feats = fd_grad(lambda f: qsim.circuit_value(spec, params, f), feats)
-        assert_grads_close(d_params, fd_params)
-        assert_grads_close(d_feats, fd_feats)
+        d_params, d_feats = qsim.batch_parameter_shift(spec, params, [feats], (0,))
+        fd_params = fd_grad(lambda p: value(spec, p, feats), params)
+        fd_feats = fd_grad(lambda f: value(spec, params, f), feats)
+        assert_grads_close(d_params[0, :, 0], fd_params)
+        assert_grads_close(d_feats[0, :, 0], fd_feats)
 
 
 def test_batch_expectations_agree_with_scalar_path():
+    # Each row of a batch equals a one-row call and the dense oracle.
     rng = np.random.default_rng(77)
     spec = AnsatzSpec(n_qubits=3, n_layers=2)
     params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     feats = rng.uniform(-np.pi, np.pi, size=(9, 3))
-    batch = qsim.batch_expectations(spec, params, feats)
+    batch = qsim.batch_expectations(spec, params, feats, (0,))
     assert batch.shape == (9, 1)
     for row in range(9):
+        assert batch[row, 0] == pytest.approx(value(spec, params, feats[row]), abs=1e-12)
         assert batch[row, 0] == pytest.approx(
-            qsim.circuit_value(spec, params, feats[row]), abs=1e-12
+            oracle_circuit_value(spec, params, feats[row]), abs=1e-12
         )
 
 
@@ -408,11 +437,11 @@ def test_batch_shift_matches_single_sample_grads():
     spec = AnsatzSpec(n_qubits=2, n_layers=2)
     params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     feats = rng.uniform(-np.pi, np.pi, size=(5, 2))
-    d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats)
+    d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, (0,))
     for row in range(5):
-        sp, sf = qsim.parameter_shift_grad(spec, params, feats[row])
-        np.testing.assert_allclose(d_theta[row, :, 0], sp, atol=1e-12)
-        np.testing.assert_allclose(d_feat[row, :, 0], sf, atol=1e-12)
+        sp, sf = qsim.batch_parameter_shift(spec, params, feats[row : row + 1], (0,))
+        np.testing.assert_allclose(d_theta[row], sp[0], atol=1e-12)
+        np.testing.assert_allclose(d_feat[row], sf[0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +482,11 @@ def shift_rule_oracle(spec, params, features, qubits):
 @pytest.mark.parametrize("n_qubits,n_layers", [(1, 1), (2, 1), (3, 2), (6, 2)])
 def test_adjoint_matches_shift_rule_oracle(n_qubits, n_layers, all_qubits, rows):
     rng = np.random.default_rng(2000 + 100 * n_qubits + 10 * n_layers + rows)
-    spec = AnsatzSpec(n_qubits=n_qubits, n_layers=n_layers, measure_qubit=n_qubits - 1)
+    spec = AnsatzSpec(n_qubits=n_qubits, n_layers=n_layers)
     params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     feats = rng.uniform(-np.pi, np.pi, size=(rows, n_qubits))
-    qubits = tuple(range(n_qubits)) if all_qubits else (spec.measure_qubit,)
-    d_theta, d_feat = qsim.batch_parameter_shift(
-        spec, params, feats, qubits if all_qubits else None
-    )
+    qubits = tuple(range(n_qubits)) if all_qubits else (n_qubits - 1,)
+    d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, qubits)
     want_theta, want_feat = shift_rule_oracle(spec, params, feats, qubits)
     assert d_theta.shape == (rows, spec.n_params, len(qubits))
     assert d_feat.shape == (rows, n_qubits, len(qubits))
