@@ -460,6 +460,16 @@ def _array(values, dtype=np.float64) -> np.ndarray:
     return np.asarray(values, dtype=dtype)
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ModelIOError if any entry is NaN or infinite."""
+    arr = _array(values)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        where = f" at index {int(bad[0])}" if arr.ndim else ""
+        raise ModelIOError(f"{name} must be finite, found {arr.flat[bad[0]]}{where}")
+    return arr
+
+
 def _gbdt_to_dict(model: GBDTModel) -> dict:
     return {
         "params": asdict(model.params),
@@ -481,10 +491,12 @@ def _gbdt_to_dict(model: GBDTModel) -> dict:
 
 
 def _check_tree(tree: Tree, n_features: int, index: int) -> None:
-    """Reject node arrays that Tree.predict would loop on or index past.
+    """Reject node arrays that Tree.predict would loop on, index past or misread.
 
     Children must sit after their parent, so every root-to-leaf walk ends;
     a node is a leaf exactly when its feature is -1 and it has no children.
+    Thresholds and values must be finite: a NaN threshold would send every
+    row right.
     """
     size = tree.feature.shape[0]
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
@@ -514,13 +526,15 @@ def _check_tree(tree: Tree, n_features: int, index: int) -> None:
             f"tree {index}, node {node}: children ({tree.left[node]}, {tree.right[node]}) "
             f"must lie after the node and below {size}"
         )
+    _finite(f"tree {index} threshold", tree.threshold)
+    _finite(f"tree {index} value", tree.value)
 
 
 def _gbdt_from_dict(d: dict) -> GBDTModel:
     model = GBDTModel(
         params=GBDTParams(**d["params"]),
         n_features=d["n_features"],
-        base_score=d["base_score"],
+        base_score=float(_finite("base_score", d["base_score"])),
         degenerate=d["degenerate"],
         best_iteration=d["best_iteration"],
         trees=[
@@ -572,12 +586,16 @@ def _hybrid_from_dict(d: dict) -> HybridModel:
             _check_params_shape(spec, layers[name])
         except ConfigurationError as exc:
             raise ModelIOError(f"hybrid {name}: {exc}") from exc
+        for i, (w, b) in enumerate(layers[name]):
+            _finite(f"hybrid {name} layer {i} weights", w)
+            _finite(f"hybrid {name} layer {i} bias", b)
     theta = _array(d["theta"])
     if theta.shape != (config.ansatz.n_params,):
         raise ModelIOError(
             f"hybrid theta has shape {theta.shape}, the config needs "
             f"{config.ansatz.n_params} circuit parameters"
         )
+    _finite("hybrid theta", theta)
     return HybridModel(config=config, theta=theta, **layers)
 
 
@@ -588,6 +606,13 @@ def _temp_to_dict(scaler: TemperatureScaler) -> dict:
         "iterations": scaler.iterations,
         "degenerate": scaler.degenerate,
     }
+
+
+def _temp_from_dict(name: str, d: dict) -> TemperatureScaler:
+    scaler = TemperatureScaler(**d)
+    if not _finite(f"{name} temperature", scaler.temperature) > 0:
+        raise ModelIOError(f"{name} temperature must be positive, found {scaler.temperature}")
+    return scaler
 
 
 def _secondary_to_dict(model) -> dict:
@@ -643,18 +668,42 @@ def load_model(path) -> Pipeline:
         )
     try:
         c = doc["combined"]
-        return Pipeline(
-            scaler=MinMaxScaler(low=_array(doc["scaler"]["low"]),
-                                span=_array(doc["scaler"]["span"])),
+        pipeline = Pipeline(
+            scaler=MinMaxScaler(low=_finite("scaler low", doc["scaler"]["low"]),
+                                span=_finite("scaler span", doc["scaler"]["span"])),
             combined=CombinedModel(
                 primary=_gbdt_from_dict(c["primary"]),
-                primary_scaler=TemperatureScaler(**c["primary_scaler"]),
+                primary_scaler=_temp_from_dict("primary_scaler", c["primary_scaler"]),
                 secondary=_secondary_from_dict(c["secondary"]),
-                secondary_scaler=TemperatureScaler(**c["secondary_scaler"]),
+                secondary_scaler=_temp_from_dict("secondary_scaler", c["secondary_scaler"]),
                 router=_gbdt_from_dict(c["router"]),
-                tau_primary=c["tau_primary"],
-                tau_secondary=c["tau_secondary"],
+                tau_primary=float(_finite("tau_primary", c["tau_primary"])),
+                tau_secondary=float(_finite("tau_secondary", c["tau_secondary"])),
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"model file {path} is malformed: {exc}") from exc
+    _check_widths(pipeline, path)
+    return pipeline
+
+
+def _check_widths(pipeline: Pipeline, path) -> None:
+    """The scaler and all three experts must agree on the feature count."""
+    combined = pipeline.combined
+    secondary = combined.secondary
+    widths = {
+        "primary": combined.primary.n_features,
+        "router": combined.router.n_features,
+        "secondary": (secondary.config.n_features if isinstance(secondary, HybridModel)
+                      else secondary.n_features),
+    }
+    if len(set(widths.values())) != 1:
+        raise ModelIOError(f"model file {path}: the experts' feature counts differ: {widths}")
+    n_features = widths["primary"]
+    for name in ("low", "span"):
+        shape = getattr(pipeline.scaler, name).shape
+        if shape != (n_features,):
+            raise ModelIOError(
+                f"model file {path}: scaler {name} has shape {shape}, "
+                f"the experts read {n_features} features"
+            )

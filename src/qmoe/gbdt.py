@@ -21,6 +21,17 @@ filters it into the children's blocks with one row-membership mask. The
 search at a node is therefore one gather, two cumulative sums and one gain
 table over all features at once. The tie rule comes from taking the first
 maximum of the flattened (feature, threshold) gain table.
+
+Prediction walks every tree of a model at once, level by level, with
+predicated array steps instead of per-tree branching (Asadi, Lin & de
+Vries, IEEE TKDE 2014). The trees' node arrays are concatenated once per
+call; a leaf reads feature 0 and is its own child, so a row that reached
+a leaf stays there and no step compacts the rows. One step is a feature
+gather, a value gather, one compare and one child gather over a
+(trees, chunk) node table, and a call takes exactly as many steps as
+the deepest tree. Rows go in chunks of a fixed size, so the temporaries
+stay O(trees x chunk) on any pool. The margin adds the trees' values in
+boosting order, so it is the same to the bit as adding one tree at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .neural import PROB_EPS, sigmoid
 __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
 
 _PRIOR_EPS = 1e-6
+_CHUNK_ROWS = 2048  # rows per prediction step; temporaries are O(trees x chunk)
 
 
 @dataclass(frozen=True)
@@ -92,16 +104,57 @@ class Tree:
     value: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                return self.value[node]
-            rows = np.nonzero(active)[0]
-            at = node[rows]
-            go_left = x[rows, feat[rows]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        out = np.empty(x.shape[0])
+        for rows, values in _forest_values([self], x):
+            out[rows] = values[0]
+        return out
+
+
+def _forest_values(trees: list, x: np.ndarray):
+    """Yield ``(rows, values)`` per row chunk: ``values[t]`` is tree t's leaf value per row.
+
+    Every tree of the forest walks the chunk at once, one level per step;
+    see the module docstring. ``rows`` is a slice of ``x``'s rows.
+    """
+    if not trees:
+        return
+    sizes = [tree.feature.shape[0] for tree in trees]
+    roots = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature < 0
+    feature[leaf] = 0
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    value = np.concatenate([tree.value for tree in trees])
+    # Row ``node`` holds (right, left), so once raveled, slot
+    # 2 * node + (x <= threshold) is the next node; a leaf points at itself.
+    child = np.empty((feature.size, 2), dtype=np.int64)
+    child[:, 0] = np.concatenate([tree.right for tree in trees])
+    child[:, 1] = np.concatenate([tree.left for tree in trees])
+    child += np.repeat(roots, sizes)[:, None]
+    own = np.flatnonzero(leaf)
+    child[own] = own[:, None]
+
+    # The forest's depth: children follow their parents, so the walk ends.
+    depth = 0
+    frontier = roots[~leaf[roots]]
+    while frontier.size:
+        depth += 1
+        below = child[frontier].ravel()
+        frontier = below[~leaf[below]]
+    child = child.ravel()
+
+    n_rows, n_features = x.shape
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        flat = np.ascontiguousarray(x[start:stop], dtype=np.float64).ravel()
+        row_base = np.arange(stop - start) * n_features
+        node = np.repeat(roots[:, None], stop - start, axis=1)
+        for _ in range(depth):
+            go_left = flat[row_base + feature[node]] <= threshold[node]
+            node *= 2
+            node += go_left
+            node = child[node]
+        yield slice(start, stop), value[node]
 
 
 @dataclass
@@ -116,8 +169,11 @@ class GBDTModel:
     def predict_margin(self, x) -> np.ndarray:
         x = self._check(x)
         margin = np.full(x.shape[0], self.base_score)
-        for tree in self.trees:
-            margin += self.params.learning_rate * tree.predict(x)
+        for rows, values in _forest_values(self.trees, x):
+            values *= self.params.learning_rate
+            chunk = margin[rows]
+            for tree_values in values:  # tree by tree, as the rounds were added
+                chunk += tree_values
         return margin
 
     def predict_proba(self, x) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from qmoe import gbdt
 from qmoe.bench import (
     LatencyModel,
     RunConfig,
@@ -305,6 +306,104 @@ def test_load_model_rejects_mis_shaped_hybrid(model_doc, tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelIOError, match=match):
             load_model(path)
+
+
+def _set(path, value):
+    """An edit that puts ``value`` at ``path`` (keys and indices) of a model document."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+def _in_first_split(role, edit):
+    """``edit`` applied to the first splitting tree of ``role`` ("primary" or "router")."""
+    def apply(doc):
+        edit(next(t for t in doc["combined"][role]["trees"] if t["feature"][0] >= 0))
+    return apply
+
+
+def _leaf_value(t):
+    t["value"][t["feature"].index(-1)] = float("inf")
+
+
+NON_FINITE_EDITS = {
+    "tree threshold": (_in_first_split("primary", _set(["threshold", 0], float("nan"))),
+                       r"tree \d+ threshold must be finite, found nan at index 0"),
+    "tree leaf value": (_in_first_split("router", _leaf_value), r"tree \d+ value must be finite"),
+    "base_score": (_set(["combined", "router", "base_score"], float("-inf")),
+                   "base_score must be finite"),
+    "hybrid weights": (_set(["combined", "secondary", "encoder", 0, 0, 2, 1], float("nan")),
+                       "hybrid encoder layer 0 weights must be finite"),
+    "hybrid bias": (_set(["combined", "secondary", "encoder", 1, 1, 0], float("nan")),
+                    "hybrid encoder layer 1 bias must be finite"),
+    "hybrid head": (_set(["combined", "secondary", "head", 0, 1, 0], float("inf")),
+                    "hybrid head layer 0 bias must be finite"),
+    "theta": (_set(["combined", "secondary", "theta", 3], float("nan")),
+              "hybrid theta must be finite, found nan at index 3"),
+    "scaler low": (_set(["scaler", "low", 5], float("nan")), "scaler low must be finite"),
+    "scaler span": (_set(["scaler", "span", 0], float("inf")), "scaler span must be finite"),
+    "tau_primary": (_set(["combined", "tau_primary"], float("nan")),
+                    "tau_primary must be finite"),
+    "tau_secondary": (_set(["combined", "tau_secondary"], float("inf")),
+                      "tau_secondary must be finite"),
+    "primary temperature": (_set(["combined", "primary_scaler", "temperature"], float("nan")),
+                            "primary_scaler temperature must be finite"),
+    "secondary temperature": (_set(["combined", "secondary_scaler", "temperature"], 0.0),
+                              "secondary_scaler temperature must be positive"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(NON_FINITE_EDITS))
+def test_load_model_rejects_non_finite_numbers(model_doc, tmp_path, group):
+    # Before these checks a NaN threshold sent every row right, and a NaN in
+    # theta or an encoder bias loaded and failed at the first routed row.
+    edit, match = NON_FINITE_EDITS[group]
+    doc = json.loads(json.dumps(model_doc))
+    edit(doc)
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity tokens, as json.load reads them
+    with pytest.raises(ModelIOError, match=match):
+        load_model(path)
+
+
+def test_load_model_checks_the_scaler_width(model_doc, tmp_path):
+    # Before this check the file loaded and the first predict failed with an
+    # InputError that named neither the file nor the scaler.
+    for name in ("low", "span"):
+        doc = json.loads(json.dumps(model_doc))
+        doc["scaler"][name].pop()
+        path = tmp_path / f"short-{name}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelIOError, match=f"short-{name}.json: scaler {name} has shape"):
+            load_model(path)
+    doc = json.loads(json.dumps(model_doc))
+    doc["combined"]["router"]["n_features"] += 1
+    path = tmp_path / "wide-router.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelIOError, match="feature counts differ"):
+        load_model(path)
+
+
+def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
+    # One call over a pool spanning several prediction chunks scores every
+    # row exactly as calls on uneven slices of it do.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    n_rows = 3 * gbdt._CHUNK_ROWS + 100
+    x, _, _ = synthesize(n_rows, 0.05, seed=21)
+    gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
+    routing_gamma = float(np.quantile(gate, 0.95))
+    cuts = [0, 1, 700, gbdt._CHUNK_ROWS + 3, 2 * gbdt._CHUNK_ROWS, n_rows - 5, n_rows]
+    for gamma in (1.0, routing_gamma):
+        whole = pipeline_predict(pipeline, x, gamma)
+        parts = [pipeline_predict(pipeline, x[a:b], gamma) for a, b in zip(cuts, cuts[1:])]
+        for name in ("probs", "labels", "routed"):
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            got = getattr(whole, name)
+            assert got.dtype == joined.dtype and got.tobytes() == joined.tobytes(), name
+        assert whole.routed.any() == (gamma < 1.0)
 
 
 def test_pipeline_predict_rejects_non_finite_raw_rows(dataset, model_doc, tmp_path):

@@ -185,6 +185,16 @@ def test_evaluate_mis_shaped_hybrid_exits_1(workspace, tmp_path, capsys):
     assert "error: hybrid theta" in capsys.readouterr().err
 
 
+def test_evaluate_non_finite_model_exits_1(workspace, tmp_path, capsys):
+    doc = json.loads(open(workspace["model"]).read())
+    doc["combined"]["secondary"]["theta"][0] = float("nan")
+    bad_model = tmp_path / "nan-theta.json"
+    bad_model.write_text(json.dumps(doc))
+    assert main(["evaluate", "--model", str(bad_model), "--data", workspace["csv"],
+                 "--gamma", "0.5"]) == 1
+    assert "error: hybrid theta must be finite" in capsys.readouterr().err
+
+
 def test_evaluate_cyclic_model_exits_1(workspace, tmp_path, capsys):
     doc = json.loads(open(workspace["model"]).read())
     tree = next(t for t in doc["combined"]["router"]["trees"] if t["feature"][0] >= 0)

@@ -1,8 +1,9 @@
-"""Boosted-tree tests against a brute-force split oracle, a reference grower and hand cases."""
+"""Boosted-tree tests against a brute-force split oracle, reference growers and walkers."""
 
 import numpy as np
 import pytest
 
+from qmoe import gbdt
 from qmoe.errors import ConfigurationError, InputError
 from qmoe.gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
 from qmoe.neural import sigmoid
@@ -428,3 +429,163 @@ def test_empty_validation_set_is_rejected():
 def test_validation_labels_must_be_binary():
     with pytest.raises(InputError, match="0 or 1"):
         fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], np.eye(3), [0.0, 2.0, 1.0])
+
+
+# --- prediction: the level-synchronous forest walk against a per-tree walker ---
+
+
+def reference_tree_predict(tree, x):
+    """One tree's leaf value per row, walking only the rows still at a split.
+
+    This is the walk Tree.predict made before every tree of a forest walked
+    together; the forest walk must return the same bytes.
+    """
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        active = feat >= 0
+        if not active.any():
+            return tree.value[node]
+        rows = np.nonzero(active)[0]
+        at = node[rows]
+        go_left = x[rows, feat[rows]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+
+
+def reference_margin(model, x):
+    margin = np.full(x.shape[0], model.base_score)
+    for tree in model.trees:
+        margin += model.params.learning_rate * reference_tree_predict(tree, x)
+    return margin
+
+
+def random_tree(rng, depth, n_features, thresholds):
+    """A valid tree in builder (preorder) layout whose leftmost path is ``depth`` deep."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(level, on_spine):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.normal()))
+        if level < depth and (on_spine or rng.random() < 0.6):
+            feature[node] = int(rng.integers(n_features))
+            threshold[node] = float(rng.choice(thresholds))
+            value[node] = 0.0
+            left[node] = build(level + 1, on_spine)
+            right[node] = build(level + 1, False)
+        return node
+
+    build(0, True)
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def random_rows(rng, n_rows, n_features, thresholds, nan_fraction=0.0):
+    """Rows drawing half their values from ``thresholds``, so many sit exactly on one."""
+    pool = np.concatenate([thresholds, rng.normal(size=thresholds.size)])
+    x = rng.choice(pool, size=(n_rows, n_features))
+    x[rng.random((n_rows, n_features)) < nan_fraction] = np.nan
+    return x
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_walks_match_reference(trees, x, learning_rate=0.1, base_score=-1.25):
+    model = GBDTModel(params=GBDTParams(learning_rate=learning_rate),
+                      n_features=x.shape[1], base_score=base_score, trees=trees)
+    assert_same_bytes(model.predict_margin(x), reference_margin(model, x))
+    for tree in trees:
+        assert_same_bytes(tree.predict(x), reference_tree_predict(tree, x))
+
+
+THRESHOLDS = np.array([-1.0, -0.25, 0.0, 0.5, 1.5])
+
+
+def test_forest_of_mixed_depths_matches_reference():
+    rng = np.random.default_rng(11)
+    trees = [random_tree(rng, depth, 4, THRESHOLDS) for depth in (1, 2, 3, 4, 5) * 4]
+    rng.shuffle(trees)
+    assert_walks_match_reference(trees, random_rows(rng, 700, 4, THRESHOLDS))
+
+
+def test_rows_on_a_threshold_go_left():
+    rng = np.random.default_rng(12)
+    trees = [random_tree(rng, depth, 3, THRESHOLDS) for depth in (1, 3, 5)]
+    on_threshold = np.tile(THRESHOLDS[:, None], (1, 3))
+    assert_walks_match_reference(trees, on_threshold)
+    stump = Tree(feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
+                 left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                 value=np.array([0.0, -1.0, 1.0]))
+    got = stump.predict(np.array([[0.5], [np.nextafter(0.5, 1.0)]]))
+    assert got.tolist() == [-1.0, 1.0]
+
+
+def test_nan_goes_right():
+    rng = np.random.default_rng(13)
+    trees = [random_tree(rng, depth, 3, THRESHOLDS) for depth in (1, 2, 4, 5)]
+    assert_walks_match_reference(trees, random_rows(rng, 300, 3, THRESHOLDS, nan_fraction=0.3))
+    stump = Tree(feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
+                 left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                 value=np.array([0.0, -1.0, 1.0]))
+    assert stump.predict(np.array([[np.nan]])).tolist() == [1.0]
+
+
+def test_root_only_trees_return_their_value():
+    rng = np.random.default_rng(14)
+    roots = [random_tree(rng, 0, 2, THRESHOLDS) for _ in range(3)]
+    x = random_rows(rng, 50, 2, THRESHOLDS)
+    for root in roots:
+        assert root.feature.tolist() == [-1]
+        assert_same_bytes(root.predict(x), np.full(50, root.value[0]))
+    assert_walks_match_reference(roots, x)
+    assert_walks_match_reference(roots + [random_tree(rng, 3, 2, THRESHOLDS)], x)
+
+
+def test_zero_trees_and_zero_rows():
+    rng = np.random.default_rng(15)
+    x = random_rows(rng, 9, 3, THRESHOLDS)
+    empty = GBDTModel(params=GBDTParams(), n_features=3, base_score=0.3)
+    assert_same_bytes(empty.predict_margin(x), np.full(9, 0.3))
+    trees = [random_tree(rng, depth, 3, THRESHOLDS) for depth in (0, 2, 4)]
+    assert_walks_match_reference(trees, np.zeros((0, 3)))
+    assert_walks_match_reference([], np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_row_counts_around_one_chunk(offset):
+    rng = np.random.default_rng(16 + offset)
+    trees = [random_tree(rng, depth, 5, THRESHOLDS) for depth in (1, 3, 4, 5, 2)]
+    x = random_rows(rng, gbdt._CHUNK_ROWS + offset, 5, THRESHOLDS, nan_fraction=0.05)
+    assert_walks_match_reference(trees, x)
+
+
+def test_several_chunks_stay_chunk_sized():
+    rng = np.random.default_rng(17)
+    trees = [random_tree(rng, depth, 5, THRESHOLDS) for depth in (2, 3, 4) * 5]
+    x = random_rows(rng, 3 * gbdt._CHUNK_ROWS + 17, 5, THRESHOLDS, nan_fraction=0.05)
+    assert_walks_match_reference(trees, x)
+    # No step holds a (trees x all rows) table: each yield covers one chunk.
+    shapes = [values.shape for _, values in gbdt._forest_values(trees, x)]
+    assert shapes == [(15, gbdt._CHUNK_ROWS)] * 3 + [(15, 17)]
+
+
+def test_fitted_models_predict_the_reference_margins():
+    rng = np.random.default_rng(18)
+    x = np.round(rng.normal(size=(400, 4)), 1)
+    y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(0, 0.5, 400) > 0).astype(float)
+    for params in (GBDTParams(n_estimators=30, max_depth=4), router_params(n_estimators=20)):
+        model = fit_gbdt(params, x, y)
+        probe = np.concatenate([x, random_rows(rng, 100, 4, x[:5, 0], nan_fraction=0.2)])
+        assert_same_bytes(model.predict_margin(probe), reference_margin(model, probe))

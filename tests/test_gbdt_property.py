@@ -1,4 +1,5 @@
-"""Property test: the presorted split search grows the reference grower's trees.
+"""Property tests: the presorted split search grows the reference grower's trees,
+and the forest walk predicts what the per-tree reference walker predicts.
 
 Kept apart from test_gbdt.py so that module still runs where the optional
 ``hypothesis`` dev dependency is missing; this one is skipped there.
@@ -11,7 +12,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_gbdt import assert_matches_reference  # noqa: E402
+from test_gbdt import (  # noqa: E402
+    assert_matches_reference,
+    assert_walks_match_reference,
+    random_rows,
+    random_tree,
+)
 
 from qmoe.gbdt import GBDTParams  # noqa: E402
 
@@ -46,3 +52,24 @@ def fit_cases(draw):
 def test_presorted_search_equals_reference_property(case):
     params, x, y, x_val, y_val = case
     assert_matches_reference(params, x, y, x_val, y_val)
+
+
+@st.composite
+def forest_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_features = draw(st.integers(1, 4))
+    thresholds = np.array(draw(st.lists(st.floats(-3, 3, allow_nan=False),
+                                        min_size=1, max_size=4)))
+    depths = draw(st.lists(st.integers(0, 5), max_size=8))
+    trees = [random_tree(rng, depth, n_features, thresholds) for depth in depths]
+    x = random_rows(rng, draw(st.integers(0, 40)), n_features, thresholds,
+                    nan_fraction=draw(st.sampled_from([0.0, 0.2])))
+    learning_rate = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    return trees, x, learning_rate
+
+
+@settings(max_examples=80, deadline=None)
+@given(forest_cases())
+def test_forest_walk_equals_reference_walker_property(case):
+    trees, x, learning_rate = case
+    assert_walks_match_reference(trees, x, learning_rate)

@@ -8,13 +8,16 @@ both checkouts over the same seeds (alternate which checkout runs first):
 
 The topic picks the kernel table: ``qsim`` times
 ``qsim.batch_parameter_shift`` and writes BENCH_qsim.json, ``gbdt`` times
-``gbdt.fit_gbdt`` and writes BENCH_gbdt.json.
+``gbdt.fit_gbdt`` and writes BENCH_gbdt.json, ``predict`` times
+``GBDTModel.predict_margin`` on the serving forests and ``Tree.predict`` on
+one tree per boosting round, and writes BENCH_predict.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
 their ``.perfbench/results/`` directories, pairs them by seed, and
 summarises each end-to-end metric: median and quartiles per side, the
 pairs the change won, and a verdict against the bound in BENCHMARK.json.
+serve-paper also gets each gamma's call median and rows/s.
 It then times the topic's kernel from each checkout's ``src/`` on every
 entry of its table, each in a fresh interpreter with BLAS pinned to one
 thread, and records the median and interquartile range of ``REPEATS``
@@ -106,6 +109,37 @@ params = gbdt.GBDTParams(n_estimators=kernel["n_estimators"], max_depth=kernel["
 call = lambda: gbdt.fit_gbdt(params, x, y, *val)
 """,
     ),
+    "predict": Topic(
+        title="gbdt prediction: every tree of a forest walks a row chunk at once, "
+              "level by level, replacing the per-tree compacting walk",
+        # The serve-paper forests (the primary's 52 trees at depth 4 and the
+        # router's 100 at depth 3) over its 142,404-row pool, and the
+        # per-round Tree.predict of fit_gbdt at the router's and the wide
+        # fit's shapes.
+        kernels=(
+            {"name": "serve primary", "call": "predict_margin", "trees": 52, "max_depth": 4,
+             "rows": 142_404},
+            {"name": "serve router", "call": "predict_margin", "trees": 100, "max_depth": 3,
+             "rows": 142_404},
+            {"name": "fit round, router", "call": "Tree.predict", "trees": 1, "max_depth": 3,
+             "rows": 1000},
+            {"name": "fit round, wide", "call": "Tree.predict", "trees": 1, "max_depth": 4,
+             "rows": 16000},
+        ),
+        setup="""
+from qmoe import data, gbdt
+x, _, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
+fit_x, fit_y, _ = data.synthesize(2000, 0.05, seed=1)
+params = gbdt.GBDTParams(n_estimators=kernel["trees"], max_depth=kernel["max_depth"],
+                         early_stopping_rounds=0)
+model = gbdt.fit_gbdt(params, fit_x, fit_y)
+assert len(model.trees) == kernel["trees"]
+if kernel["call"] == "predict_margin":
+    call = lambda: model.predict_margin(x)
+else:
+    call = lambda: model.trees[0].predict(x)
+""",
+    ),
 }
 
 
@@ -184,11 +218,12 @@ def summarise(parent: dict, change: dict, metrics: list) -> dict:
         values = [[runs[s]["result"]["metrics"][m["name"]]["value"] for s in seeds]
                   for runs in (parent, change)]
         summary[m["name"]] = compare(*values, m["better"], m["bound"])
-    if all("g1.0" in parent[s]["detail"] for s in seeds):  # serve-paper's call times
+    if all("g1.0" in parent[s]["detail"] for s in seeds):  # serve-paper's calls
         for gamma in ("g1.0", "g0.5"):
-            values = [[runs[s]["detail"][gamma]["call_p50_ms"] for s in seeds]
-                      for runs in (parent, change)]
-            summary[f"{gamma}.call_p50_ms"] = compare(*values, "lower", None)
+            for name, better in (("call_p50_ms", "lower"), ("rows_per_s", "higher")):
+                values = [[runs[s]["detail"][gamma][name] for s in seeds]
+                          for runs in (parent, change)]
+                summary[f"{gamma}.{name}"] = compare(*values, better, None)
     return summary
 
 
