@@ -10,8 +10,9 @@ Holdout rows influence nothing upstream of scoring.
 
 Every fold entry carries a baseline arm (calibrated primary alone), one
 arm per gate value, and a sentinel arm at gamma = 1.0 where the gate
-cannot open; the sentinel must match the baseline bit for bit, which the
-record asserts in its own field. Reports contain no wall-clock values, so
+cannot open. The holdout scored afresh through combined_predict at the
+sentinel gamma must match the baseline bit for bit, which the record
+asserts in its own field. Reports contain no wall-clock values, so
 two runs with one seed serialize identically.
 """
 
@@ -21,7 +22,7 @@ import csv
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -331,11 +332,13 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
             record.combined[str(gamma)] = _arm_metrics(
                 y_hold, out.probs, out.labels, out.routed_fraction, n_hold, record
             )
-            if gamma == SENTINEL_GAMMA:
-                record.sentinel_equals_baseline = bool(
-                    np.array_equal(out.probs, base_probs)
-                    and np.array_equal(out.labels, base_hard)
-                )
+        # The arms share base_probs, so the sentinel check scores the holdout
+        # afresh through the serving path instead.
+        sentinel = combined_predict(combined, x_hold, SENTINEL_GAMMA, check_finite=False)
+        record.sentinel_equals_baseline = bool(
+            np.array_equal(sentinel.probs, base_probs)
+            and np.array_equal(sentinel.labels, base_hard)
+        )
 
     for w in caught:
         message = str(w.message)
@@ -452,12 +455,22 @@ def save_report(report: BenchReport, out_dir) -> None:
 
 
 # --- model persistence ----------------------------------------------------
-# Arrays are stored as JSON lists; Python's float repr round-trips doubles
-# exactly, so a loaded model predicts bit-identically to the saved one.
+# One codec. save_model writes {"format", "version", **asdict(pipeline)}:
+# every dataclass becomes a JSON object with its fields in declaration
+# order, and arrays become JSON lists. The secondary expert's object leads
+# with a "kind" tag, the one key that is not a field. load_model mirrors it:
+# _build rebuilds each dataclass from an object holding exactly its fields,
+# and the checks below run on the decoded values. Python's float repr
+# round-trips doubles exactly, so a loaded model predicts bit-identically to
+# the saved one.
 
 
 def _array(values, dtype=np.float64) -> np.ndarray:
     return np.asarray(values, dtype=dtype)
+
+
+def _ints(values) -> np.ndarray:
+    return _array(values, np.int64)
 
 
 def _finite(name: str, values) -> np.ndarray:
@@ -470,24 +483,19 @@ def _finite(name: str, values) -> np.ndarray:
     return arr
 
 
-def _gbdt_to_dict(model: GBDTModel) -> dict:
-    return {
-        "params": asdict(model.params),
-        "n_features": model.n_features,
-        "base_score": model.base_score,
-        "degenerate": model.degenerate,
-        "best_iteration": model.best_iteration,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in model.trees
-        ],
-    }
+def _build(cls, obj, **decoders):
+    """``cls`` from a JSON object holding exactly its fields, each through its decoder.
+
+    A ValueError names the class and the missing or unknown keys.
+    """
+    names = [f.name for f in fields(cls)]
+    keys = list(obj) if isinstance(obj, dict) else []
+    missing = [n for n in names if n not in keys]
+    unknown = [k for k in keys if k not in names]
+    if missing or unknown:
+        raise ValueError(f"{cls.__name__} needs exactly its fields: missing {missing}, "
+                         f"unknown {unknown}")
+    return cls(**{n: decoders[n](obj[n]) if n in decoders else obj[n] for n in names})
 
 
 def _check_tree(tree: Tree, n_features: int, index: int) -> None:
@@ -530,22 +538,15 @@ def _check_tree(tree: Tree, n_features: int, index: int) -> None:
     _finite(f"tree {index} value", tree.value)
 
 
-def _gbdt_from_dict(d: dict) -> GBDTModel:
-    model = GBDTModel(
-        params=GBDTParams(**d["params"]),
-        n_features=d["n_features"],
-        base_score=float(_finite("base_score", d["base_score"])),
-        degenerate=d["degenerate"],
-        best_iteration=d["best_iteration"],
-        trees=[
-            Tree(
-                feature=_array(t["feature"], np.int64),
-                threshold=_array(t["threshold"]),
-                left=_array(t["left"], np.int64),
-                right=_array(t["right"], np.int64),
-                value=_array(t["value"]),
-            )
-            for t in d["trees"]
+def _gbdt(obj) -> GBDTModel:
+    model = _build(
+        GBDTModel, obj,
+        params=lambda d: _build(GBDTParams, d),
+        base_score=lambda v: float(_finite("base_score", v)),
+        trees=lambda items: [
+            _build(Tree, t, feature=_ints, threshold=_array, left=_ints, right=_ints,
+                   value=_array)
+            for t in items
         ],
     )
     for index, tree in enumerate(model.trees):
@@ -553,104 +554,65 @@ def _gbdt_from_dict(d: dict) -> GBDTModel:
     return model
 
 
-def _layers_to_list(params) -> list:
-    return [[w.tolist(), b.tolist()] for w, b in params]
-
-
-def _layers_from_list(items) -> list:
+def _layers(items) -> list:
     return [(_array(w), _array(b)) for w, b in items]
 
 
-def _hybrid_to_dict(model: HybridModel) -> dict:
-    cfg = asdict(model.config)
-    cfg["encoder_hidden"] = list(cfg["encoder_hidden"])
-    return {
-        "config": cfg,
-        "encoder": _layers_to_list(model.encoder),
-        "decoder": _layers_to_list(model.decoder),
-        "theta": model.theta.tolist(),
-        "head": _layers_to_list(model.head),
-    }
-
-
-def _hybrid_from_dict(d: dict) -> HybridModel:
+def _hybrid(obj) -> HybridModel:
     """Rebuild a hybrid expert, checking every array against its config."""
-    cfg = dict(d["config"])
-    cfg["encoder_hidden"] = tuple(cfg["encoder_hidden"])
-    config = HybridConfig(**cfg)
-    layers = {name: _layers_from_list(d[name]) for name in ("encoder", "decoder", "head")}
+    model = _build(HybridModel, obj, config=lambda d: _build(HybridConfig, d),
+                   encoder=_layers, decoder=_layers, theta=_array, head=_layers)
+    config = model.config
     for name, spec in (("encoder", config.encoder_spec),
                        ("decoder", config.decoder_spec),
                        ("head", config.head_spec)):
+        layers = getattr(model, name)
         try:
-            _check_params_shape(spec, layers[name])
+            _check_params_shape(spec, layers)
         except ConfigurationError as exc:
             raise ModelIOError(f"hybrid {name}: {exc}") from exc
-        for i, (w, b) in enumerate(layers[name]):
+        for i, (w, b) in enumerate(layers):
             _finite(f"hybrid {name} layer {i} weights", w)
             _finite(f"hybrid {name} layer {i} bias", b)
-    theta = _array(d["theta"])
-    if theta.shape != (config.ansatz.n_params,):
+    if model.theta.shape != (config.ansatz.n_params,):
         raise ModelIOError(
-            f"hybrid theta has shape {theta.shape}, the config needs "
+            f"hybrid theta has shape {model.theta.shape}, the config needs "
             f"{config.ansatz.n_params} circuit parameters"
         )
-    _finite("hybrid theta", theta)
-    return HybridModel(config=config, theta=theta, **layers)
+    _finite("hybrid theta", model.theta)
+    return model
 
 
-def _temp_to_dict(scaler: TemperatureScaler) -> dict:
-    return {
-        "temperature": scaler.temperature,
-        "nll": scaler.nll,
-        "iterations": scaler.iterations,
-        "degenerate": scaler.degenerate,
-    }
-
-
-def _temp_from_dict(name: str, d: dict) -> TemperatureScaler:
-    scaler = TemperatureScaler(**d)
+def _temperature(name: str, obj) -> TemperatureScaler:
+    scaler = _build(TemperatureScaler, obj)
     if not _finite(f"{name} temperature", scaler.temperature) > 0:
         raise ModelIOError(f"{name} temperature must be positive, found {scaler.temperature}")
     return scaler
 
 
-def _secondary_to_dict(model) -> dict:
-    if isinstance(model, HybridModel):
-        return {"kind": "hybrid", **_hybrid_to_dict(model)}
-    if isinstance(model, GBDTModel):
-        return {"kind": "gbdt", **_gbdt_to_dict(model)}
-    raise ModelIOError(f"cannot persist a secondary expert of type {type(model).__name__}")
+# kind tag -> (class, decoder) of every secondary expert a model file can hold
+_SECONDARY_KINDS = {"hybrid": (HybridModel, _hybrid), "gbdt": (GBDTModel, _gbdt)}
 
 
-def _secondary_from_dict(d: dict):
-    if d["kind"] == "hybrid":
-        return _hybrid_from_dict(d)
-    if d["kind"] == "gbdt":
-        return _gbdt_from_dict(d)
-    raise ModelIOError(f"unknown secondary expert kind {d['kind']!r}")
+def _secondary(obj):
+    kind = obj["kind"]
+    if kind not in _SECONDARY_KINDS:
+        raise ModelIOError(f"unknown secondary expert kind {kind!r}")
+    return _SECONDARY_KINDS[kind][1]({k: v for k, v in obj.items() if k != "kind"})
 
 
 def save_model(pipeline: Pipeline, path) -> None:
-    doc = {
-        "format": _MODEL_FORMAT,
-        "version": _VERSION,
-        "scaler": {
-            "low": pipeline.scaler.low.tolist(),
-            "span": pipeline.scaler.span.tolist(),
-        },
-        "combined": {
-            "primary": _gbdt_to_dict(pipeline.combined.primary),
-            "primary_scaler": _temp_to_dict(pipeline.combined.primary_scaler),
-            "secondary": _secondary_to_dict(pipeline.combined.secondary),
-            "secondary_scaler": _temp_to_dict(pipeline.combined.secondary_scaler),
-            "router": _gbdt_to_dict(pipeline.combined.router),
-            "tau_primary": pipeline.combined.tau_primary,
-            "tau_secondary": pipeline.combined.tau_secondary,
-        },
-    }
+    secondary = pipeline.combined.secondary
+    kind = next((k for k, (cls, _) in _SECONDARY_KINDS.items() if isinstance(secondary, cls)),
+                None)
+    if kind is None:
+        raise ModelIOError(
+            f"cannot persist a secondary expert of type {type(secondary).__name__}"
+        )
+    doc = {"format": _MODEL_FORMAT, "version": _VERSION, **asdict(pipeline)}
+    doc["combined"]["secondary"] = {"kind": kind, **doc["combined"]["secondary"]}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh, default=lambda array: array.tolist())
         fh.write("\n")
 
 
@@ -666,19 +628,22 @@ def load_model(path) -> Pipeline:
         raise ModelIOError(
             f"{path} has version {doc.get('version')!r}, this build reads {_VERSION}"
         )
+    body = {k: v for k, v in doc.items() if k not in ("format", "version")}
     try:
-        c = doc["combined"]
-        pipeline = Pipeline(
-            scaler=MinMaxScaler(low=_finite("scaler low", doc["scaler"]["low"]),
-                                span=_finite("scaler span", doc["scaler"]["span"])),
-            combined=CombinedModel(
-                primary=_gbdt_from_dict(c["primary"]),
-                primary_scaler=_temp_from_dict("primary_scaler", c["primary_scaler"]),
-                secondary=_secondary_from_dict(c["secondary"]),
-                secondary_scaler=_temp_from_dict("secondary_scaler", c["secondary_scaler"]),
-                router=_gbdt_from_dict(c["router"]),
-                tau_primary=float(_finite("tau_primary", c["tau_primary"])),
-                tau_secondary=float(_finite("tau_secondary", c["tau_secondary"])),
+        pipeline = _build(
+            Pipeline, body,
+            scaler=lambda d: _build(MinMaxScaler, d,
+                                    low=lambda v: _finite("scaler low", v),
+                                    span=lambda v: _finite("scaler span", v)),
+            combined=lambda d: _build(
+                CombinedModel, d,
+                primary=_gbdt,
+                primary_scaler=lambda s: _temperature("primary_scaler", s),
+                secondary=_secondary,
+                secondary_scaler=lambda s: _temperature("secondary_scaler", s),
+                router=_gbdt,
+                tau_primary=lambda v: float(_finite("tau_primary", v)),
+                tau_secondary=lambda v: float(_finite("tau_secondary", v)),
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -46,6 +46,7 @@ ENV_DATASET = "QMOE_DATASET"
 
 
 def _config_from_file(path) -> RunConfig:
+    """RunConfig from a JSON object holding any subset of its fields."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -53,26 +54,13 @@ def _config_from_file(path) -> RunConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
-    return _config_from_dict(raw, path)
-
-
-def _config_from_dict(raw: dict, origin: str) -> RunConfig:
-    kwargs = dict(raw)
     try:
-        if "hybrid" in kwargs:
-            h = dict(kwargs["hybrid"])
-            if "encoder_hidden" in h:
-                h["encoder_hidden"] = tuple(h["encoder_hidden"])
-            kwargs["hybrid"] = HybridConfig(**h)
-        if "expert" in kwargs:
-            kwargs["expert"] = GBDTParams(**kwargs["expert"])
-        if "router" in kwargs:
-            kwargs["router"] = GBDTParams(**kwargs["router"])
-        if "gamma_grid" in kwargs:
-            kwargs["gamma_grid"] = tuple(kwargs["gamma_grid"])
-        return RunConfig(**kwargs)
+        for key, cls in (("hybrid", HybridConfig), ("expert", GBDTParams), ("router", GBDTParams)):
+            if key in raw:
+                raw[key] = cls(**raw[key])
+        return RunConfig(**raw)
     except TypeError as exc:
-        raise ConfigurationError(f"config {origin} has unknown fields: {exc}") from exc
+        raise ConfigurationError(f"config {path} has unknown fields: {exc}") from exc
 
 
 def _resolve_config(args) -> RunConfig:

@@ -162,9 +162,9 @@ class GBDTModel:
     params: GBDTParams
     n_features: int
     base_score: float  # log-odds of the training prior
-    trees: list[Tree] = field(default_factory=list)
     degenerate: bool = False  # single-class training labels, no trees grown
     best_iteration: Optional[int] = None
+    trees: list[Tree] = field(default_factory=list)  # last: a model file lists them last
 
     def predict_margin(self, x) -> np.ndarray:
         x = self._check(x)

@@ -88,7 +88,9 @@ class HybridConfig:
             )
         if self.n_layers < 1:
             raise ConfigurationError(f"n_layers must be >= 1, got {self.n_layers}")
-        if any(int(h) < 1 for h in self.encoder_hidden):
+        hidden = tuple(int(h) for h in self.encoder_hidden)
+        object.__setattr__(self, "encoder_hidden", hidden)
+        if any(h < 1 for h in hidden):
             raise ConfigurationError(f"encoder_hidden must be positive, got {self.encoder_hidden}")
         if self.head_hidden < 1:
             raise ConfigurationError(f"head_hidden must be >= 1, got {self.head_hidden}")

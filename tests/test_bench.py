@@ -2,11 +2,12 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qmoe import gbdt
+from qmoe import bench, gbdt
 from qmoe.bench import (
     LatencyModel,
     RunConfig,
@@ -221,6 +222,20 @@ def test_load_model_rejects_bad_files(tmp_path):
         load_model(malformed)
 
 
+def test_sentinel_check_sees_a_one_ulp_difference(dataset, monkeypatch):
+    # The arms reuse the baseline's scores, so only a fresh scoring of the
+    # holdout can tell the sentinel apart from the baseline.
+    real = bench.combined_predict
+
+    def nudged(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return replace(out, probs=np.nextafter(out.probs, np.inf))
+
+    monkeypatch.setattr(bench, "combined_predict", nudged)
+    record, _ = fit_pipeline(*dataset, CONFIG)
+    assert not record.sentinel_equals_baseline
+
+
 @pytest.fixture(scope="module")
 def model_doc(dataset, tmp_path_factory):
     _, pipeline = fit_pipeline(*dataset, CONFIG)
@@ -356,6 +371,44 @@ NON_FINITE_EDITS = {
 }
 
 
+def _drop(path):
+    """An edit that deletes the key at ``path`` of a model document."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+    return edit
+
+
+# level -> (path to the object, one of its keys, the dataclass it decodes to)
+FIELD_LEVELS = {
+    "top level": ([], "scaler", "Pipeline"),
+    "scaler": (["scaler"], "span", "MinMaxScaler"),
+    "combined": (["combined"], "tau_secondary", "CombinedModel"),
+    "gbdt": (["combined", "router"], "best_iteration", "GBDTModel"),
+    "gbdt params": (["combined", "primary", "params"], "seed", "GBDTParams"),
+    "tree": (["combined", "primary", "trees", 0], "value", "Tree"),
+    "hybrid": (["combined", "secondary"], "decoder", "HybridModel"),
+    "hybrid config": (["combined", "secondary", "config"], "patience", "HybridConfig"),
+    "temperature scaler": (["combined", "secondary_scaler"], "nll", "TemperatureScaler"),
+}
+
+
+@pytest.mark.parametrize("change", ("unknown", "missing"))
+@pytest.mark.parametrize("level", sorted(FIELD_LEVELS))
+def test_load_model_requires_exactly_the_fields(model_doc, tmp_path, level, change):
+    # Before the exact-field rule an unknown key loaded silently.
+    path, key, name = FIELD_LEVELS[level]
+    edit = _set([*path, "extra"], 1) if change == "unknown" else _drop([*path, key])
+    doc = json.loads(json.dumps(model_doc))
+    edit(doc)
+    target = tmp_path / "fields.json"
+    target.write_text(json.dumps(doc))
+    with pytest.raises(ModelIOError, match=f"malformed: {name} "):
+        load_model(target)
+
+
 @pytest.mark.parametrize("group", sorted(NON_FINITE_EDITS))
 def test_load_model_rejects_non_finite_numbers(model_doc, tmp_path, group):
     # Before these checks a NaN threshold sent every row right, and a NaN in
@@ -367,6 +420,57 @@ def test_load_model_rejects_non_finite_numbers(model_doc, tmp_path, group):
     path.write_text(json.dumps(doc))  # NaN and Infinity tokens, as json.load reads them
     with pytest.raises(ModelIOError, match=match):
         load_model(path)
+
+
+def test_model_file_key_order(model_doc):
+    # save_model writes without sort_keys, so the key order is part of the
+    # file's bytes; a reordered dataclass field would show up here.
+    gbdt_keys = ["params", "n_features", "base_score", "degenerate", "best_iteration", "trees"]
+    temperature_keys = ["temperature", "nll", "iterations", "degenerate"]
+    combined = model_doc["combined"]
+    assert list(model_doc) == ["format", "version", "scaler", "combined"]
+    assert list(combined) == ["primary", "primary_scaler", "secondary", "secondary_scaler",
+                              "router", "tau_primary", "tau_secondary"]
+    assert list(combined["primary"]) == gbdt_keys
+    assert list(combined["router"]) == gbdt_keys
+    assert list(combined["primary"]["trees"][0]) == ["feature", "threshold", "left", "right",
+                                                     "value"]
+    assert list(combined["secondary"]) == ["kind", "config", "encoder", "decoder", "theta",
+                                           "head"]
+    assert list(combined["primary_scaler"]) == temperature_keys
+    assert list(combined["secondary_scaler"]) == temperature_keys
+
+
+def test_gbdt_secondary_round_trips(dataset, tmp_path):
+    x, y = dataset
+    _, pipeline = fit_pipeline(x, y, CONFIG)
+    scaled = pipeline.scaler.transform(x)
+    secondary = gbdt.fit_gbdt(GBDTParams(n_estimators=8, max_depth=2), scaled, y)
+    pipeline = replace(pipeline, combined=replace(pipeline.combined, secondary=secondary))
+    path = tmp_path / "gbdt-secondary.json"
+    save_model(pipeline, path)
+    loaded = load_model(path)
+    gate = pipeline.combined.router.predict_proba(scaled)
+    gamma = float(np.quantile(gate, 0.9))
+    a = pipeline_predict(pipeline, x, gamma)
+    b = pipeline_predict(loaded, x, gamma)
+    assert a.routed.any()
+    for name in ("probs", "labels", "routed"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    again = tmp_path / "gbdt-secondary-2.json"
+    save_model(loaded, again)
+    assert path.read_bytes() == again.read_bytes()
+
+    doc = json.loads(path.read_text())
+    assert doc["combined"]["secondary"]["kind"] == "gbdt"
+    doc["combined"]["secondary"]["kind"] = "forest"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelIOError, match="unknown secondary expert kind 'forest'"):
+        load_model(path)
+
+    odd = replace(pipeline, combined=replace(pipeline.combined, secondary=object()))
+    with pytest.raises(ModelIOError, match="cannot persist a secondary expert of type object"):
+        save_model(odd, tmp_path / "odd.json")
 
 
 def test_load_model_checks_the_scaler_width(model_doc, tmp_path):

@@ -68,6 +68,14 @@ def test_config_validation():
     assert HybridConfig(head_all_qubits=True).head_spec.layer_sizes == (6, 8, 1)
 
 
+def test_encoder_hidden_is_normalized_to_a_tuple():
+    # A JSON list (a config or model file) builds the same config as a tuple.
+    listed = HybridConfig(encoder_hidden=[8, 4])
+    assert listed == HybridConfig(encoder_hidden=(8, 4))
+    assert listed.encoder_hidden == (8, 4)
+    assert hash(listed) == hash(HybridConfig(encoder_hidden=(8, 4)))
+
+
 @pytest.mark.parametrize("all_qubits", [False, True])
 def test_joint_gradients_match_finite_differences(all_qubits):
     cfg = HybridConfig(seed=3, head_all_qubits=all_qubits, **TINY)
