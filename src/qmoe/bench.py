@@ -201,12 +201,10 @@ class Pipeline:
 
 def pipeline_predict(pipeline: Pipeline, x_raw, gamma: float):
     x_raw = np.asarray(x_raw, dtype=np.float64)
-    # Checked before scaling, and only there: the scaler would clip an
-    # infinity into range, and finite raw rows scale to finite rows.
+    # Checked before scaling as well: the scaler would clip an infinity
+    # into range.
     require_finite_rows(x_raw)
-    return combined_predict(
-        pipeline.combined, pipeline.scaler.transform(x_raw), gamma, check_finite=False
-    )
+    return combined_predict(pipeline.combined, pipeline.scaler.transform(x_raw), gamma)
 
 
 def _fold_seeds(master_seed: int, repeat: int, fold: int):
@@ -334,7 +332,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
             )
         # The arms share base_probs, so the sentinel check scores the holdout
         # afresh through the serving path instead.
-        sentinel = combined_predict(combined, x_hold, SENTINEL_GAMMA, check_finite=False)
+        sentinel = combined_predict(combined, x_hold, SENTINEL_GAMMA)
         record.sentinel_equals_baseline = bool(
             np.array_equal(sentinel.probs, base_probs)
             and np.array_equal(sentinel.labels, base_hard)
@@ -611,9 +609,10 @@ def save_model(pipeline: Pipeline, path) -> None:
         )
     doc = {"format": _MODEL_FORMAT, "version": _VERSION, **asdict(pipeline)}
     doc["combined"]["secondary"] = {"kind": kind, **doc["combined"]["secondary"]}
+    # json.dumps runs the C encoder; json.dump always runs the Python one.
+    text = json.dumps(doc, default=lambda array: array.tolist())
     with open(path, "w") as fh:
-        json.dump(doc, fh, default=lambda array: array.tolist())
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> Pipeline:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .neural import PROB_EPS, sigmoid
+from .neural import PROB_EPS, log_loss, sigmoid
 
 T_MIN = 0.05
 T_MAX = 20.0
@@ -31,9 +31,6 @@ class TemperatureScaler:
     iterations: int
     degenerate: bool = False  # fit set had one class (or one sample); fell back to t = 1
 
-    def apply(self, probs) -> np.ndarray:
-        return apply_temperature(self, probs)
-
 
 def _logits(probs) -> np.ndarray:
     p = np.clip(np.asarray(probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
@@ -41,8 +38,7 @@ def _logits(probs) -> np.ndarray:
 
 
 def _nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    p = np.clip(sigmoid(logits / temperature), PROB_EPS, 1.0 - PROB_EPS)
-    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
+    return log_loss(labels, sigmoid(logits / temperature))
 
 
 def fit_temperature(probs, labels) -> TemperatureScaler:

@@ -6,10 +6,12 @@ deployable pipeline (train), score a saved pipeline on labeled data
 routing latency from a report (latency), and refit the temperature
 scalers of a saved pipeline on fresh data (calibrate).
 
-Dataset resolution order everywhere: an explicit --data flag, then the
-config file's csv_path, then the QMOE_DATASET environment variable, then
-the built-in synthetic generator. Structured errors exit 1 with a
-message on stderr; argparse handles usage errors with exit 2.
+Dataset resolution for train and bench: an explicit --data flag, then
+the config file's csv_path, then the QMOE_DATASET environment variable,
+then the built-in synthetic generator. evaluate and calibrate score a
+labeled file, so they read only --data, then QMOE_DATASET, and fail
+without either. Structured errors exit 1 with a message on stderr;
+argparse handles usage errors with exit 2.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import ConfigurationError, DataError, QmoeError
 from .gbdt import GBDTParams
 from .hybrid import HybridConfig
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
+from .moe import require_finite_rows
 
 ENV_DATASET = "QMOE_DATASET"
 
@@ -167,6 +170,7 @@ def _cmd_latency(args) -> int:
 def _cmd_calibrate(args) -> int:
     pipeline = load_model(args.model)
     x, y = _load_labeled(args)
+    require_finite_rows(x)  # before scaling, which would clip an infinity into range
     scaled = pipeline.scaler.transform(x)
     combined = pipeline.combined
     scaler1 = fit_temperature(combined.primary.predict_proba(scaled), y)

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .neural import PROB_EPS, sigmoid
+from .neural import log_loss, sigmoid
 
 __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
 
@@ -298,11 +298,6 @@ class _TreeBuilder:
         return feat, pos, float(self.xt[feat, block[feat, pos]])
 
 
-def _logloss(y: np.ndarray, p: np.ndarray) -> float:
-    p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
     """Boost trees on (x, y); optional validation set drives early stopping.
 
@@ -362,7 +357,7 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
         margin += params.learning_rate * tree.predict(x)
         if use_val:
             val_margin += params.learning_rate * tree.predict(x_val)
-            loss = _logloss(y_val_arr, sigmoid(val_margin))
+            loss = log_loss(y_val_arr, sigmoid(val_margin))
             if loss < best_loss:
                 best_loss = loss
                 best_round = round_index

@@ -146,22 +146,18 @@ def require_finite_rows(x: np.ndarray) -> None:
     )
 
 
-def combined_predict(
-    model: CombinedModel, x, gamma: float, *, check_finite: bool = True
-) -> RoutedPrediction:
+def combined_predict(model: CombinedModel, x, gamma: float) -> RoutedPrediction:
     """Score rows, handing those the router flags to the secondary expert.
 
     The secondary runs only on flagged rows; that sparsity is the whole
     point of the gate. Hard labels apply the owning expert's threshold.
     Non-finite rows are rejected up front, so the outcome never depends on
-    whether the gate would have routed them; ``check_finite=False`` is for
-    callers that already checked the rows ``x`` was derived from.
+    whether the gate would have routed them.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
     x = np.asarray(x, dtype=np.float64)
-    if check_finite:
-        require_finite_rows(x)
+    require_finite_rows(x)
     probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
     return route_rows(model, x, probs, model.router.predict_proba(x), gamma)
 

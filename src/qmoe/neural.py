@@ -193,6 +193,12 @@ def mse_loss(x, y):
     return loss, grad
 
 
+def log_loss(labels, probs) -> float:
+    """Mean binary log-loss, probabilities clamped to [PROB_EPS, 1 - PROB_EPS]."""
+    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
+
+
 def bce_loss(labels, probs):
     """Binary cross-entropy with clamped probabilities; grad w.r.t. probs.
 
@@ -206,7 +212,7 @@ def bce_loss(labels, probs):
     if y.size == 0:
         raise InputError("bce_loss needs at least one sample")
     clamped = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    loss = float(-np.mean(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped)))
+    loss = log_loss(y, clamped)
     inside = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
     grad = np.where(inside, (clamped - y) / (clamped * (1.0 - clamped)), 0.0) / y.size
     return loss, grad

@@ -68,61 +68,46 @@ class AnsatzSpec:
 # kernels
 #
 # Internally amplitudes are ndarrays whose last axis has length 2**n; any
-# leading axes are batch axes. Reshaping to (..., 2, 2, ..., 2) exposes one
-# axis per qubit, with qubit 0 first, matching the MSB layout.
+# leading axes are batch axes. A rotation on qubit q reshapes that axis to
+# (2**q, 2, 2**(n-1-q)): in the MSB layout axis -2 is then q's bit, and a
+# per-row angle reshaped to (..., 1, 1) broadcasts over every batch axis.
+# The CNOT ring permutes basis states, so one gather applies all of it.
 # ---------------------------------------------------------------------------
 
 
-def _qubit_axis_view(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    lead = amps.shape[:-1]
-    reshaped = amps.reshape(lead + (2,) * n)
-    return np.moveaxis(reshaped, len(lead) + qubit, -1)
-
-
-def _restore(view: np.ndarray, shape: tuple, n: int, qubit: int) -> np.ndarray:
-    lead_ndim = len(shape) - 1
-    return np.moveaxis(view, -1, lead_ndim + qubit).reshape(shape)
-
-
-def _broadcast_coeff(coeff: np.ndarray, n: int) -> np.ndarray:
-    # Per-row angles: align against the batch axes, then the n-1 remaining
-    # qubit axes of the moved view.
-    if np.ndim(coeff) == 0:
-        return coeff
-    return coeff.reshape(coeff.shape + (1,) * (n - 1))
-
-
 def _apply_ry(amps: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
-    view = _qubit_axis_view(amps, n, qubit)
+    view = amps.reshape(amps.shape[:-1] + (2 ** qubit, 2, 2 ** (n - 1 - qubit)))
     half = np.multiply(angle, 0.5)
-    c = _broadcast_coeff(np.cos(half), n)
-    s = _broadcast_coeff(np.sin(half), n)
-    a0 = view[..., 0]
-    a1 = view[..., 1]
-    out = np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=-1)
-    return _restore(out, amps.shape, n, qubit)
+    half = half.reshape(np.shape(half) + (1, 1))
+    c, s = np.cos(half), np.sin(half)
+    a0, a1 = view[..., 0, :], view[..., 1, :]
+    return np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=-2).reshape(amps.shape)
 
 
 def _apply_rz(amps: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
-    view = _qubit_axis_view(amps, n, qubit)
-    phase = np.exp(np.multiply(angle, -0.5j))
-    p = _broadcast_coeff(phase, n)
-    out = np.stack((p * view[..., 0], np.conj(p) * view[..., 1]), axis=-1)
-    return _restore(out, amps.shape, n, qubit)
+    view = amps.reshape(amps.shape[:-1] + (2 ** qubit, 2, 2 ** (n - 1 - qubit)))
+    p = np.exp(np.multiply(angle, -0.5j))
+    p = p.reshape(np.shape(p) + (1, 1))
+    out = np.stack((p * view[..., 0, :], np.conj(p) * view[..., 1, :]), axis=-2)
+    return out.reshape(amps.shape)
 
 
-def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    lead = amps.shape[:-1]
-    a = amps.reshape(lead + (2,) * n).copy()
-    sel = [slice(None)] * a.ndim
-    sel[len(lead) + control] = 1
-    sub = a[tuple(sel)]
-    # Indexing with an int dropped the control axis, shifting later axes.
-    t_axis = len(lead) + target
-    if target > control:
-        t_axis -= 1
-    a[tuple(sel)] = np.flip(sub, axis=t_axis)
-    return a.reshape(amps.shape)
+def _cnot_ring(n: int) -> np.ndarray:
+    """Basis gather applying a layer's CNOT ring 0->1, 1->2, ..., (n-1)->0.
+
+    Taking ``ring`` along the amplitude axis applies the ring and taking
+    ``argsort(ring)`` undoes it. A single qubit has no ring, so its gather
+    is the identity.
+    """
+    idx = np.arange(2 ** n)
+    if n == 1:
+        return idx
+    # A CNOT is its own inverse gather g; applying it after ``ring`` gives ring[g].
+    ring = idx
+    for q in range(n):
+        control = (idx >> (n - 1 - q)) & 1
+        ring = ring[np.where(control, idx ^ (1 << (n - 1 - (q + 1) % n)), idx)]
+    return ring
 
 
 def _encode(angles: np.ndarray) -> np.ndarray:
@@ -138,6 +123,7 @@ def _encode(angles: np.ndarray) -> np.ndarray:
 
 def _run_ansatz(amps: np.ndarray, spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     n = spec.n_qubits
+    ring = _cnot_ring(n)
     k = 0
     for _ in range(spec.n_layers):
         for q in range(n):
@@ -146,9 +132,9 @@ def _run_ansatz(amps: np.ndarray, spec: AnsatzSpec, params: np.ndarray) -> np.nd
         for q in range(n):
             amps = _apply_rz(amps, n, q, params[k])
             k += 1
-        if n > 1:
-            for q in range(n):
-                amps = _apply_cnot(amps, n, q, (q + 1) % n)
+        # Not amps[..., ring]: that can come back non-contiguous, and
+        # _expect's matmul then rounds differently; np.take does not.
+        amps = np.take(amps, ring, axis=-1)
     return amps
 
 
@@ -232,9 +218,10 @@ def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
     gates backwards: each rotation is undone on phi, the derivative state
     0.5 * G(angle + pi) phi is formed (RY'(t) = RY(t + pi) / 2, likewise RZ),
     its overlap 2 Re<lambda_q|d phi> is recorded, and lambda steps back
-    through the same gate. CNOTs are self-inverse. Walking on through the
-    RY encoding layer yields the feature gradients. Gates are visited in a
-    fixed order, so results are bit-reproducible.
+    through the same gate. The CNOT ring is undone by its inverse basis
+    permutation. Walking on through the RY encoding layer yields the
+    feature gradients. Gates are visited in a fixed order, so results are
+    bit-reproducible.
     """
     arr_p = _check_params(spec, params)
     arr_f = _check_features(spec, features)
@@ -244,7 +231,7 @@ def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
 
     phi = _run_ansatz(_encode(arr_f), spec, arr_p)
     # One adjoint state per measured qubit, stacked ahead of the row axis so
-    # per-row encoding angles broadcast through _broadcast_coeff.
+    # per-row encoding angles broadcast over it.
     lam = np.stack([_z_signs(n, q) * phi for q in measured])
 
     def step_back(kernel, qubit: int, angle) -> np.ndarray:
@@ -255,13 +242,12 @@ def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
         lam = kernel(lam, n, qubit, -angle)
         return 2.0 * overlap.real
 
+    unring = np.argsort(_cnot_ring(n))
     d_theta = np.empty((rows, spec.n_params, len(measured)))
     for layer in reversed(range(spec.n_layers)):
         base = 2 * n * layer
-        if n > 1:
-            for q in reversed(range(n)):
-                phi = _apply_cnot(phi, n, q, (q + 1) % n)
-                lam = _apply_cnot(lam, n, q, (q + 1) % n)
+        phi = np.take(phi, unring, axis=-1)
+        lam = np.take(lam, unring, axis=-1)
         for q in reversed(range(n)):
             d_theta[:, base + n + q, :] = step_back(_apply_rz, q, arr_p[base + n + q])
         for q in reversed(range(n)):

@@ -135,6 +135,23 @@ def test_calibrate_refits_temperatures(workspace, tmp_path, capsys):
     assert len(recal.combined.primary.trees) == len(base.combined.primary.trees)
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_calibrate_non_finite_row_exits_1(workspace, tmp_path, capsys, value):
+    # The scaler would clip an infinity into range and refit silently.
+    lines = open(workspace["csv"]).read().splitlines()
+    fields = lines[4].split(",")  # data row 3, after the header line
+    fields[3] = value
+    lines[4] = ",".join(fields)
+    bad_csv = tmp_path / f"{value}.csv"
+    bad_csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "recal.json"
+    assert main(["calibrate", "--model", workspace["model"],
+                 "--data", str(bad_csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "feature rows must be finite" in err and "row indices [3]" in err
+    assert not out.exists()
+
+
 def test_env_var_supplies_dataset(workspace, monkeypatch, capsys):
     monkeypatch.setenv(ENV_DATASET, workspace["csv"])
     assert main(["evaluate", "--model", workspace["model"]]) == 0

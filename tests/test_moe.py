@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmoe.calibration import TemperatureScaler, fit_temperature
+from qmoe.calibration import TemperatureScaler, apply_temperature, fit_temperature
 from qmoe.errors import InputError
 from qmoe.gbdt import GBDTParams, fit_gbdt
 from qmoe.moe import (
@@ -124,7 +124,7 @@ def test_combined_with_cloned_secondary_equals_baseline():
         secondary=primary, secondary_scaler=scaler,
         router=router, tau_primary=0.4, tau_secondary=0.4,
     )
-    baseline = scaler.apply(primary.predict_proba(x))
+    baseline = apply_temperature(scaler, primary.predict_proba(x))
     for gamma in GAMMA_GRID:
         out = combined_predict(model, x, gamma)
         # Identical expert on both sides: routing must change nothing,
@@ -176,8 +176,8 @@ def test_secondary_runs_only_on_routed_rows():
     assert calls == [int(out.routed.sum())]
     # Compare post-scaler values: t = 1 is an identity only up to the
     # logit round trip's final ulp.
-    assert np.array_equal(out.probs[~out.routed], IDENTITY.apply(p1)[~out.routed])
-    assert np.array_equal(out.probs[out.routed], IDENTITY.apply(p2[out.routed]))
+    assert np.array_equal(out.probs[~out.routed], apply_temperature(IDENTITY, p1)[~out.routed])
+    assert np.array_equal(out.probs[out.routed], apply_temperature(IDENTITY, p2[out.routed]))
     # Routing should catch rows the primary got wrong: accuracy improves.
     base_acc = np.mean((p1 > 0.5) == (y == 1))
     assert np.mean(out.labels == y) > base_acc

@@ -114,6 +114,15 @@ def test_rz_leaves_populations_alone():
     np.testing.assert_allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-15)
 
 
+def ring_matrix(n):
+    """The layer's CNOT ring 0->1, ..., (n-1)->0 as one dense matrix."""
+    out = np.eye(2 ** n, dtype=complex)
+    if n > 1:
+        for q in range(n):
+            out = cnot_matrix(n, q, (q + 1) % n) @ out
+    return out
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_each_gate_matches_dense_oracle_on_random_state(trial):
     rng = np.random.default_rng(500 + trial)
@@ -121,22 +130,36 @@ def test_each_gate_matches_dense_oracle_on_random_state(trial):
     state = random_state(rng, n)
     q = int(rng.integers(n))
     theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
-    other = int((q + 1 + rng.integers(n - 1)) % n)
 
     for got, mat in [
         (qsim._apply_ry(state, n, q, theta), embed_single(n, q, ry_matrix(theta))),
         (qsim._apply_rz(state, n, q, theta), embed_single(n, q, rz_matrix(theta))),
-        (qsim._apply_cnot(state, n, q, other), cnot_matrix(n, q, other)),
     ]:
         np.testing.assert_allclose(got, mat @ state, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cnot_ring_and_its_inverse_match_dense_oracle(n):
+    # Gathering with ``ring`` is the permutation matrix eye[ring]; the
+    # adjoint sweep undoes the ring with the inverse gather argsort(ring).
+    ring = qsim._cnot_ring(n)
+    identity = np.eye(2 ** n)
+    np.testing.assert_array_equal(identity[ring], ring_matrix(n))
+    np.testing.assert_array_equal(identity[np.argsort(ring)], ring_matrix(n).T)
+    states = np.stack([random_state(np.random.default_rng(n + r), n) for r in range(3)])
+    np.testing.assert_array_equal(
+        np.take(states, ring, axis=-1), states @ ring_matrix(n).T
+    )
+
+
 def test_apply_gate_is_pure():
-    state = random_state(np.random.default_rng(1), 2)
+    rng = np.random.default_rng(1)
+    state = random_state(rng, 2)
     before = state.copy()
+    spec = AnsatzSpec(n_qubits=2, n_layers=2)
     qsim._apply_ry(state, 2, 0, 0.7)
     qsim._apply_rz(state, 2, 1, 0.7)
-    qsim._apply_cnot(state, 2, 0, 1)
+    qsim._run_ansatz(state, spec, rng.uniform(-np.pi, np.pi, size=spec.n_params))
     np.testing.assert_array_equal(state, before)
 
 
@@ -152,8 +175,8 @@ def test_norm_preserved_under_random_gate_sequences():
                 state = qsim._apply_ry(state, n, q, float(rng.normal()))
             elif kind == 1:
                 state = qsim._apply_rz(state, n, q, float(rng.normal()))
-            elif n > 1:
-                state = qsim._apply_cnot(state, n, q, int((q + 1) % n))
+            else:
+                state = np.take(state, qsim._cnot_ring(n), axis=-1)
         assert abs(float(np.sum(np.abs(state) ** 2)) - 1.0) < 1e-10
 
 
@@ -259,7 +282,7 @@ def test_four_qubit_layer_gate_order_including_wraparound():
     for q in range(4):
         explicit = qsim._apply_rz(explicit, 4, q, params[4 + q])
     for pair in [(0, 1), (1, 2), (2, 3), (3, 0)]:
-        explicit = qsim._apply_cnot(explicit, 4, *pair)
+        explicit = cnot_matrix(4, *pair) @ explicit
 
     got = qsim._run_ansatz(state, spec, params)
     np.testing.assert_allclose(got, explicit, atol=1e-12)

@@ -7,10 +7,11 @@ both checkouts over the same seeds (alternate which checkout runs first):
     python3 tools/bench.py <topic> --parent ../parent-checkout
 
 The topic picks the kernel table: ``qsim`` times
-``qsim.batch_parameter_shift`` and writes BENCH_qsim.json, ``gbdt`` times
-``gbdt.fit_gbdt`` and writes BENCH_gbdt.json, ``predict`` times
-``GBDTModel.predict_margin`` on the serving forests and ``Tree.predict`` on
-one tree per boosting round, and writes BENCH_predict.json.
+``qsim.batch_parameter_shift`` and ``qsim.batch_expectations`` and writes
+BENCH_qsim.json, ``gbdt`` times ``gbdt.fit_gbdt`` and writes
+BENCH_gbdt.json, ``predict`` times ``GBDTModel.predict_margin`` on the
+serving forests and ``Tree.predict`` on one tree per boosting round, and
+writes BENCH_predict.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -67,12 +68,17 @@ class Topic:
 
 TOPICS = {
     "qsim": Topic(
-        title="qsim.batch_parameter_shift: adjoint sweep replacing the shift-rule loop",
+        title="qsim kernels: gates as strided views and the CNOT ring as one basis "
+              "permutation, under batch_expectations and the batch_parameter_shift "
+              "adjoint sweep",
         # The desk config, the paper config with one and with every qubit
-        # measured, and a wide desk batch.
+        # measured, a wide desk batch, and the paper config over the about
+        # 2,000 rows serve-paper routes per call; each shape runs both calls.
         kernels=tuple(
-            {"n_qubits": n, "n_layers": layers, "rows": rows, "measured": q}
-            for n, layers, rows, q in ((3, 2, 8, 1), (6, 6, 32, 1), (6, 6, 32, 6), (3, 2, 512, 1))
+            {"call": call, "n_qubits": n, "n_layers": layers, "rows": rows, "measured": q}
+            for n, layers, rows, q in ((3, 2, 8, 1), (6, 6, 32, 1), (6, 6, 32, 6),
+                                       (3, 2, 512, 1), (6, 6, 2048, 1))
+            for call in ("batch_parameter_shift", "batch_expectations")
         ),
         setup="""
 from qmoe import qsim
@@ -80,7 +86,7 @@ spec = qsim.AnsatzSpec(n_qubits=kernel["n_qubits"], n_layers=kernel["n_layers"])
 params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
 feats = rng.uniform(-np.pi, np.pi, size=(kernel["rows"], spec.n_qubits))
 qubits = tuple(range(kernel["measured"]))
-call = lambda: qsim.batch_parameter_shift(spec, params, feats, qubits)
+call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
 """,
     ),
     "gbdt": Topic(
