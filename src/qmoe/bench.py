@@ -114,6 +114,8 @@ class RunConfig:
             raise ConfigurationError("need n_splits >= 2 and n_repeats >= 1")
         if self.majority_ratio <= 0:
             raise ConfigurationError(f"majority_ratio must be positive, got {self.majority_ratio}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -147,12 +149,11 @@ def latency_estimate(n_points: int, routed_fraction: float,
     return n_points * routed_fraction * model.per_task_s
 
 
-def latency_table(report: "BenchReport | dict", n_points: int,
+def latency_table(report: dict, n_points: int,
                   model: LatencyModel = LatencyModel()) -> list:
-    """Per-arm latency summary from a report's mean routed fractions."""
-    d = report if isinstance(report, dict) else report_to_dict(report)
+    """Per-arm latency summary from a report dict's mean routed fractions."""
     rows = []
-    for arm, stats in d["aggregates"]["combined"].items():
+    for arm, stats in report["aggregates"]["combined"].items():
         fraction = stats["routed_fraction"]["mean"]
         seconds = latency_estimate(n_points, fraction, model)
         rows.append(

@@ -25,6 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import (
+    _REPORT_FORMAT,
     LatencyModel,
     Pipeline,
     RunConfig,
@@ -160,8 +161,13 @@ def _cmd_latency(args) -> int:
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read report {path}: {exc}") from exc
+    if not isinstance(report, dict) or report.get("format") != _REPORT_FORMAT:
+        raise DataError(f"{path} is not a {_REPORT_FORMAT} file")
     model = LatencyModel()
-    rows = latency_table(report, args.points, model)
+    try:
+        rows = latency_table(report, args.points, model)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"report {path} is malformed: {exc!r}") from exc
     print(json.dumps({"points": args.points, "per_task_s": model.per_task_s,
                       "table": rows}, indent=2, sort_keys=True))
     return 0

@@ -245,6 +245,8 @@ def synthesize(n: int, fraud_rate: float = 0.00172, seed: int = 0):
         raise InputError(f"n must be >= 1000 to place any fraud at all, got {n}")
     if not 0.0 < fraud_rate <= 0.5:
         raise InputError(f"fraud_rate must be in (0, 0.5], got {fraud_rate}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     n_fraud = int(round(n * fraud_rate))
     if n_fraud < 2:
         raise InputError(

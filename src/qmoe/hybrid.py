@@ -102,6 +102,8 @@ class HybridConfig:
             raise ConfigurationError("batch_size, epochs, and patience must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def encoder_spec(self) -> MLPSpec:
@@ -143,18 +145,17 @@ class HybridModel:
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], _EVAL_CHUNK):
             chunk = x[start : start + _EVAL_CHUNK]
-            _, probs = self._classify(chunk)
-            out[start : start + _EVAL_CHUNK] = probs
+            out[start : start + _EVAL_CHUNK] = self._classify(chunk)
         return out
 
     def _classify(self, x):
-        """Encoder -> angles -> expectations -> head; returns (latents, probs)."""
+        """Encoder -> angles -> expectations -> head; returns the probabilities."""
         cfg = self.config
         z, _ = mlp_forward(cfg.encoder_spec, self.encoder, x)
         angles = np.pi * np.tanh(z)
         exps = batch_expectations(cfg.ansatz, self.theta, angles, cfg.measured_qubits)
         probs, _ = mlp_forward(cfg.head_spec, self.head, exps)
-        return z, probs[:, 0]
+        return probs[:, 0]
 
     def _check(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -176,16 +177,16 @@ def init_hybrid(config: HybridConfig, rng: Optional[np.random.Generator] = None)
     return HybridModel(config=config, encoder=encoder, decoder=decoder, theta=theta, head=head)
 
 
+def _flatten(encoder, decoder, theta, head) -> list:
+    """The one parameter order: encoder, decoder, theta, head."""
+    def arrays(layers):
+        return [a for pair in layers for a in pair]
+
+    return arrays(encoder) + arrays(decoder) + [theta] + arrays(head)
+
+
 def _flat_params(model: HybridModel) -> list:
-    flat = []
-    for w, b in model.encoder:
-        flat += [w, b]
-    for w, b in model.decoder:
-        flat += [w, b]
-    flat.append(model.theta)
-    for w, b in model.head:
-        flat += [w, b]
-    return flat
+    return _flatten(model.encoder, model.decoder, model.theta, model.head)
 
 
 def _set_params(model: HybridModel, flat: list) -> None:
@@ -201,17 +202,16 @@ def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
     cfg = model.config
     lam = cfg.recon_weight
 
-    enc_out, enc_cache = mlp_forward(cfg.encoder_spec, model.encoder, x)
-    z = enc_out
+    z, enc_acts = mlp_forward(cfg.encoder_spec, model.encoder, x)
     tanh_z = np.tanh(z)
     angles = np.pi * tanh_z
 
     exps = batch_expectations(cfg.ansatz, model.theta, angles, cfg.measured_qubits)
-    head_out, head_cache = mlp_forward(cfg.head_spec, model.head, exps)
+    head_out, head_acts = mlp_forward(cfg.head_spec, model.head, exps)
     probs = head_out[:, 0]
     class_loss, class_grad = bce_loss(y, probs)
 
-    dec_out, dec_cache = mlp_forward(cfg.decoder_spec, model.decoder, z)
+    dec_out, dec_acts = mlp_forward(cfg.decoder_spec, model.decoder, z)
     legit = y == 0
     grad_xhat = np.zeros_like(dec_out)
     if legit.any():
@@ -222,7 +222,7 @@ def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
     total = lam * recon_loss + (1.0 - lam) * class_loss
 
     head_grads, d_exps = mlp_backward(
-        cfg.head_spec, model.head, head_cache, ((1.0 - lam) * class_grad)[:, None]
+        cfg.head_spec, model.head, head_acts, ((1.0 - lam) * class_grad)[:, None]
     )
 
     # d_exps carries all classification weight; identically zero means the
@@ -239,18 +239,9 @@ def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
         d_angles = np.zeros_like(angles)
 
     dz = d_angles * np.pi * (1.0 - tanh_z * tanh_z)
-    dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, model.decoder, dec_cache, grad_xhat)
-    enc_grads, _ = mlp_backward(cfg.encoder_spec, model.encoder, enc_cache, dz + dz_recon)
-
-    flat_grads = []
-    for dw, db in enc_grads:
-        flat_grads += [dw, db]
-    for dw, db in dec_grads:
-        flat_grads += [dw, db]
-    flat_grads.append(theta_grad)
-    for dw, db in head_grads:
-        flat_grads += [dw, db]
-    return total, recon_loss, class_loss, flat_grads
+    dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, model.decoder, dec_acts, grad_xhat)
+    enc_grads, _ = mlp_backward(cfg.encoder_spec, model.encoder, enc_acts, dz + dz_recon)
+    return total, recon_loss, class_loss, _flatten(enc_grads, dec_grads, theta_grad, head_grads)
 
 
 @dataclass

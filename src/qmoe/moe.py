@@ -18,13 +18,12 @@ cannot exceed 1), giving a built-in no-routing reference point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .calibration import TemperatureScaler, apply_temperature
 from .errors import InputError
-from .gbdt import GBDTModel, GBDTParams, fit_gbdt, router_params
+from .gbdt import GBDTModel, GBDTParams, fit_gbdt
 
 __all__ = [
     "GAMMA_GRID",
@@ -97,14 +96,14 @@ def router_targets(labels, primary_probs, secondary_probs,
     return (secondary_right & ~primary_right).astype(np.float64)
 
 
-def fit_router(x, targets, params: Optional[GBDTParams] = None) -> GBDTModel:
-    """Train the gate on correction targets; shallow trees by default.
+def fit_router(x, targets, params: GBDTParams) -> GBDTModel:
+    """Train the gate on correction targets.
 
     All-zero targets are routine (the primary was never beaten) and yield
     the degenerate prior-only model, whose near-zero output keeps the gate
     shut at every sane gamma.
     """
-    return fit_gbdt(params if params is not None else router_params(), x, targets)
+    return fit_gbdt(params, x, targets)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Minimal dense network stack with hand-written backpropagation.
 
 Parameters are lists of (weights, bias) pairs with weights shaped
-(fan_out, fan_in). Forward and backward accept a single vector or a batch
-of row vectors. ReLU uses subgradient 0 at exactly 0, and probabilities
-are clamped to [PROB_EPS, 1 - PROB_EPS] inside log computations.
+(fan_out, fan_in). Forward and backward take 2-D batches of row vectors
+only. ReLU uses subgradient 0 at exactly 0, and probabilities are clamped
+to [PROB_EPS, 1 - PROB_EPS] inside log computations.
 """
 
 from __future__ import annotations
@@ -15,6 +15,11 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 
 PROB_EPS = 1e-7
+
+# Adam moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _ACTIVATIONS = ("linear", "relu", "sigmoid")
 
@@ -37,17 +42,6 @@ def _activate(name: str, pre: np.ndarray) -> np.ndarray:
         return np.maximum(pre, 0.0)
     if name == "sigmoid":
         return sigmoid(pre)
-    raise ConfigurationError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return np.ones_like(pre)
-    if name == "relu":
-        # subgradient 0 at exactly 0
-        return (pre > 0).astype(np.float64)
-    if name == "sigmoid":
-        return out * (1.0 - out)
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
@@ -98,25 +92,6 @@ def init_mlp_params(spec: MLPSpec, rng: np.random.Generator) -> list[tuple[np.nd
     return params
 
 
-@dataclass
-class ForwardCache:
-    """Intermediate values mlp_backward needs; tied to one forward call."""
-
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
-    output: np.ndarray
-    was_vector: bool
-
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[np.newaxis, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise InputError(f"expected a vector or a batch of rows, got shape {arr.shape}")
-
-
 def _check_params_shape(spec: MLPSpec, params) -> None:
     if len(params) != spec.n_layers:
         raise ConfigurationError(
@@ -131,52 +106,54 @@ def _check_params_shape(spec: MLPSpec, params) -> None:
 
 
 def mlp_forward(spec: MLPSpec, params, x):
-    """Run the network; returns (output, cache). Pure, inputs untouched."""
+    """Run the network on a batch of rows; returns (output, acts).
+
+    acts = [x, a_1, ..., a_L] holds every layer's output, the last being
+    the network output. Pure, inputs untouched.
+    """
     _check_params_shape(spec, params)
-    batch, was_vector = _as_batch(x)
+    batch = np.asarray(x, dtype=np.float64)
+    if batch.ndim != 2:
+        raise InputError(f"expected a batch of rows, got shape {batch.shape}")
     if batch.shape[1] != spec.layer_sizes[0]:
         raise ConfigurationError(
             f"input width {batch.shape[1]} does not match spec input {spec.layer_sizes[0]}"
         )
-    inputs, preacts = [], []
-    current = batch
+    acts = [batch]
     for i, (w, b) in enumerate(params):
-        inputs.append(current)
-        pre = current @ w.T + b
-        preacts.append(pre)
         act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
-        current = _activate(act, pre)
-    output = current[0] if was_vector else current
-    cache = ForwardCache(inputs, preacts, current, was_vector)
-    return output, cache
+        acts.append(_activate(act, acts[-1] @ w.T + b))
+    return acts[-1], acts
 
 
-def mlp_backward(spec: MLPSpec, params, cache: ForwardCache, grad_output):
-    """Backpropagate an upstream gradient through a cached forward pass.
+def mlp_backward(spec: MLPSpec, params, acts, grad):
+    """Backpropagate an upstream gradient through mlp_forward's acts.
 
     Returns (param_grads, grad_input) where param_grads mirrors the params
     list. Weight gradients sum over the batch axis.
     """
     _check_params_shape(spec, params)
-    if len(cache.inputs) != spec.n_layers or cache.inputs[0].shape[1] != spec.layer_sizes[0]:
-        raise ConfigurationError("forward cache does not match this spec and params")
-    grad, _ = _as_batch(grad_output)
-    if grad.shape != cache.preacts[-1].shape:
+    if len(acts) != spec.n_layers + 1 or acts[0].shape[1] != spec.layer_sizes[0]:
+        raise ConfigurationError("forward activations do not match this spec and params")
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != acts[-1].shape:
         raise ConfigurationError(
-            f"upstream gradient shape {grad.shape} does not match the cached "
-            f"output shape {cache.preacts[-1].shape}"
+            f"upstream gradient shape {grad.shape} does not match the forward "
+            f"output shape {acts[-1].shape}"
         )
     param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * spec.n_layers
-    current = cache.output
     for i in range(spec.n_layers - 1, -1, -1):
         act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
-        layer_out = current if i == spec.n_layers - 1 else _activate(act, cache.preacts[i])
-        d_pre = grad * _activation_grad(act, cache.preacts[i], layer_out)
+        out = acts[i + 1]
+        if act == "relu":
+            # out > 0 exactly where pre > 0: subgradient 0 at exactly 0
+            grad = grad * (out > 0)
+        elif act == "sigmoid":
+            grad = grad * (out * (1.0 - out))
         w, _ = params[i]
-        param_grads[i] = (d_pre.T @ cache.inputs[i], d_pre.sum(axis=0))
-        grad = d_pre @ w
-    grad_input = grad[0] if cache.was_vector else grad
-    return param_grads, grad_input
+        param_grads[i] = (grad.T @ acts[i], grad.sum(axis=0))
+        grad = grad @ w
+    return param_grads, grad
 
 
 def mse_loss(x, y):
@@ -223,9 +200,6 @@ class AdamState:
     """Per-array first and second moments plus the shared step counter."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -251,7 +225,7 @@ def optimizer_step(state: AdamState, params: list[np.ndarray], grads: list[np.nd
             f"got {len(params)} params, {len(grads)} grads, state holds {len(state.m)}"
         )
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
     out = []
@@ -264,5 +238,5 @@ def optimizer_step(state: AdamState, params: list[np.ndarray], grads: list[np.nd
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / correct1
         v_hat = state.v[i] / correct2
-        out.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps))
+        out.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return out

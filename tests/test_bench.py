@@ -169,7 +169,7 @@ def test_save_report_files(report, tmp_path):
 
 
 def test_latency_table_matches_aggregates(report):
-    rows = latency_table(report, 14000)
+    rows = latency_table(report_to_dict(report), 14000)
     gammas = [r["gamma"] for r in rows]
     assert gammas == sorted(gammas)
     for row in rows:

@@ -245,6 +245,59 @@ def test_missing_report_exits_1(tmp_path, capsys):
     assert "error: cannot read report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case", ["empty object", "list", "model file", "arm without routed_fraction"]
+)
+def test_latency_malformed_report_exits_1(case, workspace, tmp_path, capsys):
+    docs = {
+        "empty object": {},
+        "list": [1, 2],
+        "arm without routed_fraction": {
+            "format": "qmoe-report",
+            "aggregates": {"combined": {"0.5": {"ap": {"mean": 0.5}}}},
+        },
+    }
+    if case == "model file":
+        path = workspace["model"]
+    else:
+        path = str(tmp_path / "report.json")
+        with open(path, "w") as fh:
+            json.dump(docs[case], fh)
+    assert main(["latency", "--report", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", ["synth", "train", "bench", "config seed", "config hybrid seed"]
+)
+def test_negative_seed_exits_1(command, workspace, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    if command == "synth":
+        argv = ["synth", "--rows", "1200", "--fraud-rate", "0.02", "--seed", "-1",
+                "--out", str(tmp_path / "synth.csv")]
+    elif command == "train":
+        argv = ["train", "--config", workspace["config"], "--data", workspace["csv"],
+                "--seed", "-1", "--model", str(tmp_path / "model.json")]
+    elif command == "bench":
+        argv = ["bench", "--config", workspace["config"], "--data", workspace["csv"],
+                "--seed", "-1", "--out", str(tmp_path / "bench")]
+    else:
+        doc = dict(TINY_CONFIG)
+        if command == "config seed":
+            doc["seed"] = -1
+        else:
+            doc["hybrid"] = {**TINY_CONFIG["hybrid"], "seed": -1}
+        cfg.write_text(json.dumps(doc))
+        argv = ["bench", "--config", str(cfg), "--data", workspace["csv"],
+                "--out", str(tmp_path / "bench")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be >= 0, got -1")
+    assert set(os.listdir(tmp_path)) <= {"config.json"}  # nothing was written
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--frobnicate"])

@@ -17,10 +17,11 @@ def evaluate_loss(model, x, y):
     built from forward passes only.
     """
     cfg = model.config
-    z, probs = model._classify(x)
+    probs = model._classify(x)
     class_loss, _ = bce_loss(y, probs)
     legit = y == 0
     if legit.any():
+        z, _ = mlp_forward(cfg.encoder_spec, model.encoder, x)
         x_hat, _ = mlp_forward(cfg.decoder_spec, model.decoder, z)
         recon_loss, _ = mse_loss(x[legit], x_hat[legit])
     else:

@@ -5,7 +5,7 @@ import pytest
 
 from qmoe.calibration import TemperatureScaler, apply_temperature, fit_temperature
 from qmoe.errors import InputError
-from qmoe.gbdt import GBDTParams, fit_gbdt
+from qmoe.gbdt import GBDTParams, fit_gbdt, router_params
 from qmoe.moe import (
     GAMMA_GRID,
     CombinedModel,
@@ -89,7 +89,7 @@ def test_router_targets_respect_expert_thresholds():
 def test_router_with_no_corrections_never_routes():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(50, 3))
-    router = fit_router(x, np.zeros(50))
+    router = fit_router(x, np.zeros(50), router_params())
     assert router.degenerate
     probs = router.predict_proba(x)
     assert np.all(probs < min(GAMMA_GRID))
@@ -118,7 +118,7 @@ def test_combined_with_cloned_secondary_equals_baseline():
     y = (x[:, 0] + 0.5 * rng.normal(size=200) > 0.8).astype(float)
     primary = fit_gbdt(GBDTParams(n_estimators=20, max_depth=3), x, y)
     scaler = fit_temperature(primary.predict_proba(x), y)
-    router = fit_router(x, (rng.random(200) < 0.3).astype(float))
+    router = fit_router(x, (rng.random(200) < 0.3).astype(float), router_params())
     model = CombinedModel(
         primary=primary, primary_scaler=scaler,
         secondary=primary, secondary_scaler=scaler,
@@ -137,7 +137,7 @@ def test_routed_fraction_is_monotone_in_gamma():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(300, 3))
     z = (x[:, 1] > 0.5).astype(float)
-    router = fit_router(x, z)
+    router = fit_router(x, z, router_params())
     model = CombinedModel(
         primary=fit_gbdt(GBDTParams(n_estimators=5, max_depth=2), x, z),
         primary_scaler=IDENTITY,
@@ -165,7 +165,7 @@ def test_secondary_runs_only_on_routed_rows():
     p1 = primary.predict_proba(x)
     p2 = secondary.predict_proba(x)
     z = router_targets(y, p1, p2, 0.5, 0.5)
-    router = fit_router(x, z)
+    router = fit_router(x, z, router_params())
     model = CombinedModel(
         primary=primary, primary_scaler=IDENTITY,
         secondary=Counting(secondary), secondary_scaler=IDENTITY,
@@ -190,7 +190,7 @@ def test_secondary_runs_only_on_routed_rows():
 
 def test_combined_predict_validates_gamma():
     x, y, primary, secondary = _fitted_pair(seed=1)
-    router = fit_router(x, np.zeros(len(y)))
+    router = fit_router(x, np.zeros(len(y)), router_params())
     model = CombinedModel(
         primary=primary, primary_scaler=IDENTITY,
         secondary=secondary, secondary_scaler=IDENTITY,
@@ -217,7 +217,7 @@ def test_non_finite_rows_fail_the_same_at_every_gamma(gamma):
     model = CombinedModel(
         primary=primary, primary_scaler=IDENTITY,
         secondary=secondary, secondary_scaler=IDENTITY,
-        router=fit_router(x, z), tau_primary=0.5, tau_secondary=0.5,
+        router=fit_router(x, z, router_params()), tau_primary=0.5, tau_secondary=0.5,
     )
     routed = combined_predict(model, x, 0.5).routed
     first_routed = int(np.flatnonzero(routed)[0])

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from qmoe import neural
 from qmoe.errors import ConfigurationError, InputError
 from qmoe.neural import (
-    AdamState,
     MLPSpec,
     adam_init,
     bce_loss,
@@ -51,7 +49,7 @@ def assert_grads_close(analytic, numeric, rel=1e-4, small=1e-3, abs_tol=1e-6):
 def test_single_linear_layer_identity():
     spec = MLPSpec((3, 3), output_activation="linear")
     params = [(np.eye(3), np.zeros(3))]
-    x = np.array([0.3, -1.2, 2.0])
+    x = np.array([[0.3, -1.2, 2.0]])
     out, _ = mlp_forward(spec, params, x)
     np.testing.assert_array_equal(out, x)
 
@@ -64,8 +62,9 @@ def test_hand_computed_relu_network():
         (np.array([[1.0, -1.0], [0.5, 0.25]]), np.array([0.1, -0.2])),
         (np.array([[2.0, -3.0]]), np.array([0.5])),
     ]
-    out, _ = mlp_forward(spec, params, np.array([1.0, 2.0]))
-    assert out[0] == pytest.approx(-1.9, abs=1e-15)
+    out, _ = mlp_forward(spec, params, np.array([[1.0, 2.0]]))
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(-1.9, abs=1e-15)
 
 
 def test_zero_weights_sigmoid_output_is_half():
@@ -74,8 +73,8 @@ def test_zero_weights_sigmoid_output_is_half():
         (np.zeros((3, 4)), np.zeros(3)),
         (np.zeros((1, 3)), np.zeros(1)),
     ]
-    out, _ = mlp_forward(spec, params, np.ones(4))
-    assert out[0] == pytest.approx(0.5)
+    out, _ = mlp_forward(spec, params, np.ones((1, 4)))
+    assert out[0, 0] == pytest.approx(0.5)
 
 
 def test_batch_rows_match_single_vectors():
@@ -85,17 +84,20 @@ def test_batch_rows_match_single_vectors():
     batch = rng.normal(size=(6, 5))
     out_batch, _ = mlp_forward(spec, params, batch)
     for i in range(6):
-        single, _ = mlp_forward(spec, params, batch[i])
-        np.testing.assert_allclose(out_batch[i], single, atol=1e-14)
+        single, _ = mlp_forward(spec, params, batch[i : i + 1])
+        np.testing.assert_allclose(out_batch[i : i + 1], single, atol=1e-14)
 
 
 def test_forward_shape_validation():
     spec = MLPSpec((3, 2))
     params = [(np.zeros((2, 3)), np.zeros(2))]
     with pytest.raises(ConfigurationError):
-        mlp_forward(spec, params, np.zeros(4))
+        mlp_forward(spec, params, np.zeros((1, 4)))
     with pytest.raises(ConfigurationError):
-        mlp_forward(MLPSpec((4, 2)), params, np.zeros(4))
+        mlp_forward(MLPSpec((4, 2)), params, np.zeros((1, 4)))
+    for shape in ((3,), (), (1, 1, 3)):
+        with pytest.raises(InputError):
+            mlp_forward(spec, params, np.zeros(shape))
     with pytest.raises(ConfigurationError):
         MLPSpec((3,))
     with pytest.raises(ConfigurationError):
@@ -158,12 +160,12 @@ def test_linear_regression_gradient_is_input():
     # One linear unit, loss = output, so dW = x and db = 1.
     spec = MLPSpec((3, 1))
     params = [(np.array([[0.2, -0.4, 0.6]]), np.array([0.1]))]
-    x = np.array([1.5, -2.0, 0.5])
-    _, cache = mlp_forward(spec, params, x)
-    grads, grad_in = mlp_backward(spec, params, cache, np.array([1.0]))
-    np.testing.assert_allclose(grads[0][0], x[np.newaxis, :])
+    x = np.array([[1.5, -2.0, 0.5]])
+    _, acts = mlp_forward(spec, params, x)
+    grads, grad_in = mlp_backward(spec, params, acts, np.array([[1.0]]))
+    np.testing.assert_allclose(grads[0][0], x)
     np.testing.assert_allclose(grads[0][1], [1.0])
-    np.testing.assert_allclose(grad_in, params[0][0][0])
+    np.testing.assert_allclose(grad_in, params[0][0])
 
 
 @pytest.mark.parametrize("out_act", ["linear", "sigmoid"])
@@ -179,9 +181,9 @@ def test_backward_matches_finite_differences(out_act):
         out, _ = mlp_forward(spec, params_list, inp)
         return mse_loss(target, out)[0]
 
-    out, cache = mlp_forward(spec, params, x)
+    out, acts = mlp_forward(spec, params, x)
     _, upstream = mse_loss(target, out)
-    grads, grad_in = mlp_backward(spec, params, cache, upstream)
+    grads, grad_in = mlp_backward(spec, params, acts, upstream)
 
     for layer in range(spec.n_layers):
         w, b = params[layer]
@@ -206,10 +208,10 @@ def test_relu_subgradient_zero_at_kink():
     # Craft a pre-activation of exactly 0; the unit must pass no gradient.
     spec = MLPSpec((1, 1, 1))
     params = [(np.array([[1.0]]), np.array([0.0])), (np.array([[1.0]]), np.array([0.0]))]
-    _, cache = mlp_forward(spec, params, np.array([0.0]))
-    grads, grad_in = mlp_backward(spec, params, cache, np.array([1.0]))
+    _, acts = mlp_forward(spec, params, np.array([[0.0]]))
+    grads, grad_in = mlp_backward(spec, params, acts, np.array([[1.0]]))
     assert grads[0][0][0, 0] == 0.0
-    assert grad_in[0] == 0.0
+    assert grad_in[0, 0] == 0.0
 
 
 def test_backward_rejects_mismatched_cache():
@@ -217,11 +219,71 @@ def test_backward_rejects_mismatched_cache():
     other = MLPSpec((4, 2))
     params = [(np.zeros((2, 3)), np.zeros(2))]
     other_params = [(np.zeros((2, 4)), np.zeros(2))]
-    _, cache = mlp_forward(spec, params, np.zeros(3))
+    _, acts = mlp_forward(spec, params, np.zeros((1, 3)))
     with pytest.raises(ConfigurationError):
-        mlp_backward(other, other_params, cache, np.zeros(2))
+        mlp_backward(other, other_params, acts, np.zeros((1, 2)))
     with pytest.raises(ConfigurationError):
-        mlp_backward(spec, params, cache, np.zeros(5))
+        mlp_backward(spec, params, acts, np.zeros((1, 5)))
+    with pytest.raises(ConfigurationError):
+        mlp_backward(spec, params, acts, np.zeros(2))  # a 1-D gradient is not a batch
+
+
+def reference_backward(spec, params, x, grad):
+    """Backprop that keeps pre-activations and recomputes each layer's output.
+
+    The oracle for mlp_backward, which reads the outputs from its acts instead.
+    """
+    inputs, preacts, current = [], [], x
+    for i, (w, b) in enumerate(params):
+        act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
+        inputs.append(current)
+        pre = current @ w.T + b
+        preacts.append(pre)
+        current = {"linear": pre, "relu": np.maximum(pre, 0.0), "sigmoid": sigmoid(pre)}[act]
+    param_grads = [None] * spec.n_layers
+    for i in range(spec.n_layers - 1, -1, -1):
+        act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
+        pre = preacts[i]
+        if act == "linear":
+            local = np.ones_like(pre)
+        elif act == "relu":
+            local = (pre > 0).astype(np.float64)
+        else:
+            out = sigmoid(pre)
+            local = out * (1.0 - out)
+        d_pre = grad * local
+        param_grads[i] = (d_pre.T @ inputs[i], d_pre.sum(axis=0))
+        grad = d_pre @ params[i][0]
+    return param_grads, grad
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("out_act", ["linear", "sigmoid"])
+def test_backward_equals_reference_bytes(out_act):
+    rng = np.random.default_rng({"linear": 41, "sigmoid": 42}[out_act])
+    spec = MLPSpec((5, 7, 6, 3), output_activation=out_act)
+    params = init_mlp_params(spec, rng)
+    # Put a hidden unit's pre-activation at exactly 0 on row 0: its bias
+    # cancels the row's weighted input, which is exact for these small dyadic values.
+    x = rng.integers(-4, 5, size=(9, 5)) / 4.0
+    w0 = rng.integers(-4, 5, size=(7, 5)) / 8.0
+    b0 = np.zeros(7)
+    b0[2] = -(w0[2] @ x[0])
+    params[0] = (w0, b0)
+    assert (x[0] @ w0.T + b0)[2] == 0.0
+    upstream = rng.normal(size=(9, 3))
+
+    _, acts = mlp_forward(spec, params, x)
+    grads, grad_in = mlp_backward(spec, params, acts, upstream)
+    want, want_in = reference_backward(spec, params, x, upstream)
+    for (dw, db), (ref_w, ref_b) in zip(grads, want):
+        assert_same_bytes(dw, ref_w)
+        assert_same_bytes(db, ref_b)
+    assert_same_bytes(grad_in, want_in)
+    assert grads[0][0][2].any()  # the unit carries gradient on other rows
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ The topic picks the kernel table: ``qsim`` times
 BENCH_qsim.json, ``gbdt`` times ``gbdt.fit_gbdt`` and writes
 BENCH_gbdt.json, ``predict`` times ``GBDTModel.predict_margin`` on the
 serving forests and ``Tree.predict`` on one tree per boosting round, and
-writes BENCH_predict.json.
+writes BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
+``mlp_backward`` on the paper encoder, one ``_batch_gradients`` step and
+``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
+BENCH_hybrid.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -144,6 +147,31 @@ if kernel["call"] == "predict_margin":
     call = lambda: model.predict_margin(x)
 else:
     call = lambda: model.trees[0].predict(x)
+""",
+    ),
+    "hybrid": Topic(
+        title="hybrid training step: mlp_backward reads the forward pass's activations, "
+              "and the trainer's parameter order is written once",
+        # The paper encoder (29-256-128-64-6) forward and backward over one
+        # 32-row batch, one joint training step at the paper HybridConfig,
+        # and the secondary's scoring of 2,048 rows.
+        kernels=(
+            {"name": "encoder forward+backward", "call": "mlp", "rows": 32},
+            {"name": "training step", "call": "_batch_gradients", "rows": 32},
+            {"name": "predict", "call": "predict_proba", "rows": 2048},
+        ),
+        setup="""
+from qmoe import hybrid, neural
+cfg = hybrid.HybridConfig()
+model = hybrid.init_hybrid(cfg)
+x = rng.uniform(0.0, 1.0, size=(kernel["rows"], cfg.n_features))
+y = (np.arange(kernel["rows"]) % 2).astype(np.float64)
+upstream = rng.normal(size=(kernel["rows"], cfg.n_qubits))
+def mlp():
+    _, acts = neural.mlp_forward(cfg.encoder_spec, model.encoder, x)
+    neural.mlp_backward(cfg.encoder_spec, model.encoder, acts, upstream)
+call = {"mlp": mlp, "_batch_gradients": lambda: hybrid._batch_gradients(model, x, y),
+        "predict_proba": lambda: model.predict_proba(x)}[kernel["call"]]
 """,
     ),
 }
