@@ -13,7 +13,6 @@ from .errors import (
     InputError,
     ModelIOError,
     QmoeError,
-    TrainingError,
 )
 
 __version__ = "0.1.0"
@@ -24,6 +23,5 @@ __all__ = [
     "ConfigurationError",
     "InputError",
     "DataError",
-    "TrainingError",
     "ModelIOError",
 ]

@@ -55,7 +55,7 @@ from .neural import _check_params_shape
 
 __all__ = [
     "RunConfig",
-    "LatencyModel",
+    "TASK_SECONDS",
     "latency_estimate",
     "latency_table",
     "FoldRecord",
@@ -116,27 +116,21 @@ class RunConfig:
             raise ConfigurationError(f"majority_ratio must be positive, got {self.majority_ratio}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        # Each fold derives its own hybrid seed from ``seed`` and nothing reads
+        # a GBDTParams seed, so a nested seed would change only the report.
+        for name in ("hybrid", "expert", "router"):
+            value = getattr(self, name).seed
+            if value != 0:
+                raise ConfigurationError(f"{name}.seed must be 0, got {value}: every fold "
+                                         f"derives its seeds from the run's seed")
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Seconds per quantum task, by stage, on the reference hardware."""
-
-    server_time_s: float = 0.17
-    compile_time_s: float = 1.92
-    exec_time_s: float = 0.649
-
-    def __post_init__(self) -> None:
-        if min(self.server_time_s, self.compile_time_s, self.exec_time_s) < 0:
-            raise ConfigurationError("stage times must be non-negative")
-
-    @property
-    def per_task_s(self) -> float:
-        return self.server_time_s + self.compile_time_s + self.exec_time_s
+# Seconds per quantum task on the reference hardware: server, compile and
+# execution time.
+TASK_SECONDS = 0.17 + 1.92 + 0.649
 
 
-def latency_estimate(n_points: int, routed_fraction: float,
-                     model: LatencyModel = LatencyModel()) -> float:
+def latency_estimate(n_points: int, routed_fraction: float) -> float:
     """Added seconds for routing a fraction of n_points, one task each.
 
     Deliberately assumes no batching or pipelining: every routed row pays
@@ -146,16 +140,15 @@ def latency_estimate(n_points: int, routed_fraction: float,
         raise InputError(f"n_points must be >= 0, got {n_points}")
     if not 0.0 <= routed_fraction <= 1.0:
         raise InputError(f"routed_fraction must be in [0, 1], got {routed_fraction}")
-    return n_points * routed_fraction * model.per_task_s
+    return n_points * routed_fraction * TASK_SECONDS
 
 
-def latency_table(report: dict, n_points: int,
-                  model: LatencyModel = LatencyModel()) -> list:
+def latency_table(report: dict, n_points: int) -> list:
     """Per-arm latency summary from a report dict's mean routed fractions."""
     rows = []
     for arm, stats in report["aggregates"]["combined"].items():
         fraction = stats["routed_fraction"]["mean"]
-        seconds = latency_estimate(n_points, fraction, model)
+        seconds = latency_estimate(n_points, fraction)
         rows.append(
             {
                 "gamma": float(arm),
@@ -456,12 +449,12 @@ def save_report(report: BenchReport, out_dir) -> None:
 # --- model persistence ----------------------------------------------------
 # One codec. save_model writes {"format", "version", **asdict(pipeline)}:
 # every dataclass becomes a JSON object with its fields in declaration
-# order, and arrays become JSON lists. The secondary expert's object leads
-# with a "kind" tag, the one key that is not a field. load_model mirrors it:
-# _build rebuilds each dataclass from an object holding exactly its fields,
-# and the checks below run on the decoded values. Python's float repr
-# round-trips doubles exactly, so a loaded model predicts bit-identically to
-# the saved one.
+# order, and arrays become JSON lists. The secondary expert, always a
+# HybridModel here, leads with a "kind": "hybrid" tag, the one key that is
+# not a field. load_model mirrors it: _build rebuilds each dataclass from an
+# object holding exactly its fields, and the checks below run on the decoded
+# values. Python's float repr round-trips doubles exactly, so a loaded model
+# predicts bit-identically to the saved one.
 
 
 def _array(values, dtype=np.float64) -> np.ndarray:
@@ -589,27 +582,21 @@ def _temperature(name: str, obj) -> TemperatureScaler:
     return scaler
 
 
-# kind tag -> (class, decoder) of every secondary expert a model file can hold
-_SECONDARY_KINDS = {"hybrid": (HybridModel, _hybrid), "gbdt": (GBDTModel, _gbdt)}
-
-
-def _secondary(obj):
+def _secondary(obj) -> HybridModel:
     kind = obj["kind"]
-    if kind not in _SECONDARY_KINDS:
+    if kind != "hybrid":
         raise ModelIOError(f"unknown secondary expert kind {kind!r}")
-    return _SECONDARY_KINDS[kind][1]({k: v for k, v in obj.items() if k != "kind"})
+    return _hybrid({k: v for k, v in obj.items() if k != "kind"})
 
 
 def save_model(pipeline: Pipeline, path) -> None:
     secondary = pipeline.combined.secondary
-    kind = next((k for k, (cls, _) in _SECONDARY_KINDS.items() if isinstance(secondary, cls)),
-                None)
-    if kind is None:
+    if not isinstance(secondary, HybridModel):
         raise ModelIOError(
             f"cannot persist a secondary expert of type {type(secondary).__name__}"
         )
     doc = {"format": _MODEL_FORMAT, "version": _VERSION, **asdict(pipeline)}
-    doc["combined"]["secondary"] = {"kind": kind, **doc["combined"]["secondary"]}
+    doc["combined"]["secondary"] = {"kind": "hybrid", **doc["combined"]["secondary"]}
     # json.dumps runs the C encoder; json.dump always runs the Python one.
     text = json.dumps(doc, default=lambda array: array.tolist())
     with open(path, "w") as fh:
@@ -655,12 +642,10 @@ def load_model(path) -> Pipeline:
 def _check_widths(pipeline: Pipeline, path) -> None:
     """The scaler and all three experts must agree on the feature count."""
     combined = pipeline.combined
-    secondary = combined.secondary
     widths = {
         "primary": combined.primary.n_features,
         "router": combined.router.n_features,
-        "secondary": (secondary.config.n_features if isinstance(secondary, HybridModel)
-                      else secondary.n_features),
+        "secondary": combined.secondary.config.n_features,
     }
     if len(set(widths.values())) != 1:
         raise ModelIOError(f"model file {path}: the experts' feature counts differ: {widths}")

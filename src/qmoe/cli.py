@@ -26,7 +26,7 @@ import numpy as np
 
 from .bench import (
     _REPORT_FORMAT,
-    LatencyModel,
+    TASK_SECONDS,
     Pipeline,
     RunConfig,
     fit_pipeline,
@@ -40,7 +40,7 @@ from .bench import (
 )
 from .calibration import fit_temperature
 from .data import load_csv, save_csv, synthesize
-from .errors import ConfigurationError, DataError, QmoeError
+from .errors import ConfigurationError, DataError, InputError, QmoeError
 from .gbdt import GBDTParams
 from .hybrid import HybridConfig
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
@@ -153,6 +153,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_latency(args) -> int:
+    if args.points < 0:
+        raise InputError(f"--points must be >= 0, got {args.points}")
     path = args.report
     if os.path.isdir(path):
         path = os.path.join(path, "report.json")
@@ -163,12 +165,11 @@ def _cmd_latency(args) -> int:
         raise DataError(f"cannot read report {path}: {exc}") from exc
     if not isinstance(report, dict) or report.get("format") != _REPORT_FORMAT:
         raise DataError(f"{path} is not a {_REPORT_FORMAT} file")
-    model = LatencyModel()
     try:
-        rows = latency_table(report, args.points, model)
+        rows = latency_table(report, args.points)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"report {path} is malformed: {exc!r}") from exc
-    print(json.dumps({"points": args.points, "per_task_s": model.per_task_s,
+    print(json.dumps({"points": args.points, "per_task_s": TASK_SECONDS,
                       "table": rows}, indent=2, sort_keys=True))
     return 0
 

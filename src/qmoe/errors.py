@@ -17,9 +17,5 @@ class DataError(QmoeError, ValueError):
     """Dataset ingestion problems: schema, parsing, missing values."""
 
 
-class TrainingError(QmoeError, RuntimeError):
-    """Optimization failure, e.g. a non-finite loss."""
-
-
 class ModelIOError(QmoeError, RuntimeError):
     """Corrupt, truncated, or incompatible model or report files."""

@@ -61,6 +61,8 @@ class GBDTParams:
     min_split_gain: subtracted from every candidate gain before acceptance.
     min_child_weight: smallest hessian mass allowed on either side.
     early_stopping_rounds: patience on validation logloss; 0 disables.
+    seed: read by nothing, since the fit is deterministic; model files hold
+    it, and RunConfig requires 0.
     """
 
     n_estimators: int = 200

@@ -18,9 +18,9 @@ and everything trains jointly under one Adam loop: encoder, decoder, head
 by ordinary backprop, circuit parameters by exact adjoint gradients (the
 values of the parameter-shift rule, from one reverse sweep per batch) with
 the batch-summed upstream weights. When recon_weight is exactly 1 the
-classification weights vanish identically and the circuit evaluation is
-skipped, so the quantum parameters stay bit-frozen rather than drifting by
-rounding.
+classification weight is exactly 0, so the circuit parameters' gradient is
+exactly zero and Adam never moves them: they stay bit-frozen rather than
+drifting by rounding.
 """
 
 from __future__ import annotations
@@ -198,7 +198,11 @@ def _set_params(model: HybridModel, flat: list) -> None:
 
 
 def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
-    """Joint loss and its gradient in _flat_params order for one batch."""
+    """Joint loss and its gradient in _flat_params order for one batch.
+
+    The circuit runs once: batch_parameter_shift returns the expectations
+    the head reads first, then their gradients, from one forward state.
+    """
     cfg = model.config
     lam = cfg.recon_weight
 
@@ -206,7 +210,9 @@ def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
     tanh_z = np.tanh(z)
     angles = np.pi * tanh_z
 
-    exps = batch_expectations(cfg.ansatz, model.theta, angles, cfg.measured_qubits)
+    exps, d_theta_all, d_angle_all = batch_parameter_shift(
+        cfg.ansatz, model.theta, angles, cfg.measured_qubits
+    )
     head_out, head_acts = mlp_forward(cfg.head_spec, model.head, exps)
     probs = head_out[:, 0]
     class_loss, class_grad = bce_loss(y, probs)
@@ -224,20 +230,8 @@ def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
     head_grads, d_exps = mlp_backward(
         cfg.head_spec, model.head, head_acts, ((1.0 - lam) * class_grad)[:, None]
     )
-
-    # d_exps carries all classification weight; identically zero means the
-    # circuit cannot influence the loss, so skip its adjoint sweep and
-    # freeze theta exactly.
-    if np.any(d_exps != 0.0):
-        d_theta_all, d_angle_all = batch_parameter_shift(
-            cfg.ansatz, model.theta, angles, cfg.measured_qubits
-        )
-        theta_grad = np.einsum("bq,bpq->p", d_exps, d_theta_all)
-        d_angles = np.einsum("bq,bnq->bn", d_exps, d_angle_all)
-    else:
-        theta_grad = np.zeros_like(model.theta)
-        d_angles = np.zeros_like(angles)
-
+    theta_grad = np.einsum("bq,bpq->p", d_exps, d_theta_all)
+    d_angles = np.einsum("bq,bnq->bn", d_exps, d_angle_all)
     dz = d_angles * np.pi * (1.0 - tanh_z * tanh_z)
     dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, model.decoder, dec_acts, grad_xhat)
     enc_grads, _ = mlp_backward(cfg.encoder_spec, model.encoder, enc_acts, dz + dz_recon)

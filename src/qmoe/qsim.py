@@ -2,8 +2,10 @@
 
 The circuit is the angle encoding RY(x_q)|0> on every qubit followed by
 the layered RY/RZ/CNOT-ring ansatz of AnsatzSpec. batch_expectations runs
-it for many feature rows sharing one parameter vector; batch_parameter_shift
-returns the exact gradients of those expectations by an adjoint sweep.
+it for many feature rows sharing one parameter vector, for inference;
+batch_parameter_shift returns those same expectations first, then their
+exact gradients by an adjoint sweep over the one forward pass, for
+training.
 
 Basis-state layout: qubit 0 is the most significant bit of the amplitude
 index. For three qubits the amplitude at index 0b110 belongs to qubit 0
@@ -138,9 +140,10 @@ def _run_ansatz(amps: np.ndarray, spec: AnsatzSpec, params: np.ndarray) -> np.nd
     return amps
 
 
-def _z_signs(n: int, qubit: int) -> np.ndarray:
+def _z_signs(n: int, qubits) -> np.ndarray:
+    """Column j holds Z's eigenvalue (+1 or -1) for ``qubits[j]`` on each basis state."""
     idx = np.arange(2 ** n)
-    return 1.0 - 2.0 * ((idx >> (n - 1 - qubit)) & 1)
+    return np.stack([1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1) for q in qubits], axis=1)
 
 
 def _expect(amps: np.ndarray, signs_t: np.ndarray) -> np.ndarray:
@@ -201,18 +204,19 @@ def batch_expectations(spec: AnsatzSpec, params, features, qubits) -> np.ndarray
     arr_p = _check_params(spec, params)
     arr_f = _check_features(spec, features)
     measured = _check_qubits(spec, qubits)
-    signs_t = np.stack([_z_signs(spec.n_qubits, q) for q in measured], axis=1)
     amps = _run_ansatz(_encode(arr_f), spec, arr_p)
-    return _expect(amps, signs_t)
+    return _expect(amps, _z_signs(spec.n_qubits, measured))
 
 
 def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
-    """Exact gradients of <Z_q> for every row at once, by adjoint sweep.
+    """<Z_q> and its exact gradients for every row at once, by adjoint sweep.
 
-    Returns ``(d_theta, d_features)`` with shapes (rows, n_params, len(qubits))
-    and (rows, n_qubits, len(qubits)). The values are those of the two-point
-    parameter-shift rule, which the tests keep as the oracle, computed by
-    one forward pass and one reverse sweep (Jones & Gacon 2020).
+    Returns ``(exps, d_theta, d_features)`` with shapes (rows, len(qubits)),
+    (rows, n_params, len(qubits)) and (rows, n_qubits, len(qubits)). ``exps``
+    is read off the sweep's forward state and equals batch_expectations
+    bit for bit. The gradients are those of the two-point parameter-shift
+    rule, which the tests keep as the oracle, computed by one forward pass
+    and one reverse sweep (Jones & Gacon 2020).
 
     The sweep starts from phi = U psi and lambda_q = Z_q phi, then walks the
     gates backwards: each rotation is undone on phi, the derivative state
@@ -230,9 +234,11 @@ def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
     rows = arr_f.shape[0]
 
     phi = _run_ansatz(_encode(arr_f), spec, arr_p)
+    signs_t = _z_signs(n, measured)
+    exps = _expect(phi, signs_t)
     # One adjoint state per measured qubit, stacked ahead of the row axis so
     # per-row encoding angles broadcast over it.
-    lam = np.stack([_z_signs(n, q) * phi for q in measured])
+    lam = np.stack([signs * phi for signs in signs_t.T])
 
     def step_back(kernel, qubit: int, angle) -> np.ndarray:
         nonlocal phi, lam
@@ -256,4 +262,4 @@ def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
     d_feat = np.empty((rows, n, len(measured)))
     for q in reversed(range(n)):
         d_feat[:, q, :] = step_back(_apply_ry, q, arr_f[:, q])
-    return d_theta, d_feat
+    return exps, d_theta, d_feat

@@ -9,7 +9,7 @@ import pytest
 
 from qmoe import bench, gbdt
 from qmoe.bench import (
-    LatencyModel,
+    TASK_SECONDS,
     RunConfig,
     _fold_seeds,
     cross_validate,
@@ -73,19 +73,30 @@ def test_run_config_validation():
     assert RunConfig().gamma_grid == GAMMA_GRID
 
 
+@pytest.mark.parametrize("nested", ["hybrid", "expert", "router"])
+def test_run_config_rejects_nested_seeds(nested):
+    # Folds derive the hybrid seed from RunConfig.seed and nothing reads a
+    # GBDTParams seed, so before this check a nested seed changed only the
+    # report's copy of the config.
+    inner = {"hybrid": HybridConfig(seed=7), "expert": GBDTParams(seed=1),
+             "router": GBDTParams(seed=1)}[nested]
+    match = rf"{nested}\.seed must be 0, got \d: every fold derives its seeds from the run's seed"
+    with pytest.raises(ConfigurationError, match=match):
+        RunConfig(**{nested: inner})
+
+
 def test_latency_model_arithmetic():
-    model = LatencyModel()
-    assert model.per_task_s == pytest.approx(2.739)
-    base = latency_estimate(5000, 0.2, model)
-    assert latency_estimate(10000, 0.2, model) == pytest.approx(2 * base)
-    assert latency_estimate(5000, 0.4, model) == pytest.approx(2 * base)
-    assert latency_estimate(5000, 0.0, model) == 0.0
+    assert TASK_SECONDS == 0.17 + 1.92 + 0.649
+    assert TASK_SECONDS == pytest.approx(2.739)
+    base = latency_estimate(5000, 0.2)
+    assert base == 5000 * 0.2 * TASK_SECONDS
+    assert latency_estimate(10000, 0.2) == pytest.approx(2 * base)
+    assert latency_estimate(5000, 0.4) == pytest.approx(2 * base)
+    assert latency_estimate(5000, 0.0) == 0.0
     with pytest.raises(InputError):
         latency_estimate(-1, 0.5)
     with pytest.raises(InputError):
         latency_estimate(100, 1.5)
-    with pytest.raises(ConfigurationError):
-        LatencyModel(compile_time_s=-0.1)
 
 
 def test_report_structure(report, dataset):
@@ -441,36 +452,28 @@ def test_model_file_key_order(model_doc):
     assert list(combined["secondary_scaler"]) == temperature_keys
 
 
-def test_gbdt_secondary_round_trips(dataset, tmp_path):
-    x, y = dataset
-    _, pipeline = fit_pipeline(x, y, CONFIG)
-    scaled = pipeline.scaler.transform(x)
-    secondary = gbdt.fit_gbdt(GBDTParams(n_estimators=8, max_depth=2), scaled, y)
-    pipeline = replace(pipeline, combined=replace(pipeline.combined, secondary=secondary))
-    path = tmp_path / "gbdt-secondary.json"
-    save_model(pipeline, path)
-    loaded = load_model(path)
-    gate = pipeline.combined.router.predict_proba(scaled)
-    gamma = float(np.quantile(gate, 0.9))
-    a = pipeline_predict(pipeline, x, gamma)
-    b = pipeline_predict(loaded, x, gamma)
-    assert a.routed.any()
-    for name in ("probs", "labels", "routed"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    again = tmp_path / "gbdt-secondary-2.json"
-    save_model(loaded, again)
-    assert path.read_bytes() == again.read_bytes()
-
-    doc = json.loads(path.read_text())
-    assert doc["combined"]["secondary"]["kind"] == "gbdt"
-    doc["combined"]["secondary"]["kind"] = "forest"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelIOError, match="unknown secondary expert kind 'forest'"):
-        load_model(path)
-
+def test_only_a_hybrid_secondary_is_persisted(model_doc, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    pipeline = load_model(path)
+    # A GBDT secondary routes in memory, but a model file holds a hybrid only.
+    forest = replace(pipeline, combined=replace(pipeline.combined,
+                                                secondary=pipeline.combined.primary))
+    with pytest.raises(ModelIOError, match="cannot persist a secondary expert of type GBDTModel"):
+        save_model(forest, tmp_path / "gbdt-secondary.json")
     odd = replace(pipeline, combined=replace(pipeline.combined, secondary=object()))
     with pytest.raises(ModelIOError, match="cannot persist a secondary expert of type object"):
         save_model(odd, tmp_path / "odd.json")
+    assert not (tmp_path / "gbdt-secondary.json").exists()
+    assert not (tmp_path / "odd.json").exists()
+
+    # A file carrying a well-formed GBDT secondary, as older builds wrote.
+    for kind in ("gbdt", "forest"):
+        doc = json.loads(json.dumps(model_doc))
+        doc["combined"]["secondary"] = {"kind": kind, **doc["combined"]["primary"]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelIOError, match=f"unknown secondary expert kind '{kind}'"):
+            load_model(path)
 
 
 def test_load_model_checks_the_scaler_width(model_doc, tmp_path):

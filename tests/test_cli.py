@@ -298,6 +298,43 @@ def test_negative_seed_exits_1(command, workspace, tmp_path, capsys):
     assert set(os.listdir(tmp_path)) <= {"config.json"}  # nothing was written
 
 
+@pytest.mark.parametrize("nested", ["hybrid", "expert", "router"])
+def test_nested_seed_exits_1(nested, workspace, tmp_path, capsys):
+    # Each fold derives its seeds from the top-level seed: before this check
+    # a config's hybrid seed 0 or 7 wrote byte-equal folds.csv.
+    doc = dict(TINY_CONFIG)
+    doc[nested] = {**TINY_CONFIG[nested], "seed": 7}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["bench", "--config", str(cfg), "--data", workspace["csv"],
+            "--out", str(tmp_path / "bench")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {nested}.seed must be 0, got 7")
+    assert "the run's seed" in err
+    assert set(os.listdir(tmp_path)) == {"config.json"}  # nothing was written
+
+
+def test_latency_negative_points_exits_1(tmp_path, capsys):
+    report = {"format": "qmoe-report",
+              "aggregates": {"combined": {"0.5": {"routed_fraction": {"mean": 0.25}}}}}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["latency", "--report", str(path), "--points", "-1"]) == 1
+    err = capsys.readouterr().err
+    # Before, the InputError was reported as a malformed report.
+    assert err.startswith("error: --points must be >= 0, got -1")
+    assert "malformed" not in err
+    assert main(["latency", "--report", str(path), "--points", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["table"][0]["seconds"] == 0.0
+    # A report that really is malformed still says so and names the file.
+    report["aggregates"]["combined"]["0.5"]["routed_fraction"]["mean"] = 1.5
+    path.write_text(json.dumps(report))
+    assert main(["latency", "--report", str(path), "--points", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {path} is malformed") and "routed_fraction" in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--frobnicate"])

@@ -4,10 +4,19 @@ loss mixing edge cases, and a frozen regression run."""
 import numpy as np
 import pytest
 
+from qmoe import hybrid
 from qmoe.errors import ConfigurationError, InputError
-from qmoe.hybrid import HybridConfig, _batch_gradients, _flat_params, fit_hybrid, init_hybrid
+from qmoe.hybrid import (
+    HybridConfig,
+    _batch_gradients,
+    _flat_params,
+    _flatten,
+    fit_hybrid,
+    init_hybrid,
+)
 from qmoe.metrics import average_precision
-from qmoe.neural import bce_loss, mlp_forward, mse_loss
+from qmoe.neural import bce_loss, mlp_backward, mlp_forward, mse_loss
+from qmoe.qsim import batch_expectations, batch_parameter_shift
 
 
 def evaluate_loss(model, x, y):
@@ -28,6 +37,49 @@ def evaluate_loss(model, x, y):
         recon_loss = 0.0
     lam = cfg.recon_weight
     return lam * recon_loss + (1.0 - lam) * class_loss, recon_loss, class_loss
+
+
+def reference_batch_gradients(model, x, y):
+    """The training step with two circuit passes, the byte oracle for _batch_gradients.
+
+    batch_expectations gives the expectations for the loss, and the adjoint
+    sweep runs the circuit again for the gradients. The sweep is skipped
+    when the upstream circuit gradient is identically zero, as at
+    recon_weight 1, and theta's gradient is then zeros.
+    """
+    cfg = model.config
+    lam = cfg.recon_weight
+    z, enc_acts = mlp_forward(cfg.encoder_spec, model.encoder, x)
+    tanh_z = np.tanh(z)
+    angles = np.pi * tanh_z
+    exps = batch_expectations(cfg.ansatz, model.theta, angles, cfg.measured_qubits)
+    head_out, head_acts = mlp_forward(cfg.head_spec, model.head, exps)
+    class_loss, class_grad = bce_loss(y, head_out[:, 0])
+    dec_out, dec_acts = mlp_forward(cfg.decoder_spec, model.decoder, z)
+    legit = y == 0
+    grad_xhat = np.zeros_like(dec_out)
+    if legit.any():
+        recon_loss, recon_grad = mse_loss(x[legit], dec_out[legit])
+        grad_xhat[legit] = lam * recon_grad
+    else:
+        recon_loss = 0.0
+    total = lam * recon_loss + (1.0 - lam) * class_loss
+    head_grads, d_exps = mlp_backward(
+        cfg.head_spec, model.head, head_acts, ((1.0 - lam) * class_grad)[:, None]
+    )
+    if np.any(d_exps != 0.0):
+        _, d_theta_all, d_angle_all = batch_parameter_shift(
+            cfg.ansatz, model.theta, angles, cfg.measured_qubits
+        )
+        theta_grad = np.einsum("bq,bpq->p", d_exps, d_theta_all)
+        d_angles = np.einsum("bq,bnq->bn", d_exps, d_angle_all)
+    else:
+        theta_grad = np.zeros_like(model.theta)
+        d_angles = np.zeros_like(angles)
+    dz = d_angles * np.pi * (1.0 - tanh_z * tanh_z)
+    dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, model.decoder, dec_acts, grad_xhat)
+    enc_grads, _ = mlp_backward(cfg.encoder_spec, model.encoder, enc_acts, dz + dz_recon)
+    return total, recon_loss, class_loss, _flatten(enc_grads, dec_grads, theta_grad, head_grads)
 
 
 def assert_close(fd, analytic):
@@ -100,6 +152,47 @@ def test_joint_gradients_match_finite_differences(all_qubits):
             down, _, _ = evaluate_loss(model, x, y)
             arr[ix] = orig
             assert_close((up - down) / (2.0 * h), grads[ai][ix])
+
+
+@pytest.mark.parametrize("labels", ["mixed", "all legit", "all fraud"])
+@pytest.mark.parametrize("all_qubits", [False, True])
+@pytest.mark.parametrize("recon_weight", [0.0, 0.4, 1.0])
+def test_one_pass_step_equals_two_pass_reference_bytes(recon_weight, all_qubits, labels):
+    cfg = HybridConfig(
+        n_features=5, encoder_hidden=(7, 4), n_qubits=3, n_layers=2, head_hidden=3,
+        head_all_qubits=all_qubits, recon_weight=recon_weight, seed=19,
+    )
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(9, 5))
+    y = {"mixed": (np.arange(9) % 3 == 0).astype(float), "all legit": np.zeros(9),
+         "all fraud": np.ones(9)}[labels]
+    model = init_hybrid(cfg)
+    *losses, grads = _batch_gradients(model, x, y)
+    *want_losses, want = reference_batch_gradients(model, x, y)
+    assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
+    assert len(grads) == len(want)
+    for i, (got, ref) in enumerate(zip(grads, want)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), i
+
+
+@pytest.mark.parametrize("recon_weight", [0.5, 1.0])
+def test_step_runs_the_circuit_once(recon_weight, monkeypatch):
+    calls = {"batch_parameter_shift": 0, "batch_expectations": 0}
+
+    def counted(name):
+        inner = getattr(hybrid, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hybrid, name, counted(name))
+    model = init_hybrid(HybridConfig(**{**TINY, "recon_weight": recon_weight}, seed=2))
+    rng = np.random.default_rng(3)
+    _batch_gradients(model, rng.normal(size=(6, 4)), np.array([0.0, 1.0] * 3))
+    assert calls == {"batch_parameter_shift": 1, "batch_expectations": 0}
 
 
 def test_learns_a_separable_problem():

@@ -406,7 +406,7 @@ def test_shift_rule_zero_instance_has_zero_ry_grads():
     # At theta = 0, features = 0 the value sits at the cos maximum, so the
     # full gradient vanishes.
     spec = AnsatzSpec(n_qubits=2, n_layers=1)
-    d_params, d_feats = qsim.batch_parameter_shift(
+    _, d_params, d_feats = qsim.batch_parameter_shift(
         spec, np.zeros(spec.n_params), np.zeros((1, 2)), (0,)
     )
     np.testing.assert_allclose(d_params, np.zeros((1, spec.n_params, 1)), atol=1e-12)
@@ -420,7 +420,7 @@ def test_shift_rule_matches_finite_differences(n_qubits, n_layers):
     for _ in range(8):
         params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         feats = rng.uniform(-np.pi, np.pi, size=n_qubits)
-        d_params, d_feats = qsim.batch_parameter_shift(spec, params, [feats], (0,))
+        _, d_params, d_feats = qsim.batch_parameter_shift(spec, params, [feats], (0,))
         fd_params = fd_grad(lambda p: value(spec, p, feats), params)
         fd_feats = fd_grad(lambda f: value(spec, params, f), feats)
         assert_grads_close(d_params[0, :, 0], fd_params)
@@ -460,9 +460,9 @@ def test_batch_shift_matches_single_sample_grads():
     spec = AnsatzSpec(n_qubits=2, n_layers=2)
     params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     feats = rng.uniform(-np.pi, np.pi, size=(5, 2))
-    d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, (0,))
+    _, d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, (0,))
     for row in range(5):
-        sp, sf = qsim.batch_parameter_shift(spec, params, feats[row : row + 1], (0,))
+        _, sp, sf = qsim.batch_parameter_shift(spec, params, feats[row : row + 1], (0,))
         np.testing.assert_allclose(d_theta[row], sp[0], atol=1e-12)
         np.testing.assert_allclose(d_feat[row], sf[0], atol=1e-12)
 
@@ -476,7 +476,7 @@ def shift_rule_oracle(spec, params, features, qubits):
     """Gradients by the parameter-shift rule: two shifted circuits per angle.
 
     Every gate is a rotation, so 0.5 * (f(t + pi/2) - f(t - pi/2)) is exact.
-    Returns arrays shaped like batch_parameter_shift's.
+    Returns arrays shaped like batch_parameter_shift's two gradients.
     """
     params = np.asarray(params, dtype=float)
     features = np.asarray(features, dtype=float)
@@ -509,8 +509,11 @@ def test_adjoint_matches_shift_rule_oracle(n_qubits, n_layers, all_qubits, rows)
     params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     feats = rng.uniform(-np.pi, np.pi, size=(rows, n_qubits))
     qubits = tuple(range(n_qubits)) if all_qubits else (n_qubits - 1,)
-    d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, qubits)
+    exps, d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, qubits)
+    # The adjoint's forward state is the inference pass's, to the bit.
+    assert exps.tobytes() == qsim.batch_expectations(spec, params, feats, qubits).tobytes()
     want_theta, want_feat = shift_rule_oracle(spec, params, feats, qubits)
+    assert exps.shape == (rows, len(qubits))
     assert d_theta.shape == (rows, spec.n_params, len(qubits))
     assert d_feat.shape == (rows, n_qubits, len(qubits))
     np.testing.assert_allclose(d_theta, want_theta, rtol=0, atol=1e-12)

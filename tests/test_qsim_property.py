@@ -1,4 +1,5 @@
-"""Property test: adjoint gradients equal the shift-rule oracle on random circuits.
+"""Property test: adjoint gradients equal the shift-rule oracle on random circuits,
+and the adjoint's expectations equal batch_expectations bit for bit.
 
 Kept apart from test_qsim.py so that module still runs where the optional
 ``hypothesis`` dev dependency is missing; this one is skipped there.
@@ -34,7 +35,8 @@ def circuit_cases(draw):
 @given(circuit_cases())
 def test_adjoint_equals_shift_rule_property(case):
     spec, params, feats, qubits = case
-    d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, qubits)
+    exps, d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, qubits)
+    assert exps.tobytes() == qsim.batch_expectations(spec, params, feats, qubits).tobytes()
     assert d_theta.shape == (feats.shape[0], spec.n_params, len(qubits))
     assert d_feat.shape == (feats.shape[0], spec.n_qubits, len(qubits))
     want_theta, want_feat = shift_rule_oracle(spec, params, feats, qubits)

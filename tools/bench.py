@@ -23,9 +23,11 @@ summarises each end-to-end metric: median and quartiles per side, the
 pairs the change won, and a verdict against the bound in BENCHMARK.json.
 serve-paper also gets each gamma's call median and rows/s.
 It then times the topic's kernel from each checkout's ``src/`` on every
-entry of its table, each in a fresh interpreter with BLAS pinned to one
-thread, and records the median and interquartile range of ``REPEATS``
-timed calls.
+entry of its table, with BLAS pinned to one thread. Each side runs in
+``INVOCATIONS`` fresh interpreters of ``REPEATS`` timed calls, the two
+sides alternating which goes first, so load drift on the host reaches both
+sides alike. It records the median and interquartile range of each side's
+pooled calls, and the median of each invocation.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import numpy as np
 
 WORKLOADS = ("cv-desk", "train-paper", "serve-paper")
 REPEATS = 7
+INVOCATIONS = 3  # fresh interpreters per side and kernel
 
 # The timer runs in a fresh interpreter: ``kernel`` is one table entry, and
 # the topic's set-up defines ``call`` from it.
@@ -150,8 +153,8 @@ else:
 """,
     ),
     "hybrid": Topic(
-        title="hybrid training step: mlp_backward reads the forward pass's activations, "
-              "and the trainer's parameter order is written once",
+        title="hybrid training step: one circuit pass per step, the adjoint sweep "
+              "returning the expectations the loss reads",
         # The paper encoder (29-256-128-64-6) forward and backward over one
         # 32-row batch, one joint training step at the paper HybridConfig,
         # and the secondary's scoring of 2,048 rows.
@@ -190,7 +193,8 @@ def _quartiles(samples: list) -> dict:
             "q3": _quantile(ordered, 0.75), "runs": len(ordered)}
 
 
-def time_kernel(checkout: Path, topic: Topic, kernel: dict) -> dict:
+def _invoke(checkout: Path, topic: Topic, kernel: dict) -> list:
+    """``REPEATS`` call times in ms from one fresh interpreter on ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
@@ -198,8 +202,21 @@ def time_kernel(checkout: Path, topic: Topic, kernel: dict) -> dict:
          str(REPEATS)],
         env=env, check=True, capture_output=True, text=True,
     )
-    q = _quartiles([1e3 * t for t in json.loads(out.stdout)])
-    return {"median_ms": q["median"], "iqr_ms": q["q3"] - q["q1"], "repeats": q["runs"]}
+    return [1e3 * t for t in json.loads(out.stdout)]
+
+
+def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple:
+    """(parent, change) timings of one kernel, the invocations interleaved."""
+    runs = ([], [])
+    for i in range(INVOCATIONS):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            runs[side].append(_invoke((parent, change)[side], topic, kernel))
+    out = []
+    for invocations in runs:
+        q = _quartiles([t for samples in invocations for t in samples])
+        out.append({"median_ms": q["median"], "iqr_ms": q["q3"] - q["q1"], "repeats": q["runs"],
+                    "invocation_medians_ms": [_quartiles(s)["median"] for s in invocations]})
+    return tuple(out)
 
 
 def load_records(checkout: Path, workload: str) -> dict:
@@ -287,11 +304,13 @@ def main(argv=None) -> int:
 
     kernels = []
     for kernel in topic.kernels:
-        before = time_kernel(parent, topic, kernel)
-        after = time_kernel(change, topic, kernel)
+        before, after = time_kernel(parent, change, topic, kernel)
         kernels.append({**kernel, "parent": before, "change": after,
                         "speedup": before["median_ms"] / after["median_ms"]})
-        print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms")
+        per_run = ["/".join(f"{m:.2f}" for m in side["invocation_medians_ms"])
+                   for side in (before, after)]
+        print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms "
+              f"(invocations {per_run[0]} -> {per_run[1]} ms)")
 
     doc = {
         "topic": topic.title,
