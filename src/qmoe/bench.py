@@ -1,4 +1,4 @@
-"""Cross-validation benchmark, latency arithmetic, and model persistence.
+"""Cross-validation benchmark, latency arithmetic, and the file codec.
 
 One fold's protocol, in order: fit the scaler on the training rows only,
 transform everything, undersample the training rows to a balanced set,
@@ -19,11 +19,14 @@ two runs with one seed serialize identically.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import os
+import typing
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, Union
 
 import numpy as np
 
@@ -66,6 +69,8 @@ __all__ = [
     "run_cv",
     "report_to_dict",
     "save_report",
+    "load_report",
+    "load_config",
     "Pipeline",
     "pipeline_predict",
     "save_model",
@@ -76,7 +81,8 @@ SENTINEL_GAMMA = 1.0  # gate never opens; the built-in no-routing arm
 
 _MODEL_FORMAT = "qmoe-pipeline"
 _REPORT_FORMAT = "qmoe-report"
-_VERSION = 1
+_VERSION = 2  # of both formats
+_NOUNS = {_MODEL_FORMAT: "model file", _REPORT_FORMAT: "report"}
 
 
 @dataclass(frozen=True)
@@ -94,12 +100,11 @@ class RunConfig:
     hybrid: HybridConfig = HybridConfig()
     expert: GBDTParams = GBDTParams()
     router: GBDTParams = router_params()
-    gamma_grid: tuple = GAMMA_GRID
+    gamma_grid: tuple[float, ...] = GAMMA_GRID
     n_splits: int = 5
     n_repeats: int = 3
     majority_ratio: float = 1.0
     seed: int = 0
-    out_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         grid = tuple(float(g) for g in self.gamma_grid)
@@ -116,13 +121,11 @@ class RunConfig:
             raise ConfigurationError(f"majority_ratio must be positive, got {self.majority_ratio}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        # Each fold derives its own hybrid seed from ``seed`` and nothing reads
-        # a GBDTParams seed, so a nested seed would change only the report.
-        for name in ("hybrid", "expert", "router"):
-            value = getattr(self, name).seed
-            if value != 0:
-                raise ConfigurationError(f"{name}.seed must be 0, got {value}: every fold "
-                                         f"derives its seeds from the run's seed")
+        # Each fold derives its own hybrid seed from ``seed``, so a nested seed
+        # would change only the report.
+        if self.hybrid.seed != 0:
+            raise ConfigurationError(f"hybrid.seed must be 0, got {self.hybrid.seed}: every "
+                                     f"fold derives its seeds from the run's seed")
 
 
 # Seconds per quantum task on the reference hardware: server, compile and
@@ -143,10 +146,10 @@ def latency_estimate(n_points: int, routed_fraction: float) -> float:
     return n_points * routed_fraction * TASK_SECONDS
 
 
-def latency_table(report: dict, n_points: int) -> list:
-    """Per-arm latency summary from a report dict's mean routed fractions."""
+def latency_table(report: BenchReport, n_points: int) -> list:
+    """Per-arm latency summary from a report's mean routed fractions."""
     rows = []
-    for arm, stats in report["aggregates"]["combined"].items():
+    for arm, stats in report.aggregates["combined"].items():
         fraction = stats["routed_fraction"]["mean"]
         seconds = latency_estimate(n_points, fraction)
         rows.append(
@@ -175,13 +178,13 @@ class FoldRecord:
     baseline: dict
     combined: dict  # str(gamma) -> metric dict, sentinel included
     sentinel_equals_baseline: bool
-    warnings: list = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
 class BenchReport:
     config: dict
-    folds: list
+    folds: list[FoldRecord]
     aggregates: dict
 
 
@@ -403,22 +406,15 @@ def fit_pipeline(x, y, config: RunConfig):
 
 
 def report_to_dict(report: BenchReport) -> dict:
-    return {
-        "format": _REPORT_FORMAT,
-        "version": _VERSION,
-        "config": report.config,
-        "folds": [asdict(f) for f in report.folds],
-        "aggregates": report.aggregates,
-    }
+    return {"format": _REPORT_FORMAT, "version": _VERSION, **asdict(report)}
 
 
 def save_report(report: BenchReport, out_dir) -> None:
-    """Write report.json plus flat folds.csv / aggregates.csv exports."""
+    """Write report.json (NaN metrics as null) plus flat folds.csv / aggregates.csv exports."""
     os.makedirs(out_dir, exist_ok=True)
-    d = report_to_dict(report)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(d, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # A NaN metric goes through a JSON round trip as a NaN token and comes back None.
+    doc = json.loads(json.dumps(report_to_dict(report)), parse_constant=lambda _: None)
+    _write(os.path.join(out_dir, "report.json"), doc, indent=2, sort_keys=True)
 
     with open(os.path.join(out_dir, "folds.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -446,48 +442,150 @@ def save_report(report: BenchReport, out_dir) -> None:
                                  repr(s["median"]), s["n_valid"]])
 
 
-# --- model persistence ----------------------------------------------------
-# One codec. save_model writes {"format", "version", **asdict(pipeline)}:
-# every dataclass becomes a JSON object with its fields in declaration
-# order, and arrays become JSON lists. The secondary expert, always a
-# HybridModel here, leads with a "kind": "hybrid" tag, the one key that is
-# not a field. load_model mirrors it: _build rebuilds each dataclass from an
-# object holding exactly its fields, and the checks below run on the decoded
-# values. Python's float repr round-trips doubles exactly, so a loaded model
-# predicts bit-identically to the saved one.
+# --- the file codec ---------------------------------------------------------
+# Model files and reports are {"format", "version", **asdict(body)}, with
+# arrays as lists, written by _write and read by _read. _build decodes each
+# field by the type its dataclass declares, so the declarations are the
+# schema; custom decoders cover only a Tree's integer node arrays, the
+# hybrid's (weights, bias) layers and the secondary's "kind" tag. Float
+# repr round-trips doubles, so a loaded model predicts bit-identically.
+
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _array(values, dtype=np.float64) -> np.ndarray:
-    return np.asarray(values, dtype=dtype)
+def _write(path, doc, **json_options) -> None:
+    """``doc`` as strict JSON at ``path``; nothing is written if it holds NaN or infinity."""
+    try:
+        text = json.dumps(doc, allow_nan=False, **json_options)  # the C encoder, unless indented
+    except ValueError as exc:
+        raise ModelIOError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
-def _ints(values) -> np.ndarray:
-    return _array(values, np.int64)
+def _read(path, fmt: str, build):
+    """``build(body)`` of the ``fmt`` document at ``path``; any fault is a ModelIOError."""
+    noun = _NOUNS[fmt]
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # deep nesting is a RecursionError
+        raise ModelIOError(f"cannot read {noun} {path}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ModelIOError(f"{path} is not a {fmt} file")
+    if doc.get("version") != _VERSION:
+        raise ModelIOError(f"{path} has version {doc.get('version')!r}, this build reads "
+                           f"{_VERSION}")
+    try:
+        return build({k: v for k, v in doc.items() if k not in ("format", "version")})
+    except _MALFORMED as exc:
+        raise ModelIOError(f"{noun} {path} is malformed: {exc}") from exc
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field's declared type, the annotations resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _finite(name: str, values) -> np.ndarray:
-    """``values`` as a float array; ModelIOError if any entry is NaN or infinite."""
-    arr = _array(values)
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        where = f" at index {int(bad[0])}" if arr.ndim else ""
-        raise ModelIOError(f"{name} must be finite, found {arr.flat[bad[0]]}{where}")
+    """``values`` as a float array; ValueError unless every entry is a finite number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "if":
+        raise ValueError(f"{name} must be an array of numbers, found {values!r:.60}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        where = f" at index {bad}" if arr.ndim else ""
+        raise ValueError(f"{name} must be finite, found {arr.flat[bad]}{where}")
     return arr
 
 
-def _build(cls, obj, **decoders):
-    """``cls`` from a JSON object holding exactly its fields, each through its decoder.
+def _decode(tp, value, name: str, subset: bool = False):
+    """``value``, parsed from JSON, as the declared type ``tp``; ValueError naming ``name``."""
+    if tp is float:
+        if type(value) not in (int, float):
+            raise ValueError(f"{name} must be a number, found {value!r:.60}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, found {value}")
+        return float(value)
+    if tp in (int, bool, str, dict, list):
+        if type(value) is not tp:
+            raise ValueError(f"{name} must be JSON {tp.__name__}, found {value!r:.60}")
+        if tp is dict:  # free-form JSON, finite all the way down
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise ValueError(f"{name} must not hold NaN or infinity") from None
+        return value
+    if tp is np.ndarray:
+        return _finite(name, value)
+    if is_dataclass(tp):
+        return _build(tp, value, name, subset)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:  # Optional[T]
+        return None if value is None else _decode(args[0], value, name, subset)
+    # list[T] or tuple[T, ...]
+    items = _decode(list, value, name)
+    return origin(_decode(args[0], v, f"{name}[{i}]", subset) for i, v in enumerate(items))
 
-    A ValueError names the class and the missing or unknown keys.
+
+def _build(cls, obj, name: str = "", subset: bool = False, **decoders):
+    """``cls`` from a JSON object holding exactly its fields (any, with ``subset``).
+
+    Each field is decoded by its declared type, or by ``decoders[field](value, name)``.
     """
-    names = [f.name for f in fields(cls)]
-    keys = list(obj) if isinstance(obj, dict) else []
-    missing = [n for n in names if n not in keys]
-    unknown = [k for k in keys if k not in names]
-    if missing or unknown:
-        raise ValueError(f"{cls.__name__} needs exactly its fields: missing {missing}, "
-                         f"unknown {unknown}")
-    return cls(**{n: decoders[n](obj[n]) if n in decoders else obj[n] for n in names})
+    types = _field_types(cls)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name or cls.__name__} must be an object, found {obj!r:.60}")
+    unknown = [k for k in obj if k not in types]
+    if unknown:
+        raise ValueError(f"{cls.__name__} has unknown fields {unknown}")
+    missing = [n for n in types if n not in obj]
+    if missing and not subset:
+        raise ValueError(f"{cls.__name__} is missing fields {missing}")
+    values = {}
+    for n, tp in types.items():
+        if n in obj:
+            label = f"{name} {n}".lstrip()
+            values[n] = (decoders[n](obj[n], label) if n in decoders
+                         else _decode(tp, obj[n], label, subset))
+    return cls(**values)
+
+
+def load_config(path) -> RunConfig:
+    """RunConfig from a JSON object holding any subset of its fields (nested ones too)."""
+    try:
+        with open(path) as fh:
+            return _build(RunConfig, json.load(fh), subset=True)
+    except (OSError, RecursionError, *_MALFORMED) as exc:
+        raise ConfigurationError(f"{exc} (config {path})") from exc
+
+
+def _report(body) -> BenchReport:
+    report = _build(BenchReport, body)
+    arms = _decode(dict, report.aggregates.get("combined"), "aggregates combined")
+    for arm, stats in arms.items():
+        fraction = stats["routed_fraction"]["mean"]
+        if not 0 < float(arm) <= 1 or type(fraction) not in (int, float) or not 0 <= fraction <= 1:
+            raise ValueError(f"arm {arm!r} needs a gamma in (0, 1] and a mean routed_fraction "
+                             f"in [0, 1], found {fraction!r}")
+    return report
+
+
+def load_report(path) -> BenchReport:
+    """The report in a report.json file or in a directory's report.json."""
+    if os.path.isdir(path):
+        path = os.path.join(path, "report.json")
+    return _read(path, _REPORT_FORMAT, _report)
+
+
+def _nodes(value, name: str) -> np.ndarray:
+    """A tree's node indices or features: a list of JSON integers."""
+    if type(value) is not list or not all(type(v) is int for v in value):
+        raise ValueError(f"{name} must be a list of integers, found {value!r:.60}")
+    return np.array(value, dtype=np.int64)
 
 
 def _check_tree(tree: Tree, n_features: int, index: int) -> None:
@@ -495,165 +593,100 @@ def _check_tree(tree: Tree, n_features: int, index: int) -> None:
 
     Children must sit after their parent, so every root-to-leaf walk ends;
     a node is a leaf exactly when its feature is -1 and it has no children.
-    Thresholds and values must be finite: a NaN threshold would send every
-    row right.
     """
     size = tree.feature.shape[0]
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
     if size == 0 or any(a.shape != (size,) for a in arrays):
-        raise ModelIOError(f"tree {index}: node arrays must be non-empty and of equal length")
+        raise ValueError(f"tree {index}: node arrays must be non-empty and of equal length")
     bad_feature = (tree.feature < -1) | (tree.feature >= n_features)
     if bad_feature.any():
         node = int(np.flatnonzero(bad_feature)[0])
-        raise ModelIOError(
-            f"tree {index}, node {node}: feature {tree.feature[node]} out of range "
-            f"for {n_features} features"
-        )
+        raise ValueError(f"tree {index}, node {node}: feature {tree.feature[node]} out of "
+                         f"range for {n_features} features")
     leaf = tree.feature == -1
     childless = (tree.left == -1) & (tree.right == -1)
     if (leaf != childless).any():
         node = int(np.flatnonzero(leaf != childless)[0])
-        raise ModelIOError(
-            f"tree {index}, node {node}: a node must be a leaf (feature -1) "
-            f"exactly when it has no children"
-        )
+        raise ValueError(f"tree {index}, node {node}: a node must be a leaf (feature -1) "
+                         f"exactly when it has no children")
     nodes = np.arange(size)
     bad_child = ~leaf & ((tree.left <= nodes) | (tree.left >= size)
                          | (tree.right <= nodes) | (tree.right >= size))
     if bad_child.any():
         node = int(np.flatnonzero(bad_child)[0])
-        raise ModelIOError(
-            f"tree {index}, node {node}: children ({tree.left[node]}, {tree.right[node]}) "
-            f"must lie after the node and below {size}"
-        )
-    _finite(f"tree {index} threshold", tree.threshold)
-    _finite(f"tree {index} value", tree.value)
+        raise ValueError(f"tree {index}, node {node}: children ({tree.left[node]}, "
+                         f"{tree.right[node]}) must lie after the node and below {size}")
 
 
-def _gbdt(obj) -> GBDTModel:
-    model = _build(
-        GBDTModel, obj,
-        params=lambda d: _build(GBDTParams, d),
-        base_score=lambda v: float(_finite("base_score", v)),
-        trees=lambda items: [
-            _build(Tree, t, feature=_ints, threshold=_array, left=_ints, right=_ints,
-                   value=_array)
-            for t in items
-        ],
-    )
+def _gbdt(obj, name: str) -> GBDTModel:
+    model = _build(GBDTModel, obj, name, trees=lambda items, label: [
+        _build(Tree, t, f"tree {i}", feature=_nodes, left=_nodes, right=_nodes)
+        for i, t in enumerate(_decode(list, items, label))
+    ])
     for index, tree in enumerate(model.trees):
         _check_tree(tree, model.n_features, index)
     return model
 
 
-def _layers(items) -> list:
-    return [(_array(w), _array(b)) for w, b in items]
+def _layers(value, name: str) -> list:
+    """A network's layers from [[weights, bias], ...]."""
+    pairs = _decode(list[list], value, name)
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"{name}: every layer must be a [weights, bias] pair")
+    return [(_finite(f"{name} layer {i} weights", w), _finite(f"{name} layer {i} bias", b))
+            for i, (w, b) in enumerate(pairs)]
 
 
-def _hybrid(obj) -> HybridModel:
-    """Rebuild a hybrid expert, checking every array against its config."""
-    model = _build(HybridModel, obj, config=lambda d: _build(HybridConfig, d),
-                   encoder=_layers, decoder=_layers, theta=_array, head=_layers)
+def _secondary(obj, name: str) -> HybridModel:
+    """The hybrid expert behind its "kind" tag, every array checked against its config."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind != "hybrid":
+        raise ValueError(f"unknown secondary expert kind {kind!r}")
+    model = _build(HybridModel, {k: v for k, v in obj.items() if k != "kind"}, "hybrid",
+                   encoder=_layers, decoder=_layers, head=_layers)
     config = model.config
-    for name, spec in (("encoder", config.encoder_spec),
+    for part, spec in (("encoder", config.encoder_spec),
                        ("decoder", config.decoder_spec),
                        ("head", config.head_spec)):
-        layers = getattr(model, name)
         try:
-            _check_params_shape(spec, layers)
+            _check_params_shape(spec, getattr(model, part))
         except ConfigurationError as exc:
-            raise ModelIOError(f"hybrid {name}: {exc}") from exc
-        for i, (w, b) in enumerate(layers):
-            _finite(f"hybrid {name} layer {i} weights", w)
-            _finite(f"hybrid {name} layer {i} bias", b)
+            raise ValueError(f"hybrid {part}: {exc}") from exc
     if model.theta.shape != (config.ansatz.n_params,):
-        raise ModelIOError(
-            f"hybrid theta has shape {model.theta.shape}, the config needs "
-            f"{config.ansatz.n_params} circuit parameters"
-        )
-    _finite("hybrid theta", model.theta)
+        raise ValueError(f"hybrid theta has shape {model.theta.shape}, the config needs "
+                         f"{config.ansatz.n_params} circuit parameters")
     return model
 
 
-def _temperature(name: str, obj) -> TemperatureScaler:
-    scaler = _build(TemperatureScaler, obj)
-    if not _finite(f"{name} temperature", scaler.temperature) > 0:
-        raise ModelIOError(f"{name} temperature must be positive, found {scaler.temperature}")
-    return scaler
-
-
-def _secondary(obj) -> HybridModel:
-    kind = obj["kind"]
-    if kind != "hybrid":
-        raise ModelIOError(f"unknown secondary expert kind {kind!r}")
-    return _hybrid({k: v for k, v in obj.items() if k != "kind"})
+def _pipeline(body) -> Pipeline:
+    pipeline = _build(Pipeline, body, combined=lambda obj, name: _build(
+        CombinedModel, obj, name, primary=_gbdt, secondary=_secondary, router=_gbdt))
+    combined = pipeline.combined
+    for name in ("primary_scaler", "secondary_scaler"):
+        temperature = getattr(combined, name).temperature
+        if temperature <= 0:
+            raise ValueError(f"{name} temperature must be positive, found {temperature}")
+    # The scaler and all three experts must agree on the feature count.
+    widths = {"primary": combined.primary.n_features, "router": combined.router.n_features,
+              "secondary": combined.secondary.config.n_features}
+    if len(set(widths.values())) != 1:
+        raise ValueError(f"the experts' feature counts differ: {widths}")
+    for name in ("low", "span"):
+        shape = getattr(pipeline.scaler, name).shape
+        if shape != (widths["primary"],):
+            raise ValueError(f"scaler {name} has shape {shape}, "
+                             f"the experts read {widths['primary']} features")
+    return pipeline
 
 
 def save_model(pipeline: Pipeline, path) -> None:
     secondary = pipeline.combined.secondary
     if not isinstance(secondary, HybridModel):
-        raise ModelIOError(
-            f"cannot persist a secondary expert of type {type(secondary).__name__}"
-        )
+        raise ModelIOError(f"cannot persist a secondary expert of type {type(secondary).__name__}")
     doc = {"format": _MODEL_FORMAT, "version": _VERSION, **asdict(pipeline)}
     doc["combined"]["secondary"] = {"kind": "hybrid", **doc["combined"]["secondary"]}
-    # json.dumps runs the C encoder; json.dump always runs the Python one.
-    text = json.dumps(doc, default=lambda array: array.tolist())
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    _write(path, doc, default=lambda array: array.tolist())
 
 
 def load_model(path) -> Pipeline:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelIOError(f"cannot read model file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
-        raise ModelIOError(f"{path} is not a pipeline file")
-    if doc.get("version") != _VERSION:
-        raise ModelIOError(
-            f"{path} has version {doc.get('version')!r}, this build reads {_VERSION}"
-        )
-    body = {k: v for k, v in doc.items() if k not in ("format", "version")}
-    try:
-        pipeline = _build(
-            Pipeline, body,
-            scaler=lambda d: _build(MinMaxScaler, d,
-                                    low=lambda v: _finite("scaler low", v),
-                                    span=lambda v: _finite("scaler span", v)),
-            combined=lambda d: _build(
-                CombinedModel, d,
-                primary=_gbdt,
-                primary_scaler=lambda s: _temperature("primary_scaler", s),
-                secondary=_secondary,
-                secondary_scaler=lambda s: _temperature("secondary_scaler", s),
-                router=_gbdt,
-                tau_primary=lambda v: float(_finite("tau_primary", v)),
-                tau_secondary=lambda v: float(_finite("tau_secondary", v)),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelIOError(f"model file {path} is malformed: {exc}") from exc
-    _check_widths(pipeline, path)
-    return pipeline
-
-
-def _check_widths(pipeline: Pipeline, path) -> None:
-    """The scaler and all three experts must agree on the feature count."""
-    combined = pipeline.combined
-    widths = {
-        "primary": combined.primary.n_features,
-        "router": combined.router.n_features,
-        "secondary": combined.secondary.config.n_features,
-    }
-    if len(set(widths.values())) != 1:
-        raise ModelIOError(f"model file {path}: the experts' feature counts differ: {widths}")
-    n_features = widths["primary"]
-    for name in ("low", "span"):
-        shape = getattr(pipeline.scaler, name).shape
-        if shape != (n_features,):
-            raise ModelIOError(
-                f"model file {path}: scaler {name} has shape {shape}, "
-                f"the experts read {n_features} features"
-            )
+    return _read(path, _MODEL_FORMAT, _pipeline)

@@ -25,14 +25,15 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import (
-    _REPORT_FORMAT,
     TASK_SECONDS,
     Pipeline,
     RunConfig,
     fit_pipeline,
     latency_table,
+    load_config,
     load_dataset,
     load_model,
+    load_report,
     pipeline_predict,
     run_cv,
     save_model,
@@ -40,35 +41,15 @@ from .bench import (
 )
 from .calibration import fit_temperature
 from .data import load_csv, save_csv, synthesize
-from .errors import ConfigurationError, DataError, InputError, QmoeError
-from .gbdt import GBDTParams
-from .hybrid import HybridConfig
+from .errors import DataError, InputError, QmoeError
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 from .moe import require_finite_rows
 
 ENV_DATASET = "QMOE_DATASET"
 
 
-def _config_from_file(path) -> RunConfig:
-    """RunConfig from a JSON object holding any subset of its fields."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must be a JSON object")
-    try:
-        for key, cls in (("hybrid", HybridConfig), ("expert", GBDTParams), ("router", GBDTParams)):
-            if key in raw:
-                raw[key] = cls(**raw[key])
-        return RunConfig(**raw)
-    except TypeError as exc:
-        raise ConfigurationError(f"config {path} has unknown fields: {exc}") from exc
-
-
 def _resolve_config(args) -> RunConfig:
-    config = _config_from_file(args.config) if args.config else RunConfig()
+    config = load_config(args.config) if args.config else RunConfig()
     updates = {}
     if getattr(args, "data", None):
         updates["csv_path"] = args.data
@@ -78,8 +59,6 @@ def _resolve_config(args) -> RunConfig:
         updates["seed"] = args.seed
     if getattr(args, "rows", None) is not None:
         updates["synth_rows"] = args.rows
-    if getattr(args, "out", None):
-        updates["out_dir"] = args.out
     return replace(config, **updates) if updates else config
 
 
@@ -136,7 +115,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_bench(args) -> int:
     config = _resolve_config(args)
     report = run_cv(config)
-    out_dir = config.out_dir or "bench-out"
+    out_dir = args.out or "bench-out"
     save_report(report, out_dir)
     agg = report.aggregates
     lines = [f"wrote report to {out_dir}"]
@@ -155,20 +134,7 @@ def _cmd_bench(args) -> int:
 def _cmd_latency(args) -> int:
     if args.points < 0:
         raise InputError(f"--points must be >= 0, got {args.points}")
-    path = args.report
-    if os.path.isdir(path):
-        path = os.path.join(path, "report.json")
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from exc
-    if not isinstance(report, dict) or report.get("format") != _REPORT_FORMAT:
-        raise DataError(f"{path} is not a {_REPORT_FORMAT} file")
-    try:
-        rows = latency_table(report, args.points)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise DataError(f"report {path} is malformed: {exc!r}") from exc
+    rows = latency_table(load_report(args.report), args.points)
     print(json.dumps({"points": args.points, "per_task_s": TASK_SECONDS,
                       "table": rows}, indent=2, sort_keys=True))
     return 0

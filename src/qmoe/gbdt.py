@@ -61,8 +61,6 @@ class GBDTParams:
     min_split_gain: subtracted from every candidate gain before acceptance.
     min_child_weight: smallest hessian mass allowed on either side.
     early_stopping_rounds: patience on validation logloss; 0 disables.
-    seed: read by nothing, since the fit is deterministic; model files hold
-    it, and RunConfig requires 0.
     """
 
     n_estimators: int = 200
@@ -72,7 +70,6 @@ class GBDTParams:
     min_split_gain: float = 0.0
     min_child_weight: float = 1.0
     early_stopping_rounds: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_estimators < 1:

@@ -67,7 +67,7 @@ class HybridConfig:
     """
 
     n_features: int = 29
-    encoder_hidden: tuple = (256, 128, 64)
+    encoder_hidden: tuple[int, ...] = (256, 128, 64)
     n_qubits: int = 6
     n_layers: int = 6
     head_hidden: int = 8

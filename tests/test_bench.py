@@ -17,7 +17,9 @@ from qmoe.bench import (
     fit_pipeline,
     latency_estimate,
     latency_table,
+    load_config,
     load_model,
+    load_report,
     pipeline_predict,
     report_to_dict,
     save_model,
@@ -75,14 +77,16 @@ def test_run_config_validation():
 
 @pytest.mark.parametrize("nested", ["hybrid", "expert", "router"])
 def test_run_config_rejects_nested_seeds(nested):
-    # Folds derive the hybrid seed from RunConfig.seed and nothing reads a
-    # GBDTParams seed, so before this check a nested seed changed only the
-    # report's copy of the config.
-    inner = {"hybrid": HybridConfig(seed=7), "expert": GBDTParams(seed=1),
-             "router": GBDTParams(seed=1)}[nested]
-    match = rf"{nested}\.seed must be 0, got \d: every fold derives its seeds from the run's seed"
+    # Folds derive the hybrid seed from RunConfig.seed, so a hybrid seed
+    # would change only the report's copy of the config. Nothing read a
+    # GBDTParams seed, so that field is gone.
+    if nested != "hybrid":
+        with pytest.raises(TypeError, match="seed"):
+            GBDTParams(seed=1)
+        return
+    match = r"hybrid\.seed must be 0, got 7: every fold derives its seeds from the run's seed"
     with pytest.raises(ConfigurationError, match=match):
-        RunConfig(**{nested: inner})
+        RunConfig(hybrid=HybridConfig(seed=7))
 
 
 def test_latency_model_arithmetic():
@@ -166,7 +170,7 @@ def test_save_report_files(report, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["aggregates.csv", "folds.csv", "report.json"]
     with open(tmp_path / "report.json") as fh:
         loaded = json.load(fh)
-    assert loaded["format"] == "qmoe-report" and loaded["version"] == 1
+    assert loaded["format"] == "qmoe-report" and loaded["version"] == 2
     assert len(loaded["folds"]) == len(report.folds)
     folds_lines = (tmp_path / "folds.csv").read_text().splitlines()
     arms_per_fold = 1 + len(CONFIG.gamma_grid) + 1  # baseline + grid + sentinel
@@ -180,7 +184,7 @@ def test_save_report_files(report, tmp_path):
 
 
 def test_latency_table_matches_aggregates(report):
-    rows = latency_table(report_to_dict(report), 14000)
+    rows = latency_table(report, 14000)
     gammas = [r["gamma"] for r in rows]
     assert gammas == sorted(gammas)
     for row in rows:
@@ -190,6 +194,89 @@ def test_latency_table_matches_aggregates(report):
             14000 * row["routed_fraction"] * 2.739
         )
         assert row["minutes"] == pytest.approx(row["seconds"] / 60.0)
+
+
+@pytest.fixture(scope="module")
+def one_class_report():
+    # Two positives cannot reach every holdout, so some ranking metrics are NaN.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(80, 3))
+    y = np.zeros(80)
+    y[:2] = 1.0
+    cfg = RunConfig(
+        hybrid=HybridConfig(n_features=3, encoder_hidden=(4,), n_qubits=2, n_layers=1,
+                            head_hidden=2, batch_size=8, epochs=1),
+        expert=GBDTParams(n_estimators=5, max_depth=2),
+        router=GBDTParams(n_estimators=5, max_depth=2),
+        n_splits=2, n_repeats=1, seed=3,
+    )
+    return cross_validate(x, y, cfg)
+
+
+def test_report_file_is_strict_json_and_round_trips(one_class_report, tmp_path):
+    save_report(one_class_report, tmp_path)
+    assert np.isnan(one_class_report.folds[0].baseline["ap"])
+
+    def refuse(token):
+        raise AssertionError(f"report.json holds the non-JSON token {token}")
+
+    written = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+    assert written["folds"][0]["baseline"]["ap"] is None
+    for path in (tmp_path, tmp_path / "report.json"):
+        loaded = load_report(path)
+        assert report_to_dict(loaded) == written
+        assert latency_table(loaded, 14000) == latency_table(one_class_report, 14000)
+
+
+def test_version_1_files_are_refused(model_doc, report, tmp_path):
+    # Version 2 dropped GBDTParams.seed and RunConfig.out_dir and writes NaN as null.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model_doc, "version": 1}))
+    with pytest.raises(ModelIOError, match="has version 1, this build reads 2"):
+        load_model(path)
+    save_report(report, tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    (tmp_path / "report.json").write_text(json.dumps({**doc, "version": 1}))
+    with pytest.raises(ModelIOError, match="has version 1, this build reads 2"):
+        load_report(tmp_path)
+
+
+def test_each_loader_refuses_the_other_format(model_doc, report, tmp_path):
+    save_report(report, tmp_path)
+    with pytest.raises(ModelIOError, match="report.json is not a qmoe-pipeline file"):
+        load_model(tmp_path / "report.json")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    with pytest.raises(ModelIOError, match="model.json is not a qmoe-report file"):
+        load_report(path)
+
+
+def test_save_model_refuses_non_finite_numbers(model_doc, tmp_path):
+    # Before, the file was written and then refused by load_model.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    pipeline = load_model(path)
+    pipeline.combined.secondary.theta[3] = np.nan
+    target = tmp_path / "nan-theta.json"
+    with pytest.raises(ModelIOError, match=f"cannot write {target}"):
+        save_model(pipeline, target)
+    assert not target.exists()
+
+
+def test_load_config_takes_any_subset(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("{}")
+    assert load_config(path) == RunConfig()
+    path.write_text(json.dumps({"n_splits": 4, "gamma_grid": [0.25, 0.75],
+                                "hybrid": {"encoder_hidden": [8, 4]},
+                                "router": {"n_estimators": 10}}))
+    config = load_config(path)
+    assert config.n_splits == 4 and config.n_repeats == RunConfig().n_repeats
+    assert config.gamma_grid == (0.25, 0.75)
+    assert config.hybrid == HybridConfig(encoder_hidden=(8, 4))
+    # A nested object starts from its own class's defaults, not RunConfig's.
+    assert config.router == GBDTParams(n_estimators=10)
+    assert config.expert == GBDTParams()
 
 
 def test_pipeline_round_trip(dataset, tmp_path):
@@ -217,18 +304,22 @@ def test_load_model_rejects_bad_files(tmp_path):
         load_model(missing)
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "other"}')
-    with pytest.raises(ModelIOError, match="not a pipeline"):
+    with pytest.raises(ModelIOError, match="not a qmoe-pipeline file"):
         load_model(bad)
     wrong_version = tmp_path / "ver.json"
     wrong_version.write_text('{"format": "qmoe-pipeline", "version": 99}')
     with pytest.raises(ModelIOError, match="version"):
         load_model(wrong_version)
     truncated = tmp_path / "trunc.json"
-    truncated.write_text('{"format": "qmoe-pipeline", "version": 1, "scaler"')
+    truncated.write_text('{"format": "qmoe-pipeline", "version": 2, "scaler"')
     with pytest.raises(ModelIOError, match="cannot read"):
         load_model(truncated)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)  # json.load raises RecursionError
+    with pytest.raises(ModelIOError, match="cannot read model file"):
+        load_model(deep)
     malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"format": "qmoe-pipeline", "version": 1, "combined": {}}')
+    malformed.write_text('{"format": "qmoe-pipeline", "version": 2, "combined": {}}')
     with pytest.raises(ModelIOError, match="malformed"):
         load_model(malformed)
 
@@ -398,7 +489,7 @@ FIELD_LEVELS = {
     "scaler": (["scaler"], "span", "MinMaxScaler"),
     "combined": (["combined"], "tau_secondary", "CombinedModel"),
     "gbdt": (["combined", "router"], "best_iteration", "GBDTModel"),
-    "gbdt params": (["combined", "primary", "params"], "seed", "GBDTParams"),
+    "gbdt params": (["combined", "primary", "params"], "max_depth", "GBDTParams"),
     "tree": (["combined", "primary", "trees", 0], "value", "Tree"),
     "hybrid": (["combined", "secondary"], "decoder", "HybridModel"),
     "hybrid config": (["combined", "secondary", "config"], "patience", "HybridConfig"),
@@ -484,7 +575,8 @@ def test_load_model_checks_the_scaler_width(model_doc, tmp_path):
         doc["scaler"][name].pop()
         path = tmp_path / f"short-{name}.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelIOError, match=f"short-{name}.json: scaler {name} has shape"):
+        with pytest.raises(ModelIOError,
+                           match=f"short-{name}.json is malformed: scaler {name} has shape"):
             load_model(path)
     doc = json.loads(json.dumps(model_doc))
     doc["combined"]["router"]["n_features"] += 1

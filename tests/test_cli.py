@@ -120,6 +120,18 @@ def test_bench_writes_report_and_latency_reads_it(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_does_not_depend_on_the_output_directory(workspace, tmp_path, capsys):
+    # Before, the report's copy of the config held --out.
+    written = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["bench", "--config", workspace["config"], "--data", workspace["csv"],
+                     "--out", str(out)]) == 0
+        written.append((out / "report.json").read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
+
+
 def test_calibrate_refits_temperatures(workspace, tmp_path, capsys):
     out = str(tmp_path / "recal.json")
     assert main(["calibrate", "--model", workspace["model"],
@@ -199,7 +211,7 @@ def test_evaluate_mis_shaped_hybrid_exits_1(workspace, tmp_path, capsys):
     bad_model.write_text(json.dumps(doc))
     assert main(["evaluate", "--model", str(bad_model),
                  "--data", workspace["csv"]]) == 1
-    assert "error: hybrid theta" in capsys.readouterr().err
+    assert f"error: model file {bad_model} is malformed: hybrid theta" in capsys.readouterr().err
 
 
 def test_evaluate_non_finite_model_exits_1(workspace, tmp_path, capsys):
@@ -209,7 +221,8 @@ def test_evaluate_non_finite_model_exits_1(workspace, tmp_path, capsys):
     bad_model.write_text(json.dumps(doc))
     assert main(["evaluate", "--model", str(bad_model), "--data", workspace["csv"],
                  "--gamma", "0.5"]) == 1
-    assert "error: hybrid theta must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: model file {bad_model} is malformed: hybrid theta must be finite" in err
 
 
 def test_evaluate_cyclic_model_exits_1(workspace, tmp_path, capsys):
@@ -238,6 +251,25 @@ def test_unknown_config_field_exits_1(workspace, tmp_path, capsys):
     cfg.write_text('{"bogus_knob": 1}')
     assert main(["bench", "--config", str(cfg)]) == 1
     assert "unknown fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"hybrid": {"encoder_hidden": ["x"]}}', "hybrid encoder_hidden[0]"),
+    ('{"hybrid": {"encoder_hidden": [1e999]}}', "hybrid encoder_hidden[0]"),
+    ('{"gamma_grid": "ab"}', "gamma_grid"),
+    ('{"n_splits": "3"}', "n_splits"),
+    ('{"expert": {"learning_rate": NaN}}', "expert learning_rate"),
+], ids=["string width", "infinite width", "string grid", "string int", "nan rate"])
+def test_mistyped_config_exits_1(doc, field, tmp_path, capsys):
+    # Before, the first three ended in a traceback, the fourth was called an
+    # unknown field and the fifth failed inside the first fold.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(doc)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "bench")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and str(cfg) in err
+    assert "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == {"config.json"}  # nothing was written
 
 
 def test_missing_report_exits_1(tmp_path, capsys):
@@ -301,7 +333,8 @@ def test_negative_seed_exits_1(command, workspace, tmp_path, capsys):
 @pytest.mark.parametrize("nested", ["hybrid", "expert", "router"])
 def test_nested_seed_exits_1(nested, workspace, tmp_path, capsys):
     # Each fold derives its seeds from the top-level seed: before this check
-    # a config's hybrid seed 0 or 7 wrote byte-equal folds.csv.
+    # a config's hybrid seed 0 or 7 wrote byte-equal folds.csv. GBDTParams
+    # has no seed field, since nothing read it.
     doc = dict(TINY_CONFIG)
     doc[nested] = {**TINY_CONFIG[nested], "seed": 7}
     cfg = tmp_path / "config.json"
@@ -310,13 +343,17 @@ def test_nested_seed_exits_1(nested, workspace, tmp_path, capsys):
             "--out", str(tmp_path / "bench")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {nested}.seed must be 0, got 7")
-    assert "the run's seed" in err
+    if nested == "hybrid":
+        assert err.startswith("error: hybrid.seed must be 0, got 7")
+        assert "the run's seed" in err
+    else:
+        assert err.startswith("error: GBDTParams has unknown fields ['seed']")
+    assert str(cfg) in err
     assert set(os.listdir(tmp_path)) == {"config.json"}  # nothing was written
 
 
 def test_latency_negative_points_exits_1(tmp_path, capsys):
-    report = {"format": "qmoe-report",
+    report = {"format": "qmoe-report", "version": 2, "config": {}, "folds": [],
               "aggregates": {"combined": {"0.5": {"routed_fraction": {"mean": 0.25}}}}}
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))

@@ -27,7 +27,10 @@ entry of its table, with BLAS pinned to one thread. Each side runs in
 ``INVOCATIONS`` fresh interpreters of ``REPEATS`` timed calls, the two
 sides alternating which goes first, so load drift on the host reaches both
 sides alike. It records the median and interquartile range of each side's
-pooled calls, and the median of each invocation.
+pooled calls, the median of each invocation, and a verdict: "faster" only
+when every invocation median of the change beats every one of the parent,
+"slower" for the reverse, and "unresolved" otherwise, since a pooled
+median can still move by a quarter between invocations.
 """
 
 from __future__ import annotations
@@ -219,6 +222,16 @@ def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple
     return tuple(out)
 
 
+def kernel_verdict(parent: dict, change: dict) -> str:
+    """"faster" or "slower" when the two sides' invocation medians do not overlap."""
+    before, after = parent["invocation_medians_ms"], change["invocation_medians_ms"]
+    if max(after) < min(before):
+        return "faster"
+    if min(after) > max(before):
+        return "slower"
+    return "unresolved"
+
+
 def load_records(checkout: Path, workload: str) -> dict:
     """Every untraced result of ``workload`` in ``checkout``, keyed by seed."""
     records = {}
@@ -305,12 +318,13 @@ def main(argv=None) -> int:
     kernels = []
     for kernel in topic.kernels:
         before, after = time_kernel(parent, change, topic, kernel)
+        verdict = kernel_verdict(before, after)
         kernels.append({**kernel, "parent": before, "change": after,
-                        "speedup": before["median_ms"] / after["median_ms"]})
+                        "speedup": before["median_ms"] / after["median_ms"], "verdict": verdict})
         per_run = ["/".join(f"{m:.2f}" for m in side["invocation_medians_ms"])
                    for side in (before, after)]
         print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms "
-              f"(invocations {per_run[0]} -> {per_run[1]} ms)")
+              f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}")
 
     doc = {
         "topic": topic.title,
