@@ -223,8 +223,9 @@ def _arm_metrics(y, probs, hard, routed_fraction: float, n_points: int,
         out.update(aucpr=float("nan"), ap=float("nan"),
                    precision=float("nan"), recall=float("nan"))
         return out
-    out["ap"] = average_precision(probs, y)
-    out["aucpr"] = auprc_trapezoid(pr_curve(probs, y))
+    curve = pr_curve(probs, y)
+    out["ap"] = average_precision(curve)
+    out["aucpr"] = auprc_trapezoid(curve)
     out["precision"], out["recall"] = precision_recall(hard, y)
     return out
 
@@ -232,6 +233,8 @@ def _arm_metrics(y, probs, hard, routed_fraction: float, n_points: int,
 def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
              repeat: int, fold: int):
     """Run one fold end to end; returns (record, pipeline)."""
+    # Checked on the raw rows: the scaler would clip an infinity into range.
+    require_finite_rows(x)
     split_seed, sample_seed, hybrid_seed = _fold_seeds(config.seed, repeat, fold)
     record = FoldRecord(
         repeat=repeat, fold=fold, sizes={}, tau_primary=0.5, tau_secondary=0.5,
@@ -315,7 +318,6 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         )
 
         # Both trees score the holdout once; every arm reuses the scores.
-        require_finite_rows(x_hold)
         n_hold = int(y_hold.size)
         base_probs = apply_temperature(scaler1, primary.predict_proba(x_hold))
         base_hard = (base_probs > tau1).astype(np.float64)
@@ -502,7 +504,7 @@ def _finite(name: str, values) -> np.ndarray:
     return arr
 
 
-def _decode(tp, value, name: str, subset: bool = False):
+def _decode(tp, value, name: str, base=None):
     """``value``, parsed from JSON, as the declared type ``tp``; ValueError naming ``name``."""
     if tp is float:
         if type(value) not in (int, float):
@@ -522,17 +524,18 @@ def _decode(tp, value, name: str, subset: bool = False):
     if tp is np.ndarray:
         return _finite(name, value)
     if is_dataclass(tp):
-        return _build(tp, value, name, subset)
+        return _build(tp, value, name, base)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is Union:  # Optional[T]
-        return None if value is None else _decode(args[0], value, name, subset)
+        return None if value is None else _decode(args[0], value, name, base)
     # list[T] or tuple[T, ...]
     items = _decode(list, value, name)
-    return origin(_decode(args[0], v, f"{name}[{i}]", subset) for i, v in enumerate(items))
+    return origin(_decode(args[0], v, f"{name}[{i}]") for i, v in enumerate(items))
 
 
-def _build(cls, obj, name: str = "", subset: bool = False, **decoders):
-    """``cls`` from a JSON object holding exactly its fields (any, with ``subset``).
+def _build(cls, obj, name: str = "", base=None, **decoders):
+    """``cls`` from a JSON object holding exactly its fields, or any of them over
+    ``base``, an instance whose values the fields left out keep.
 
     Each field is decoded by its declared type, or by ``decoders[field](value, name)``.
     """
@@ -543,22 +546,23 @@ def _build(cls, obj, name: str = "", subset: bool = False, **decoders):
     if unknown:
         raise ValueError(f"{cls.__name__} has unknown fields {unknown}")
     missing = [n for n in types if n not in obj]
-    if missing and not subset:
+    if missing and base is None:
         raise ValueError(f"{cls.__name__} is missing fields {missing}")
     values = {}
     for n, tp in types.items():
         if n in obj:
             label = f"{name} {n}".lstrip()
             values[n] = (decoders[n](obj[n], label) if n in decoders
-                         else _decode(tp, obj[n], label, subset))
-    return cls(**values)
+                         else _decode(tp, obj[n], label, getattr(base, n, None)))
+    return cls(**values) if base is None else replace(base, **values)
 
 
 def load_config(path) -> RunConfig:
-    """RunConfig from a JSON object holding any subset of its fields (nested ones too)."""
+    """RunConfig from a JSON object holding any subset of its fields; each one
+    left out, in nested objects too, keeps its ``RunConfig()`` default."""
     try:
         with open(path) as fh:
-            return _build(RunConfig, json.load(fh), subset=True)
+            return _build(RunConfig, json.load(fh), base=RunConfig())
     except (OSError, RecursionError, *_MALFORMED) as exc:
         raise ConfigurationError(f"{exc} (config {path})") from exc
 

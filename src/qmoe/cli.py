@@ -98,13 +98,14 @@ def _cmd_evaluate(args) -> int:
     x, y = _load_labeled(args)
     out = pipeline_predict(pipeline, x, args.gamma)
     precision, recall = precision_recall(out.labels, y)
+    curve = pr_curve(out.probs, y) if np.unique(y).size > 1 else None
     result = {
         "rows": int(y.size),
         "positives": int(y.sum()),
         "gamma": args.gamma,
         "routed_fraction": out.routed_fraction,
-        "ap": average_precision(out.probs, y) if np.unique(y).size > 1 else None,
-        "aucpr": auprc_trapezoid(pr_curve(out.probs, y)) if np.unique(y).size > 1 else None,
+        "ap": None if curve is None else average_precision(curve),
+        "aucpr": None if curve is None else auprc_trapezoid(curve),
         "precision": precision,
         "recall": None if np.isnan(recall) else recall,
     }

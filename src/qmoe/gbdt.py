@@ -36,7 +36,7 @@ boosting order, so it is the same to the bit as adding one tree at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -86,10 +86,9 @@ class GBDTParams:
             raise ConfigurationError("early_stopping_rounds must be >= 0")
 
 
-def router_params(**overrides) -> GBDTParams:
+def router_params() -> GBDTParams:
     """Shallow defaults for routing duty: depth 3, 100 rounds."""
-    base = GBDTParams(n_estimators=100, max_depth=3)
-    return replace(base, **overrides) if overrides else base
+    return GBDTParams(n_estimators=100, max_depth=3)
 
 
 @dataclass

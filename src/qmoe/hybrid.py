@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .metrics import average_precision
+from .metrics import average_precision, pr_curve
 from .neural import (
     MLPSpec,
     adam_init,
@@ -108,17 +108,17 @@ class HybridConfig:
     @property
     def encoder_spec(self) -> MLPSpec:
         sizes = [self.n_features, *self.encoder_hidden, self.n_qubits]
-        return MLPSpec(tuple(sizes), "relu", "linear")
+        return MLPSpec(tuple(sizes))
 
     @property
     def decoder_spec(self) -> MLPSpec:
         sizes = [self.n_qubits, *reversed(self.encoder_hidden), self.n_features]
-        return MLPSpec(tuple(sizes), "relu", "linear")
+        return MLPSpec(tuple(sizes))
 
     @property
     def head_spec(self) -> MLPSpec:
         width = self.n_qubits if self.head_all_qubits else 1
-        return MLPSpec((width, self.head_hidden, 1), "relu", "sigmoid")
+        return MLPSpec((width, self.head_hidden, 1), "sigmoid")
 
     @property
     def ansatz(self) -> AnsatzSpec:
@@ -301,7 +301,7 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
 
         val_ap = None
         if use_val:
-            val_ap = average_precision(model.predict_proba(x_val), y_val)
+            val_ap = average_precision(pr_curve(model.predict_proba(x_val), y_val))
         report.epochs.append(
             EpochStats(
                 epoch=epoch,

@@ -26,11 +26,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PRCurve:
-    """One (recall, precision) point per distinct score, ascending recall."""
+    """One point per distinct score, ascending recall; tp and fp count the
+    positives and negatives scoring at or above each threshold."""
 
     recall: np.ndarray
     precision: np.ndarray
     thresholds: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
 
 
 def _validated(scores, labels):
@@ -42,9 +45,9 @@ def _validated(scores, labels):
         raise InputError("need at least one sample")
     if not np.all(np.isfinite(s)):
         raise InputError("scores must be finite")
-    y = y.astype(np.int64)
     if not np.all((y == 0) | (y == 1)):
         raise InputError("labels must be 0 or 1")
+    y = y.astype(np.int64)
     if y.min() == y.max():
         raise InputError("both classes must be present")
     return s, y
@@ -65,12 +68,13 @@ def pr_curve(scores, labels) -> PRCurve:
         recall=tp / n_pos,
         precision=tp / (tp + fp),
         thresholds=s_sorted[block_end],
+        tp=tp,
+        fp=fp,
     )
 
 
-def average_precision(scores, labels) -> float:
+def average_precision(curve: PRCurve) -> float:
     """Step-wise sum over the sweep: sum (R_n - R_{n-1}) * P_n."""
-    curve = pr_curve(scores, labels)
     dr = np.diff(np.concatenate(([0.0], curve.recall)))
     return float(np.sum(dr * curve.precision))
 

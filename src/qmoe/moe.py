@@ -24,6 +24,7 @@ import numpy as np
 from .calibration import TemperatureScaler, apply_temperature
 from .errors import InputError
 from .gbdt import GBDTModel, GBDTParams, fit_gbdt
+from .metrics import pr_curve
 
 __all__ = [
     "GAMMA_GRID",
@@ -45,31 +46,16 @@ def youden_threshold(scores, labels) -> float:
 
     Candidates are the observed scores plus the 0 and 1 endpoints; ties in
     the statistic resolve to the smallest candidate, so the choice is
-    deterministic under reordering.
+    deterministic under reordering. The counts come from the PR sweep.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if s.shape != y.shape or s.size == 0:
-        raise InputError(f"scores {s.shape} and labels {y.shape} must match and be non-empty")
-    if not np.all(np.isfinite(s)):
-        raise InputError("scores must be finite")
-    if not np.all((y == 0) | (y == 1)):
-        raise InputError("labels must be 0 or 1")
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise InputError("both classes must be present to place a threshold")
-
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    pos_cum = np.cumsum(y[order])
-    candidates = np.unique(np.concatenate([s, [0.0, 1.0]]))
-    # Rows with score <= candidate sit left of the searchsorted cut.
-    below = np.searchsorted(s_sorted, candidates, side="right")
-    pos_below = np.where(below > 0, pos_cum[np.maximum(below - 1, 0)], 0.0)
-    tp = n_pos - pos_below
-    fp = (s.size - below) - tp
-    j = tp / n_pos - fp / n_neg
+    curve = pr_curve(scores, labels)
+    candidates = np.unique(np.concatenate([scores, [0.0, 1.0]]))
+    # A candidate takes the counts of the lowest distinct score above it;
+    # one with nothing above it takes the prepended zero.
+    above = np.searchsorted(-curve.thresholds, -candidates)
+    tp = np.concatenate(([0.0], curve.tp))[above]
+    fp = np.concatenate(([0.0], curve.fp))[above]
+    j = tp / curve.tp[-1] - fp / curve.fp[-1]
     return float(candidates[int(np.argmax(j))])
 
 

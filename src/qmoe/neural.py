@@ -21,7 +21,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-_ACTIVATIONS = ("linear", "relu", "sigmoid")
+_OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -35,22 +35,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(name: str, pre: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return pre
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    if name == "sigmoid":
-        return sigmoid(pre)
-    raise ConfigurationError(f"unknown activation {name!r}")
-
-
 @dataclass(frozen=True)
 class MLPSpec:
-    """Layer widths plus the hidden and output activations."""
+    """Layer widths plus the output activation; hidden layers are ReLU."""
 
     layer_sizes: tuple[int, ...]
-    hidden_activation: str = "relu"
     output_activation: str = "linear"
 
     def __post_init__(self) -> None:
@@ -60,11 +49,9 @@ class MLPSpec:
             raise ConfigurationError("an MLP needs at least input and output sizes")
         if any(s < 1 for s in sizes):
             raise ConfigurationError(f"layer sizes must be positive, got {sizes}")
-        for name in (self.hidden_activation, self.output_activation):
-            if name not in _ACTIVATIONS:
-                raise ConfigurationError(
-                    f"unknown activation {name!r}, expected one of {_ACTIVATIONS}"
-                )
+        if self.output_activation not in _OUTPUT_ACTIVATIONS:
+            raise ConfigurationError(f"unknown output activation {self.output_activation!r}, "
+                                     f"expected one of {_OUTPUT_ACTIVATIONS}")
 
     @property
     def n_layers(self) -> int:
@@ -72,7 +59,7 @@ class MLPSpec:
 
 
 def init_mlp_params(spec: MLPSpec, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """He-uniform weights for ReLU-fed layers, Glorot-uniform for the rest.
+    """He-uniform weights for the hidden (ReLU) layers, Glorot-uniform for the output.
 
     Biases start at zero. The rng is consumed in a fixed order, so one seed
     gives one network.
@@ -81,9 +68,7 @@ def init_mlp_params(spec: MLPSpec, rng: np.random.Generator) -> list[tuple[np.nd
     for i in range(spec.n_layers):
         fan_in = spec.layer_sizes[i]
         fan_out = spec.layer_sizes[i + 1]
-        hidden = i < spec.n_layers - 1
-        act = spec.hidden_activation if hidden else spec.output_activation
-        if act == "relu":
+        if i < spec.n_layers - 1:
             limit = np.sqrt(6.0 / fan_in)
         else:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -120,9 +105,11 @@ def mlp_forward(spec: MLPSpec, params, x):
             f"input width {batch.shape[1]} does not match spec input {spec.layer_sizes[0]}"
         )
     acts = [batch]
-    for i, (w, b) in enumerate(params):
-        act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
-        acts.append(_activate(act, acts[-1] @ w.T + b))
+    for w, b in params[:-1]:
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    w, b = params[-1]
+    out = acts[-1] @ w.T + b
+    acts.append(sigmoid(out) if spec.output_activation == "sigmoid" else out)
     return acts[-1], acts
 
 
@@ -143,12 +130,11 @@ def mlp_backward(spec: MLPSpec, params, acts, grad):
         )
     param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * spec.n_layers
     for i in range(spec.n_layers - 1, -1, -1):
-        act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
         out = acts[i + 1]
-        if act == "relu":
+        if i < spec.n_layers - 1:
             # out > 0 exactly where pre > 0: subgradient 0 at exactly 0
             grad = grad * (out > 0)
-        elif act == "sigmoid":
+        elif spec.output_activation == "sigmoid":
             grad = grad * (out * (1.0 - out))
         w, _ = params[i]
         param_grads[i] = (grad.T @ acts[i], grad.sum(axis=0))

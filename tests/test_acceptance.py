@@ -158,7 +158,7 @@ def _relu_margin(spec, params, x):
     margin = np.inf
     for i, (w, b) in enumerate(params):
         pre = h @ w.T + b
-        act = spec.output_activation if i == len(params) - 1 else spec.hidden_activation
+        act = spec.output_activation if i == len(params) - 1 else "relu"
         if act == "relu":
             margin = min(margin, float(np.min(np.abs(pre))))
             h = np.maximum(pre, 0.0)
@@ -171,7 +171,7 @@ def _relu_margin(spec, params, x):
 
 def _mlp_instance(rng, output):
     sizes = (int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(1, 3)))
-    spec = MLPSpec(layer_sizes=sizes, hidden_activation="relu", output_activation=output)
+    spec = MLPSpec(layer_sizes=sizes, output_activation=output)
     for _ in range(40):
         params = init_mlp_params(spec, rng)
         x = rng.normal(size=(4, sizes[0]))
@@ -305,7 +305,7 @@ def test_02_gradients_match_finite_differences():
 def test_03_metric_hand_values_and_calibration_invariance():
     scores = np.array([0.9, 0.8, 0.7, 0.6])
     labels = np.array([1.0, 0.0, 1.0, 0.0])
-    ap = average_precision(scores, labels)
+    ap = average_precision(pr_curve(scores, labels))
     aucpr = auprc_trapezoid(pr_curve(scores, labels))
     ap_err = abs(ap - 5.0 / 6.0)
     aucpr_err = abs(aucpr - 11.0 / 12.0)
@@ -315,11 +315,11 @@ def test_03_metric_hand_values_and_calibration_invariance():
     probe = rng.uniform(0.32, 0.68, size=64)
     probe_labels = (rng.random(64) < 0.3).astype(float)
     probe_labels[:2] = (1.0, 0.0)
-    base_ap = average_precision(probe, probe_labels)
+    base_ap = average_precision(pr_curve(probe, probe_labels))
     drift = max(
-        abs(average_precision(
+        abs(average_precision(pr_curve(
             apply_temperature(TemperatureScaler(t, 0.0, 0), probe), probe_labels
-        ) - base_ap)
+        )) - base_ap)
         for t in (0.05, 0.45, 2.3, 20.0)
     )
     _verdict(
@@ -376,7 +376,8 @@ def test_04_router_targets_cloned_expert_and_monotone_routing():
         clone_ok = clone_ok and np.array_equal(out.probs, base_probs)
         clone_ok = clone_ok and np.array_equal(out.labels, base_hard)
         clone_ok = clone_ok and (
-            average_precision(out.probs, y) == average_precision(base_probs, y)
+            average_precision(pr_curve(out.probs, y))
+            == average_precision(pr_curve(base_probs, y))
         )
     _verdict(
         4,

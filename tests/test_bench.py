@@ -27,7 +27,7 @@ from qmoe.bench import (
 )
 from qmoe.data import split_eval, synthesize
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
-from qmoe.gbdt import GBDTParams
+from qmoe.gbdt import GBDTParams, router_params
 from qmoe.hybrid import HybridConfig
 from qmoe.moe import GAMMA_GRID
 
@@ -274,8 +274,8 @@ def test_load_config_takes_any_subset(tmp_path):
     assert config.n_splits == 4 and config.n_repeats == RunConfig().n_repeats
     assert config.gamma_grid == (0.25, 0.75)
     assert config.hybrid == HybridConfig(encoder_hidden=(8, 4))
-    # A nested object starts from its own class's defaults, not RunConfig's.
-    assert config.router == GBDTParams(n_estimators=10)
+    # A nested object starts from RunConfig's default for that field.
+    assert config.router == replace(router_params(), n_estimators=10)
     assert config.expert == GBDTParams()
 
 
@@ -657,4 +657,19 @@ def test_fit_fold_rejects_non_finite_holdout_rows(dataset):
     bad = x.copy()
     bad[holdout[3], 4] = np.nan
     with pytest.raises(InputError, match="finite"):
+        fit_fold(CONFIG, bad, y, train_idx, heldout_idx, 0, 0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("part", ["validation", "analysis", "holdout", "train"])
+def test_fit_fold_names_the_non_finite_dataset_row(dataset, part, value):
+    # Scaling clips an infinity into range, so the raw rows are checked
+    # before it, in every part of the fold.
+    x, y = dataset
+    train_idx, heldout_idx = np.arange(0, len(y), 2), np.arange(1, len(y), 2)
+    parts = split_eval(y, heldout_idx, seed=_fold_seeds(CONFIG.seed, 0, 0)[0])
+    row = int((train_idx if part == "train" else getattr(parts, part))[5])
+    bad = x.copy()
+    bad[row, 7] = value
+    with pytest.raises(InputError, match=rf"finite.*row indices \[{row}\]"):
         fit_fold(CONFIG, bad, y, train_idx, heldout_idx, 0, 0)

@@ -13,7 +13,7 @@ from qmoe.calibration import (
     _nll,
 )
 from qmoe.errors import InputError
-from qmoe.metrics import average_precision
+from qmoe.metrics import average_precision, pr_curve
 
 
 def scan_oracle(probs, labels, grid=None):
@@ -112,13 +112,13 @@ def test_scaling_preserves_ranking_metrics():
     labels = (rng.uniform(size=200) < 0.15).astype(int)
     labels[:2] = [0, 1]
     scores = rng.uniform(0.32, 0.68, size=200)
-    base = average_precision(scores, labels)
+    base = average_precision(pr_curve(scores, labels))
     for t in (0.05, 0.45, 2.3, 20.0):
         scaled = apply_temperature(TemperatureScaler(t, 0.0, 0), scores)
         np.testing.assert_array_equal(
             np.argsort(scaled, kind="stable"), np.argsort(scores, kind="stable")
         )
-        assert average_precision(scaled, labels) == pytest.approx(base, abs=1e-12)
+        assert average_precision(pr_curve(scaled, labels)) == pytest.approx(base, abs=1e-12)
 
 
 def test_fitted_temperature_stays_in_bounds():

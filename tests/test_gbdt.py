@@ -1,5 +1,7 @@
 """Boosted-tree tests against a brute-force split oracle, reference growers and walkers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -326,7 +328,7 @@ def test_router_params_defaults_and_overrides():
     base = router_params()
     assert base.max_depth == 3
     assert base.n_estimators == 100
-    tweaked = router_params(learning_rate=0.3)
+    tweaked = replace(router_params(), learning_rate=0.3)
     assert tweaked.learning_rate == 0.3
     assert tweaked.max_depth == 3
 
@@ -585,7 +587,7 @@ def test_fitted_models_predict_the_reference_margins():
     rng = np.random.default_rng(18)
     x = np.round(rng.normal(size=(400, 4)), 1)
     y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(0, 0.5, 400) > 0).astype(float)
-    for params in (GBDTParams(n_estimators=30, max_depth=4), router_params(n_estimators=20)):
+    for params in (GBDTParams(n_estimators=30, max_depth=4), replace(router_params(), n_estimators=20)):
         model = fit_gbdt(params, x, y)
         probe = np.concatenate([x, random_rows(rng, 100, 4, x[:5, 0], nan_fraction=0.2)])
         assert_same_bytes(model.predict_margin(probe), reference_margin(model, probe))

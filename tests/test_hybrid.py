@@ -14,7 +14,7 @@ from qmoe.hybrid import (
     fit_hybrid,
     init_hybrid,
 )
-from qmoe.metrics import average_precision
+from qmoe.metrics import average_precision, pr_curve
 from qmoe.neural import bce_loss, mlp_backward, mlp_forward, mse_loss
 from qmoe.qsim import batch_expectations, batch_parameter_shift
 
@@ -208,7 +208,7 @@ def test_learns_a_separable_problem():
     )
     model, report = fit_hybrid(cfg, x, y)
     probs = model.predict_proba(x)
-    assert average_precision(probs, y) > 0.99
+    assert average_precision(pr_curve(probs, y)) > 0.99
     assert np.mean((probs > 0.5) == (y == 1)) > 0.95
     assert report.epochs[-1].train_loss < report.epochs[0].train_loss
 
@@ -231,7 +231,8 @@ def test_early_stopping_restores_best_epoch():
     recorded = [e.val_ap for e in report.epochs]
     # The rollback is exact: re-scoring the returned model reproduces the
     # best epoch's validation AP bit for bit.
-    assert average_precision(model.predict_proba(x_val), y_val) == max(recorded)
+    best = average_precision(pr_curve(model.predict_proba(x_val), y_val))
+    assert best == max(recorded)
 
 
 def test_recon_only_training_freezes_quantum_and_head():

@@ -35,11 +35,14 @@ def test_hand_curve_points():
     np.testing.assert_allclose(curve.recall, [0.5, 0.5, 1.0, 1.0])
     np.testing.assert_allclose(curve.precision, [1.0, 0.5, 2.0 / 3.0, 0.5])
     np.testing.assert_allclose(curve.thresholds, [0.9, 0.8, 0.7, 0.6])
+    assert curve.tp.tolist() == [1.0, 1.0, 2.0, 2.0]
+    assert curve.fp.tolist() == [0.0, 1.0, 1.0, 2.0]
 
 
 def test_hand_average_precision():
     # 0.5 * 1 + 0.5 * (2/3) = 5/6
-    assert average_precision(HAND_SCORES, HAND_LABELS) == pytest.approx(5.0 / 6.0, abs=1e-12)
+    ap = average_precision(pr_curve(HAND_SCORES, HAND_LABELS))
+    assert ap == pytest.approx(5.0 / 6.0, abs=1e-12)
 
 
 def test_hand_auprc_trapezoid():
@@ -61,7 +64,7 @@ def test_perfect_ranking():
     scores = np.array([0.9, 0.8, 0.3, 0.2])
     labels = np.array([1, 1, 0, 0])
     curve = pr_curve(scores, labels)
-    assert average_precision(scores, labels) == pytest.approx(1.0)
+    assert average_precision(pr_curve(scores, labels)) == pytest.approx(1.0)
     assert auprc_trapezoid(curve) == pytest.approx(1.0)
     # precision 1 at full recall is on the curve
     at_full = curve.precision[curve.recall == 1.0]
@@ -86,7 +89,7 @@ def test_average_precision_matches_brute_force_on_random_data():
             continue
         # draw from a coarse grid so ties actually happen
         scores = rng.integers(0, 12, size=n) / 11.0
-        got = average_precision(scores, labels)
+        got = average_precision(pr_curve(scores, labels))
         assert got == pytest.approx(brute_force_ap(scores, labels), abs=1e-12)
 
 
@@ -98,7 +101,7 @@ def test_ap_and_trapezoid_generally_differ():
         scores = rng.uniform(size=60)
         if labels.min() == labels.max():
             continue
-        ap = average_precision(scores, labels)
+        ap = average_precision(pr_curve(scores, labels))
         area = auprc_trapezoid(pr_curve(scores, labels))
         diffs.append(abs(ap - area))
     assert max(diffs) > 1e-6
@@ -109,9 +112,10 @@ def test_monotone_transform_leaves_ap_unchanged():
     labels = (rng.uniform(size=80) < 0.2).astype(int)
     labels[:2] = [0, 1]
     scores = rng.uniform(0.02, 0.98, size=80)
-    base = average_precision(scores, labels)
+    base = average_precision(pr_curve(scores, labels))
     for transform in (lambda s: s ** 3, lambda s: 1 / (1 + np.exp(-5 * (s - 0.5)))):
-        assert average_precision(transform(scores), labels) == pytest.approx(base, abs=1e-12)
+        ap = average_precision(pr_curve(transform(scores), labels))
+        assert ap == pytest.approx(base, abs=1e-12)
 
 
 def test_recall_is_non_decreasing_and_thresholds_descend():
@@ -153,7 +157,7 @@ def test_single_class_curve_is_an_error():
     with pytest.raises(InputError):
         pr_curve(np.array([0.1, 0.9]), np.array([1, 1]))
     with pytest.raises(InputError):
-        average_precision(np.array([0.1, 0.9]), np.array([0, 0]))
+        average_precision(pr_curve(np.array([0.1, 0.9]), np.array([0, 0])))
 
 
 def test_input_validation():
@@ -161,5 +165,7 @@ def test_input_validation():
         pr_curve(np.array([0.1, np.nan]), np.array([0, 1]))
     with pytest.raises(InputError):
         pr_curve(np.array([0.1, 0.2]), np.array([0, 2]))
+    with pytest.raises(InputError):
+        pr_curve(np.array([0.1, 0.2, 0.3]), np.array([0, 1, 0.5]))  # not truncated to 0
     with pytest.raises(InputError):
         pr_curve(np.array([]), np.array([]))

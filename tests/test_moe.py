@@ -31,14 +31,20 @@ def oracle_youden(scores, labels):
 
 def test_youden_matches_brute_force():
     rng = np.random.default_rng(3)
-    for trial in range(40):
-        n = rng.integers(5, 60)
-        labels = (rng.random(n) < 0.4).astype(float)
-        if labels.min() == labels.max():
-            continue
-        # Coarse grid scores force plenty of exact ties.
-        scores = rng.integers(0, 8, size=n) / 8.0
-        assert youden_threshold(scores, labels) == oracle_youden(scores, labels)
+    families = (
+        lambda n: rng.integers(0, 8, size=n) / 8.0,  # coarse grid: plenty of exact ties
+        lambda n: rng.random(n),
+        lambda n: rng.normal(0.5, 0.6, size=n),  # many scores outside [0, 1]
+        lambda n: np.clip(rng.normal(0.5, 3.0, size=n), 1e-7, 1 - 1e-7),  # piled on the clamps
+    )
+    for draw in families:
+        for trial in range(40):
+            n = rng.integers(5, 60)
+            labels = (rng.random(n) < 0.4).astype(float)
+            if labels.min() == labels.max():
+                continue
+            scores = draw(n)
+            assert youden_threshold(scores, labels) == oracle_youden(scores, labels)
 
 
 def test_youden_perfect_separation():
@@ -56,6 +62,11 @@ def test_youden_ties_pick_smallest_candidate():
     labels = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
     assert youden_threshold(scores, labels) == 0.0
     assert youden_threshold(scores[::-1], labels[::-1]) == 0.0
+
+
+def test_youden_refuses_column_vectors():
+    with pytest.raises(InputError):
+        youden_threshold(np.array([[0.1], [0.9]]), np.array([[0.0], [1.0]]))
 
 
 def test_youden_rejects_single_class():

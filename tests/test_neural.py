@@ -101,7 +101,7 @@ def test_forward_shape_validation():
     with pytest.raises(ConfigurationError):
         MLPSpec((3,))
     with pytest.raises(ConfigurationError):
-        MLPSpec((3, 2), hidden_activation="softplus")
+        MLPSpec((3, 2), output_activation="softplus")
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +235,14 @@ def reference_backward(spec, params, x, grad):
     """
     inputs, preacts, current = [], [], x
     for i, (w, b) in enumerate(params):
-        act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
+        act = "relu" if i < spec.n_layers - 1 else spec.output_activation
         inputs.append(current)
         pre = current @ w.T + b
         preacts.append(pre)
         current = {"linear": pre, "relu": np.maximum(pre, 0.0), "sigmoid": sigmoid(pre)}[act]
     param_grads = [None] * spec.n_layers
     for i in range(spec.n_layers - 1, -1, -1):
-        act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
+        act = "relu" if i < spec.n_layers - 1 else spec.output_activation
         pre = preacts[i]
         if act == "linear":
             local = np.ones_like(pre)
