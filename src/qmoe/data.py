@@ -41,45 +41,61 @@ N_FEATURES = 29  # V1..V28 plus Amount
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a transaction CSV into (features, labels), dropping Time.
 
+    The body is parsed in one ``np.loadtxt`` call; quoted fields (the
+    Kaggle file quotes its header and Class) and empty lines are fine.
     Raises DataError with the offending row and column named, so a
     truncated download or a stray locale comma is diagnosable from the
-    message alone.
+    message alone, and names the path when the file cannot be read.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if header != CSV_HEADER:
-            raise DataError(
-                f"{path}: unexpected header; expected {CSV_HEADER[:3]}...{CSV_HEADER[-2:]}, "
-                f"got {header[:3]}...{header[-2:] if len(header) >= 2 else header}"
-            )
-        features = []
-        labels = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            if not first:
+                raise DataError(f"{path}: file is empty")
+            header = next(csv.reader([first]))
+            if header != CSV_HEADER:
                 raise DataError(
-                    f"{path}: line {line_no} has {len(row)} fields, expected {len(CSV_HEADER)}"
+                    f"{path}: unexpected header; expected {CSV_HEADER[:3]}...{CSV_HEADER[-2:]}, "
+                    f"got {header[:3]}...{header[-2:] if len(header) >= 2 else header}"
                 )
             try:
-                values = [float(v) for v in row]
-            except ValueError:
-                bad = next(i for i, v in enumerate(row) if not _is_float(v))
-                raise DataError(
-                    f"{path}: line {line_no}, column {CSV_HEADER[bad]}: "
-                    f"cannot parse {row[bad]!r} as a number"
-                ) from None
-            if values[-1] not in (0.0, 1.0):
-                raise DataError(
-                    f"{path}: line {line_no}: Class must be 0 or 1, got {row[-1]!r}"
-                )
-            features.append(values[1:-1])
-            labels.append(values[-1])
-    if not features:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.float64)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # an empty body
+                    table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                       ndmin=2, dtype=np.float64)
+            except UnicodeDecodeError:  # a ValueError, but a read fault
+                raise
+            except ValueError as exc:
+                table, fault = None, str(exc)
+        if table is not None:
+            if table.shape[0] == 0:
+                raise DataError(f"{path}: no data rows")
+            labels = table[:, -1]
+            if table.shape[1] == len(CSV_HEADER) and np.all((labels == 0.0) | (labels == 1.0)):
+                return np.ascontiguousarray(table[:, 1:-1]), labels.copy()
+            fault = f"rows are not {len(CSV_HEADER)} fields with a 0/1 Class"
+        raise DataError(f"{path}: {_first_fault(path) or fault}")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _first_fault(path) -> str | None:
+    """Re-read the body row by row for a message naming the bad line, column and token."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                return f"line {line_no} has {len(row)} fields, expected {len(CSV_HEADER)}"
+            bad = next((i for i, v in enumerate(row) if not _is_float(v)), None)
+            if bad is not None:
+                return (f"line {line_no}, column {CSV_HEADER[bad]}: "
+                        f"cannot parse {row[bad]!r} as a number")
+            if float(row[-1]) not in (0.0, 1.0):
+                return f"line {line_no}: Class must be 0 or 1, got {row[-1]!r}"
+    return None
 
 
 def _is_float(s: str) -> bool:
@@ -98,11 +114,14 @@ def save_csv(path, x: np.ndarray, y: np.ndarray) -> None:
         raise InputError(f"expected (rows, {N_FEATURES}) features, got {x.shape}")
     if y.shape != (x.shape[0],):
         raise InputError(f"labels {y.shape} do not match {x.shape[0]} rows")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i in range(x.shape[0]):
-            writer.writerow([float(i)] + [repr(float(v)) for v in x[i]] + [int(y[i])])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for i in range(x.shape[0]):
+                writer.writerow([float(i)] + [repr(float(v)) for v in x[i]] + [int(y[i])])
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -122,9 +141,10 @@ class MinMaxScaler:
         if x.ndim != 2 or x.shape[1] != self.low.shape[0]:
             raise InputError(f"expected (rows, {self.low.shape[0]}), got {x.shape}")
         safe_span = np.where(self.span > 0, self.span, 1.0)
-        out = (x - self.low) / safe_span
+        out = x - self.low  # one buffer: no whole-array temporaries
+        out /= safe_span
         out[:, self.span == 0] = 0.0
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 def fit_minmax(x) -> MinMaxScaler:

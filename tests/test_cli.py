@@ -191,6 +191,30 @@ def test_missing_model_exits_1(tmp_path, capsys):
     assert "error: cannot read model file" in capsys.readouterr().err
 
 
+def _undecodable_csv(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"\xffTime,V1\n")
+    return path
+
+
+@pytest.mark.parametrize("command, make", [
+    ("evaluate", lambda tmp_path: tmp_path / "absent.csv"),
+    ("evaluate", lambda tmp_path: tmp_path),
+    ("evaluate", _undecodable_csv),
+    ("synth", lambda tmp_path: tmp_path / "no-such-dir" / "x.csv"),
+], ids=["missing file", "directory", "not utf-8", "unwritable"])
+def test_unreadable_data_path_exits_1(command, make, workspace, tmp_path, capsys):
+    path = str(make(tmp_path))
+    if command == "evaluate":
+        argv = ["evaluate", "--model", workspace["model"], "--data", path]
+    else:
+        argv = ["synth", "--rows", "1200", "--out", path]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_non_finite_row_exits_1(workspace, tmp_path, capsys):
     lines = open(workspace["csv"]).read().splitlines()
     fields = lines[4].split(",")  # data row 3, after the header line

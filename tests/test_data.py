@@ -1,5 +1,7 @@
 """Data-layer tests: CSV round trips, scaling, sampling, splits, synth."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,119 @@ def test_scaler_fits_train_only():
     refit = fit_minmax(np.vstack([train, test]))
     assert refit.transform(test)[0, 0] == 1.0
     assert refit.transform([[1.0]])[0, 0] == 0.5
+
+
+# The body is parsed in one np.loadtxt call; what it accepts and refuses,
+# with the messages of the row-by-row re-scan that names a fault.
+
+ROW = ",".join(["0.5"] * (len(CSV_HEADER) - 1)) + ",1"
+
+
+def _write(tmp_path, text, name="txn.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def test_kaggle_quoted_file_loads_like_the_unquoted_one(tmp_path):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, N_FEATURES))
+    y = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    plain = tmp_path / "plain.csv"
+    save_csv(plain, x, y)
+    lines = plain.read_text().splitlines()
+    quoted = [",".join(f'"{c}"' for c in CSV_HEADER)]
+    for line in lines[1:]:  # the Kaggle file quotes its header and every Class
+        head, label = line.rsplit(",", 1)
+        quoted.append(f'{head},"{label}"')
+    quoted_path = _write(tmp_path, "\n".join(quoted) + "\n", "quoted.csv")
+    for got, want in zip(load_csv(quoted_path), load_csv(plain)):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(load_csv(plain)[0], x)
+
+
+def test_nan_and_inf_tokens_still_load(tmp_path):
+    fields = ROW.split(",")
+    fields[1], fields[2], fields[3] = "nan", "inf", "-Infinity"
+    x, _ = load_csv(_write(tmp_path, ",".join(CSV_HEADER) + "\n" + ",".join(fields) + "\n"))
+    assert np.isnan(x[0, 0]) and x[0, 1] == np.inf and x[0, 2] == -np.inf
+
+
+def test_empty_lines_are_skipped(tmp_path):
+    text = ",".join(CSV_HEADER) + "\n" + ROW + "\n\n" + ROW + "\r\n\n"
+    x, y = load_csv(_write(tmp_path, text))
+    assert x.shape == (2, N_FEATURES)
+    assert np.array_equal(y, [1.0, 1.0])
+
+
+def test_underscore_digits_are_refused_naming_the_path(tmp_path):
+    path = _write(tmp_path, ",".join(CSV_HEADER) + "\n" + ROW.replace("0.5", "1_0", 1) + "\n")
+    with pytest.raises(DataError, match=f"^{path}: .*'1_0'"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ((",".join(["0.5"] * 29) + ",0\n") * 3, "line 2 has 30 fields, expected 31"),
+    (ROW + "\n   \n" + ROW + "\n", "line 3 has 1 fields, expected 31"),
+    (ROW + "\n" + ROW.replace("0.5", "0#5", 1) + "\n", "line 3, column Time: cannot parse '0#5'"),
+    (ROW + "#5\n", "line 2, column Class: cannot parse '1#5'"),  # not cut at the '#'
+    (ROW + "\n\n" + ROW.replace("0.5", "x", 1) + "\n", "line 4, column Time: cannot parse 'x'"),
+    (ROW + "\n" + ROW[:-1] + "0.5\n", "line 3: Class must be 0 or 1, got '0.5'"),
+    (ROW + "\n" + ROW[:-1] + "nan\n", "line 3: Class must be 0 or 1, got 'nan'"),
+], ids=["30 fields everywhere", "whitespace line", "hash in a field", "hash in Class",
+        "fault after an empty line", "Class 0.5", "Class nan"])
+def test_refused_bodies_keep_their_messages(tmp_path, body, message):
+    path = _write(tmp_path, ",".join(CSV_HEADER) + "\n" + body)
+    with pytest.raises(DataError, match=f"^{path}: {message}"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "file is empty"),
+    (",".join(CSV_HEADER) + "\n", "no data rows"),
+    (",".join(CSV_HEADER) + "\n\n\n", "no data rows"),
+], ids=["empty file", "header only", "header and empty lines"])
+def test_empty_files_are_refused_without_a_warning(tmp_path, text, message):
+    path = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^{path}: {message}$"):
+            load_csv(path)
+
+
+def _undecodable(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"\xff" + ",".join(CSV_HEADER).encode() + b"\n")
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: tmp_path / "absent.csv",
+    lambda tmp_path: tmp_path,
+    _undecodable,
+], ids=["missing", "directory", "not utf-8"])
+def test_unreadable_files_are_data_errors(tmp_path, make):
+    path = make(tmp_path)
+    with pytest.raises(DataError, match=f"^cannot read {path}: "):
+        load_csv(path)
+
+
+def test_unwritable_path_is_a_data_error(tmp_path):
+    path = tmp_path / "no-such-dir" / "x.csv"
+    with pytest.raises(DataError, match=f"^cannot write {path}: "):
+        save_csv(path, np.zeros((1, N_FEATURES)), np.zeros(1))
+
+
+def test_minmax_transform_matches_the_expression_and_leaves_its_input():
+    rng = np.random.default_rng(6)
+    scaler = fit_minmax(np.c_[rng.normal(size=(40, 3)), np.full(40, 2.0)])
+    x = np.c_[rng.normal(0, 3, size=(200, 3)), rng.normal(size=200)]
+    before = x.copy()
+    safe_span = np.where(scaler.span > 0, scaler.span, 1.0)
+    want = (x - scaler.low) / safe_span
+    want[:, scaler.span == 0] = 0.0
+    want = np.clip(want, 0.0, 1.0)
+    got = scaler.transform(x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(x, before)

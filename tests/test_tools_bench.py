@@ -1,4 +1,5 @@
-"""tools/bench.py's kernel verdict, which only the invocation medians decide."""
+"""tools/bench.py: the kernel verdict, which only the invocation medians decide,
+and the topic tables."""
 
 import importlib.util
 import sys
@@ -26,3 +27,11 @@ def _side(*medians):
 ])
 def test_kernel_verdict_needs_every_invocation(parent, change, verdict):
     assert tools_bench.kernel_verdict(parent, change) == verdict
+
+
+@pytest.mark.parametrize("name", sorted(tools_bench.TOPICS))
+def test_every_topic_has_a_title_and_kernels(name):
+    topic = tools_bench.TOPICS[name]
+    assert topic.title.strip()
+    assert topic.kernels and all(isinstance(kernel, dict) and kernel for kernel in topic.kernels)
+    compile(tools_bench._TIMER.format(setup=topic.setup), f"<{name} timer>", "exec")

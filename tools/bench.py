@@ -14,7 +14,10 @@ serving forests and ``Tree.predict`` on one tree per boosting round, and
 writes BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
 ``mlp_backward`` on the paper encoder, one ``_batch_gradients`` step and
 ``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
-BENCH_hybrid.json.
+BENCH_hybrid.json; ``ingest`` times ``data.load_csv`` on a 142,404-row
+``save_csv`` file (written once, outside the timed calls) and
+``MinMaxScaler.transform`` on a (142404, 29) array, and writes
+BENCH_ingest.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -178,6 +181,31 @@ def mlp():
     neural.mlp_backward(cfg.encoder_spec, model.encoder, acts, upstream)
 call = {"mlp": mlp, "_batch_gradients": lambda: hybrid._batch_gradients(model, x, y),
         "predict_proba": lambda: model.predict_proba(x)}[kernel["call"]]
+""",
+    ),
+    "ingest": Topic(
+        title="serve ingestion: load_csv parses the body in one np.loadtxt call, and "
+              "MinMaxScaler.transform scales in one buffer",
+        # The serve-paper pool: load_csv of its 142,404-row save_csv file,
+        # written once before the timed calls, and the scaler over its
+        # (142404, 29) features.
+        kernels=(
+            {"call": "load_csv", "rows": 142_404},
+            {"call": "MinMaxScaler.transform", "rows": 142_404},
+        ),
+        setup="""
+import atexit, os, shutil, tempfile
+from qmoe import data
+x, y, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
+if kernel["call"] == "load_csv":
+    tmp = tempfile.mkdtemp()
+    atexit.register(shutil.rmtree, tmp)
+    path = os.path.join(tmp, "pool.csv")
+    data.save_csv(path, x, y)
+    call = lambda: data.load_csv(path)
+else:
+    scaler = data.fit_minmax(x)
+    call = lambda: scaler.transform(x)
 """,
     ),
 }
