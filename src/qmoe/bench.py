@@ -596,7 +596,8 @@ def _check_tree(tree: Tree, n_features: int, index: int) -> None:
     """Reject node arrays that Tree.predict would loop on, index past or misread.
 
     Children must sit after their parent, so every root-to-leaf walk ends;
-    a node is a leaf exactly when its feature is -1 and it has no children.
+    a node is a leaf exactly when its feature is -1 and it has no children;
+    no node has two parents, as the scorer drops a value once it is read.
     """
     size = tree.feature.shape[0]
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
@@ -620,6 +621,10 @@ def _check_tree(tree: Tree, n_features: int, index: int) -> None:
         node = int(np.flatnonzero(bad_child)[0])
         raise ValueError(f"tree {index}, node {node}: children ({tree.left[node]}, "
                          f"{tree.right[node]}) must lie after the node and below {size}")
+    parents = np.bincount(np.concatenate([tree.left[~leaf], tree.right[~leaf]]), minlength=size)
+    if (parents > 1).any():
+        node = int(np.flatnonzero(parents > 1)[0])
+        raise ValueError(f"tree {index}, node {node}: a node must have at most one parent")
 
 
 def _gbdt(obj, name: str) -> GBDTModel:

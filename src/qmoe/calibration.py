@@ -3,9 +3,10 @@
 The scaler maps p to sigmoid(logit(p) / t). A temperature above 1 softens
 overconfident scores, below 1 sharpens. Fitting minimizes the negative
 log-likelihood on held-out data with a golden-section scan over log t, so
-the fit is deterministic and derivative-free. The map is strictly
-monotone for any t > 0: rankings, and with them every ranking metric, are
-unchanged.
+the fit is deterministic and derivative-free. The map is monotone up to
+rounding: the logit and the sigmoid are each rounded, so at t in [T_MIN,
+T_MAX] no output falls more than one ulp below that of a smaller input,
+and a ranking metric can move only where two scores sit a few ulps apart.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def fit_temperature(probs, labels) -> TemperatureScaler:
 
 
 def apply_temperature(scaler: TemperatureScaler, probs) -> np.ndarray:
-    """Rescale probabilities; preserves order, t = 1 is the identity.
+    """Rescale probabilities; keeps order up to one ulp, and t = 1 moves them a few ulps.
 
     Outputs are clamped to [PROB_EPS, 1 - PROB_EPS] so they remain strictly
     inside (0, 1); sharpening with a small t saturates extreme inputs onto

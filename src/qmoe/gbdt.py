@@ -22,16 +22,19 @@ search at a node is therefore one gather, two cumulative sums and one gain
 table over all features at once. The tie rule comes from taking the first
 maximum of the flattened (feature, threshold) gain table.
 
-Prediction walks every tree of a model at once, level by level, with
-predicated array steps instead of per-tree branching (Asadi, Lin & de
-Vries, IEEE TKDE 2014). The trees' node arrays are concatenated once per
-call; a leaf reads feature 0 and is its own child, so a row that reached
-a leaf stays there and no step compacts the rows. One step is a feature
-gather, a value gather, one compare and one child gather over a
-(trees, chunk) node table, and a call takes exactly as many steps as
-the deepest tree. Rows go in chunks of a fixed size, so the temporaries
-stay O(trees x chunk) on any pool. The margin adds the trees' values in
-boosting order, so it is the same to the bit as adding one tree at a time.
+Prediction tests every split independently of the path a row takes, the
+idea of QuickScorer (Lucchese et al., SIGIR 2015), and combines the tests
+by nested selects rather than QuickScorer's leaf bitvectors. Each block of
+rows is transposed once to (features, rows); a tree's splits are taken
+last to first, children sitting after their parent, and a split's value
+is np.where(x[feature] <= threshold, left, right), a leaf's its scalar. A
+row on a threshold goes left, a NaN right. A forest thus costs O(internal
+nodes x rows) in contiguous compares and selects, against O(depth x trees
+x rows) in gathers for a level-by-level walk of every tree at once (Asadi,
+Lin & de Vries, IEEE TKDE 2014); dense deep trees narrow the gap. The
+margin adds the trees' values, each leaf value first multiplied by the
+learning rate, in boosting order: the same bits as adding one round at a
+time.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .neural import log_loss, sigmoid
 __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
 
 _PRIOR_EPS = 1e-6
-_CHUNK_ROWS = 2048  # rows per prediction step; temporaries are O(trees x chunk)
+_BLOCK_ROWS = 8192  # rows per transposed block; temporaries are O(features x block)
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,10 @@ def router_params() -> GBDTParams:
 
 @dataclass
 class Tree:
-    """One regression tree as parallel node arrays; feature -1 marks a leaf."""
+    """One regression tree as parallel node arrays; feature -1 marks a leaf.
+
+    Children sit after their one parent, as the builder and ``load_model`` ensure.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -103,56 +109,40 @@ class Tree:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape[0])
-        for rows, values in _forest_values([self], x):
-            out[rows] = values[0]
+        plan = self._plan(self.value)
+        for rows, xt in _row_blocks(x):
+            out[rows] = _select(plan, xt)
         return out
 
+    def _plan(self, value: np.ndarray) -> tuple:
+        """``value`` as a list and the (node, feature, threshold, left, right) splits, last first."""
+        nodes = zip(range(self.feature.size), self.feature.tolist(), self.threshold.tolist(),
+                    self.left.tolist(), self.right.tolist())
+        splits = [node for node in nodes if node[1] >= 0]
+        splits.reverse()
+        return value.tolist(), splits
 
-def _forest_values(trees: list, x: np.ndarray):
-    """Yield ``(rows, values)`` per row chunk: ``values[t]`` is tree t's leaf value per row.
 
-    Every tree of the forest walks the chunk at once, one level per step;
-    see the module docstring. ``rows`` is a slice of ``x``'s rows.
+def _row_blocks(x: np.ndarray):
+    """Yield ``(rows, xt)`` per block of rows; ``xt`` is the block as (features, rows)."""
+    for start in range(0, x.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield rows, np.ascontiguousarray(x[rows].T, dtype=np.float64)
+
+
+def _select(plan: tuple, xt: np.ndarray):
+    """One tree's value per column of ``xt``: a scalar for a lone leaf, else an array.
+
+    A split's children are filled in before it, so one compare and one
+    np.where give its value; the children's values are then dropped, which
+    keeps O(depth) block-sized arrays alive on a preorder tree.
     """
-    if not trees:
-        return
-    sizes = [tree.feature.shape[0] for tree in trees]
-    roots = np.cumsum(sizes) - sizes
-    feature = np.concatenate([tree.feature for tree in trees])
-    leaf = feature < 0
-    feature[leaf] = 0
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    value = np.concatenate([tree.value for tree in trees])
-    # Row ``node`` holds (right, left), so once raveled, slot
-    # 2 * node + (x <= threshold) is the next node; a leaf points at itself.
-    child = np.empty((feature.size, 2), dtype=np.int64)
-    child[:, 0] = np.concatenate([tree.right for tree in trees])
-    child[:, 1] = np.concatenate([tree.left for tree in trees])
-    child += np.repeat(roots, sizes)[:, None]
-    own = np.flatnonzero(leaf)
-    child[own] = own[:, None]
-
-    # The forest's depth: children follow their parents, so the walk ends.
-    depth = 0
-    frontier = roots[~leaf[roots]]
-    while frontier.size:
-        depth += 1
-        below = child[frontier].ravel()
-        frontier = below[~leaf[below]]
-    child = child.ravel()
-
-    n_rows, n_features = x.shape
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n_rows)
-        flat = np.ascontiguousarray(x[start:stop], dtype=np.float64).ravel()
-        row_base = np.arange(stop - start) * n_features
-        node = np.repeat(roots[:, None], stop - start, axis=1)
-        for _ in range(depth):
-            go_left = flat[row_base + feature[node]] <= threshold[node]
-            node *= 2
-            node += go_left
-            node = child[node]
-        yield slice(start, stop), value[node]
+    slots, splits = plan
+    slots = slots.copy()
+    for node, feature, threshold, left, right in splits:
+        slots[node] = np.where(xt[feature] <= threshold, slots[left], slots[right])
+        slots[left] = slots[right] = None
+    return slots[0]
 
 
 @dataclass
@@ -167,11 +157,11 @@ class GBDTModel:
     def predict_margin(self, x) -> np.ndarray:
         x = self._check(x)
         margin = np.full(x.shape[0], self.base_score)
-        for rows, values in _forest_values(self.trees, x):
-            values *= self.params.learning_rate
-            chunk = margin[rows]
-            for tree_values in values:  # tree by tree, as the rounds were added
-                chunk += tree_values
+        forest = [tree._plan(tree.value * self.params.learning_rate) for tree in self.trees]
+        for rows, xt in _row_blocks(x):
+            block = margin[rows]
+            for plan in forest:  # tree by tree, as the rounds were added
+                block += _select(plan, xt)
         return margin
 
     def predict_proba(self, x) -> np.ndarray:

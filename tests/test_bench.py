@@ -367,6 +367,15 @@ def test_load_model_rejects_cyclic_tree(model_doc, tmp_path):
         _load_edited(model_doc, edit, tmp_path)
 
 
+def test_load_model_rejects_shared_child(model_doc, tmp_path):
+    # The scorer drops a node's value once a parent has read it, so a second
+    # parent would read nothing.
+    def edit(t):
+        t["right"][0] = t["left"][0]
+    with pytest.raises(ModelIOError, match="tree .*node 1: a node must have at most one parent"):
+        _load_edited(model_doc, edit, tmp_path)
+
+
 def test_load_model_rejects_child_out_of_range(model_doc, tmp_path):
     def edit(t):
         t["right"][0] = len(t["right"])
@@ -587,14 +596,14 @@ def test_load_model_checks_the_scaler_width(model_doc, tmp_path):
 
 
 def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
-    # One call over a pool spanning several prediction chunks scores every
+    # One call over a pool spanning several prediction blocks scores every
     # row exactly as calls on uneven slices of it do.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
-    n_rows = 3 * gbdt._CHUNK_ROWS + 100
+    n_rows = 3 * gbdt._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=21)
     gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
     routing_gamma = float(np.quantile(gate, 0.95))
-    cuts = [0, 1, 700, gbdt._CHUNK_ROWS + 3, 2 * gbdt._CHUNK_ROWS, n_rows - 5, n_rows]
+    cuts = [0, 1, 700, gbdt._BLOCK_ROWS + 3, 2 * gbdt._BLOCK_ROWS, n_rows - 5, n_rows]
     for gamma in (1.0, routing_gamma):
         whole = pipeline_predict(pipeline, x, gamma)
         parts = [pipeline_predict(pipeline, x[a:b], gamma) for a, b in zip(cuts, cuts[1:])]

@@ -1,5 +1,7 @@
 """Boosted-tree tests against a brute-force split oracle, reference growers and walkers."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -433,14 +435,14 @@ def test_validation_labels_must_be_binary():
         fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], np.eye(3), [0.0, 2.0, 1.0])
 
 
-# --- prediction: the level-synchronous forest walk against a per-tree walker ---
+# --- prediction: the compare-and-select scorer against a per-tree walker ---
 
 
 def reference_tree_predict(tree, x):
     """One tree's leaf value per row, walking only the rows still at a split.
 
-    This is the walk Tree.predict made before every tree of a forest walked
-    together; the forest walk must return the same bytes.
+    This is the walk Tree.predict made before every tree of a forest was
+    scored at once; the scorer must return the same bytes.
     """
     node = np.zeros(x.shape[0], dtype=np.int64)
     while True:
@@ -569,18 +571,47 @@ def test_zero_trees_and_zero_rows():
 def test_row_counts_around_one_chunk(offset):
     rng = np.random.default_rng(16 + offset)
     trees = [random_tree(rng, depth, 5, THRESHOLDS) for depth in (1, 3, 4, 5, 2)]
-    x = random_rows(rng, gbdt._CHUNK_ROWS + offset, 5, THRESHOLDS, nan_fraction=0.05)
+    x = random_rows(rng, gbdt._BLOCK_ROWS + offset, 5, THRESHOLDS, nan_fraction=0.05)
     assert_walks_match_reference(trees, x)
 
 
 def test_several_chunks_stay_chunk_sized():
     rng = np.random.default_rng(17)
     trees = [random_tree(rng, depth, 5, THRESHOLDS) for depth in (2, 3, 4) * 5]
-    x = random_rows(rng, 3 * gbdt._CHUNK_ROWS + 17, 5, THRESHOLDS, nan_fraction=0.05)
+    x = random_rows(rng, 3 * gbdt._BLOCK_ROWS + 17, 5, THRESHOLDS, nan_fraction=0.05)
     assert_walks_match_reference(trees, x)
-    # No step holds a (trees x all rows) table: each yield covers one chunk.
-    shapes = [values.shape for _, values in gbdt._forest_values(trees, x)]
-    assert shapes == [(15, gbdt._CHUNK_ROWS)] * 3 + [(15, 17)]
+    # No step holds an (all rows) table: each block is transposed and scored on its own.
+    blocks = list(gbdt._row_blocks(x))
+    assert [xt.shape for _, xt in blocks] == [(5, gbdt._BLOCK_ROWS)] * 3 + [(5, 17)]
+    for rows, xt in blocks:
+        assert xt.flags.c_contiguous
+        assert np.array_equal(xt, x[rows].T, equal_nan=True)
+        values = [gbdt._select(tree._plan(tree.value), xt) for tree in trees]
+        assert {v.shape for v in values} == {(xt.shape[1],)}
+
+
+def test_scoring_memory_does_not_grow_with_the_blocks():
+    # Nothing of a block outlives it, even with the cycle collector off: a
+    # reference cycle through the scorer would keep every block's transposed
+    # copy alive until the collector ran.
+    rng = np.random.default_rng(19)
+    trees = [random_tree(rng, depth, 5, THRESHOLDS) for depth in (2, 4, 6) * 4]
+    model = GBDTModel(params=GBDTParams(), n_features=5, base_score=0.5, trees=trees)
+
+    def peak_beyond_the_margin(n_blocks):
+        x = random_rows(rng, n_blocks * gbdt._BLOCK_ROWS, 5, THRESHOLDS, nan_fraction=0.05)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            margin = model.predict_margin(x)
+            return tracemalloc.get_traced_memory()[1] - margin.nbytes
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    one_block = peak_beyond_the_margin(1)
+    assert peak_beyond_the_margin(4) <= one_block + 8 * gbdt._BLOCK_ROWS
 
 
 def test_fitted_models_predict_the_reference_margins():

@@ -1,5 +1,6 @@
 """Property tests: the presorted split search grows the reference grower's trees,
-and the forest walk predicts what the per-tree reference walker predicts.
+and the compare-and-select scorer predicts what the per-tree reference walker
+predicts.
 
 Kept apart from test_gbdt.py so that module still runs where the optional
 ``hypothesis`` dev dependency is missing; this one is skipped there.
@@ -19,6 +20,7 @@ from test_gbdt import (  # noqa: E402
     random_tree,
 )
 
+from qmoe import gbdt  # noqa: E402
 from qmoe.gbdt import GBDTParams  # noqa: E402
 
 
@@ -58,12 +60,19 @@ def test_presorted_search_equals_reference_property(case):
 def forest_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_features = draw(st.integers(1, 4))
-    thresholds = np.array(draw(st.lists(st.floats(-3, 3, allow_nan=False),
-                                        min_size=1, max_size=4)))
+    threshold = st.sampled_from([0.0, -0.0]) | st.floats(-3, 3, allow_nan=False)
+    thresholds = np.array(draw(st.lists(threshold, min_size=1, max_size=4)))
     depths = draw(st.lists(st.integers(0, 5), max_size=8))
     trees = [random_tree(rng, depth, n_features, thresholds) for depth in depths]
-    x = random_rows(rng, draw(st.integers(0, 40)), n_features, thresholds,
+    # Small pools, and pools ending just short of, on or past a block boundary.
+    block = gbdt._BLOCK_ROWS
+    n_rows = draw(st.integers(0, 40) | st.integers(block - 2, block + 2)
+                  | st.integers(2 * block - 2, 2 * block + 40))
+    x = random_rows(rng, n_rows, n_features, thresholds,
                     nan_fraction=draw(st.sampled_from([0.0, 0.2])))
+    # Signed zeros and infinities; half the rest of each row sits on a threshold.
+    special = rng.random(x.shape) < draw(st.sampled_from([0.0, 0.1]))
+    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=int(special.sum()))
     learning_rate = draw(st.sampled_from([0.1, 0.3, 1.0]))
     return trees, x, learning_rate
 

@@ -10,8 +10,9 @@ The topic picks the kernel table: ``qsim`` times
 ``qsim.batch_parameter_shift`` and ``qsim.batch_expectations`` and writes
 BENCH_qsim.json, ``gbdt`` times ``gbdt.fit_gbdt`` and writes
 BENCH_gbdt.json, ``predict`` times ``GBDTModel.predict_margin`` on the
-serving forests and ``Tree.predict`` on one tree per boosting round, and
-writes BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
+serving forests and on dense depth-6 and depth-4 forests, and
+``Tree.predict`` on one tree per boosting round, and writes
+BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
 ``mlp_backward`` on the paper encoder, one ``_batch_gradients`` step and
 ``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
 BENCH_hybrid.json; ``ingest`` times ``data.load_csv`` on a 142,404-row
@@ -76,6 +77,7 @@ class Topic:
     title: str  # the "topic" field of the file
     kernels: tuple  # one dict of named inputs per timed shape
     setup: str  # timer code defining call() from ``kernel`` and ``rng``
+    note: str = ""  # a known cost of the change, written next to the title
 
 
 TOPICS = {
@@ -128,12 +130,15 @@ call = lambda: gbdt.fit_gbdt(params, x, y, *val)
 """,
     ),
     "predict": Topic(
-        title="gbdt prediction: every tree of a forest walks a row chunk at once, "
-              "level by level, replacing the per-tree compacting walk",
+        title="gbdt prediction: compare-and-select over transposed row blocks, one "
+              "contiguous compare and one np.where per split, replacing the "
+              "level-synchronous forest walk",
         # The serve-paper forests (the primary's 52 trees at depth 4 and the
-        # router's 100 at depth 3) over its 142,404-row pool, and the
-        # per-round Tree.predict of fit_gbdt at the router's and the wide
-        # fit's shapes.
+        # router's 100 at depth 3) over its 142,404-row pool, the per-round
+        # Tree.predict of fit_gbdt at the router's and the wide fit's shapes,
+        # and dense forests fit on a balanced 7,000-row set: 50 trees at
+        # depth 6, XGBoost's default max_depth, with about 20 splits per tree,
+        # and 50 at depth 4 with about 11.
         kernels=(
             {"name": "serve primary", "call": "predict_margin", "trees": 52, "max_depth": 4,
              "rows": 142_404},
@@ -143,11 +148,16 @@ call = lambda: gbdt.fit_gbdt(params, x, y, *val)
              "rows": 1000},
             {"name": "fit round, wide", "call": "Tree.predict", "trees": 1, "max_depth": 4,
              "rows": 16000},
+            {"name": "dense, depth 6", "call": "predict_margin", "trees": 50, "max_depth": 6,
+             "rows": 142_404, "fit_rows": 7000, "fit_fraud_rate": 0.5},
+            {"name": "dense, depth 4", "call": "predict_margin", "trees": 50, "max_depth": 4,
+             "rows": 142_404, "fit_rows": 7000, "fit_fraud_rate": 0.5},
         ),
         setup="""
 from qmoe import data, gbdt
 x, _, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
-fit_x, fit_y, _ = data.synthesize(2000, 0.05, seed=1)
+fit_x, fit_y, _ = data.synthesize(kernel.get("fit_rows", 2000),
+                                  kernel.get("fit_fraud_rate", 0.05), seed=1)
 params = gbdt.GBDTParams(n_estimators=kernel["trees"], max_depth=kernel["max_depth"],
                          early_stopping_rounds=0)
 model = gbdt.fit_gbdt(params, fit_x, fit_y)
@@ -157,6 +167,13 @@ if kernel["call"] == "predict_margin":
 else:
     call = lambda: model.trees[0].predict(x)
 """,
+        note="Dense trees favour the walk this replaces: the scorer pays one compare and one "
+             "select per split, so its time grows with the splits per tree, while the walk's "
+             "grew with the depth. The gain therefore shrinks as trees fill out: the dense "
+             "forests have about 20.2 splits per tree at depth 6 and 11.3 at depth 4, against "
+             "6.1 and 3.8 in the serve primary and router kernels (5.5 and 5.0 in the "
+             "serve-paper model), and a forest denser or deeper than the depth-6 one can "
+             "score slower than the walk did.",
     ),
     "hybrid": Topic(
         title="hybrid training step: one circuit pass per step, the adjoint sweep "
@@ -335,8 +352,9 @@ def main(argv=None) -> int:
     for name in WORKLOADS:
         before, after = load_records(parent, name), load_records(change, name)
         summary = summarise(before, after, metrics)
-        workloads[name] = {"summary": summary, "parent": list(before.values()),
-                           "change": list(after.values())}
+        paired = sorted(set(before) & set(after))  # the seeds the summary reads
+        workloads[name] = {"summary": summary, "parent": [before[s] for s in paired],
+                           "change": [after[s] for s in paired]}
         for metric, row in summary.items():
             print(f"{name:12s} {metric:18s} {row['parent']['median']:12.4g} -> "
                   f"{row['change']['median']:12.4g} ({row['change_pct']:+6.1f}%, parent IQR "
@@ -356,6 +374,7 @@ def main(argv=None) -> int:
 
     doc = {
         "topic": topic.title,
+        **({"note": topic.note} if topic.note else {}),
         "kernel_environment": {
             "cores": os.cpu_count(),
             "python": platform.python_version(),
