@@ -280,7 +280,9 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         record.hybrid_epochs = len(train_report.epochs)
 
         p1_val = primary.predict_proba(x_val)
-        p2_val = secondary.predict_proba(x_val)
+        p2_val = train_report.val_probs  # the best epoch's, which the roll-back restored
+        if p2_val is None:
+            p2_val = secondary.predict_proba(x_val)
         scaler1 = fit_temperature(p1_val, y_val)
         scaler2 = fit_temperature(p2_val, y_val)
         record.temperature_primary = scaler1.temperature
@@ -325,7 +327,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         gate = router.predict_proba(x_hold)
 
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
-            out = route_rows(combined, x_hold, base_probs, gate, gamma)
+            out = route_rows(combined, x_hold, base_probs, gate > gamma)
             record.combined[str(gamma)] = _arm_metrics(
                 y_hold, out.probs, out.labels, out.routed_fraction, n_hold, record
             )

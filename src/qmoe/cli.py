@@ -4,7 +4,10 @@ Subcommands cover the whole workflow: generate data (synth), fit one
 deployable pipeline (train), score a saved pipeline on labeled data
 (evaluate), run the full cross-validated benchmark (bench), tabulate
 routing latency from a report (latency), and refit the temperature
-scalers of a saved pipeline on fresh data (calibrate).
+scalers of a saved pipeline on fresh data (calibrate). calibrate then
+refits both decision thresholds by Youden on the recalibrated scores of
+the same rows, the rule training applies on its validation rows; on
+one-class data it keeps the old thresholds and says so in its warnings.
 
 Dataset resolution for train and bench: an explicit --data flag, then
 the config file's csv_path, then the QMOE_DATASET environment variable,
@@ -39,11 +42,11 @@ from .bench import (
     save_model,
     save_report,
 )
-from .calibration import fit_temperature
+from .calibration import apply_temperature, fit_temperature
 from .data import load_csv, save_csv, synthesize
 from .errors import DataError, InputError, QmoeError
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
-from .moe import require_finite_rows
+from .moe import require_finite_rows, youden_threshold
 
 ENV_DATASET = "QMOE_DATASET"
 
@@ -147,20 +150,30 @@ def _cmd_calibrate(args) -> int:
     require_finite_rows(x)  # before scaling, which would clip an infinity into range
     scaled = pipeline.scaler.transform(x)
     combined = pipeline.combined
-    scaler1 = fit_temperature(combined.primary.predict_proba(scaled), y)
-    scaler2 = fit_temperature(
-        np.asarray(combined.secondary.predict_proba(scaled), dtype=np.float64), y
-    )
+    p1 = combined.primary.predict_proba(scaled)
+    p2 = np.asarray(combined.secondary.predict_proba(scaled), dtype=np.float64)
+    scaler1, scaler2 = fit_temperature(p1, y), fit_temperature(p2, y)
+    notes = []
+    if np.unique(y).size < 2:
+        notes.append("calibration data has one class; kept the old thresholds")
+        tau1, tau2 = combined.tau_primary, combined.tau_secondary
+    else:  # the old taus were Youden-fit on the old temperatures' scale
+        tau1 = youden_threshold(apply_temperature(scaler1, p1), y)
+        tau2 = youden_threshold(apply_temperature(scaler2, p2), y)
     updated = Pipeline(
         scaler=pipeline.scaler,
-        combined=replace(combined, primary_scaler=scaler1, secondary_scaler=scaler2),
+        combined=replace(combined, primary_scaler=scaler1, secondary_scaler=scaler2,
+                         tau_primary=tau1, tau_secondary=tau2),
     )
     save_model(updated, args.out)
     print(json.dumps({
         "model": args.out,
         "temperature_primary": scaler1.temperature,
         "temperature_secondary": scaler2.temperature,
+        "tau_primary": tau1,
+        "tau_secondary": tau2,
         "degenerate": scaler1.degenerate or scaler2.degenerate,
+        "warnings": notes,
     }, indent=2, sort_keys=True))
     return 0
 
@@ -206,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=14000)
     p.set_defaults(func=_cmd_latency)
 
-    p = sub.add_parser("calibrate", help="refit temperatures on fresh data")
+    p = sub.add_parser("calibrate", help="refit temperatures and thresholds on fresh data")
     p.add_argument("--model", required=True)
     p.add_argument("--data", help="labeled CSV for calibration")
     p.add_argument("--out", required=True, help="updated model path")

@@ -35,6 +35,23 @@ Lin & de Vries, IEEE TKDE 2014); dense deep trees narrow the gap. The
 margin adds the trees' values, each leaf value first multiplied by the
 learning rate, in boosting order: the same bits as adding one round at a
 time.
+
+A router only needs to know whether predict_proba(x) > gamma, so
+GBDTModel.proba_above answers that without finishing every row: the early
+exit of additive ensembles (Cambazoglu et al., WSDM 2010). It scores the
+trees in the same order over the same blocks, and every _CHECK_TREES
+trees it drops the rows whose margin so far, plus the largest scaled leaf
+of each tree still to come, falls below logit(gamma) less a slack; the
+block's columns are then compacted to the rows left. The slack is
+_SLACK times the sum of three terms: the tree count times a bound on every
+partial margin (|base| plus each tree's largest absolute leaf), which
+covers the rounding of the remaining adds and of the bound itself;
+|logit(gamma)|, for the rounding of the logit; and 1 / (1 - gamma), for the
+sigmoid's own rounding, which a margin gap must outweigh where the
+sigmoid is flat. A dropped row therefore could not have cleared gamma. A
+row that stays gets the same adds in the same order as in predict_margin,
+so its sigmoid(margin) > gamma reads the same bits. At gamma >= 1 nothing
+is scored, since a sigmoid never exceeds 1.
 """
 
 from __future__ import annotations
@@ -51,6 +68,8 @@ __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
 
 _PRIOR_EPS = 1e-6
 _BLOCK_ROWS = 8192  # rows per transposed block; temporaries are O(features x block)
+_CHECK_TREES = 8  # trees proba_above scores between two prunings of a block
+_SLACK = 2.0**-40  # relative slack of proba_above's cut; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -166,6 +185,38 @@ class GBDTModel:
 
     def predict_proba(self, x) -> np.ndarray:
         return sigmoid(self.predict_margin(x))
+
+    def proba_above(self, x, gamma: float) -> np.ndarray:
+        """``predict_proba(x) > gamma`` bit for bit, each row scored only until it is settled."""
+        x = self._check(x)
+        above = np.zeros(x.shape[0], dtype=bool)
+        if gamma >= 1.0:
+            return above
+        scaled = [tree.value * self.params.learning_rate for tree in self.trees]
+        forest = [tree._plan(value) for tree, value in zip(self.trees, scaled)]
+        leaves = [value[tree.feature < 0] for tree, value in zip(self.trees, scaled)]
+        # reach[k]: the most that trees k, k + 1, ... can still add to a margin.
+        reach = np.cumsum([leaf.max() for leaf in leaves][::-1])[::-1]
+        cut = -np.inf
+        if gamma > 0.0:
+            span = abs(self.base_score) + sum(float(np.abs(leaf).max()) for leaf in leaves)
+            cut = float(np.log(gamma) - np.log1p(-gamma))
+            cut -= _SLACK * (len(forest) * span + abs(cut) + 1.0 / (1.0 - gamma))
+        checks = range(0, len(forest) if cut > -np.inf else 0, _CHECK_TREES)
+        for rows, xt in _row_blocks(x):
+            alive = np.arange(rows.start, rows.start + xt.shape[1])
+            margin = np.full(alive.size, self.base_score)
+            for k, plan in enumerate(forest):
+                if k in checks:
+                    keep = margin + reach[k] >= cut
+                    if not keep.all():
+                        alive, margin = alive[keep], margin[keep]
+                        if not alive.size:
+                            break
+                        xt = np.compress(keep, xt, axis=1)
+                margin += _select(plan, xt)
+            above[alive] = sigmoid(margin) > gamma
+        return above
 
     def _check(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)

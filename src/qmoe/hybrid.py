@@ -250,11 +250,17 @@ class EpochStats:
 
 @dataclass
 class TrainReport:
-    """Per-epoch training record; seconds are wall-clock and not reproducible."""
+    """Per-epoch training record; seconds are wall-clock and not reproducible.
+
+    val_probs holds the best epoch's validation probabilities, the bits
+    predict_proba(x_val) gives after the roll-back; None without a
+    validation set.
+    """
 
     epochs: list = field(default_factory=list)
     best_epoch: int = -1
     stopped_early: bool = False
+    val_probs: Optional[np.ndarray] = None
 
 
 def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
@@ -262,7 +268,8 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
 
     With a validation set, training stops once validation average
     precision has not improved for `patience` epochs and the parameters
-    roll back to the best epoch's snapshot.
+    roll back to the best epoch's snapshot; the report keeps that epoch's
+    validation probabilities.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -301,7 +308,8 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
 
         val_ap = None
         if use_val:
-            val_ap = average_precision(pr_curve(model.predict_proba(x_val), y_val))
+            val_probs = model.predict_proba(x_val)
+            val_ap = average_precision(pr_curve(val_probs, y_val))
         report.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -317,6 +325,7 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
                 best_ap = val_ap
                 report.best_epoch = epoch
                 best_snapshot = [a.copy() for a in _flat_params(model)]
+                report.val_probs = val_probs
             elif epoch - report.best_epoch >= config.patience:
                 report.stopped_early = True
                 break

@@ -13,6 +13,13 @@ no such row exists the router degenerates to a constant near-zero prior
 and the gate never opens, which collapses the combination onto the
 primary alone. gamma = 1.0 does the same by construction (probabilities
 cannot exceed 1), giving a built-in no-routing reference point.
+
+Serving only compares the gate with gamma and never materialises it:
+combined_predict asks the router for GBDTModel.proba_above, which stops
+scoring a row once it can no longer clear gamma and scores nothing at
+gamma = 1.0, yet flags the rows router.predict_proba(x) > gamma would.
+fit_fold, which reads one gate at every gamma of its grid, scores the
+router in full once and compares that.
 """
 
 from __future__ import annotations
@@ -144,17 +151,16 @@ def combined_predict(model: CombinedModel, x, gamma: float) -> RoutedPrediction:
     x = np.asarray(x, dtype=np.float64)
     require_finite_rows(x)
     probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
-    return route_rows(model, x, probs, model.router.predict_proba(x), gamma)
+    return route_rows(model, x, probs, model.router.proba_above(x, gamma))
 
 
 def route_rows(model: CombinedModel, x: np.ndarray, probs: np.ndarray,
-               gate: np.ndarray, gamma: float) -> RoutedPrediction:
-    """Hand the rows whose router output ``gate`` exceeds gamma to the secondary.
+               routed: np.ndarray) -> RoutedPrediction:
+    """Hand the rows flagged in the boolean mask ``routed`` to the secondary.
 
     ``probs`` holds the calibrated primary probabilities of ``x`` and is
     never written to, so one scoring of a batch serves every gamma.
     """
-    routed = gate > gamma
     if routed.any():
         handed = apply_temperature(
             model.secondary_scaler,

@@ -4,11 +4,15 @@ import json
 import os
 import signal
 
+import numpy as np
 import pytest
 
-from qmoe.bench import load_model
+from qmoe.bench import RunConfig, fit_pipeline, load_model, pipeline_predict, save_model
+from qmoe.calibration import apply_temperature
 from qmoe.cli import ENV_DATASET, main
-from qmoe.data import load_csv
+from qmoe.data import load_csv, save_csv, synthesize
+from qmoe.hybrid import HybridConfig
+from qmoe.moe import youden_threshold
 
 TINY_CONFIG = {
     "synth_rows": 1500,
@@ -143,8 +147,53 @@ def test_calibrate_refits_temperatures(workspace, tmp_path, capsys):
     recal = load_model(out)
     base = load_model(workspace["model"])
     # the experts themselves are untouched
-    assert recal.combined.tau_primary == base.combined.tau_primary
     assert len(recal.combined.primary.trees) == len(base.combined.primary.trees)
+    # the thresholds are Youden-refit on the recalibrated scores of the same rows
+    x, y = load_csv(workspace["csv"])
+    scaled = base.scaler.transform(x)
+    for expert, scaler, tau in (("primary", "primary_scaler", "tau_primary"),
+                                ("secondary", "secondary_scaler", "tau_secondary")):
+        probs = getattr(base.combined, expert).predict_proba(scaled)
+        want = youden_threshold(apply_temperature(getattr(recal.combined, scaler), probs), y)
+        assert getattr(recal.combined, tau) == payload[tau] == want
+    assert payload["warnings"] == []
+
+
+def test_calibrate_keeps_the_operating_point_on_fresh_data(tmp_path, capsys):
+    # The recalibration case that flipped 62 hard labels at gamma 1.0 while
+    # the old thresholds stayed on the old scale. Refit on the new scale, the
+    # thresholds pick the cut Youden picks on the old scale's scores of the
+    # same rows: no row changes side.
+    x, y, _ = synthesize(20000, 0.01)
+    config = RunConfig(hybrid=HybridConfig(encoder_hidden=(64, 32), n_qubits=3, n_layers=2,
+                                           batch_size=8, epochs=5, learning_rate=0.01))
+    _, pipeline = fit_pipeline(x, y, config)
+    model, fresh, out = (str(tmp_path / name) for name in ("m.json", "fresh.csv", "r.json"))
+    save_model(pipeline, model)
+    x_cal, y_cal, _ = synthesize(20000, 0.03, seed=5)
+    save_csv(fresh, x_cal, y_cal)
+    assert main(["calibrate", "--model", model, "--data", fresh, "--out", out]) == 0
+    capsys.readouterr()
+    old = pipeline_predict(pipeline, x_cal, 1.0)
+    new = pipeline_predict(load_model(out), x_cal, 1.0)
+    assert load_model(out).combined.primary_scaler.temperature != (
+        pipeline.combined.primary_scaler.temperature)
+    assert np.array_equal(new.labels, old.probs > youden_threshold(old.probs, y_cal))
+
+
+def test_calibrate_on_one_class_data_keeps_the_thresholds(workspace, tmp_path, capsys):
+    x, y = load_csv(workspace["csv"])
+    legit = str(tmp_path / "legit.csv")
+    save_csv(legit, x[y == 0], y[y == 0])
+    out = str(tmp_path / "recal.json")
+    assert main(["calibrate", "--model", workspace["model"],
+                 "--data", legit, "--out", out]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    base = load_model(workspace["model"]).combined
+    assert payload["warnings"] == ["calibration data has one class; kept the old thresholds"]
+    assert payload["degenerate"]
+    assert load_model(out).combined.tau_primary == payload["tau_primary"] == base.tau_primary
+    assert load_model(out).combined.tau_secondary == payload["tau_secondary"] == base.tau_secondary
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -622,3 +622,64 @@ def test_fitted_models_predict_the_reference_margins():
         model = fit_gbdt(params, x, y)
         probe = np.concatenate([x, random_rows(rng, 100, 4, x[:5, 0], nan_fraction=0.2)])
         assert_same_bytes(model.predict_margin(probe), reference_margin(model, probe))
+
+
+def _fitted_router(rng):
+    x = rng.normal(size=(3000, 4))
+    y = ((x[:, 0] > 1.2) & (x[:, 1] > 0.0)).astype(float)
+    return fit_gbdt(GBDTParams(n_estimators=40, max_depth=3), x, y), rng.normal(size=(20_000, 4))
+
+
+def test_gate_equals_thresholded_proba_on_a_fitted_router():
+    model, x = _fitted_router(np.random.default_rng(21))
+    proba = model.predict_proba(x)
+    gammas = [1.0, 0.99, 0.9, 0.5, 0.1, 1e-3, float(np.median(proba)), float(proba.max()),
+              float(np.sort(proba)[-50]), np.nextafter(float(proba.max()), 0.0)]
+    for gamma in gammas:
+        assert np.array_equal(model.proba_above(x, gamma), proba > gamma), gamma
+    assert model.proba_above(x, 0.5).any()
+
+
+def test_gate_scores_only_rows_that_can_still_clear(monkeypatch):
+    model, x = _fitted_router(np.random.default_rng(22))
+    scored = []
+    select = gbdt._select
+
+    def counting(plan, xt):
+        scored.append(xt.shape[1])
+        return select(plan, xt)
+
+    monkeypatch.setattr(gbdt, "_select", counting)
+    assert not model.proba_above(x, 1.0).any()
+    assert scored == []  # a sigmoid never exceeds 1: nothing is scored
+    model.proba_above(x, 0.5)
+    assert 0 < sum(scored) < 0.5 * len(model.trees) * x.shape[0]
+
+
+def test_gate_checks_the_input_shape():
+    model, x = _fitted_router(np.random.default_rng(23))
+    with pytest.raises(InputError):
+        model.proba_above(x[:, :3], 1.0)
+
+
+def test_gate_keeps_rows_whose_margin_meets_the_bound():
+    # Every tree is a stump whose left leaf is its largest, so the first row,
+    # which goes left everywhere, ends on exactly the bound the gate prunes by
+    # (up to the rounding the slack covers), and a gamma one float below its
+    # probability must still flag it.
+    rng = np.random.default_rng(24)
+    stump = dict(feature=np.array([0, -1, -1]), threshold=np.zeros(3),
+                 left=np.array([1, -1, -1]), right=np.array([2, -1, -1]))
+    x = np.array([[-1.0], [1.0]])
+    for _ in range(300):
+        n_trees = int(rng.integers(1, 3 * gbdt._CHECK_TREES + 2))
+        scale = 10.0 ** rng.uniform(-3, 1)
+        trees = []
+        for _ in range(n_trees):
+            high, low = np.sort(rng.normal(size=2) * scale)[::-1]
+            trees.append(Tree(value=np.array([0.0, high, low]), **stump))
+        model = GBDTModel(params=GBDTParams(learning_rate=float(rng.choice([0.1, 0.3, 1.0]))),
+                          n_features=1, base_score=float(rng.normal() * 3), trees=trees)
+        proba = model.predict_proba(x)
+        for gamma in (proba[0], np.nextafter(proba[0], 0.0), np.nextafter(proba[0], 1.0)):
+            assert np.array_equal(model.proba_above(x, gamma), proba > gamma), gamma

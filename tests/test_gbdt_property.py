@@ -1,6 +1,7 @@
 """Property tests: the presorted split search grows the reference grower's trees,
-and the compare-and-select scorer predicts what the per-tree reference walker
-predicts.
+the compare-and-select scorer predicts what the per-tree reference walker
+predicts, and the bounded gate flags exactly the rows predict_proba puts above
+gamma.
 
 Kept apart from test_gbdt.py so that module still runs where the optional
 ``hypothesis`` dev dependency is missing; this one is skipped there.
@@ -21,7 +22,7 @@ from test_gbdt import (  # noqa: E402
 )
 
 from qmoe import gbdt  # noqa: E402
-from qmoe.gbdt import GBDTParams  # noqa: E402
+from qmoe.gbdt import GBDTModel, GBDTParams  # noqa: E402
 
 
 @st.composite
@@ -82,3 +83,50 @@ def forest_cases(draw):
 def test_forest_walk_equals_reference_walker_property(case):
     trees, x, learning_rate = case
     assert_walks_match_reference(trees, x, learning_rate)
+
+
+@st.composite
+def gate_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_features = draw(st.integers(1, 4))
+    thresholds = np.array(draw(st.lists(st.floats(-3, 3, allow_nan=False),
+                                        min_size=1, max_size=4)))
+    # No trees (a degenerate model), fewer trees than one check interval, and
+    # forests that cross several check points.
+    check = gbdt._CHECK_TREES
+    n_trees = draw(st.just(0) | st.integers(1, check + 1)
+                   | st.integers(3 * check - 1, 3 * check + 2))
+    # Depth 0 is a lone leaf.
+    trees = [random_tree(rng, draw(st.integers(0, 4)), n_features, thresholds)
+             for _ in range(n_trees)]
+    if draw(st.booleans()):  # every leaf negative: most rows drop at the first checks
+        for tree in trees:
+            tree.value = -np.abs(tree.value)
+    model = GBDTModel(params=GBDTParams(learning_rate=draw(st.sampled_from([0.1, 0.3, 1.0]))),
+                      n_features=n_features,
+                      base_score=draw(st.sampled_from([-3.7, -1.25, 0.0, 2.0])),
+                      degenerate=not trees, trees=trees)
+    block = gbdt._BLOCK_ROWS
+    n_rows = draw(st.integers(0, 40) | st.integers(block - 2, block + 2)
+                  | st.integers(2 * block - 2, 2 * block + 40))
+    x = random_rows(rng, n_rows, n_features, thresholds,
+                    nan_fraction=draw(st.sampled_from([0.0, 0.2])))
+    picks = draw(st.lists(st.integers(0, max(n_rows - 1, 0)), min_size=1, max_size=3))
+    return model, x, picks
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_cases())
+def test_gate_equals_thresholded_proba_property(case):
+    model, x, picks = case
+    proba = model.predict_proba(x)
+    gammas = [1.0, 0.9, 0.5, 0.1, 1e-6, 1e-300, 5e-324, 0.0, np.nextafter(1.0, 0.0),
+              float("nan")]
+    for row in picks if proba.size else ():
+        # A row's exact gate value, and the floats on either side of it.
+        gate = float(proba[row])
+        gammas += [gate, np.nextafter(gate, 0.0), np.nextafter(gate, 1.0)]
+    for gamma in gammas:
+        above = model.proba_above(x, gamma)
+        assert above.dtype == bool and above.shape == proba.shape
+        assert np.array_equal(above, proba > gamma), gamma

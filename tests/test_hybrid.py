@@ -235,6 +235,28 @@ def test_early_stopping_restores_best_epoch():
     assert best == max(recorded)
 
 
+@pytest.mark.parametrize("epochs", [1, 50])
+def test_report_keeps_the_best_epochs_validation_scores(epochs):
+    # fit_fold reads these instead of scoring x_val again, so they must be
+    # the bytes the rolled-back model gives, across several eval chunks.
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(60, 4))
+    y = (rng.random(60) < 0.4).astype(float)
+    x_val = rng.normal(size=(2 * hybrid._EVAL_CHUNK + 7, 4))
+    y_val = (rng.random(x_val.shape[0]) < 0.4).astype(float)
+    cfg = HybridConfig(
+        n_features=4, encoder_hidden=(6,), n_qubits=2, n_layers=1,
+        head_hidden=3, batch_size=16, epochs=epochs, learning_rate=0.01,
+        patience=3, seed=11,
+    )
+    model, report = fit_hybrid(cfg, x, y, x_val, y_val)
+    assert epochs == 1 or report.best_epoch < len(report.epochs) - 1
+    fresh = model.predict_proba(x_val)
+    assert report.val_probs.dtype == fresh.dtype
+    assert report.val_probs.tobytes() == fresh.tobytes()
+    assert fit_hybrid(cfg, x, y)[1].val_probs is None
+
+
 def test_recon_only_training_freezes_quantum_and_head():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(60, 4))

@@ -1,11 +1,12 @@
-"""Routing tests: threshold placement, correction targets, gate behavior."""
+"""Routing tests: threshold placement, correction targets, gate behavior, and the
+serving path against a reference that scores the router in full."""
 
 import numpy as np
 import pytest
 
 from qmoe.calibration import TemperatureScaler, apply_temperature, fit_temperature
 from qmoe.errors import InputError
-from qmoe.gbdt import GBDTParams, fit_gbdt, router_params
+from qmoe.gbdt import GBDTModel, GBDTParams, fit_gbdt, router_params
 from qmoe.moe import (
     GAMMA_GRID,
     CombinedModel,
@@ -239,3 +240,64 @@ def test_non_finite_rows_fail_the_same_at_every_gamma(gamma):
     expected = sorted([first_routed, first_kept])
     with pytest.raises(InputError, match=rf"2 rows .* row indices \[{expected[0]}, {expected[1]}\]"):
         combined_predict(model, bad, gamma)
+
+
+def _reference_predict(model, x, gamma):
+    """combined_predict with the router scored in full and its gate compared after."""
+    probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
+    routed = model.router.predict_proba(x) > gamma
+    probs[routed] = apply_temperature(model.secondary_scaler,
+                                      model.secondary.predict_proba(x[routed]))
+    cut = np.where(routed, model.tau_secondary, model.tau_primary)
+    return probs, (probs > cut).astype(np.float64), routed
+
+
+def _routed_model(seed):
+    x, y, primary, secondary = _fitted_pair(seed=seed)
+    z = router_targets(y, primary.predict_proba(x), secondary.predict_proba(x), 0.5, 0.5)
+    scaler = fit_temperature(primary.predict_proba(x), y)
+    model = CombinedModel(
+        primary=primary, primary_scaler=scaler,
+        secondary=secondary, secondary_scaler=fit_temperature(secondary.predict_proba(x), y),
+        router=fit_router(x, z, router_params()), tau_primary=0.45, tau_secondary=0.55,
+    )
+    return x, model
+
+
+@pytest.mark.parametrize("seed", [12, 13])
+def test_combined_predict_equals_full_router_scoring(seed):
+    x, model = _routed_model(seed)
+    gate = model.router.predict_proba(x)
+    gammas = (*GAMMA_GRID, 1.0, 0.05, float(np.median(gate)), float(gate.max()),
+              float(np.nextafter(gate.max(), 0.0)))
+    for gamma in gammas:
+        out = combined_predict(model, x, gamma)
+        probs, labels, routed = _reference_predict(model, x, gamma)
+        assert out.routed.dtype == bool
+        assert np.array_equal(out.probs, probs)
+        assert np.array_equal(out.labels, labels)
+        assert np.array_equal(out.routed, routed)
+    assert combined_predict(model, x, 0.5).routed.any()
+
+
+def test_closed_gate_never_scores_the_router():
+    x, model = _routed_model(12)
+    baseline = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
+
+    class Unscorable:
+        def __getattr__(self, name):
+            raise AssertionError(f"the router tree was read: {name}")
+
+    class Stub(GBDTModel):
+        def predict_margin(self, x):
+            raise AssertionError("the router was scored")
+
+    router = model.router
+    model.router = Stub(params=router.params, n_features=router.n_features,
+                        base_score=router.base_score, trees=[Unscorable()] * 3)
+    out = combined_predict(model, x, 1.0)
+    assert not out.routed.any()
+    assert np.array_equal(out.probs, baseline)
+    assert np.array_equal(out.labels, (baseline > model.tau_primary).astype(np.float64))
+    with pytest.raises(AssertionError, match="router tree was read"):
+        combined_predict(model, x, 0.5)

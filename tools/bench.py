@@ -18,7 +18,10 @@ BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
 BENCH_hybrid.json; ``ingest`` times ``data.load_csv`` on a 142,404-row
 ``save_csv`` file (written once, outside the timed calls) and
 ``MinMaxScaler.transform`` on a (142404, 29) array, and writes
-BENCH_ingest.json.
+BENCH_ingest.json; ``gate`` times whole-pool ``bench.pipeline_predict``
+calls at gamma 1.0, 0.9 and 0.5 on the serve-paper shape (the train-paper
+pipeline at seed 0, fit once per interpreter outside the timed calls, over
+a 142,404-row pool) and writes BENCH_gate.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -223,6 +226,25 @@ if kernel["call"] == "load_csv":
 else:
     scaler = data.fit_minmax(x)
     call = lambda: scaler.transform(x)
+""",
+    ),
+    "gate": Topic(
+        title="routed serving: the router is scored only until each row's gate decision "
+              "is settled (GBDTModel.proba_above), instead of in full and then compared "
+              "with gamma",
+        # serve-paper's calls: its pipeline (train-paper's fit_pipeline at seed
+        # 0: 50k rows at fraud rate 0.01, one epoch of the paper hybrid) over a
+        # 142,404-row pool, at the gate that routes nothing, one that routes
+        # about 0.4% of rows and serve-paper's routed gamma.
+        kernels=tuple({"call": "pipeline_predict", "gamma": gamma, "rows": 142_404}
+                      for gamma in (1.0, 0.9, 0.5)),
+        setup="""
+from qmoe import bench, data, hybrid
+x, y, _ = data.synthesize(50_000, 0.01, seed=0)
+config = bench.RunConfig(hybrid=hybrid.HybridConfig(epochs=1), seed=0)
+_, pipeline = bench.fit_pipeline(x, y, config)
+pool, _, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
+call = lambda: bench.pipeline_predict(pipeline, pool, kernel["gamma"])
 """,
     ),
 }
