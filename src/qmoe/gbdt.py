@@ -17,10 +17,15 @@ The columns are sorted once per fit, as in XGBoost's exact greedy method
 with presorted column blocks (Chen & Guestrin, KDD 2016): a stable argsort
 gives an (F, N) block of row indices. Each node carries its own (F, n_node)
 block, every feature row sorted by value and then by row index, and a split
-filters it into the children's blocks with one row-membership mask. The
-search at a node is therefore one gather, two cumulative sums and one gain
-table over all features at once. The tie rule comes from taking the first
-maximum of the flattened (feature, threshold) gain table.
+filters it into the children's blocks with one row-membership mask. Each
+round packs grad + i*hess into one complex array, so a node's search is one
+gather, one cumulative sum (complex addition keeps both running sums' bits)
+and one gain table over all features at once. The tie rule comes from the
+first maximum of the flattened (feature, threshold) table; equal neighbours
+are masked only when that maximum sits between two. A node whose hessian
+mass cannot give two children min_child_weight each is not searched (Ke et
+al., NeurIPS 2017), and a round's training margins add learning_rate *
+value[leaf] for the leaf the builder recorded for each row.
 
 Prediction tests every split independently of the path a row takes, the
 idea of QuickScorer (Lucchese et al., SIGIR 2015), and combines the tests
@@ -234,65 +239,67 @@ class _TreeBuilder:
     keeps, for each feature, exactly the order a stable argsort of the
     node's ascending rows would give, so the trees match a per-node sort
     bit for bit. Every feature row of a block keeps exactly ``n_left`` of
-    the left-going rows, so the children's blocks reshape straight to
-    ``(F, n_left)`` and ``(F, n_right)``.
+    the left-going rows, so a child's block reshapes straight to
+    ``(F, n_child)``. Only a child that passes ``_node``'s hessian-mass test
+    gets a block and a search (one complex prefix sum, ties checked only at
+    the winner). After ``grow``, ``leaf`` holds each row's leaf in the tree.
     """
 
     def __init__(self, x: np.ndarray, params: GBDTParams):
         self.xt = np.ascontiguousarray(x.T)
         self.order = np.argsort(self.xt, axis=1, kind="stable")
         self.in_left = np.zeros(x.shape[0], dtype=bool)
+        self.gh = np.empty(x.shape[0], dtype=np.complex128)  # grad + i hess, set per round
+        self.leaf = np.empty(x.shape[0], dtype=np.intp)
         self.params = params
 
     def grow(self, grad: np.ndarray, hess: np.ndarray) -> Tree:
-        self.grad = grad
-        self.hess = hess
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self._build(np.arange(self.xt.shape[1]), self.order, 0)
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            value=np.asarray(self.value, dtype=np.float64),
-        )
+        self.grad, self.hess = grad, hess
+        self.gh.real, self.gh.imag = grad, hess
+        self.nodes: list[list] = []  # [feature, threshold, left, right, value] per node
+        rows, sums, search = self._node(np.arange(self.xt.shape[1]), 0)
+        self._build(rows, sums, self.order if search else None, 0)
+        columns = zip(*self.nodes)
+        dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64)
+        return Tree(*(np.asarray(c, dtype=t) for c, t in zip(columns, dtypes)))
 
-    def _build(self, rows: np.ndarray, block: Optional[np.ndarray], depth: int) -> int:
+    def _node(self, rows: np.ndarray, depth: int) -> tuple:
+        """(rows, (g_sum, h_sum), whether the node searches for a split).
+
+        It searches under the depth cap, with two rows and room for two
+        children's hessian mass. Float subtraction is monotone, so if
+        h_sum - mcw < mcw, any h_left >= mcw leaves h_right < mcw.
+        """
         p = self.params
         # Summed over the ascending rows: the pairwise-sum order fixes the bytes.
-        g_sum = float(self.grad[rows].sum())
-        h_sum = float(self.hess[rows].sum())
-        best = None
-        if depth < p.max_depth and rows.size >= 2:
-            best = self._best_split(block, g_sum, h_sum)
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
+        sums = float(self.grad[rows].sum()), float(self.hess[rows].sum())
+        mcw = p.min_child_weight
+        return rows, sums, depth < p.max_depth and rows.size >= 2 and sums[1] - mcw >= mcw
+
+    def _build(self, rows: np.ndarray, sums: tuple, block: Optional[np.ndarray], depth: int):
+        """Grow the subtree on ``rows``; ``block`` is None when the node does not search."""
+        g_sum, h_sum = sums
+        best = None if block is None else self._best_split(block, g_sum, h_sum)
+        node = len(self.nodes)
         if best is None:
-            self.value[node] = -g_sum / (h_sum + p.reg_lambda)
+            self.nodes.append([-1, 0.0, -1, -1, -g_sum / (h_sum + self.params.reg_lambda)])
+            self.leaf[rows] = node
             return node
         feat, pos, thr = best
-        self.feature[node] = feat
-        self.threshold[node] = thr
+        self.nodes.append([feat, thr, -1, -1, 0.0])
         goes_left = block[feat, : pos + 1]
         self.in_left[goes_left] = True
         row_left = self.in_left[rows]
-        left_rows, right_rows = rows[row_left], rows[~row_left]
-        left_block = right_block = None
-        if depth + 1 < p.max_depth:  # only children above the depth cap search
+        left, right = (self._node(r, depth + 1) for r in (rows[row_left], rows[~row_left]))
+        blocks = [None, None]
+        if left[2] or right[2]:
             keep = self.in_left[block].ravel()
-            left_block = np.compress(keep, block).reshape(block.shape[0], left_rows.size)
-            right_block = np.compress(~keep, block).reshape(block.shape[0], right_rows.size)
+            for i, (side, (child, _, search)) in enumerate(zip((keep, ~keep), (left, right))):
+                if search:
+                    blocks[i] = np.compress(side, block).reshape(block.shape[0], child.size)
         self.in_left[goes_left] = False
-        self.left[node] = self._build(left_rows, left_block, depth + 1)
-        self.right[node] = self._build(right_rows, right_block, depth + 1)
+        self.nodes[node][2] = self._build(*left[:2], blocks[0], depth + 1)
+        self.nodes[node][3] = self._build(*right[:2], blocks[1], depth + 1)
         return node
 
     def _best_split(self, block: np.ndarray, g_sum: float, h_sum: float):
@@ -301,23 +308,21 @@ class _TreeBuilder:
         Each candidate's gain takes the same operations in the same order as
         the formula in the module docstring, computed in place across the
         ``(F, n_node - 1)`` table; its first flattened maximum is the lowest
-        feature, then the lowest threshold.
+        feature, then the lowest threshold. Ties are masked only when the
+        winner of the min_child_weight-masked table sits on one: no earlier
+        candidate beat a winner between distinct values, so it stays first.
         """
         p = self.params
         lam = p.reg_lambda
         parent = g_sum * g_sum / (h_sum + lam)
-        xs = np.take_along_axis(self.xt, block, axis=1)
-        ok = xs[:, :-1] != xs[:, 1:]
-        del xs  # freed before the four float tables below, which set the peak memory
-        g_left = self.grad[block]
-        np.cumsum(g_left, axis=1, out=g_left)
-        g_left = g_left[:, :-1]
-        h_left = self.hess[block]
-        np.cumsum(h_left, axis=1, out=h_left)
-        h_left = h_left[:, :-1]
-        ok &= h_left >= p.min_child_weight
+        gh = self.gh[block]  # complex addition adds the parts apart: two real cumsums' bits
+        np.cumsum(gh, axis=1, out=gh)
+        both = gh.view(np.float64).reshape(*block.shape, 2)[:, :-1]
+        g_left, h_left = both[..., 0].copy(), both[..., 1].copy()  # contiguous runs faster
+        del gh, both
+        masked = h_left < p.min_child_weight
         h_right = h_sum - h_left
-        ok &= h_right >= p.min_child_weight
+        masked |= h_right < p.min_child_weight
         g_right = g_sum - g_left
         gain = g_left  # from here on g_left holds the gain
         gain *= g_left
@@ -330,8 +335,12 @@ class _TreeBuilder:
         gain -= parent
         gain *= 0.5
         gain -= p.min_split_gain
-        gain[~ok] = -np.inf
+        gain[masked] = -np.inf
         feat, pos = divmod(int(np.argmax(gain)), gain.shape[1])
+        if self.xt[feat, block[feat, pos]] == self.xt[feat, block[feat, pos + 1]]:
+            xs = np.take_along_axis(self.xt, block, axis=1)
+            gain[xs[:, :-1] == xs[:, 1:]] = -np.inf
+            feat, pos = divmod(int(np.argmax(gain)), gain.shape[1])
         if not gain[feat, pos] >= 0.0:
             return None
         return feat, pos, float(self.xt[feat, block[feat, pos]])
@@ -382,6 +391,7 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
         return model
     if use_val:
         val_margin = np.full(x_val.shape[0], base)
+        val_blocks = list(_row_blocks(x_val))
 
     margin = np.full(x.shape[0], base)
     builder = _TreeBuilder(x, params)
@@ -389,13 +399,13 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
     best_round = -1
     for round_index in range(params.n_estimators):
         p = sigmoid(margin)
-        grad = p - y_arr
-        hess = p * (1.0 - p)
-        tree = builder.grow(grad, hess)
+        tree = builder.grow(p - y_arr, p * (1.0 - p))
         model.trees.append(tree)
-        margin += params.learning_rate * tree.predict(x)
+        margin += params.learning_rate * tree.value[builder.leaf]
         if use_val:
-            val_margin += params.learning_rate * tree.predict(x_val)
+            plan = tree._plan(tree.value)
+            for rows, xt in val_blocks:
+                val_margin[rows] += params.learning_rate * _select(plan, xt)
             loss = log_loss(y_val_arr, sigmoid(val_margin))
             if loss < best_loss:
                 best_loss = loss

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmoe import gbdt
+from qmoe import data, gbdt
 from qmoe.errors import ConfigurationError, InputError
 from qmoe.gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
 from qmoe.neural import sigmoid
@@ -384,6 +384,21 @@ def _min_split_gain(rng):
     return {"min_split_gain": 0.05, "min_child_weight": 0.0}, x, y, None, None
 
 
+def _zero_min_child_weight(rng):
+    # Every candidate passes the hessian masks, so only value ties are masked.
+    x = rng.integers(0, 4, size=(70, 3)).astype(float)
+    y = (x[:, 0] - x[:, 1] + rng.normal(0, 1, 70) > 0).astype(float)
+    return {"min_child_weight": 0.0}, x, y, None, None
+
+
+def _duplicated_rows(rng):
+    # Every row three times, and a 0/1 column: long runs of equal values.
+    x = rng.normal(size=(25, 3))
+    x[:, 1] = x[:, 1] > 0
+    y = (x[:, 0] + x[:, 1] + rng.normal(0, 0.5, 25) > 0.5).astype(float)
+    return {"min_child_weight": 0.1}, np.repeat(x, 3, axis=0), np.repeat(y, 3), None, None
+
+
 def _early_stopping(rng):
     x = rng.normal(size=(90, 3))
     y = (x[:, 0] > 0).astype(float)
@@ -395,7 +410,8 @@ def _early_stopping(rng):
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize(
     "case",
-    [_ties, _constant_columns, _tiny_nodes, _min_child_weight, _min_split_gain, _early_stopping],
+    [_ties, _constant_columns, _tiny_nodes, _min_child_weight, _min_split_gain, _early_stopping,
+     _zero_min_child_weight, _duplicated_rows],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_presorted_search_grows_the_reference_trees(case, depth):
@@ -404,6 +420,104 @@ def test_presorted_search_grows_the_reference_trees(case, depth):
     params = GBDTParams(**{"n_estimators": 12, "max_depth": depth, **overrides})
     model = assert_matches_reference(params, x, y, x_val, y_val)
     assert model.trees
+
+
+def unmasked_winner_is_a_tie(x, y, min_child_weight):
+    """Whether the root's first-round gain table, masked by min_child_weight
+    alone, peaks between two equal values of its feature."""
+    p = np.full(len(y), y.mean())
+    grad, hess = p - y, p * (1.0 - p)
+    g_sum, h_sum = grad.sum(), hess.sum()
+    gains, ties = [], []
+    for col in x.T:
+        order = np.argsort(col, kind="stable")
+        g_left, h_left = np.cumsum(grad[order])[:-1], np.cumsum(hess[order])[:-1]
+        gain = (g_left**2 / (h_left + 1.0) + (g_sum - g_left) ** 2 / (h_sum - h_left + 1.0)
+                - g_sum**2 / (h_sum + 1.0))
+        gain[(h_left < min_child_weight) | (h_sum - h_left < min_child_weight)] = -np.inf
+        gains.append(gain)
+        ties.append(col[order][:-1] == col[order][1:])
+    return bool(np.concatenate(ties)[np.argmax(np.concatenate(gains))])
+
+
+def test_a_winner_on_a_tie_falls_back_to_the_masked_table(monkeypatch):
+    # Cutting between the two 1.0s would separate the labels perfectly, so the
+    # table without tie masks peaks there; the fitted cut must avoid it.
+    x = np.array([[0.0], [1.0], [1.0], [2.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    params = GBDTParams(n_estimators=3, max_depth=2, min_child_weight=0.0)
+    assert unmasked_winner_is_a_tie(x, y, 0.0)
+    gathers = []
+    take = np.take_along_axis
+    monkeypatch.setattr(np, "take_along_axis", lambda *a, **k: gathers.append(1) or take(*a, **k))
+    model = assert_matches_reference(params, x, y)
+    assert gathers  # the tie fallback ran
+    assert model.trees[0].threshold[0] in (0.0, 1.0)
+
+
+def test_a_winner_off_a_tie_never_gathers_the_values(monkeypatch):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(200, 3))  # distinct values: no candidate sits on a tie
+    y = (x[:, 0] + rng.normal(0, 0.5, 200) > 0).astype(float)
+    monkeypatch.setattr(np, "take_along_axis", lambda *a, **k: pytest.fail("gathered"))
+    assert_matches_reference(GBDTParams(n_estimators=5, max_depth=3), x, y)
+
+
+@pytest.mark.parametrize("edge, splits", [
+    (np.nextafter(1.0, 0.0), True),  # hessian mass just above 2 * min_child_weight
+    (1.0, True),  # exactly 2 * min_child_weight: h_sum - mcw == mcw, a 4/4 split fits
+    (np.nextafter(1.0, 2.0), False),  # just below: nothing to search
+])
+def test_hessian_mass_around_twice_min_child_weight(monkeypatch, edge, splits):
+    # Balanced labels: every first-round hessian is 0.25, so the root's mass is 2.0.
+    x = np.arange(8.0)[:, None]
+    y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    searches = []
+    search = gbdt._TreeBuilder._best_split
+    monkeypatch.setattr(gbdt._TreeBuilder, "_best_split",
+                        lambda self, *a: searches.append(1) or search(self, *a))
+    params = GBDTParams(n_estimators=4, max_depth=3, min_child_weight=float(edge))
+    model = assert_matches_reference(params, x, y)
+    assert (model.trees[0].feature[0] == 0) == splits
+    assert bool(searches) == splits  # a node that cannot split is never searched
+    if splits:
+        assert model.trees[0].threshold[0] == 3.0
+
+
+@pytest.mark.parametrize("min_child_weight", [0.25, 0.5, 0.75])
+def test_hessian_mass_skip_on_deeper_nodes(min_child_weight):
+    # First-round hessians are all 0.25, so some node masses land exactly on
+    # 2 * min_child_weight, and some nodes under the depth cap are skipped.
+    rng = np.random.default_rng(8)
+    x = rng.integers(0, 5, size=(48, 2)).astype(float)
+    y = (np.arange(48) % 2).astype(float)
+    rng.shuffle(y)
+    params = GBDTParams(n_estimators=6, max_depth=4, min_child_weight=min_child_weight)
+    assert_matches_reference(params, x, y)
+
+
+def test_early_stopping_over_several_validation_blocks():
+    # The validation rows are scored block by block, the last block short.
+    # The first block's labels are noise, so the stopping round is a balance
+    # of every block's margins.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(300, 3))
+    y = (x[:, 0] + rng.normal(0, 0.3, 300) > 0).astype(float)
+    x_val = rng.normal(size=(2 * gbdt._BLOCK_ROWS + gbdt._BLOCK_ROWS // 2, 3))
+    y_val = (x_val[:, 0] + rng.normal(0, 0.3, len(x_val)) > 0).astype(float)
+    y_val[: gbdt._BLOCK_ROWS] = rng.random(gbdt._BLOCK_ROWS) < 0.5
+    params = GBDTParams(n_estimators=60, max_depth=3, early_stopping_rounds=4)
+    model = assert_matches_reference(params, x, y, x_val, y_val)
+    assert model.best_iteration is not None and len(model.trees) < 60
+
+
+def test_router_shaped_fit_grows_the_reference_trees():
+    # The cv-desk router's shape: 1,000 rows, about 1% positive targets.
+    x, y, _ = data.synthesize(1000, 0.01, seed=0)
+    assert 5 <= y.sum() <= 20
+    model = assert_matches_reference(router_params(), x, y)
+    assert len(model.trees) == router_params().n_estimators
+    assert all(tree.feature[0] >= 0 for tree in model.trees)
 
 
 def test_validation_rows_must_align_with_labels():

@@ -1,4 +1,5 @@
-"""Property tests: the presorted split search grows the reference grower's trees,
+"""Property tests: the presorted split search grows the reference grower's trees
+(duplicated rows, 0/1 columns and min_child_weight on the root's skip edge included),
 the compare-and-select scorer predicts what the per-tree reference walker
 predicts, and the bounded gate flags exactly the rows predict_proba puts above
 gamma.
@@ -23,6 +24,7 @@ from test_gbdt import (  # noqa: E402
 
 from qmoe import gbdt  # noqa: E402
 from qmoe.gbdt import GBDTModel, GBDTParams  # noqa: E402
+from qmoe.neural import sigmoid  # noqa: E402
 
 
 @st.composite
@@ -32,11 +34,23 @@ def fit_cases(draw):
     # A few distinct values per column, so value ties and constant columns are common.
     value = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3, allow_nan=False)
     x = np.array(draw(st.lists(value, min_size=rows * feats, max_size=rows * feats)))
-    labels = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows))
+    x = x.reshape(rows, feats)
+    labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows)))
+    if draw(st.booleans()):  # a 0/1 column
+        x[:, 0] = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                         min_size=rows, max_size=rows)))
+    copies = draw(st.sampled_from([1, 1, 2, 3]))  # duplicated rows
+    x, labels = np.repeat(x, copies, axis=0), np.repeat(labels, copies)
+    # The root's first-round hessian mass: a min_child_weight at half of it,
+    # or a float either side, puts the root on the edge of the hessian-mass skip.
+    prior = float(np.clip(labels.mean(), 1e-6, 1.0 - 1e-6))
+    p = sigmoid(np.full(labels.size, np.log(prior) - np.log1p(-prior)))
+    half = float((p * (1.0 - p)).sum()) / 2.0
+    edges = [half, np.nextafter(half, 0.0), np.nextafter(half, np.inf)]
     params = GBDTParams(
         n_estimators=draw(st.integers(1, 6)),
         max_depth=draw(st.integers(1, 5)),
-        min_child_weight=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        min_child_weight=float(draw(st.sampled_from([0.0, 0.1, 1.0, 0.25, 0.5, *edges]))),
         min_split_gain=draw(st.sampled_from([0.0, 0.01])),
         early_stopping_rounds=draw(st.integers(0, 2)),
     )
@@ -47,7 +61,7 @@ def fit_cases(draw):
         x_val = x_val.reshape(n_val, feats)
         y_val = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
                                        min_size=n_val, max_size=n_val)))
-    return params, x.reshape(rows, feats), np.array(labels), x_val, y_val
+    return params, x, labels, x_val, y_val
 
 
 @settings(max_examples=80, deadline=None)

@@ -8,10 +8,12 @@ both checkouts over the same seeds (alternate which checkout runs first):
 
 The topic picks the kernel table: ``qsim`` times
 ``qsim.batch_parameter_shift`` and ``qsim.batch_expectations`` and writes
-BENCH_qsim.json, ``gbdt`` times ``gbdt.fit_gbdt`` and writes
-BENCH_gbdt.json, ``predict`` times ``GBDTModel.predict_margin`` on the
-serving forests and on dense depth-6 and depth-4 forests, and
-``Tree.predict`` on one tree per boosting round, and writes
+BENCH_qsim.json, ``gbdt`` times ``gbdt.fit_gbdt`` (router fits at the
+cv-desk, train-paper and paper-fold analysis sizes, the train-paper primary
+and a 16k-row fit) and writes BENCH_gbdt.json, ``predict`` times
+``GBDTModel.predict_margin`` on the serving forests and on dense depth-6
+and depth-4 forests, and ``Tree.predict`` on one tree per boosting round,
+and writes
 BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
 ``mlp_backward`` on the paper encoder, one ``_batch_gradients`` step and
 ``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
@@ -25,10 +27,14 @@ a 142,404-row pool) and writes BENCH_gate.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
-their ``.perfbench/results/`` directories, pairs them by seed, and
-summarises each end-to-end metric: median and quartiles per side, the
-pairs the change won, and a verdict against the bound in BENCHMARK.json.
-serve-paper also gets each gamma's call median and rows/s.
+their ``.perfbench/results/`` directories, skipping any whose recorded
+``src_lines`` is not the checkout's current count (a result left by an
+older source), pairs them by seed, and summarises each end-to-end metric:
+median and quartiles per side, the pairs the change won, and a verdict
+against the bound in BENCHMARK.json. serve-paper also gets each gamma's
+call median and rows/s. Each workload also records, per output digest
+(cv-desk's report, train-paper's predictions, serve-paper's outputs per
+gamma), whether the two checkouts wrote the same one at every paired seed.
 It then times the topic's kernel from each checkout's ``src/`` on every
 entry of its table, with BLAS pinned to one thread. Each side runs in
 ``INVOCATIONS`` fresh interpreters of ``REPEATS`` timed calls, the two
@@ -107,15 +113,23 @@ call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
 """,
     ),
     "gbdt": Topic(
-        title="gbdt.fit_gbdt: presorted, feature-vectorized split search replacing "
-              "the per-node, per-feature argsort loop",
-        # The router's shape (rare positive targets, router_params), the
-        # train-paper primary (an 800-row balanced set, default params,
-        # early stopping on a validation set at the real fraud rate), and
-        # a 16k-row fit.
+        title="gbdt.fit_gbdt: one complex prefix sum for grad and hess, ties checked only "
+              "at the winner, no search where the hessian mass cannot fill two children, "
+              "and leaf-assigned training margins",
+        # The router's shape (rare positive targets, router_params) at the
+        # cv-desk analysis part (1,000 rows), train-paper's (2,500) and the
+        # paper fold's (14,240); the train-paper primary (an 800-row balanced
+        # set, default params, early stopping on a validation set at the real
+        # fraud rate); and a 16k-row fit.
         kernels=(
             {"name": "router", "rows": 1000, "fraud_rate": 0.02, "n_estimators": 100,
              "max_depth": 3, "early_stopping_rounds": 0, "validation_rows": 0},
+            {"name": "router, train-paper", "rows": 2500, "fraud_rate": 0.02,
+             "n_estimators": 100, "max_depth": 3, "early_stopping_rounds": 0,
+             "validation_rows": 0},
+            {"name": "router, paper fold", "rows": 14_240, "fraud_rate": 0.02,
+             "n_estimators": 100, "max_depth": 3, "early_stopping_rounds": 0,
+             "validation_rows": 0},
             {"name": "primary", "rows": 800, "fraud_rate": 0.5, "n_estimators": 200,
              "max_depth": 4, "early_stopping_rounds": 20, "validation_rows": 2500},
             {"name": "wide", "rows": 16000, "fraud_rate": 0.01, "n_estimators": 20,
@@ -299,12 +313,28 @@ def kernel_verdict(parent: dict, change: dict) -> str:
     return "unresolved"
 
 
+def src_lines(checkout: Path) -> int:
+    """The line count of ``checkout``'s ``src/**/*.py``, as perfbench records it."""
+    return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
+
+
 def load_records(checkout: Path, workload: str) -> dict:
-    """Every untraced result of ``workload`` in ``checkout``, keyed by seed."""
-    records = {}
-    for path in (checkout / ".perfbench" / "results").glob(f"{workload}-seed*-trace0.json"):
+    """Every untraced result of ``workload`` in ``checkout``, keyed by seed.
+
+    A result whose ``environment.src_lines`` differs from the checkout's
+    current source came from an older tree; it is skipped, and named.
+    """
+    records, skipped, lines = {}, [], src_lines(checkout)
+    results = checkout / ".perfbench" / "results"
+    for path in sorted(results.glob(f"{workload}-seed*-trace0.json")):
         record = json.loads(path.read_text())
+        if record.get("environment", {}).get("src_lines") != lines:
+            skipped.append(path.name)
+            continue
         records[record["seed"]] = record
+    if skipped:
+        print(f"{checkout}: skipped {len(skipped)} {workload} results whose src_lines is not "
+              f"the checkout's {lines}: {', '.join(skipped)}")
     if not records:
         sys.exit(f"no {workload} results in {checkout}: run perfbench/run.py "
                  f"--workload {workload} --seed <s> --seconds 40 there first")
@@ -358,6 +388,25 @@ def summarise(parent: dict, change: dict, metrics: list) -> dict:
     return summary
 
 
+def _digests(detail: dict, prefix: str = "") -> dict:
+    """Every ``*digest`` field of a record's detail, the per-gamma entries included."""
+    out = {}
+    for key, value in detail.items():
+        if isinstance(value, dict):
+            out.update(_digests(value, f"{prefix}{key}."))
+        elif key.endswith("digest"):
+            out[prefix + key] = value
+    return out
+
+
+def digests_equal(parent: dict, change: dict, seeds: list) -> dict:
+    """For each output digest, whether both checkouts wrote the same one at every seed."""
+    names = sorted({name for s in seeds for name in _digests(parent[s]["detail"])})
+    return {name: all(_digests(parent[s]["detail"]).get(name)
+                      == _digests(change[s]["detail"]).get(name) for s in seeds)
+            for name in names}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("topic", choices=sorted(TOPICS), help="kernel table to time")
@@ -375,8 +424,11 @@ def main(argv=None) -> int:
         before, after = load_records(parent, name), load_records(change, name)
         summary = summarise(before, after, metrics)
         paired = sorted(set(before) & set(after))  # the seeds the summary reads
-        workloads[name] = {"summary": summary, "parent": [before[s] for s in paired],
+        same = digests_equal(before, after, paired)
+        workloads[name] = {"summary": summary, "digests_equal": same,
+                           "parent": [before[s] for s in paired],
                            "change": [after[s] for s in paired]}
+        print(f"{name:12s} digests equal at seeds {paired}: {same}")
         for metric, row in summary.items():
             print(f"{name:12s} {metric:18s} {row['parent']['median']:12.4g} -> "
                   f"{row['change']['median']:12.4g} ({row['change_pct']:+6.1f}%, parent IQR "
