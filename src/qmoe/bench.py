@@ -40,7 +40,7 @@ from .data import (
     synthesize,
     undersample,
 )
-from .errors import ConfigurationError, InputError, ModelIOError
+from .errors import ConfigurationError, InputError, ModelIOError, require_finite_rows
 from .gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
 from .hybrid import HybridConfig, HybridModel, fit_hybrid
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
@@ -49,7 +49,6 @@ from .moe import (
     CombinedModel,
     combined_predict,
     fit_router,
-    require_finite_rows,
     route_rows,
     router_targets,
     youden_threshold,
@@ -63,6 +62,7 @@ __all__ = [
     "latency_table",
     "FoldRecord",
     "BenchReport",
+    "fit_calibration",
     "fit_fold",
     "fit_pipeline",
     "cross_validate",
@@ -230,6 +230,17 @@ def _arm_metrics(y, probs, hard, routed_fraction: float, n_points: int,
     return out
 
 
+def fit_calibration(p1, p2, y):
+    """``(scalers, taus)``: both experts' temperature scalers fit on labelled
+    scores, then their Youden thresholds on the recalibrated scores. ``taus``
+    is None when ``y`` has one class: the scalers fall back to t = 1."""
+    scalers = fit_temperature(p1, y), fit_temperature(p2, y)
+    if np.unique(y).size < 2:
+        return scalers, None
+    return scalers, tuple(youden_threshold(apply_temperature(scaler, p), y)
+                          for scaler, p in zip(scalers, (p1, p2)))
+
+
 def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
              repeat: int, fold: int):
     """Run one fold end to end; returns (record, pipeline)."""
@@ -283,21 +294,15 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         p2_val = train_report.val_probs  # the best epoch's, which the roll-back restored
         if p2_val is None:
             p2_val = secondary.predict_proba(x_val)
-        scaler1 = fit_temperature(p1_val, y_val)
-        scaler2 = fit_temperature(p2_val, y_val)
+        (scaler1, scaler2), taus = fit_calibration(p1_val, p2_val, y_val)
         record.temperature_primary = scaler1.temperature
         record.temperature_secondary = scaler2.temperature
         if scaler1.degenerate or scaler2.degenerate:
             record.warnings.append("temperature fit degenerate; kept t = 1")
-
-        if np.unique(y_val).size < 2:
-            record.warnings.append(
-                "validation split has one class; thresholds fall back to 0.5"
-            )
-            tau1 = tau2 = 0.5
-        else:
-            tau1 = youden_threshold(apply_temperature(scaler1, p1_val), y_val)
-            tau2 = youden_threshold(apply_temperature(scaler2, p2_val), y_val)
+        if taus is None:
+            record.warnings.append("validation split has one class; thresholds fall back to 0.5")
+            taus = 0.5, 0.5
+        tau1, tau2 = taus
         record.tau_primary, record.tau_secondary = tau1, tau2
 
         targets = router_targets(
@@ -595,9 +600,10 @@ def _nodes(value, name: str) -> np.ndarray:
 
 
 def _check_tree(tree: Tree, n_features: int, index: int) -> None:
-    """Reject node arrays that Tree.predict would loop on, index past or misread.
+    """Reject node arrays that the compare-and-select scorer would index past or misread.
 
-    Children must sit after their parent, so every root-to-leaf walk ends;
+    Children must sit after their parent, so the scorer, taking the splits
+    last first, has both children's values before it selects between them;
     a node is a leaf exactly when its feature is -1 and it has no children;
     no node has two parents, as the scorer drops a value once it is read.
     """
@@ -677,6 +683,10 @@ def _pipeline(body) -> Pipeline:
         temperature = getattr(combined, name).temperature
         if temperature <= 0:
             raise ValueError(f"{name} temperature must be positive, found {temperature}")
+    for name in ("tau_primary", "tau_secondary"):  # Youden's cuts, 0 and 1 included
+        tau = getattr(combined, name)
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], found {tau}")
     # The scaler and all three experts must agree on the feature count.
     widths = {"primary": combined.primary.n_features, "router": combined.router.n_features,
               "secondary": combined.secondary.config.n_features}

@@ -6,8 +6,9 @@ deployable pipeline (train), score a saved pipeline on labeled data
 routing latency from a report (latency), and refit the temperature
 scalers of a saved pipeline on fresh data (calibrate). calibrate then
 refits both decision thresholds by Youden on the recalibrated scores of
-the same rows, the rule training applies on its validation rows; on
-one-class data it keeps the old thresholds and says so in its warnings.
+the same rows: bench.fit_calibration, the rule training applies to its
+validation rows. One-class data fits neither, so it keeps the old
+temperatures and thresholds and says so in its warnings.
 
 Dataset resolution for train and bench: an explicit --data flag, then
 the config file's csv_path, then the QMOE_DATASET environment variable,
@@ -31,6 +32,7 @@ from .bench import (
     TASK_SECONDS,
     Pipeline,
     RunConfig,
+    fit_calibration,
     fit_pipeline,
     latency_table,
     load_config,
@@ -42,11 +44,9 @@ from .bench import (
     save_model,
     save_report,
 )
-from .calibration import apply_temperature, fit_temperature
 from .data import load_csv, save_csv, synthesize
-from .errors import DataError, InputError, QmoeError
+from .errors import DataError, InputError, QmoeError, require_finite_rows
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
-from .moe import require_finite_rows, youden_threshold
 
 ENV_DATASET = "QMOE_DATASET"
 
@@ -152,14 +152,15 @@ def _cmd_calibrate(args) -> int:
     combined = pipeline.combined
     p1 = combined.primary.predict_proba(scaled)
     p2 = np.asarray(combined.secondary.predict_proba(scaled), dtype=np.float64)
-    scaler1, scaler2 = fit_temperature(p1, y), fit_temperature(p2, y)
+    scalers, taus = fit_calibration(p1, p2, y)
+    degenerate = any(scaler.degenerate for scaler in scalers)
     notes = []
-    if np.unique(y).size < 2:
-        notes.append("calibration data has one class; kept the old thresholds")
-        tau1, tau2 = combined.tau_primary, combined.tau_secondary
-    else:  # the old taus were Youden-fit on the old temperatures' scale
-        tau1 = youden_threshold(apply_temperature(scaler1, p1), y)
-        tau2 = youden_threshold(apply_temperature(scaler2, p2), y)
+    if taus is None:  # t = 1 would leave the old thresholds on the wrong scale
+        notes.append("calibration data has one class; kept the old temperatures "
+                     "and thresholds")
+        scalers = combined.primary_scaler, combined.secondary_scaler
+        taus = combined.tau_primary, combined.tau_secondary
+    (scaler1, scaler2), (tau1, tau2) = scalers, taus
     updated = Pipeline(
         scaler=pipeline.scaler,
         combined=replace(combined, primary_scaler=scaler1, secondary_scaler=scaler2,
@@ -172,7 +173,7 @@ def _cmd_calibrate(args) -> int:
         "temperature_secondary": scaler2.temperature,
         "tau_primary": tau1,
         "tau_secondary": tau2,
-        "degenerate": scaler1.degenerate or scaler2.degenerate,
+        "degenerate": degenerate,
         "warnings": notes,
     }, indent=2, sort_keys=True))
     return 0

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the input
+rules every fit and every scoring of raw rows applies."""
+
+import numpy as np
 
 
 class QmoeError(Exception):
@@ -19,3 +22,39 @@ class DataError(QmoeError, ValueError):
 
 class ModelIOError(QmoeError, RuntimeError):
     """Corrupt, truncated, or incompatible model or report files."""
+
+
+def require_finite_rows(x: np.ndarray) -> None:
+    """Raise InputError naming the first rows of 2-d ``x`` holding NaN or inf.
+
+    Other shapes pass through; the experts' own shape checks reject them.
+    """
+    finite = np.isfinite(x)
+    if x.ndim != 2 or finite.all():
+        return
+    bad = np.flatnonzero(~finite.all(axis=1))
+    raise InputError(
+        f"feature rows must be finite; {bad.size} rows hold NaN or infinity, "
+        f"first at row indices {bad[:5].tolist()}"
+    )
+
+
+def labeled_rows(x, y, width=None, what: str = "training"):
+    """``(x, y)`` as float64 arrays: at least one finite row of ``x`` (of
+    ``width`` features, if given) per 0/1 label, else an InputError naming
+    the ``what`` set."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise InputError(f"{what} features {x.shape} and labels {y.shape} do not align")
+    if width is not None and x.shape[1] != width:
+        raise InputError(f"{what} rows have {x.shape[1]} features, expected {width}")
+    if x.shape[0] == 0:
+        raise InputError(f"cannot fit on an empty {what} set")
+    try:
+        require_finite_rows(x)
+    except InputError as exc:
+        raise InputError(f"{what} {exc}") from None
+    if not np.all((y == 0) | (y == 1)):
+        raise InputError(f"{what} labels must be 0 or 1")
+    return x, y

@@ -66,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, labeled_rows
 from .neural import log_loss, sigmoid
 
 __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
@@ -130,13 +130,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[0])
-        plan = self._plan(self.value)
-        for rows, xt in _row_blocks(x):
-            out[rows] = _select(plan, xt)
-        return out
 
     def _plan(self, value: np.ndarray) -> tuple:
         """``value`` as a list and the (node, feature, threshold, left, right) splits, last first."""
@@ -353,34 +346,10 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
     When early stopping triggers, the tree list is truncated to the best
     validation round, so persisted and in-memory predictions agree.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y_arr = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] != y_arr.shape[0]:
-        raise InputError(f"features {x.shape} and labels {y_arr.shape} do not align")
-    if x.shape[0] == 0:
-        raise InputError("cannot fit on an empty dataset")
-    if not np.all(np.isfinite(x)):
-        raise InputError("features must be finite")
-    y_arr = y_arr.astype(np.float64)
-    if not np.all((y_arr == 0) | (y_arr == 1)):
-        raise InputError("labels must be 0 or 1")
-
+    x, y_arr = labeled_rows(x, y)
     use_val = x_val is not None and y_val is not None and params.early_stopping_rounds > 0
     if use_val:
-        x_val = np.asarray(x_val, dtype=np.float64)
-        y_val_arr = np.asarray(y_val, dtype=np.float64)
-        if x_val.ndim != 2 or x_val.shape[1] != x.shape[1]:
-            raise InputError(f"validation features {x_val.shape} do not match {x.shape}")
-        if y_val_arr.shape != (x_val.shape[0],):
-            raise InputError(
-                f"validation features {x_val.shape} and labels {y_val_arr.shape} do not align"
-            )
-        if x_val.shape[0] == 0:
-            raise InputError("cannot early-stop on an empty validation set")
-        if not np.all(np.isfinite(x_val)):
-            raise InputError("validation features must be finite")
-        if not np.all((y_val_arr == 0) | (y_val_arr == 1)):
-            raise InputError("validation labels must be 0 or 1")
+        x_val, y_val_arr = labeled_rows(x_val, y_val, x.shape[1], "validation")
 
     prior = float(np.clip(y_arr.mean(), _PRIOR_EPS, 1.0 - _PRIOR_EPS))
     base = float(np.log(prior) - np.log1p(-prior))

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, labeled_rows
 from .metrics import average_precision, pr_curve
 from .neural import (
     MLPSpec,
@@ -271,18 +271,10 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
     roll back to the best epoch's snapshot; the report keeps that epoch's
     validation probabilities.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.n_features:
-        raise InputError(f"expected (rows, {config.n_features}) features, got {x.shape}")
-    if y.shape != (x.shape[0],) or not np.all((y == 0) | (y == 1)):
-        raise InputError("labels must be one 0/1 value per row")
-    if x.shape[0] == 0:
-        raise InputError("cannot fit on an empty dataset")
+    x, y = labeled_rows(x, y, config.n_features)
     use_val = x_val is not None and y_val is not None
     if use_val:
-        x_val = np.asarray(x_val, dtype=np.float64)
-        y_val = np.asarray(y_val, dtype=np.float64)
+        x_val, y_val = labeled_rows(x_val, y_val, config.n_features, "validation")
         if np.unique(y_val).size < 2:
             raise InputError("validation labels need both classes for average precision")
 

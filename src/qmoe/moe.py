@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import TemperatureScaler, apply_temperature
-from .errors import InputError
+from .errors import InputError, require_finite_rows
 from .gbdt import GBDTModel, GBDTParams, fit_gbdt
 from .metrics import pr_curve
 
@@ -42,7 +42,6 @@ __all__ = [
     "RoutedPrediction",
     "combined_predict",
     "route_rows",
-    "require_finite_rows",
 ]
 
 GAMMA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -123,28 +122,13 @@ class RoutedPrediction:
         return float(self.routed.mean()) if self.routed.size else 0.0
 
 
-def require_finite_rows(x: np.ndarray) -> None:
-    """Raise InputError naming the first rows of 2-d ``x`` holding NaN or inf.
-
-    Other shapes pass through; the experts' own shape checks reject them.
-    """
-    finite = np.isfinite(x)
-    if x.ndim != 2 or finite.all():
-        return
-    bad = np.flatnonzero(~finite.all(axis=1))
-    raise InputError(
-        f"feature rows must be finite; {bad.size} rows hold NaN or infinity, "
-        f"first at row indices {bad[:5].tolist()}"
-    )
-
-
 def combined_predict(model: CombinedModel, x, gamma: float) -> RoutedPrediction:
     """Score rows, handing those the router flags to the secondary expert.
 
     The secondary runs only on flagged rows; that sparsity is the whole
     point of the gate. Hard labels apply the owning expert's threshold.
-    Non-finite rows are rejected up front, so the outcome never depends on
-    whether the gate would have routed them.
+    Non-finite rows are rejected up front by errors.require_finite_rows, so
+    the outcome never depends on whether the gate would have routed them.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")

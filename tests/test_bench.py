@@ -595,6 +595,26 @@ def test_load_model_checks_the_scaler_width(model_doc, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("name", ["tau_primary", "tau_secondary"])
+def test_load_model_checks_the_thresholds(model_doc, tmp_path, name):
+    # A threshold above 1 labels none of its expert's rows positive, one
+    # below 0 all of them; Youden's endpoints 0 and 1 themselves are legal.
+    for value in (0.0, 1.0):
+        doc = json.loads(json.dumps(model_doc))
+        doc["combined"][name] = value
+        path = tmp_path / f"edge-{value}.json"
+        path.write_text(json.dumps(doc))
+        assert getattr(load_model(path).combined, name) == value
+    for value in (5.0, -1.0, np.nextafter(1.0, 2.0), -5e-324):
+        doc = json.loads(json.dumps(model_doc))
+        doc["combined"][name] = value
+        path = tmp_path / "bad-tau.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelIOError,
+                           match=rf"bad-tau.json is malformed: {name} must be in \[0, 1\]"):
+            load_model(path)
+
+
 def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
     # One call over a pool spanning several prediction blocks scores every
     # row exactly as calls on uneven slices of it do.

@@ -189,11 +189,22 @@ def test_calibrate_on_one_class_data_keeps_the_thresholds(workspace, tmp_path, c
     assert main(["calibrate", "--model", workspace["model"],
                  "--data", legit, "--out", out]) == 0
     payload = json.loads(capsys.readouterr().out)
-    base = load_model(workspace["model"]).combined
-    assert payload["warnings"] == ["calibration data has one class; kept the old thresholds"]
+    old = load_model(workspace["model"])
+    new = load_model(out)
+    assert payload["warnings"] == [
+        "calibration data has one class; kept the old temperatures and thresholds"]
     assert payload["degenerate"]
-    assert load_model(out).combined.tau_primary == payload["tau_primary"] == base.tau_primary
-    assert load_model(out).combined.tau_secondary == payload["tau_secondary"] == base.tau_secondary
+    for name in ("primary", "secondary"):
+        # The t = 1 fallback would leave the old thresholds on the wrong scale.
+        kept = getattr(old.combined, f"{name}_scaler").temperature
+        assert kept != 1.0
+        assert getattr(new.combined, f"{name}_scaler").temperature == kept
+        assert payload[f"temperature_{name}"] == kept
+        tau = getattr(old.combined, f"tau_{name}")
+        assert getattr(new.combined, f"tau_{name}") == payload[f"tau_{name}"] == tau
+    for gamma in (1.0, 0.5):
+        assert np.array_equal(pipeline_predict(new, x, gamma).labels,
+                              pipeline_predict(old, x, gamma).labels)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -120,9 +120,9 @@ def reference_fit(params, x, y, x_val=None, y_val=None):
             value=np.asarray(builder.value, dtype=np.float64),
         )
         trees.append(tree)
-        margin += params.learning_rate * tree.predict(x)
+        margin += params.learning_rate * reference_tree_predict(tree, x)
         if use_val:
-            val_margin += params.learning_rate * tree.predict(x_val)
+            val_margin += params.learning_rate * reference_tree_predict(tree, x_val)
             loss = logloss(y_val, sigmoid(val_margin))
             if loss < best_loss:
                 best_loss, best_round = loss, round_index
@@ -256,7 +256,7 @@ def test_train_logloss_decreases_each_round():
     margin = np.full(len(y), model.base_score)
     losses = [logloss(y, sigmoid(margin))]
     for tree in model.trees:
-        margin += model.params.learning_rate * tree.predict(x)
+        margin += model.params.learning_rate * reference_tree_predict(tree, x)
         losses.append(logloss(y, sigmoid(margin)))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -302,7 +302,7 @@ def test_early_stopping_truncates_to_best_round():
     margin = np.full(len(y_val), full.base_score)
     losses = []
     for tree in full.trees:
-        margin += full.params.learning_rate * tree.predict(x_val)
+        margin += full.params.learning_rate * reference_tree_predict(tree, x_val)
         losses.append(logloss(y_val, sigmoid(margin)))
     prefix = losses[: model.best_iteration + 3 + 1]
     assert int(np.argmin(prefix)) == model.best_iteration
@@ -522,16 +522,20 @@ def test_router_shaped_fit_grows_the_reference_trees():
 
 def test_validation_rows_must_align_with_labels():
     x = np.eye(3)
-    with pytest.raises(InputError, match="do not align"):
+    with pytest.raises(InputError, match="validation features .* do not align"):
         fit_gbdt(GBDTParams(), x, [0.0, 1.0, 0.0], np.eye(3), [0.0, 1.0])
+    with pytest.raises(InputError, match="validation rows have 2 features, expected 3"):
+        fit_gbdt(GBDTParams(), x, [0.0, 1.0, 0.0], np.eye(3)[:, :2], [0.0, 1.0, 1.0])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validation_features_must_be_finite(bad):
     x_val = np.eye(3)
     x_val[1, 2] = bad
-    with pytest.raises(InputError, match="finite"):
+    with pytest.raises(InputError, match=r"validation feature rows .* row indices \[1\]"):
         fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], x_val, [0.0, 1.0, 1.0])
+    with pytest.raises(InputError, match=r"training feature rows .* row indices \[1\]"):
+        fit_gbdt(GBDTParams(), x_val, [0.0, 1.0, 0.0])
 
 
 def test_empty_validation_set_is_rejected():
@@ -545,7 +549,7 @@ def test_empty_validation_set_is_rejected():
 
 
 def test_validation_labels_must_be_binary():
-    with pytest.raises(InputError, match="0 or 1"):
+    with pytest.raises(InputError, match="validation labels must be 0 or 1"):
         fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], np.eye(3), [0.0, 2.0, 1.0])
 
 
@@ -555,8 +559,8 @@ def test_validation_labels_must_be_binary():
 def reference_tree_predict(tree, x):
     """One tree's leaf value per row, walking only the rows still at a split.
 
-    This is the walk Tree.predict made before every tree of a forest was
-    scored at once; the scorer must return the same bytes.
+    This is how a tree was scored, one tree at a time, before every tree of
+    a forest was scored at once; the scorer must return the same bytes.
     """
     node = np.zeros(x.shape[0], dtype=np.int64)
     while True:
@@ -568,6 +572,17 @@ def reference_tree_predict(tree, x):
         at = node[rows]
         go_left = x[rows, feat[rows]] <= tree.threshold[at]
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+
+
+def tree_values(tree, x):
+    """One tree's value per row from the forest scorer.
+
+    A one-tree model at learning rate 1 over a base score of -0.0 returns
+    the tree's values bit for bit: -0.0 + v and v * 1.0 are both v.
+    """
+    model = GBDTModel(params=GBDTParams(learning_rate=1.0), n_features=x.shape[1],
+                      base_score=-0.0, trees=[tree])
+    return model.predict_margin(x)
 
 
 def reference_margin(model, x):
@@ -625,7 +640,7 @@ def assert_walks_match_reference(trees, x, learning_rate=0.1, base_score=-1.25):
                       n_features=x.shape[1], base_score=base_score, trees=trees)
     assert_same_bytes(model.predict_margin(x), reference_margin(model, x))
     for tree in trees:
-        assert_same_bytes(tree.predict(x), reference_tree_predict(tree, x))
+        assert_same_bytes(tree_values(tree, x), reference_tree_predict(tree, x))
 
 
 THRESHOLDS = np.array([-1.0, -0.25, 0.0, 0.5, 1.5])
@@ -646,7 +661,7 @@ def test_rows_on_a_threshold_go_left():
     stump = Tree(feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
                  left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
                  value=np.array([0.0, -1.0, 1.0]))
-    got = stump.predict(np.array([[0.5], [np.nextafter(0.5, 1.0)]]))
+    got = tree_values(stump, np.array([[0.5], [np.nextafter(0.5, 1.0)]]))
     assert got.tolist() == [-1.0, 1.0]
 
 
@@ -657,7 +672,7 @@ def test_nan_goes_right():
     stump = Tree(feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
                  left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
                  value=np.array([0.0, -1.0, 1.0]))
-    assert stump.predict(np.array([[np.nan]])).tolist() == [1.0]
+    assert tree_values(stump, np.array([[np.nan]])).tolist() == [1.0]
 
 
 def test_root_only_trees_return_their_value():
@@ -666,7 +681,7 @@ def test_root_only_trees_return_their_value():
     x = random_rows(rng, 50, 2, THRESHOLDS)
     for root in roots:
         assert root.feature.tolist() == [-1]
-        assert_same_bytes(root.predict(x), np.full(50, root.value[0]))
+        assert_same_bytes(tree_values(root, x), np.full(50, root.value[0]))
     assert_walks_match_reference(roots, x)
     assert_walks_match_reference(roots + [random_tree(rng, 3, 2, THRESHOLDS)], x)
 

@@ -386,3 +386,33 @@ def test_input_validation():
             np.zeros((3, 4)),
             np.zeros(3),
         )
+
+
+_X_VAL = np.random.default_rng(4).normal(size=(10, 4))
+_Y_VAL = np.array([1.0, 0.0] * 5)
+
+
+def _with_row_2(value):
+    x = _X_VAL.copy()
+    x[2, 1] = value
+    return x
+
+
+@pytest.mark.parametrize("x_val, y_val, message", [
+    (_X_VAL, _Y_VAL[:-1], r"validation features \(10, 4\) and labels \(9,\) do not align"),
+    (_X_VAL[:, :3], _Y_VAL, "validation rows have 3 features, expected 4"),
+    (_with_row_2(np.nan), _Y_VAL, r"validation feature rows must be finite; .* indices \[2\]"),
+    (_with_row_2(np.inf), _Y_VAL, r"validation feature rows must be finite; .* indices \[2\]"),
+    (_X_VAL, np.r_[2.0, _Y_VAL[1:]], "validation labels must be 0 or 1"),
+    (_X_VAL[:0], _Y_VAL[:0], "empty validation set"),
+], ids=["misaligned", "narrow", "nan", "inf", "label 2", "empty"])
+def test_bad_validation_set_fails_before_training(x_val, y_val, message, monkeypatch):
+    # Unchecked, these trained a full epoch and then failed inside the
+    # scorer or the PR sweep with a message that named no validation set.
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(hybrid, "_batch_gradients", no_step)
+    x, y = np.random.default_rng(5).normal(size=(10, 4)), np.array([0.0, 1.0] * 5)
+    with pytest.raises(InputError, match=message):
+        fit_hybrid(HybridConfig(seed=1, **TINY), x, y, x_val, y_val)

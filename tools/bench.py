@@ -12,9 +12,7 @@ BENCH_qsim.json, ``gbdt`` times ``gbdt.fit_gbdt`` (router fits at the
 cv-desk, train-paper and paper-fold analysis sizes, the train-paper primary
 and a 16k-row fit) and writes BENCH_gbdt.json, ``predict`` times
 ``GBDTModel.predict_margin`` on the serving forests and on dense depth-6
-and depth-4 forests, and ``Tree.predict`` on one tree per boosting round,
-and writes
-BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
+and depth-4 forests, and writes BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
 ``mlp_backward`` on the paper encoder, one ``_batch_gradients`` step and
 ``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
 BENCH_hybrid.json; ``ingest`` times ``data.load_csv`` on a 142,404-row
@@ -151,20 +149,15 @@ call = lambda: gbdt.fit_gbdt(params, x, y, *val)
               "contiguous compare and one np.where per split, replacing the "
               "level-synchronous forest walk",
         # The serve-paper forests (the primary's 52 trees at depth 4 and the
-        # router's 100 at depth 3) over its 142,404-row pool, the per-round
-        # Tree.predict of fit_gbdt at the router's and the wide fit's shapes,
-        # and dense forests fit on a balanced 7,000-row set: 50 trees at
-        # depth 6, XGBoost's default max_depth, with about 20 splits per tree,
-        # and 50 at depth 4 with about 11.
+        # router's 100 at depth 3) over its 142,404-row pool, and dense
+        # forests fit on a balanced 7,000-row set: 50 trees at depth 6,
+        # XGBoost's default max_depth, with about 20 splits per tree, and 50
+        # at depth 4 with about 11.
         kernels=(
             {"name": "serve primary", "call": "predict_margin", "trees": 52, "max_depth": 4,
              "rows": 142_404},
             {"name": "serve router", "call": "predict_margin", "trees": 100, "max_depth": 3,
              "rows": 142_404},
-            {"name": "fit round, router", "call": "Tree.predict", "trees": 1, "max_depth": 3,
-             "rows": 1000},
-            {"name": "fit round, wide", "call": "Tree.predict", "trees": 1, "max_depth": 4,
-             "rows": 16000},
             {"name": "dense, depth 6", "call": "predict_margin", "trees": 50, "max_depth": 6,
              "rows": 142_404, "fit_rows": 7000, "fit_fraud_rate": 0.5},
             {"name": "dense, depth 4", "call": "predict_margin", "trees": 50, "max_depth": 4,
@@ -179,10 +172,7 @@ params = gbdt.GBDTParams(n_estimators=kernel["trees"], max_depth=kernel["max_dep
                          early_stopping_rounds=0)
 model = gbdt.fit_gbdt(params, fit_x, fit_y)
 assert len(model.trees) == kernel["trees"]
-if kernel["call"] == "predict_margin":
-    call = lambda: model.predict_margin(x)
-else:
-    call = lambda: model.trees[0].predict(x)
+call = lambda: model.predict_margin(x)
 """,
         note="Dense trees favour the walk this replaces: the scorer pays one compare and one "
              "select per split, so its time grows with the splits per tree, while the walk's "
