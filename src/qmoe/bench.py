@@ -197,11 +197,8 @@ class Pipeline:
 
 
 def pipeline_predict(pipeline: Pipeline, x_raw, gamma: float):
-    x_raw = np.asarray(x_raw, dtype=np.float64)
-    # Checked before scaling as well: the scaler would clip an infinity
-    # into range.
-    require_finite_rows(x_raw)
-    return combined_predict(pipeline.combined, pipeline.scaler.transform(x_raw), gamma)
+    """Score raw rows; combined_predict checks and scales them block by block."""
+    return combined_predict(pipeline.combined, x_raw, gamma, pipeline.scaler)
 
 
 def _fold_seeds(master_seed: int, repeat: int, fold: int):
@@ -332,7 +329,8 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         gate = router.predict_proba(x_hold)
 
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
-            out = route_rows(combined, x_hold, base_probs, gate > gamma)
+            routed = gate > gamma
+            out = route_rows(combined, base_probs, routed, x_hold[routed])
             record.combined[str(gamma)] = _arm_metrics(
                 y_hold, out.probs, out.labels, out.routed_fraction, n_hold, record
             )

@@ -13,12 +13,14 @@ splits and samples.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, InputError
+from .gbdt import _BLOCK_ROWS
 
 __all__ = [
     "CSV_HEADER",
@@ -46,6 +48,14 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     Raises DataError with the offending row and column named, so a
     truncated download or a stray locale comma is diagnosable from the
     message alone, and names the path when the file cannot be read.
+
+    The table is allocated once: ``max_rows`` is ``_row_bound``'s cap on
+    the rows, which never undercounts, so ``loadtxt`` does not grow its
+    buffer. The features are then packed at the front of that buffer, one
+    row block after another; each block's destination starts at or before
+    its source and ends before the next block's source, and numpy buffers
+    the overlapping copy. ``x`` is a C-contiguous view of the table, so
+    the pool is never held twice.
     """
     try:
         with open(path) as fh:
@@ -62,7 +72,7 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # an empty body
                     table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                       ndmin=2, dtype=np.float64)
+                                       ndmin=2, dtype=np.float64, max_rows=_row_bound(path))
             except UnicodeDecodeError:  # a ValueError, but a read fault
                 raise
             except ValueError as exc:
@@ -72,11 +82,40 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 raise DataError(f"{path}: no data rows")
             labels = table[:, -1]
             if table.shape[1] == len(CSV_HEADER) and np.all((labels == 0.0) | (labels == 1.0)):
-                return np.ascontiguousarray(table[:, 1:-1]), labels.copy()
+                labels, n = labels.copy(), table.shape[0]
+                x = table.reshape(-1)[:n * N_FEATURES].reshape(n, N_FEATURES)
+                for start in range(0, n, _BLOCK_ROWS):
+                    rows = slice(start, start + _BLOCK_ROWS)
+                    x[rows] = table[rows, 1:-1]
+                return x, labels
             fault = f"rows are not {len(CSV_HEADER)} fields with a 0/1 Class"
         raise DataError(f"{path}: {_first_fault(path) or fault}")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _row_bound(path) -> int:
+    """An upper bound on the rows of a text file as ``open`` splits its lines.
+
+    Universal newlines end a line at every \\n and at every \\r not followed
+    by \\n, so the count of both, less the \\r\\n pairs, plus one for an
+    unterminated last line, bounds the lines. A valid row is at least 61
+    bytes (31 one-character fields and 30 commas), which caps the bound
+    at one row per 61 bytes, so a file of empty lines cannot make
+    ``loadtxt`` preallocate a huge table.
+    """
+    cap = os.path.getsize(path) // (2 * len(CSV_HEADER) - 1) + 1
+    buf = np.empty(1 << 19, dtype=np.uint8)  # reused: the count allocates O(buffer)
+    lines, cr_last = 1, False
+    with open(path, "rb", buffering=0) as raw:
+        while lines <= cap and (n := raw.readinto(buf)):
+            chunk = buf[:n]
+            cr = np.flatnonzero(chunk == 13)
+            pairs = np.count_nonzero(chunk[cr[cr < n - 1] + 1] == 10)
+            pairs += bool(cr_last and chunk[0] == 10)  # a pair split across two reads
+            lines += np.count_nonzero(chunk == 10) + cr.size - pairs
+            cr_last = bool(chunk[n - 1] == 13)
+    return min(int(lines), cap)
 
 
 def _first_fault(path) -> str | None:

@@ -39,7 +39,10 @@ x rows) in gathers for a level-by-level walk of every tree at once (Asadi,
 Lin & de Vries, IEEE TKDE 2014); dense deep trees narrow the gap. The
 margin adds the trees' values, each leaf value first multiplied by the
 learning rate, in boosting order: the same bits as adding one round at a
-time.
+time. The split lists, the scaled leaves and the bounds below make a
+ForestPlan; a caller that scores one pool block by block (moe's serving
+path) builds it once per call and hands it to every block, since
+rebuilding it per block cost about a millisecond a forest.
 
 A router only needs to know whether predict_proba(x) > gamma, so
 GBDTModel.proba_above answers that without finishing every row: the early
@@ -69,10 +72,10 @@ import numpy as np
 from .errors import ConfigurationError, InputError, labeled_rows
 from .neural import log_loss, sigmoid
 
-__all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
+__all__ = ["GBDTParams", "Tree", "ForestPlan", "GBDTModel", "router_params", "fit_gbdt"]
 
 _PRIOR_EPS = 1e-6
-_BLOCK_ROWS = 8192  # rows per transposed block; temporaries are O(features x block)
+_BLOCK_ROWS = 8192  # rows per block here, in serving and in load_csv; temporaries are O(block)
 _CHECK_TREES = 8  # trees proba_above scores between two prunings of a block
 _SLACK = 2.0**-40  # relative slack of proba_above's cut; see the module docstring
 
@@ -140,6 +143,20 @@ class Tree:
         return value.tolist(), splits
 
 
+@dataclass(frozen=True)
+class ForestPlan:
+    """What scoring a forest needs besides the rows, built by GBDTModel.plan.
+
+    A caller that scores many blocks of rows builds it once and passes it to
+    every block's predict_proba or proba_above; each of them builds its own
+    when given none.
+    """
+
+    trees: list  # per tree, Tree._plan of its leaf values times the learning rate
+    reach: np.ndarray  # reach[k]: the most that trees k, k + 1, ... can still add to a margin
+    span: float  # |base_score| plus each tree's largest absolute scaled leaf
+
+
 def _row_blocks(x: np.ndarray):
     """Yield ``(rows, xt)`` per block of rows; ``xt`` is the block as (features, rows)."""
     for start in range(0, x.shape[0], _BLOCK_ROWS):
@@ -171,40 +188,45 @@ class GBDTModel:
     best_iteration: Optional[int] = None
     trees: list[Tree] = field(default_factory=list)  # last: a model file lists them last
 
-    def predict_margin(self, x) -> np.ndarray:
+    def plan(self) -> ForestPlan:
+        scaled = [tree.value * self.params.learning_rate for tree in self.trees]
+        leaves = [value[tree.feature < 0] for tree, value in zip(self.trees, scaled)]
+        return ForestPlan(
+            trees=[tree._plan(value) for tree, value in zip(self.trees, scaled)],
+            reach=np.cumsum([leaf.max() for leaf in leaves][::-1])[::-1],
+            span=abs(self.base_score) + sum(float(np.abs(leaf).max()) for leaf in leaves),
+        )
+
+    def predict_margin(self, x, plan: Optional[ForestPlan] = None) -> np.ndarray:
         x = self._check(x)
         margin = np.full(x.shape[0], self.base_score)
-        forest = [tree._plan(tree.value * self.params.learning_rate) for tree in self.trees]
+        forest = (plan if plan is not None else self.plan()).trees
         for rows, xt in _row_blocks(x):
             block = margin[rows]
-            for plan in forest:  # tree by tree, as the rounds were added
-                block += _select(plan, xt)
+            for tree in forest:  # tree by tree, as the rounds were added
+                block += _select(tree, xt)
         return margin
 
-    def predict_proba(self, x) -> np.ndarray:
-        return sigmoid(self.predict_margin(x))
+    def predict_proba(self, x, plan: Optional[ForestPlan] = None) -> np.ndarray:
+        return sigmoid(self.predict_margin(x, plan))
 
-    def proba_above(self, x, gamma: float) -> np.ndarray:
+    def proba_above(self, x, gamma: float, plan: Optional[ForestPlan] = None) -> np.ndarray:
         """``predict_proba(x) > gamma`` bit for bit, each row scored only until it is settled."""
         x = self._check(x)
         above = np.zeros(x.shape[0], dtype=bool)
         if gamma >= 1.0:
             return above
-        scaled = [tree.value * self.params.learning_rate for tree in self.trees]
-        forest = [tree._plan(value) for tree, value in zip(self.trees, scaled)]
-        leaves = [value[tree.feature < 0] for tree, value in zip(self.trees, scaled)]
-        # reach[k]: the most that trees k, k + 1, ... can still add to a margin.
-        reach = np.cumsum([leaf.max() for leaf in leaves][::-1])[::-1]
+        plan = plan if plan is not None else self.plan()
+        forest, reach = plan.trees, plan.reach
         cut = -np.inf
         if gamma > 0.0:
-            span = abs(self.base_score) + sum(float(np.abs(leaf).max()) for leaf in leaves)
             cut = float(np.log(gamma) - np.log1p(-gamma))
-            cut -= _SLACK * (len(forest) * span + abs(cut) + 1.0 / (1.0 - gamma))
+            cut -= _SLACK * (len(forest) * plan.span + abs(cut) + 1.0 / (1.0 - gamma))
         checks = range(0, len(forest) if cut > -np.inf else 0, _CHECK_TREES)
         for rows, xt in _row_blocks(x):
             alive = np.arange(rows.start, rows.start + xt.shape[1])
             margin = np.full(alive.size, self.base_score)
-            for k, plan in enumerate(forest):
+            for k, tree in enumerate(forest):
                 if k in checks:
                     keep = margin + reach[k] >= cut
                     if not keep.all():
@@ -212,7 +234,7 @@ class GBDTModel:
                         if not alive.size:
                             break
                         xt = np.compress(keep, xt, axis=1)
-                margin += _select(plan, xt)
+                margin += _select(tree, xt)
             above[alive] = sigmoid(margin) > gamma
         return above
 

@@ -263,13 +263,22 @@ class TrainReport:
     val_probs: Optional[np.ndarray] = None
 
 
+def _diverged(config: HybridConfig, epoch: int, why) -> ConfigurationError:
+    return ConfigurationError(
+        f"hybrid training diverged in epoch {epoch} ({why}); "
+        f"learning_rate {config.learning_rate} may be too large"
+    )
+
+
 def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
     """Train jointly; returns (model, report).
 
     With a validation set, training stops once validation average
     precision has not improved for `patience` epochs and the parameters
     roll back to the best epoch's snapshot; the report keeps that epoch's
-    validation probabilities.
+    validation probabilities. A non-finite epoch loss, or non-finite
+    weights tripping a scoring check (validation scores included), raises
+    a ConfigurationError naming the epoch and learning_rate.
     """
     x, y = labeled_rows(x, y, config.n_features)
     use_val = x_val is not None and y_val is not None
@@ -290,18 +299,22 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
         tick = time.perf_counter()
         order = rng.permutation(n)
         total_sum = recon_sum = class_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            rows = order[start : start + config.batch_size]
-            total, recon, classification, grads = _batch_gradients(model, x[rows], y[rows])
-            _set_params(model, optimizer_step(opt, _flat_params(model), grads))
-            total_sum += total * rows.size
-            recon_sum += recon * rows.size
-            class_sum += classification * rows.size
-
         val_ap = None
-        if use_val:
-            val_probs = model.predict_proba(x_val)
-            val_ap = average_precision(pr_curve(val_probs, y_val))
+        try:
+            for start in range(0, n, config.batch_size):
+                rows = order[start : start + config.batch_size]
+                total, recon, classification, grads = _batch_gradients(model, x[rows], y[rows])
+                _set_params(model, optimizer_step(opt, _flat_params(model), grads))
+                total_sum += total * rows.size
+                recon_sum += recon * rows.size
+                class_sum += classification * rows.size
+            if use_val:
+                val_probs = model.predict_proba(x_val)
+                val_ap = average_precision(pr_curve(val_probs, y_val))
+        except InputError as exc:  # the rows passed labeled_rows: the weights went bad
+            raise _diverged(config, epoch, exc) from exc
+        if not np.isfinite(total_sum):
+            raise _diverged(config, epoch, f"mean loss {total_sum / n}")
         report.epochs.append(
             EpochStats(
                 epoch=epoch,

@@ -20,6 +20,13 @@ scoring a row once it can no longer clear gamma and scores nothing at
 gamma = 1.0, yet flags the rows router.predict_proba(x) > gamma would.
 fit_fold, which reads one gate at every gamma of its grid, scores the
 router in full once and compares that.
+
+Serving walks its input in row blocks of the forests' own size, so a call
+holds one scaled block and the outputs, never a scaled copy of the pool.
+The trees score row by row, so blocks keep their bits; the secondary may
+not (the paper-size circuit moves a last bit with its batch), so it gets
+every routed row of the call in one batch, exactly as an unblocked call
+would hand them over.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .calibration import TemperatureScaler, apply_temperature
 from .errors import InputError, require_finite_rows
-from .gbdt import GBDTModel, GBDTParams, fit_gbdt
+from .gbdt import _BLOCK_ROWS, GBDTModel, GBDTParams, fit_gbdt
 from .metrics import pr_curve
 
 __all__ = [
@@ -122,35 +129,58 @@ class RoutedPrediction:
         return float(self.routed.mean()) if self.routed.size else 0.0
 
 
-def combined_predict(model: CombinedModel, x, gamma: float) -> RoutedPrediction:
+def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> RoutedPrediction:
     """Score rows, handing those the router flags to the secondary expert.
 
-    The secondary runs only on flagged rows; that sparsity is the whole
-    point of the gate. Hard labels apply the owning expert's threshold.
-    Non-finite rows are rejected up front by errors.require_finite_rows, so
-    the outcome never depends on whether the gate would have routed them.
+    ``x`` holds the rows the experts read, or raw rows that ``scaler``
+    (anything with ``transform(rows)``) maps to them. Per block of
+    gbdt._BLOCK_ROWS rows: a finite check before scaling (which would clip
+    an infinity into range), naming rows of the whole input, so the outcome
+    never depends on whether the gate would have routed a bad row; the
+    scaling; the primary and the gate, against ForestPlans built once per
+    call. The secondary then scores every routed row in one call; that
+    sparsity is the whole point of the gate. Hard labels apply the owning
+    expert's threshold.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
     x = np.asarray(x, dtype=np.float64)
-    require_finite_rows(x)
-    probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
-    return route_rows(model, x, probs, model.router.proba_above(x, gamma))
+    if x.ndim != 2:
+        raise InputError(f"expected a 2-D array of rows, got shape {x.shape}")
+    probs = np.empty(x.shape[0])
+    routed = np.zeros(x.shape[0], dtype=bool)
+    handed = []
+    primary = model.primary.plan()
+    gate = model.router.plan() if gamma < 1.0 else None  # a shut gate reads no tree
+    for start in range(0, max(x.shape[0], 1), _BLOCK_ROWS):  # an empty input still checks
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = x[rows]
+        if not np.isfinite(block).all():
+            require_finite_rows(x)
+        if scaler is not None:
+            block = scaler.transform(block)
+        probs[rows] = apply_temperature(model.primary_scaler,
+                                        model.primary.predict_proba(block, primary))
+        routed[rows] = model.router.proba_above(block, gamma, gate)
+        handed.append(block[routed[rows]])
+    return route_rows(model, probs, routed, np.concatenate(handed))
 
 
-def route_rows(model: CombinedModel, x: np.ndarray, probs: np.ndarray,
-               routed: np.ndarray) -> RoutedPrediction:
+def route_rows(model: CombinedModel, probs: np.ndarray, routed: np.ndarray,
+               handed: np.ndarray) -> RoutedPrediction:
     """Hand the rows flagged in the boolean mask ``routed`` to the secondary.
 
-    ``probs`` holds the calibrated primary probabilities of ``x`` and is
-    never written to, so one scoring of a batch serves every gamma.
+    ``handed`` holds those rows, in order; the secondary scores them in one
+    call. ``probs`` holds the calibrated primary probabilities of every row
+    and is never written to, so one scoring of a batch serves every gamma.
     """
     if routed.any():
-        handed = apply_temperature(
+        scored = apply_temperature(
             model.secondary_scaler,
-            np.asarray(model.secondary.predict_proba(x[routed]), dtype=np.float64),
+            np.asarray(model.secondary.predict_proba(handed), dtype=np.float64),
         )
         probs = probs.copy()
-        probs[routed] = handed
-    cut = np.where(routed, model.tau_secondary, model.tau_primary)
-    return RoutedPrediction(probs=probs, labels=(probs > cut).astype(np.float64), routed=routed)
+        probs[routed] = scored
+    labels = np.where(routed, model.tau_secondary, model.tau_primary)
+    np.greater(probs, labels, out=labels)  # 1.0 where a row clears its expert's threshold
+    return RoutedPrediction(probs=probs, labels=labels, routed=routed)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,11 @@ from qmoe.bench import (
     save_model,
     save_report,
 )
+from qmoe.calibration import apply_temperature
 from qmoe.data import split_eval, synthesize
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams, router_params
-from qmoe.hybrid import HybridConfig
+from qmoe.hybrid import HybridConfig, init_hybrid
 from qmoe.moe import GAMMA_GRID
 
 ARM_KEYS = {"aucpr", "ap", "precision", "recall", "routed_fraction", "latency_seconds"}
@@ -634,12 +636,62 @@ def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
         assert whole.routed.any() == (gamma < 1.0)
 
 
+def test_pipeline_predict_equals_the_whole_pool_oracle_at_the_paper_shape(model_doc, tmp_path):
+    # The paper's 6-qubit hybrid is not batch-invariant, so block serving
+    # must hand it the routed rows of every block in one call, as one
+    # whole-pool scoring does; and it must hold O(block) memory.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    combined = pipeline.combined
+    combined.secondary = init_hybrid(HybridConfig(), np.random.default_rng(5))
+    n_rows = 16 * gbdt._BLOCK_ROWS + 100
+    x, _, _ = synthesize(n_rows, 0.05, seed=22)
+    xs = pipeline.scaler.transform(x)
+    gate = combined.router.predict_proba(xs)
+    gamma = float(np.quantile(gate, 0.99))
+    routed = gate > gamma
+    assert np.unique(np.flatnonzero(routed) // gbdt._BLOCK_ROWS).size >= 2
+    probs = apply_temperature(combined.primary_scaler, combined.primary.predict_proba(xs))
+    probs[routed] = apply_temperature(combined.secondary_scaler,
+                                      combined.secondary.predict_proba(xs[routed]))
+    labels = (probs > np.where(routed, combined.tau_secondary, combined.tau_primary))
+    del xs, gate
+    tracemalloc.start()
+    try:
+        out = pipeline_predict(pipeline, x, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name, want in (("probs", probs), ("labels", labels.astype(np.float64)),
+                       ("routed", routed)):
+        got = getattr(out, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert peak < x.nbytes / 4
+
+
 def test_pipeline_predict_rejects_non_finite_raw_rows(dataset, model_doc, tmp_path):
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     x = dataset[0][:50].copy()
     x[7, 3] = np.inf  # the scaler alone would clip this into range
     with pytest.raises(InputError, match=r"row indices \[7\]"):
         pipeline_predict(pipeline, x, 0.5)
+
+
+def test_holdout_rows_influence_nothing_upstream(dataset, tmp_path):
+    # Features only: split_eval stratifies on the held-out labels.
+    x, y = dataset
+    train_idx, heldout_idx = np.arange(0, len(y), 2), np.arange(1, len(y), 2)
+    holdout = split_eval(y, heldout_idx, seed=_fold_seeds(CONFIG.seed, 0, 0)[0]).holdout
+    moved = x.copy()
+    moved[holdout] = np.random.default_rng(4).uniform(-50.0, 50.0, size=(holdout.size, x.shape[1]))
+    models, baselines = [], []
+    for rows in (x, moved):
+        record, pipeline = fit_fold(CONFIG, rows, y, train_idx, heldout_idx, 0, 0)
+        path = tmp_path / "model.json"
+        save_model(pipeline, path)
+        models.append(path.read_bytes())
+        baselines.append(record.baseline)
+    assert baselines[0] != baselines[1]  # the holdout was scored on the moved rows
+    assert models[0] == models[1]
 
 
 def test_fold_seeds_are_distinct_and_stable():

@@ -103,6 +103,17 @@ def test_evaluate_rejects_bad_gamma(workspace, capsys):
     assert "gamma" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+def test_bench_names_a_diverged_hybrid(tmp_path, capsys):
+    config = dict(TINY_CONFIG, hybrid={**TINY_CONFIG["hybrid"], "learning_rate": 1e300})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hybrid training diverged in epoch 0 (")
+    assert "learning_rate 1e+300 may be too large" in err
+
+
 def test_bench_writes_report_and_latency_reads_it(workspace, tmp_path, capsys):
     out_dir = str(tmp_path / "bench")
     assert main(["bench", "--config", workspace["config"], "--out", out_dir]) == 0

@@ -344,3 +344,57 @@ def test_minmax_transform_matches_the_expression_and_leaves_its_input():
     got = scaler.transform(x)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(x, before)
+
+
+# load_csv sizes the table from a count of line ends; every line ending
+# Python's universal newlines split on must be counted.
+
+def _lines(tmp_path, rows=5):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "saved.csv"
+    save_csv(path, rng.normal(size=(rows, N_FEATURES)), (np.arange(rows) % 2).astype(float))
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("ending, last", [("\r", "\r"), ("\r\n", "\r\n"), ("\n", "")],
+                         ids=["CR only", "CRLF", "no trailing newline"])
+def test_every_line_ending_loads_every_row(tmp_path, ending, last):
+    lines = _lines(tmp_path)
+    want = load_csv(_write(tmp_path, "\n".join(lines) + "\n", "lf.csv"))
+    path = tmp_path / "ends.csv"
+    path.write_bytes((ending.join(lines) + last).encode())
+    got = load_csv(path)
+    assert got[0].shape == (len(lines) - 1, N_FEATURES)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_file_of_empty_lines_is_not_sized_by_its_line_count(tmp_path):
+    import tracemalloc
+
+    path = _write(tmp_path, ",".join(CSV_HEADER) + "\n" + ROW + "\n" + "\n" * 200_000)
+    tracemalloc.start()
+    try:
+        x, y = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (1, N_FEATURES) and np.array_equal(y, [1.0])
+    assert peak < 8e6  # a table of 200,001 rows would take 50 MB
+
+
+def test_quoted_fields_spanning_a_line_break(tmp_path):
+    rest = ROW.split(",", 1)[1]
+    # A quoted Class or Time holding a line end parses: float() strips it.
+    for ending in ("\n", "\r\n", "\r"):
+        text = ",".join(CSV_HEADER) + ending + ROW + ending + ROW[:-1] + f'"1{ending}"' + ending
+        text += f'"0.5{ending}",' + rest + ending
+        path = tmp_path / "spans.csv"
+        path.write_bytes(text.encode())
+        x, y = load_csv(path)
+        assert x.shape == (3, N_FEATURES)
+        assert np.all(x == 0.5) and np.array_equal(y, [1.0, 1.0, 1.0])
+    # Two numbers in one quoted field do not.
+    path = _write(tmp_path, ",".join(CSV_HEADER) + '\n"0.5\n0.5",' + rest + "\n")
+    with pytest.raises(DataError, match=rf"^{path}: line 2, column Time: cannot parse '0.5\\n0.5'"):
+        load_csv(path)

@@ -8,6 +8,7 @@ from qmoe import hybrid
 from qmoe.errors import ConfigurationError, InputError
 from qmoe.hybrid import (
     HybridConfig,
+    HybridModel,
     _batch_gradients,
     _flat_params,
     _flatten,
@@ -416,3 +417,47 @@ def test_bad_validation_set_fails_before_training(x_val, y_val, message, monkeyp
     x, y = np.random.default_rng(5).normal(size=(10, 4)), np.array([0.0, 1.0] * 5)
     with pytest.raises(InputError, match=message):
         fit_hybrid(HybridConfig(seed=1, **TINY), x, y, x_val, y_val)
+
+
+_DIVERGED = r"^hybrid training diverged in epoch {} \(.*\); learning_rate {} may be too large$"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+@pytest.mark.parametrize("with_validation", [False, True], ids=["training only", "validated"])
+def test_a_diverged_hybrid_is_named(with_validation):
+    # A learning rate of 1e300 drives the weights past float range in the
+    # first epoch; the circuit's finite-angle check used to be the message.
+    x, y = np.random.default_rng(5).normal(size=(10, 4)), np.array([0.0, 1.0] * 5)
+    config = HybridConfig(seed=1, **{**TINY, "learning_rate": 1e300})
+    validation = (_X_VAL, _Y_VAL) if with_validation else ()
+    with pytest.raises(ConfigurationError, match=_DIVERGED.format(0, r"1e\+300")):
+        fit_hybrid(config, x, y, *validation)
+
+
+def test_a_non_finite_epoch_loss_is_named(monkeypatch):
+    real = hybrid._batch_gradients
+
+    def nan_loss(*args):
+        total, recon, classification, grads = real(*args)
+        return np.nan, recon, classification, grads
+
+    monkeypatch.setattr(hybrid, "_batch_gradients", nan_loss)
+    x, y = np.random.default_rng(5).normal(size=(10, 4)), np.array([0.0, 1.0] * 5)
+    with pytest.raises(ConfigurationError, match=_DIVERGED.format(0, "0.01")):
+        fit_hybrid(HybridConfig(seed=1, **{**TINY, "learning_rate": 0.01}), x, y)
+
+
+def test_non_finite_validation_scores_are_named(monkeypatch):
+    scored = []
+    real = HybridModel.predict_proba
+
+    def nan_in_epoch_1(self, x):
+        scored.append(len(x))
+        probs = real(self, x)
+        return np.full_like(probs, np.nan) if len(scored) == 2 else probs
+
+    monkeypatch.setattr(HybridModel, "predict_proba", nan_in_epoch_1)
+    x, y = np.random.default_rng(5).normal(size=(10, 4)), np.array([0.0, 1.0] * 5)
+    config = HybridConfig(seed=1, **{**TINY, "epochs": 3, "patience": 3})
+    with pytest.raises(ConfigurationError, match=_DIVERGED.format(1, config.learning_rate)):
+        fit_hybrid(config, x, y, _X_VAL, _Y_VAL)

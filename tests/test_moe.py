@@ -4,6 +4,7 @@ serving path against a reference that scores the router in full."""
 import numpy as np
 import pytest
 
+from qmoe import gbdt
 from qmoe.calibration import TemperatureScaler, apply_temperature, fit_temperature
 from qmoe.errors import InputError
 from qmoe.gbdt import GBDTModel, GBDTParams, fit_gbdt, router_params
@@ -301,3 +302,39 @@ def test_closed_gate_never_scores_the_router():
     assert np.array_equal(out.labels, (baseline > model.tau_primary).astype(np.float64))
     with pytest.raises(AssertionError, match="router tree was read"):
         combined_predict(model, x, 0.5)
+
+
+def test_non_finite_rows_are_named_across_blocks():
+    # Serving checks one block at a time; the message still names rows of
+    # the whole input, at every gamma.
+    x, model = _routed_model(12)
+    rows = np.tile(x, (gbdt._BLOCK_ROWS // len(x) + 2, 1))
+    bad = [gbdt._BLOCK_ROWS + 3, gbdt._BLOCK_ROWS + 9]
+    rows[bad[0], 0] = np.nan
+    rows[bad[1], 1] = -np.inf
+    for gamma in (1.0, 0.5):
+        with pytest.raises(InputError, match=rf"2 rows .* row indices \[{bad[0]}, {bad[1]}\]"):
+            combined_predict(model, rows, gamma)
+
+
+def test_each_forest_plan_is_built_once_per_call(monkeypatch):
+    x, model = _routed_model(13)
+    rows = np.tile(x, (2 * gbdt._BLOCK_ROWS // len(x) + 2, 1))  # three blocks
+    built = []
+    real = GBDTModel.plan
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(GBDTModel, "plan", counting)
+    whole = combined_predict(model, rows, 0.5)
+    assert whole.routed.any()
+    # The primary and the router once each; the secondary, a GBDT here, once
+    # for its one call.
+    assert [id(m) for m in built] == [id(model.primary), id(model.router), id(model.secondary)]
+    built.clear()
+    combined_predict(model, rows, 1.0)
+    assert [id(m) for m in built] == [id(model.primary)]  # a shut gate builds no router plan
+    monkeypatch.undo()
+    assert np.array_equal(whole.probs, _reference_predict(model, rows, 0.5)[0])

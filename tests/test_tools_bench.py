@@ -38,6 +38,22 @@ def test_every_topic_has_a_title_and_kernels(name):
     compile(tools_bench._TIMER.format(setup=topic.setup), f"<{name} timer>", "exec")
 
 
+def test_time_kernel_reports_each_sides_times_and_tracemalloc_peaks(monkeypatch):
+    runs = {"parent": iter([0.3, 0.1, 0.2]), "change": iter([0.05, 0.04, 0.06])}
+
+    def fake_invoke(checkout, topic, kernel):
+        seconds = next(runs[checkout])
+        return {"samples": [seconds, seconds], "peak_bytes": int(seconds * 1e9)}
+
+    monkeypatch.setattr(tools_bench, "_invoke", fake_invoke)
+    before, after = tools_bench.time_kernel("parent", "change", None, {})
+    assert before["invocation_medians_ms"] == pytest.approx([300.0, 100.0, 200.0])
+    assert before["invocation_peaks_mb"] == pytest.approx([300.0, 100.0, 200.0])
+    assert before["tracemalloc_peak_mb"] == pytest.approx(200.0)
+    assert after["tracemalloc_peak_mb"] == pytest.approx(50.0)
+    assert after["median_ms"] == pytest.approx(50.0) and after["repeats"] == 6
+
+
 def _fake_checkout(tmp_path, records):
     """A checkout with a three-line ``src/`` and untraced cv-desk results."""
     (tmp_path / "src" / "pkg").mkdir(parents=True)

@@ -21,7 +21,9 @@ BENCH_hybrid.json; ``ingest`` times ``data.load_csv`` on a 142,404-row
 BENCH_ingest.json; ``gate`` times whole-pool ``bench.pipeline_predict``
 calls at gamma 1.0, 0.9 and 0.5 on the serve-paper shape (the train-paper
 pipeline at seed 0, fit once per interpreter outside the timed calls, over
-a 142,404-row pool) and writes BENCH_gate.json.
+a 142,404-row pool) and writes BENCH_gate.json; ``serve`` times ``data.load_csv``
+on that pool's ``save_csv`` file and whole-pool ``bench.pipeline_predict``
+calls at gamma 1.0 and 0.5 on that pipeline, and writes BENCH_serve.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -37,7 +39,8 @@ It then times the topic's kernel from each checkout's ``src/`` on every
 entry of its table, with BLAS pinned to one thread. Each side runs in
 ``INVOCATIONS`` fresh interpreters of ``REPEATS`` timed calls, the two
 sides alternating which goes first, so load drift on the host reaches both
-sides alike. It records the median and interquartile range of each side's
+sides alike. After its timed calls each interpreter makes one more under
+``tracemalloc`` and records that call's peak of traced memory. It records the median and interquartile range of each side's
 pooled calls, the median of each invocation, and a verdict: "faster" only
 when every invocation median of the change beats every one of the parent,
 "slower" for the reverse, and "unresolved" otherwise, since a pooled
@@ -75,7 +78,12 @@ for _ in range(repeats):
     start = time.perf_counter()
     call()
     samples.append(time.perf_counter() - start)
-print(json.dumps(samples))
+import tracemalloc
+tracemalloc.start()
+call()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({{"samples": samples, "peak_bytes": peak}}))
 """
 
 
@@ -251,6 +259,38 @@ pool, _, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
 call = lambda: bench.pipeline_predict(pipeline, pool, kernel["gamma"])
 """,
     ),
+    "serve": Topic(
+        title="serving in O(block) memory: load_csv allocates its table once and packs the "
+              "features inside it; pipeline_predict scores the pool in row blocks of the "
+              "forests' size and hands the secondary every routed row in one call",
+        # serve-paper's set-up and calls: load_csv of its 142,404-row pool,
+        # written once by save_csv before the timed calls, and whole-pool
+        # pipeline_predict on its pipeline (as in ``gate``) at the gate that
+        # routes nothing and at serve-paper's routed gamma. The memory figure
+        # is each call's tracemalloc peak.
+        kernels=(
+            {"call": "load_csv", "rows": 142_404},
+            *({"call": "pipeline_predict", "gamma": gamma, "rows": 142_404}
+              for gamma in (1.0, 0.5)),
+        ),
+        setup="""
+import atexit, os, shutil, tempfile
+from qmoe import bench, data, hybrid
+pool, labels, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
+if kernel["call"] == "load_csv":
+    tmp = tempfile.mkdtemp()
+    atexit.register(shutil.rmtree, tmp)
+    path = os.path.join(tmp, "pool.csv")
+    data.save_csv(path, pool, labels)
+    del pool, labels
+    call = lambda: data.load_csv(path)
+else:
+    x, y, _ = data.synthesize(50_000, 0.01, seed=0)
+    config = bench.RunConfig(hybrid=hybrid.HybridConfig(epochs=1), seed=0)
+    _, pipeline = bench.fit_pipeline(x, y, config)
+    call = lambda: bench.pipeline_predict(pipeline, pool, kernel["gamma"])
+""",
+    ),
 }
 
 
@@ -267,8 +307,9 @@ def _quartiles(samples: list) -> dict:
             "q3": _quantile(ordered, 0.75), "runs": len(ordered)}
 
 
-def _invoke(checkout: Path, topic: Topic, kernel: dict) -> list:
-    """``REPEATS`` call times in ms from one fresh interpreter on ``checkout``."""
+def _invoke(checkout: Path, topic: Topic, kernel: dict) -> dict:
+    """``REPEATS`` call times in ms and one call's tracemalloc peak in bytes,
+    from one fresh interpreter on ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
@@ -276,7 +317,7 @@ def _invoke(checkout: Path, topic: Topic, kernel: dict) -> list:
          str(REPEATS)],
         env=env, check=True, capture_output=True, text=True,
     )
-    return [1e3 * t for t in json.loads(out.stdout)]
+    return json.loads(out.stdout)
 
 
 def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple:
@@ -287,9 +328,13 @@ def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple
             runs[side].append(_invoke((parent, change)[side], topic, kernel))
     out = []
     for invocations in runs:
-        q = _quartiles([t for samples in invocations for t in samples])
+        ms = [[1e3 * t for t in run["samples"]] for run in invocations]
+        q = _quartiles([t for samples in ms for t in samples])
+        peaks = [run["peak_bytes"] / 1e6 for run in invocations]
         out.append({"median_ms": q["median"], "iqr_ms": q["q3"] - q["q1"], "repeats": q["runs"],
-                    "invocation_medians_ms": [_quartiles(s)["median"] for s in invocations]})
+                    "invocation_medians_ms": [_quartiles(s)["median"] for s in ms],
+                    "tracemalloc_peak_mb": _quartiles(peaks)["median"],
+                    "invocation_peaks_mb": peaks})
     return tuple(out)
 
 
@@ -434,7 +479,8 @@ def main(argv=None) -> int:
         per_run = ["/".join(f"{m:.2f}" for m in side["invocation_medians_ms"])
                    for side in (before, after)]
         print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms "
-              f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}")
+              f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}; tracemalloc peak "
+              f"{before['tracemalloc_peak_mb']:.1f} -> {after['tracemalloc_peak_mb']:.1f} MB")
 
     doc = {
         "topic": topic.title,
