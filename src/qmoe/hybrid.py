@@ -20,7 +20,15 @@ values of the parameter-shift rule, from one reverse sweep per batch) with
 the batch-summed upstream weights. When recon_weight is exactly 1 the
 classification weight is exactly 0, so the circuit parameters' gradient is
 exactly zero and Adam never moves them: they stay bit-frozen rather than
-drifting by rounding.
+drifting by rounding. Every parameter lives in one float64 buffer,
+HybridModel.params, of which encoder, decoder, theta and head are views,
+and Adam updates that buffer in one elementwise pass: the bits of a
+per-array update.
+
+predict_proba scores rows in chunks of exactly _EVAL_CHUNK rows, padding
+the last with zero rows, so the encoder's and the circuit's GEMMs always
+see one shape. A row's probability then does not depend on which rows a
+caller scores it with: slices of a pool give the bits of one whole call.
 """
 
 from __future__ import annotations
@@ -131,21 +139,59 @@ class HybridConfig:
         return [0]
 
 
+def _pack(encoder, decoder, theta, head) -> np.ndarray:
+    """The one parameter order, flattened: encoder, decoder, theta, head."""
+    def arrays(layers):
+        return [a for pair in layers for a in pair]
+
+    parts = arrays(encoder) + arrays(decoder) + [theta] + arrays(head)
+    return np.concatenate([np.ravel(a) for a in parts])
+
+
 @dataclass
 class HybridModel:
+    """The fitted hybrid. ``params`` is one float64 buffer in _pack's order;
+    encoder, decoder, theta and head are views of it, so writing into
+    ``params`` moves every part at once. It is not a field: the model file
+    holds the parts.
+    """
+
     config: HybridConfig
     encoder: list
     decoder: list
     theta: np.ndarray
     head: list
 
+    def __post_init__(self) -> None:
+        self.params = _pack(self.encoder, self.decoder, self.theta, self.head)
+        offset = 0
+
+        def view(like) -> np.ndarray:
+            nonlocal offset
+            offset += np.size(like)
+            return self.params[offset - np.size(like) : offset].reshape(np.shape(like))
+
+        self.encoder = [(view(w), view(b)) for w, b in self.encoder]
+        self.decoder = [(view(w), view(b)) for w, b in self.decoder]
+        self.theta = view(self.theta)
+        self.head = [(view(w), view(b)) for w, b in self.head]
+
     def predict_proba(self, x) -> np.ndarray:
-        """Fraud probabilities; the decoder never runs here."""
+        """Fraud probabilities; the decoder never runs here.
+
+        Rows are scored in chunks of exactly _EVAL_CHUNK rows, the last one
+        padded with zero rows, so the encoder and the circuit always see one
+        shape and a row's probability does not depend on how a caller
+        splits its rows.
+        """
         x = self._check(x)
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], _EVAL_CHUNK):
             chunk = x[start : start + _EVAL_CHUNK]
-            out[start : start + _EVAL_CHUNK] = self._classify(chunk)
+            rows = chunk.shape[0]
+            if rows < _EVAL_CHUNK:
+                chunk = np.concatenate((chunk, np.zeros((_EVAL_CHUNK - rows, x.shape[1]))))
+            out[start : start + rows] = self._classify(chunk)[:rows]
         return out
 
     def _classify(self, x):
@@ -177,28 +223,8 @@ def init_hybrid(config: HybridConfig, rng: Optional[np.random.Generator] = None)
     return HybridModel(config=config, encoder=encoder, decoder=decoder, theta=theta, head=head)
 
 
-def _flatten(encoder, decoder, theta, head) -> list:
-    """The one parameter order: encoder, decoder, theta, head."""
-    def arrays(layers):
-        return [a for pair in layers for a in pair]
-
-    return arrays(encoder) + arrays(decoder) + [theta] + arrays(head)
-
-
-def _flat_params(model: HybridModel) -> list:
-    return _flatten(model.encoder, model.decoder, model.theta, model.head)
-
-
-def _set_params(model: HybridModel, flat: list) -> None:
-    it = iter(flat)
-    model.encoder = [(next(it), next(it)) for _ in model.encoder]
-    model.decoder = [(next(it), next(it)) for _ in model.decoder]
-    model.theta = next(it)
-    model.head = [(next(it), next(it)) for _ in model.head]
-
-
 def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
-    """Joint loss and its gradient in _flat_params order for one batch.
+    """Joint loss and its gradient, flat in ``model.params`` order, for one batch.
 
     The circuit runs once: batch_parameter_shift returns the expectations
     the head reads first, then their gradients, from one forward state.
@@ -235,7 +261,7 @@ def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
     dz = d_angles * np.pi * (1.0 - tanh_z * tanh_z)
     dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, model.decoder, dec_acts, grad_xhat)
     enc_grads, _ = mlp_backward(cfg.encoder_spec, model.encoder, enc_acts, dz + dz_recon)
-    return total, recon_loss, class_loss, _flatten(enc_grads, dec_grads, theta_grad, head_grads)
+    return total, recon_loss, class_loss, _pack(enc_grads, dec_grads, theta_grad, head_grads)
 
 
 @dataclass
@@ -289,7 +315,7 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     model = init_hybrid(config, rng)
-    opt = adam_init(_flat_params(model), learning_rate=config.learning_rate)
+    opt = adam_init([model.params], learning_rate=config.learning_rate)
 
     report = TrainReport()
     best_ap = -np.inf
@@ -304,7 +330,7 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
             for start in range(0, n, config.batch_size):
                 rows = order[start : start + config.batch_size]
                 total, recon, classification, grads = _batch_gradients(model, x[rows], y[rows])
-                _set_params(model, optimizer_step(opt, _flat_params(model), grads))
+                optimizer_step(opt, [model.params], [grads])
                 total_sum += total * rows.size
                 recon_sum += recon * rows.size
                 class_sum += classification * rows.size
@@ -329,7 +355,7 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
             if val_ap > best_ap:
                 best_ap = val_ap
                 report.best_epoch = epoch
-                best_snapshot = [a.copy() for a in _flat_params(model)]
+                best_snapshot = model.params.copy()
                 report.val_probs = val_probs
             elif epoch - report.best_epoch >= config.patience:
                 report.stopped_early = True
@@ -338,5 +364,5 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
             report.best_epoch = epoch
 
     if best_snapshot is not None:
-        _set_params(model, best_snapshot)
+        model.params[:] = best_snapshot
     return model, report

@@ -25,14 +25,14 @@ _OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|) <= 1 nothing overflows: 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, the two branches' bits without boolean masks.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,12 @@ def adam_init(params: list[np.ndarray], learning_rate: float = 1e-3) -> AdamStat
 
 
 def optimizer_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]):
-    """One Adam update over a flat list of arrays; returns the new arrays.
+    """One Adam update over a list of arrays, in place; returns ``params``.
 
-    Moments and the step counter mutate in place; the parameter arrays do
-    not. Zero gradients from a fresh state leave parameters bit-identical.
+    Parameters, moments and the step counter all mutate in place. The
+    update is elementwise, so one buffer holding many arrays takes the
+    bits of the arrays updated one by one. Zero gradients from a fresh
+    state leave parameters bit-identical.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ConfigurationError(
@@ -214,15 +216,19 @@ def optimizer_step(state: AdamState, params: list[np.ndarray], grads: list[np.nd
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
-    out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ConfigurationError(
                 f"param {i} shape {p.shape} does not match grad shape {g.shape}"
             )
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / correct1
-        v_hat = state.v[i] / correct2
-        out.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    return out
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps), operation for operation.
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        denom = np.sqrt(v / correct2)
+        denom += ADAM_EPS
+        p -= state.learning_rate * (m / correct1) / denom
+    return params

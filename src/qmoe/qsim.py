@@ -4,8 +4,56 @@ The circuit is the angle encoding RY(x_q)|0> on every qubit followed by
 the layered RY/RZ/CNOT-ring ansatz of AnsatzSpec. batch_expectations runs
 it for many feature rows sharing one parameter vector, for inference;
 batch_parameter_shift returns those same expectations first, then their
-exact gradients by an adjoint sweep over the one forward pass, for
-training.
+exact gradients by an adjoint sweep, for training.
+
+Dense sublayers. The n RY gates of a layer act on different qubits, so
+together they are one real orthogonal 2**n x 2**n matrix R, the Kronecker
+product of the n rotations. The n RZ gates are one diagonal phase vector
+exp(-i/2 * z @ theta_rz), with z the (2**n, n) table of Z eigenvalues, and
+the CNOT ring is one basis permutation. A layer is then one GEMM, one
+scaling and one gather. Each layer's R is built when the forward pass
+reaches it, and kept for the adjoint sweep.
+
+Folded observables. Every row shares theta, and RY(x_q)|0> =
+(cos(x_q/2), sin(x_q/2)) is real, so the encoded state phi(x) is a real
+product vector and
+
+    <Z_q>(x) = phi(x)^T A_q phi(x),    A_q = Re(U^dagger Z_q U)
+
+with U the ansatz unitary: the Heisenberg-picture view of angle encoding
+(Schuld, Sweke & Meyer, PRA 103, 032430, 2021). _fold builds U once per
+call as the forward pass of the identity, then A; a row then costs its
+product state, one GEMM row against A and one dot. batch_expectations and
+batch_parameter_shift both read their expectations from _fold and
+_expect, so the two agree bit for bit. GEMM rounding can move a row's
+last bit with the number of rows in a call, so the hybrid scores in
+fixed-size chunks.
+
+Layer-at-a-time adjoint. The gradients come from one forward state and
+one reverse sweep (Jones & Gacon, arXiv:2009.02823). With psi the state
+and lam_q the adjoint state (the rest of the circuit undone on Z_q times
+the final state) at the same point, the RZ gradients of a layer, after
+undoing its ring, are Im(conj(lam) * psi) @ z. Undoing the phases then
+leaves both states just after the RY sublayer, whose gates commute; since
+dRY/dt = -(i/2) Y RY(t), the gradient of qubit q's angle is
+
+    Re sum_j conj(lam_j) s_q(j) psi_(j xor m_q)
+
+with m_q qubit q's bit and s_q(j) = -z_q(j): one gather through an
+(n, 2**n) flip table. Both states then step back through R^T = R^-1. The
+same gather at the encoding layer gives the feature gradients. The values
+are those of the two-point parameter-shift rule, which the tests keep as
+the oracle, beside the gate-by-gate walk this path replaced.
+
+Why MAX_QUBITS is 8. Folding costs about L + 1 dense 2**n-square GEMMs per
+call plus 4**n per row, against about 2 L n 2**n per row for a walk over
+the gates. Timed against that walk with 6 layers on one core of a 2-vCPU
+VM (tools/bench.py circuit, BENCH_circuit.json), the dense path scored a
+512-row chunk at 8 qubits about 5x faster and was no slower on a 32-row
+training batch. At 9 qubits building U outweighs that batch, which ran
+about 1.5x slower. The cap is the widest width where the dense path wins
+both, so there is one circuit path; at 16 qubits a single dense real
+matrix would take 32 GiB.
 
 Basis-state layout: qubit 0 is the most significant bit of the amplitude
 index. For three qubits the amplitude at index 0b110 belongs to qubit 0
@@ -27,6 +75,8 @@ returned, so independent evaluations may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +84,8 @@ from .errors import ConfigurationError, InputError
 
 __all__ = ["MAX_QUBITS", "AnsatzSpec", "batch_expectations", "batch_parameter_shift"]
 
-# Dense simulation keeps the full 2**n amplitude vector; past this size the
-# memory cost is no longer sensible for this package.
-MAX_QUBITS = 16
+# The widest circuit the dense path beats a gate walk on (module docstring).
+MAX_QUBITS = 8
 
 
 @dataclass(frozen=True)
@@ -69,29 +118,19 @@ class AnsatzSpec:
 # ---------------------------------------------------------------------------
 # kernels
 #
-# Internally amplitudes are ndarrays whose last axis has length 2**n; any
-# leading axes are batch axes. A rotation on qubit q reshapes that axis to
-# (2**q, 2, 2**(n-1-q)): in the MSB layout axis -2 is then q's bit, and a
-# per-row angle reshaped to (..., 1, 1) broadcasts over every batch axis.
-# The CNOT ring permutes basis states, so one gather applies all of it.
+# _fold keeps the unitary in columns, U[:, k] = U|k>, and the adjoint sweep
+# keeps its states in columns too, so a complex array viewed as float pairs
+# meets each real RY matrix in one real GEMM. Row-indexed inputs (angles,
+# product states, expectations) keep one row per feature row.
 # ---------------------------------------------------------------------------
 
 
-def _apply_ry(amps: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
-    view = amps.reshape(amps.shape[:-1] + (2 ** qubit, 2, 2 ** (n - 1 - qubit)))
-    half = np.multiply(angle, 0.5)
-    half = half.reshape(np.shape(half) + (1, 1))
-    c, s = np.cos(half), np.sin(half)
-    a0, a1 = view[..., 0, :], view[..., 1, :]
-    return np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=-2).reshape(amps.shape)
-
-
-def _apply_rz(amps: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
-    view = amps.reshape(amps.shape[:-1] + (2 ** qubit, 2, 2 ** (n - 1 - qubit)))
-    p = np.exp(np.multiply(angle, -0.5j))
-    p = p.reshape(np.shape(p) + (1, 1))
-    out = np.stack((p * view[..., 0, :], np.conj(p) * view[..., 1, :]), axis=-2)
-    return out.reshape(amps.shape)
+class _Tables(NamedTuple):
+    z: np.ndarray  # (2**n, n): Z_q's eigenvalue, +1 or -1, on each basis state
+    sign: np.ndarray  # (n, 2**n): -z.T, the sign of RY's generator on qubit q
+    flip: np.ndarray  # (n, 2**n): each basis index with qubit q's bit flipped
+    ring: np.ndarray  # gather applying a layer's CNOT ring
+    unring: np.ndarray  # gather undoing it
 
 
 def _cnot_ring(n: int) -> np.ndarray:
@@ -112,43 +151,88 @@ def _cnot_ring(n: int) -> np.ndarray:
     return ring
 
 
-def _encode(angles: np.ndarray) -> np.ndarray:
-    """Amplitudes of the product state RY(x_q)|0> on each qubit q."""
-    lead = angles.shape[:-1]
-    n = angles.shape[-1]
-    amps = np.zeros(lead + (2 ** n,), dtype=np.complex128)
-    amps[..., 0] = 1.0
-    for q in range(n):
-        amps = _apply_ry(amps, n, q, angles[..., q])
-    return amps
-
-
-def _run_ansatz(amps: np.ndarray, spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    n = spec.n_qubits
-    ring = _cnot_ring(n)
-    k = 0
-    for _ in range(spec.n_layers):
-        for q in range(n):
-            amps = _apply_ry(amps, n, q, params[k])
-            k += 1
-        for q in range(n):
-            amps = _apply_rz(amps, n, q, params[k])
-            k += 1
-        # Not amps[..., ring]: that can come back non-contiguous, and
-        # _expect's matmul then rounds differently; np.take does not.
-        amps = np.take(amps, ring, axis=-1)
-    return amps
-
-
-def _z_signs(n: int, qubits) -> np.ndarray:
-    """Column j holds Z's eigenvalue (+1 or -1) for ``qubits[j]`` on each basis state."""
+@lru_cache(maxsize=None)
+def _tables(n: int) -> _Tables:
+    """The basis tables of an n-qubit circuit; shared between calls, so read-only."""
     idx = np.arange(2 ** n)
-    return np.stack([1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1) for q in qubits], axis=1)
+    masks = 1 << (n - 1 - np.arange(n))
+    z = np.where(idx[:, None] & masks, -1.0, 1.0)
+    ring = _cnot_ring(n)
+    out = _Tables(z=z, sign=-z.T, flip=idx ^ masks[:, None], ring=ring, unring=np.argsort(ring))
+    for table in out:
+        table.setflags(write=False)
+    return out
 
 
-def _expect(amps: np.ndarray, signs_t: np.ndarray) -> np.ndarray:
-    probs = np.abs(amps) ** 2
-    return probs @ signs_t
+def _product_states(angles: np.ndarray) -> np.ndarray:
+    """Real amplitudes of RY(x_q)|0> on every qubit q, shape (rows, 2**n)."""
+    half = 0.5 * angles
+    pairs = np.stack((np.cos(half), np.sin(half)), axis=-1)  # (rows, n, 2)
+    out = np.ones((angles.shape[0], 1))
+    # Each qubit goes in as the next more significant bit, so the innermost
+    # loop of every product runs over the amplitudes built so far.
+    for q in reversed(range(angles.shape[1])):
+        out = (pairs[:, q, :, None] * out[:, None, :]).reshape(out.shape[0], -1)
+    return out
+
+
+def _ry_sublayer(angles: np.ndarray) -> np.ndarray:
+    """One RY per qubit as a real orthogonal 2**n x 2**n matrix, the Kronecker
+    product of the n rotations."""
+    half = 0.5 * angles
+    c, s = np.cos(half), np.sin(half)
+    rotations = np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=-2)
+    out = np.ones((1, 1))
+    for rot in rotations[::-1]:  # qubit 0, the most significant, goes in last
+        out = (rot[:, None, :, None] * out[None, :, None, :]).reshape(2 * out.shape[0], -1)
+    return out
+
+
+def _sublayers(spec: AnsatzSpec, params: np.ndarray, layer: int) -> tuple:
+    """(R, phase): layer ``layer``'s RY matrix and its RZ gates as one phase vector."""
+    n = spec.n_qubits
+    base = 2 * n * layer
+    phase = np.exp(-0.5j * (_tables(n).z @ params[base + n : base + 2 * n]))
+    return _ry_sublayer(params[base : base + n]), phase
+
+
+def _real_gemm(r: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """r @ states for a real r and C-contiguous complex column states."""
+    flat = states.reshape(states.shape[0], -1).view(np.float64)
+    return (r @ flat).view(np.complex128).reshape(states.shape)
+
+
+def _fold(spec: AnsatzSpec, params: np.ndarray, measured) -> tuple:
+    """(U, A, layers): the ansatz unitary, A[i] = Re(U^dagger Z_q U) for
+    q = measured[i], and each layer's (R, phase), which the adjoint sweep
+    reads again.
+
+    U is the forward pass of the identity, built one dense layer at a time.
+    """
+    tables = _tables(spec.n_qubits)
+    layers = []
+    u = None
+    for layer in range(spec.n_layers):
+        r, phase = _sublayers(spec, params, layer)
+        layers.append((r, phase))
+        rotated = r if u is None else _real_gemm(r, u)
+        u = np.take(phase[:, None] * rotated, tables.ring, axis=0)
+    # Re(conj(U) z U) over stacked real and imaginary parts: one real GEMM per qubit.
+    parts = np.concatenate((u.real, u.imag))
+    signs = np.concatenate((tables.z, tables.z))[:, list(measured)].T[:, :, None]
+    return u, parts.T @ (signs * parts), layers
+
+
+def _expect(phi: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """phi^T A_q phi for every row of product states phi, shape (rows, len(a))."""
+    return np.ascontiguousarray((phi * (phi @ a)).sum(axis=-1).T)
+
+
+def _ry_overlaps(psi: np.ndarray, lam: np.ndarray, tables: _Tables) -> np.ndarray:
+    """Re sum_j conj(lam_j) s_q(j) psi_(j xor m_q) for each qubit q: an RY sublayer's
+    gradients, shape (n, measured, rows), from column states at the point after it."""
+    flipped = psi[tables.flip] * tables.sign[:, :, None]
+    return np.einsum("jir,qjr->qir", lam.conj(), flipped).real
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +288,8 @@ def batch_expectations(spec: AnsatzSpec, params, features, qubits) -> np.ndarray
     arr_p = _check_params(spec, params)
     arr_f = _check_features(spec, features)
     measured = _check_qubits(spec, qubits)
-    amps = _run_ansatz(_encode(arr_f), spec, arr_p)
-    return _expect(amps, _z_signs(spec.n_qubits, measured))
+    a = _fold(spec, arr_p, measured)[1]
+    return _expect(_product_states(arr_f), a)
 
 
 def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
@@ -213,53 +297,45 @@ def batch_parameter_shift(spec: AnsatzSpec, params, features, qubits):
 
     Returns ``(exps, d_theta, d_features)`` with shapes (rows, len(qubits)),
     (rows, n_params, len(qubits)) and (rows, n_qubits, len(qubits)). ``exps``
-    is read off the sweep's forward state and equals batch_expectations
-    bit for bit. The gradients are those of the two-point parameter-shift
-    rule, which the tests keep as the oracle, computed by one forward pass
-    and one reverse sweep (Jones & Gacon 2020).
+    comes from the same fold as batch_expectations and equals it bit for
+    bit. The gradients are those of the two-point parameter-shift rule,
+    which the tests keep as the oracle, computed from one forward state
+    and one reverse sweep, a layer at a time (Jones & Gacon 2020).
 
-    The sweep starts from phi = U psi and lambda_q = Z_q phi, then walks the
-    gates backwards: each rotation is undone on phi, the derivative state
-    0.5 * G(angle + pi) phi is formed (RY'(t) = RY(t + pi) / 2, likewise RZ),
-    its overlap 2 Re<lambda_q|d phi> is recorded, and lambda steps back
-    through the same gate. The CNOT ring is undone by its inverse basis
-    permutation. Walking on through the RY encoding layer yields the
-    feature gradients. Gates are visited in a fixed order, so results are
-    bit-reproducible.
+    The sweep starts from psi = U phi and lam_q = Z_q psi, held side by side
+    as columns. Per layer, last first: undo the ring; read the RZ gradients
+    Im(conj(lam) psi) @ z; multiply both states by the conjugate phases;
+    read the RY gradients by one gather through the flip table; step both
+    states back through R^T. The same gather against the product state phi
+    gives the feature gradients. Every step runs in a fixed order, so
+    results are bit-reproducible.
     """
     arr_p = _check_params(spec, params)
     arr_f = _check_features(spec, features)
     measured = _check_qubits(spec, qubits)
     n = spec.n_qubits
-    rows = arr_f.shape[0]
+    tables = _tables(n)
+    rows, m = arr_f.shape[0], len(measured)
 
-    phi = _run_ansatz(_encode(arr_f), spec, arr_p)
-    signs_t = _z_signs(n, measured)
-    exps = _expect(phi, signs_t)
-    # One adjoint state per measured qubit, stacked ahead of the row axis so
-    # per-row encoding angles broadcast over it.
-    lam = np.stack([signs * phi for signs in signs_t.T])
+    phi = _product_states(arr_f)
+    u, a, layers = _fold(spec, arr_p, measured)
+    exps = _expect(phi, a)
+    psi = u @ phi.T
+    states = np.empty((2 ** n, 1 + m, rows), dtype=np.complex128)
+    states[:, 0] = psi
+    states[:, 1:] = tables.z[:, list(measured), None] * psi[:, None]
 
-    def step_back(kernel, qubit: int, angle) -> np.ndarray:
-        nonlocal phi, lam
-        phi = kernel(phi, n, qubit, -angle)
-        d_phi = 0.5 * kernel(phi, n, qubit, angle + np.pi)
-        overlap = np.einsum("qrd,rd->rq", lam.conj(), d_phi)
-        lam = kernel(lam, n, qubit, -angle)
-        return 2.0 * overlap.real
-
-    unring = np.argsort(_cnot_ring(n))
-    d_theta = np.empty((rows, spec.n_params, len(measured)))
+    grads = np.empty((spec.n_params, m, rows))
     for layer in reversed(range(spec.n_layers)):
         base = 2 * n * layer
-        phi = np.take(phi, unring, axis=-1)
-        lam = np.take(lam, unring, axis=-1)
-        for q in reversed(range(n)):
-            d_theta[:, base + n + q, :] = step_back(_apply_rz, q, arr_p[base + n + q])
-        for q in reversed(range(n)):
-            d_theta[:, base + q, :] = step_back(_apply_ry, q, arr_p[base + q])
+        r, phase = layers[layer]
+        states = np.take(states, tables.unring, axis=0)
+        overlap = (states[:, 1:].conj() * states[:, :1]).imag.reshape(2 ** n, -1)
+        grads[base + n : base + 2 * n] = (tables.z.T @ overlap).reshape(n, m, rows)
+        states *= phase.conj()[:, None, None]
+        grads[base : base + n] = _ry_overlaps(states[:, 0], states[:, 1:], tables)
+        states = _real_gemm(r.T, states)
 
-    d_feat = np.empty((rows, n, len(measured)))
-    for q in reversed(range(n)):
-        d_feat[:, q, :] = step_back(_apply_ry, q, arr_f[:, q])
-    return exps, d_theta, d_feat
+    d_feat = _ry_overlaps(phi.T, states[:, 1:], tables)
+    return (exps, np.ascontiguousarray(grads.transpose(2, 0, 1)),
+            np.ascontiguousarray(d_feat.transpose(2, 0, 1)))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmoe import bench, gbdt
+from qmoe import bench, gbdt, hybrid
 from qmoe.bench import (
     TASK_SECONDS,
     RunConfig,
@@ -634,6 +634,26 @@ def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
             got = getattr(whole, name)
             assert got.dtype == joined.dtype and got.tobytes() == joined.tobytes(), name
         assert whole.routed.any() == (gamma < 1.0)
+
+
+def test_pipeline_predict_is_batch_invariant_at_the_paper_shape(model_doc, tmp_path):
+    # The twin of the 2-qubit test above with the paper's 6-qubit hybrid as
+    # the secondary: uneven slices, each routing a different number of
+    # rows to it, score every row as one call over the pool does.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    pipeline.combined.secondary = init_hybrid(HybridConfig(), np.random.default_rng(5))
+    n_rows = 3 * gbdt._BLOCK_ROWS + 100
+    x, _, _ = synthesize(n_rows, 0.05, seed=23)
+    gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
+    gamma = float(np.quantile(gate, 0.9))
+    cuts = [0, 1, 3, 700, gbdt._BLOCK_ROWS + 3, 2 * gbdt._BLOCK_ROWS, n_rows - 1, n_rows]
+    whole = pipeline_predict(pipeline, x, gamma)
+    assert whole.routed.sum() > 2 * hybrid._EVAL_CHUNK
+    parts = [pipeline_predict(pipeline, x[a:b], gamma) for a, b in zip(cuts, cuts[1:])]
+    for name in ("probs", "labels", "routed"):
+        joined = np.concatenate([getattr(part, name) for part in parts])
+        got = getattr(whole, name)
+        assert got.dtype == joined.dtype and got.tobytes() == joined.tobytes(), name
 
 
 def test_pipeline_predict_equals_the_whole_pool_oracle_at_the_paper_shape(model_doc, tmp_path):

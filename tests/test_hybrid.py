@@ -10,8 +10,7 @@ from qmoe.hybrid import (
     HybridConfig,
     HybridModel,
     _batch_gradients,
-    _flat_params,
-    _flatten,
+    _pack,
     fit_hybrid,
     init_hybrid,
 )
@@ -80,7 +79,15 @@ def reference_batch_gradients(model, x, y):
     dz = d_angles * np.pi * (1.0 - tanh_z * tanh_z)
     dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, model.decoder, dec_acts, grad_xhat)
     enc_grads, _ = mlp_backward(cfg.encoder_spec, model.encoder, enc_acts, dz + dz_recon)
-    return total, recon_loss, class_loss, _flatten(enc_grads, dec_grads, theta_grad, head_grads)
+    return total, recon_loss, class_loss, _pack(enc_grads, dec_grads, theta_grad, head_grads)
+
+
+def parts(model):
+    """Every parameter array in ``model.params`` order: views of that buffer."""
+    def arrays(layers):
+        return [a for pair in layers for a in pair]
+
+    return arrays(model.encoder) + arrays(model.decoder) + [model.theta] + arrays(model.head)
 
 
 def assert_close(fd, analytic):
@@ -137,11 +144,14 @@ def test_joint_gradients_match_finite_differences(all_qubits):
     x = rng.normal(size=(5, 4))
     y = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
     model = init_hybrid(cfg)
-    _, _, _, grads = _batch_gradients(model, x, y)
+    _, _, _, flat_grads = _batch_gradients(model, x, y)
+    assert flat_grads.shape == model.params.shape
+    arrays = parts(model)
+    ends = np.cumsum([a.size for a in arrays])
+    grads = [g.reshape(a.shape) for g, a in zip(np.split(flat_grads, ends[:-1]), arrays)]
 
     h = 1e-6
-    flat = _flat_params(model)
-    for ai, arr in enumerate(flat):
+    for ai, arr in enumerate(arrays):
         idxs = list(np.ndindex(arr.shape))
         if arr.size > 6:
             idxs = [idxs[i] for i in rng.choice(len(idxs), 6, replace=False)]
@@ -171,9 +181,8 @@ def test_one_pass_step_equals_two_pass_reference_bytes(recon_weight, all_qubits,
     *losses, grads = _batch_gradients(model, x, y)
     *want_losses, want = reference_batch_gradients(model, x, y)
     assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
-    assert len(grads) == len(want)
-    for i, (got, ref) in enumerate(zip(grads, want)):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), i
+    assert grads.shape == want.shape == model.params.shape
+    assert grads.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("recon_weight", [0.5, 1.0])
@@ -298,8 +307,7 @@ def test_refit_is_bit_identical():
     cfg = HybridConfig(seed=21, **TINY)
     ma, ra = fit_hybrid(cfg, x, y)
     mb, rb = fit_hybrid(cfg, x, y)
-    for a, b in zip(_flat_params(ma), _flat_params(mb)):
-        assert np.array_equal(a, b)
+    assert ma.params.tobytes() == mb.params.tobytes()
     assert [e.train_loss for e in ra.epochs] == [e.train_loss for e in rb.epochs]
     assert np.array_equal(ma.predict_proba(x), mb.predict_proba(x))
 
@@ -336,6 +344,20 @@ def test_predict_proba_matches_piecewise_evaluation():
     assert np.array_equal(whole, parts)
     assert whole.shape == (600,)
     assert np.all((whole > 0) & (whole < 1))
+
+
+def test_predict_proba_is_batch_invariant_at_the_paper_shape():
+    # The paper's 6-qubit hybrid scores padded fixed-size chunks, so uneven
+    # slices of a pool, down to single rows, give the whole call's bits.
+    cfg = HybridConfig()
+    model = init_hybrid(cfg, np.random.default_rng(5))
+    x = np.random.default_rng(6).uniform(size=(3000, cfg.n_features))
+    whole = model.predict_proba(x)
+    cuts = [0, 1, 3, 700, 1000, 1003, 2999, 3000]
+    parts = np.concatenate([model.predict_proba(x[a:b]) for a, b in zip(cuts, cuts[1:])])
+    assert whole.shape == parts.shape == (3000,)
+    assert whole.tobytes() == parts.tobytes()
+    assert model.predict_proba(x[:0]).shape == (0,)
 
 
 def test_reconstruction_ignores_fraud_rows():

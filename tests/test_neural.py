@@ -5,6 +5,9 @@ import pytest
 
 from qmoe.errors import ConfigurationError, InputError
 from qmoe.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     MLPSpec,
     adam_init,
     bce_loss,
@@ -313,10 +316,12 @@ def test_init_shapes_bounds_and_determinism():
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = [np.array([1.0, -2.0]), np.array([[0.5]])]
+    before = [p.copy() for p in params]
     state = adam_init(params, 0.1)
     out = optimizer_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-    np.testing.assert_array_equal(out[0], params[0])
-    np.testing.assert_array_equal(out[1], params[1])
+    assert out is params  # updated in place
+    np.testing.assert_array_equal(out[0], before[0])
+    np.testing.assert_array_equal(out[1], before[1])
 
 
 def test_adam_descends_on_quadratic():
@@ -350,3 +355,63 @@ def test_sigmoid_stability_and_values():
     big = sigmoid(np.array([800.0, -800.0]))
     assert big[0] == 1.0 and big[1] == 0.0
     assert np.all(np.isfinite(big))
+
+
+def per_array_adam(state, params, grads):
+    """The per-array Adam step as first written: fresh arrays, nothing in place."""
+    state.step += 1
+    correct1 = 1.0 - ADAM_BETA1 ** state.step
+    correct2 = 1.0 - ADAM_BETA2 ** state.step
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = state.m[i] / correct1
+        v_hat = state.v[i] / correct2
+        out.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    return out
+
+
+def test_adam_on_one_buffer_equals_per_array_adam_bytes():
+    # The hybrid keeps every parameter in one buffer and updates it in one
+    # pass; Adam is elementwise, so that must give the per-array bits.
+    rng = np.random.default_rng(60)
+    shapes = [(7, 5), (7,), (1, 7), (1,), (12,)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    buffer = np.concatenate([a.ravel() for a in arrays])
+    fast = adam_init([buffer], 0.01)
+    slow = adam_init(arrays, 0.01)
+    for step in range(40):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-9, 3) for s in shapes]
+        if step % 7 == 3:
+            grads[1][:] = 0.0
+        optimizer_step(fast, [buffer], [np.concatenate([g.ravel() for g in grads])])
+        arrays = per_array_adam(slow, arrays, grads)
+        assert buffer.tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
+    assert fast.m[0].tobytes() == np.concatenate([m.ravel() for m in slow.m]).tobytes()
+    assert fast.v[0].tobytes() == np.concatenate([v.ravel() for v in slow.v]).tobytes()
+
+
+def two_branch_sigmoid(x):
+    """The masked formula sigmoid replaced: 1 / (1 + exp(-x)) at x >= 0, else e^x / (1 + e^x)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_formula_bytes():
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 745.0, -745.0, 746.0,
+                      -746.0, tiny, -tiny, tiny / 8, -tiny / 8, 5e-324, -5e-324, 1e-300, 36.7,
+                      -36.7, 37.0, -37.0, np.finfo(np.float64).max, -np.finfo(np.float64).max])
+    rng = np.random.default_rng(61)
+    normals = rng.normal(scale=20.0, size=20_000)
+    for x in (edges, normals, normals.reshape(100, 200)[:, ::3]):
+        got = sigmoid(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert got.tobytes() == two_branch_sigmoid(x).tobytes()
+    assert np.isnan(sigmoid(np.array([np.nan]))[0])

@@ -1,10 +1,14 @@
-"""Statevector simulator tests against a dense kronecker-product oracle.
+"""Statevector simulator tests against a dense kronecker-product oracle and a
+gate-walk oracle.
 
-The oracle builds full 2**n x 2**n unitaries and never shares code with the
-simulator's axis-reshaping kernels, so agreement is a real check. Gate,
-encoding and ansatz amplitudes are compared through the kernels that
-batch_expectations and batch_parameter_shift run; expectations and
-gradients go through those two functions themselves.
+The kronecker oracle builds full 2**n x 2**n unitaries gate by gate and
+never shares code with the simulator. The gate-walk oracle is the
+simulator the package used before its dense path: one strided-view kernel
+per gate and an adjoint sweep that steps back through every gate. The
+dense kernels (sublayer matrices, phase vectors, product states, the
+folded unitary) are compared with both; expectations and gradients go
+through batch_expectations and batch_parameter_shift themselves, against
+the dense oracle, the walk and the two-point shift rule.
 """
 
 import numpy as np
@@ -100,18 +104,127 @@ def value(spec, params, features, qubit=0):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the gate walk, one strided-view kernel per gate
+#
+# Amplitudes are ndarrays whose last axis has length 2**n; leading axes are
+# batch axes. A rotation on qubit q reshapes that axis to
+# (2**q, 2, 2**(n-1-q)): in the MSB layout axis -2 is then q's bit, and a
+# per-row angle reshaped to (..., 1, 1) broadcasts over every batch axis.
+# ---------------------------------------------------------------------------
+
+
+def _apply_ry(amps, n, qubit, angle):
+    view = amps.reshape(amps.shape[:-1] + (2 ** qubit, 2, 2 ** (n - 1 - qubit)))
+    half = np.multiply(angle, 0.5)
+    half = half.reshape(np.shape(half) + (1, 1))
+    c, s = np.cos(half), np.sin(half)
+    a0, a1 = view[..., 0, :], view[..., 1, :]
+    return np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=-2).reshape(amps.shape)
+
+
+def _apply_rz(amps, n, qubit, angle):
+    view = amps.reshape(amps.shape[:-1] + (2 ** qubit, 2, 2 ** (n - 1 - qubit)))
+    p = np.exp(np.multiply(angle, -0.5j))
+    p = p.reshape(np.shape(p) + (1, 1))
+    out = np.stack((p * view[..., 0, :], np.conj(p) * view[..., 1, :]), axis=-2)
+    return out.reshape(amps.shape)
+
+
+def _encode(angles):
+    """Amplitudes of the product state RY(x_q)|0> on each qubit q."""
+    lead = angles.shape[:-1]
+    n = angles.shape[-1]
+    amps = np.zeros(lead + (2 ** n,), dtype=np.complex128)
+    amps[..., 0] = 1.0
+    for q in range(n):
+        amps = _apply_ry(amps, n, q, angles[..., q])
+    return amps
+
+
+def _run_ansatz(amps, spec, params):
+    n = spec.n_qubits
+    ring = qsim._cnot_ring(n)
+    k = 0
+    for _ in range(spec.n_layers):
+        for q in range(n):
+            amps = _apply_ry(amps, n, q, params[k])
+            k += 1
+        for q in range(n):
+            amps = _apply_rz(amps, n, q, params[k])
+            k += 1
+        amps = np.take(amps, ring, axis=-1)
+    return amps
+
+
+def walk_expectations(spec, params, features, qubits):
+    amps = _run_ansatz(_encode(np.asarray(features, dtype=float)), spec, params)
+    n = spec.n_qubits
+    idx = np.arange(2 ** n)
+    signs = np.stack([1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1) for q in qubits], axis=1)
+    return np.abs(amps) ** 2 @ signs
+
+
+def walk_gradients(spec, params, features, qubits):
+    """(d_theta, d_features) by the gate-by-gate adjoint sweep: each gate is
+    undone on phi, the derivative state 0.5 * G(angle + pi) phi is formed,
+    its overlap 2 Re<lambda_q|d phi> recorded, and lambda steps back."""
+    params = np.asarray(params, dtype=float)
+    features = np.asarray(features, dtype=float)
+    n = spec.n_qubits
+    rows = features.shape[0]
+    phi = _run_ansatz(_encode(features), spec, params)
+    idx = np.arange(2 ** n)
+    lam = np.stack([(1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1)) * phi for q in qubits])
+
+    def step_back(kernel, qubit, angle):
+        nonlocal phi, lam
+        phi = kernel(phi, n, qubit, -angle)
+        d_phi = 0.5 * kernel(phi, n, qubit, angle + np.pi)
+        overlap = np.einsum("qrd,rd->rq", lam.conj(), d_phi)
+        lam = kernel(lam, n, qubit, -angle)
+        return 2.0 * overlap.real
+
+    unring = np.argsort(qsim._cnot_ring(n))
+    d_theta = np.empty((rows, spec.n_params, len(qubits)))
+    for layer in reversed(range(spec.n_layers)):
+        base = 2 * n * layer
+        phi = np.take(phi, unring, axis=-1)
+        lam = np.take(lam, unring, axis=-1)
+        for q in reversed(range(n)):
+            d_theta[:, base + n + q, :] = step_back(_apply_rz, q, params[base + n + q])
+        for q in reversed(range(n)):
+            d_theta[:, base + q, :] = step_back(_apply_ry, q, params[base + q])
+    d_feat = np.empty((rows, n, len(qubits)))
+    for q in reversed(range(n)):
+        d_feat[:, q, :] = step_back(_apply_ry, q, features[:, q])
+    return d_theta, d_feat
+
+
+def folded(spec, params):
+    """The simulator's unitary U, U[:, k] = U|k>."""
+    return qsim._fold(spec, np.asarray(params, dtype=float), (0,))[0]
+
+
+def phases(n, angles):
+    """The simulator's RZ phase vector for one RZ angle per qubit."""
+    spec = AnsatzSpec(n_qubits=n, n_layers=1)
+    return qsim._sublayers(spec, np.r_[np.zeros(n), angles], 0)[1]
+
+
+# ---------------------------------------------------------------------------
 # gates
 # ---------------------------------------------------------------------------
 
 
 def test_ry_pi_flips_zero_to_one():
-    out = qsim._apply_ry(ground(1), 1, 0, np.pi)
-    np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
+    for out in (qsim._ry_sublayer(np.array([np.pi])) @ ground(1),
+                _apply_ry(ground(1), 1, 0, np.pi)):
+        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
 
 def test_rz_leaves_populations_alone():
-    out = qsim._apply_rz(ground(1), 1, 0, 1.234)
-    np.testing.assert_allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-15)
+    for out in (phases(1, [1.234]) * ground(1), _apply_rz(ground(1), 1, 0, 1.234)):
+        np.testing.assert_allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-15)
 
 
 def ring_matrix(n):
@@ -125,6 +238,8 @@ def ring_matrix(n):
 
 @pytest.mark.parametrize("trial", range(20))
 def test_each_gate_matches_dense_oracle_on_random_state(trial):
+    # One gate through the walk kernels, and a whole sublayer (one angle per
+    # qubit) through the dense RY matrix and the RZ phase vector.
     rng = np.random.default_rng(500 + trial)
     n = 3
     state = random_state(rng, n)
@@ -132,10 +247,21 @@ def test_each_gate_matches_dense_oracle_on_random_state(trial):
     theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
 
     for got, mat in [
-        (qsim._apply_ry(state, n, q, theta), embed_single(n, q, ry_matrix(theta))),
-        (qsim._apply_rz(state, n, q, theta), embed_single(n, q, rz_matrix(theta))),
+        (_apply_ry(state, n, q, theta), embed_single(n, q, ry_matrix(theta))),
+        (_apply_rz(state, n, q, theta), embed_single(n, q, rz_matrix(theta))),
     ]:
         np.testing.assert_allclose(got, mat @ state, atol=1e-12)
+
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
+    ry_layer = rz_layer = np.eye(2 ** n)
+    for k, angle in enumerate(angles):
+        ry_layer = embed_single(n, k, ry_matrix(angle)) @ ry_layer
+        rz_layer = embed_single(n, k, rz_matrix(angle)) @ rz_layer
+    r = qsim._ry_sublayer(angles)
+    assert r.dtype == np.float64
+    np.testing.assert_allclose(r, ry_layer.real, atol=1e-12)
+    np.testing.assert_allclose(r @ r.T, np.eye(2 ** n), atol=1e-12)
+    np.testing.assert_allclose(phases(n, angles) * state, rz_layer @ state, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -154,13 +280,21 @@ def test_cnot_ring_and_its_inverse_match_dense_oracle(n):
 
 def test_apply_gate_is_pure():
     rng = np.random.default_rng(1)
-    state = random_state(rng, 2)
-    before = state.copy()
     spec = AnsatzSpec(n_qubits=2, n_layers=2)
-    qsim._apply_ry(state, 2, 0, 0.7)
-    qsim._apply_rz(state, 2, 1, 0.7)
-    qsim._run_ansatz(state, spec, rng.uniform(-np.pi, np.pi, size=spec.n_params))
-    np.testing.assert_array_equal(state, before)
+    params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    feats = rng.uniform(-np.pi, np.pi, size=(3, 2))
+    inputs = (params, params[:2], feats)
+    before = [a.copy() for a in inputs]
+    qsim._ry_sublayer(params[:2])
+    qsim._product_states(feats)
+    qsim._fold(spec, params, (0, 1))
+    qsim.batch_expectations(spec, params, feats, (0, 1))
+    qsim.batch_parameter_shift(spec, params, feats, (0, 1))
+    for now, then in zip(inputs, before):
+        np.testing.assert_array_equal(now, then)
+    # The shared basis tables cannot be written through.
+    with pytest.raises(ValueError):
+        qsim._tables(2).z[0, 0] = 0.0
 
 
 def test_norm_preserved_under_random_gate_sequences():
@@ -170,11 +304,10 @@ def test_norm_preserved_under_random_gate_sequences():
         state = random_state(rng, n)
         for _ in range(12):
             kind = rng.integers(3)
-            q = int(rng.integers(n))
             if kind == 0:
-                state = qsim._apply_ry(state, n, q, float(rng.normal()))
+                state = qsim._ry_sublayer(rng.normal(size=n)) @ state
             elif kind == 1:
-                state = qsim._apply_rz(state, n, q, float(rng.normal()))
+                state = phases(n, rng.normal(size=n)) * state
             else:
                 state = np.take(state, qsim._cnot_ring(n), axis=-1)
         assert abs(float(np.sum(np.abs(state) ** 2)) - 1.0) < 1e-10
@@ -205,23 +338,23 @@ def test_gate_validation_errors():
 
 
 def test_encode_zeros_gives_ground_state():
-    amps = qsim._encode(np.zeros((1, 3)))
-    np.testing.assert_allclose(amps[0], ground(3), atol=1e-15)
+    for amps in (qsim._product_states(np.zeros((1, 3))), _encode(np.zeros((1, 3)))):
+        np.testing.assert_allclose(amps[0], ground(3), atol=1e-15)
 
 
 def test_encode_single_qubit_half_pi():
-    amps = qsim._encode(np.array([[np.pi / 2]]))
-    np.testing.assert_allclose(
-        amps[0], [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15
-    )
+    for amps in (qsim._product_states(np.array([[np.pi / 2]])), _encode(np.array([[np.pi / 2]]))):
+        np.testing.assert_allclose(
+            amps[0], [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15
+        )
 
 
 def test_encode_pi_zero_is_basis_ten():
     # qubit 0 flipped, qubit 1 untouched -> index 0b10
-    amps = qsim._encode(np.array([[np.pi, 0.0]]))
     expected = np.zeros(4)
     expected[2] = 1.0
-    np.testing.assert_allclose(amps[0], expected, atol=1e-15)
+    for amps in (qsim._product_states(np.array([[np.pi, 0.0]])), _encode(np.array([[np.pi, 0.0]]))):
+        np.testing.assert_allclose(amps[0], expected, atol=1e-15)
 
 
 def test_encode_matches_oracle_product_state():
@@ -229,9 +362,12 @@ def test_encode_matches_oracle_product_state():
     for _ in range(20):
         n = int(rng.integers(1, 5))
         feats = rng.uniform(-np.pi, np.pi, size=(3, n))
-        got = qsim._encode(feats)
+        got = qsim._product_states(feats)
+        assert got.dtype == np.float64 and got.shape == (3, 2 ** n)
+        walked = _encode(feats)
         for row in range(3):
             np.testing.assert_allclose(got[row], oracle_encode(feats[row]), atol=1e-12)
+            np.testing.assert_allclose(walked[row], oracle_encode(feats[row]), atol=1e-12)
 
 
 def test_encode_rejects_bad_input():
@@ -254,8 +390,9 @@ def test_encode_rejects_bad_input():
 
 def test_zero_params_act_as_identity_on_ground_state():
     spec = AnsatzSpec(n_qubits=3, n_layers=2)
-    out = qsim._run_ansatz(ground(3), spec, np.zeros(spec.n_params))
-    np.testing.assert_allclose(out, ground(3), atol=1e-15)
+    for out in (folded(spec, np.zeros(spec.n_params)) @ ground(3),
+                _run_ansatz(ground(3), spec, np.zeros(spec.n_params))):
+        np.testing.assert_allclose(out, ground(3), atol=1e-15)
 
 
 def test_ansatz_matches_oracle_two_qubits():
@@ -264,8 +401,9 @@ def test_ansatz_matches_oracle_two_qubits():
     for _ in range(30):
         params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         state = random_state(rng, 2)
-        got = qsim._run_ansatz(state, spec, params)
-        np.testing.assert_allclose(got, oracle_ansatz(spec, params, state), atol=1e-12)
+        want = oracle_ansatz(spec, params, state)
+        np.testing.assert_allclose(folded(spec, params) @ state, want, atol=1e-12)
+        np.testing.assert_allclose(_run_ansatz(state, spec, params), want, atol=1e-12)
 
 
 def test_four_qubit_layer_gate_order_including_wraparound():
@@ -278,22 +416,23 @@ def test_four_qubit_layer_gate_order_including_wraparound():
 
     explicit = state
     for q in range(4):
-        explicit = qsim._apply_ry(explicit, 4, q, params[q])
+        explicit = _apply_ry(explicit, 4, q, params[q])
     for q in range(4):
-        explicit = qsim._apply_rz(explicit, 4, q, params[4 + q])
+        explicit = _apply_rz(explicit, 4, q, params[4 + q])
     for pair in [(0, 1), (1, 2), (2, 3), (3, 0)]:
         explicit = cnot_matrix(4, *pair) @ explicit
 
-    got = qsim._run_ansatz(state, spec, params)
-    np.testing.assert_allclose(got, explicit, atol=1e-12)
+    np.testing.assert_allclose(folded(spec, params) @ state, explicit, atol=1e-12)
+    np.testing.assert_allclose(_run_ansatz(state, spec, params), explicit, atol=1e-12)
 
 
 def test_single_qubit_skips_the_ring():
     spec = AnsatzSpec(n_qubits=1, n_layers=1)
     assert spec.n_params == 2
-    out = qsim._run_ansatz(ground(1), spec, np.array([0.4, 0.9]))
     expected = rz_matrix(0.9) @ ry_matrix(0.4) @ np.array([1.0, 0.0])
-    np.testing.assert_allclose(out, expected, atol=1e-14)
+    for out in (folded(spec, [0.4, 0.9]) @ ground(1),
+                _run_ansatz(ground(1), spec, np.array([0.4, 0.9]))):
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
 def test_param_count_mismatch_is_a_configuration_error():
@@ -518,3 +657,36 @@ def test_adjoint_matches_shift_rule_oracle(n_qubits, n_layers, all_qubits, rows)
     assert d_feat.shape == (rows, n_qubits, len(qubits))
     np.testing.assert_allclose(d_theta, want_theta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(d_feat, want_feat, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the dense path against the gate walk
+# ---------------------------------------------------------------------------
+
+
+def test_folded_observable_matches_dense_oracle():
+    rng = np.random.default_rng(3000)
+    spec = AnsatzSpec(n_qubits=3, n_layers=2)
+    params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    u, a, _ = qsim._fold(spec, params, (2, 0))
+    dense = oracle_ansatz(spec, params, np.eye(8, dtype=complex))
+    np.testing.assert_allclose(u, dense, atol=1e-12)
+    for i, q in enumerate((2, 0)):
+        z = embed_single(3, q, np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(a[i], (dense.conj().T @ z @ dense).real, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits,n_layers", [(1, 3), (4, 2), (6, 6), (qsim.MAX_QUBITS, 2)])
+def test_dense_path_matches_the_gate_walk(n_qubits, n_layers):
+    rng = np.random.default_rng(4000 + n_qubits)
+    spec = AnsatzSpec(n_qubits=n_qubits, n_layers=n_layers)
+    params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    feats = rng.uniform(-np.pi, np.pi, size=(5, n_qubits))
+    qubits = tuple(range(n_qubits))
+    exps, d_theta, d_feat = qsim.batch_parameter_shift(spec, params, feats, qubits)
+    want_theta, want_feat = walk_gradients(spec, params, feats, qubits)
+    np.testing.assert_allclose(exps, walk_expectations(spec, params, feats, qubits),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_theta, want_theta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_feat, want_feat, rtol=0, atol=1e-12)
+

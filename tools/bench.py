@@ -23,7 +23,12 @@ calls at gamma 1.0, 0.9 and 0.5 on the serve-paper shape (the train-paper
 pipeline at seed 0, fit once per interpreter outside the timed calls, over
 a 142,404-row pool) and writes BENCH_gate.json; ``serve`` times ``data.load_csv``
 on that pool's ``save_csv`` file and whole-pool ``bench.pipeline_predict``
-calls at gamma 1.0 and 0.5 on that pipeline, and writes BENCH_serve.json.
+calls at gamma 1.0 and 0.5 on that pipeline, and writes BENCH_serve.json;
+``circuit`` times ``qsim.batch_expectations`` on 512-row scoring chunks and
+``qsim.batch_parameter_shift`` on training batches at the desk and paper
+circuit shapes, and both at 8, 9 and 10 qubits (the crossover that sets
+``qsim.MAX_QUBITS``; the spec is built past the cap's check on both
+sides), and writes BENCH_circuit.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -290,6 +295,45 @@ else:
     _, pipeline = bench.fit_pipeline(x, y, config)
     call = lambda: bench.pipeline_predict(pipeline, pool, kernel["gamma"])
 """,
+    ),
+    "circuit": Topic(
+        title="one dense circuit path: folded-observable scoring (one A_q per call, "
+              "phi^T A_q phi per row) and a layer-at-a-time adjoint over dense RY "
+              "sublayers and RZ phase vectors, replacing the gate-by-gate walk",
+        # The desk hybrid (3 qubits x 2 layers): an 8-row training batch and a
+        # 512-row scoring chunk; the paper's (6 x 6): a 32-row batch with one
+        # and with every qubit measured, and a scoring chunk; then the
+        # crossover, a 512-row chunk and a 32-row batch at 6 layers on 8, 9
+        # and 10 qubits. The cap is the widest n at which the change wins both.
+        kernels=(
+            *({"name": "desk", "call": call, "n_qubits": 3, "n_layers": 2, "rows": rows,
+               "measured": 1}
+              for call, rows in (("batch_parameter_shift", 8), ("batch_expectations", 512))),
+            *({"name": "paper", "call": call, "n_qubits": 6, "n_layers": 6, "rows": rows,
+               "measured": q}
+              for call, rows, q in (("batch_parameter_shift", 32, 1),
+                                    ("batch_parameter_shift", 32, 6),
+                                    ("batch_expectations", 512, 1))),
+            *({"name": "crossover", "call": call, "n_qubits": n, "n_layers": 6, "rows": rows,
+               "measured": 1}
+              for n in (8, 9, 10)
+              for call, rows in (("batch_expectations", 512), ("batch_parameter_shift", 32))),
+        ),
+        setup="""
+from qmoe import qsim
+spec = object.__new__(qsim.AnsatzSpec)  # skips the MAX_QUBITS check, on both sides
+object.__setattr__(spec, "n_qubits", kernel["n_qubits"])
+object.__setattr__(spec, "n_layers", kernel["n_layers"])
+params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+feats = rng.uniform(-np.pi, np.pi, size=(kernel["rows"], spec.n_qubits))
+qubits = tuple(range(kernel["measured"]))
+call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
+""",
+        note="The crossover kernels run widths above qsim.MAX_QUBITS (8), which the change "
+             "refuses through AnsatzSpec; the timer builds the spec without its check so "
+             "both sides run the same shapes. From 9 qubits the dense path loses on the "
+             "training batch, where building U costs about L dense 2**n-square GEMMs per "
+             "call whatever the batch size.",
     ),
 }
 
