@@ -1,12 +1,14 @@
 """Cross-validation benchmark, latency arithmetic, and the file codec.
 
-One fold's protocol, in order: fit the scaler on the training rows only,
-transform everything, undersample the training rows to a balanced set,
-train both experts (the boosted primary and the hybrid secondary), fit
-temperature scalers and Youden thresholds on the validation part of the
-held-out rows, build router targets from calibrated probabilities on the
-analysis part, train the router there, and score the holdout part last.
-Holdout rows influence nothing upstream of scoring.
+One fold's protocol, in order: undersample the training rows to a
+balanced set by their labels, fit the scaler on the training rows only,
+scale the balanced set and the held-out rows (never the whole training
+split), train both experts (the boosted primary and the hybrid
+secondary), fit temperature scalers and Youden thresholds on the
+validation part of the held-out rows, build router targets from
+calibrated probabilities on the analysis part, train the router there,
+and score the holdout part last. Holdout rows influence nothing upstream
+of scoring.
 
 Every fold entry carries a baseline arm (calibrated primary alone), one
 arm per gate value, and a sentinel arm at gamma = 1.0 where the gate
@@ -240,7 +242,14 @@ def fit_calibration(p1, p2, y):
 
 def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
              repeat: int, fold: int):
-    """Run one fold end to end; returns (record, pipeline)."""
+    """Run one fold end to end; returns (record, pipeline).
+
+    The fold copies only the rows it reads: the balanced set, picked from
+    the training labels alone, and the three held-out parts. The scaler
+    reads the training rows' min and max block by block, so the training
+    split is never copied whole; scaling is row by row, so the balanced
+    rows scale to the same bits as in a scaled copy of the split.
+    """
     # Checked on the raw rows: the scaler would clip an infinity into range.
     require_finite_rows(x)
     split_seed, sample_seed, hybrid_seed = _fold_seeds(config.seed, repeat, fold)
@@ -255,19 +264,17 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         warnings.simplefilter("always")
         parts = split_eval(y, heldout_idx, seed=split_seed)
 
-        scaler = fit_minmax(x[train_idx])
-        x_train = scaler.transform(x[train_idx])
+        balanced = train_idx[undersample(y[train_idx], majority_ratio=config.majority_ratio,
+                                         seed=sample_seed)]
+        scaler = fit_minmax(x, train_idx)
+        x_bal = scaler.transform(x[balanced])
         x_val = scaler.transform(x[parts.validation])
         x_ana = scaler.transform(x[parts.analysis])
         x_hold = scaler.transform(x[parts.holdout])
-        y_train, y_val = y[train_idx], y[parts.validation]
+        y_bal, y_val = y[balanced], y[parts.validation]
         y_ana, y_hold = y[parts.analysis], y[parts.holdout]
-
-        x_bal, y_bal, _ = undersample(
-            x_train, y_train, majority_ratio=config.majority_ratio, seed=sample_seed
-        )
         record.sizes = {
-            "train": {"rows": int(train_idx.size), "positives": int(y_train.sum())},
+            "train": {"rows": int(train_idx.size), "positives": int(y[train_idx].sum())},
             "balanced": {"rows": int(y_bal.size), "positives": int(y_bal.sum())},
             "validation": {"rows": int(y_val.size), "positives": int(y_val.sum())},
             "analysis": {"rows": int(y_ana.size), "positives": int(y_ana.sum())},
@@ -291,6 +298,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         p2_val = train_report.val_probs  # the best epoch's, which the roll-back restored
         if p2_val is None:
             p2_val = secondary.predict_proba(x_val)
+        del x_val  # read no further; the router fit below is the fold's peak
         (scaler1, scaler2), taus = fit_calibration(p1_val, p2_val, y_val)
         record.temperature_primary = scaler1.temperature
         record.temperature_secondary = scaler2.temperature
@@ -405,8 +413,7 @@ def run_cv(config: RunConfig) -> BenchReport:
 
 def fit_pipeline(x, y, config: RunConfig):
     """Train one deployable pipeline on the first CV split of the data."""
-    splits = stratified_repeated_kfold(y, config.n_splits, 1, config.seed)
-    train_idx, heldout_idx = splits[0]
+    train_idx, heldout_idx = next(stratified_repeated_kfold(y, config.n_splits, 1, config.seed))
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     return fit_fold(config, x, y, train_idx, heldout_idx, 0, 0)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InputError
-from .gbdt import _BLOCK_ROWS
+from .errors import _BLOCK_ROWS, DataError, InputError
 
 __all__ = [
     "CSV_HEADER",
@@ -186,22 +186,39 @@ class MinMaxScaler:
         return np.clip(out, 0.0, 1.0, out=out)
 
 
-def fit_minmax(x) -> MinMaxScaler:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise InputError(f"expected a non-empty 2-D array, got shape {x.shape}")
-    low = x.min(axis=0)
-    return MinMaxScaler(low=low, span=x.max(axis=0) - low)
+def fit_minmax(x, rows=None) -> MinMaxScaler:
+    """The scaler of ``x[rows]``, for integer row indices ``rows`` (all of
+    ``x`` when ``rows`` is None).
 
-
-def undersample(x, y, majority_ratio: float = 1.0, seed: int = 0):
-    """Keep every minority row; sample majority rows without replacement.
-
-    majority_ratio is majority count per minority row, so 1.0 yields a
-    balanced set. Row order follows the original dataset (indices are
-    sorted after sampling).
+    Min and max are read ``_BLOCK_ROWS`` rows at a time and folded in row
+    order, so the selected rows are never copied whole; both are exact,
+    and ``fit_minmax(x, rows)`` equals ``fit_minmax(x[rows])`` bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
+    n = 0 if x.ndim != 2 else x.shape[0] if rows is None else len(rows)
+    if n == 0:
+        raise InputError(f"expected a non-empty 2-D array, got shape {x.shape}"
+                         + ("" if rows is None else f" and {len(rows)} rows"))
+    low = high = None
+    for start in range(0, n, _BLOCK_ROWS):
+        part = slice(start, start + _BLOCK_ROWS)
+        block = x[part] if rows is None else x[rows[part]]
+        if low is None:
+            low, high = block.min(axis=0), block.max(axis=0)
+        else:
+            np.minimum(low, block.min(axis=0), out=low)
+            np.maximum(high, block.max(axis=0), out=high)
+    return MinMaxScaler(low=low, span=high - low)
+
+
+def undersample(y, majority_ratio: float = 1.0, seed: int = 0) -> np.ndarray:
+    """Sorted indices of ``y``'s rows to keep: every minority row, and
+    majority rows sampled without replacement.
+
+    majority_ratio is majority count per minority row, so 1.0 yields a
+    balanced set. Only the labels are read, so a caller gathers (and
+    scales) just the kept rows.
+    """
     y = np.asarray(y, dtype=np.float64)
     if majority_ratio <= 0:
         raise InputError(f"majority_ratio must be positive, got {majority_ratio}")
@@ -214,16 +231,18 @@ def undersample(x, y, majority_ratio: float = 1.0, seed: int = 0):
     want = min(pool.size, int(round(keep.size * majority_ratio)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     picked = rng.choice(pool, size=want, replace=False)
-    idx = np.sort(np.concatenate([keep, picked]))
-    return x[idx], y[idx], idx
+    return np.sort(np.concatenate([keep, picked]))
 
 
-def stratified_repeated_kfold(y, n_splits: int, n_repeats: int, seed: int = 0):
-    """Yield (train_indices, heldout_indices) for every repeat and fold.
+def stratified_repeated_kfold(y, n_splits: int, n_repeats: int,
+                              seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """An iterator of (train_indices, heldout_indices) for every repeat and fold.
 
     Each repeat reshuffles with an independent stream spawned from the
     seed, then deals every class round-robin across folds, so fold class
-    counts differ by at most one row.
+    counts differ by at most one row. The arguments are checked here, at
+    the call; a split is built only when it is reached, so a caller that
+    needs the first reads only the first.
     """
     y = np.asarray(y)
     if n_splits < 2:
@@ -232,20 +251,19 @@ def stratified_repeated_kfold(y, n_splits: int, n_repeats: int, seed: int = 0):
         raise InputError(f"n_repeats must be >= 1, got {n_repeats}")
     if y.shape[0] < n_splits:
         raise InputError(f"{y.shape[0]} rows cannot fill {n_splits} folds")
-    everything = np.arange(y.shape[0])
-    splits = []
+    return _kfold_splits(y, n_splits, n_repeats, seed)
+
+
+def _kfold_splits(y, n_splits: int, n_repeats: int, seed: int):
+    classes = [np.flatnonzero(y == cls) for cls in np.unique(y)]
     for child in np.random.SeedSequence(seed).spawn(n_repeats):
         rng = np.random.default_rng(child)
-        heldout = [[] for _ in range(n_splits)]
-        for cls in np.unique(y):
-            perm = rng.permutation(np.nonzero(y == cls)[0])
-            for fold in range(n_splits):
-                heldout[fold].append(perm[fold::n_splits])
+        perms = [rng.permutation(members) for members in classes]
         for fold in range(n_splits):
-            test = np.sort(np.concatenate(heldout[fold]))
-            train = np.setdiff1d(everything, test, assume_unique=True)
-            splits.append((train, test))
-    return splits
+            test = np.sort(np.concatenate([perm[fold::n_splits] for perm in perms]))
+            train = np.ones(y.shape[0], dtype=bool)
+            train[test] = False
+            yield np.flatnonzero(train), test
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ rules every fit and every scoring of raw rows applies."""
 
 import numpy as np
 
+_BLOCK_ROWS = 8192  # rows per block wherever a pass over rows keeps its temporaries O(block)
+
 
 class QmoeError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,12 +29,15 @@ class ModelIOError(QmoeError, RuntimeError):
 def require_finite_rows(x: np.ndarray) -> None:
     """Raise InputError naming the first rows of 2-d ``x`` holding NaN or inf.
 
-    Other shapes pass through; the experts' own shape checks reject them.
+    The check reads ``_BLOCK_ROWS`` rows at a time, so it allocates
+    O(block); only a fault builds the whole mask, to name rows of all of
+    ``x``. Other shapes pass through; the experts' own shape checks reject
+    them.
     """
-    finite = np.isfinite(x)
-    if x.ndim != 2 or finite.all():
+    if x.ndim != 2 or all(np.isfinite(x[start:start + _BLOCK_ROWS]).all()
+                          for start in range(0, x.shape[0], _BLOCK_ROWS)):
         return
-    bad = np.flatnonzero(~finite.all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     raise InputError(
         f"feature rows must be finite; {bad.size} rows hold NaN or infinity, "
         f"first at row indices {bad[:5].tolist()}"

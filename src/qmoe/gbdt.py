@@ -69,13 +69,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, labeled_rows
+from .errors import _BLOCK_ROWS, ConfigurationError, InputError, labeled_rows
 from .neural import log_loss, sigmoid
 
 __all__ = ["GBDTParams", "Tree", "ForestPlan", "GBDTModel", "router_params", "fit_gbdt"]
 
 _PRIOR_EPS = 1e-6
-_BLOCK_ROWS = 8192  # rows per block here, in serving and in load_csv; temporaries are O(block)
 _CHECK_TREES = 8  # trees proba_above scores between two prunings of a block
 _SLACK = 2.0**-40  # relative slack of proba_above's cut; see the module docstring
 

@@ -714,6 +714,26 @@ def test_holdout_rows_influence_nothing_upstream(dataset, tmp_path):
     assert models[0] == models[1]
 
 
+def test_fold_memory_scales_with_the_rows_it_reads():
+    # The training split dwarfs the balanced set it is undersampled to, so a
+    # fold that copied (or scaled) the split would hold at least one copy of
+    # it at its peak. The peak here is the router fit on the analysis part.
+    n = 100_000
+    x, y, _ = synthesize(n, seed=2)
+    desk = HybridConfig(n_features=29, encoder_hidden=(64, 32), n_qubits=3, n_layers=2,
+                        head_hidden=8, recon_weight=0.5, batch_size=8, epochs=5,
+                        learning_rate=0.01, patience=5, seed=0)
+    tracemalloc.start()
+    try:
+        record, _ = fit_pipeline(x, y, RunConfig(hybrid=desk, seed=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    train_rows = record.sizes["train"]["rows"]
+    assert record.sizes["balanced"]["rows"] < train_rows / 100
+    assert peak < train_rows * x.shape[1] * x.itemsize
+
+
 def test_fold_seeds_are_distinct_and_stable():
     a = _fold_seeds(7, 0, 0)
     b = _fold_seeds(7, 0, 0)

@@ -17,7 +17,7 @@ from qmoe.data import (
     synthesize,
     undersample,
 )
-from qmoe.errors import DataError, InputError
+from qmoe.errors import _BLOCK_ROWS, DataError, InputError, require_finite_rows
 
 
 def test_csv_round_trip(tmp_path):
@@ -92,39 +92,35 @@ def test_minmax_constant_column_maps_to_zero():
 
 
 def test_undersample_keeps_minority_and_balances():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(300, 2))
     y = np.r_[np.ones(30), np.zeros(270)]
-    xs, ys, idx = undersample(x, y, majority_ratio=1.0, seed=5)
-    assert (ys == 1).sum() == 30
-    assert (ys == 0).sum() == 30
+    idx = undersample(y, majority_ratio=1.0, seed=5)
+    assert (y[idx] == 1).sum() == 30
+    assert (y[idx] == 0).sum() == 30
     assert np.all(np.diff(idx) > 0)  # original order, no duplicates
     assert set(np.nonzero(y == 1)[0]) <= set(idx.tolist())
-    assert np.array_equal(xs, x[idx])
 
-    _, ys3, _ = undersample(x, y, majority_ratio=3.0, seed=5)
-    assert (ys3 == 0).sum() == 90
+    idx3 = undersample(y, majority_ratio=3.0, seed=5)
+    assert (y[idx3] == 0).sum() == 90
 
 
 def test_undersample_is_seeded():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(100, 2))
     y = np.r_[np.ones(10), np.zeros(90)]
-    _, _, a = undersample(x, y, seed=1)
-    _, _, b = undersample(x, y, seed=1)
-    _, _, c = undersample(x, y, seed=2)
+    a = undersample(y, seed=1)
+    b = undersample(y, seed=1)
+    c = undersample(y, seed=2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_kfold_partitions_every_repeat():
     y = np.r_[np.ones(13), np.zeros(87)]
-    splits = stratified_repeated_kfold(y, n_splits=5, n_repeats=3, seed=0)
+    splits = list(stratified_repeated_kfold(y, n_splits=5, n_repeats=3, seed=0))
     assert len(splits) == 15
     for r in range(3):
         covered = np.concatenate([t for _, t in splits[r * 5 : (r + 1) * 5]])
         assert np.array_equal(np.sort(covered), np.arange(100))
     for train, test in splits:
+        assert np.array_equal(np.union1d(train, test), np.arange(100))
         assert np.intersect1d(train, test).size == 0
         # Round-robin dealing keeps per-fold class counts within one row.
         assert (y[test] == 1).sum() in (2, 3)
@@ -133,11 +129,66 @@ def test_kfold_partitions_every_repeat():
 
 def test_kfold_repeats_differ_and_seed_reproduces():
     y = np.r_[np.ones(10), np.zeros(40)]
-    a = stratified_repeated_kfold(y, 5, 2, seed=9)
-    b = stratified_repeated_kfold(y, 5, 2, seed=9)
+    a = list(stratified_repeated_kfold(y, 5, 2, seed=9))
+    b = list(stratified_repeated_kfold(y, 5, 2, seed=9))
     assert all(np.array_equal(ta, tb) for (_, ta), (_, tb) in zip(a, b))
     first, second = a[0][1], a[5][1]
     assert not np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 3), "n_splits must be >= 2"),
+    ((5, 0), "n_repeats must be >= 1"),
+    ((11, 1), "10 rows cannot fill 11 folds"),
+])
+def test_kfold_checks_its_arguments_when_called(args, message):
+    # Raised at the call, before anything iterates the splits.
+    with pytest.raises(InputError, match=message):
+        stratified_repeated_kfold(np.r_[np.ones(2), np.zeros(8)], *args)
+
+
+def test_kfold_yields_one_split_at_a_time():
+    splits = stratified_repeated_kfold(np.r_[np.ones(12), np.zeros(88)], 4, 2, seed=3)
+    assert iter(splits) is splits  # an iterator, not a list of every split
+    assert len(list(splits)) == 8
+
+
+def test_minmax_over_row_indices_equals_the_gathered_rows():
+    # Rows span four blocks; in the selection, column 0's zeros sit either
+    # side of the first block boundary (0.0 last in a block, -0.0 first in
+    # the next) and column 1's the other way round, so the fold across
+    # blocks must keep whichever zero a one-piece fit keeps.
+    rng = np.random.default_rng(11)
+    n = 4 * _BLOCK_ROWS
+    x = rng.normal(size=(n, 4))
+    rows = np.sort(rng.choice(n, size=3 * _BLOCK_ROWS + 77, replace=False))
+    x[:, :2] = np.abs(x[:, :2]) + 1.0  # zero is each column's minimum
+    x[:, 2] = -np.abs(x[:, 2]) - 1.0  # and its maximum
+    before, after = rows[_BLOCK_ROWS - 1], rows[_BLOCK_ROWS]
+    x[[before, after], 0] = 0.0, -0.0
+    x[[before, after], 1] = -0.0, 0.0
+    x[[before, after], 2] = 0.0, -0.0
+    gathered = fit_minmax(x[rows])
+    indexed = fit_minmax(x, rows)
+    for name in ("low", "span"):
+        assert getattr(indexed, name).tobytes() == getattr(gathered, name).tobytes(), name
+    assert indexed.low.tobytes() == x[rows].min(axis=0).tobytes()
+    high = x[rows].max(axis=0)
+    assert indexed.span.tobytes() == (high - indexed.low).tobytes()
+    assert fit_minmax(x).low.tobytes() == fit_minmax(x, np.arange(n)).low.tobytes()
+    with pytest.raises(InputError, match="0 rows"):
+        fit_minmax(x, rows[:0])
+
+
+def test_require_finite_rows_names_global_rows_in_a_later_block():
+    x = np.zeros((3 * _BLOCK_ROWS, 2))
+    bad = [2 * _BLOCK_ROWS + 5, 2 * _BLOCK_ROWS + 9]
+    x[bad[0], 1] = np.nan
+    x[bad[1], 0] = -np.inf
+    with pytest.raises(InputError, match=rf"2 rows.*row indices \[{bad[0]}, {bad[1]}\]"):
+        require_finite_rows(x)
+    require_finite_rows(np.zeros((0, 2)))  # nothing to check
+    require_finite_rows(np.full(3, np.nan))  # not 2-D: the shape checks reject it
 
 
 def test_split_eval_quotas():

@@ -35,7 +35,7 @@ def test_every_topic_has_a_title_and_kernels(name):
     topic = tools_bench.TOPICS[name]
     assert topic.title.strip()
     assert topic.kernels and all(isinstance(kernel, dict) and kernel for kernel in topic.kernels)
-    compile(tools_bench._TIMER.format(setup=topic.setup), f"<{name} timer>", "exec")
+    compile(topic.timer.format(setup=topic.setup), f"<{name} timer>", "exec")
 
 
 def test_time_kernel_reports_each_sides_times_and_tracemalloc_peaks(monkeypatch):
@@ -52,6 +52,26 @@ def test_time_kernel_reports_each_sides_times_and_tracemalloc_peaks(monkeypatch)
     assert before["tracemalloc_peak_mb"] == pytest.approx(200.0)
     assert after["tracemalloc_peak_mb"] == pytest.approx(50.0)
     assert after["median_ms"] == pytest.approx(50.0) and after["repeats"] == 6
+    assert set(before) == {"median_ms", "iqr_ms", "repeats", "invocation_medians_ms",
+                           "tracemalloc_peak_mb", "invocation_peaks_mb"}
+
+
+def test_time_kernel_keeps_what_a_once_timer_adds(monkeypatch):
+    # The fold topic's timer also reports the peak RSS around its one call
+    # and a digest of the result; each becomes a per-invocation list.
+    runs = iter(range(6))
+
+    def fake_invoke(checkout, topic, kernel):
+        i = next(runs)
+        return {"samples": [1.0 + i], "peak_bytes": 10**6, "rss_before_mb": 100.0 + i,
+                "rss_after_mb": 150.0 + i, "digest": "d"}
+
+    monkeypatch.setattr(tools_bench, "_invoke", fake_invoke)
+    before, after = tools_bench.time_kernel("parent", "change", None, {})
+    assert before["invocation_rss_before_mb"] == [100.0, 103.0, 104.0]  # the sides alternate
+    assert after["invocation_rss_after_mb"] == [151.0, 152.0, 155.0]
+    assert after["invocation_digest"] == ["d"] * 3
+    assert tools_bench.TOPICS["fold"].timer is tools_bench._ONCE
 
 
 def _fake_checkout(tmp_path, records):

@@ -28,7 +28,12 @@ calls at gamma 1.0 and 0.5 on that pipeline, and writes BENCH_serve.json;
 ``qsim.batch_parameter_shift`` on training batches at the desk and paper
 circuit shapes, and both at 8, 9 and 10 qubits (the crossover that sets
 ``qsim.MAX_QUBITS``; the spec is built past the cap's check on both
-sides), and writes BENCH_circuit.json.
+sides), and writes BENCH_circuit.json; ``fold`` runs one paper-scale fold
+(``bench.fit_pipeline`` on 284,807 synthetic rows, the default
+``RunConfig``, seed 0) once per interpreter, recording the process peak
+RSS before and after it, its wall time and a digest of its
+``FoldRecord``, then once more for its tracemalloc peak, and writes
+BENCH_fold.json.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -91,6 +96,28 @@ tracemalloc.stop()
 print(json.dumps({{"samples": samples, "peak_bytes": peak}}))
 """
 
+# One cold call per interpreter, for a kernel that owns the process: the
+# peak RSS before and after it (ru_maxrss is in KiB on Linux), its wall
+# time and ``digest`` of its result, then one traced call. The set-up
+# defines ``call`` and ``digest`` from ``kernel``.
+_ONCE = """
+import json, resource, sys, time, tracemalloc
+kernel = json.loads(sys.argv[1])
+{setup}
+peak_rss_mb = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+before = peak_rss_mb()
+start = time.perf_counter()
+out = call()
+seconds = time.perf_counter() - start
+after = peak_rss_mb()
+tracemalloc.start()
+call()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({{"samples": [seconds], "peak_bytes": peak, "rss_before_mb": before,
+                  "rss_after_mb": after, "digest": digest(out)}}))
+"""
+
 
 @dataclass(frozen=True)
 class Topic:
@@ -98,6 +125,7 @@ class Topic:
     kernels: tuple  # one dict of named inputs per timed shape
     setup: str  # timer code defining call() from ``kernel`` and ``rng``
     note: str = ""  # a known cost of the change, written next to the title
+    timer: str = _TIMER  # the script the set-up runs in
 
 
 TOPICS = {
@@ -335,6 +363,26 @@ call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
              "training batch, where building U costs about L dense 2**n-square GEMMs per "
              "call whatever the batch size.",
     ),
+    "fold": Topic(
+        title="a fold holds only the rows it reads: undersampling by label, scaling only the "
+              "balanced and held-out rows, min and max read in row blocks, and the CV splits "
+              "streamed",
+        # One paper-scale fold: fold 0 of the first repeat, as fit_pipeline
+        # trains it, on the real dataset's row count and fraud rate. Its
+        # balanced set is 784 rows of a 227,845-row training split.
+        kernels=({"name": "paper fold", "call": "fit_pipeline", "rows": 284_807},),
+        setup="""
+import hashlib
+from dataclasses import asdict
+from qmoe import bench, data
+x, y, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
+config = bench.RunConfig(seed=0)
+call = lambda: bench.fit_pipeline(x, y, config)[0]
+digest = lambda record: hashlib.sha256(
+    json.dumps(asdict(record), sort_keys=True).encode()).hexdigest()
+""",
+        timer=_ONCE,
+    ),
 }
 
 
@@ -357,7 +405,7 @@ def _invoke(checkout: Path, topic: Topic, kernel: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, "-c", _TIMER.format(setup=topic.setup), json.dumps(kernel),
+        [sys.executable, "-c", topic.timer.format(setup=topic.setup), json.dumps(kernel),
          str(REPEATS)],
         env=env, check=True, capture_output=True, text=True,
     )
@@ -378,7 +426,10 @@ def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple
         out.append({"median_ms": q["median"], "iqr_ms": q["q3"] - q["q1"], "repeats": q["runs"],
                     "invocation_medians_ms": [_quartiles(s)["median"] for s in ms],
                     "tracemalloc_peak_mb": _quartiles(peaks)["median"],
-                    "invocation_peaks_mb": peaks})
+                    "invocation_peaks_mb": peaks,
+                    # whatever else the timer reports (the _ONCE timer's RSS and digest)
+                    **{f"invocation_{key}": [run[key] for run in invocations]
+                       for key in invocations[0] if key not in ("samples", "peak_bytes")}})
     return tuple(out)
 
 
@@ -518,13 +569,22 @@ def main(argv=None) -> int:
     for kernel in topic.kernels:
         before, after = time_kernel(parent, change, topic, kernel)
         verdict = kernel_verdict(before, after)
-        kernels.append({**kernel, "parent": before, "change": after,
-                        "speedup": before["median_ms"] / after["median_ms"], "verdict": verdict})
+        entry = {**kernel, "parent": before, "change": after,
+                 "speedup": before["median_ms"] / after["median_ms"], "verdict": verdict}
         per_run = ["/".join(f"{m:.2f}" for m in side["invocation_medians_ms"])
                    for side in (before, after)]
         print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms "
               f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}; tracemalloc peak "
               f"{before['tracemalloc_peak_mb']:.1f} -> {after['tracemalloc_peak_mb']:.1f} MB")
+        if "invocation_digest" in before:
+            entry["digests_equal"] = len({*before["invocation_digest"],
+                                          *after["invocation_digest"]}) == 1
+            for name, side in (("parent", before), ("change", after)):
+                rss = zip(side["invocation_rss_before_mb"], side["invocation_rss_after_mb"])
+                print(f"  {name} peak RSS before -> after: "
+                      + ", ".join(f"{a:.1f} -> {b:.1f} MB" for a, b in rss))
+            print(f"  digests equal: {entry['digests_equal']}")
+        kernels.append(entry)
 
     doc = {
         "topic": topic.title,
