@@ -39,32 +39,35 @@ x rows) in gathers for a level-by-level walk of every tree at once (Asadi,
 Lin & de Vries, IEEE TKDE 2014); dense deep trees narrow the gap. The
 margin adds the trees' values, each leaf value first multiplied by the
 learning rate, in boosting order: the same bits as adding one round at a
-time. The split lists, the scaled leaves and the bounds below make a
-ForestPlan; a caller that scores one pool block by block (moe's serving
-path) builds it once per call and hands it to every block, since
-rebuilding it per block cost about a millisecond a forest.
+time. The split lists, the scaled leaves and the bounds below make the
+model's scoring plan, built on its first scoring and kept (rebuilding it
+per block cost about a millisecond a forest). It is a cached property, not
+a field, so a model file never holds it. fit_gbdt builds a model once its
+trees are final and nothing mutates them after, so a plan never goes
+stale; other trees make another model (dataclasses.replace).
 
 A router only needs to know whether predict_proba(x) > gamma, so
 GBDTModel.proba_above answers that without finishing every row: the early
-exit of additive ensembles (Cambazoglu et al., WSDM 2010). It scores the
-trees in the same order over the same blocks, and every _CHECK_TREES
-trees it drops the rows whose margin so far, plus the largest scaled leaf
-of each tree still to come, falls below logit(gamma) less a slack; the
-block's columns are then compacted to the rows left. The slack is
-_SLACK times the sum of three terms: the tree count times a bound on every
-partial margin (|base| plus each tree's largest absolute leaf), which
-covers the rounding of the remaining adds and of the bound itself;
-|logit(gamma)|, for the rounding of the logit; and 1 / (1 - gamma), for the
-sigmoid's own rounding, which a margin gap must outweigh where the
-sigmoid is flat. A dropped row therefore could not have cleared gamma. A
-row that stays gets the same adds in the same order as in predict_margin,
-so its sigmoid(margin) > gamma reads the same bits. At gamma >= 1 nothing
-is scored, since a sigmoid never exceeds 1.
+exit of additive ensembles (Cambazoglu et al., WSDM 2010). It runs
+predict_margin's loop with a cut: every _CHECK_TREES trees the loop drops
+the rows whose margin so far, plus the largest scaled leaf of each tree
+still to come, falls below logit(gamma) less a slack; the block's columns
+are then compacted to the rows left. predict_margin is the same loop with
+no cut. The slack is _SLACK times the sum of three terms: the tree count
+times a bound on every partial margin (|base| plus each tree's largest
+absolute leaf), which covers the rounding of the remaining adds and of the
+bound itself; |logit(gamma)|, for the rounding of the logit; and
+1 / (1 - gamma), for the sigmoid's own rounding, which a margin gap must
+outweigh where the sigmoid is flat. A dropped row therefore could not have
+cleared gamma, and a row that stays gets predict_margin's adds in its
+order, so its sigmoid(margin) > gamma reads the same bits by construction.
+At gamma >= 1 nothing is scored, since a sigmoid never exceeds 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,7 +75,7 @@ import numpy as np
 from .errors import _BLOCK_ROWS, ConfigurationError, InputError, labeled_rows
 from .neural import log_loss, sigmoid
 
-__all__ = ["GBDTParams", "Tree", "ForestPlan", "GBDTModel", "router_params", "fit_gbdt"]
+__all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
 
 _PRIOR_EPS = 1e-6
 _CHECK_TREES = 8  # trees proba_above scores between two prunings of a block
@@ -142,20 +145,6 @@ class Tree:
         return value.tolist(), splits
 
 
-@dataclass(frozen=True)
-class ForestPlan:
-    """What scoring a forest needs besides the rows, built by GBDTModel.plan.
-
-    A caller that scores many blocks of rows builds it once and passes it to
-    every block's predict_proba or proba_above; each of them builds its own
-    when given none.
-    """
-
-    trees: list  # per tree, Tree._plan of its leaf values times the learning rate
-    reach: np.ndarray  # reach[k]: the most that trees k, k + 1, ... can still add to a margin
-    span: float  # |base_score| plus each tree's largest absolute scaled leaf
-
-
 def _row_blocks(x: np.ndarray):
     """Yield ``(rows, xt)`` per block of rows; ``xt`` is the block as (features, rows)."""
     for start in range(0, x.shape[0], _BLOCK_ROWS):
@@ -187,55 +176,54 @@ class GBDTModel:
     best_iteration: Optional[int] = None
     trees: list[Tree] = field(default_factory=list)  # last: a model file lists them last
 
-    def plan(self) -> ForestPlan:
+    @cached_property
+    def _forest(self) -> tuple:
+        """The scoring plan, built on the first scoring: (per tree, Tree._plan of
+        its leaves times the learning rate; reach, where reach[k] is the most
+        trees k, k + 1, ... can still add to a margin; span, |base_score| plus
+        each tree's largest absolute scaled leaf)."""
         scaled = [tree.value * self.params.learning_rate for tree in self.trees]
         leaves = [value[tree.feature < 0] for tree, value in zip(self.trees, scaled)]
-        return ForestPlan(
-            trees=[tree._plan(value) for tree, value in zip(self.trees, scaled)],
-            reach=np.cumsum([leaf.max() for leaf in leaves][::-1])[::-1],
-            span=abs(self.base_score) + sum(float(np.abs(leaf).max()) for leaf in leaves),
-        )
+        return ([tree._plan(value) for tree, value in zip(self.trees, scaled)],
+                np.cumsum([leaf.max() for leaf in leaves][::-1])[::-1],
+                abs(self.base_score) + sum(float(np.abs(leaf).max()) for leaf in leaves))
 
-    def predict_margin(self, x, plan: Optional[ForestPlan] = None) -> np.ndarray:
-        x = self._check(x)
-        margin = np.full(x.shape[0], self.base_score)
-        forest = (plan if plan is not None else self.plan()).trees
-        for rows, xt in _row_blocks(x):
-            block = margin[rows]
-            for tree in forest:  # tree by tree, as the rounds were added
-                block += _select(tree, xt)
-        return margin
+    def predict_margin(self, x) -> np.ndarray:
+        return self._margin(x, -np.inf)
 
-    def predict_proba(self, x, plan: Optional[ForestPlan] = None) -> np.ndarray:
-        return sigmoid(self.predict_margin(x, plan))
+    def predict_proba(self, x) -> np.ndarray:
+        return sigmoid(self.predict_margin(x))
 
-    def proba_above(self, x, gamma: float, plan: Optional[ForestPlan] = None) -> np.ndarray:
+    def proba_above(self, x, gamma: float) -> np.ndarray:
         """``predict_proba(x) > gamma`` bit for bit, each row scored only until it is settled."""
-        x = self._check(x)
-        above = np.zeros(x.shape[0], dtype=bool)
         if gamma >= 1.0:
-            return above
-        plan = plan if plan is not None else self.plan()
-        forest, reach = plan.trees, plan.reach
+            return np.zeros(self._check(x).shape[0], dtype=bool)
         cut = -np.inf
         if gamma > 0.0:
             cut = float(np.log(gamma) - np.log1p(-gamma))
-            cut -= _SLACK * (len(forest) * plan.span + abs(cut) + 1.0 / (1.0 - gamma))
+            cut -= _SLACK * (len(self.trees) * self._forest[2] + abs(cut) + 1.0 / (1.0 - gamma))
+        return sigmoid(self._margin(x, cut)) > gamma
+
+    def _margin(self, x, cut: float) -> np.ndarray:
+        """Each row's margin, or -inf for a row dropped once it could no longer reach ``cut``."""
+        x = self._check(x)
+        margin = np.full(x.shape[0], -np.inf)
+        forest, reach, _ = self._forest
         checks = range(0, len(forest) if cut > -np.inf else 0, _CHECK_TREES)
         for rows, xt in _row_blocks(x):
             alive = np.arange(rows.start, rows.start + xt.shape[1])
-            margin = np.full(alive.size, self.base_score)
-            for k, tree in enumerate(forest):
+            block = np.full(alive.size, self.base_score)
+            for k, tree in enumerate(forest):  # tree by tree, as the rounds were added
                 if k in checks:
-                    keep = margin + reach[k] >= cut
+                    keep = block + reach[k] >= cut
                     if not keep.all():
-                        alive, margin = alive[keep], margin[keep]
+                        alive, block = alive[keep], block[keep]
                         if not alive.size:
                             break
                         xt = np.compress(keep, xt, axis=1)
-                margin += _select(tree, xt)
-            above[alive] = sigmoid(margin) > gamma
-        return above
+                block += _select(tree, xt)
+            margin[alive] = block
+        return margin
 
     def _check(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -374,23 +362,21 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
 
     prior = float(np.clip(y_arr.mean(), _PRIOR_EPS, 1.0 - _PRIOR_EPS))
     base = float(np.log(prior) - np.log1p(-prior))
-    model = GBDTModel(params=params, n_features=x.shape[1], base_score=base)
-
     if y_arr.min() == y_arr.max():
-        model.degenerate = True
-        return model
+        return GBDTModel(params=params, n_features=x.shape[1], base_score=base, degenerate=True)
     if use_val:
         val_margin = np.full(x_val.shape[0], base)
         val_blocks = list(_row_blocks(x_val))
 
     margin = np.full(x.shape[0], base)
     builder = _TreeBuilder(x, params)
+    trees = []
     best_loss = np.inf
     best_round = -1
     for round_index in range(params.n_estimators):
         p = sigmoid(margin)
         tree = builder.grow(p - y_arr, p * (1.0 - p))
-        model.trees.append(tree)
+        trees.append(tree)
         margin += params.learning_rate * tree.value[builder.leaf]
         if use_val:
             plan = tree._plan(tree.value)
@@ -402,7 +388,6 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
                 best_round = round_index
             elif round_index - best_round >= params.early_stopping_rounds:
                 break
-    if use_val and best_round >= 0:
-        model.trees = model.trees[: best_round + 1]
-        model.best_iteration = best_round
-    return model
+    best = best_round if use_val and best_round >= 0 else None
+    return GBDTModel(params=params, n_features=x.shape[1], base_score=base,
+                     best_iteration=best, trees=trees if best is None else trees[: best + 1])

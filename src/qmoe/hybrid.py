@@ -315,7 +315,7 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     model = init_hybrid(config, rng)
-    opt = adam_init([model.params], learning_rate=config.learning_rate)
+    opt = adam_init(model.params, learning_rate=config.learning_rate)
 
     report = TrainReport()
     best_ap = -np.inf
@@ -330,7 +330,7 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
             for start in range(0, n, config.batch_size):
                 rows = order[start : start + config.batch_size]
                 total, recon, classification, grads = _batch_gradients(model, x[rows], y[rows])
-                optimizer_step(opt, [model.params], [grads])
+                optimizer_step(opt, model.params, grads)
                 total_sum += total * rows.size
                 recon_sum += recon * rows.size
                 class_sum += classification * rows.size

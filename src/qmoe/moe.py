@@ -26,7 +26,8 @@ holds one scaled block and the outputs, never a scaled copy of the pool.
 The trees score row by row, so blocks keep their bits; the secondary may
 not (the paper-size circuit moves a last bit with its batch), so it gets
 every routed row of the call in one batch, exactly as an unblocked call
-would hand them over.
+would hand them over. Each forest builds its scoring plan once, on its
+model's first scoring, and reads it in every later block and call.
 """
 
 from __future__ import annotations
@@ -137,10 +138,10 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     gbdt._BLOCK_ROWS rows: a finite check before scaling (which would clip
     an infinity into range), naming rows of the whole input, so the outcome
     never depends on whether the gate would have routed a bad row; the
-    scaling; the primary and the gate, against ForestPlans built once per
-    call. The secondary then scores every routed row in one call; that
-    sparsity is the whole point of the gate. Hard labels apply the owning
-    expert's threshold.
+    scaling; the primary and the gate, each forest reading the scoring plan
+    its model built on its first scoring and keeps. The secondary then
+    scores every routed row in one call; that sparsity is the whole point of
+    the gate. Hard labels apply the owning expert's threshold.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
@@ -150,8 +151,6 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     probs = np.empty(x.shape[0])
     routed = np.zeros(x.shape[0], dtype=bool)
     handed = []
-    primary = model.primary.plan()
-    gate = model.router.plan() if gamma < 1.0 else None  # a shut gate reads no tree
     for start in range(0, max(x.shape[0], 1), _BLOCK_ROWS):  # an empty input still checks
         rows = slice(start, start + _BLOCK_ROWS)
         block = x[rows]
@@ -160,8 +159,8 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
         if scaler is not None:
             block = scaler.transform(block)
         probs[rows] = apply_temperature(model.primary_scaler,
-                                        model.primary.predict_proba(block, primary))
-        routed[rows] = model.router.proba_above(block, gamma, gate)
+                                        model.primary.predict_proba(block))
+        routed[rows] = model.router.proba_above(block, gamma)  # a shut gate reads no tree
         handed.append(block[routed[rows]])
     return route_rows(model, probs, routed, np.concatenate(handed))
 

@@ -8,7 +8,7 @@ to [PROB_EPS, 1 - PROB_EPS] inside log computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,52 +183,45 @@ def bce_loss(labels, probs):
 
 @dataclass
 class AdamState:
-    """Per-array first and second moments plus the shared step counter."""
+    """First and second moments of one parameter array plus the step counter."""
 
+    m: np.ndarray
+    v: np.ndarray
     learning_rate: float = 1e-3
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
-def adam_init(params: list[np.ndarray], learning_rate: float = 1e-3) -> AdamState:
+def adam_init(params: np.ndarray, learning_rate: float = 1e-3) -> AdamState:
     if learning_rate <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {learning_rate}")
-    state = AdamState(learning_rate=learning_rate)
-    state.m = [np.zeros_like(p) for p in params]
-    state.v = [np.zeros_like(p) for p in params]
-    return state
+    return AdamState(np.zeros_like(params), np.zeros_like(params), learning_rate)
 
 
-def optimizer_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]):
-    """One Adam update over a list of arrays, in place; returns ``params``.
+def optimizer_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """One Adam update of one array, in place; returns ``params``.
 
     Parameters, moments and the step counter all mutate in place. The
-    update is elementwise, so one buffer holding many arrays takes the
-    bits of the arrays updated one by one. Zero gradients from a fresh
-    state leave parameters bit-identical.
+    update is elementwise, so one buffer holding many arrays (the hybrid's
+    parameters) takes the bits of the arrays updated one by one. Zero
+    gradients from a fresh state leave parameters bit-identical.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if params.shape != grads.shape or params.shape != state.m.shape:
         raise ConfigurationError(
-            f"got {len(params)} params, {len(grads)} grads, state holds {len(state.m)}"
+            f"params shape {params.shape}, grads shape {grads.shape} and the state's "
+            f"{state.m.shape} must match"
         )
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ConfigurationError(
-                f"param {i} shape {p.shape} does not match grad shape {g.shape}"
-            )
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-        # p -= lr (m / c1) / (sqrt(v / c2) + eps), operation for operation.
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        denom = np.sqrt(v / correct2)
-        denom += ADAM_EPS
-        p -= state.learning_rate * (m / correct1) / denom
+    m, v = state.m, state.v
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    # p -= lr (m / c1) / (sqrt(v / c2) + eps), operation for operation.
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * (grads * grads)
+    denom = np.sqrt(v / correct2)
+    denom += ADAM_EPS
+    params -= state.learning_rate * (m / correct1) / denom
     return params

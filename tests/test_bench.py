@@ -617,6 +617,19 @@ def test_load_model_checks_the_thresholds(model_doc, tmp_path, name):
             load_model(path)
 
 
+def test_scoring_leaves_the_model_file_unchanged(model_doc, tmp_path):
+    # A forest keeps the scoring plan of its first scoring, outside its
+    # fields, so a scored pipeline saves the file of an unscored one.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    unscored, scored = tmp_path / "unscored.json", tmp_path / "scored.json"
+    save_model(pipeline, unscored)
+    x, _, _ = synthesize(1000, 0.05, seed=22)
+    for gamma in (1.0, 0.5, 1e-3):
+        pipeline_predict(pipeline, x, gamma)
+    save_model(pipeline, scored)
+    assert scored.read_bytes() == unscored.read_bytes()
+
+
 def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
     # One call over a pool spanning several prediction blocks scores every
     # row exactly as calls on uneven slices of it do.

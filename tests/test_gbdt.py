@@ -753,6 +753,33 @@ def test_fitted_models_predict_the_reference_margins():
         assert_same_bytes(model.predict_margin(probe), reference_margin(model, probe))
 
 
+def test_a_replaced_forest_scores_exactly_its_own_trees(monkeypatch):
+    # A model keeps the plan of its first scoring; a copy with fewer trees
+    # must build its own, not read its source's.
+    rng = np.random.default_rng(20)
+    x = np.round(rng.normal(size=(400, 4)), 1)
+    y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(0, 0.5, 400) > 0).astype(float)
+    model = fit_gbdt(GBDTParams(n_estimators=30, max_depth=3, early_stopping_rounds=0), x, y)
+    probe = random_rows(rng, gbdt._BLOCK_ROWS + 50, 4, x[:5, 0], nan_fraction=0.1)
+    model.predict_margin(probe)
+    scored = []
+    select = gbdt._select
+
+    def counting(plan, xt):
+        scored.append(xt.shape[1])
+        return select(plan, xt)
+
+    monkeypatch.setattr(gbdt, "_select", counting)
+    for k in (0, 1, 7, 29):
+        short = replace(model, trees=model.trees[:k])
+        scored.clear()
+        assert_same_bytes(short.predict_margin(probe), reference_margin(short, probe))
+        assert sum(scored) == k * probe.shape[0]  # k trees over every row
+        gate = sigmoid(reference_margin(short, probe))
+        assert np.array_equal(short.proba_above(probe, 0.5), gate > 0.5)
+    assert_same_bytes(model.predict_margin(probe), reference_margin(model, probe))
+
+
 def _fitted_router(rng):
     x = rng.normal(size=(3000, 4))
     y = ((x[:, 0] > 1.2) & (x[:, 1] > 0.0)).astype(float)
@@ -761,9 +788,9 @@ def _fitted_router(rng):
 
 def test_gate_equals_thresholded_proba_on_a_fitted_router():
     model, x = _fitted_router(np.random.default_rng(21))
-    proba = model.predict_proba(x)
-    gammas = [1.0, 0.99, 0.9, 0.5, 0.1, 1e-3, float(np.median(proba)), float(proba.max()),
-              float(np.sort(proba)[-50]), np.nextafter(float(proba.max()), 0.0)]
+    proba = sigmoid(reference_margin(model, x))
+    gammas = [1.0, 0.99, 0.9, 0.5, 0.1, 1e-3, 0.0, -0.5, float(np.median(proba)),
+              float(proba.max()), float(np.sort(proba)[-50]), np.nextafter(float(proba.max()), 0.0)]
     for gamma in gammas:
         assert np.array_equal(model.proba_above(x, gamma), proba > gamma), gamma
     assert model.proba_above(x, 0.5).any()
@@ -809,6 +836,6 @@ def test_gate_keeps_rows_whose_margin_meets_the_bound():
             trees.append(Tree(value=np.array([0.0, high, low]), **stump))
         model = GBDTModel(params=GBDTParams(learning_rate=float(rng.choice([0.1, 0.3, 1.0]))),
                           n_features=1, base_score=float(rng.normal() * 3), trees=trees)
-        proba = model.predict_proba(x)
+        proba = sigmoid(reference_margin(model, x))
         for gamma in (proba[0], np.nextafter(proba[0], 0.0), np.nextafter(proba[0], 1.0)):
             assert np.array_equal(model.proba_above(x, gamma), proba > gamma), gamma

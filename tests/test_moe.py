@@ -1,6 +1,9 @@
 """Routing tests: threshold placement, correction targets, gate behavior, and the
 serving path against a reference that scores the router in full."""
 
+from dataclasses import replace
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -317,24 +320,31 @@ def test_non_finite_rows_are_named_across_blocks():
             combined_predict(model, rows, gamma)
 
 
-def test_each_forest_plan_is_built_once_per_call(monkeypatch):
-    x, model = _routed_model(13)
+def test_each_forest_builds_its_plan_once_per_model(monkeypatch):
+    x, fitted = _routed_model(13)
     rows = np.tile(x, (2 * gbdt._BLOCK_ROWS // len(x) + 2, 1))  # three blocks
+    # Copies hold no plan yet: _routed_model scored the primary and the secondary.
+    model = replace(fitted, primary=replace(fitted.primary), router=replace(fitted.router),
+                    secondary=replace(fitted.secondary))
     built = []
-    real = GBDTModel.plan
+    real = GBDTModel._forest.func
 
     def counting(self):
         built.append(self)
         return real(self)
 
-    monkeypatch.setattr(GBDTModel, "plan", counting)
-    whole = combined_predict(model, rows, 0.5)
-    assert whole.routed.any()
-    # The primary and the router once each; the secondary, a GBDT here, once
-    # for its one call.
-    assert [id(m) for m in built] == [id(model.primary), id(model.router), id(model.secondary)]
-    built.clear()
+    plan = cached_property(counting)
+    plan.__set_name__(GBDTModel, "_forest")
+    monkeypatch.setattr(GBDTModel, "_forest", plan)
     combined_predict(model, rows, 1.0)
     assert [id(m) for m in built] == [id(model.primary)]  # a shut gate builds no router plan
+    whole = combined_predict(model, rows, 0.5)
+    assert whole.routed.any()
+    # Across the calls and their blocks, the primary, the router and the
+    # secondary (a GBDT here) once each.
+    assert [id(m) for m in built] == [id(model.primary), id(model.router), id(model.secondary)]
+    for gamma in (0.5, 1.0):
+        combined_predict(model, rows, gamma)
+    assert len(built) == 3
     monkeypatch.undo()
     assert np.array_equal(whole.probs, _reference_predict(model, rows, 0.5)[0])

@@ -315,37 +315,36 @@ def test_init_shapes_bounds_and_determinism():
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
-    params = [np.array([1.0, -2.0]), np.array([[0.5]])]
-    before = [p.copy() for p in params]
+    params = np.array([1.0, -2.0, 0.5])
+    before = params.copy()
     state = adam_init(params, 0.1)
-    out = optimizer_step(state, params, [np.zeros(2), np.zeros((1, 1))])
+    out = optimizer_step(state, params, np.zeros(3))
     assert out is params  # updated in place
-    np.testing.assert_array_equal(out[0], before[0])
-    np.testing.assert_array_equal(out[1], before[1])
+    np.testing.assert_array_equal(out, before)
 
 
 def test_adam_descends_on_quadratic():
-    w = [np.array([1.0])]
+    w = np.array([1.0])
     state = adam_init(w, 0.1)
-    w = optimizer_step(state, w, [2.0 * w[0]])
-    assert abs(w[0][0]) < 1.0
+    w = optimizer_step(state, w, 2.0 * w)
+    assert abs(w[0]) < 1.0
 
 
 def test_adam_converges_on_quadratic_with_default_lr():
-    w = [np.array([1.0])]
+    w = np.array([1.0])
     state = adam_init(w, 1e-3)
     for _ in range(10_000):
-        w = optimizer_step(state, w, [2.0 * w[0]])
-    assert abs(w[0][0]) < 1e-6
+        w = optimizer_step(state, w, 2.0 * w)
+    assert abs(w[0]) < 1e-6
 
 
 def test_adam_validation():
-    params = [np.zeros(2)]
+    params = np.zeros(2)
     state = adam_init(params, 0.1)
     with pytest.raises(ConfigurationError):
-        optimizer_step(state, params, [np.zeros(3)])
+        optimizer_step(state, params, np.zeros(3))
     with pytest.raises(ConfigurationError):
-        optimizer_step(state, [np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)])
+        optimizer_step(state, np.zeros(4), np.zeros(4))
     with pytest.raises(ConfigurationError):
         adam_init(params, -1.0)
 
@@ -357,19 +356,27 @@ def test_sigmoid_stability_and_values():
     assert np.all(np.isfinite(big))
 
 
-def per_array_adam(state, params, grads):
-    """The per-array Adam step as first written: fresh arrays, nothing in place."""
-    state.step += 1
-    correct1 = 1.0 - ADAM_BETA1 ** state.step
-    correct2 = 1.0 - ADAM_BETA2 ** state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / correct1
-        v_hat = state.v[i] / correct2
-        out.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    return out
+class PerArrayAdam:
+    """The per-array Adam step as first written: one moment pair per array,
+    fresh arrays, nothing in place."""
+
+    def __init__(self, arrays, learning_rate):
+        self.learning_rate, self.step = learning_rate, 0
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+
+    def update(self, params, grads):
+        self.step += 1
+        correct1 = 1.0 - ADAM_BETA1 ** self.step
+        correct2 = 1.0 - ADAM_BETA2 ** self.step
+        out = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = self.m[i] / correct1
+            v_hat = self.v[i] / correct2
+            out.append(p - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        return out
 
 
 def test_adam_on_one_buffer_equals_per_array_adam_bytes():
@@ -379,17 +386,17 @@ def test_adam_on_one_buffer_equals_per_array_adam_bytes():
     shapes = [(7, 5), (7,), (1, 7), (1,), (12,)]
     arrays = [rng.normal(size=s) for s in shapes]
     buffer = np.concatenate([a.ravel() for a in arrays])
-    fast = adam_init([buffer], 0.01)
-    slow = adam_init(arrays, 0.01)
+    fast = adam_init(buffer, 0.01)
+    slow = PerArrayAdam(arrays, 0.01)
     for step in range(40):
         grads = [rng.normal(size=s) * 10.0 ** rng.integers(-9, 3) for s in shapes]
         if step % 7 == 3:
             grads[1][:] = 0.0
-        optimizer_step(fast, [buffer], [np.concatenate([g.ravel() for g in grads])])
-        arrays = per_array_adam(slow, arrays, grads)
+        optimizer_step(fast, buffer, np.concatenate([g.ravel() for g in grads]))
+        arrays = slow.update(arrays, grads)
         assert buffer.tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
-    assert fast.m[0].tobytes() == np.concatenate([m.ravel() for m in slow.m]).tobytes()
-    assert fast.v[0].tobytes() == np.concatenate([v.ravel() for v in slow.v]).tobytes()
+    assert fast.m.tobytes() == np.concatenate([m.ravel() for m in slow.m]).tobytes()
+    assert fast.v.tobytes() == np.concatenate([v.ravel() for v in slow.v]).tobytes()
 
 
 def two_branch_sigmoid(x):

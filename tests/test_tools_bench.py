@@ -99,6 +99,19 @@ def test_load_records_keeps_only_the_current_source(tmp_path, capsys):
     assert "cv-desk-seed1-trace0.json" in out and "cv-desk-seed3-trace0.json" in out
 
 
+def test_many_stale_results_give_one_short_line(tmp_path, capsys):
+    # A checkout that kept every earlier run's results: one line counts them
+    # and names the first and the last, not every file.
+    checkout = _fake_checkout(tmp_path, [(seed, 2845) for seed in range(46)] + [(46, 3)])
+    assert list(tools_bench.load_records(checkout, "cv-desk")) == [46]
+    out = capsys.readouterr().out
+    names = sorted(f"cv-desk-seed{seed}-trace0.json" for seed in range(46))
+    assert out.count("\n") == 1 and len(out) < 200 + len(str(checkout))
+    assert "skipped 46 cv-desk results" in out
+    assert names[0] in out and names[-1] in out
+    assert sum(name in out for name in names) == 2
+
+
 def test_load_records_exits_when_no_result_matches(tmp_path):
     checkout = _fake_checkout(tmp_path, [(0, 2845), (1, 2926)])
     with pytest.raises(SystemExit, match="no cv-desk results"):

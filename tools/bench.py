@@ -6,25 +6,20 @@ both checkouts over the same seeds (alternate which checkout runs first):
     python3 perfbench/run.py --workload <w> --seed <s> --seconds 40
     python3 tools/bench.py <topic> --parent ../parent-checkout
 
-The topic picks the kernel table: ``qsim`` times
-``qsim.batch_parameter_shift`` and ``qsim.batch_expectations`` and writes
-BENCH_qsim.json, ``gbdt`` times ``gbdt.fit_gbdt`` (router fits at the
-cv-desk, train-paper and paper-fold analysis sizes, the train-paper primary
-and a 16k-row fit) and writes BENCH_gbdt.json, ``predict`` times
-``GBDTModel.predict_margin`` on the serving forests and on dense depth-6
-and depth-4 forests, and writes BENCH_predict.json, ``hybrid`` times ``mlp_forward`` plus
-``mlp_backward`` on the paper encoder, one ``_batch_gradients`` step and
-``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
-BENCH_hybrid.json; ``ingest`` times ``data.load_csv`` on a 142,404-row
-``save_csv`` file (written once, outside the timed calls) and
-``MinMaxScaler.transform`` on a (142404, 29) array, and writes
-BENCH_ingest.json; ``gate`` times whole-pool ``bench.pipeline_predict``
-calls at gamma 1.0, 0.9 and 0.5 on the serve-paper shape (the train-paper
-pipeline at seed 0, fit once per interpreter outside the timed calls, over
-a 142,404-row pool) and writes BENCH_gate.json; ``serve`` times ``data.load_csv``
-on that pool's ``save_csv`` file and whole-pool ``bench.pipeline_predict``
-calls at gamma 1.0 and 0.5 on that pipeline, and writes BENCH_serve.json;
-``circuit`` times ``qsim.batch_expectations`` on 512-row scoring chunks and
+The topic picks the kernel table: ``gbdt`` times ``gbdt.fit_gbdt`` (router
+fits at the cv-desk, train-paper and paper-fold analysis sizes, the
+train-paper primary and a 16k-row fit) and writes BENCH_gbdt.json,
+``predict`` times ``GBDTModel.predict_margin`` on the serving forests and
+on dense depth-6 and depth-4 forests, and writes BENCH_predict.json,
+``hybrid`` times ``mlp_forward`` plus ``mlp_backward`` on the paper
+encoder, one ``_batch_gradients`` step and ``HybridModel.predict_proba`` at
+the paper ``HybridConfig``, and writes BENCH_hybrid.json; ``serve`` times
+``data.load_csv`` on a 142,404-row ``save_csv`` file (written once,
+outside the timed calls) and whole-pool ``bench.pipeline_predict`` calls
+at gamma 1.0, 0.9 and 0.5 on the serve-paper shape (the train-paper
+pipeline at seed 0, fit once per interpreter outside the timed calls,
+over that pool), and writes BENCH_serve.json; ``circuit`` times
+``qsim.batch_expectations`` on 512-row scoring chunks and
 ``qsim.batch_parameter_shift`` on training batches at the desk and paper
 circuit shapes, and both at 8, 9 and 10 qubits (the crossover that sets
 ``qsim.MAX_QUBITS``; the spec is built past the cap's check on both
@@ -34,6 +29,14 @@ sides), and writes BENCH_circuit.json; ``fold`` runs one paper-scale fold
 RSS before and after it, its wall time and a digest of its
 ``FoldRecord``, then once more for its tracemalloc peak, and writes
 BENCH_fold.json.
+
+BENCH_qsim.json, BENCH_gate.json and BENCH_ingest.json stay as records of
+topics since folded into others. ``qsim`` timed the two circuit calls that
+``circuit`` times, at every shape the hybrid runs; ``gate`` timed the
+whole-pool ``pipeline_predict`` calls that ``serve`` times; ``ingest``
+timed ``load_csv`` on the serve pool, as ``serve`` does, and
+``MinMaxScaler.transform`` on the whole pool, which no caller runs since
+serving scales one row block at a time.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -129,28 +132,6 @@ class Topic:
 
 
 TOPICS = {
-    "qsim": Topic(
-        title="qsim kernels: gates as strided views and the CNOT ring as one basis "
-              "permutation, under batch_expectations and the batch_parameter_shift "
-              "adjoint sweep",
-        # The desk config, the paper config with one and with every qubit
-        # measured, a wide desk batch, and the paper config over the about
-        # 2,000 rows serve-paper routes per call; each shape runs both calls.
-        kernels=tuple(
-            {"call": call, "n_qubits": n, "n_layers": layers, "rows": rows, "measured": q}
-            for n, layers, rows, q in ((3, 2, 8, 1), (6, 6, 32, 1), (6, 6, 32, 6),
-                                       (3, 2, 512, 1), (6, 6, 2048, 1))
-            for call in ("batch_parameter_shift", "batch_expectations")
-        ),
-        setup="""
-from qmoe import qsim
-spec = qsim.AnsatzSpec(n_qubits=kernel["n_qubits"], n_layers=kernel["n_layers"])
-params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-feats = rng.uniform(-np.pi, np.pi, size=(kernel["rows"], spec.n_qubits))
-qubits = tuple(range(kernel["measured"]))
-call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
-""",
-    ),
     "gbdt": Topic(
         title="gbdt.fit_gbdt: one complex prefix sum for grad and hess, ties checked only "
               "at the winner, no search where the hessian mass cannot fill two children, "
@@ -248,63 +229,21 @@ call = {"mlp": mlp, "_batch_gradients": lambda: hybrid._batch_gradients(model, x
         "predict_proba": lambda: model.predict_proba(x)}[kernel["call"]]
 """,
     ),
-    "ingest": Topic(
-        title="serve ingestion: load_csv parses the body in one np.loadtxt call, and "
-              "MinMaxScaler.transform scales in one buffer",
-        # The serve-paper pool: load_csv of its 142,404-row save_csv file,
-        # written once before the timed calls, and the scaler over its
-        # (142404, 29) features.
-        kernels=(
-            {"call": "load_csv", "rows": 142_404},
-            {"call": "MinMaxScaler.transform", "rows": 142_404},
-        ),
-        setup="""
-import atexit, os, shutil, tempfile
-from qmoe import data
-x, y, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
-if kernel["call"] == "load_csv":
-    tmp = tempfile.mkdtemp()
-    atexit.register(shutil.rmtree, tmp)
-    path = os.path.join(tmp, "pool.csv")
-    data.save_csv(path, x, y)
-    call = lambda: data.load_csv(path)
-else:
-    scaler = data.fit_minmax(x)
-    call = lambda: scaler.transform(x)
-""",
-    ),
-    "gate": Topic(
-        title="routed serving: the router is scored only until each row's gate decision "
-              "is settled (GBDTModel.proba_above), instead of in full and then compared "
-              "with gamma",
-        # serve-paper's calls: its pipeline (train-paper's fit_pipeline at seed
-        # 0: 50k rows at fraud rate 0.01, one epoch of the paper hybrid) over a
-        # 142,404-row pool, at the gate that routes nothing, one that routes
-        # about 0.4% of rows and serve-paper's routed gamma.
-        kernels=tuple({"call": "pipeline_predict", "gamma": gamma, "rows": 142_404}
-                      for gamma in (1.0, 0.9, 0.5)),
-        setup="""
-from qmoe import bench, data, hybrid
-x, y, _ = data.synthesize(50_000, 0.01, seed=0)
-config = bench.RunConfig(hybrid=hybrid.HybridConfig(epochs=1), seed=0)
-_, pipeline = bench.fit_pipeline(x, y, config)
-pool, _, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
-call = lambda: bench.pipeline_predict(pipeline, pool, kernel["gamma"])
-""",
-    ),
     "serve": Topic(
         title="serving in O(block) memory: load_csv allocates its table once and packs the "
               "features inside it; pipeline_predict scores the pool in row blocks of the "
               "forests' size and hands the secondary every routed row in one call",
         # serve-paper's set-up and calls: load_csv of its 142,404-row pool,
         # written once by save_csv before the timed calls, and whole-pool
-        # pipeline_predict on its pipeline (as in ``gate``) at the gate that
-        # routes nothing and at serve-paper's routed gamma. The memory figure
-        # is each call's tracemalloc peak.
+        # pipeline_predict on its pipeline (train-paper's fit_pipeline at
+        # seed 0: 50k rows at fraud rate 0.01, one epoch of the paper hybrid)
+        # at the gate that routes nothing, one that routes about 0.4% of rows
+        # and serve-paper's routed gamma. The memory figure is each call's
+        # tracemalloc peak.
         kernels=(
             {"call": "load_csv", "rows": 142_404},
             *({"call": "pipeline_predict", "gamma": gamma, "rows": 142_404}
-              for gamma in (1.0, 0.5)),
+              for gamma in (1.0, 0.9, 0.5)),
         ),
         setup="""
 import atexit, os, shutil, tempfile
@@ -452,7 +391,8 @@ def load_records(checkout: Path, workload: str) -> dict:
     """Every untraced result of ``workload`` in ``checkout``, keyed by seed.
 
     A result whose ``environment.src_lines`` differs from the checkout's
-    current source came from an older tree; it is skipped, and named.
+    current source came from an older tree; it is skipped. One line counts
+    the skipped files and names the first and the last.
     """
     records, skipped, lines = {}, [], src_lines(checkout)
     results = checkout / ".perfbench" / "results"
@@ -463,8 +403,9 @@ def load_records(checkout: Path, workload: str) -> dict:
             continue
         records[record["seed"]] = record
     if skipped:
+        names = " ... ".join(dict.fromkeys((skipped[0], skipped[-1])))
         print(f"{checkout}: skipped {len(skipped)} {workload} results whose src_lines is not "
-              f"the checkout's {lines}: {', '.join(skipped)}")
+              f"the checkout's {lines}: {names}")
     if not records:
         sys.exit(f"no {workload} results in {checkout}: run perfbench/run.py "
                  f"--workload {workload} --seed <s> --seconds 40 there first")
