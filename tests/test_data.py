@@ -112,6 +112,18 @@ def test_undersample_is_seeded():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("labels, named", [
+    ([], "shape (0,)"),
+    ([0.0, 2.0], "[2.0]"),  # no row of either class would be kept
+    ([0.0, 1.0, np.nan, 0.0], "[nan]"),  # NaN is neither class, not a majority row
+    ([[0.0, 1.0], [1.0, 0.0]], "shape (2, 2)"),
+])
+def test_undersample_refuses_labels_other_than_0_and_1(labels, named):
+    with pytest.raises(InputError, match="undersampling needs") as info:
+        undersample(np.asarray(labels), seed=0)
+    assert named in str(info.value)
+
+
 def test_kfold_partitions_every_repeat():
     y = np.r_[np.ones(13), np.zeros(87)]
     splits = list(stratified_repeated_kfold(y, n_splits=5, n_repeats=3, seed=0))
@@ -267,6 +279,61 @@ def test_synthesize_is_seeded_and_validates():
         synthesize(1000, fraud_rate=0.0001)  # rounds below one per component
     with pytest.raises(InputError):
         synthesize(1000, fraud_rate=0.9)
+
+
+def _synthesize_whole_table(n, fraud_rate, seed):
+    """The generator as whole-table expressions: the noise drawn and added in
+    one step and the rows shuffled by one gather, two copies of the table."""
+    n_fraud = int(round(n * fraud_rate))
+    n_linear = (n_fraud + 1) // 2
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    loadings = rng.normal(size=(6, N_FEATURES)) / np.sqrt(6.0)
+    x = rng.normal(size=(n, 6)) @ loadings + 0.7 * rng.normal(size=(n, N_FEATURES))
+    for col in (0, 2, 4, 5):
+        x[:, col] = rng.normal(size=n)
+    y = np.zeros(n)
+    component = np.zeros(n, dtype=np.int64)
+    x[:n_linear, 0] += 4.5
+    x[:n_linear, 2] -= 3.5
+    y[:n_fraud] = 1.0
+    component[:n_linear], component[n_linear:n_fraud] = 1, 2
+    radius = rng.uniform(4.2, 5.0, size=n_fraud - n_linear)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=n_fraud - n_linear)
+    x[n_linear:n_fraud, 4] = radius * np.cos(angle)
+    x[n_linear:n_fraud, 5] = radius * np.sin(angle)
+    x[:, N_FEATURES - 1] = rng.lognormal(mean=3.0, sigma=1.2, size=n)
+    order = rng.permutation(n)
+    return x[order], y[order], component[order]
+
+
+@pytest.mark.parametrize("n, fraud_rate, seed", [
+    (1000, 0.01, 0),
+    (_BLOCK_ROWS, 0.01, 1),  # exactly one noise block
+    (2 * _BLOCK_ROWS + 1, 0.00172, 2),  # a last block of one row
+    (20_000, 0.00172, 3),
+    (50_000, 0.01, 4),
+])
+def test_synthesize_equals_the_whole_table_expression_byte_for_byte(n, fraud_rate, seed):
+    got = synthesize(n, fraud_rate=fraud_rate, seed=seed)
+    want = _synthesize_whole_table(n, fraud_rate, seed)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+def test_synthesize_holds_one_table():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        x, _, _ = synthesize(100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One table plus its row-block noise, the 8-column shuffle buffer and
+    # three n-long vectors is 1.40 copies; the whole-table expression held
+    # 2.17.
+    assert peak < 1.5 * x.nbytes
 
 
 def test_scaler_fits_train_only():

@@ -14,8 +14,11 @@ tools_bench = sys.modules["tools_bench"] = importlib.util.module_from_spec(_SPEC
 _SPEC.loader.exec_module(tools_bench)
 
 
-def _side(*medians):
-    return {"invocation_medians_ms": list(medians)}
+def _side(*medians, median=None, iqr=0.0):
+    """A side of one kernel: its invocation medians, and its pooled median
+    (the median of the invocation medians unless given) and IQR."""
+    pooled = sorted(medians)[len(medians) // 2] if median is None else median
+    return {"invocation_medians_ms": list(medians), "median_ms": pooled, "iqr_ms": iqr}
 
 
 @pytest.mark.parametrize("parent, change, verdict", [
@@ -25,6 +28,14 @@ def _side(*medians):
     # the parent's pooled median is the slower one.
     (_side(24.76, 25.03, 17.74), _side(19.82, 21.41, 21.18), "unresolved"),
     (_side(10.0, 11.0, 12.0), _side(10.0, 9.0, 8.0), "unresolved"),
+    # The invocation medians separate, but the pooled medians differ by less
+    # than the parent's spread: three invocations a side do not tell host
+    # drift from code.
+    (_side(10.0, 10.5, 11.0, iqr=3.0), _side(9.0, 9.4, 9.8), "unresolved"),
+    (_side(10.0, 10.5, 11.0, iqr=3.0), _side(11.2, 11.6, 12.0), "unresolved"),
+    # The same medians against a tight parent are resolved.
+    (_side(10.0, 10.5, 11.0, iqr=0.8), _side(9.0, 9.4, 9.8), "faster"),
+    (_side(10.0, 10.5, 11.0, iqr=0.8), _side(11.2, 11.6, 12.0), "slower"),
 ])
 def test_kernel_verdict_needs_every_invocation(parent, change, verdict):
     assert tools_bench.kernel_verdict(parent, change) == verdict
@@ -35,7 +46,8 @@ def test_every_topic_has_a_title_and_kernels(name):
     topic = tools_bench.TOPICS[name]
     assert topic.title.strip()
     assert topic.kernels and all(isinstance(kernel, dict) and kernel for kernel in topic.kernels)
-    compile(topic.timer.format(setup=topic.setup), f"<{name} timer>", "exec")
+    for kernel in topic.kernels:
+        compile(tools_bench.timer_script(topic, kernel), f"<{name} timer>", "exec")
 
 
 def test_time_kernel_reports_each_sides_times_and_tracemalloc_peaks(monkeypatch):
@@ -57,8 +69,9 @@ def test_time_kernel_reports_each_sides_times_and_tracemalloc_peaks(monkeypatch)
 
 
 def test_time_kernel_keeps_what_a_once_timer_adds(monkeypatch):
-    # The fold topic's timer also reports the peak RSS around its one call
-    # and a digest of the result; each becomes a per-invocation list.
+    # A once kernel's timer (the fold topic's, synth's paper fold) also
+    # reports the peak RSS around its one call and a digest of the result;
+    # each becomes a per-invocation list.
     runs = iter(range(6))
 
     def fake_invoke(checkout, topic, kernel):
@@ -71,7 +84,13 @@ def test_time_kernel_keeps_what_a_once_timer_adds(monkeypatch):
     assert before["invocation_rss_before_mb"] == [100.0, 103.0, 104.0]  # the sides alternate
     assert after["invocation_rss_after_mb"] == [151.0, 152.0, 155.0]
     assert after["invocation_digest"] == ["d"] * 3
-    assert tools_bench.TOPICS["fold"].timer is tools_bench._ONCE
+    for name in ("fold", "synth"):
+        topic = tools_bench.TOPICS[name]
+        assert tools_bench.timer_script(topic, topic.kernels[-1]) == tools_bench._ONCE.format(
+            setup=topic.setup)
+    synth = tools_bench.TOPICS["synth"]
+    assert tools_bench.timer_script(synth, synth.kernels[0]) == tools_bench._TIMER.format(
+        setup=synth.setup)
 
 
 def _fake_checkout(tmp_path, records):

@@ -28,7 +28,12 @@ sides), and writes BENCH_circuit.json; ``fold`` runs one paper-scale fold
 ``RunConfig``, seed 0) once per interpreter, recording the process peak
 RSS before and after it, its wall time and a digest of its
 ``FoldRecord``, then once more for its tracemalloc peak, and writes
-BENCH_fold.json.
+BENCH_fold.json; ``synth`` times ``data.synthesize`` at 20,000, 50,000 and
+284,807 rows with its tracemalloc peak, then generates the paper-scale
+table once per interpreter and runs one ``bench.fit_pipeline`` fold on it,
+recording the process peak RSS after the generation and after the fold,
+and a digest of both the table and the ``FoldRecord``, and writes
+BENCH_synth.json.
 
 BENCH_qsim.json, BENCH_gate.json and BENCH_ingest.json stay as records of
 topics since folded into others. ``qsim`` timed the two circuit calls that
@@ -53,11 +58,15 @@ entry of its table, with BLAS pinned to one thread. Each side runs in
 ``INVOCATIONS`` fresh interpreters of ``REPEATS`` timed calls, the two
 sides alternating which goes first, so load drift on the host reaches both
 sides alike. After its timed calls each interpreter makes one more under
-``tracemalloc`` and records that call's peak of traced memory. It records the median and interquartile range of each side's
+``tracemalloc`` and records that call's peak of traced memory. A kernel
+marked ``once`` instead runs one cold call per interpreter (see
+``_ONCE``). It records the median and interquartile range of each side's
 pooled calls, the median of each invocation, and a verdict: "faster" only
-when every invocation median of the change beats every one of the parent,
-"slower" for the reverse, and "unresolved" otherwise, since a pooled
-median can still move by a quarter between invocations.
+when every invocation median of the change beats every one of the parent
+and the pooled medians differ by more than the parent's pooled
+interquartile range, "slower" for the reverse, and "unresolved"
+otherwise. Three invocations a side can separate by host drift alone, and
+a pooled median can still move by a quarter between invocations.
 """
 
 from __future__ import annotations
@@ -126,9 +135,8 @@ print(json.dumps({{"samples": [seconds], "peak_bytes": peak, "rss_before_mb": be
 class Topic:
     title: str  # the "topic" field of the file
     kernels: tuple  # one dict of named inputs per timed shape
-    setup: str  # timer code defining call() from ``kernel`` and ``rng``
+    setup: str  # timer code defining call() from ``kernel`` (and ``rng``, except under _ONCE)
     note: str = ""  # a known cost of the change, written next to the title
-    timer: str = _TIMER  # the script the set-up runs in
 
 
 TOPICS = {
@@ -309,7 +317,7 @@ call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
         # One paper-scale fold: fold 0 of the first repeat, as fit_pipeline
         # trains it, on the real dataset's row count and fraud rate. Its
         # balanced set is 784 rows of a 227,845-row training split.
-        kernels=({"name": "paper fold", "call": "fit_pipeline", "rows": 284_807},),
+        kernels=({"name": "paper fold", "call": "fit_pipeline", "rows": 284_807, "once": True},),
         setup="""
 import hashlib
 from dataclasses import asdict
@@ -320,7 +328,36 @@ call = lambda: bench.fit_pipeline(x, y, config)[0]
 digest = lambda record: hashlib.sha256(
     json.dumps(asdict(record), sort_keys=True).encode()).hexdigest()
 """,
-        timer=_ONCE,
+    ),
+    "synth": Topic(
+        title="data.synthesize holds one table: the factor GEMM writes into it, the noise is "
+              "drawn and added in row blocks, and the rows are shuffled in place a few "
+              "columns at a time",
+        # The generator at the cv-desk (20k), train-paper (50k) and real
+        # dataset's (284,807) row counts; then, once per interpreter, the
+        # paper-scale table and one fold fit on it, as the fold topic runs.
+        kernels=(
+            *({"name": "synthesize", "call": "synthesize", "rows": rows}
+              for rows in (20_000, 50_000, 284_807)),
+            {"name": "paper fold", "call": "fit_pipeline", "rows": 284_807, "once": True},
+        ),
+        setup="""
+import hashlib
+from dataclasses import asdict
+from qmoe import bench, data
+if kernel["call"] == "synthesize":
+    call = lambda: data.synthesize(kernel["rows"], 0.00172, seed=0)
+else:
+    x, y, component = data.synthesize(kernel["rows"], 0.00172, seed=0)
+    table = hashlib.sha256()
+    for part in (x, y, component):
+        table.update(part)  # no copy: the digest reads each array's buffer
+    del component
+    config = bench.RunConfig(seed=0)
+    call = lambda: bench.fit_pipeline(x, y, config)[0]
+    digest = lambda record: table.hexdigest() + " " + hashlib.sha256(
+        json.dumps(asdict(record), sort_keys=True).encode()).hexdigest()
+""",
     ),
 }
 
@@ -338,14 +375,18 @@ def _quartiles(samples: list) -> dict:
             "q3": _quantile(ordered, 0.75), "runs": len(ordered)}
 
 
+def timer_script(topic: Topic, kernel: dict) -> str:
+    """The script that times ``kernel``: ``_ONCE`` for a kernel marked ``once``."""
+    return (_ONCE if kernel.get("once") else _TIMER).format(setup=topic.setup)
+
+
 def _invoke(checkout: Path, topic: Topic, kernel: dict) -> dict:
     """``REPEATS`` call times in ms and one call's tracemalloc peak in bytes,
     from one fresh interpreter on ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, "-c", topic.timer.format(setup=topic.setup), json.dumps(kernel),
-         str(REPEATS)],
+        [sys.executable, "-c", timer_script(topic, kernel), json.dumps(kernel), str(REPEATS)],
         env=env, check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout)
@@ -373,8 +414,11 @@ def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple
 
 
 def kernel_verdict(parent: dict, change: dict) -> str:
-    """"faster" or "slower" when the two sides' invocation medians do not overlap."""
+    """"faster" or "slower" when the two sides' invocation medians do not overlap
+    and their pooled medians differ by more than the parent's pooled IQR."""
     before, after = parent["invocation_medians_ms"], change["invocation_medians_ms"]
+    if abs(change["median_ms"] - parent["median_ms"]) <= parent["iqr_ms"]:
+        return "unresolved"
     if max(after) < min(before):
         return "faster"
     if min(after) > max(before):
