@@ -44,7 +44,7 @@ from .data import (
 )
 from .errors import ConfigurationError, InputError, ModelIOError, require_finite_rows
 from .gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
-from .hybrid import HybridConfig, HybridModel, fit_hybrid
+from .hybrid import HybridConfig, fit_hybrid
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 from .moe import (
     GAMMA_GRID,
@@ -55,7 +55,6 @@ from .moe import (
     router_targets,
     youden_threshold,
 )
-from .neural import _check_params_shape
 
 __all__ = [
     "RunConfig",
@@ -83,8 +82,9 @@ SENTINEL_GAMMA = 1.0  # gate never opens; the built-in no-routing arm
 
 _MODEL_FORMAT = "qmoe-pipeline"
 _REPORT_FORMAT = "qmoe-report"
-_VERSION = 2  # of both formats
-_NOUNS = {_MODEL_FORMAT: "model file", _REPORT_FORMAT: "report"}
+# format -> (noun, version). Model version 3 holds the hybrid as its config
+# and one flat params list; reports are unchanged since version 2.
+_FORMATS = {_MODEL_FORMAT: ("model file", 3), _REPORT_FORMAT: ("report", 2)}
 
 
 @dataclass(frozen=True)
@@ -420,7 +420,7 @@ def fit_pipeline(x, y, config: RunConfig):
 
 
 def report_to_dict(report: BenchReport) -> dict:
-    return {"format": _REPORT_FORMAT, "version": _VERSION, **asdict(report)}
+    return {**_header(_REPORT_FORMAT), **asdict(report)}
 
 
 def save_report(report: BenchReport, out_dir) -> None:
@@ -460,11 +460,14 @@ def save_report(report: BenchReport, out_dir) -> None:
 # Model files and reports are {"format", "version", **asdict(body)}, with
 # arrays as lists, written by _write and read by _read. _build decodes each
 # field by the type its dataclass declares, so the declarations are the
-# schema; custom decoders cover only a Tree's integer node arrays, the
-# hybrid's (weights, bias) layers and the secondary's "kind" tag. Float
+# schema; a custom decoder covers only a Tree's integer node arrays. Float
 # repr round-trips doubles, so a loaded model predicts bit-identically.
 
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _header(fmt: str) -> dict:
+    return {"format": fmt, "version": _FORMATS[fmt][1]}
 
 
 def _write(path, doc, **json_options) -> None:
@@ -479,7 +482,7 @@ def _write(path, doc, **json_options) -> None:
 
 def _read(path, fmt: str, build):
     """``build(body)`` of the ``fmt`` document at ``path``; any fault is a ModelIOError."""
-    noun = _NOUNS[fmt]
+    noun, version = _FORMATS[fmt]
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -487,9 +490,9 @@ def _read(path, fmt: str, build):
         raise ModelIOError(f"cannot read {noun} {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ModelIOError(f"{path} is not a {fmt} file")
-    if doc.get("version") != _VERSION:
+    if doc.get("version") != version:
         raise ModelIOError(f"{path} has version {doc.get('version')!r}, this build reads "
-                           f"{_VERSION}")
+                           f"{version}")
     try:
         return build({k: v for k, v in doc.items() if k not in ("format", "version")})
     except _MALFORMED as exc:
@@ -650,39 +653,9 @@ def _gbdt(obj, name: str) -> GBDTModel:
     return model
 
 
-def _layers(value, name: str) -> list:
-    """A network's layers from [[weights, bias], ...]."""
-    pairs = _decode(list[list], value, name)
-    if any(len(pair) != 2 for pair in pairs):
-        raise ValueError(f"{name}: every layer must be a [weights, bias] pair")
-    return [(_finite(f"{name} layer {i} weights", w), _finite(f"{name} layer {i} bias", b))
-            for i, (w, b) in enumerate(pairs)]
-
-
-def _secondary(obj, name: str) -> HybridModel:
-    """The hybrid expert behind its "kind" tag, every array checked against its config."""
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind != "hybrid":
-        raise ValueError(f"unknown secondary expert kind {kind!r}")
-    model = _build(HybridModel, {k: v for k, v in obj.items() if k != "kind"}, "hybrid",
-                   encoder=_layers, decoder=_layers, head=_layers)
-    config = model.config
-    for part, spec in (("encoder", config.encoder_spec),
-                       ("decoder", config.decoder_spec),
-                       ("head", config.head_spec)):
-        try:
-            _check_params_shape(spec, getattr(model, part))
-        except ConfigurationError as exc:
-            raise ValueError(f"hybrid {part}: {exc}") from exc
-    if model.theta.shape != (config.ansatz.n_params,):
-        raise ValueError(f"hybrid theta has shape {model.theta.shape}, the config needs "
-                         f"{config.ansatz.n_params} circuit parameters")
-    return model
-
-
 def _pipeline(body) -> Pipeline:
     pipeline = _build(Pipeline, body, combined=lambda obj, name: _build(
-        CombinedModel, obj, name, primary=_gbdt, secondary=_secondary, router=_gbdt))
+        CombinedModel, obj, name, primary=_gbdt, router=_gbdt))
     combined = pipeline.combined
     for name in ("primary_scaler", "secondary_scaler"):
         temperature = getattr(combined, name).temperature
@@ -706,12 +679,8 @@ def _pipeline(body) -> Pipeline:
 
 
 def save_model(pipeline: Pipeline, path) -> None:
-    secondary = pipeline.combined.secondary
-    if not isinstance(secondary, HybridModel):
-        raise ModelIOError(f"cannot persist a secondary expert of type {type(secondary).__name__}")
-    doc = {"format": _MODEL_FORMAT, "version": _VERSION, **asdict(pipeline)}
-    doc["combined"]["secondary"] = {"kind": "hybrid", **doc["combined"]["secondary"]}
-    _write(path, doc, default=lambda array: array.tolist())
+    _write(path, {**_header(_MODEL_FORMAT), **asdict(pipeline)},
+           default=lambda array: array.tolist())
 
 
 def load_model(path) -> Pipeline:

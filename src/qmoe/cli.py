@@ -151,7 +151,7 @@ def _cmd_calibrate(args) -> int:
     scaled = pipeline.scaler.transform(x)
     combined = pipeline.combined
     p1 = combined.primary.predict_proba(scaled)
-    p2 = np.asarray(combined.secondary.predict_proba(scaled), dtype=np.float64)
+    p2 = combined.secondary.predict_proba(scaled)
     scalers, taus = fit_calibration(p1, p2, y)
     degenerate = any(scaler.degenerate for scaler in scalers)
     notes = []

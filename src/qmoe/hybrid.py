@@ -33,6 +33,7 @@ caller scores it with: slices of a pool give the bits of one whole call.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -51,7 +52,7 @@ from .neural import (
     mse_loss,
     optimizer_step,
 )
-from .qsim import MAX_QUBITS, AnsatzSpec, batch_expectations, batch_parameter_shift
+from .qsim import AnsatzSpec, batch_expectations, batch_parameter_shift
 
 __all__ = [
     "HybridConfig",
@@ -90,12 +91,7 @@ class HybridConfig:
     def __post_init__(self) -> None:
         if self.n_features < 1:
             raise ConfigurationError(f"n_features must be >= 1, got {self.n_features}")
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigurationError(
-                f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}"
-            )
-        if self.n_layers < 1:
-            raise ConfigurationError(f"n_layers must be >= 1, got {self.n_layers}")
+        self.ansatz  # the circuit's spec checks n_qubits and n_layers
         hidden = tuple(int(h) for h in self.encoder_hidden)
         object.__setattr__(self, "encoder_hidden", hidden)
         if any(h < 1 for h in hidden):
@@ -133,6 +129,12 @@ class HybridConfig:
         return AnsatzSpec(n_qubits=self.n_qubits, n_layers=self.n_layers)
 
     @property
+    def n_params(self) -> int:
+        """The length of HybridModel.params: every weight, bias and circuit angle."""
+        sizes = [s.layer_sizes for s in (self.encoder_spec, self.decoder_spec, self.head_spec)]
+        return self.ansatz.n_params + sum((a + 1) * b for s in sizes for a, b in zip(s, s[1:]))
+
+    @property
     def measured_qubits(self) -> list:
         if self.head_all_qubits:
             return list(range(self.n_qubits))
@@ -150,31 +152,37 @@ def _pack(encoder, decoder, theta, head) -> np.ndarray:
 
 @dataclass
 class HybridModel:
-    """The fitted hybrid. ``params`` is one float64 buffer in _pack's order;
-    encoder, decoder, theta and head are views of it, so writing into
-    ``params`` moves every part at once. It is not a field: the model file
-    holds the parts.
+    """The fitted hybrid: its config and every parameter in one float64
+    buffer, ``params``, in _pack's order. encoder, decoder, theta and head
+    are views of ``params`` cut by the config's specs, so writing into
+    ``params`` moves every part at once. A model file holds the two fields.
     """
 
     config: HybridConfig
-    encoder: list
-    decoder: list
-    theta: np.ndarray
-    head: list
+    params: np.ndarray
 
     def __post_init__(self) -> None:
-        self.params = _pack(self.encoder, self.decoder, self.theta, self.head)
+        cfg = self.config
+        self.params = np.array(self.params, dtype=np.float64)  # a copy the model owns
+        if self.params.shape != (cfg.n_params,):
+            raise ConfigurationError(f"hybrid params has shape {self.params.shape}, the config "
+                                     f"needs {cfg.n_params} parameters")
         offset = 0
 
-        def view(like) -> np.ndarray:
+        def view(*shape) -> np.ndarray:
             nonlocal offset
-            offset += np.size(like)
-            return self.params[offset - np.size(like) : offset].reshape(np.shape(like))
+            offset += math.prod(shape)
+            return self.params[offset - math.prod(shape) : offset].reshape(shape)
 
-        self.encoder = [(view(w), view(b)) for w, b in self.encoder]
-        self.decoder = [(view(w), view(b)) for w, b in self.decoder]
-        self.theta = view(self.theta)
-        self.head = [(view(w), view(b)) for w, b in self.head]
+        def layers(spec: MLPSpec) -> list:  # (weights (fan_out, fan_in), bias) per layer
+            sizes = spec.layer_sizes
+            return [(view(fan_out, fan_in), view(fan_out))
+                    for fan_in, fan_out in zip(sizes, sizes[1:])]
+
+        self.encoder = layers(cfg.encoder_spec)
+        self.decoder = layers(cfg.decoder_spec)
+        self.theta = view(cfg.ansatz.n_params)
+        self.head = layers(cfg.head_spec)
 
     def predict_proba(self, x) -> np.ndarray:
         """Fraud probabilities; the decoder never runs here.
@@ -220,7 +228,7 @@ def init_hybrid(config: HybridConfig, rng: Optional[np.random.Generator] = None)
     decoder = init_mlp_params(config.decoder_spec, rng)
     theta = rng.uniform(-np.pi, np.pi, size=config.ansatz.n_params)
     head = init_mlp_params(config.head_spec, rng)
-    return HybridModel(config=config, encoder=encoder, decoder=decoder, theta=theta, head=head)
+    return HybridModel(config=config, params=_pack(encoder, decoder, theta, head))
 
 
 def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):

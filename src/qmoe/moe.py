@@ -23,11 +23,11 @@ router in full once and compares that.
 
 Serving walks its input in row blocks of the forests' own size, so a call
 holds one scaled block and the outputs, never a scaled copy of the pool.
-The trees score row by row, so blocks keep their bits; the secondary may
-not (the paper-size circuit moves a last bit with its batch), so it gets
-every routed row of the call in one batch, exactly as an unblocked call
-would hand them over. Each forest builds its scoring plan once, on its
-model's first scoring, and reads it in every later block and call.
+The trees score row by row, so blocks keep their bits. The secondary
+scores in padded 512-row chunks, so it keeps them too; it gets every
+routed row of the call in one batch because one call pads the fewest
+chunks. Each forest builds its scoring plan once, on its model's first
+scoring, and reads it in every later block and call.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 from .calibration import TemperatureScaler, apply_temperature
 from .errors import InputError, require_finite_rows
 from .gbdt import _BLOCK_ROWS, GBDTModel, GBDTParams, fit_gbdt
+from .hybrid import HybridModel
 from .metrics import pr_curve
 
 __all__ = [
@@ -112,7 +113,7 @@ class CombinedModel:
 
     primary: GBDTModel
     primary_scaler: TemperatureScaler
-    secondary: object  # anything with predict_proba(x) -> (rows,)
+    secondary: HybridModel
     secondary_scaler: TemperatureScaler
     router: GBDTModel
     tau_primary: float
@@ -174,10 +175,7 @@ def route_rows(model: CombinedModel, probs: np.ndarray, routed: np.ndarray,
     and is never written to, so one scoring of a batch serves every gamma.
     """
     if routed.any():
-        scored = apply_temperature(
-            model.secondary_scaler,
-            np.asarray(model.secondary.predict_proba(handed), dtype=np.float64),
-        )
+        scored = apply_temperature(model.secondary_scaler, model.secondary.predict_proba(handed))
         probs = probs.copy()
         probs[routed] = scored
     labels = np.where(routed, model.tau_secondary, model.tau_primary)

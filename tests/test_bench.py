@@ -30,7 +30,7 @@ from qmoe.calibration import apply_temperature
 from qmoe.data import split_eval, synthesize
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams, router_params
-from qmoe.hybrid import HybridConfig, init_hybrid
+from qmoe.hybrid import HybridConfig, HybridModel, init_hybrid
 from qmoe.moe import GAMMA_GRID
 
 ARM_KEYS = {"aucpr", "ap", "precision", "recall", "routed_fraction", "latency_seconds"}
@@ -231,10 +231,11 @@ def test_report_file_is_strict_json_and_round_trips(one_class_report, tmp_path):
 
 
 def test_version_1_files_are_refused(model_doc, report, tmp_path):
-    # Version 2 dropped GBDTParams.seed and RunConfig.out_dir and writes NaN as null.
+    # Version 2 dropped GBDTParams.seed and RunConfig.out_dir and writes NaN as
+    # null; model files then moved on to version 3 (one hybrid params list).
     path = tmp_path / "model.json"
     path.write_text(json.dumps({**model_doc, "version": 1}))
-    with pytest.raises(ModelIOError, match="has version 1, this build reads 2"):
+    with pytest.raises(ModelIOError, match="has version 1, this build reads 3"):
         load_model(path)
     save_report(report, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
@@ -313,7 +314,7 @@ def test_load_model_rejects_bad_files(tmp_path):
     with pytest.raises(ModelIOError, match="version"):
         load_model(wrong_version)
     truncated = tmp_path / "trunc.json"
-    truncated.write_text('{"format": "qmoe-pipeline", "version": 2, "scaler"')
+    truncated.write_text('{"format": "qmoe-pipeline", "version": 3, "scaler"')
     with pytest.raises(ModelIOError, match="cannot read"):
         load_model(truncated)
     deep = tmp_path / "deep.json"
@@ -321,8 +322,8 @@ def test_load_model_rejects_bad_files(tmp_path):
     with pytest.raises(ModelIOError, match="cannot read model file"):
         load_model(deep)
     malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"format": "qmoe-pipeline", "version": 2, "combined": {}}')
-    with pytest.raises(ModelIOError, match="malformed"):
+    malformed.write_text('{"format": "qmoe-pipeline", "version": 3, "combined": {}}')
+    with pytest.raises(ModelIOError, match="is malformed"):
         load_model(malformed)
 
 
@@ -411,28 +412,21 @@ def test_load_model_rejects_feature_out_of_range(model_doc, tmp_path):
 def test_load_model_rejects_mis_shaped_hybrid(model_doc, tmp_path):
     # Before validation these files loaded and failed at the first predict
     # with a ConfigurationError.
-    def narrow_encoder(h):
-        h["encoder"][0][0] = [row[:-1] for row in h["encoder"][0][0]]
+    def short_params(h):
+        h["params"].pop()
 
-    def short_decoder_bias(h):
-        h["decoder"][-1][1].pop()
+    def long_params(h):
+        h["params"].append(0.0)
 
-    def drop_head_layer(h):
-        h["head"].pop()
+    def wider_head(h):
+        h["config"]["head_hidden"] += 1
 
-    def short_theta(h):
-        h["theta"].pop()
-
-    for edit, match in ((narrow_encoder, "hybrid encoder"),
-                        (short_decoder_bias, "hybrid decoder"),
-                        (drop_head_layer, "hybrid head"),
-                        (short_theta, "hybrid theta")):
+    for edit in (short_params, long_params, wider_head):
         doc = json.loads(json.dumps(model_doc))
-        assert doc["combined"]["secondary"]["kind"] == "hybrid"
         edit(doc["combined"]["secondary"])
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelIOError, match=match):
+        with pytest.raises(ModelIOError, match="edited.json is malformed: hybrid params has shape"):
             load_model(path)
 
 
@@ -457,20 +451,36 @@ def _leaf_value(t):
     t["value"][t["feature"].index(-1)] = float("inf")
 
 
+def _in_params(part, value):
+    """An edit that puts ``value`` into the hybrid's params at the flat offset
+    of ``part(model)``, read off a model whose params count 0, 1, 2, ..."""
+    def edit(doc):
+        hybrid = doc["combined"]["secondary"]
+        config = HybridConfig(**hybrid["config"])
+        counting = HybridModel(config, np.arange(config.n_params, dtype=np.float64))
+        hybrid["params"][int(part(counting))] = value
+    return edit
+
+
+# Offsets in TINY_HYBRID's params: encoder (29->12->6->2) 452 values, decoder
+# (2->6->12->29) 479, theta 8, head (1->4->1) 13.
+_NON_FINITE_PARAMS = r"secondary params must be finite, found {} at index {}$"
+
+
 NON_FINITE_EDITS = {
     "tree threshold": (_in_first_split("primary", _set(["threshold", 0], float("nan"))),
                        r"tree \d+ threshold must be finite, found nan at index 0"),
     "tree leaf value": (_in_first_split("router", _leaf_value), r"tree \d+ value must be finite"),
     "base_score": (_set(["combined", "router", "base_score"], float("-inf")),
                    "base_score must be finite"),
-    "hybrid weights": (_set(["combined", "secondary", "encoder", 0, 0, 2, 1], float("nan")),
-                       "hybrid encoder layer 0 weights must be finite"),
-    "hybrid bias": (_set(["combined", "secondary", "encoder", 1, 1, 0], float("nan")),
-                    "hybrid encoder layer 1 bias must be finite"),
-    "hybrid head": (_set(["combined", "secondary", "head", 0, 1, 0], float("inf")),
-                    "hybrid head layer 0 bias must be finite"),
-    "theta": (_set(["combined", "secondary", "theta", 3], float("nan")),
-              "hybrid theta must be finite, found nan at index 3"),
+    "hybrid weights": (_in_params(lambda m: m.encoder[0][0][2, 1], float("nan")),
+                       _NON_FINITE_PARAMS.format("nan", 2 * 29 + 1)),
+    "hybrid bias": (_in_params(lambda m: m.encoder[1][1][0], float("nan")),
+                    _NON_FINITE_PARAMS.format("nan", 12 * 29 + 12 + 6 * 12)),
+    "hybrid head": (_in_params(lambda m: m.head[0][1][0], float("inf")),
+                    _NON_FINITE_PARAMS.format("inf", 452 + 479 + 8 + 4)),
+    "theta": (_in_params(lambda m: m.theta[3], float("nan")),
+              _NON_FINITE_PARAMS.format("nan", 452 + 479 + 3)),
     "scaler low": (_set(["scaler", "low", 5], float("nan")), "scaler low must be finite"),
     "scaler span": (_set(["scaler", "span", 0], float("inf")), "scaler span must be finite"),
     "tau_primary": (_set(["combined", "tau_primary"], float("nan")),
@@ -502,7 +512,7 @@ FIELD_LEVELS = {
     "gbdt": (["combined", "router"], "best_iteration", "GBDTModel"),
     "gbdt params": (["combined", "primary", "params"], "max_depth", "GBDTParams"),
     "tree": (["combined", "primary", "trees", 0], "value", "Tree"),
-    "hybrid": (["combined", "secondary"], "decoder", "HybridModel"),
+    "hybrid": (["combined", "secondary"], "params", "HybridModel"),
     "hybrid config": (["combined", "secondary", "config"], "patience", "HybridConfig"),
     "temperature scaler": (["combined", "secondary_scaler"], "nll", "TemperatureScaler"),
 }
@@ -548,33 +558,20 @@ def test_model_file_key_order(model_doc):
     assert list(combined["router"]) == gbdt_keys
     assert list(combined["primary"]["trees"][0]) == ["feature", "threshold", "left", "right",
                                                      "value"]
-    assert list(combined["secondary"]) == ["kind", "config", "encoder", "decoder", "theta",
-                                           "head"]
+    assert list(combined["secondary"]) == ["config", "params"]
     assert list(combined["primary_scaler"]) == temperature_keys
     assert list(combined["secondary_scaler"]) == temperature_keys
 
 
 def test_only_a_hybrid_secondary_is_persisted(model_doc, tmp_path):
+    # A file carrying a well-formed GBDT secondary, as older builds wrote,
+    # with or without their "kind" tag.
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_doc))
-    pipeline = load_model(path)
-    # A GBDT secondary routes in memory, but a model file holds a hybrid only.
-    forest = replace(pipeline, combined=replace(pipeline.combined,
-                                                secondary=pipeline.combined.primary))
-    with pytest.raises(ModelIOError, match="cannot persist a secondary expert of type GBDTModel"):
-        save_model(forest, tmp_path / "gbdt-secondary.json")
-    odd = replace(pipeline, combined=replace(pipeline.combined, secondary=object()))
-    with pytest.raises(ModelIOError, match="cannot persist a secondary expert of type object"):
-        save_model(odd, tmp_path / "odd.json")
-    assert not (tmp_path / "gbdt-secondary.json").exists()
-    assert not (tmp_path / "odd.json").exists()
-
-    # A file carrying a well-formed GBDT secondary, as older builds wrote.
-    for kind in ("gbdt", "forest"):
+    for tag in ({"kind": "gbdt"}, {"kind": "forest"}, {}):
         doc = json.loads(json.dumps(model_doc))
-        doc["combined"]["secondary"] = {"kind": kind, **doc["combined"]["primary"]}
+        doc["combined"]["secondary"] = {**tag, **doc["combined"]["primary"]}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelIOError, match=f"unknown secondary expert kind '{kind}'"):
+        with pytest.raises(ModelIOError, match="malformed: HybridModel has unknown fields"):
             load_model(path)
 
 

@@ -11,6 +11,7 @@ from qmoe.bench import RunConfig, fit_pipeline, load_model, pipeline_predict, sa
 from qmoe.calibration import apply_temperature
 from qmoe.cli import ENV_DATASET, main
 from qmoe.data import load_csv, save_csv, synthesize
+from qmoe.errors import ModelIOError
 from qmoe.hybrid import HybridConfig
 from qmoe.moe import youden_threshold
 
@@ -301,23 +302,50 @@ def test_evaluate_non_finite_row_exits_1(workspace, tmp_path, capsys):
 
 def test_evaluate_mis_shaped_hybrid_exits_1(workspace, tmp_path, capsys):
     doc = json.loads(open(workspace["model"]).read())
-    doc["combined"]["secondary"]["theta"].append(0.0)
-    bad_model = tmp_path / "theta.json"
+    doc["combined"]["secondary"]["params"].append(0.0)
+    bad_model = tmp_path / "params.json"
     bad_model.write_text(json.dumps(doc))
     assert main(["evaluate", "--model", str(bad_model),
                  "--data", workspace["csv"]]) == 1
-    assert f"error: model file {bad_model} is malformed: hybrid theta" in capsys.readouterr().err
+    assert (f"error: model file {bad_model} is malformed: hybrid params has shape"
+            in capsys.readouterr().err)
 
 
 def test_evaluate_non_finite_model_exits_1(workspace, tmp_path, capsys):
     doc = json.loads(open(workspace["model"]).read())
-    doc["combined"]["secondary"]["theta"][0] = float("nan")
-    bad_model = tmp_path / "nan-theta.json"
+    doc["combined"]["secondary"]["params"][0] = float("nan")
+    bad_model = tmp_path / "nan-params.json"
     bad_model.write_text(json.dumps(doc))
     assert main(["evaluate", "--model", str(bad_model), "--data", workspace["csv"],
                  "--gamma", "0.5"]) == 1
     err = capsys.readouterr().err
-    assert f"error: model file {bad_model} is malformed: hybrid theta must be finite" in err
+    assert (f"error: model file {bad_model} is malformed: combined secondary params must be "
+            f"finite, found nan at index 0") in err
+
+
+def test_version_2_model_files_are_refused(workspace, tmp_path, capsys):
+    # Version 2 wrote the hybrid behind a "kind" tag, as per-layer
+    # [weights, bias] lists and a separate theta; version 3 reads one params list.
+    hybrid = load_model(workspace["model"]).combined.secondary
+    doc = json.loads(open(workspace["model"]).read())
+
+    def layers(pairs):
+        return [[w.tolist(), b.tolist()] for w, b in pairs]
+
+    doc["version"] = 2
+    doc["combined"]["secondary"] = {
+        "kind": "hybrid", "config": doc["combined"]["secondary"]["config"],
+        "encoder": layers(hybrid.encoder), "decoder": layers(hybrid.decoder),
+        "theta": hybrid.theta.tolist(), "head": layers(hybrid.head),
+    }
+    old = tmp_path / "version-2.json"
+    old.write_text(json.dumps(doc))
+    with pytest.raises(ModelIOError, match="has version 2, this build reads 3"):
+        load_model(old)
+    assert main(["evaluate", "--model", str(old), "--data", workspace["csv"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has version 2, this build reads 3" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_cyclic_model_exits_1(workspace, tmp_path, capsys):

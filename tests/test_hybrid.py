@@ -1,10 +1,14 @@
 """Hybrid model tests: joint-gradient correctness, training behavior,
 loss mixing edge cases, and a frozen regression run."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qmoe import hybrid
+from qmoe.bench import load_config
 from qmoe.errors import ConfigurationError, InputError
 from qmoe.hybrid import (
     HybridConfig,
@@ -16,7 +20,7 @@ from qmoe.hybrid import (
 )
 from qmoe.metrics import average_precision, pr_curve
 from qmoe.neural import bce_loss, mlp_backward, mlp_forward, mse_loss
-from qmoe.qsim import batch_expectations, batch_parameter_shift
+from qmoe.qsim import MAX_QUBITS, batch_expectations, batch_parameter_shift
 
 
 def evaluate_loss(model, x, y):
@@ -127,6 +131,33 @@ def test_config_validation():
     assert cfg.decoder_spec.layer_sizes == (6, 64, 128, 256, 29)
     assert cfg.head_spec.layer_sizes == (1, 8, 1)
     assert HybridConfig(head_all_qubits=True).head_spec.layer_sizes == (6, 8, 1)
+
+
+@pytest.mark.parametrize("field, value", [("n_qubits", MAX_QUBITS + 1), ("n_layers", 0)])
+def test_circuit_shape_is_checked_by_the_ansatz(field, value, tmp_path):
+    # HybridConfig leaves these rules to AnsatzSpec; a config file meets them too.
+    with pytest.raises(ConfigurationError, match=f"{field} must be"):
+        HybridConfig(**{field: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"hybrid": {field: value}}))
+    with pytest.raises(ConfigurationError, match=f"{field} must be"):
+        load_config(path)
+
+
+def test_params_is_the_one_buffer_the_parts_view():
+    cfg = HybridConfig(**TINY)
+    # encoder 4->3->2: 23, decoder 2->3->4: 25, theta 2 qubits x 1 layer x 2: 4, head 1->2->1: 7
+    assert cfg.n_params == 59
+    model = init_hybrid(cfg)
+    assert model.params.shape == (cfg.n_params,)
+    assert all(np.shares_memory(a, model.params) for a in parts(model))
+    assert np.concatenate([a.ravel() for a in parts(model)]).tobytes() == model.params.tobytes()
+    # A copy owns its buffer, as when the parts were fields.
+    assert not np.shares_memory(replace(model).params, model.params)
+    for wrong in (cfg.n_params - 1, cfg.n_params + 1):
+        message = rf"params has shape \({wrong},\), the config needs {cfg.n_params} parameters"
+        with pytest.raises(ConfigurationError, match=message):
+            HybridModel(cfg, np.zeros(wrong))
 
 
 def test_encoder_hidden_is_normalized_to_a_tuple():

@@ -14,11 +14,13 @@ tools_bench = sys.modules["tools_bench"] = importlib.util.module_from_spec(_SPEC
 _SPEC.loader.exec_module(tools_bench)
 
 
-def _side(*medians, median=None, iqr=0.0):
+def _side(*medians, median=None, iqr=0.0, repeats=None):
     """A side of one kernel: its invocation medians, and its pooled median
-    (the median of the invocation medians unless given) and IQR."""
+    (the median of the invocation medians unless given), IQR and sample
+    count (five samples per invocation unless given)."""
     pooled = sorted(medians)[len(medians) // 2] if median is None else median
-    return {"invocation_medians_ms": list(medians), "median_ms": pooled, "iqr_ms": iqr}
+    return {"invocation_medians_ms": list(medians), "median_ms": pooled, "iqr_ms": iqr,
+            "repeats": 5 * len(medians) if repeats is None else repeats}
 
 
 @pytest.mark.parametrize("parent, change, verdict", [
@@ -36,6 +38,9 @@ def _side(*medians, median=None, iqr=0.0):
     # The same medians against a tight parent are resolved.
     (_side(10.0, 10.5, 11.0, iqr=0.8), _side(9.0, 9.4, 9.8), "faster"),
     (_side(10.0, 10.5, 11.0, iqr=0.8), _side(11.2, 11.6, 12.0), "slower"),
+    # A once kernel: three invocations of one sample a side. Disjoint, yet
+    # three samples give no spread to judge a difference by.
+    (_side(10.0, 11.0, 12.0, repeats=3), _side(8.0, 9.0, 9.9, repeats=3), "unresolved"),
 ])
 def test_kernel_verdict_needs_every_invocation(parent, change, verdict):
     assert tools_bench.kernel_verdict(parent, change) == verdict

@@ -414,9 +414,13 @@ def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple
 
 
 def kernel_verdict(parent: dict, change: dict) -> str:
-    """"faster" or "slower" when the two sides' invocation medians do not overlap
-    and their pooled medians differ by more than the parent's pooled IQR."""
+    """"faster" or "slower" when each side pooled at least 5 samples, the two
+    sides' invocation medians do not overlap, and their pooled medians differ
+    by more than the parent's pooled IQR. A ``once`` kernel pools one sample
+    per invocation, and an IQR of three samples is no spread estimate."""
     before, after = parent["invocation_medians_ms"], change["invocation_medians_ms"]
+    if min(parent["repeats"], change["repeats"]) < 5:
+        return "unresolved"
     if abs(change["median_ms"] - parent["median_ms"]) <= parent["iqr_ms"]:
         return "unresolved"
     if max(after) < min(before):
