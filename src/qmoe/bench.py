@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .calibration import TemperatureScaler, apply_temperature, fit_temperature
+from .calibration import apply_temperature, fit_temperature
 from .data import (
     MinMaxScaler,
     fit_minmax,
@@ -43,7 +43,7 @@ from .data import (
     undersample,
 )
 from .errors import ConfigurationError, InputError, ModelIOError, require_finite_rows
-from .gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
+from .gbdt import GBDTParams, fit_gbdt, router_params
 from .hybrid import HybridConfig, fit_hybrid
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 from .moe import (
@@ -189,6 +189,17 @@ class BenchReport:
     folds: list[FoldRecord]
     aggregates: dict
 
+    def __post_init__(self) -> None:
+        arms = self.aggregates.get("combined")
+        if type(arms) is not dict:
+            raise ConfigurationError(f"aggregates combined must be an object, found {arms!r:.60}")
+        for arm, stats in arms.items():
+            fraction = stats["routed_fraction"]["mean"]
+            if (not 0 < float(arm) <= 1 or type(fraction) not in (int, float)
+                    or not 0 <= fraction <= 1):
+                raise ConfigurationError(f"arm {arm!r} needs a gamma in (0, 1] and a mean "
+                                         f"routed_fraction in [0, 1], found {fraction!r}")
+
 
 @dataclass
 class Pipeline:
@@ -196,6 +207,19 @@ class Pipeline:
 
     scaler: MinMaxScaler
     combined: CombinedModel
+
+    def __post_init__(self) -> None:
+        # The scaler and all three experts must agree on the feature count.
+        combined = self.combined
+        widths = {"primary": combined.primary.n_features, "router": combined.router.n_features,
+                  "secondary": combined.secondary.config.n_features}
+        if len(set(widths.values())) != 1:
+            raise ConfigurationError(f"the experts' feature counts differ: {widths}")
+        for name in ("low", "span"):
+            shape = getattr(self.scaler, name).shape
+            if shape != (widths["primary"],):
+                raise ConfigurationError(f"scaler {name} has shape {shape}, "
+                                         f"the experts read {widths['primary']} features")
 
 
 def pipeline_predict(pipeline: Pipeline, x_raw, gamma: float):
@@ -460,8 +484,9 @@ def save_report(report: BenchReport, out_dir) -> None:
 # Model files and reports are {"format", "version", **asdict(body)}, with
 # arrays as lists, written by _write and read by _read. _build decodes each
 # field by the type its dataclass declares, so the declarations are the
-# schema; a custom decoder covers only a Tree's integer node arrays. Float
-# repr round-trips doubles, so a loaded model predicts bit-identically.
+# schema, and each class's own __post_init__ checks the fields together, as
+# it does for an object built in code. Float repr round-trips doubles, so a
+# loaded model predicts bit-identically.
 
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
@@ -480,8 +505,8 @@ def _write(path, doc, **json_options) -> None:
         fh.write(text + "\n")
 
 
-def _read(path, fmt: str, build):
-    """``build(body)`` of the ``fmt`` document at ``path``; any fault is a ModelIOError."""
+def _read(path, fmt: str, cls):
+    """The ``cls`` in the ``fmt`` document at ``path``; any fault is a ModelIOError."""
     noun, version = _FORMATS[fmt]
     try:
         with open(path) as fh:
@@ -494,7 +519,7 @@ def _read(path, fmt: str, build):
         raise ModelIOError(f"{path} has version {doc.get('version')!r}, this build reads "
                            f"{version}")
     try:
-        return build({k: v for k, v in doc.items() if k not in ("format", "version")})
+        return _build(cls, {k: v for k, v in doc.items() if k not in ("format", "version")})
     except _MALFORMED as exc:
         raise ModelIOError(f"{noun} {path} is malformed: {exc}") from exc
 
@@ -541,6 +566,10 @@ def _decode(tp, value, name: str, base=None):
     if is_dataclass(tp):
         return _build(tp, value, name, base)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is np.ndarray:  # NDArray[np.int64]: a tree's node indices or features
+        if type(value) is not list or not all(type(v) is int for v in value):
+            raise ValueError(f"{name} must be a list of integers, found {value!r:.60}")
+        return np.array(value, dtype=np.int64)
     if origin is Union:  # Optional[T]
         return None if value is None else _decode(args[0], value, name, base)
     # list[T] or tuple[T, ...]
@@ -548,11 +577,12 @@ def _decode(tp, value, name: str, base=None):
     return origin(_decode(args[0], v, f"{name}[{i}]") for i, v in enumerate(items))
 
 
-def _build(cls, obj, name: str = "", base=None, **decoders):
+def _build(cls, obj, name: str = "", base=None):
     """``cls`` from a JSON object holding exactly its fields, or any of them over
     ``base``, an instance whose values the fields left out keep.
 
-    Each field is decoded by its declared type, or by ``decoders[field](value, name)``.
+    Each field is decoded by its declared type; a ValueError from the class's
+    own checks comes back with ``name`` in front.
     """
     types = _field_types(cls)
     if not isinstance(obj, dict):
@@ -563,13 +593,12 @@ def _build(cls, obj, name: str = "", base=None, **decoders):
     missing = [n for n in types if n not in obj]
     if missing and base is None:
         raise ValueError(f"{cls.__name__} is missing fields {missing}")
-    values = {}
-    for n, tp in types.items():
-        if n in obj:
-            label = f"{name} {n}".lstrip()
-            values[n] = (decoders[n](obj[n], label) if n in decoders
-                         else _decode(tp, obj[n], label, getattr(base, n, None)))
-    return cls(**values) if base is None else replace(base, **values)
+    values = {n: _decode(tp, obj[n], f"{name} {n}".lstrip(), getattr(base, n, None))
+              for n, tp in types.items() if n in obj}
+    try:
+        return cls(**values) if base is None else replace(base, **values)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}".lstrip()) from exc
 
 
 def load_config(path) -> RunConfig:
@@ -582,100 +611,11 @@ def load_config(path) -> RunConfig:
         raise ConfigurationError(f"{exc} (config {path})") from exc
 
 
-def _report(body) -> BenchReport:
-    report = _build(BenchReport, body)
-    arms = _decode(dict, report.aggregates.get("combined"), "aggregates combined")
-    for arm, stats in arms.items():
-        fraction = stats["routed_fraction"]["mean"]
-        if not 0 < float(arm) <= 1 or type(fraction) not in (int, float) or not 0 <= fraction <= 1:
-            raise ValueError(f"arm {arm!r} needs a gamma in (0, 1] and a mean routed_fraction "
-                             f"in [0, 1], found {fraction!r}")
-    return report
-
-
 def load_report(path) -> BenchReport:
     """The report in a report.json file or in a directory's report.json."""
     if os.path.isdir(path):
         path = os.path.join(path, "report.json")
-    return _read(path, _REPORT_FORMAT, _report)
-
-
-def _nodes(value, name: str) -> np.ndarray:
-    """A tree's node indices or features: a list of JSON integers."""
-    if type(value) is not list or not all(type(v) is int for v in value):
-        raise ValueError(f"{name} must be a list of integers, found {value!r:.60}")
-    return np.array(value, dtype=np.int64)
-
-
-def _check_tree(tree: Tree, n_features: int, index: int) -> None:
-    """Reject node arrays that the compare-and-select scorer would index past or misread.
-
-    Children must sit after their parent, so the scorer, taking the splits
-    last first, has both children's values before it selects between them;
-    a node is a leaf exactly when its feature is -1 and it has no children;
-    no node has two parents, as the scorer drops a value once it is read.
-    """
-    size = tree.feature.shape[0]
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    if size == 0 or any(a.shape != (size,) for a in arrays):
-        raise ValueError(f"tree {index}: node arrays must be non-empty and of equal length")
-    bad_feature = (tree.feature < -1) | (tree.feature >= n_features)
-    if bad_feature.any():
-        node = int(np.flatnonzero(bad_feature)[0])
-        raise ValueError(f"tree {index}, node {node}: feature {tree.feature[node]} out of "
-                         f"range for {n_features} features")
-    leaf = tree.feature == -1
-    childless = (tree.left == -1) & (tree.right == -1)
-    if (leaf != childless).any():
-        node = int(np.flatnonzero(leaf != childless)[0])
-        raise ValueError(f"tree {index}, node {node}: a node must be a leaf (feature -1) "
-                         f"exactly when it has no children")
-    nodes = np.arange(size)
-    bad_child = ~leaf & ((tree.left <= nodes) | (tree.left >= size)
-                         | (tree.right <= nodes) | (tree.right >= size))
-    if bad_child.any():
-        node = int(np.flatnonzero(bad_child)[0])
-        raise ValueError(f"tree {index}, node {node}: children ({tree.left[node]}, "
-                         f"{tree.right[node]}) must lie after the node and below {size}")
-    parents = np.bincount(np.concatenate([tree.left[~leaf], tree.right[~leaf]]), minlength=size)
-    if (parents > 1).any():
-        node = int(np.flatnonzero(parents > 1)[0])
-        raise ValueError(f"tree {index}, node {node}: a node must have at most one parent")
-
-
-def _gbdt(obj, name: str) -> GBDTModel:
-    model = _build(GBDTModel, obj, name, trees=lambda items, label: [
-        _build(Tree, t, f"tree {i}", feature=_nodes, left=_nodes, right=_nodes)
-        for i, t in enumerate(_decode(list, items, label))
-    ])
-    for index, tree in enumerate(model.trees):
-        _check_tree(tree, model.n_features, index)
-    return model
-
-
-def _pipeline(body) -> Pipeline:
-    pipeline = _build(Pipeline, body, combined=lambda obj, name: _build(
-        CombinedModel, obj, name, primary=_gbdt, router=_gbdt))
-    combined = pipeline.combined
-    for name in ("primary_scaler", "secondary_scaler"):
-        temperature = getattr(combined, name).temperature
-        if temperature <= 0:
-            raise ValueError(f"{name} temperature must be positive, found {temperature}")
-    for name in ("tau_primary", "tau_secondary"):  # Youden's cuts, 0 and 1 included
-        tau = getattr(combined, name)
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], found {tau}")
-    # The scaler and all three experts must agree on the feature count.
-    widths = {"primary": combined.primary.n_features, "router": combined.router.n_features,
-              "secondary": combined.secondary.config.n_features}
-    if len(set(widths.values())) != 1:
-        raise ValueError(f"the experts' feature counts differ: {widths}")
-    for name in ("low", "span"):
-        shape = getattr(pipeline.scaler, name).shape
-        if shape != (widths["primary"],):
-            raise ValueError(f"scaler {name} has shape {shape}, "
-                             f"the experts read {widths['primary']} features")
-    return pipeline
+    return _read(path, _REPORT_FORMAT, BenchReport)
 
 
 def save_model(pipeline: Pipeline, path) -> None:
@@ -684,4 +624,4 @@ def save_model(pipeline: Pipeline, path) -> None:
 
 
 def load_model(path) -> Pipeline:
-    return _read(path, _MODEL_FORMAT, _pipeline)
+    return _read(path, _MODEL_FORMAT, Pipeline)

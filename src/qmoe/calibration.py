@@ -32,6 +32,10 @@ class TemperatureScaler:
     iterations: int
     degenerate: bool = False  # fit set had one class (or one sample); fell back to t = 1
 
+    def __post_init__(self) -> None:
+        if not 0 < self.temperature < np.inf:
+            raise InputError(f"temperature must be positive and finite, found {self.temperature}")
+
 
 def _logits(probs) -> np.ndarray:
     p = np.clip(np.asarray(probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
@@ -92,8 +96,6 @@ def apply_temperature(scaler: TemperatureScaler, probs) -> np.ndarray:
     inside (0, 1); sharpening with a small t saturates extreme inputs onto
     the clamp rather than onto exact 0 or 1.
     """
-    if scaler.temperature <= 0 or not np.isfinite(scaler.temperature):
-        raise InputError(f"temperature must be positive, got {scaler.temperature}")
     p = np.asarray(probs, dtype=np.float64)
     if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
         raise InputError("probabilities must be finite and within [0, 1]")

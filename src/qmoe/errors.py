@@ -44,6 +44,14 @@ def require_finite_rows(x: np.ndarray) -> None:
     )
 
 
+def feature_rows(x, width: int) -> np.ndarray:
+    """``x`` as a float64 array of rows of ``width`` features, else an InputError."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise InputError(f"expected rows with {width} features, got shape {arr.shape}")
+    return arr
+
+
 def labeled_rows(x, y, width=None, what: str = "training"):
     """``(x, y)`` as float64 arrays: at least one finite row of ``x`` (of
     ``width`` features, if given) per 0/1 label, else an InputError naming

@@ -44,7 +44,8 @@ model's scoring plan, built on its first scoring and kept (rebuilding it
 per block cost about a millisecond a forest). It is a cached property, not
 a field, so a model file never holds it. fit_gbdt builds a model once its
 trees are final and nothing mutates them after, so a plan never goes
-stale; other trees make another model (dataclasses.replace).
+stale; other trees make another model (dataclasses.replace), which checks
+them as every model does when it is built.
 
 A router only needs to know whether predict_proba(x) > gamma, so
 GBDTModel.proba_above answers that without finishing every row: the early
@@ -71,8 +72,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import numpy.typing as npt
 
-from .errors import _BLOCK_ROWS, ConfigurationError, InputError, labeled_rows
+from .errors import _BLOCK_ROWS, ConfigurationError, feature_rows, labeled_rows
 from .neural import log_loss, sigmoid
 
 __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
@@ -127,13 +129,13 @@ def router_params() -> GBDTParams:
 class Tree:
     """One regression tree as parallel node arrays; feature -1 marks a leaf.
 
-    Children sit after their one parent, as the builder and ``load_model`` ensure.
+    Children sit after their one parent, which GBDTModel checks for each of its trees.
     """
 
-    feature: np.ndarray
+    feature: npt.NDArray[np.int64]
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: npt.NDArray[np.int64]
+    right: npt.NDArray[np.int64]
     value: np.ndarray
 
     def _plan(self, value: np.ndarray) -> tuple:
@@ -143,6 +145,44 @@ class Tree:
         splits = [node for node in nodes if node[1] >= 0]
         splits.reverse()
         return value.tolist(), splits
+
+
+def _check_tree(tree: Tree, n_features: int, index: int) -> None:
+    """Reject node arrays that the compare-and-select scorer would index past or misread.
+
+    Children must sit after their parent, so the scorer, taking the splits
+    last first, has both children's values before it selects between them;
+    a node is a leaf exactly when its feature is -1 and it has no children;
+    no node has two parents, as the scorer drops a value once it is read.
+    """
+    size = tree.feature.shape[0]
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if size == 0 or any(a.shape != (size,) for a in arrays):
+        raise ConfigurationError(
+            f"tree {index}: node arrays must be non-empty and of equal length")
+    bad_feature = (tree.feature < -1) | (tree.feature >= n_features)
+    if bad_feature.any():
+        node = int(np.flatnonzero(bad_feature)[0])
+        raise ConfigurationError(f"tree {index}, node {node}: feature {tree.feature[node]} out "
+                                 f"of range for {n_features} features")
+    leaf = tree.feature == -1
+    childless = (tree.left == -1) & (tree.right == -1)
+    if (leaf != childless).any():
+        node = int(np.flatnonzero(leaf != childless)[0])
+        raise ConfigurationError(f"tree {index}, node {node}: a node must be a leaf (feature -1) "
+                                 f"exactly when it has no children")
+    nodes = np.arange(size)
+    bad_child = ~leaf & ((tree.left <= nodes) | (tree.left >= size)
+                         | (tree.right <= nodes) | (tree.right >= size))
+    if bad_child.any():
+        node = int(np.flatnonzero(bad_child)[0])
+        raise ConfigurationError(f"tree {index}, node {node}: children ({tree.left[node]}, "
+                                 f"{tree.right[node]}) must lie after the node and below {size}")
+    parents = np.bincount(np.concatenate([tree.left[~leaf], tree.right[~leaf]]), minlength=size)
+    if (parents > 1).any():
+        node = int(np.flatnonzero(parents > 1)[0])
+        raise ConfigurationError(
+            f"tree {index}, node {node}: a node must have at most one parent")
 
 
 def _row_blocks(x: np.ndarray):
@@ -176,6 +216,10 @@ class GBDTModel:
     best_iteration: Optional[int] = None
     trees: list[Tree] = field(default_factory=list)  # last: a model file lists them last
 
+    def __post_init__(self) -> None:
+        for index, tree in enumerate(self.trees):
+            _check_tree(tree, self.n_features, index)
+
     @cached_property
     def _forest(self) -> tuple:
         """The scoring plan, built on the first scoring: (per tree, Tree._plan of
@@ -197,7 +241,7 @@ class GBDTModel:
     def proba_above(self, x, gamma: float) -> np.ndarray:
         """``predict_proba(x) > gamma`` bit for bit, each row scored only until it is settled."""
         if gamma >= 1.0:
-            return np.zeros(self._check(x).shape[0], dtype=bool)
+            return np.zeros(feature_rows(x, self.n_features).shape[0], dtype=bool)
         cut = -np.inf
         if gamma > 0.0:
             cut = float(np.log(gamma) - np.log1p(-gamma))
@@ -206,7 +250,7 @@ class GBDTModel:
 
     def _margin(self, x, cut: float) -> np.ndarray:
         """Each row's margin, or -inf for a row dropped once it could no longer reach ``cut``."""
-        x = self._check(x)
+        x = feature_rows(x, self.n_features)
         margin = np.full(x.shape[0], -np.inf)
         forest, reach, _ = self._forest
         checks = range(0, len(forest) if cut > -np.inf else 0, _CHECK_TREES)
@@ -225,13 +269,6 @@ class GBDTModel:
             margin[alive] = block
         return margin
 
-    def _check(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.n_features:
-            raise InputError(
-                f"expected rows with {self.n_features} features, got shape {arr.shape}"
-            )
-        return arr
 
 
 class _TreeBuilder:

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, labeled_rows
+from .errors import ConfigurationError, InputError, feature_rows, labeled_rows
 from .metrics import average_precision, pr_curve
 from .neural import (
     MLPSpec,
@@ -192,7 +192,7 @@ class HybridModel:
         shape and a row's probability does not depend on how a caller
         splits its rows.
         """
-        x = self._check(x)
+        x = feature_rows(x, self.config.n_features)
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], _EVAL_CHUNK):
             chunk = x[start : start + _EVAL_CHUNK]
@@ -210,14 +210,6 @@ class HybridModel:
         exps = batch_expectations(cfg.ansatz, self.theta, angles, cfg.measured_qubits)
         probs, _ = mlp_forward(cfg.head_spec, self.head, exps)
         return probs[:, 0]
-
-    def _check(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.config.n_features:
-            raise InputError(
-                f"expected rows with {self.config.n_features} features, got shape {arr.shape}"
-            )
-        return arr
 
 
 def init_hybrid(config: HybridConfig, rng: Optional[np.random.Generator] = None) -> HybridModel:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import TemperatureScaler, apply_temperature
-from .errors import InputError, require_finite_rows
+from .errors import ConfigurationError, InputError, require_finite_rows
 from .gbdt import _BLOCK_ROWS, GBDTModel, GBDTParams, fit_gbdt
 from .hybrid import HybridModel
 from .metrics import pr_curve
@@ -118,6 +118,12 @@ class CombinedModel:
     router: GBDTModel
     tau_primary: float
     tau_secondary: float
+
+    def __post_init__(self) -> None:
+        for name in ("tau_primary", "tau_secondary"):  # Youden's cuts, 0 and 1 included
+            tau = getattr(self, name)
+            if not 0.0 <= tau <= 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1], found {tau}")
 
 
 @dataclass

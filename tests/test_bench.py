@@ -21,13 +21,14 @@ from qmoe.bench import (
     load_config,
     load_model,
     load_report,
+    Pipeline,
     pipeline_predict,
     report_to_dict,
     save_model,
     save_report,
 )
 from qmoe.calibration import apply_temperature
-from qmoe.data import split_eval, synthesize
+from qmoe.data import MinMaxScaler, split_eval, synthesize
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams, router_params
 from qmoe.hybrid import HybridConfig, HybridModel, init_hybrid
@@ -426,7 +427,7 @@ def test_load_model_rejects_mis_shaped_hybrid(model_doc, tmp_path):
         edit(doc["combined"]["secondary"])
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelIOError, match="edited.json is malformed: hybrid params has shape"):
+        with pytest.raises(ModelIOError, match="edited.json is malformed: combined secondary hybrid params has shape"):
             load_model(path)
 
 
@@ -469,8 +470,8 @@ _NON_FINITE_PARAMS = r"secondary params must be finite, found {} at index {}$"
 
 NON_FINITE_EDITS = {
     "tree threshold": (_in_first_split("primary", _set(["threshold", 0], float("nan"))),
-                       r"tree \d+ threshold must be finite, found nan at index 0"),
-    "tree leaf value": (_in_first_split("router", _leaf_value), r"tree \d+ value must be finite"),
+                       r"trees\[\d+\] threshold must be finite, found nan at index 0"),
+    "tree leaf value": (_in_first_split("router", _leaf_value), r"trees\[\d+\] value must be finite"),
     "base_score": (_set(["combined", "router", "base_score"], float("-inf")),
                    "base_score must be finite"),
     "hybrid weights": (_in_params(lambda m: m.encoder[0][0][2, 1], float("nan")),
@@ -610,8 +611,28 @@ def test_load_model_checks_the_thresholds(model_doc, tmp_path, name):
         path = tmp_path / "bad-tau.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelIOError,
-                           match=rf"bad-tau.json is malformed: {name} must be in \[0, 1\]"):
+                           match=rf"bad-tau.json is malformed: combined {name} must be in \[0, 1\]"):
             load_model(path)
+
+
+@pytest.mark.parametrize("name", ["tau_primary", "tau_secondary"])
+def test_a_combined_model_checks_its_thresholds(model_doc, tmp_path, name):
+    # Before the check moved into CombinedModel, only load_model ran it:
+    # replace(combined, tau_primary=1.5), as qmoe calibrate builds its model,
+    # made a model that saved and labeled none of its expert's rows positive.
+    combined = _load_edited(model_doc, lambda t: None, tmp_path).combined
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be in \[0, 1\], found 1.5"):
+        replace(combined, **{name: 1.5})
+
+
+def test_a_pipeline_checks_its_scaler_width(model_doc, tmp_path):
+    # Before the check moved into Pipeline, a 28-column scaler over 29-feature
+    # experts was built in code and failed only at its first scoring.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    narrow = MinMaxScaler(low=pipeline.scaler.low[:28], span=pipeline.scaler.span[:28])
+    with pytest.raises(ConfigurationError,
+                       match=r"^scaler low has shape \(28,\), the experts read 29 features"):
+        Pipeline(scaler=narrow, combined=pipeline.combined)
 
 
 def test_scoring_leaves_the_model_file_unchanged(model_doc, tmp_path):

@@ -140,3 +140,11 @@ def test_validation_errors():
         apply_temperature(TemperatureScaler(0.0, 0.0, 0), np.array([0.5]))
     with pytest.raises(InputError):
         apply_temperature(TemperatureScaler(1.0, 0.0, 0), np.array([-0.1]))
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan])
+def test_a_scaler_checks_its_temperature_when_built(t):
+    # Before the check moved into the constructor, such a scaler was built
+    # and saved, and failed only when it first rescaled a score.
+    with pytest.raises(InputError, match="temperature must be positive and finite"):
+        TemperatureScaler(t, 0.0, 0)

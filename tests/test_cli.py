@@ -307,7 +307,8 @@ def test_evaluate_mis_shaped_hybrid_exits_1(workspace, tmp_path, capsys):
     bad_model.write_text(json.dumps(doc))
     assert main(["evaluate", "--model", str(bad_model),
                  "--data", workspace["csv"]]) == 1
-    assert (f"error: model file {bad_model} is malformed: hybrid params has shape"
+    assert (f"error: model file {bad_model} is malformed: combined secondary hybrid params "
+            f"has shape"
             in capsys.readouterr().err)
 
 
@@ -449,7 +450,8 @@ def test_negative_seed_exits_1(command, workspace, tmp_path, capsys):
                 "--out", str(tmp_path / "bench")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: seed must be >= 0, got -1")
+    owner = "hybrid " if command == "config hybrid seed" else ""  # load_config names the object
+    assert err.startswith(f"error: {owner}seed must be >= 0, got -1")
     assert set(os.listdir(tmp_path)) <= {"config.json"}  # nothing was written
 
 

@@ -335,6 +335,22 @@ def test_router_params_defaults_and_overrides():
     assert tweaked.max_depth == 3
 
 
+def _stump(left):
+    return Tree(feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
+                left=np.array([left, -1, -1]), right=np.array([2, -1, -1]),
+                value=np.array([0.0, -1.0, 1.0]))
+
+
+def test_a_model_checks_its_trees():
+    # Before the check moved into GBDTModel, only load_model ran it, so a
+    # model built in code with a cyclic tree never returned from scoring.
+    GBDTModel(params=GBDTParams(), n_features=2, base_score=0.0, trees=[_stump(1)])
+    with pytest.raises(ConfigurationError,
+                       match=r"^tree 1, node 0: children \(0, 2\) must lie after the node"):
+        GBDTModel(params=GBDTParams(), n_features=2, base_score=0.0,
+                  trees=[_stump(1), _stump(0)])
+
+
 def test_validation_errors():
     with pytest.raises(ConfigurationError):
         GBDTParams(reg_lambda=0.0)

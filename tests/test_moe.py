@@ -298,7 +298,8 @@ def test_closed_gate_never_scores_the_router():
 
     router = model.router
     model.router = Stub(params=router.params, n_features=router.n_features,
-                        base_score=router.base_score, trees=[Unscorable()] * 3)
+                        base_score=router.base_score)
+    model.router.trees = [Unscorable()] * 3  # after construction, which checks each tree
     out = combined_predict(model, x, 1.0)
     assert not out.routed.any()
     assert np.array_equal(out.probs, baseline)

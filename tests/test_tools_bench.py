@@ -74,7 +74,7 @@ def test_time_kernel_reports_each_sides_times_and_tracemalloc_peaks(monkeypatch)
 
 
 def test_time_kernel_keeps_what_a_once_timer_adds(monkeypatch):
-    # A once kernel's timer (the fold topic's, synth's paper fold) also
+    # A once kernel's timer (synth's paper fold) also
     # reports the peak RSS around its one call and a digest of the result;
     # each becomes a per-invocation list.
     runs = iter(range(6))
@@ -89,11 +89,9 @@ def test_time_kernel_keeps_what_a_once_timer_adds(monkeypatch):
     assert before["invocation_rss_before_mb"] == [100.0, 103.0, 104.0]  # the sides alternate
     assert after["invocation_rss_after_mb"] == [151.0, 152.0, 155.0]
     assert after["invocation_digest"] == ["d"] * 3
-    for name in ("fold", "synth"):
-        topic = tools_bench.TOPICS[name]
-        assert tools_bench.timer_script(topic, topic.kernels[-1]) == tools_bench._ONCE.format(
-            setup=topic.setup)
     synth = tools_bench.TOPICS["synth"]
+    assert tools_bench.timer_script(synth, synth.kernels[-1]) == tools_bench._ONCE.format(
+        setup=synth.setup)
     assert tools_bench.timer_script(synth, synth.kernels[0]) == tools_bench._TIMER.format(
         setup=synth.setup)
 

@@ -23,25 +23,22 @@ over that pool), and writes BENCH_serve.json; ``circuit`` times
 ``qsim.batch_parameter_shift`` on training batches at the desk and paper
 circuit shapes, and both at 8, 9 and 10 qubits (the crossover that sets
 ``qsim.MAX_QUBITS``; the spec is built past the cap's check on both
-sides), and writes BENCH_circuit.json; ``fold`` runs one paper-scale fold
-(``bench.fit_pipeline`` on 284,807 synthetic rows, the default
-``RunConfig``, seed 0) once per interpreter, recording the process peak
-RSS before and after it, its wall time and a digest of its
-``FoldRecord``, then once more for its tracemalloc peak, and writes
-BENCH_fold.json; ``synth`` times ``data.synthesize`` at 20,000, 50,000 and
-284,807 rows with its tracemalloc peak, then generates the paper-scale
-table once per interpreter and runs one ``bench.fit_pipeline`` fold on it,
-recording the process peak RSS after the generation and after the fold,
-and a digest of both the table and the ``FoldRecord``, and writes
-BENCH_synth.json.
+sides), and writes BENCH_circuit.json; ``synth`` times
+``data.synthesize`` at 20,000, 50,000 and 284,807 rows with its
+tracemalloc peak, then generates the paper-scale table once per
+interpreter and runs one ``bench.fit_pipeline`` fold on it (the default
+``RunConfig``, seed 0), recording the process peak RSS after the
+generation and after the fold, its wall time, and a digest of both the
+table and the ``FoldRecord``, and writes BENCH_synth.json.
 
-BENCH_qsim.json, BENCH_gate.json and BENCH_ingest.json stay as records of
-topics since folded into others. ``qsim`` timed the two circuit calls that
-``circuit`` times, at every shape the hybrid runs; ``gate`` timed the
-whole-pool ``pipeline_predict`` calls that ``serve`` times; ``ingest``
-timed ``load_csv`` on the serve pool, as ``serve`` does, and
-``MinMaxScaler.transform`` on the whole pool, which no caller runs since
-serving scales one row block at a time.
+BENCH_qsim.json, BENCH_gate.json, BENCH_ingest.json and BENCH_fold.json
+stay as records of topics since folded into others. ``qsim`` timed the
+two circuit calls that ``circuit`` times, at every shape the hybrid runs;
+``gate`` timed the whole-pool ``pipeline_predict`` calls that ``serve``
+times; ``ingest`` timed ``load_csv`` on the serve pool, as ``serve``
+does, and ``MinMaxScaler.transform`` on the whole pool, which no caller
+runs since serving scales one row block at a time; ``fold`` timed the
+paper-scale ``bench.fit_pipeline`` fold that ``synth`` times.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -310,32 +307,14 @@ call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
              "training batch, where building U costs about L dense 2**n-square GEMMs per "
              "call whatever the batch size.",
     ),
-    "fold": Topic(
-        title="a fold holds only the rows it reads: undersampling by label, scaling only the "
-              "balanced and held-out rows, min and max read in row blocks, and the CV splits "
-              "streamed",
-        # One paper-scale fold: fold 0 of the first repeat, as fit_pipeline
-        # trains it, on the real dataset's row count and fraud rate. Its
-        # balanced set is 784 rows of a 227,845-row training split.
-        kernels=({"name": "paper fold", "call": "fit_pipeline", "rows": 284_807, "once": True},),
-        setup="""
-import hashlib
-from dataclasses import asdict
-from qmoe import bench, data
-x, y, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
-config = bench.RunConfig(seed=0)
-call = lambda: bench.fit_pipeline(x, y, config)[0]
-digest = lambda record: hashlib.sha256(
-    json.dumps(asdict(record), sort_keys=True).encode()).hexdigest()
-""",
-    ),
     "synth": Topic(
         title="data.synthesize holds one table: the factor GEMM writes into it, the noise is "
               "drawn and added in row blocks, and the rows are shuffled in place a few "
               "columns at a time",
         # The generator at the cv-desk (20k), train-paper (50k) and real
         # dataset's (284,807) row counts; then, once per interpreter, the
-        # paper-scale table and one fold fit on it, as the fold topic runs.
+        # paper-scale table and one fold fit on it: fold 0 of the first
+        # repeat, whose balanced set is 784 rows of a 227,845-row split.
         kernels=(
             *({"name": "synthesize", "call": "synthesize", "rows": rows}
               for rows in (20_000, 50_000, 284_807)),
