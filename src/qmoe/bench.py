@@ -232,17 +232,17 @@ def _fold_seeds(master_seed: int, repeat: int, fold: int):
     return tuple(int(v) for v in ss.generate_state(3))
 
 
-def _arm_metrics(y, probs, hard, routed_fraction: float, n_points: int,
-                 record: FoldRecord) -> dict:
-    """AUCPR/AP/precision/recall for one arm; NaN when holdout is one-class."""
+def _arm_metrics(y, probs, hard, routed_fraction: float, n_points: int, notes: list) -> dict:
+    """AUCPR/AP/precision/recall for one arm; NaN, with a note added to
+    ``notes``, when holdout is one-class."""
     out = {
         "routed_fraction": float(routed_fraction),
         "latency_seconds": latency_estimate(n_points, routed_fraction),
     }
     if np.unique(y).size < 2:
         note = "holdout split has one class; ranking metrics are NaN"
-        if note not in record.warnings:
-            record.warnings.append(note)
+        if note not in notes:
+            notes.append(note)
         out.update(aucpr=float("nan"), ap=float("nan"),
                    precision=float("nan"), recall=float("nan"))
         return out
@@ -277,12 +277,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
     # Checked on the raw rows: the scaler would clip an infinity into range.
     require_finite_rows(x)
     split_seed, sample_seed, hybrid_seed = _fold_seeds(config.seed, repeat, fold)
-    record = FoldRecord(
-        repeat=repeat, fold=fold, sizes={}, tau_primary=0.5, tau_secondary=0.5,
-        temperature_primary=1.0, temperature_secondary=1.0,
-        primary_trees=0, hybrid_epochs=0, baseline={}, combined={},
-        sentinel_equals_baseline=False,
-    )
+    notes = []
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -297,26 +292,19 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         x_hold = scaler.transform(x[parts.holdout])
         y_bal, y_val = y[balanced], y[parts.validation]
         y_ana, y_hold = y[parts.analysis], y[parts.holdout]
-        record.sizes = {
-            "train": {"rows": int(train_idx.size), "positives": int(y[train_idx].sum())},
-            "balanced": {"rows": int(y_bal.size), "positives": int(y_bal.sum())},
-            "validation": {"rows": int(y_val.size), "positives": int(y_val.sum())},
-            "analysis": {"rows": int(y_ana.size), "positives": int(y_ana.sum())},
-            "holdout": {"rows": int(y_hold.size), "positives": int(y_hold.sum())},
-        }
+        sizes = {name: {"rows": int(rows.size), "positives": int(y[rows].sum())}
+                 for name, rows in (("train", train_idx), ("balanced", balanced),
+                                    ("validation", parts.validation),
+                                    ("analysis", parts.analysis), ("holdout", parts.holdout))}
 
         primary = fit_gbdt(config.expert, x_bal, y_bal, x_val, y_val)
-        record.primary_trees = len(primary.trees)
 
         hybrid_cfg = replace(config.hybrid, seed=hybrid_seed)
         if np.unique(y_val).size < 2:
-            record.warnings.append(
-                "validation split has one class; hybrid trained without early stopping"
-            )
+            notes.append("validation split has one class; hybrid trained without early stopping")
             secondary, train_report = fit_hybrid(hybrid_cfg, x_bal, y_bal)
         else:
             secondary, train_report = fit_hybrid(hybrid_cfg, x_bal, y_bal, x_val, y_val)
-        record.hybrid_epochs = len(train_report.epochs)
 
         p1_val = primary.predict_proba(x_val)
         p2_val = train_report.val_probs  # the best epoch's, which the roll-back restored
@@ -324,15 +312,12 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
             p2_val = secondary.predict_proba(x_val)
         del x_val  # read no further; the router fit below is the fold's peak
         (scaler1, scaler2), taus = fit_calibration(p1_val, p2_val, y_val)
-        record.temperature_primary = scaler1.temperature
-        record.temperature_secondary = scaler2.temperature
         if scaler1.degenerate or scaler2.degenerate:
-            record.warnings.append("temperature fit degenerate; kept t = 1")
+            notes.append("temperature fit degenerate; kept t = 1")
         if taus is None:
-            record.warnings.append("validation split has one class; thresholds fall back to 0.5")
+            notes.append("validation split has one class; thresholds fall back to 0.5")
             taus = 0.5, 0.5
         tau1, tau2 = taus
-        record.tau_primary, record.tau_secondary = tau1, tau2
 
         targets = router_targets(
             y_ana,
@@ -343,9 +328,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         )
         router = fit_router(x_ana, targets, config.router)
         if router.degenerate:
-            record.warnings.append(
-                "router targets were all zero; gate stays shut at every gamma"
-            )
+            notes.append("router targets were all zero; gate stays shut at every gamma")
 
         combined = CombinedModel(
             primary=primary, primary_scaler=scaler1,
@@ -357,27 +340,32 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         n_hold = int(y_hold.size)
         base_probs = apply_temperature(scaler1, primary.predict_proba(x_hold))
         base_hard = (base_probs > tau1).astype(np.float64)
-        record.baseline = _arm_metrics(y_hold, base_probs, base_hard, 0.0, n_hold, record)
+        baseline = _arm_metrics(y_hold, base_probs, base_hard, 0.0, n_hold, notes)
         gate = router.predict_proba(x_hold)
 
+        arms = {}
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
             routed = gate > gamma
             out = route_rows(combined, base_probs, routed, x_hold[routed])
-            record.combined[str(gamma)] = _arm_metrics(
-                y_hold, out.probs, out.labels, out.routed_fraction, n_hold, record
-            )
+            arms[str(gamma)] = _arm_metrics(y_hold, out.probs, out.labels,
+                                            out.routed_fraction, n_hold, notes)
         # The arms share base_probs, so the sentinel check scores the holdout
         # afresh through the serving path instead.
         sentinel = combined_predict(combined, x_hold, SENTINEL_GAMMA)
-        record.sentinel_equals_baseline = bool(
-            np.array_equal(sentinel.probs, base_probs)
-            and np.array_equal(sentinel.labels, base_hard)
-        )
 
     for w in caught:
         message = str(w.message)
-        if message not in record.warnings:
-            record.warnings.append(message)
+        if message not in notes:
+            notes.append(message)
+    record = FoldRecord(
+        repeat=repeat, fold=fold, sizes=sizes, tau_primary=tau1, tau_secondary=tau2,
+        temperature_primary=scaler1.temperature, temperature_secondary=scaler2.temperature,
+        primary_trees=len(primary.trees), hybrid_epochs=len(train_report.epochs),
+        baseline=baseline, combined=arms,
+        sentinel_equals_baseline=bool(np.array_equal(sentinel.probs, base_probs)
+                                      and np.array_equal(sentinel.labels, base_hard)),
+        warnings=notes,
+    )
     return record, Pipeline(scaler=scaler, combined=combined)
 
 
@@ -449,35 +437,43 @@ def report_to_dict(report: BenchReport) -> dict:
 
 def save_report(report: BenchReport, out_dir) -> None:
     """Write report.json (NaN metrics as null) plus flat folds.csv / aggregates.csv exports."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ModelIOError(f"cannot write {out_dir}: {exc}") from None
     # A NaN metric goes through a JSON round trip as a NaN token and comes back None.
     doc = json.loads(json.dumps(report_to_dict(report)), parse_constant=lambda _: None)
     _write(os.path.join(out_dir, "report.json"), doc, indent=2, sort_keys=True)
 
-    with open(os.path.join(out_dir, "folds.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["repeat", "fold", "arm", *_ARM_METRICS])
-        for f in report.folds:
-            # labeled honestly: the reference expert is our own GBDT
-            writer.writerow([f.repeat, f.fold, "gbdt-baseline",
-                             *[repr(f.baseline[m]) for m in _ARM_METRICS]])
-            for arm in sorted(f.combined, key=float):
-                writer.writerow([f.repeat, f.fold, arm,
-                                 *[repr(f.combined[arm][m]) for m in _ARM_METRICS]])
+    rows = [["repeat", "fold", "arm", *_ARM_METRICS]]
+    for f in report.folds:
+        # labeled honestly: the reference expert is our own GBDT
+        for arm, metrics in _arms(f.baseline, f.combined):
+            rows.append([f.repeat, f.fold, arm, *[repr(metrics[m]) for m in _ARM_METRICS]])
+    _write_csv(os.path.join(out_dir, "folds.csv"), rows)
 
-    with open(os.path.join(out_dir, "aggregates.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arm", "metric", "mean", "std", "median", "n_valid"])
-        agg = report.aggregates
+    rows = [["arm", "metric", "mean", "std", "median", "n_valid"]]
+    for arm, stats in _arms(report.aggregates["baseline"], report.aggregates["combined"]):
         for metric in _ARM_METRICS:
-            s = agg["baseline"][metric]
-            writer.writerow(["gbdt-baseline", metric, repr(s["mean"]), repr(s["std"]),
-                             repr(s["median"]), s["n_valid"]])
-        for arm in sorted(agg["combined"], key=float):
-            for metric in _ARM_METRICS:
-                s = agg["combined"][arm][metric]
-                writer.writerow([arm, metric, repr(s["mean"]), repr(s["std"]),
-                                 repr(s["median"]), s["n_valid"]])
+            s = stats[metric]
+            rows.append([arm, metric, repr(s["mean"]), repr(s["std"]), repr(s["median"]),
+                         s["n_valid"]])
+    _write_csv(os.path.join(out_dir, "aggregates.csv"), rows)
+
+
+def _arms(baseline: dict, combined: dict) -> list:
+    """``(name, entry)`` for the baseline arm, then each gated arm by rising gamma."""
+    return [("gbdt-baseline", baseline),
+            *((arm, combined[arm]) for arm in sorted(combined, key=float))]
+
+
+def _write_csv(path, rows) -> None:
+    """``rows`` as a CSV file at ``path``; an unwritable path is a ModelIOError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    except OSError as exc:
+        raise ModelIOError(f"cannot write {path}: {exc}") from None
 
 
 # --- the file codec ---------------------------------------------------------
@@ -499,10 +495,10 @@ def _write(path, doc, **json_options) -> None:
     """``doc`` as strict JSON at ``path``; nothing is written if it holds NaN or infinity."""
     try:
         text = json.dumps(doc, allow_nan=False, **json_options)  # the C encoder, unless indented
-    except ValueError as exc:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except (OSError, ValueError) as exc:
         raise ModelIOError(f"cannot write {path}: {exc}") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def _read(path, fmt: str, cls):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, binary_labels
 from .neural import PROB_EPS, log_loss, sigmoid
 
 T_MIN = 0.05
@@ -54,9 +54,7 @@ def fit_temperature(probs, labels) -> TemperatureScaler:
         raise InputError(f"probs {p.shape} and labels {y.shape} must be equal-length vectors")
     if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
         raise InputError("probabilities must be finite and within [0, 1]")
-    y = y.astype(np.float64)
-    if not np.all((y == 0) | (y == 1)):
-        raise InputError("labels must be 0 or 1")
+    y = binary_labels(y)
 
     logits = _logits(p)
     if p.size < 2 or y.min() == y.max():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _BLOCK_ROWS, DataError, InputError
+from .errors import DataError, InputError, binary_labels, feature_rows, row_blocks
 
 __all__ = [
     "CSV_HEADER",
@@ -88,8 +88,7 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if table.shape[1] == len(CSV_HEADER) and np.all((labels == 0.0) | (labels == 1.0)):
                 labels, n = labels.copy(), table.shape[0]
                 x = table.reshape(-1)[:n * N_FEATURES].reshape(n, N_FEATURES)
-                for start in range(0, n, _BLOCK_ROWS):
-                    rows = slice(start, start + _BLOCK_ROWS)
+                for rows in row_blocks(n):
                     x[rows] = table[rows, 1:-1]
                 return x, labels
             fault = f"rows are not {len(CSV_HEADER)} fields with a 0/1 Class"
@@ -151,10 +150,8 @@ def _is_float(s: str) -> bool:
 
 def save_csv(path, x: np.ndarray, y: np.ndarray) -> None:
     """Write (features, labels) in the load_csv layout; Time is the row index."""
-    x = np.asarray(x, dtype=np.float64)
+    x = feature_rows(x, N_FEATURES)
     y = np.asarray(y)
-    if x.ndim != 2 or x.shape[1] != N_FEATURES:
-        raise InputError(f"expected (rows, {N_FEATURES}) features, got {x.shape}")
     if y.shape != (x.shape[0],):
         raise InputError(f"labels {y.shape} do not match {x.shape[0]} rows")
     try:
@@ -180,9 +177,7 @@ class MinMaxScaler:
     span: np.ndarray
 
     def transform(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.low.shape[0]:
-            raise InputError(f"expected (rows, {self.low.shape[0]}), got {x.shape}")
+        x = feature_rows(x, self.low.shape[0])
         safe_span = np.where(self.span > 0, self.span, 1.0)
         out = x - self.low  # one buffer: no whole-array temporaries
         out /= safe_span
@@ -194,7 +189,7 @@ def fit_minmax(x, rows=None) -> MinMaxScaler:
     """The scaler of ``x[rows]``, for integer row indices ``rows`` (all of
     ``x`` when ``rows`` is None).
 
-    Min and max are read ``_BLOCK_ROWS`` rows at a time and folded in row
+    Min and max are read one row block at a time and folded in row
     order, so the selected rows are never copied whole; both are exact,
     and ``fit_minmax(x, rows)`` equals ``fit_minmax(x[rows])`` bit for bit.
     """
@@ -204,8 +199,7 @@ def fit_minmax(x, rows=None) -> MinMaxScaler:
         raise InputError(f"expected a non-empty 2-D array, got shape {x.shape}"
                          + ("" if rows is None else f" and {len(rows)} rows"))
     low = high = None
-    for start in range(0, n, _BLOCK_ROWS):
-        part = slice(start, start + _BLOCK_ROWS)
+    for part in row_blocks(n):
         block = x[part] if rows is None else x[rows[part]]
         if low is None:
             low, high = block.min(axis=0), block.max(axis=0)
@@ -225,15 +219,12 @@ def undersample(y, majority_ratio: float = 1.0, seed: int = 0) -> np.ndarray:
     of 0s and 1s holding both classes; anything else, NaN included, is an
     InputError that names the offending labels.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y)
     if majority_ratio <= 0:
         raise InputError(f"majority_ratio must be positive, got {majority_ratio}")
     if y.ndim != 1 or y.size == 0:
         raise InputError(f"undersampling needs a non-empty 1-D label array, got shape {y.shape}")
-    other = ~((y == 0) | (y == 1))
-    if other.any():
-        raise InputError(f"undersampling needs 0/1 labels; {other.sum()} labels are not, "
-                         f"among them {np.unique(y[other])[:5].tolist()}")
+    y = binary_labels(y, "undersampling")
     if y.min() == y.max():
         raise InputError("undersampling needs both classes present")
     counts = [(y == 0).sum(), (y == 1).sum()]
@@ -332,8 +323,8 @@ def synthesize(n: int, fraud_rate: float = 0.00172, seed: int = 0):
 
     The function holds one (n, 29) table plus O(block) scratch. The factor
     GEMM writes straight into the table, which is allocated before any
-    scratch; the 0.7-scaled noise is drawn and added ``_BLOCK_ROWS`` rows
-    at a time (a Generator's block draws equal one whole draw); and the
+    scratch; the 0.7-scaled noise is drawn and added one row block at a
+    time (a Generator's block draws equal one whole draw); and the
     final row shuffle runs in place, ``_SHUFFLE_COLUMNS`` columns per step,
     through a gathered (n, 8) buffer. The output equals the whole-table
     expression ``x = F @ L + 0.7 * N; x[order]`` byte for byte.
@@ -356,10 +347,10 @@ def synthesize(n: int, fraud_rate: float = 0.00172, seed: int = 0):
     loadings = rng.normal(size=(6, N_FEATURES)) / np.sqrt(6.0)
     x = np.empty((n, N_FEATURES))  # the one table, first, so it can take a freed table's place
     np.matmul(rng.normal(size=(n, 6)), loadings, out=x)
-    for start in range(0, n, _BLOCK_ROWS):
-        noise = rng.normal(size=(min(_BLOCK_ROWS, n - start), N_FEATURES))
+    for rows in row_blocks(n):
+        noise = rng.normal(size=(rows.stop - rows.start, N_FEATURES))
         noise *= 0.7
-        x[start:start + _BLOCK_ROWS] += noise
+        x[rows] += noise
     for col in (0, 2, 4, 5):
         x[:, col] = rng.normal(size=n)
 

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by every module in the package, and the input
-rules every fit and every scoring of raw rows applies."""
+"""Exception hierarchy shared by every module in the package, and the row
+rules every fit and every scoring of raw rows applies: finite rows, 0/1
+labels, the feature width, and passes that hold one row block at a time."""
 
 import numpy as np
 
@@ -26,16 +27,20 @@ class ModelIOError(QmoeError, RuntimeError):
     """Corrupt, truncated, or incompatible model or report files."""
 
 
+def row_blocks(n: int):
+    """Yield ``slice(start, min(start + _BLOCK_ROWS, n))`` over rows ``0..n``."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n))
+
+
 def require_finite_rows(x: np.ndarray) -> None:
     """Raise InputError naming the first rows of 2-d ``x`` holding NaN or inf.
 
-    The check reads ``_BLOCK_ROWS`` rows at a time, so it allocates
-    O(block); only a fault builds the whole mask, to name rows of all of
-    ``x``. Other shapes pass through; the experts' own shape checks reject
-    them.
+    The check reads one row block at a time, so it allocates O(block);
+    only a fault builds the whole mask, to name rows of all of ``x``. Other
+    shapes pass through; the experts' own shape checks reject them.
     """
-    if x.ndim != 2 or all(np.isfinite(x[start:start + _BLOCK_ROWS]).all()
-                          for start in range(0, x.shape[0], _BLOCK_ROWS)):
+    if x.ndim != 2 or all(np.isfinite(x[rows]).all() for rows in row_blocks(x.shape[0])):
         return
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     raise InputError(
@@ -50,6 +55,16 @@ def feature_rows(x, width: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != width:
         raise InputError(f"expected rows with {width} features, got shape {arr.shape}")
     return arr
+
+
+def binary_labels(y, what: str = "") -> np.ndarray:
+    """``y`` as float64 labels, each 0 or 1, else an InputError naming the others."""
+    y = np.asarray(y)
+    other = ~((y == 0) | (y == 1))
+    if other.any():
+        raise InputError(f"{what} labels must be 0 or 1; {other.sum()} are not, "
+                         f"among them {np.unique(y[other])[:5].tolist()}".lstrip())
+    return y.astype(np.float64, copy=False)
 
 
 def labeled_rows(x, y, width=None, what: str = "training"):
@@ -68,6 +83,4 @@ def labeled_rows(x, y, width=None, what: str = "training"):
         require_finite_rows(x)
     except InputError as exc:
         raise InputError(f"{what} {exc}") from None
-    if not np.all((y == 0) | (y == 1)):
-        raise InputError(f"{what} labels must be 0 or 1")
-    return x, y
+    return x, binary_labels(y, what)

@@ -74,7 +74,7 @@ from typing import Optional
 import numpy as np
 import numpy.typing as npt
 
-from .errors import _BLOCK_ROWS, ConfigurationError, feature_rows, labeled_rows
+from .errors import ConfigurationError, feature_rows, labeled_rows, row_blocks
 from .neural import log_loss, sigmoid
 
 __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
@@ -187,8 +187,7 @@ def _check_tree(tree: Tree, n_features: int, index: int) -> None:
 
 def _row_blocks(x: np.ndarray):
     """Yield ``(rows, xt)`` per block of rows; ``xt`` is the block as (features, rows)."""
-    for start in range(0, x.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+    for rows in row_blocks(x.shape[0]):
         yield rows, np.ascontiguousarray(x[rows].T, dtype=np.float64)
 
 
@@ -255,7 +254,7 @@ class GBDTModel:
         forest, reach, _ = self._forest
         checks = range(0, len(forest) if cut > -np.inf else 0, _CHECK_TREES)
         for rows, xt in _row_blocks(x):
-            alive = np.arange(rows.start, rows.start + xt.shape[1])
+            alive = np.arange(rows.start, rows.stop)
             block = np.full(alive.size, self.base_score)
             for k, tree in enumerate(forest):  # tree by tree, as the rounds were added
                 if k in checks:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, binary_labels
 
 __all__ = [
     "PRCurve",
@@ -45,9 +45,7 @@ def _validated(scores, labels):
         raise InputError("need at least one sample")
     if not np.all(np.isfinite(s)):
         raise InputError("scores must be finite")
-    if not np.all((y == 0) | (y == 1)):
-        raise InputError("labels must be 0 or 1")
-    y = y.astype(np.int64)
+    y = binary_labels(y).astype(np.int64)
     if y.min() == y.max():
         raise InputError("both classes must be present")
     return s, y

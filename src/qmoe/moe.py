@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import TemperatureScaler, apply_temperature
-from .errors import ConfigurationError, InputError, require_finite_rows
-from .gbdt import _BLOCK_ROWS, GBDTModel, GBDTParams, fit_gbdt
+from .errors import ConfigurationError, InputError, binary_labels, require_finite_rows, row_blocks
+from .gbdt import GBDTModel, GBDTParams, fit_gbdt
 from .hybrid import HybridModel
 from .metrics import pr_curve
 
@@ -82,16 +82,14 @@ def router_targets(labels, primary_probs, secondary_probs,
     whether handing the row over would have flipped it from wrong to
     right.
     """
-    y = np.asarray(labels, dtype=np.float64)
+    y = np.asarray(labels)
     p1 = np.asarray(primary_probs, dtype=np.float64)
     p2 = np.asarray(secondary_probs, dtype=np.float64)
     if not (y.shape == p1.shape == p2.shape):
         raise InputError(
             f"labels {y.shape}, primary {p1.shape}, secondary {p2.shape} must align"
         )
-    if not np.all((y == 0) | (y == 1)):
-        raise InputError("labels must be 0 or 1")
-    truth = y == 1
+    truth = binary_labels(y) == 1
     primary_right = (p1 > tau_primary) == truth
     secondary_right = (p2 > tau_secondary) == truth
     return (secondary_right & ~primary_right).astype(np.float64)
@@ -141,8 +139,8 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     """Score rows, handing those the router flags to the secondary expert.
 
     ``x`` holds the rows the experts read, or raw rows that ``scaler``
-    (anything with ``transform(rows)``) maps to them. Per block of
-    gbdt._BLOCK_ROWS rows: a finite check before scaling (which would clip
+    (anything with ``transform(rows)``) maps to them. Per row block of
+    ``errors.row_blocks``: a finite check before scaling (which would clip
     an infinity into range), naming rows of the whole input, so the outcome
     never depends on whether the gate would have routed a bad row; the
     scaling; the primary and the gate, each forest reading the scoring plan
@@ -158,8 +156,7 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     probs = np.empty(x.shape[0])
     routed = np.zeros(x.shape[0], dtype=bool)
     handed = []
-    for start in range(0, max(x.shape[0], 1), _BLOCK_ROWS):  # an empty input still checks
-        rows = slice(start, start + _BLOCK_ROWS)
+    for rows in row_blocks(max(x.shape[0], 1)):  # an empty input still checks
         block = x[rows]
         if not np.isfinite(block).all():
             require_finite_rows(x)

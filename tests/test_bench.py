@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmoe import bench, gbdt, hybrid
+from qmoe import bench, errors, hybrid
 from qmoe.bench import (
     TASK_SECONDS,
     RunConfig,
@@ -652,11 +652,11 @@ def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
     # One call over a pool spanning several prediction blocks scores every
     # row exactly as calls on uneven slices of it do.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
-    n_rows = 3 * gbdt._BLOCK_ROWS + 100
+    n_rows = 3 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=21)
     gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
     routing_gamma = float(np.quantile(gate, 0.95))
-    cuts = [0, 1, 700, gbdt._BLOCK_ROWS + 3, 2 * gbdt._BLOCK_ROWS, n_rows - 5, n_rows]
+    cuts = [0, 1, 700, errors._BLOCK_ROWS + 3, 2 * errors._BLOCK_ROWS, n_rows - 5, n_rows]
     for gamma in (1.0, routing_gamma):
         whole = pipeline_predict(pipeline, x, gamma)
         parts = [pipeline_predict(pipeline, x[a:b], gamma) for a, b in zip(cuts, cuts[1:])]
@@ -673,11 +673,11 @@ def test_pipeline_predict_is_batch_invariant_at_the_paper_shape(model_doc, tmp_p
     # rows to it, score every row as one call over the pool does.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     pipeline.combined.secondary = init_hybrid(HybridConfig(), np.random.default_rng(5))
-    n_rows = 3 * gbdt._BLOCK_ROWS + 100
+    n_rows = 3 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=23)
     gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
     gamma = float(np.quantile(gate, 0.9))
-    cuts = [0, 1, 3, 700, gbdt._BLOCK_ROWS + 3, 2 * gbdt._BLOCK_ROWS, n_rows - 1, n_rows]
+    cuts = [0, 1, 3, 700, errors._BLOCK_ROWS + 3, 2 * errors._BLOCK_ROWS, n_rows - 1, n_rows]
     whole = pipeline_predict(pipeline, x, gamma)
     assert whole.routed.sum() > 2 * hybrid._EVAL_CHUNK
     parts = [pipeline_predict(pipeline, x[a:b], gamma) for a, b in zip(cuts, cuts[1:])]
@@ -694,13 +694,13 @@ def test_pipeline_predict_equals_the_whole_pool_oracle_at_the_paper_shape(model_
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     combined = pipeline.combined
     combined.secondary = init_hybrid(HybridConfig(), np.random.default_rng(5))
-    n_rows = 16 * gbdt._BLOCK_ROWS + 100
+    n_rows = 16 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=22)
     xs = pipeline.scaler.transform(x)
     gate = combined.router.predict_proba(xs)
     gamma = float(np.quantile(gate, 0.99))
     routed = gate > gamma
-    assert np.unique(np.flatnonzero(routed) // gbdt._BLOCK_ROWS).size >= 2
+    assert np.unique(np.flatnonzero(routed) // errors._BLOCK_ROWS).size >= 2
     probs = apply_temperature(combined.primary_scaler, combined.primary.predict_proba(xs))
     probs[routed] = apply_temperature(combined.secondary_scaler,
                                       combined.secondary.predict_proba(xs[routed]))

@@ -287,6 +287,26 @@ def test_unreadable_data_path_exits_1(command, make, workspace, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def _below_a_file(tmp_path):
+    (tmp_path / "plain").write_text("")
+    return tmp_path / "plain" / "sub"
+
+
+@pytest.mark.parametrize("command, flag, make", [
+    ("train", "--model", lambda tmp_path: tmp_path / "no-such-dir" / "m.json"),
+    ("calibrate", "--out", lambda tmp_path: tmp_path / "no-such-dir" / "c.json"),
+    ("bench", "--out", _below_a_file),
+], ids=["train model", "calibrate out", "bench out below a file"])
+def test_unwritable_output_path_exits_1(command, flag, make, workspace, tmp_path, capsys):
+    path = str(make(tmp_path))
+    source = (["--model", workspace["model"]] if command == "calibrate"
+              else ["--config", workspace["config"]])
+    assert main([command, *source, "--data", workspace["csv"], flag, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and path in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_non_finite_row_exits_1(workspace, tmp_path, capsys):
     lines = open(workspace["csv"]).read().splitlines()
     fields = lines[4].split(",")  # data row 3, after the header line

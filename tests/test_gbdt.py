@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmoe import data, gbdt
+from qmoe import data, errors, gbdt
 from qmoe.errors import ConfigurationError, InputError
 from qmoe.gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
 from qmoe.neural import sigmoid
@@ -519,9 +519,9 @@ def test_early_stopping_over_several_validation_blocks():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(300, 3))
     y = (x[:, 0] + rng.normal(0, 0.3, 300) > 0).astype(float)
-    x_val = rng.normal(size=(2 * gbdt._BLOCK_ROWS + gbdt._BLOCK_ROWS // 2, 3))
+    x_val = rng.normal(size=(2 * errors._BLOCK_ROWS + errors._BLOCK_ROWS // 2, 3))
     y_val = (x_val[:, 0] + rng.normal(0, 0.3, len(x_val)) > 0).astype(float)
-    y_val[: gbdt._BLOCK_ROWS] = rng.random(gbdt._BLOCK_ROWS) < 0.5
+    y_val[: errors._BLOCK_ROWS] = rng.random(errors._BLOCK_ROWS) < 0.5
     params = GBDTParams(n_estimators=60, max_depth=3, early_stopping_rounds=4)
     model = assert_matches_reference(params, x, y, x_val, y_val)
     assert model.best_iteration is not None and len(model.trees) < 60
@@ -716,18 +716,18 @@ def test_zero_trees_and_zero_rows():
 def test_row_counts_around_one_chunk(offset):
     rng = np.random.default_rng(16 + offset)
     trees = [random_tree(rng, depth, 5, THRESHOLDS) for depth in (1, 3, 4, 5, 2)]
-    x = random_rows(rng, gbdt._BLOCK_ROWS + offset, 5, THRESHOLDS, nan_fraction=0.05)
+    x = random_rows(rng, errors._BLOCK_ROWS + offset, 5, THRESHOLDS, nan_fraction=0.05)
     assert_walks_match_reference(trees, x)
 
 
 def test_several_chunks_stay_chunk_sized():
     rng = np.random.default_rng(17)
     trees = [random_tree(rng, depth, 5, THRESHOLDS) for depth in (2, 3, 4) * 5]
-    x = random_rows(rng, 3 * gbdt._BLOCK_ROWS + 17, 5, THRESHOLDS, nan_fraction=0.05)
+    x = random_rows(rng, 3 * errors._BLOCK_ROWS + 17, 5, THRESHOLDS, nan_fraction=0.05)
     assert_walks_match_reference(trees, x)
     # No step holds an (all rows) table: each block is transposed and scored on its own.
     blocks = list(gbdt._row_blocks(x))
-    assert [xt.shape for _, xt in blocks] == [(5, gbdt._BLOCK_ROWS)] * 3 + [(5, 17)]
+    assert [xt.shape for _, xt in blocks] == [(5, errors._BLOCK_ROWS)] * 3 + [(5, 17)]
     for rows, xt in blocks:
         assert xt.flags.c_contiguous
         assert np.array_equal(xt, x[rows].T, equal_nan=True)
@@ -744,7 +744,7 @@ def test_scoring_memory_does_not_grow_with_the_blocks():
     model = GBDTModel(params=GBDTParams(), n_features=5, base_score=0.5, trees=trees)
 
     def peak_beyond_the_margin(n_blocks):
-        x = random_rows(rng, n_blocks * gbdt._BLOCK_ROWS, 5, THRESHOLDS, nan_fraction=0.05)
+        x = random_rows(rng, n_blocks * errors._BLOCK_ROWS, 5, THRESHOLDS, nan_fraction=0.05)
         gc.collect()
         gc.disable()
         tracemalloc.start()
@@ -756,7 +756,7 @@ def test_scoring_memory_does_not_grow_with_the_blocks():
             gc.enable()
 
     one_block = peak_beyond_the_margin(1)
-    assert peak_beyond_the_margin(4) <= one_block + 8 * gbdt._BLOCK_ROWS
+    assert peak_beyond_the_margin(4) <= one_block + 8 * errors._BLOCK_ROWS
 
 
 def test_fitted_models_predict_the_reference_margins():
@@ -776,7 +776,7 @@ def test_a_replaced_forest_scores_exactly_its_own_trees(monkeypatch):
     x = np.round(rng.normal(size=(400, 4)), 1)
     y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(0, 0.5, 400) > 0).astype(float)
     model = fit_gbdt(GBDTParams(n_estimators=30, max_depth=3, early_stopping_rounds=0), x, y)
-    probe = random_rows(rng, gbdt._BLOCK_ROWS + 50, 4, x[:5, 0], nan_fraction=0.1)
+    probe = random_rows(rng, errors._BLOCK_ROWS + 50, 4, x[:5, 0], nan_fraction=0.1)
     model.predict_margin(probe)
     scored = []
     select = gbdt._select

@@ -22,7 +22,7 @@ from test_gbdt import (  # noqa: E402
     random_tree,
 )
 
-from qmoe import gbdt  # noqa: E402
+from qmoe import errors, gbdt  # noqa: E402
 from qmoe.gbdt import GBDTModel, GBDTParams  # noqa: E402
 from qmoe.neural import sigmoid  # noqa: E402
 
@@ -80,7 +80,7 @@ def forest_cases(draw):
     depths = draw(st.lists(st.integers(0, 5), max_size=8))
     trees = [random_tree(rng, depth, n_features, thresholds) for depth in depths]
     # Small pools, and pools ending just short of, on or past a block boundary.
-    block = gbdt._BLOCK_ROWS
+    block = errors._BLOCK_ROWS
     n_rows = draw(st.integers(0, 40) | st.integers(block - 2, block + 2)
                   | st.integers(2 * block - 2, 2 * block + 40))
     x = random_rows(rng, n_rows, n_features, thresholds,
@@ -120,7 +120,7 @@ def gate_cases(draw):
                       n_features=n_features,
                       base_score=draw(st.sampled_from([-3.7, -1.25, 0.0, 2.0])),
                       degenerate=not trees, trees=trees)
-    block = gbdt._BLOCK_ROWS
+    block = errors._BLOCK_ROWS
     n_rows = draw(st.integers(0, 40) | st.integers(block - 2, block + 2)
                   | st.integers(2 * block - 2, 2 * block + 40))
     x = random_rows(rng, n_rows, n_features, thresholds,

@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from qmoe import gbdt
+from qmoe import errors
 from qmoe.calibration import TemperatureScaler, apply_temperature, fit_temperature
 from qmoe.errors import InputError
 from qmoe.gbdt import GBDTModel, GBDTParams, fit_gbdt, router_params
@@ -312,8 +312,8 @@ def test_non_finite_rows_are_named_across_blocks():
     # Serving checks one block at a time; the message still names rows of
     # the whole input, at every gamma.
     x, model = _routed_model(12)
-    rows = np.tile(x, (gbdt._BLOCK_ROWS // len(x) + 2, 1))
-    bad = [gbdt._BLOCK_ROWS + 3, gbdt._BLOCK_ROWS + 9]
+    rows = np.tile(x, (errors._BLOCK_ROWS // len(x) + 2, 1))
+    bad = [errors._BLOCK_ROWS + 3, errors._BLOCK_ROWS + 9]
     rows[bad[0], 0] = np.nan
     rows[bad[1], 1] = -np.inf
     for gamma in (1.0, 0.5):
@@ -323,7 +323,7 @@ def test_non_finite_rows_are_named_across_blocks():
 
 def test_each_forest_builds_its_plan_once_per_model(monkeypatch):
     x, fitted = _routed_model(13)
-    rows = np.tile(x, (2 * gbdt._BLOCK_ROWS // len(x) + 2, 1))  # three blocks
+    rows = np.tile(x, (2 * errors._BLOCK_ROWS // len(x) + 2, 1))  # three blocks
     # Copies hold no plan yet: _routed_model scored the primary and the secondary.
     model = replace(fitted, primary=replace(fitted.primary), router=replace(fitted.router),
                     secondary=replace(fitted.secondary))
