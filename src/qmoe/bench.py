@@ -42,7 +42,7 @@ from .data import (
     synthesize,
     undersample,
 )
-from .errors import ConfigurationError, InputError, ModelIOError, require_finite_rows
+from .errors import ConfigurationError, InputError, ModelIOError, require_finite_rows, row_blocks
 from .gbdt import GBDTParams, fit_gbdt, router_params
 from .hybrid import HybridConfig, fit_hybrid
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
@@ -76,15 +76,18 @@ __all__ = [
     "pipeline_predict",
     "save_model",
     "load_model",
+    "check_model_path",
+    "make_report_dir",
 ]
 
 SENTINEL_GAMMA = 1.0  # gate never opens; the built-in no-routing arm
 
 _MODEL_FORMAT = "qmoe-pipeline"
 _REPORT_FORMAT = "qmoe-report"
-# format -> (noun, version). Model version 3 holds the hybrid as its config
-# and one flat params list; reports are unchanged since version 2.
-_FORMATS = {_MODEL_FORMAT: ("model file", 3), _REPORT_FORMAT: ("report", 2)}
+# format -> (noun, version). Model version 4 holds the hybrid as its config
+# and the flat params predict_proba reads, without the training-only
+# decoder; reports are unchanged since version 2.
+_FORMATS = {_MODEL_FORMAT: ("model file", 4), _REPORT_FORMAT: ("report", 2)}
 
 
 @dataclass(frozen=True)
@@ -435,12 +438,17 @@ def report_to_dict(report: BenchReport) -> dict:
     return {**_header(_REPORT_FORMAT), **asdict(report)}
 
 
-def save_report(report: BenchReport, out_dir) -> None:
-    """Write report.json (NaN metrics as null) plus flat folds.csv / aggregates.csv exports."""
+def make_report_dir(out_dir) -> None:
+    """``out_dir`` and its parents; an OSError is a ModelIOError."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ModelIOError(f"cannot write {out_dir}: {exc}") from None
+
+
+def save_report(report: BenchReport, out_dir) -> None:
+    """Write report.json (NaN metrics as null) plus flat folds.csv / aggregates.csv exports."""
+    make_report_dir(out_dir)
     # A NaN metric goes through a JSON round trip as a NaN token and comes back None.
     doc = json.loads(json.dumps(report_to_dict(report)), parse_constant=lambda _: None)
     _write(os.path.join(out_dir, "report.json"), doc, indent=2, sort_keys=True)
@@ -477,8 +485,8 @@ def _write_csv(path, rows) -> None:
 
 
 # --- the file codec ---------------------------------------------------------
-# Model files and reports are {"format", "version", **asdict(body)}, with
-# arrays as lists, written by _write and read by _read. _build decodes each
+# Model files and reports are {"format", "version", **fields of the body},
+# with arrays as lists, written by _write and read by _read. _build decodes each
 # field by the type its dataclass declares, so the declarations are the
 # schema, and each class's own __post_init__ checks the fields together, as
 # it does for an object built in code. Float repr round-trips doubles, so a
@@ -491,12 +499,46 @@ def _header(fmt: str) -> dict:
     return {"format": fmt, "version": _FORMATS[fmt][1]}
 
 
+class _Rows(list):
+    """An array as json.dump sees a list: one stand-in item makes it non-empty
+    when the array is, and iterating it yields the array's values one row
+    block at a time, so the whole array is never one list of Python numbers.
+    json.dump always runs the Python encoder, which iterates a list; the C
+    encoder of an unindented json.dumps would read the stand-in instead."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        super().__init__([None] if len(array) else [])
+        self.array = array
+
+    def __iter__(self):
+        for rows in row_blocks(len(self.array)):
+            yield from self.array[rows].tolist()
+
+
+def _encodable(value):
+    """json.dump's ``default``: a dataclass as its fields, an array as _Rows."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    return _Rows(value)
+
+
 def _write(path, doc, **json_options) -> None:
-    """``doc`` as strict JSON at ``path``; nothing is written if it holds NaN or infinity."""
+    """``doc`` as strict JSON at ``path``: the bytes of ``json.dumps(doc,
+    allow_nan=False, **json_options)`` and a newline, with dataclasses as
+    their fields and arrays as lists. The text streams into a temp file that
+    then replaces ``path``; a fault, NaN included, leaves ``path`` as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        text = json.dumps(doc, allow_nan=False, **json_options)  # the C encoder, unless indented
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(doc, fh, allow_nan=False, default=_encodable, **json_options)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+            raise
     except (OSError, ValueError) as exc:
         raise ModelIOError(f"cannot write {path}: {exc}") from exc
 
@@ -614,9 +656,15 @@ def load_report(path) -> BenchReport:
     return _read(path, _REPORT_FORMAT, BenchReport)
 
 
+def check_model_path(path) -> None:
+    """ModelIOError unless ``path``'s directory exists, for a check before the work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ModelIOError(f"cannot write {path}: no directory {directory}")
+
+
 def save_model(pipeline: Pipeline, path) -> None:
-    _write(path, {**_header(_MODEL_FORMAT), **asdict(pipeline)},
-           default=lambda array: array.tolist())
+    _write(path, {**_header(_MODEL_FORMAT), **_encodable(pipeline)})
 
 
 def load_model(path) -> Pipeline:

@@ -14,7 +14,9 @@ Dataset resolution for train and bench: an explicit --data flag, then
 the config file's csv_path, then the QMOE_DATASET environment variable,
 then the built-in synthetic generator. evaluate and calibrate score a
 labeled file, so they read only --data, then QMOE_DATASET, and fail
-without either. Structured errors exit 1 with a message on stderr;
+without either. train, calibrate and bench check where they will write
+before any work: a model file's directory must exist, and bench creates
+its report directory. Structured errors exit 1 with a message on stderr;
 argparse handles usage errors with exit 2.
 """
 
@@ -32,6 +34,7 @@ from .bench import (
     TASK_SECONDS,
     Pipeline,
     RunConfig,
+    check_model_path,
     fit_calibration,
     fit_pipeline,
     latency_table,
@@ -39,6 +42,7 @@ from .bench import (
     load_dataset,
     load_model,
     load_report,
+    make_report_dir,
     pipeline_predict,
     run_cv,
     save_model,
@@ -80,6 +84,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    check_model_path(args.model)
     config = _resolve_config(args)
     x, y = load_dataset(config)
     record, pipeline = fit_pipeline(x, y, config)
@@ -118,8 +123,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _resolve_config(args)
-    report = run_cv(config)
     out_dir = args.out or "bench-out"
+    make_report_dir(out_dir)
+    report = run_cv(config)
     save_report(report, out_dir)
     agg = report.aggregates
     lines = [f"wrote report to {out_dir}"]
@@ -145,6 +151,7 @@ def _cmd_latency(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    check_model_path(args.out)
     pipeline = load_model(args.model)
     x, y = _load_labeled(args)
     require_finite_rows(x)  # before scaling, which would clip an infinity into range

@@ -20,10 +20,12 @@ values of the parameter-shift rule, from one reverse sweep per batch) with
 the batch-summed upstream weights. When recon_weight is exactly 1 the
 classification weight is exactly 0, so the circuit parameters' gradient is
 exactly zero and Adam never moves them: they stay bit-frozen rather than
-drifting by rounding. Every parameter lives in one float64 buffer,
-HybridModel.params, of which encoder, decoder, theta and head are views,
-and Adam updates that buffer in one elementwise pass: the bits of a
-per-array update.
+drifting by rounding. Training keeps every parameter in one float64
+buffer laid out [encoder | theta | head | decoder], of which the four
+parts are views, and Adam updates that buffer in one elementwise pass:
+the bits of a per-array update. A HybridModel holds a copy of the
+buffer's first n_params entries, the parts predict_proba reads, so a
+model (and a model file) carries no decoder.
 
 predict_proba scores rows in chunks of exactly _EVAL_CHUNK rows, padding
 the last with zero rows, so the encoder's and the circuit's GEMMs always
@@ -130,8 +132,9 @@ class HybridConfig:
 
     @property
     def n_params(self) -> int:
-        """The length of HybridModel.params: every weight, bias and circuit angle."""
-        sizes = [s.layer_sizes for s in (self.encoder_spec, self.decoder_spec, self.head_spec)]
+        """The length of HybridModel.params: the encoder's and the head's weights
+        and biases and the circuit angles. The training-only decoder is not counted."""
+        sizes = [s.layer_sizes for s in (self.encoder_spec, self.head_spec)]
         return self.ansatz.n_params + sum((a + 1) * b for s in sizes for a, b in zip(s, s[1:]))
 
     @property
@@ -141,21 +144,45 @@ class HybridConfig:
         return [0]
 
 
-def _pack(encoder, decoder, theta, head) -> np.ndarray:
-    """The one parameter order, flattened: encoder, decoder, theta, head."""
+def _pack(encoder, theta, head, decoder) -> np.ndarray:
+    """The one parameter order, flattened: encoder, theta, head, decoder. A
+    model's params are the first three, without the training-only decoder."""
     def arrays(layers):
         return [a for pair in layers for a in pair]
 
-    parts = arrays(encoder) + arrays(decoder) + [theta] + arrays(head)
+    parts = arrays(encoder) + [theta] + arrays(head) + arrays(decoder)
     return np.concatenate([np.ravel(a) for a in parts])
+
+
+def _views(config: HybridConfig, buffer: np.ndarray) -> tuple:
+    """(encoder, theta, head, decoder) as views of ``buffer`` in _pack's order,
+    each network a list of (weights (fan_out, fan_in), bias) pairs. The
+    decoder is [] when ``buffer`` ends at config.n_params, as a model's does."""
+    offset = 0
+
+    def view(*shape) -> np.ndarray:
+        nonlocal offset
+        offset += math.prod(shape)
+        return buffer[offset - math.prod(shape) : offset].reshape(shape)
+
+    def layers(spec: MLPSpec) -> list:
+        sizes = spec.layer_sizes
+        return [(view(fan_out, fan_in), view(fan_out))
+                for fan_in, fan_out in zip(sizes, sizes[1:])]
+
+    encoder = layers(config.encoder_spec)
+    theta = view(config.ansatz.n_params)
+    head = layers(config.head_spec)
+    return encoder, theta, head, layers(config.decoder_spec) if buffer.size > offset else []
 
 
 @dataclass
 class HybridModel:
-    """The fitted hybrid: its config and every parameter in one float64
-    buffer, ``params``, in _pack's order. encoder, decoder, theta and head
-    are views of ``params`` cut by the config's specs, so writing into
-    ``params`` moves every part at once. A model file holds the two fields.
+    """The fitted hybrid: its config and the parameters predict_proba reads,
+    in one float64 buffer, ``params``: encoder, theta and head in _pack's
+    order, each a view of ``params``, so writing into ``params`` moves every
+    part at once. The decoder shapes training only and is no part of a
+    model. A model file holds the two fields.
     """
 
     config: HybridConfig
@@ -167,22 +194,7 @@ class HybridModel:
         if self.params.shape != (cfg.n_params,):
             raise ConfigurationError(f"hybrid params has shape {self.params.shape}, the config "
                                      f"needs {cfg.n_params} parameters")
-        offset = 0
-
-        def view(*shape) -> np.ndarray:
-            nonlocal offset
-            offset += math.prod(shape)
-            return self.params[offset - math.prod(shape) : offset].reshape(shape)
-
-        def layers(spec: MLPSpec) -> list:  # (weights (fan_out, fan_in), bias) per layer
-            sizes = spec.layer_sizes
-            return [(view(fan_out, fan_in), view(fan_out))
-                    for fan_in, fan_out in zip(sizes, sizes[1:])]
-
-        self.encoder = layers(cfg.encoder_spec)
-        self.decoder = layers(cfg.decoder_spec)
-        self.theta = view(cfg.ansatz.n_params)
-        self.head = layers(cfg.head_spec)
+        self.encoder, self.theta, self.head, _ = _views(cfg, self.params)
 
     def predict_proba(self, x) -> np.ndarray:
         """Fraud probabilities; the decoder never runs here.
@@ -212,38 +224,58 @@ class HybridModel:
         return probs[:, 0]
 
 
-def init_hybrid(config: HybridConfig, rng: Optional[np.random.Generator] = None) -> HybridModel:
-    """Draw fresh parameters; circuit angles start uniform in (-pi, pi)."""
+class _Training:
+    """fit_hybrid's state: the training buffer, ``params``, laid out
+    [encoder | theta | head | decoder], and its four views."""
+
+    def __init__(self, config: HybridConfig, params: np.ndarray) -> None:
+        self.config, self.params = config, params
+        self.encoder, self.theta, self.head, self.decoder = _views(config, params)
+
+    def served(self) -> HybridModel:
+        """The model of the buffer's first config.n_params entries, copied."""
+        return HybridModel(self.config, self.params[: self.config.n_params])
+
+
+def _init_training(config: HybridConfig, rng: Optional[np.random.Generator] = None) -> _Training:
+    """Draw a fresh training buffer; circuit angles start uniform in (-pi, pi).
+    The draws run encoder, decoder, theta, head: a seed's values follow the
+    draw order, not the buffer's layout."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     encoder = init_mlp_params(config.encoder_spec, rng)
     decoder = init_mlp_params(config.decoder_spec, rng)
     theta = rng.uniform(-np.pi, np.pi, size=config.ansatz.n_params)
     head = init_mlp_params(config.head_spec, rng)
-    return HybridModel(config=config, params=_pack(encoder, decoder, theta, head))
+    return _Training(config, _pack(encoder, theta, head, decoder))
 
 
-def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
-    """Joint loss and its gradient, flat in ``model.params`` order, for one batch.
+def init_hybrid(config: HybridConfig, rng: Optional[np.random.Generator] = None) -> HybridModel:
+    """A fresh model: the served part of the buffer fit_hybrid starts from."""
+    return _init_training(config, rng).served()
+
+
+def _batch_gradients(training: _Training, x: np.ndarray, y: np.ndarray):
+    """Joint loss and its gradient, flat in ``training.params`` order, for one batch.
 
     The circuit runs once: batch_parameter_shift returns the expectations
     the head reads first, then their gradients, from one forward state.
     """
-    cfg = model.config
+    cfg = training.config
     lam = cfg.recon_weight
 
-    z, enc_acts = mlp_forward(cfg.encoder_spec, model.encoder, x)
+    z, enc_acts = mlp_forward(cfg.encoder_spec, training.encoder, x)
     tanh_z = np.tanh(z)
     angles = np.pi * tanh_z
 
     exps, d_theta_all, d_angle_all = batch_parameter_shift(
-        cfg.ansatz, model.theta, angles, cfg.measured_qubits
+        cfg.ansatz, training.theta, angles, cfg.measured_qubits
     )
-    head_out, head_acts = mlp_forward(cfg.head_spec, model.head, exps)
+    head_out, head_acts = mlp_forward(cfg.head_spec, training.head, exps)
     probs = head_out[:, 0]
     class_loss, class_grad = bce_loss(y, probs)
 
-    dec_out, dec_acts = mlp_forward(cfg.decoder_spec, model.decoder, z)
+    dec_out, dec_acts = mlp_forward(cfg.decoder_spec, training.decoder, z)
     legit = y == 0
     grad_xhat = np.zeros_like(dec_out)
     if legit.any():
@@ -254,14 +286,14 @@ def _batch_gradients(model: HybridModel, x: np.ndarray, y: np.ndarray):
     total = lam * recon_loss + (1.0 - lam) * class_loss
 
     head_grads, d_exps = mlp_backward(
-        cfg.head_spec, model.head, head_acts, ((1.0 - lam) * class_grad)[:, None]
+        cfg.head_spec, training.head, head_acts, ((1.0 - lam) * class_grad)[:, None]
     )
     theta_grad = np.einsum("bq,bpq->p", d_exps, d_theta_all)
     d_angles = np.einsum("bq,bnq->bn", d_exps, d_angle_all)
     dz = d_angles * np.pi * (1.0 - tanh_z * tanh_z)
-    dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, model.decoder, dec_acts, grad_xhat)
-    enc_grads, _ = mlp_backward(cfg.encoder_spec, model.encoder, enc_acts, dz + dz_recon)
-    return total, recon_loss, class_loss, _pack(enc_grads, dec_grads, theta_grad, head_grads)
+    dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, training.decoder, dec_acts, grad_xhat)
+    enc_grads, _ = mlp_backward(cfg.encoder_spec, training.encoder, enc_acts, dz + dz_recon)
+    return total, recon_loss, class_loss, _pack(enc_grads, theta_grad, head_grads, dec_grads)
 
 
 @dataclass
@@ -299,9 +331,10 @@ def _diverged(config: HybridConfig, epoch: int, why) -> ConfigurationError:
 def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
     """Train jointly; returns (model, report).
 
-    With a validation set, training stops once validation average
-    precision has not improved for `patience` epochs and the parameters
-    roll back to the best epoch's snapshot; the report keeps that epoch's
+    The model is served from the training buffer's first n_params entries:
+    the last epoch's, or with a validation set the model scored in the best
+    epoch. Training then stops once validation average precision has not
+    improved for `patience` epochs, and the report keeps the best epoch's
     validation probabilities. A non-finite epoch loss, or non-finite
     weights tripping a scoring check (validation scores included), raises
     a ConfigurationError naming the epoch and learning_rate.
@@ -314,12 +347,12 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
             raise InputError("validation labels need both classes for average precision")
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    model = init_hybrid(config, rng)
-    opt = adam_init(model.params, learning_rate=config.learning_rate)
+    training = _init_training(config, rng)
+    opt = adam_init(training.params, learning_rate=config.learning_rate)
 
     report = TrainReport()
     best_ap = -np.inf
-    best_snapshot = None
+    model = None  # the best epoch's served model, with a validation set
     n = x.shape[0]
     for epoch in range(config.epochs):
         tick = time.perf_counter()
@@ -329,13 +362,14 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
         try:
             for start in range(0, n, config.batch_size):
                 rows = order[start : start + config.batch_size]
-                total, recon, classification, grads = _batch_gradients(model, x[rows], y[rows])
-                optimizer_step(opt, model.params, grads)
+                total, recon, classification, grads = _batch_gradients(training, x[rows], y[rows])
+                optimizer_step(opt, training.params, grads)
                 total_sum += total * rows.size
                 recon_sum += recon * rows.size
                 class_sum += classification * rows.size
             if use_val:
-                val_probs = model.predict_proba(x_val)
+                served = training.served()
+                val_probs = served.predict_proba(x_val)
                 val_ap = average_precision(pr_curve(val_probs, y_val))
         except InputError as exc:  # the rows passed labeled_rows: the weights went bad
             raise _diverged(config, epoch, exc) from exc
@@ -355,7 +389,7 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
             if val_ap > best_ap:
                 best_ap = val_ap
                 report.best_epoch = epoch
-                best_snapshot = model.params.copy()
+                model = served
                 report.val_probs = val_probs
             elif epoch - report.best_epoch >= config.patience:
                 report.stopped_early = True
@@ -363,6 +397,4 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
         else:
             report.best_epoch = epoch
 
-    if best_snapshot is not None:
-        model.params[:] = best_snapshot
-    return model, report
+    return model if model is not None else training.served(), report

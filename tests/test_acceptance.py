@@ -24,7 +24,7 @@ from qmoe.bench import (
 from qmoe.calibration import TemperatureScaler, apply_temperature
 from qmoe.data import synthesize
 from qmoe.gbdt import GBDTParams
-from qmoe.hybrid import HybridConfig, _batch_gradients, init_hybrid
+from qmoe.hybrid import HybridConfig, _batch_gradients, _init_training
 from qmoe.metrics import auprc_trapezoid, average_precision, pr_curve
 from qmoe.moe import GAMMA_GRID, CombinedModel, combined_predict, router_targets
 from qmoe.neural import MLPSpec, bce_loss, init_mlp_params, mlp_backward, mlp_forward, mse_loss
@@ -260,11 +260,15 @@ def _chain_grad_error(h=1e-6):
         head_hidden=3, recon_weight=0.4, batch_size=8, epochs=1, seed=0,
     )
     rng = np.random.default_rng(99)
-    model = init_hybrid(cfg, rng)
+    model = _init_training(cfg, rng)
     x = rng.normal(size=(6, 4))
     y = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
     _, _, _, grads = _batch_gradients(model, x, y)
     flat = model.params  # every parameter array is a view of this buffer
+    # The loop below reaches every decoder parameter: the training buffer
+    # holds them after the model's cfg.n_params (decoder 2->5->4: 2*5+5 + 5*4+4).
+    assert flat.size == cfg.n_params + 39
+    assert all(np.shares_memory(a, flat) for pair in model.decoder for a in pair)
     worst = 0.0
     for i in range(flat.size):
         def at(v, i=i):

@@ -3,7 +3,7 @@
 import json
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -233,10 +233,11 @@ def test_report_file_is_strict_json_and_round_trips(one_class_report, tmp_path):
 
 def test_version_1_files_are_refused(model_doc, report, tmp_path):
     # Version 2 dropped GBDTParams.seed and RunConfig.out_dir and writes NaN as
-    # null; model files then moved on to version 3 (one hybrid params list).
+    # null; model files then moved on to version 3 (one hybrid params list)
+    # and 4 (no decoder in it).
     path = tmp_path / "model.json"
     path.write_text(json.dumps({**model_doc, "version": 1}))
-    with pytest.raises(ModelIOError, match="has version 1, this build reads 3"):
+    with pytest.raises(ModelIOError, match="has version 1, this build reads 4"):
         load_model(path)
     save_report(report, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
@@ -256,7 +257,9 @@ def test_each_loader_refuses_the_other_format(model_doc, report, tmp_path):
 
 
 def test_save_model_refuses_non_finite_numbers(model_doc, tmp_path):
-    # Before, the file was written and then refused by load_model.
+    # Before, the file was written and then refused by load_model. The writer
+    # streams, so a NaN found part way must leave no part-written file behind,
+    # and no temp file, and must leave a file already at the path as it was.
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_doc))
     pipeline = load_model(path)
@@ -264,7 +267,43 @@ def test_save_model_refuses_non_finite_numbers(model_doc, tmp_path):
     target = tmp_path / "nan-theta.json"
     with pytest.raises(ModelIOError, match=f"cannot write {target}"):
         save_model(pipeline, target)
-    assert not target.exists()
+    assert sorted(os.listdir(tmp_path)) == ["model.json"]  # no file, no temp file
+    before = path.read_bytes()
+    with pytest.raises(ModelIOError, match=f"cannot write {path}"):
+        save_model(pipeline, path)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+
+def test_written_files_are_the_json_text_of_their_document(model_doc, one_class_report,
+                                                           tmp_path):
+    # The writer streams the text; its bytes are those of one json.dumps call.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    save_model(pipeline, tmp_path / "model.json")
+    doc = {"format": "qmoe-pipeline", "version": 4, **asdict(pipeline)}
+    text = json.dumps(doc, allow_nan=False, default=lambda array: array.tolist())
+    assert (tmp_path / "model.json").read_text() == text + "\n"
+    save_report(one_class_report, tmp_path / "out")
+    # A NaN metric is written as null, as a JSON round trip of the report gives it.
+    doc = json.loads(json.dumps(report_to_dict(one_class_report)), parse_constant=lambda _: None)
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert (tmp_path / "out" / "report.json").read_text() == text + "\n"
+
+
+def test_save_model_holds_no_array_as_one_list(model_doc, tmp_path):
+    # The paper hybrid's 49,319 params as one list of Python floats take about
+    # 1.6 MB, and the file's text about 1 MB; the writer holds one row block.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    pipeline.combined.secondary = init_hybrid(HybridConfig(), np.random.default_rng(5))
+    assert pipeline.combined.secondary.params.size == 49_319
+    tracemalloc.start()
+    try:
+        save_model(pipeline, tmp_path / "paper.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(tmp_path / "paper.json") > 10**6
+    assert peak < 600_000
 
 
 def test_load_config_takes_any_subset(tmp_path):
@@ -315,7 +354,7 @@ def test_load_model_rejects_bad_files(tmp_path):
     with pytest.raises(ModelIOError, match="version"):
         load_model(wrong_version)
     truncated = tmp_path / "trunc.json"
-    truncated.write_text('{"format": "qmoe-pipeline", "version": 3, "scaler"')
+    truncated.write_text('{"format": "qmoe-pipeline", "version": 4, "scaler"')
     with pytest.raises(ModelIOError, match="cannot read"):
         load_model(truncated)
     deep = tmp_path / "deep.json"
@@ -323,7 +362,7 @@ def test_load_model_rejects_bad_files(tmp_path):
     with pytest.raises(ModelIOError, match="cannot read model file"):
         load_model(deep)
     malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"format": "qmoe-pipeline", "version": 3, "combined": {}}')
+    malformed.write_text('{"format": "qmoe-pipeline", "version": 4, "combined": {}}')
     with pytest.raises(ModelIOError, match="is malformed"):
         load_model(malformed)
 
@@ -463,8 +502,8 @@ def _in_params(part, value):
     return edit
 
 
-# Offsets in TINY_HYBRID's params: encoder (29->12->6->2) 452 values, decoder
-# (2->6->12->29) 479, theta 8, head (1->4->1) 13.
+# Offsets in TINY_HYBRID's params: encoder (29->12->6->2) 452 values, theta 8,
+# head (1->4->1) 13; the decoder is not in a model file.
 _NON_FINITE_PARAMS = r"secondary params must be finite, found {} at index {}$"
 
 
@@ -479,9 +518,9 @@ NON_FINITE_EDITS = {
     "hybrid bias": (_in_params(lambda m: m.encoder[1][1][0], float("nan")),
                     _NON_FINITE_PARAMS.format("nan", 12 * 29 + 12 + 6 * 12)),
     "hybrid head": (_in_params(lambda m: m.head[0][1][0], float("inf")),
-                    _NON_FINITE_PARAMS.format("inf", 452 + 479 + 8 + 4)),
+                    _NON_FINITE_PARAMS.format("inf", 452 + 8 + 4)),
     "theta": (_in_params(lambda m: m.theta[3], float("nan")),
-              _NON_FINITE_PARAMS.format("nan", 452 + 479 + 3)),
+              _NON_FINITE_PARAMS.format("nan", 452 + 3)),
     "scaler low": (_set(["scaler", "low", 5], float("nan")), "scaler low must be finite"),
     "scaler span": (_set(["scaler", "span", 0], float("inf")), "scaler span must be finite"),
     "tau_primary": (_set(["combined", "tau_primary"], float("nan")),
@@ -562,6 +601,23 @@ def test_model_file_key_order(model_doc):
     assert list(combined["secondary"]) == ["config", "params"]
     assert list(combined["primary_scaler"]) == temperature_keys
     assert list(combined["secondary_scaler"]) == temperature_keys
+
+
+def test_version_3_files_are_refused(model_doc, tmp_path):
+    # Version 3 held the decoder in the hybrid's params, between the encoder
+    # and theta; its params are longer than a version-4 config reads.
+    doc = json.loads(json.dumps(model_doc))
+    hybrid_doc = doc["combined"]["secondary"]
+    config = HybridConfig(**hybrid_doc["config"])
+    sizes = config.decoder_spec.layer_sizes
+    decoder = [0.0] * sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    encoder = config.n_params - config.ansatz.n_params - 13  # TINY_HYBRID's head: 13
+    params = hybrid_doc["params"]
+    hybrid_doc["params"] = params[:encoder] + decoder + params[encoder:]
+    path = tmp_path / "version-3.json"
+    path.write_text(json.dumps({**doc, "version": 3}))
+    with pytest.raises(ModelIOError, match="has version 3, this build reads 4"):
+        load_model(path)
 
 
 def test_only_a_hybrid_secondary_is_persisted(model_doc, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from qmoe.bench import RunConfig, fit_pipeline, load_model, pipeline_predict, save_model
 from qmoe.calibration import apply_temperature
+from qmoe import cli
 from qmoe.cli import ENV_DATASET, main
 from qmoe.data import load_csv, save_csv, synthesize
 from qmoe.errors import ModelIOError
@@ -292,12 +293,19 @@ def _below_a_file(tmp_path):
     return tmp_path / "plain" / "sub"
 
 
-@pytest.mark.parametrize("command, flag, make", [
-    ("train", "--model", lambda tmp_path: tmp_path / "no-such-dir" / "m.json"),
-    ("calibrate", "--out", lambda tmp_path: tmp_path / "no-such-dir" / "c.json"),
-    ("bench", "--out", _below_a_file),
-], ids=["train model", "calibrate out", "bench out below a file"])
-def test_unwritable_output_path_exits_1(command, flag, make, workspace, tmp_path, capsys):
+@pytest.mark.parametrize("command, flag, make, work", [
+    ("train", "--model", lambda tmp_path: tmp_path / "no-such-dir" / "m.json", "fit_pipeline"),
+    ("train", "--model", lambda tmp_path: _below_a_file(tmp_path) / "m.json", "fit_pipeline"),
+    ("calibrate", "--out", lambda tmp_path: tmp_path / "no-such-dir" / "c.json", "load_model"),
+    ("bench", "--out", _below_a_file, "run_cv"),
+], ids=["train model", "train model below a file", "calibrate out", "bench out below a file"])
+def test_unwritable_output_path_exits_1(command, flag, make, work, workspace, tmp_path, capsys,
+                                        monkeypatch):
+    # The path is checked before the work: before, the whole fit or CV ran first.
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, work, never)
     path = str(make(tmp_path))
     source = (["--model", workspace["model"]] if command == "calibrate"
               else ["--config", workspace["config"]])
@@ -346,26 +354,29 @@ def test_evaluate_non_finite_model_exits_1(workspace, tmp_path, capsys):
 
 def test_version_2_model_files_are_refused(workspace, tmp_path, capsys):
     # Version 2 wrote the hybrid behind a "kind" tag, as per-layer
-    # [weights, bias] lists and a separate theta; version 3 reads one params list.
+    # [weights, bias] lists and a separate theta; version 4 reads one params
+    # list without the decoder.
     hybrid = load_model(workspace["model"]).combined.secondary
     doc = json.loads(open(workspace["model"]).read())
 
     def layers(pairs):
         return [[w.tolist(), b.tolist()] for w, b in pairs]
 
+    sizes = hybrid.config.decoder_spec.layer_sizes
+    decoder = [(np.zeros((b, a)), np.zeros(b)) for a, b in zip(sizes, sizes[1:])]
     doc["version"] = 2
     doc["combined"]["secondary"] = {
         "kind": "hybrid", "config": doc["combined"]["secondary"]["config"],
-        "encoder": layers(hybrid.encoder), "decoder": layers(hybrid.decoder),
+        "encoder": layers(hybrid.encoder), "decoder": layers(decoder),
         "theta": hybrid.theta.tolist(), "head": layers(hybrid.head),
     }
     old = tmp_path / "version-2.json"
     old.write_text(json.dumps(doc))
-    with pytest.raises(ModelIOError, match="has version 2, this build reads 3"):
+    with pytest.raises(ModelIOError, match="has version 2, this build reads 4"):
         load_model(old)
     assert main(["evaluate", "--model", str(old), "--data", workspace["csv"]]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "has version 2, this build reads 3" in err
+    assert err.startswith("error: ") and "has version 2, this build reads 4" in err
     assert "Traceback" not in err
 
 

@@ -14,6 +14,7 @@ from qmoe.hybrid import (
     HybridConfig,
     HybridModel,
     _batch_gradients,
+    _init_training,
     _pack,
     fit_hybrid,
     init_hybrid,
@@ -23,19 +24,20 @@ from qmoe.neural import bce_loss, mlp_backward, mlp_forward, mse_loss
 from qmoe.qsim import MAX_QUBITS, batch_expectations, batch_parameter_shift
 
 
-def evaluate_loss(model, x, y):
-    """(total, recon, class) losses on a dataset, without touching params.
+def evaluate_loss(training, x, y):
+    """(total, recon, class) losses on a dataset, without touching the
+    training buffer.
 
     The finite-difference oracle for _batch_gradients: the same objective,
     built from forward passes only.
     """
-    cfg = model.config
-    probs = model._classify(x)
+    cfg = training.config
+    probs = training.served()._classify(x)
     class_loss, _ = bce_loss(y, probs)
     legit = y == 0
     if legit.any():
-        z, _ = mlp_forward(cfg.encoder_spec, model.encoder, x)
-        x_hat, _ = mlp_forward(cfg.decoder_spec, model.decoder, z)
+        z, _ = mlp_forward(cfg.encoder_spec, training.encoder, x)
+        x_hat, _ = mlp_forward(cfg.decoder_spec, training.decoder, z)
         recon_loss, _ = mse_loss(x[legit], x_hat[legit])
     else:
         recon_loss = 0.0
@@ -43,7 +45,7 @@ def evaluate_loss(model, x, y):
     return lam * recon_loss + (1.0 - lam) * class_loss, recon_loss, class_loss
 
 
-def reference_batch_gradients(model, x, y):
+def reference_batch_gradients(training, x, y):
     """The training step with two circuit passes, the byte oracle for _batch_gradients.
 
     batch_expectations gives the expectations for the loss, and the adjoint
@@ -51,15 +53,15 @@ def reference_batch_gradients(model, x, y):
     when the upstream circuit gradient is identically zero, as at
     recon_weight 1, and theta's gradient is then zeros.
     """
-    cfg = model.config
+    cfg = training.config
     lam = cfg.recon_weight
-    z, enc_acts = mlp_forward(cfg.encoder_spec, model.encoder, x)
+    z, enc_acts = mlp_forward(cfg.encoder_spec, training.encoder, x)
     tanh_z = np.tanh(z)
     angles = np.pi * tanh_z
-    exps = batch_expectations(cfg.ansatz, model.theta, angles, cfg.measured_qubits)
-    head_out, head_acts = mlp_forward(cfg.head_spec, model.head, exps)
+    exps = batch_expectations(cfg.ansatz, training.theta, angles, cfg.measured_qubits)
+    head_out, head_acts = mlp_forward(cfg.head_spec, training.head, exps)
     class_loss, class_grad = bce_loss(y, head_out[:, 0])
-    dec_out, dec_acts = mlp_forward(cfg.decoder_spec, model.decoder, z)
+    dec_out, dec_acts = mlp_forward(cfg.decoder_spec, training.decoder, z)
     legit = y == 0
     grad_xhat = np.zeros_like(dec_out)
     if legit.any():
@@ -69,29 +71,45 @@ def reference_batch_gradients(model, x, y):
         recon_loss = 0.0
     total = lam * recon_loss + (1.0 - lam) * class_loss
     head_grads, d_exps = mlp_backward(
-        cfg.head_spec, model.head, head_acts, ((1.0 - lam) * class_grad)[:, None]
+        cfg.head_spec, training.head, head_acts, ((1.0 - lam) * class_grad)[:, None]
     )
     if np.any(d_exps != 0.0):
         _, d_theta_all, d_angle_all = batch_parameter_shift(
-            cfg.ansatz, model.theta, angles, cfg.measured_qubits
+            cfg.ansatz, training.theta, angles, cfg.measured_qubits
         )
         theta_grad = np.einsum("bq,bpq->p", d_exps, d_theta_all)
         d_angles = np.einsum("bq,bnq->bn", d_exps, d_angle_all)
     else:
-        theta_grad = np.zeros_like(model.theta)
+        theta_grad = np.zeros_like(training.theta)
         d_angles = np.zeros_like(angles)
     dz = d_angles * np.pi * (1.0 - tanh_z * tanh_z)
-    dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, model.decoder, dec_acts, grad_xhat)
-    enc_grads, _ = mlp_backward(cfg.encoder_spec, model.encoder, enc_acts, dz + dz_recon)
-    return total, recon_loss, class_loss, _pack(enc_grads, dec_grads, theta_grad, head_grads)
+    dec_grads, dz_recon = mlp_backward(cfg.decoder_spec, training.decoder, dec_acts, grad_xhat)
+    enc_grads, _ = mlp_backward(cfg.encoder_spec, training.encoder, enc_acts, dz + dz_recon)
+    return total, recon_loss, class_loss, _pack(enc_grads, theta_grad, head_grads, dec_grads)
 
 
 def parts(model):
-    """Every parameter array in ``model.params`` order: views of that buffer."""
+    """Every parameter array in ``model.params`` order: views of that buffer.
+    A training buffer's decoder comes last; a model has none."""
     def arrays(layers):
         return [a for pair in layers for a in pair]
 
-    return arrays(model.encoder) + arrays(model.decoder) + [model.theta] + arrays(model.head)
+    decoder = arrays(model.decoder) if hasattr(model, "decoder") else []
+    return arrays(model.encoder) + [model.theta] + arrays(model.head) + decoder
+
+
+def last_training_buffer(monkeypatch):
+    """A list that gets each training state _batch_gradients is handed; after a
+    fit, its last entry holds the fit's final training buffer."""
+    seen = []
+    real = hybrid._batch_gradients
+
+    def recording(training, x, y):
+        seen.append(training)
+        return real(training, x, y)
+
+    monkeypatch.setattr(hybrid, "_batch_gradients", recording)
+    return seen
 
 
 def assert_close(fd, analytic):
@@ -146,18 +164,45 @@ def test_circuit_shape_is_checked_by_the_ansatz(field, value, tmp_path):
 
 def test_params_is_the_one_buffer_the_parts_view():
     cfg = HybridConfig(**TINY)
-    # encoder 4->3->2: 23, decoder 2->3->4: 25, theta 2 qubits x 1 layer x 2: 4, head 1->2->1: 7
-    assert cfg.n_params == 59
+    # encoder 4->3->2: 4*3+3 + 3*2+2 = 23, theta 2 qubits x 1 layer x 2: 4,
+    # head 1->2->1: 1*2+2 + 2*1+1 = 7; the decoder 2->3->4 (2*3+3 + 3*4+4 = 25)
+    # is in the training buffer only.
+    assert cfg.n_params == 23 + 4 + 7
     model = init_hybrid(cfg)
     assert model.params.shape == (cfg.n_params,)
+    assert not hasattr(model, "decoder")
     assert all(np.shares_memory(a, model.params) for a in parts(model))
     assert np.concatenate([a.ravel() for a in parts(model)]).tobytes() == model.params.tobytes()
+    training = _init_training(cfg)
+    assert training.params.shape == (cfg.n_params + 25,)
+    assert all(np.shares_memory(a, training.params) for a in parts(training))
+    assert (np.concatenate([a.ravel() for a in parts(training)]).tobytes()
+            == training.params.tobytes())
+    assert model.params.tobytes() == training.params[: cfg.n_params].tobytes()
     # A copy owns its buffer, as when the parts were fields.
     assert not np.shares_memory(replace(model).params, model.params)
+    assert not np.shares_memory(training.served().params, training.params)
     for wrong in (cfg.n_params - 1, cfg.n_params + 1):
         message = rf"params has shape \({wrong},\), the config needs {cfg.n_params} parameters"
         with pytest.raises(ConfigurationError, match=message):
             HybridModel(cfg, np.zeros(wrong))
+
+
+@pytest.mark.parametrize("with_validation", [False, True], ids=["training only", "validated"])
+def test_a_fit_serves_the_first_n_params_of_its_training_buffer(with_validation, monkeypatch):
+    # epochs=1 makes the last epoch the best with a validation set too.
+    seen = last_training_buffer(monkeypatch)
+    cfg = HybridConfig(seed=3, **{**TINY, "epochs": 1})
+    rng = np.random.default_rng(10)
+    x, y = rng.normal(size=(12, 4)), np.array([0.0, 1.0] * 6)
+    validation = (_X_VAL, _Y_VAL) if with_validation else ()
+    model, report = fit_hybrid(cfg, x, y, *validation)
+    buffer = seen[-1].params
+    assert buffer.size == cfg.n_params + 25  # the TINY decoder's 25 values
+    assert model.params.tobytes() == buffer[: cfg.n_params].tobytes()
+    assert not np.shares_memory(model.params, buffer)
+    if with_validation:
+        assert report.val_probs.tobytes() == model.predict_proba(_X_VAL).tobytes()
 
 
 def test_encoder_hidden_is_normalized_to_a_tuple():
@@ -174,7 +219,7 @@ def test_joint_gradients_match_finite_differences(all_qubits):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 4))
     y = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
-    model = init_hybrid(cfg)
+    model = _init_training(cfg)
     _, _, _, flat_grads = _batch_gradients(model, x, y)
     assert flat_grads.shape == model.params.shape
     arrays = parts(model)
@@ -208,7 +253,7 @@ def test_one_pass_step_equals_two_pass_reference_bytes(recon_weight, all_qubits,
     x = rng.normal(size=(9, 5))
     y = {"mixed": (np.arange(9) % 3 == 0).astype(float), "all legit": np.zeros(9),
          "all fraud": np.ones(9)}[labels]
-    model = init_hybrid(cfg)
+    model = _init_training(cfg)
     *losses, grads = _batch_gradients(model, x, y)
     *want_losses, want = reference_batch_gradients(model, x, y)
     assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
@@ -230,7 +275,7 @@ def test_step_runs_the_circuit_once(recon_weight, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(hybrid, name, counted(name))
-    model = init_hybrid(HybridConfig(**{**TINY, "recon_weight": recon_weight}, seed=2))
+    model = _init_training(HybridConfig(**{**TINY, "recon_weight": recon_weight}, seed=2))
     rng = np.random.default_rng(3)
     _batch_gradients(model, rng.normal(size=(6, 4)), np.array([0.0, 1.0] * 3))
     assert calls == {"batch_parameter_shift": 1, "batch_expectations": 0}
@@ -315,7 +360,8 @@ def test_recon_only_training_freezes_quantum_and_head():
     assert not np.array_equal(model.encoder[0][0], start.encoder[0][0])
 
 
-def test_class_only_training_freezes_decoder():
+def test_class_only_training_freezes_decoder(monkeypatch):
+    seen = last_training_buffer(monkeypatch)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(60, 4))
     y = (rng.random(60) < 0.4).astype(float)
@@ -324,9 +370,9 @@ def test_class_only_training_freezes_decoder():
         head_hidden=3, recon_weight=0.0, batch_size=16, epochs=3,
         learning_rate=0.01, seed=11,
     )
-    start = init_hybrid(cfg)
+    start = _init_training(cfg)
     model, _ = fit_hybrid(cfg, x, y)
-    for (w, b), (w0, b0) in zip(model.decoder, start.decoder):
+    for (w, b), (w0, b0) in zip(seen[-1].decoder, start.decoder):
         assert np.array_equal(w, w0) and np.array_equal(b, b0)
     assert not np.array_equal(model.theta, start.theta)
 
@@ -393,7 +439,7 @@ def test_predict_proba_is_batch_invariant_at_the_paper_shape():
 
 def test_reconstruction_ignores_fraud_rows():
     cfg = HybridConfig(seed=13, **TINY)
-    model = init_hybrid(cfg)
+    model = _init_training(cfg)
     rng = np.random.default_rng(14)
     x = rng.normal(size=(10, 4))
     y = np.r_[np.zeros(6), np.ones(4)]

@@ -12,8 +12,12 @@ train-paper primary and a 16k-row fit) and writes BENCH_gbdt.json,
 ``predict`` times ``GBDTModel.predict_margin`` on the serving forests and
 on dense depth-6 and depth-4 forests, and writes BENCH_predict.json,
 ``hybrid`` times ``mlp_forward`` plus ``mlp_backward`` on the paper
-encoder, one ``_batch_gradients`` step and ``HybridModel.predict_proba`` at
-the paper ``HybridConfig``, and writes BENCH_hybrid.json; ``serve`` times
+encoder, one ``_batch_gradients`` step on the training buffer and
+``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
+BENCH_hybrid.json; ``model`` times ``bench.save_model`` and
+``bench.load_model`` on the train-paper pipeline at seed 0 (fit once per
+interpreter, outside the timed calls), recording the model file's bytes,
+and writes BENCH_model.json; ``serve`` times
 ``data.load_csv`` on a 142,404-row ``save_csv`` file (written once,
 outside the timed calls) and whole-pool ``bench.pipeline_predict`` calls
 at gamma 1.0, 0.9 and 0.5 on the serve-paper shape (the train-paper
@@ -84,7 +88,8 @@ REPEATS = 7
 INVOCATIONS = 3  # fresh interpreters per side and kernel
 
 # The timer runs in a fresh interpreter: ``kernel`` is one table entry, and
-# the topic's set-up defines ``call`` from it.
+# the topic's set-up defines ``call`` from it. A set-up may also define
+# ``recorded``, a dict of figures the timer reports beside its samples.
 _TIMER = """
 import json, sys, time
 import numpy as np
@@ -102,7 +107,8 @@ tracemalloc.start()
 call()
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-print(json.dumps({{"samples": samples, "peak_bytes": peak}}))
+recorded = globals().get("recorded", {{}})
+print(json.dumps({{"samples": samples, "peak_bytes": peak, **recorded}}))
 """
 
 # One cold call per interpreter, for a kernel that owns the process: the
@@ -223,14 +229,18 @@ call = lambda: model.predict_margin(x)
         setup="""
 from qmoe import hybrid, neural
 cfg = hybrid.HybridConfig()
-model = hybrid.init_hybrid(cfg)
+if hasattr(hybrid, "_init_training"):  # a decoder-free model beside its training buffer
+    training = hybrid._init_training(cfg)
+    model = training.served()
+else:
+    training = model = hybrid.init_hybrid(cfg)
 x = rng.uniform(0.0, 1.0, size=(kernel["rows"], cfg.n_features))
 y = (np.arange(kernel["rows"]) % 2).astype(np.float64)
 upstream = rng.normal(size=(kernel["rows"], cfg.n_qubits))
 def mlp():
     _, acts = neural.mlp_forward(cfg.encoder_spec, model.encoder, x)
     neural.mlp_backward(cfg.encoder_spec, model.encoder, acts, upstream)
-call = {"mlp": mlp, "_batch_gradients": lambda: hybrid._batch_gradients(model, x, y),
+call = {"mlp": mlp, "_batch_gradients": lambda: hybrid._batch_gradients(training, x, y),
         "predict_proba": lambda: model.predict_proba(x)}[kernel["call"]]
 """,
     ),
@@ -306,6 +316,30 @@ call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
              "both sides run the same shapes. From 9 qubits the dense path loses on the "
              "training batch, where building U costs about L dense 2**n-square GEMMs per "
              "call whatever the batch size.",
+    ),
+    "model": Topic(
+        title="a model file holds only what serving reads: no training-only decoder in the "
+              "hybrid's params, and save_model streams the text into a temp file renamed "
+              "over the target, arrays one row block at a time",
+        # train-paper's pipeline (fit_pipeline at seed 0: 50k rows at fraud
+        # rate 0.01, one epoch of the paper hybrid), fit once per interpreter
+        # outside the timed calls; each side writes with its own save_model.
+        kernels=({"call": "save_model"}, {"call": "load_model"}),
+        setup="""
+import atexit, os, shutil, tempfile
+from qmoe import bench, data, hybrid
+x, y, _ = data.synthesize(50_000, 0.01, seed=0)
+config = bench.RunConfig(hybrid=hybrid.HybridConfig(epochs=1), seed=0)
+_, pipeline = bench.fit_pipeline(x, y, config)
+del x, y
+tmp = tempfile.mkdtemp()
+atexit.register(shutil.rmtree, tmp)
+path = os.path.join(tmp, "model.json")
+bench.save_model(pipeline, path)
+recorded = {"file_bytes": os.path.getsize(path)}
+call = {"save_model": lambda: bench.save_model(pipeline, path),
+        "load_model": lambda: bench.load_model(path)}[kernel["call"]]
+""",
     ),
     "synth": Topic(
         title="data.synthesize holds one table: the factor GEMM writes into it, the noise is "
