@@ -16,8 +16,9 @@ then the built-in synthetic generator. evaluate and calibrate score a
 labeled file, so they read only --data, then QMOE_DATASET, and fail
 without either. train, calibrate and bench check where they will write
 before any work: a model file's directory must exist, and bench creates
-its report directory. Structured errors exit 1 with a message on stderr;
-argparse handles usage errors with exit 2.
+its report directory. Structured errors exit 1 with a message on stderr,
+as does running out of memory, named with the command; argparse handles
+usage errors with exit 2.
 """
 
 from __future__ import annotations
@@ -242,6 +243,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except QmoeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: qmoe {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 1
 
 

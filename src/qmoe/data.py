@@ -176,10 +176,13 @@ class MinMaxScaler:
     low: np.ndarray
     span: np.ndarray
 
-    def transform(self, x) -> np.ndarray:
+    def transform(self, x, out=None) -> np.ndarray:
+        """The scaled rows, written into ``out`` (any array of x's shape, a
+        transposed view included) when given."""
         x = feature_rows(x, self.low.shape[0])
         safe_span = np.where(self.span > 0, self.span, 1.0)
-        out = x - self.low  # one buffer: no whole-array temporaries
+        out = np.empty_like(x) if out is None else out  # one buffer: no whole-array temporaries
+        np.subtract(x.T, self.low[:, None], out=out.T)  # column-wise: fast into a transpose too
         out /= safe_span
         out[:, self.span == 0] = 0.0
         return np.clip(out, 0.0, 1.0, out=out)

@@ -27,42 +27,48 @@ mass cannot give two children min_child_weight each is not searched (Ke et
 al., NeurIPS 2017), and a round's training margins add learning_rate *
 value[leaf] for the leaf the builder recorded for each row.
 
-Prediction tests every split independently of the path a row takes, the
-idea of QuickScorer (Lucchese et al., SIGIR 2015), and combines the tests
-by nested selects rather than QuickScorer's leaf bitvectors. Each block of
-rows is transposed once to (features, rows); a tree's splits are taken
-last to first, children sitting after their parent, and a split's value
-is np.where(x[feature] <= threshold, left, right), a leaf's its scalar. A
-row on a threshold goes left, a NaN right. A forest thus costs O(internal
-nodes x rows) in contiguous compares and selects, against O(depth x trees
-x rows) in gathers for a level-by-level walk of every tree at once (Asadi,
-Lin & de Vries, IEEE TKDE 2014); dense deep trees narrow the gap. The
+Prediction tests every split independently of the path a row takes and
+lets the outcomes index the exit leaf, as QuickScorer does (Lucchese et
+al., SIGIR 2015), with a small code per subtree for its leaf bitvectors.
+_score reads a block of rows as (features, rows); _margin transposes each
+row block to that (a view when the rows are already such a transpose, as
+combined_predict hands them). Each maximal subtree of at most 8 splits,
+the bits of a uint8, is a leaf-code group: each split's contiguous compare
+x[feature] <= threshold sets one bit of a per-row code, which indexes the
+group's table of 2^k leaf values. A split above the groups, in a tree of
+more than 8 splits, takes np.where(x[feature] <= threshold, left, right)
+over its children's values, children first. A row on a threshold goes
+left; a NaN fails every compare and goes right. A forest thus costs
+O(splits x rows) in contiguous compares and bit operations plus a take per
+group, against O(depth x trees x rows) in gathers for a level-by-level
+walk of every tree at once (Asadi, Lin & de Vries, IEEE TKDE 2014). The
 margin adds the trees' values, each leaf value first multiplied by the
-learning rate, in boosting order: the same bits as adding one round at a
-time. The split lists, the scaled leaves and the bounds below make the
-model's scoring plan, built on its first scoring and kept (rebuilding it
-per block cost about a millisecond a forest). It is a cached property, not
-a field, so a model file never holds it. fit_gbdt builds a model once its
-trees are final and nothing mutates them after, so a plan never goes
-stale; other trees make another model (dataclasses.replace), which checks
-them as every model does when it is built.
+learning rate and selected, never computed, in boosting order: the same
+bits as adding one round at a time. The groups' tables (at most 256
+entries), the split lists, the scaled leaves and the bounds below make the
+model's scoring plan, built on its first scoring and kept. It is a cached
+property, not a field, so a model file never holds it. fit_gbdt builds a
+model once its trees are final and nothing mutates them after, so a plan
+never goes stale; other trees make another model (dataclasses.replace),
+which checks them as every model does when it is built.
 
 A router only needs to know whether predict_proba(x) > gamma, so
 GBDTModel.proba_above answers that without finishing every row: the early
-exit of additive ensembles (Cambazoglu et al., WSDM 2010). It runs
-predict_margin's loop with a cut: every _CHECK_TREES trees the loop drops
-the rows whose margin so far, plus the largest scaled leaf of each tree
-still to come, falls below logit(gamma) less a slack; the block's columns
-are then compacted to the rows left. predict_margin is the same loop with
-no cut. The slack is _SLACK times the sum of three terms: the tree count
-times a bound on every partial margin (|base| plus each tree's largest
-absolute leaf), which covers the rounding of the remaining adds and of the
-bound itself; |logit(gamma)|, for the rounding of the logit; and
-1 / (1 - gamma), for the sigmoid's own rounding, which a margin gap must
-outweigh where the sigmoid is flat. A dropped row therefore could not have
-cleared gamma, and a row that stays gets predict_margin's adds in its
-order, so its sigmoid(margin) > gamma reads the same bits by construction.
-At gamma >= 1 nothing is scored, since a sigmoid never exceeds 1.
+exit of additive ensembles (Cambazoglu et al., WSDM 2010). It runs the
+block scorer predict_margin runs, with a cut: every _CHECK_TREES trees
+_score drops the rows whose margin so far, plus the largest scaled leaf of
+each tree still to come, falls below logit(gamma) less a slack; the
+block's columns are then compacted to the rows left, and the later trees'
+groups code only those. predict_margin passes no cut. The slack is _SLACK
+times the sum of three terms: the tree count times a bound on every
+partial margin (|base| plus each tree's largest absolute leaf), which
+covers the rounding of the remaining adds and of the bound itself;
+|logit(gamma)|, for the rounding of the logit; and 1 / (1 - gamma), for
+the sigmoid's own rounding, which a margin gap must outweigh where the
+sigmoid is flat. A dropped row therefore could not have cleared gamma, and
+a row that stays gets predict_margin's adds in its order, so its
+sigmoid(margin) > gamma reads the same bits by construction. At gamma >= 1
+nothing is scored, since a sigmoid never exceeds 1.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
 _PRIOR_EPS = 1e-6
 _CHECK_TREES = 8  # trees proba_above scores between two prunings of a block
 _SLACK = 2.0**-40  # relative slack of proba_above's cut; see the module docstring
+_GROUP_SPLITS = 8  # splits per leaf-code group: one bit each of a uint8 code
 
 
 @dataclass(frozen=True)
@@ -139,21 +146,45 @@ class Tree:
     value: np.ndarray
 
     def _plan(self, value: np.ndarray) -> tuple:
-        """``value`` as a list and the (node, feature, threshold, left, right) splits, last first."""
-        nodes = zip(range(self.feature.size), self.feature.tolist(), self.threshold.tolist(),
-                    self.left.tolist(), self.right.tolist())
-        splits = [node for node in nodes if node[1] >= 0]
-        splits.reverse()
-        return value.tolist(), splits
+        """``value`` as a list and the steps that score the tree, last node first:
+        ``(node, [(feature, threshold), ...], table)`` for each maximal subtree of
+        at most _GROUP_SPLITS splits, ``(node, feature, threshold, left, right)``
+        for each split above them. A group lists its splits root, left subtree,
+        right subtree, and split i of k sets bit k - 1 - i of the code; so a
+        split's table is its right child's once per code of the left's splits,
+        then each entry of its left child's once per code of the right's.
+        """
+        feature, left, right = (a.tolist() for a in (self.feature, self.left, self.right))
+        threshold, values = self.threshold.tolist(), value.tolist()
+        groups = [([], [v]) for v in values]  # (tests, table) per node; None above the groups
+        steps, roots = [], [0]  # roots: the nodes whose parent is above the groups
+        for node in reversed(range(len(feature))):  # children sit after their parent
+            if feature[node] < 0:
+                continue
+            lo, hi = groups[left[node]], groups[right[node]]
+            if lo and hi and 1 + len(lo[0]) + len(hi[0]) <= _GROUP_SPLITS:
+                groups[node] = ([(feature[node], threshold[node]), *lo[0], *hi[0]],
+                                hi[1] * len(lo[1]) + [v for v in lo[1] for _ in hi[1]])
+            else:
+                groups[node] = None
+                steps.append((node, feature[node], threshold[node], left[node], right[node]))
+                roots += left[node], right[node]
+        for root in roots:
+            if groups[root] and groups[root][0]:  # neither above the groups nor a leaf
+                tests, table = groups[root]
+                steps.append((root, tests, np.array(table)))
+        steps.sort(key=lambda step: -step[0])
+        return values, steps
 
 
-def _check_tree(tree: Tree, n_features: int, index: int) -> None:
-    """Reject node arrays that the compare-and-select scorer would index past or misread.
+def _check_tree(tree: Tree, n_features: int, index: int, max_depth: int) -> None:
+    """Reject node arrays that the scorer would index past or misread.
 
-    Children must sit after their parent, so the scorer, taking the splits
+    Children must sit after their parent, so the scorer, taking the nodes
     last first, has both children's values before it selects between them;
     a node is a leaf exactly when its feature is -1 and it has no children;
-    no node has two parents, as the scorer drops a value once it is read.
+    no node has two parents, as the scorer drops a value once it is read;
+    no split sits max_depth or more levels below the root, as no fit grows one.
     """
     size = tree.feature.shape[0]
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
@@ -183,26 +214,47 @@ def _check_tree(tree: Tree, n_features: int, index: int) -> None:
         node = int(np.flatnonzero(parents > 1)[0])
         raise ConfigurationError(
             f"tree {index}, node {node}: a node must have at most one parent")
+    level = np.zeros(1, dtype=np.int64)  # the nodes at depth 0, 1, ...
+    for _ in range(max_depth):
+        level = level[~leaf[level]]
+        level = np.concatenate([tree.left[level], tree.right[level]])
+    if not leaf[level].all():
+        node = int(level[~leaf[level]].min())
+        raise ConfigurationError(f"tree {index}, node {node}: a split at depth {max_depth} "
+                                 f"makes the tree deeper than max_depth {max_depth}")
 
 
 def _row_blocks(x: np.ndarray):
-    """Yield ``(rows, xt)`` per block of rows; ``xt`` is the block as (features, rows)."""
+    """Yield ``(rows, xt)`` per block of rows; ``xt`` is the block as (features, rows),
+    a view when ``x`` is itself the transpose of a C-contiguous block."""
     for rows in row_blocks(x.shape[0]):
-        yield rows, np.ascontiguousarray(x[rows].T, dtype=np.float64)
+        yield rows, np.ascontiguousarray(x[rows].T)
 
 
-def _select(plan: tuple, xt: np.ndarray):
+def _score_tree(plan: tuple, xt: np.ndarray):
     """One tree's value per column of ``xt``: a scalar for a lone leaf, else an array.
 
-    A split's children are filled in before it, so one compare and one
-    np.where give its value; the children's values are then dropped, which
-    keeps O(depth) block-sized arrays alive on a preorder tree.
+    A group's compares set one bit each of a uint8 code, which indexes its
+    table of leaf values; a split above the groups selects between its
+    children's values with np.where. Children come before their parent, and
+    their values are dropped once read, which keeps O(depth) arrays alive.
     """
-    slots, splits = plan
+    slots, steps = plan
     slots = slots.copy()
-    for node, feature, threshold, left, right in splits:
-        slots[node] = np.where(xt[feature] <= threshold, slots[left], slots[right])
-        slots[left] = slots[right] = None
+    for step in steps:
+        if len(step) == 3:
+            node, tests, table = step
+            code, bit = np.zeros(xt.shape[1], dtype=np.uint8), np.empty(xt.shape[1], dtype=bool)
+            bits = bit.view(np.uint8)
+            for feature, threshold in tests:
+                np.less_equal(xt[feature], threshold, out=bit)
+                code += code
+                code |= bits
+            slots[node] = table.take(code)
+        else:
+            node, feature, threshold, left, right = step
+            slots[node] = np.where(xt[feature] <= threshold, slots[left], slots[right])
+            slots[left] = slots[right] = None
     return slots[0]
 
 
@@ -217,7 +269,7 @@ class GBDTModel:
 
     def __post_init__(self) -> None:
         for index, tree in enumerate(self.trees):
-            _check_tree(tree, self.n_features, index)
+            _check_tree(tree, self.n_features, index, self.params.max_depth)
 
     @cached_property
     def _forest(self) -> tuple:
@@ -250,22 +302,28 @@ class GBDTModel:
     def _margin(self, x, cut: float) -> np.ndarray:
         """Each row's margin, or -inf for a row dropped once it could no longer reach ``cut``."""
         x = feature_rows(x, self.n_features)
-        margin = np.full(x.shape[0], -np.inf)
+        margin = np.empty(x.shape[0])
+        for rows, xt in _row_blocks(x):
+            margin[rows] = self._score(xt, cut)
+        return margin
+
+    def _score(self, xt: np.ndarray, cut: float) -> np.ndarray:
+        """``_margin`` of the columns of one (features, rows) block."""
         forest, reach, _ = self._forest
         checks = range(0, len(forest) if cut > -np.inf else 0, _CHECK_TREES)
-        for rows, xt in _row_blocks(x):
-            alive = np.arange(rows.start, rows.stop)
-            block = np.full(alive.size, self.base_score)
-            for k, tree in enumerate(forest):  # tree by tree, as the rounds were added
-                if k in checks:
-                    keep = block + reach[k] >= cut
-                    if not keep.all():
-                        alive, block = alive[keep], block[keep]
-                        if not alive.size:
-                            break
-                        xt = np.compress(keep, xt, axis=1)
-                block += _select(tree, xt)
-            margin[alive] = block
+        margin = np.full(xt.shape[1], -np.inf)
+        alive = np.arange(xt.shape[1])
+        block = np.full(alive.size, self.base_score)
+        for k, tree in enumerate(forest):  # tree by tree, as the rounds were added
+            if k in checks:
+                keep = block + reach[k] >= cut
+                if not keep.all():
+                    alive, block = alive[keep], block[keep]
+                    if not alive.size:
+                        break
+                    xt = np.compress(keep, xt, axis=1)
+            block += _score_tree(tree, xt)
+        margin[alive] = block
         return margin
 
 
@@ -415,9 +473,9 @@ def fit_gbdt(params: GBDTParams, x, y, x_val=None, y_val=None) -> GBDTModel:
         trees.append(tree)
         margin += params.learning_rate * tree.value[builder.leaf]
         if use_val:
-            plan = tree._plan(tree.value)
+            plan = tree._plan(tree.value * params.learning_rate)  # lr * v, as scoring adds
             for rows, xt in val_blocks:
-                val_margin[rows] += params.learning_rate * _select(plan, xt)
+                val_margin[rows] += _score_tree(plan, xt)
             loss = log_loss(y_val_arr, sigmoid(val_margin))
             if loss < best_loss:
                 best_loss = loss

@@ -21,8 +21,14 @@ gamma = 1.0, yet flags the rows router.predict_proba(x) > gamma would.
 fit_fold, which reads one gate at every gamma of its grid, scores the
 router in full once and compares that.
 
-Serving walks its input in row blocks of the forests' own size, so a call
-holds one scaled block and the outputs, never a scaled copy of the pool.
+Serving walks its input in row blocks of the forests' own size. A call
+keeps one (features, rows) workspace: each checked block is scaled
+straight into it, in the transposed layout the forests score (the
+scaler's elementwise expression gives the same bits in any layout), and
+the primary and the gate both read it, each tree by its leaf-code groups
+(see gbdt). So a call holds one scaled block and the outputs, never a
+scaled copy of the pool, and allocates nothing block-sized per block. The
+routed rows are gathered raw after the loop and scaled once, in place.
 The trees score row by row, so blocks keep their bits. The secondary
 scores in padded 512-row chunks, so it keeps them too; it gets every
 routed row of the call in one batch because one call pads the fewest
@@ -139,14 +145,16 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     """Score rows, handing those the router flags to the secondary expert.
 
     ``x`` holds the rows the experts read, or raw rows that ``scaler``
-    (anything with ``transform(rows)``) maps to them. Per row block of
-    ``errors.row_blocks``: a finite check before scaling (which would clip
-    an infinity into range), naming rows of the whole input, so the outcome
-    never depends on whether the gate would have routed a bad row; the
-    scaling; the primary and the gate, each forest reading the scoring plan
-    its model built on its first scoring and keeps. The secondary then
-    scores every routed row in one call; that sparsity is the whole point of
-    the gate. Hard labels apply the owning expert's threshold.
+    (anything with ``transform(rows, out=...)``, as data.MinMaxScaler) maps
+    to them. Per row block of ``errors.row_blocks``: a finite check before
+    scaling (which would clip an infinity into range), naming rows of the
+    whole input, so the outcome never depends on whether the gate would
+    have routed a bad row; the copy or scaling into the call's one
+    (features, rows) workspace; the primary and the gate on it, each forest
+    reading the scoring plan its model built on its first scoring and keeps.
+    The secondary then scores every routed row, gathered from ``x`` and
+    scaled once, in one call; that sparsity is the whole point of the gate.
+    Hard labels apply the owning expert's threshold.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
@@ -155,18 +163,26 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
         raise InputError(f"expected a 2-D array of rows, got shape {x.shape}")
     probs = np.empty(x.shape[0])
     routed = np.zeros(x.shape[0], dtype=bool)
-    handed = []
-    for rows in row_blocks(max(x.shape[0], 1)):  # an empty input still checks
+    blocks = list(row_blocks(max(x.shape[0], 1)))  # an empty input still checks
+    workspace = np.empty(x[blocks[0]].size)  # the first block is the largest
+    for rows in blocks:
         block = x[rows]
         if not np.isfinite(block).all():
             require_finite_rows(x)
-        if scaler is not None:
-            block = scaler.transform(block)
+        xt = workspace[: block.size].reshape(block.shape[::-1])  # (features, rows)
+        if scaler is None:
+            xt.T[...] = block
+        else:
+            scaler.transform(block, out=xt.T)
+        # Both forests read xt.T as rows, which their block loop transposes back to xt.
         probs[rows] = apply_temperature(model.primary_scaler,
-                                        model.primary.predict_proba(block))
-        routed[rows] = model.router.proba_above(block, gamma)  # a shut gate reads no tree
-        handed.append(block[routed[rows]])
-    return route_rows(model, probs, routed, np.concatenate(handed))
+                                        model.primary.predict_proba(xt.T))
+        routed[rows] = model.router.proba_above(xt.T, gamma)  # a shut gate reads no tree
+    del workspace, xt  # not held through the secondary's own peak
+    handed = x[routed]
+    if scaler is not None:
+        scaler.transform(handed, out=handed)  # the gathered copy is scaled in place
+    return route_rows(model, probs, routed, handed)
 
 
 def route_rows(model: CombinedModel, probs: np.ndarray, routed: np.ndarray,

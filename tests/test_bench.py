@@ -410,6 +410,24 @@ def test_load_model_rejects_cyclic_tree(model_doc, tmp_path):
         _load_edited(model_doc, edit, tmp_path)
 
 
+def chain(t, n_splits):
+    """Make ``t`` a chain of ``n_splits`` splits, each with a leaf on its right."""
+    n = 2 * n_splits + 1
+    t.update(feature=[0, -1] * n_splits + [-1], threshold=[0.5] * n, value=[0.0] * n,
+             left=[c for k in range(n_splits) for c in (2 * k + 2, -1)] + [-1],
+             right=[c for k in range(n_splits) for c in (2 * k + 1, -1)] + [-1])
+
+
+def test_load_model_rejects_a_tree_deeper_than_max_depth(model_doc, tmp_path):
+    # A chain of 10,000 splits loaded before, and scored one split at a time.
+    depth = model_doc["combined"]["primary"]["params"]["max_depth"]
+    _load_edited(model_doc, lambda t: chain(t, depth), tmp_path)
+    for n_splits in (depth + 1, 10_000):
+        with pytest.raises(ModelIOError, match=rf"tree \d+, node {2 * depth}: a split at depth "
+                                               rf"{depth} makes the tree deeper than max_depth"):
+            _load_edited(model_doc, lambda t: chain(t, n_splits), tmp_path)
+
+
 def test_load_model_rejects_shared_child(model_doc, tmp_path):
     # The scorer drops a node's value once a parent has read it, so a second
     # parent would read nothing.
@@ -773,6 +791,29 @@ def test_pipeline_predict_equals_the_whole_pool_oracle_at_the_paper_shape(model_
         got = getattr(out, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert peak < x.nbytes / 4
+
+
+@pytest.mark.parametrize("routed_share", [0.0, 0.01])
+def test_a_whole_pool_call_holds_a_few_blocks(model_doc, tmp_path, routed_share):
+    # Beyond its outputs (probs, the copy routing writes, labels and the
+    # routed mask), a call holds one scaled block and what one block's
+    # scoring needs; the transposed copies per forest and block are gone.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    x, _, _ = synthesize(8 * errors._BLOCK_ROWS, 0.05, seed=23)
+    gamma = 1.0
+    if routed_share:
+        gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
+        gamma = float(np.quantile(gate, 1.0 - routed_share))
+    pipeline_predict(pipeline, x[:10], gamma)  # each forest's plan is built before the trace
+    tracemalloc.start()
+    try:
+        out = pipeline_predict(pipeline, x, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.routed.any() == bool(routed_share)
+    block = errors._BLOCK_ROWS * x.shape[1] * x.itemsize
+    assert peak - 3 * out.probs.nbytes - out.routed.nbytes < 1.5 * block
 
 
 def test_pipeline_predict_rejects_non_finite_raw_rows(dataset, model_doc, tmp_path):

@@ -340,6 +340,35 @@ def test_evaluate_mis_shaped_hybrid_exits_1(workspace, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_evaluate_too_deep_model_exits_1(workspace, tmp_path, capsys):
+    # A hand-edited chain of 10,000 splits used to load and score.
+    doc = json.loads(open(workspace["model"]).read())
+    tree = doc["combined"]["primary"]["trees"][0]
+    n = 2 * 10_000 + 1
+    tree.update(feature=[0, -1] * 10_000 + [-1], threshold=[0.5] * n, value=[0.0] * n,
+                left=[c for k in range(10_000) for c in (2 * k + 2, -1)] + [-1],
+                right=[c for k in range(10_000) for c in (2 * k + 1, -1)] + [-1])
+    bad_model = tmp_path / "deep.json"
+    bad_model.write_text(json.dumps(doc))
+    assert main(["evaluate", "--model", str(bad_model), "--data", workspace["csv"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tree 0, node 6: a split at depth 3 makes" in err
+
+
+def test_out_of_memory_exits_1(workspace, monkeypatch, capsys):
+    # numpy raises a MemoryError subclass naming the allocation it could not
+    # make; the allocation is stubbed, so nothing asks for that memory.
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (137438953472,) "
+                          "and data type float64")
+
+    monkeypatch.setattr(np, "empty", refused)
+    assert main(["evaluate", "--model", workspace["model"], "--data", workspace["csv"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: qmoe evaluate ran out of memory: Unable to allocate 1.00 TiB")
+    assert "Traceback" not in err
+
+
 def test_evaluate_non_finite_model_exits_1(workspace, tmp_path, capsys):
     doc = json.loads(open(workspace["model"]).read())
     doc["combined"]["secondary"]["params"][0] = float("nan")

@@ -464,6 +464,22 @@ def test_minmax_transform_matches_the_expression_and_leaves_its_input():
     assert np.array_equal(x, before)
 
 
+@pytest.mark.parametrize("layout", ["rows", "transposed", "in place"])
+def test_minmax_transform_into_out_holds_the_same_bits(layout):
+    # Serving scales each block into the transpose of a (features, rows)
+    # workspace, and the routed rows into their own gathered copy.
+    rng = np.random.default_rng(7)
+    scaler = fit_minmax(np.c_[rng.normal(size=(40, 3)), np.full(40, 2.0)])
+    x = np.c_[rng.normal(0, 3, size=(200, 3)), rng.normal(size=200)]
+    x[::7, 1] = -0.0
+    want = scaler.transform(x)
+    out = {"rows": np.full(x.shape, np.nan), "transposed": np.full(x.shape[::-1], np.nan).T,
+           "in place": x.copy()}[layout]
+    got = scaler.transform(out if layout == "in place" else x, out=out)
+    assert got is out
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # load_csv sizes the table from a count of line ends; every line ending
 # Python's universal newlines split on must be counted.
 

@@ -349,6 +349,15 @@ def test_a_model_checks_its_trees():
                        match=r"^tree 1, node 0: children \(0, 2\) must lie after the node"):
         GBDTModel(params=GBDTParams(), n_features=2, base_score=0.0,
                   trees=[_stump(1), _stump(0)])
+    # A split below a split is depth 2: max_depth 2 takes it, 1 does not.
+    deep = Tree(feature=np.array([0, 1, -1, -1, -1]), threshold=np.zeros(5),
+                left=np.array([1, 3, -1, -1, -1]), right=np.array([2, 4, -1, -1, -1]),
+                value=np.zeros(5))
+    GBDTModel(params=GBDTParams(max_depth=2), n_features=2, base_score=0.0, trees=[deep])
+    with pytest.raises(ConfigurationError, match=r"^tree 1, node 1: a split at depth 1 makes "
+                                                 r"the tree deeper than max_depth 1$"):
+        GBDTModel(params=GBDTParams(max_depth=1), n_features=2, base_score=0.0,
+                  trees=[_stump(1), deep])
 
 
 def test_validation_errors():
@@ -569,7 +578,7 @@ def test_validation_labels_must_be_binary():
         fit_gbdt(GBDTParams(), np.eye(3), [0.0, 1.0, 0.0], np.eye(3), [0.0, 2.0, 1.0])
 
 
-# --- prediction: the compare-and-select scorer against a per-tree walker ---
+# --- prediction: the leaf-code scorer against a per-tree walker ---
 
 
 def reference_tree_predict(tree, x):
@@ -596,9 +605,20 @@ def tree_values(tree, x):
     A one-tree model at learning rate 1 over a base score of -0.0 returns
     the tree's values bit for bit: -0.0 + v and v * 1.0 are both v.
     """
-    model = GBDTModel(params=GBDTParams(learning_rate=1.0), n_features=x.shape[1],
-                      base_score=-0.0, trees=[tree])
+    model = GBDTModel(params=GBDTParams(learning_rate=1.0, max_depth=depth_of([tree])),
+                      n_features=x.shape[1], base_score=-0.0, trees=[tree])
     return model.predict_margin(x)
+
+
+def depth_of(trees):
+    """The max_depth a model of ``trees`` needs: its deepest split's level plus one, at least 1."""
+    deepest = 1
+    for tree in trees:
+        level = np.zeros(tree.feature.size, dtype=np.int64)
+        for node in np.flatnonzero(tree.feature >= 0):  # children sit after their parent
+            level[[tree.left[node], tree.right[node]]] = level[node] + 1
+        deepest = max(deepest, int(level.max()))
+    return deepest
 
 
 def reference_margin(model, x):
@@ -652,7 +672,7 @@ def assert_same_bytes(got, want):
 
 
 def assert_walks_match_reference(trees, x, learning_rate=0.1, base_score=-1.25):
-    model = GBDTModel(params=GBDTParams(learning_rate=learning_rate),
+    model = GBDTModel(params=GBDTParams(learning_rate=learning_rate, max_depth=depth_of(trees)),
                       n_features=x.shape[1], base_score=base_score, trees=trees)
     assert_same_bytes(model.predict_margin(x), reference_margin(model, x))
     for tree in trees:
@@ -667,6 +687,70 @@ def test_forest_of_mixed_depths_matches_reference():
     trees = [random_tree(rng, depth, 4, THRESHOLDS) for depth in (1, 2, 3, 4, 5) * 4]
     rng.shuffle(trees)
     assert_walks_match_reference(trees, random_rows(rng, 700, 4, THRESHOLDS))
+
+
+def tree_of_splits(rng, shape, n_features, thresholds):
+    """A valid tree in builder (preorder) layout: ``shape`` is a split count,
+    for a subtree whose splits fall left or right at random, "chain n" for n
+    splits each with a leaf on its right, "full d" for a full tree of depth
+    d, or a pair of shapes for a split over those two subtrees."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(shape):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.normal()))
+        if isinstance(shape, str):
+            kind, n = shape.split()
+            n = int(n)
+            shape = (0 if n == 0 else (f"{kind} {n - 1}", 0 if kind == "chain" else f"full {n - 1}"))
+        elif isinstance(shape, int) and shape:
+            below = int(rng.integers(shape))
+            shape = (below, shape - 1 - below)
+        if shape:
+            feature[node] = int(rng.integers(n_features))
+            threshold[node] = float(rng.choice(thresholds))
+            value[node] = 0.0
+            left[node] = build(shape[0])
+            right[node] = build(shape[1])
+        return node
+
+    build(shape)
+    return Tree(*(np.asarray(a, dtype=t) for a, t in zip(
+        (feature, threshold, left, right, value),
+        (np.int64, np.float64, np.int64, np.int64, np.float64))))
+
+
+@pytest.mark.parametrize("shape, above, groups", [
+    (8, 0, [8]),  # the widest group: the whole tree in one uint8 code
+    (9, 1, None),  # one split too many: the root selects between its children's groups
+    ((8, 9), 2, None),  # both sizes under one node
+    ("chain 8", 0, [8]),  # a group eight levels deep
+    ("chain 9", 1, [8]),
+    ("full 6", 7, [7] * 8),  # dense depth 6: 63 splits, a group under each depth-3 node
+    (0, 0, []),  # a lone leaf
+], ids=["8 splits", "9 splits", "8 and 9 under one node", "chain of 8", "chain of 9",
+        "dense depth 6", "lone leaf"])
+def test_leaf_code_groups_match_reference(shape, above, groups):
+    rng = np.random.default_rng(30)
+    tree = tree_of_splits(rng, shape, 4, THRESHOLDS)
+    _, steps = tree._plan(tree.value)
+    codes = [len(step[1]) for step in steps if len(step) == 3]
+    assert len(steps) - len(codes) == above
+    assert sum(codes) + above == int((tree.feature >= 0).sum())
+    assert max(codes, default=0) <= gbdt._GROUP_SPLITS
+    if groups is not None:
+        assert sorted(codes) == groups
+    # Rows on every threshold, NaN rows, a lone leaf beside the tree, and no rows.
+    x = np.concatenate([random_rows(rng, 600, 4, THRESHOLDS, nan_fraction=0.1),
+                        np.tile(THRESHOLDS[:, None], (1, 4)), np.full((3, 4), np.nan)])
+    lone = tree_of_splits(rng, 0, 4, THRESHOLDS)
+    for trees in ([tree], [lone, tree, tree, lone]):
+        assert_walks_match_reference(trees, x)
+        assert_walks_match_reference(trees, x[:0])
 
 
 def test_rows_on_a_threshold_go_left():
@@ -731,7 +815,7 @@ def test_several_chunks_stay_chunk_sized():
     for rows, xt in blocks:
         assert xt.flags.c_contiguous
         assert np.array_equal(xt, x[rows].T, equal_nan=True)
-        values = [gbdt._select(tree._plan(tree.value), xt) for tree in trees]
+        values = [gbdt._score_tree(tree._plan(tree.value), xt) for tree in trees]
         assert {v.shape for v in values} == {(xt.shape[1],)}
 
 
@@ -741,7 +825,7 @@ def test_scoring_memory_does_not_grow_with_the_blocks():
     # copy alive until the collector ran.
     rng = np.random.default_rng(19)
     trees = [random_tree(rng, depth, 5, THRESHOLDS) for depth in (2, 4, 6) * 4]
-    model = GBDTModel(params=GBDTParams(), n_features=5, base_score=0.5, trees=trees)
+    model = GBDTModel(params=GBDTParams(max_depth=6), n_features=5, base_score=0.5, trees=trees)
 
     def peak_beyond_the_margin(n_blocks):
         x = random_rows(rng, n_blocks * errors._BLOCK_ROWS, 5, THRESHOLDS, nan_fraction=0.05)
@@ -779,13 +863,13 @@ def test_a_replaced_forest_scores_exactly_its_own_trees(monkeypatch):
     probe = random_rows(rng, errors._BLOCK_ROWS + 50, 4, x[:5, 0], nan_fraction=0.1)
     model.predict_margin(probe)
     scored = []
-    select = gbdt._select
+    score_tree = gbdt._score_tree
 
     def counting(plan, xt):
         scored.append(xt.shape[1])
-        return select(plan, xt)
+        return score_tree(plan, xt)
 
-    monkeypatch.setattr(gbdt, "_select", counting)
+    monkeypatch.setattr(gbdt, "_score_tree", counting)
     for k in (0, 1, 7, 29):
         short = replace(model, trees=model.trees[:k])
         scored.clear()
@@ -815,13 +899,13 @@ def test_gate_equals_thresholded_proba_on_a_fitted_router():
 def test_gate_scores_only_rows_that_can_still_clear(monkeypatch):
     model, x = _fitted_router(np.random.default_rng(22))
     scored = []
-    select = gbdt._select
+    score_tree = gbdt._score_tree
 
     def counting(plan, xt):
         scored.append(xt.shape[1])
-        return select(plan, xt)
+        return score_tree(plan, xt)
 
-    monkeypatch.setattr(gbdt, "_select", counting)
+    monkeypatch.setattr(gbdt, "_score_tree", counting)
     assert not model.proba_above(x, 1.0).any()
     assert scored == []  # a sigmoid never exceeds 1: nothing is scored
     model.proba_above(x, 0.5)

@@ -9,6 +9,7 @@ import pytest
 
 from qmoe import errors
 from qmoe.calibration import TemperatureScaler, apply_temperature, fit_temperature
+from qmoe.data import MinMaxScaler
 from qmoe.errors import InputError
 from qmoe.gbdt import GBDTModel, GBDTParams, fit_gbdt, router_params
 from qmoe.moe import (
@@ -111,9 +112,10 @@ def test_router_with_no_corrections_never_routes():
     assert np.all(probs < min(GAMMA_GRID))
 
 
-def _fitted_pair(seed=0):
+def _fitted_pair(seed=0, scaler=None):
     """Primary that only sees feature 0, on data whose positives split
-    between a feature-0 signal and a feature-1 signal."""
+    between a feature-0 signal and a feature-1 signal; both fit on the rows
+    ``scaler`` maps the returned ones to, if given."""
     rng = np.random.default_rng(seed)
     n = 400
     y = (rng.random(n) < 0.3).astype(float)
@@ -123,8 +125,10 @@ def _fitted_pair(seed=0):
     x[easy, 0] += 2.0
     x[half, 0] -= 2.0  # these positives are invisible to feature 0
     x[half, 1] += 2.0
-    primary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2), x[:, :1].repeat(2, axis=1) * [1, 0], y)
-    secondary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2), x, y)
+    seen = x if scaler is None else scaler.transform(x)
+    primary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2),
+                       seen[:, :1].repeat(2, axis=1) * [1, 0], y)
+    secondary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2), seen, y)
     return x, y, primary, secondary
 
 
@@ -256,14 +260,14 @@ def _reference_predict(model, x, gamma):
     return probs, (probs > cut).astype(np.float64), routed
 
 
-def _routed_model(seed):
-    x, y, primary, secondary = _fitted_pair(seed=seed)
-    z = router_targets(y, primary.predict_proba(x), secondary.predict_proba(x), 0.5, 0.5)
-    scaler = fit_temperature(primary.predict_proba(x), y)
+def _routed_model(seed, scaler=None):
+    x, y, primary, secondary = _fitted_pair(seed, scaler)
+    seen = x if scaler is None else scaler.transform(x)
+    z = router_targets(y, primary.predict_proba(seen), secondary.predict_proba(seen), 0.5, 0.5)
     model = CombinedModel(
-        primary=primary, primary_scaler=scaler,
-        secondary=secondary, secondary_scaler=fit_temperature(secondary.predict_proba(x), y),
-        router=fit_router(x, z, router_params()), tau_primary=0.45, tau_secondary=0.55,
+        primary=primary, primary_scaler=fit_temperature(primary.predict_proba(seen), y),
+        secondary=secondary, secondary_scaler=fit_temperature(secondary.predict_proba(seen), y),
+        router=fit_router(seen, z, router_params()), tau_primary=0.45, tau_secondary=0.55,
     )
     return x, model
 
@@ -349,3 +353,38 @@ def test_each_forest_builds_its_plan_once_per_model(monkeypatch):
     assert len(built) == 3
     monkeypatch.undo()
     assert np.array_equal(whole.probs, _reference_predict(model, rows, 0.5)[0])
+
+
+SCALER = MinMaxScaler(low=np.array([-0.5, -0.6]), span=np.array([3.0, 3.5]))  # clips some rows
+
+
+def _composed_predict(model, x, gamma, scaler):
+    """The experts' own calls in turn: the primary's predict_proba, the
+    router's proba_above, then the secondary on the routed rows."""
+    x = x if scaler is None else scaler.transform(x)
+    probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
+    routed = model.router.proba_above(x, gamma)
+    probs[routed] = apply_temperature(model.secondary_scaler,
+                                      model.secondary.predict_proba(x[routed]))
+    cut = np.where(routed, model.tau_secondary, model.tau_primary)
+    return probs, (probs > cut).astype(np.float64), routed
+
+
+@pytest.mark.parametrize("scaler", [None, SCALER], ids=["scaled rows", "raw rows"])
+@pytest.mark.parametrize("n_rows", [errors._BLOCK_ROWS - 1, errors._BLOCK_ROWS,
+                                    errors._BLOCK_ROWS + 1, 3 * errors._BLOCK_ROWS])
+def test_combined_predict_equals_the_experts_composed(scaler, n_rows):
+    # One workspace block serves the primary and the gate; the routed rows
+    # are gathered raw and scaled after the loop. Every gamma, with and
+    # without a scaler, at one block and one row either side, and at three,
+    # must give the bits of the experts called one after another.
+    x, model = _routed_model(12, scaler)
+    rng = np.random.default_rng(n_rows)
+    rows = x[rng.integers(len(x), size=n_rows)] + rng.normal(0.0, 0.05, size=(n_rows, 2))
+    for gamma in (0.5, 0.9, 1.0):
+        out = combined_predict(model, rows, gamma, scaler)
+        want = _composed_predict(model, rows, gamma, scaler)
+        for name, got, expected in zip(("probs", "labels", "routed"),
+                                       (out.probs, out.labels, out.routed), want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        assert out.routed.any() == (gamma < 1.0)

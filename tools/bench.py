@@ -10,7 +10,9 @@ The topic picks the kernel table: ``gbdt`` times ``gbdt.fit_gbdt`` (router
 fits at the cv-desk, train-paper and paper-fold analysis sizes, the
 train-paper primary and a 16k-row fit) and writes BENCH_gbdt.json,
 ``predict`` times ``GBDTModel.predict_margin`` on the serving forests and
-on dense depth-6 and depth-4 forests, and writes BENCH_predict.json,
+on dense depth-6 and depth-4 forests, and writes BENCH_predict.json;
+``codes`` times the ``predict`` kernels and the ``serve`` kernels, each
+with its own topic's set-up, and writes BENCH_codes.json;
 ``hybrid`` times ``mlp_forward`` plus ``mlp_backward`` on the paper
 encoder, one ``_batch_gradients`` step on the training buffer and
 ``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
@@ -78,6 +80,7 @@ import os
 import platform
 import subprocess
 import sys
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,9 +181,10 @@ call = lambda: gbdt.fit_gbdt(params, x, y, *val)
 """,
     ),
     "predict": Topic(
-        title="gbdt prediction: compare-and-select over transposed row blocks, one "
-              "contiguous compare and one np.where per split, replacing the "
-              "level-synchronous forest walk",
+        title="gbdt prediction: leaf-code groups over transposed row blocks, each maximal "
+              "subtree of at most 8 splits scored by one compare per split into a uint8 code "
+              "and one take from its table of leaf values, compare-and-select only above the "
+              "groups",
         # The serve-paper forests (the primary's 52 trees at depth 4 and the
         # router's 100 at depth 3) over its 142,404-row pool, and dense
         # forests fit on a balanced 7,000-row set: 50 trees at depth 6,
@@ -207,13 +211,14 @@ model = gbdt.fit_gbdt(params, fit_x, fit_y)
 assert len(model.trees) == kernel["trees"]
 call = lambda: model.predict_margin(x)
 """,
-        note="Dense trees favour the walk this replaces: the scorer pays one compare and one "
-             "select per split, so its time grows with the splits per tree, while the walk's "
-             "grew with the depth. The gain therefore shrinks as trees fill out: the dense "
-             "forests have about 20.2 splits per tree at depth 6 and 11.3 at depth 4, against "
-             "6.1 and 3.8 in the serve primary and router kernels (5.5 and 5.0 in the "
-             "serve-paper model), and a forest denser or deeper than the depth-6 one can "
-             "score slower than the walk did.",
+        note="The select this replaces, np.where(cond, leaf, leaf) on two scalar leaves, "
+             "branches on every row: on a balanced condition over an 8,192-row block it took "
+             "18-28 us against about 16 us with array operands and 2.4 us for the compare. A "
+             "group pays one compare, one add and one or per split, all contiguous, and one "
+             "take from its table. A tree of at most 8 splits is one group; a larger one keeps "
+             "a compare and an array-operand np.where per split above its groups: 2.6 such "
+             "splits and 3.6 groups per tree in the dense depth-6 forest (20.2 splits per "
+             "tree), 0.9 and 1.9 at depth 4 (11.3 splits).",
     ),
     "hybrid": Topic(
         title="hybrid training step: one circuit pass per step, the adjoint sweep "
@@ -229,11 +234,8 @@ call = lambda: model.predict_margin(x)
         setup="""
 from qmoe import hybrid, neural
 cfg = hybrid.HybridConfig()
-if hasattr(hybrid, "_init_training"):  # a decoder-free model beside its training buffer
-    training = hybrid._init_training(cfg)
-    model = training.served()
-else:
-    training = model = hybrid.init_hybrid(cfg)
+training = hybrid._init_training(cfg)
+model = training.served()
 x = rng.uniform(0.0, 1.0, size=(kernel["rows"], cfg.n_features))
 y = (np.arange(kernel["rows"]) % 2).astype(np.float64)
 upstream = rng.normal(size=(kernel["rows"], cfg.n_qubits))
@@ -374,6 +376,21 @@ else:
     ),
 }
 
+
+
+def _either(call: str, first: Topic, second: Topic) -> str:
+    """A set-up that runs ``first``'s for a kernel of ``call``, else ``second``'s."""
+    return (f"if kernel['call'] == {call!r}:{textwrap.indent(first.setup, '    ')}"
+            f"else:{textwrap.indent(second.setup, '    ')}")
+
+
+TOPICS["codes"] = Topic(
+    title="leaf-code forest scoring (see predict) over one scaled, transposed block: "
+          "combined_predict scales each block into one (features, rows) workspace that the "
+          "primary and the gate both read, and scales the routed rows once after the loop",
+    kernels=TOPICS["predict"].kernels + TOPICS["serve"].kernels,
+    setup=_either("predict_margin", TOPICS["predict"], TOPICS["serve"]),
+)
 
 def _quantile(ordered: list, frac: float) -> float:
     pos = frac * (len(ordered) - 1)
