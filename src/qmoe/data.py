@@ -170,7 +170,10 @@ class MinMaxScaler:
 
     Transform output is clipped, so feature values outside the fitted
     range (routine on held-out data) cannot leak past the unit box.
-    Constant columns map to 0.
+    Constant columns map to 0. Each column's map is monotone
+    non-decreasing: it subtracts a constant, divides by a positive one
+    (or maps to 0) and clips, and each step keeps the order of its inputs
+    under round-to-nearest. raw_thresholds relies on that.
     """
 
     low: np.ndarray
@@ -186,6 +189,45 @@ class MinMaxScaler:
         out /= safe_span
         out[:, self.span == 0] = 0.0
         return np.clip(out, 0.0, 1.0, out=out)
+
+    def raw_thresholds(self, features, thresholds) -> np.ndarray:
+        """Each split ``x[feature] <= threshold`` on scaled rows, as a threshold on raw ones.
+
+        For every finite ``x``, ``x <= r`` holds exactly when
+        ``transform(x)[feature] <= threshold``. As the map is monotone, ``r``
+        is the largest double whose transform is at most the threshold: +inf
+        when every finite value's is, -inf when none is. A 64-step bisection
+        over the doubles in order finds it for every split at once, each step
+        through ``transform`` itself on one probe row per split. Probes far
+        outside the fitted range overflow ``x - low``, which the clip maps
+        monotonically, so that warning is silenced for the probes only.
+        """
+        features = np.asarray(features, dtype=np.intp)
+        thresholds = np.asarray(thresholds, dtype=np.float64)
+        probe = np.zeros((features.size, self.low.shape[0]))
+        cells = (np.arange(features.size), features)
+
+        def goes_left(keys):
+            probe[cells] = _from_key(keys)
+            with np.errstate(over="ignore"):
+                return self.transform(probe, out=probe)[cells] <= thresholds
+
+        hi = np.full(features.size, np.uint64(0xFFEF_FFFF_FFFF_FFFF))  # the largest double
+        lo = ~hi  # the most negative double
+        every, some = goes_left(hi), goes_left(lo)
+        for _ in range(64):  # goes_left(lo) and not goes_left(hi) where some and not every
+            mid = lo + ((hi - lo) >> np.uint64(1))
+            left = goes_left(mid)
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        return np.where(every, np.inf, np.where(some, _from_key(lo), -np.inf))
+
+
+def _from_key(keys: np.ndarray) -> np.ndarray:
+    """The doubles whose order keys (unsigned, in the doubles' order) are ``keys``: a
+    key with the top bit set is a positive's bits with the sign bit set, any other
+    a negative's bits inverted."""
+    sign = np.uint64(1 << 63)
+    return np.where(keys >= sign, keys ^ sign, ~keys).view(np.float64)
 
 
 def fit_minmax(x, rows=None) -> MinMaxScaler:

@@ -29,8 +29,8 @@ value[leaf] for the leaf the builder recorded for each row.
 
 Prediction tests every split independently of the path a row takes and
 lets the outcomes index the exit leaf, as QuickScorer does (Lucchese et
-al., SIGIR 2015), with a small code per subtree for its leaf bitvectors.
-_score reads a block of rows as (features, rows); _margin transposes each
+al., SIGIR 2015), with a small code per subtree for its leaf bitvectors. A
+block of rows is scored as (features, rows); _row_blocks transposes each
 row block to that (a view when the rows are already such a transpose, as
 combined_predict hands them). Each maximal subtree of at most 8 splits,
 the bits of a uint8, is a leaf-code group: each split's contiguous compare
@@ -54,21 +54,27 @@ which checks them as every model does when it is built.
 
 A router only needs to know whether predict_proba(x) > gamma, so
 GBDTModel.proba_above answers that without finishing every row: the early
-exit of additive ensembles (Cambazoglu et al., WSDM 2010). It runs the
-block scorer predict_margin runs, with a cut: every _CHECK_TREES trees
-_score drops the rows whose margin so far, plus the largest scaled leaf of
-each tree still to come, falls below logit(gamma) less a slack; the
-block's columns are then compacted to the rows left, and the later trees'
-groups code only those. predict_margin passes no cut. The slack is _SLACK
-times the sum of three terms: the tree count times a bound on every
-partial margin (|base| plus each tree's largest absolute leaf), which
-covers the rounding of the remaining adds and of the bound itself;
-|logit(gamma)|, for the rounding of the logit; and 1 / (1 - gamma), for
-the sigmoid's own rounding, which a margin gap must outweigh where the
-sigmoid is flat. A dropped row therefore could not have cleared gamma, and
-a row that stays gets predict_margin's adds in its order, so its
-sigmoid(margin) > gamma reads the same bits by construction. At gamma >= 1
-nothing is scored, since a sigmoid never exceeds 1.
+exit of additive ensembles (Cambazoglu et al., WSDM 2010). Its _Gate
+scores each row block tree by tree, as predict_margin does, and every
+_CHECK_TREES trees marks dead the rows whose margin so far, plus the
+largest scaled leaf of each tree still to come, falls below logit(gamma)
+less a slack. Once at most half a block is alive, the block hands those
+rows' ids and margins to a pool and stops. After the last block the pool
+runs on in boosting order: it merges the rows each block handed over at a
+check when it reaches that check, prunes, and scores the trees up to the
+next check on batches of at most one block, gathered from the input. So
+the trees of a block's tail run on the survivors of every block at once,
+not a few hundred rows per call, and nothing is compacted per block. The
+slack is _SLACK times the sum of three terms: the tree count times a
+bound on every partial margin (|base| plus each tree's largest absolute
+leaf), which covers the rounding of the remaining adds and of the bound
+itself; |logit(gamma)|, for the rounding of the logit; and 1 / (1 -
+gamma), for the sigmoid's own rounding, which a margin gap must outweigh
+where the sigmoid is flat. A dead row therefore could not have cleared
+gamma, and a row that lives gets predict_margin's adds in its order, in
+its block or in the pool, so its sigmoid(margin) > gamma reads the same
+bits by construction. At gamma >= 1 nothing is scored, since a sigmoid
+never exceeds 1.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ from typing import Optional
 import numpy as np
 import numpy.typing as npt
 
-from .errors import ConfigurationError, feature_rows, labeled_rows, row_blocks
+from .errors import _BLOCK_ROWS, ConfigurationError, feature_rows, labeled_rows, row_blocks
 from .neural import log_loss, sigmoid
 
 __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
@@ -89,6 +95,7 @@ _PRIOR_EPS = 1e-6
 _CHECK_TREES = 8  # trees proba_above scores between two prunings of a block
 _SLACK = 2.0**-40  # relative slack of proba_above's cut; see the module docstring
 _GROUP_SPLITS = 8  # splits per leaf-code group: one bit each of a uint8 code
+_GATHER_ROWS = 256  # pooled rows gathered per step: 59 kB at 29 features, below mmap size
 
 
 @dataclass(frozen=True)
@@ -284,48 +291,80 @@ class GBDTModel:
                 abs(self.base_score) + sum(float(np.abs(leaf).max()) for leaf in leaves))
 
     def predict_margin(self, x) -> np.ndarray:
-        return self._margin(x, -np.inf)
+        x = feature_rows(x, self.n_features)
+        margin = np.empty(x.shape[0])
+        for rows, xt in _row_blocks(x):
+            margin[rows] = _add(self._forest[0], xt, np.full(xt.shape[1], self.base_score))
+        return margin
 
     def predict_proba(self, x) -> np.ndarray:
         return sigmoid(self.predict_margin(x))
 
     def proba_above(self, x, gamma: float) -> np.ndarray:
         """``predict_proba(x) > gamma`` bit for bit, each row scored only until it is settled."""
+        x = feature_rows(x, self.n_features)
         if gamma >= 1.0:
-            return np.zeros(feature_rows(x, self.n_features).shape[0], dtype=bool)
-        cut = -np.inf
+            return np.zeros(x.shape[0], dtype=bool)
+        gate = _Gate(self, x, gamma)
+        for rows, xt in _row_blocks(x):
+            gate.block(rows, xt)
+        return gate.finish(np.empty(x[:_BLOCK_ROWS].size))
+
+
+def _add(forest: list, xt: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """``margin`` plus the trees of ``forest`` (plans) on the columns of ``xt``, in order."""
+    for plan in forest:
+        margin += _score_tree(plan, xt)
+    return margin
+
+
+class _Gate:
+    """``proba_above(x, gamma)`` over the row blocks of one call: ``block`` settles a
+    block's rows or pools its survivors, and ``finish`` runs the pool on to the
+    last tree, gathering its rows from ``x`` (see the module docstring).
+    """
+
+    def __init__(self, model: GBDTModel, x: np.ndarray, gamma: float):
+        self.forest, self.reach, span = model._forest
+        self.cut = -np.inf
         if gamma > 0.0:
             cut = float(np.log(gamma) - np.log1p(-gamma))
-            cut -= _SLACK * (len(self.trees) * self._forest[2] + abs(cut) + 1.0 / (1.0 - gamma))
-        return sigmoid(self._margin(x, cut)) > gamma
+            self.cut = cut - _SLACK * (len(self.forest) * span + abs(cut) + 1.0 / (1.0 - gamma))
+        self.x, self.gamma, self.base = x, gamma, model.base_score
+        self.above = np.zeros(x.shape[0], dtype=bool)
+        self.pool: list = []  # (tree index, row ids, margins) per block handed over
 
-    def _margin(self, x, cut: float) -> np.ndarray:
-        """Each row's margin, or -inf for a row dropped once it could no longer reach ``cut``."""
-        x = feature_rows(x, self.n_features)
-        margin = np.empty(x.shape[0])
-        for rows, xt in _row_blocks(x):
-            margin[rows] = self._score(xt, cut)
-        return margin
+    def block(self, rows: slice, xt: np.ndarray) -> None:
+        """Settle the rows ``rows`` of ``x``, held as the columns of ``xt``, or pool them."""
+        margin = np.full(xt.shape[1], self.base)
+        alive = np.ones(xt.shape[1], dtype=bool)
+        for k in range(0, len(self.forest), _CHECK_TREES):
+            alive &= margin + self.reach[k] >= self.cut
+            if 2 * np.count_nonzero(alive) <= alive.size:
+                ids = np.flatnonzero(alive)
+                self.pool.append((k, ids + rows.start, margin[ids]))
+                return
+            _add(self.forest[k:k + _CHECK_TREES], xt, margin)
+        self.above[rows] = alive & (sigmoid(margin) > self.gamma)
 
-    def _score(self, xt: np.ndarray, cut: float) -> np.ndarray:
-        """``_margin`` of the columns of one (features, rows) block."""
-        forest, reach, _ = self._forest
-        checks = range(0, len(forest) if cut > -np.inf else 0, _CHECK_TREES)
-        margin = np.full(xt.shape[1], -np.inf)
-        alive = np.arange(xt.shape[1])
-        block = np.full(alive.size, self.base_score)
-        for k, tree in enumerate(forest):  # tree by tree, as the rounds were added
-            if k in checks:
-                keep = block + reach[k] >= cut
-                if not keep.all():
-                    alive, block = alive[keep], block[keep]
-                    if not alive.size:
-                        break
-                    xt = np.compress(keep, xt, axis=1)
-            block += _score_tree(tree, xt)
-        margin[alive] = block
-        return margin
-
+    def finish(self, buffer: np.ndarray) -> np.ndarray:
+        """The gate of every row, once the pooled rows have met every tree or the cut."""
+        ids, margin, width = np.empty(0, dtype=np.intp), np.empty(0), self.x.shape[1]
+        first = min((k for k, _, _ in self.pool), default=len(self.forest))
+        for k in range(first, len(self.forest), _CHECK_TREES):
+            handed = [(i, m) for at, i, m in self.pool if at == k]
+            ids = np.concatenate([ids, *(i for i, _ in handed)])
+            margin = np.concatenate([margin, *(m for _, m in handed)])
+            keep = margin + self.reach[k] >= self.cut
+            ids, margin = ids[keep], margin[keep]
+            for batch in row_blocks(ids.size):
+                part = ids[batch]
+                xt = buffer[: part.size * width].reshape(width, part.size)
+                for i in range(0, part.size, _GATHER_ROWS):
+                    xt[:, i:i + _GATHER_ROWS] = self.x[part[i:i + _GATHER_ROWS]].T
+                _add(self.forest[k:k + _CHECK_TREES], xt, margin[batch])
+        self.above[ids] = sigmoid(margin) > self.gamma
+        return self.above
 
 
 class _TreeBuilder:

@@ -61,7 +61,6 @@ __all__ = [
     "HybridModel",
     "EpochStats",
     "TrainReport",
-    "init_hybrid",
     "fit_hybrid",
 ]
 
@@ -248,11 +247,6 @@ def _init_training(config: HybridConfig, rng: Optional[np.random.Generator] = No
     theta = rng.uniform(-np.pi, np.pi, size=config.ansatz.n_params)
     head = init_mlp_params(config.head_spec, rng)
     return _Training(config, _pack(encoder, theta, head, decoder))
-
-
-def init_hybrid(config: HybridConfig, rng: Optional[np.random.Generator] = None) -> HybridModel:
-    """A fresh model: the served part of the buffer fit_hybrid starts from."""
-    return _init_training(config, rng).served()
 
 
 def _batch_gradients(training: _Training, x: np.ndarray, y: np.ndarray):

@@ -21,30 +21,35 @@ gamma = 1.0, yet flags the rows router.predict_proba(x) > gamma would.
 fit_fold, which reads one gate at every gamma of its grid, scores the
 router in full once and compares that.
 
-Serving walks its input in row blocks of the forests' own size. A call
-keeps one (features, rows) workspace: each checked block is scaled
-straight into it, in the transposed layout the forests score (the
-scaler's elementwise expression gives the same bits in any layout), and
-the primary and the gate both read it, each tree by its leaf-code groups
-(see gbdt). So a call holds one scaled block and the outputs, never a
-scaled copy of the pool, and allocates nothing block-sized per block. The
-routed rows are gathered raw after the loop and scaled once, in place.
-The trees score row by row, so blocks keep their bits. The secondary
-scores in padded 512-row chunks, so it keeps them too; it gets every
-routed row of the call in one batch because one call pads the fewest
-chunks. Each forest builds its scoring plan once, on its model's first
-scoring, and reads it in every later block and call.
+Serving walks its input in row blocks of the forests' own size. Given a
+data.MinMaxScaler, it first folds the scaler into both forests' split
+thresholds (MinMaxScaler.raw_thresholds): the map is monotone per column,
+so a raw threshold sends every finite raw row where the model sends its
+scaled row. The folded copies are built on the first call for a scaler
+and kept, never saved. A call keeps one (features, rows) workspace: each
+checked raw block is copied into it, in the transposed layout the forests
+score, and the primary and the gate's block phase both read it, each tree
+by its leaf-code groups (see gbdt). The rows the gate pools are gathered
+from the input into the same workspace once the blocks are done. So a call
+holds one block and the outputs, never a copy of the pool, and allocates
+nothing block-sized per block. The scaler touches only the routed rows,
+gathered raw after the loop and scaled once, in place. The trees score row
+by row, so blocks keep their bits. The secondary scores in padded 512-row
+chunks, so it keeps them too; it gets every routed row of the call in one
+batch because one call pads the fewest chunks. Each forest builds its
+scoring plan once, on its model's first scoring, and reads it in every
+later block and call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .calibration import TemperatureScaler, apply_temperature
 from .errors import ConfigurationError, InputError, binary_labels, require_finite_rows, row_blocks
-from .gbdt import GBDTModel, GBDTParams, fit_gbdt
+from .gbdt import GBDTModel, GBDTParams, _Gate, fit_gbdt
 from .hybrid import HybridModel
 from .metrics import pr_curve
 
@@ -144,45 +149,79 @@ class RoutedPrediction:
 def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> RoutedPrediction:
     """Score rows, handing those the router flags to the secondary expert.
 
-    ``x`` holds the rows the experts read, or raw rows that ``scaler``
-    (anything with ``transform(rows, out=...)``, as data.MinMaxScaler) maps
-    to them. Per row block of ``errors.row_blocks``: a finite check before
-    scaling (which would clip an infinity into range), naming rows of the
-    whole input, so the outcome never depends on whether the gate would
-    have routed a bad row; the copy or scaling into the call's one
-    (features, rows) workspace; the primary and the gate on it, each forest
-    reading the scoring plan its model built on its first scoring and keeps.
-    The secondary then scores every routed row, gathered from ``x`` and
-    scaled once, in one call; that sparsity is the whole point of the gate.
-    Hard labels apply the owning expert's threshold.
+    ``x`` holds the rows the experts read, or raw rows that ``scaler`` (a
+    data.MinMaxScaler) maps to them; then both forests read the raw rows
+    through folded thresholds (``_raw_forests``), and the scaler touches only
+    the routed rows. Per row block of ``errors.row_blocks``: a finite check
+    (scaling would clip an infinity into range), naming rows of the whole
+    input, so the outcome never depends on whether the gate would have
+    routed a bad row; the copy into the call's one (features, rows)
+    workspace; the primary and the gate's block phase on it (gbdt._Gate),
+    whose pooled rows are then gathered into the same workspace. The
+    secondary scores every routed row, gathered from ``x`` and scaled once,
+    in one call; that sparsity is the whole point of the gate. Hard labels
+    apply the owning expert's threshold.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InputError(f"expected a 2-D array of rows, got shape {x.shape}")
+    primary, router = model.primary, model.router
+    if scaler is not None:
+        primary, router = _raw_forests(model, scaler)
     probs = np.empty(x.shape[0])
-    routed = np.zeros(x.shape[0], dtype=bool)
     blocks = list(row_blocks(max(x.shape[0], 1)))  # an empty input still checks
     workspace = np.empty(x[blocks[0]].size)  # the first block is the largest
+    gate = _Gate(router, x, gamma) if gamma < 1.0 else None  # a shut gate reads no tree
     for rows in blocks:
         block = x[rows]
         if not np.isfinite(block).all():
             require_finite_rows(x)
         xt = workspace[: block.size].reshape(block.shape[::-1])  # (features, rows)
-        if scaler is None:
-            xt.T[...] = block
-        else:
-            scaler.transform(block, out=xt.T)
-        # Both forests read xt.T as rows, which their block loop transposes back to xt.
-        probs[rows] = apply_temperature(model.primary_scaler,
-                                        model.primary.predict_proba(xt.T))
-        routed[rows] = model.router.proba_above(xt.T, gamma)  # a shut gate reads no tree
+        xt.T[...] = block
+        # The primary reads xt.T as rows, which its block loop transposes back to xt.
+        probs[rows] = apply_temperature(model.primary_scaler, primary.predict_proba(xt.T))
+        if gate is not None:
+            gate.block(rows, xt)
+    routed = np.zeros(x.shape[0], dtype=bool) if gate is None else gate.finish(workspace)
     del workspace, xt  # not held through the secondary's own peak
     handed = x[routed]
     if scaler is not None:
         scaler.transform(handed, out=handed)  # the gathered copy is scaled in place
     return route_rows(model, probs, routed, handed)
+
+
+def _raw_forests(model: CombinedModel, scaler) -> tuple:
+    """The primary and the router as copies whose split thresholds read raw rows.
+
+    Each threshold is ``scaler.raw_thresholds`` of its split, so a copy
+    sends every finite raw row where the model sends its scaled row, and
+    scores it with the same bits. The copies are built on the first call
+    for a scaler and both forests, kept on ``model`` keyed by their
+    identity, and never saved: the codec writes a model's fields only.
+    """
+    if scaler.low.shape != (model.primary.n_features,):
+        raise InputError(f"the scaler reads {scaler.low.shape[0]} features, "
+                         f"the experts {model.primary.n_features}")
+    key = (scaler, model.primary, model.router)
+    cached = getattr(model, "_raw", None)
+    if cached is None or any(a is not b for a, b in zip(cached[0], key)):
+        cached = model._raw = key, tuple(_raw_forest(f, scaler) for f in key[1:])
+    return cached[1]
+
+
+def _raw_forest(forest: GBDTModel, scaler) -> GBDTModel:
+    """``forest`` with every split's threshold folded through ``scaler``, all at once."""
+    trees = forest.trees
+    if not trees:
+        return forest
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    split = feature >= 0
+    threshold[split] = scaler.raw_thresholds(feature[split], threshold[split])
+    parts = np.split(threshold, np.cumsum([tree.feature.size for tree in trees])[:-1])
+    return replace(forest, trees=[replace(t, threshold=p) for t, p in zip(trees, parts)])
 
 
 def route_rows(model: CombinedModel, probs: np.ndarray, routed: np.ndarray,

@@ -31,8 +31,9 @@ from qmoe.calibration import apply_temperature
 from qmoe.data import MinMaxScaler, split_eval, synthesize
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams, router_params
-from qmoe.hybrid import HybridConfig, HybridModel, init_hybrid
+from qmoe.hybrid import HybridConfig, HybridModel
 from qmoe.moe import GAMMA_GRID
+from test_hybrid import fresh_hybrid
 
 ARM_KEYS = {"aucpr", "ap", "precision", "recall", "routed_fraction", "latency_seconds"}
 
@@ -294,7 +295,7 @@ def test_save_model_holds_no_array_as_one_list(model_doc, tmp_path):
     # The paper hybrid's 49,319 params as one list of Python floats take about
     # 1.6 MB, and the file's text about 1 MB; the writer holds one row block.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
-    pipeline.combined.secondary = init_hybrid(HybridConfig(), np.random.default_rng(5))
+    pipeline.combined.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
     assert pipeline.combined.secondary.params.size == 49_319
     tracemalloc.start()
     try:
@@ -746,7 +747,7 @@ def test_pipeline_predict_is_batch_invariant_at_the_paper_shape(model_doc, tmp_p
     # the secondary: uneven slices, each routing a different number of
     # rows to it, score every row as one call over the pool does.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
-    pipeline.combined.secondary = init_hybrid(HybridConfig(), np.random.default_rng(5))
+    pipeline.combined.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
     n_rows = 3 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=23)
     gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
@@ -767,7 +768,7 @@ def test_pipeline_predict_equals_the_whole_pool_oracle_at_the_paper_shape(model_
     # whole-pool scoring does; and it must hold O(block) memory.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     combined = pipeline.combined
-    combined.secondary = init_hybrid(HybridConfig(), np.random.default_rng(5))
+    combined.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
     n_rows = 16 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=22)
     xs = pipeline.scaler.transform(x)
@@ -814,6 +815,18 @@ def test_a_whole_pool_call_holds_a_few_blocks(model_doc, tmp_path, routed_share)
     assert out.routed.any() == bool(routed_share)
     block = errors._BLOCK_ROWS * x.shape[1] * x.itemsize
     assert peak - 3 * out.probs.nbytes - out.routed.nbytes < 1.5 * block
+
+
+def test_serving_saves_nothing_of_the_folded_forests(model_doc, tmp_path):
+    # The raw-threshold copies are built on the first call and kept on the
+    # combined model, outside its fields: the model file keeps its bytes.
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    save_model(pipeline, tmp_path / "before.json")
+    x, _, _ = synthesize(1000, 0.05, seed=23)
+    pipeline_predict(pipeline, x, 0.5)
+    assert pipeline.combined._raw[0][0] is pipeline.scaler
+    save_model(pipeline, tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
 
 
 def test_pipeline_predict_rejects_non_finite_raw_rows(dataset, model_doc, tmp_path):

@@ -9,6 +9,7 @@ from qmoe.data import (
     CSV_HEADER,
     N_FEATURES,
     EvalSplit,
+    MinMaxScaler,
     fit_minmax,
     load_csv,
     save_csv,
@@ -478,6 +479,71 @@ def test_minmax_transform_into_out_holds_the_same_bits(layout):
     got = scaler.transform(out if layout == "in place" else x, out=out)
     assert got is out
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# A scaler with a zero-span column, a tiny and a huge span, and negative lows.
+FOLD_SCALER = MinMaxScaler(low=np.array([-3.0, 0.25, -2.5e-8, -1e300, 7.0]),
+                           span=np.array([0.0, 1e-300, 3e-9, 1.5e308, 2.5]))
+
+
+def _fold_cases(scaler, rng):
+    """(features, thresholds) over every column: thresholds below 0, at 0, at
+    scaled data values, at 1 and above it, and the floats beside 0 and 1."""
+    width = scaler.low.shape[0]
+    inside = scaler.low + scaler.span * rng.uniform(0.0, 1.0, size=(40, width))
+    data_values = scaler.transform(inside).T  # exact scaled data values per column
+    features, thresholds = [], []
+    for f in range(width):
+        values = [-2.0, -5e-324, 0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0, 1.0 + 2**-52, 3.5,
+                  *data_values[f]]
+        features += [f] * len(values)
+        thresholds += values
+    return np.array(features), np.array(thresholds)
+
+
+def _fold_probes(scaler, features, raw, rng):
+    """Raw values per split, as (splits, probes): at r, at the floats either side
+    of it, and random values inside, beyond and far beyond the fitted range.
+    Some overflow to infinity; the caller drops those."""
+    low, span = scaler.low[features], scaler.span[features]
+    with np.errstate(over="ignore"):
+        probes = [raw, np.nextafter(raw, -np.inf), np.nextafter(raw, np.inf),
+                  low - 0.5 * span, low + 1.5 * span, np.full(raw.shape, 1e308),
+                  np.full(raw.shape, -1e308), np.full(raw.shape, np.finfo(float).max), -raw]
+        for scale in (1.0, 1e3, 1e200):
+            probes.append(low + span * rng.uniform(-scale, scale, size=raw.shape))
+    return np.stack(probes, axis=1)
+
+
+@pytest.mark.parametrize("scaler", [FOLD_SCALER, None], ids=["edge spans", "fitted"])
+def test_raw_thresholds_send_every_finite_value_where_transform_does(scaler):
+    rng = np.random.default_rng(11)
+    if scaler is None:
+        scaler = fit_minmax(np.c_[rng.normal(0, 5, size=(300, 3)), np.full(300, -4.0)])
+    features, thresholds = _fold_cases(scaler, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes the probes
+        raw = scaler.raw_thresholds(features, thresholds)
+    assert raw.shape == thresholds.shape and not np.isnan(raw).any()
+    values = _fold_probes(scaler, features, raw, rng)
+    values = np.where(np.isfinite(values), values, 0.0)  # r itself may be +-inf
+    rows = np.zeros((values.size, scaler.low.shape[0]))
+    split = np.repeat(np.arange(features.size), values.shape[1])
+    rows[np.arange(values.size), features[split]] = values.ravel()
+    with np.errstate(over="ignore"):  # transform's own overflow at the far values
+        scaled = scaler.transform(rows)[np.arange(values.size), features[split]]
+    want = scaled <= thresholds[split]
+    got = values.ravel() <= raw[split]
+    assert np.array_equal(got, want), np.flatnonzero(got != want)[:5]
+    # A zero-span column scales every value to 0, so a split on it sends all left or none.
+    zero = scaler.span[features] == 0
+    assert np.array_equal(raw[zero], np.where(thresholds[zero] >= 0.0, np.inf, -np.inf))
+
+
+def test_raw_thresholds_of_a_nan_threshold_send_nothing_left():
+    raw = FOLD_SCALER.raw_thresholds([0, 4, 4], [np.nan, np.nan, np.inf])
+    assert np.array_equal(raw, [-np.inf, -np.inf, np.inf])
+    assert FOLD_SCALER.raw_thresholds([], []).shape == (0,)
 
 
 # load_csv sizes the table from a count of line ends; every line ending

@@ -939,3 +939,58 @@ def test_gate_keeps_rows_whose_margin_meets_the_bound():
         proba = sigmoid(reference_margin(model, x))
         for gamma in (proba[0], np.nextafter(proba[0], 0.0), np.nextafter(proba[0], 1.0)):
             assert np.array_equal(model.proba_above(x, gamma), proba > gamma), gamma
+
+
+def _staggered_gate_case(n_rows):
+    """A forest whose row blocks hand over to the gate's pool at different checks.
+
+    Feature 1 holds a row's kind c: tree j sends rows with c <= j // 8 to a
+    leaf of -10, so kind c drops at check 8 (c + 1), and kind 5 never does;
+    the others take +0.1 or -0.05 by feature 0. A block of kind b % 3 is
+    mostly kinds up to b % 3, so it keeps more than half its rows until check
+    8 (b % 3 + 1). A lone leaf sits among the trees.
+    """
+    trees = []
+    for j in range(40):
+        trees.append(Tree(feature=np.array([1, -1, 0, -1, -1]),
+                          threshold=np.array([j // 8 + 0.5, 0.0, 0.3 * (j % 5) - 0.6, 0.0, 0.0]),
+                          left=np.array([1, -1, 3, -1, -1]), right=np.array([2, -1, 4, -1, -1]),
+                          value=np.array([0.0, -10.0, 0.0, 0.1, -0.05])))
+    trees.insert(20, Tree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
+                          right=np.array([-1]), value=np.array([0.05])))
+    model = GBDTModel(params=GBDTParams(learning_rate=1.0, max_depth=2), n_features=2,
+                      base_score=0.0, trees=trees)
+    kind = []
+    for i in range(n_rows):
+        cuts = ([0.8], [0.3, 0.6], [0.2, 0.4, 0.6])[i // errors._BLOCK_ROWS % 3]
+        c = int(np.searchsorted(cuts, i % errors._BLOCK_ROWS / errors._BLOCK_ROWS, "right"))
+        kind.append(5.0 if c == len(cuts) else c)
+    x = np.c_[np.random.default_rng(n_rows).normal(size=n_rows), kind]
+    return model, x
+
+
+@pytest.mark.parametrize("n_rows", [0, errors._BLOCK_ROWS - 1, errors._BLOCK_ROWS,
+                                    errors._BLOCK_ROWS + 1, 3 * errors._BLOCK_ROWS])
+def test_pooled_gate_equals_thresholded_proba(n_rows):
+    model, x = _staggered_gate_case(n_rows)
+    proba = model.predict_proba(x)
+    for gamma in (1e-3, 0.5, 0.9, np.nextafter(1.0, 0.0), 1.0):
+        for rows in (x, np.asfortranarray(x)):  # the pool gathers from either layout
+            above = model.proba_above(rows, gamma)
+            want = proba > gamma
+            assert above.dtype == want.dtype and above.tobytes() == want.tobytes(), gamma
+    assert model.proba_above(x, 0.5).any() == bool(n_rows)
+
+
+def test_the_gate_pool_merges_blocks_handed_over_at_different_checks():
+    model, x = _staggered_gate_case(3 * errors._BLOCK_ROWS + 100)
+    gate = gbdt._Gate(model, x, 0.5)
+    for rows, xt in gbdt._row_blocks(x):
+        gate.block(rows, xt)
+    # Blocks of kind 0, 1 and 2 hand over at checks 8, 16 and 24; the last
+    # 100 rows, all kind 0, at 8.
+    assert [k for k, _, _ in gate.pool] == [8, 16, 24, 8]
+    assert all(2 * ids.size <= errors._BLOCK_ROWS for _, ids, _ in gate.pool)
+    above = gate.finish(np.empty(x[: errors._BLOCK_ROWS].size))
+    assert np.array_equal(above, model.predict_proba(x) > 0.5)
+    assert above[gate.pool[2][1]].any()  # rows that joined the pool last still clear

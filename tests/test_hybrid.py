@@ -17,11 +17,16 @@ from qmoe.hybrid import (
     _init_training,
     _pack,
     fit_hybrid,
-    init_hybrid,
 )
 from qmoe.metrics import average_precision, pr_curve
 from qmoe.neural import bce_loss, mlp_backward, mlp_forward, mse_loss
 from qmoe.qsim import MAX_QUBITS, batch_expectations, batch_parameter_shift
+
+
+def fresh_hybrid(config, rng=None):
+    """An untrained model: the served part of the buffer fit_hybrid starts from,
+    drawn as fit_hybrid draws it."""
+    return _init_training(config, rng).served()
 
 
 def evaluate_loss(training, x, y):
@@ -168,7 +173,7 @@ def test_params_is_the_one_buffer_the_parts_view():
     # head 1->2->1: 1*2+2 + 2*1+1 = 7; the decoder 2->3->4 (2*3+3 + 3*4+4 = 25)
     # is in the training buffer only.
     assert cfg.n_params == 23 + 4 + 7
-    model = init_hybrid(cfg)
+    model = fresh_hybrid(cfg)
     assert model.params.shape == (cfg.n_params,)
     assert not hasattr(model, "decoder")
     assert all(np.shares_memory(a, model.params) for a in parts(model))
@@ -352,7 +357,7 @@ def test_recon_only_training_freezes_quantum_and_head():
         head_hidden=3, recon_weight=1.0, batch_size=16, epochs=3,
         learning_rate=0.01, seed=11,
     )
-    start = init_hybrid(cfg)
+    start = fresh_hybrid(cfg)
     model, _ = fit_hybrid(cfg, x, y)
     assert np.array_equal(model.theta, start.theta)
     for (w, b), (w0, b0) in zip(model.head, start.head):
@@ -413,7 +418,7 @@ def test_golden_regression_run():
 
 def test_predict_proba_matches_piecewise_evaluation():
     cfg = HybridConfig(seed=4, **TINY)
-    model = init_hybrid(cfg)
+    model = fresh_hybrid(cfg)
     rng = np.random.default_rng(8)
     x = rng.normal(size=(600, 4))  # spans two eval chunks
     whole = model.predict_proba(x)
@@ -427,7 +432,7 @@ def test_predict_proba_is_batch_invariant_at_the_paper_shape():
     # The paper's 6-qubit hybrid scores padded fixed-size chunks, so uneven
     # slices of a pool, down to single rows, give the whole call's bits.
     cfg = HybridConfig()
-    model = init_hybrid(cfg, np.random.default_rng(5))
+    model = fresh_hybrid(cfg, np.random.default_rng(5))
     x = np.random.default_rng(6).uniform(size=(3000, cfg.n_features))
     whole = model.predict_proba(x)
     cuts = [0, 1, 3, 700, 1000, 1003, 2999, 3000]
@@ -471,7 +476,7 @@ def test_epoch_stats_shape():
 
 def test_input_validation():
     cfg = HybridConfig(seed=1, **TINY)
-    model = init_hybrid(cfg)
+    model = fresh_hybrid(cfg)
     with pytest.raises(InputError):
         model.predict_proba(np.zeros((3, 7)))
     with pytest.raises(InputError):

@@ -356,6 +356,8 @@ def test_each_forest_builds_its_plan_once_per_model(monkeypatch):
 
 
 SCALER = MinMaxScaler(low=np.array([-0.5, -0.6]), span=np.array([3.0, 3.5]))  # clips some rows
+# Serves models fit under SCALER: every feature-0 split then sends all rows one way.
+ZERO_SPAN = MinMaxScaler(low=SCALER.low, span=np.array([0.0, 3.5]))
 
 
 def _composed_predict(model, x, gamma, scaler):
@@ -370,17 +372,39 @@ def _composed_predict(model, x, gamma, scaler):
     return probs, (probs > cut).astype(np.float64), routed
 
 
-@pytest.mark.parametrize("scaler", [None, SCALER], ids=["scaled rows", "raw rows"])
+def _edge_rows(model, scaler, rng):
+    """Raw rows on each folded threshold of the primary and the router, on the
+    floats either side of it, and far beyond the fitted range."""
+    splits = [(f, t) for forest in (model.primary, model.router) for tree in forest.trees
+              for f, t in zip(tree.feature, tree.threshold) if f >= 0]
+    features, thresholds = np.array(splits).T
+    features = features.astype(int)
+    raw = scaler.raw_thresholds(features, thresholds)
+    values = np.concatenate([raw, np.nextafter(raw, -np.inf), np.nextafter(raw, np.inf),
+                             rng.choice([-1e300, -50.0, 40.0, 1e300], size=raw.size)])
+    rows = rng.normal(0.5, 2.0, size=(values.size, 2))
+    rows[np.arange(values.size), np.tile(features, 4)] = values
+    return rows[np.isfinite(rows).all(axis=1)]
+
+
+@pytest.mark.parametrize("scalers", [(None, None), (SCALER, SCALER), (SCALER, ZERO_SPAN)],
+                         ids=["scaled rows", "raw rows", "zero span"])
 @pytest.mark.parametrize("n_rows", [errors._BLOCK_ROWS - 1, errors._BLOCK_ROWS,
                                     errors._BLOCK_ROWS + 1, 3 * errors._BLOCK_ROWS])
-def test_combined_predict_equals_the_experts_composed(scaler, n_rows):
-    # One workspace block serves the primary and the gate; the routed rows
-    # are gathered raw and scaled after the loop. Every gamma, with and
-    # without a scaler, at one block and one row either side, and at three,
-    # must give the bits of the experts called one after another.
-    x, model = _routed_model(12, scaler)
+def test_combined_predict_equals_the_experts_composed(scalers, n_rows):
+    # One workspace block serves the primary and the gate, whose pooled rows
+    # are gathered into it after the loop; with a scaler both forests read
+    # the raw rows through folded thresholds and only the routed rows are
+    # scaled. Every gamma, at one block and one row either side, and at
+    # three, with rows on every folded threshold and beyond the fitted
+    # range, must give the bits of the experts called one after another.
+    fit_scaler, scaler = scalers
+    x, model = _routed_model(12, fit_scaler)
     rng = np.random.default_rng(n_rows)
     rows = x[rng.integers(len(x), size=n_rows)] + rng.normal(0.0, 0.05, size=(n_rows, 2))
+    if scaler is not None:
+        edges = _edge_rows(model, scaler, rng)
+        rows[rng.choice(n_rows, size=min(n_rows, len(edges)), replace=False)] = edges[:n_rows]
     for gamma in (0.5, 0.9, 1.0):
         out = combined_predict(model, rows, gamma, scaler)
         want = _composed_predict(model, rows, gamma, scaler)
@@ -388,3 +412,35 @@ def test_combined_predict_equals_the_experts_composed(scaler, n_rows):
                                        (out.probs, out.labels, out.routed), want):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
         assert out.routed.any() == (gamma < 1.0)
+
+
+def test_raw_forests_are_built_once_per_scaler_and_pair_of_forests(monkeypatch):
+    x, model = _routed_model(12, SCALER)
+    folded = []
+    fold = MinMaxScaler.raw_thresholds
+
+    def counting(self, features, thresholds):
+        folded.append(id(self))
+        return fold(self, features, thresholds)
+
+    monkeypatch.setattr(MinMaxScaler, "raw_thresholds", counting)
+    first = combined_predict(model, x, 0.5, SCALER)
+    for gamma in (1.0, 0.5):
+        combined_predict(model, x, gamma, SCALER)
+    assert folded == [id(SCALER)] * 2  # each forest once, on the first call
+    equal = MinMaxScaler(low=SCALER.low.copy(), span=SCALER.span.copy())  # not the same one
+    again = combined_predict(model, x, 0.5, equal)
+    assert folded == [id(SCALER)] * 2 + [id(equal)] * 2
+    assert again.probs.tobytes() == first.probs.tobytes()
+    model.router = replace(model.router)  # a new forest is folded afresh
+    combined_predict(model, x, 0.5, equal)
+    assert len(folded) == 6
+    assert not hasattr(replace(model), "_raw")  # copies of the model hold no folded forests
+
+
+def test_a_scaler_of_another_width_is_an_input_error():
+    x, model = _routed_model(12, SCALER)
+    wide = MinMaxScaler(low=np.zeros(3), span=np.ones(3))
+    for gamma in (0.5, 1.0):
+        with pytest.raises(InputError, match="the scaler reads 3 features, the experts 2"):
+            combined_predict(model, np.c_[x, x[:, :1]], gamma, wide)

@@ -12,7 +12,11 @@ train-paper primary and a 16k-row fit) and writes BENCH_gbdt.json,
 ``predict`` times ``GBDTModel.predict_margin`` on the serving forests and
 on dense depth-6 and depth-4 forests, and writes BENCH_predict.json;
 ``codes`` times the ``predict`` kernels and the ``serve`` kernels, each
-with its own topic's set-up, and writes BENCH_codes.json;
+with its own topic's set-up, and writes BENCH_codes.json; ``raw`` times
+the ``serve`` kernels, recording each call's minor page faults
+(``ru_minflt``, the warm-up's first, with the last call's outputs kept
+through the next) and, where the checkout has one, the one-time fold of
+the scaler into both forests, and writes BENCH_raw.json;
 ``hybrid`` times ``mlp_forward`` plus ``mlp_backward`` on the paper
 encoder, one ``_batch_gradients`` step on the training buffer and
 ``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
@@ -391,6 +395,34 @@ TOPICS["codes"] = Topic(
     kernels=TOPICS["predict"].kernels + TOPICS["serve"].kernels,
     setup=_either("predict_margin", TOPICS["predict"], TOPICS["serve"]),
 )
+
+# Appended to the serve set-up: ``call`` also reads its own minor page faults
+# (ru_minflt) with the last call's outputs kept through the next, as
+# perfbench keeps them, and a checkout that folds its scaler into the
+# forests records that one-time fold, timed before the first call.
+_FAULTS = """
+import resource
+from qmoe import moe
+recorded = {}
+if kernel["call"] == "pipeline_predict" and hasattr(moe, "_raw_forests"):
+    start = time.perf_counter()
+    moe._raw_forests(pipeline.combined, pipeline.scaler)  # both forests, once
+    recorded["fold_ms"] = 1e3 * (time.perf_counter() - start)
+recorded["minflt"], kept, timed = [], [None], call
+def call():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    kept[0] = timed()
+    recorded["minflt"].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+TOPICS["raw"] = Topic(
+    title="serving reads raw rows: the scaler folds into both forests' split thresholds "
+          "(MinMaxScaler.raw_thresholds, built on the first call), and the gate finishes "
+          "the rows its blocks hand over at half a block in one pool, in boosting order",
+    kernels=TOPICS["serve"].kernels,
+    setup=TOPICS["serve"].setup + _FAULTS,
+)
+
 
 def _quantile(ordered: list, frac: float) -> float:
     pos = frac * (len(ordered) - 1)
