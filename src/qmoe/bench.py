@@ -349,7 +349,8 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         arms = {}
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
             routed = gate > gamma
-            out = route_rows(combined, base_probs, routed, x_hold[routed])
+            # base_probs stays the baseline's: the arm writes its routed rows into a copy.
+            out = route_rows(combined, base_probs.copy(), routed, x_hold[routed])
             arms[str(gamma)] = _arm_metrics(y_hold, out.probs, out.labels,
                                             out.routed_fraction, n_hold, notes)
         # The arms share base_probs, so the sentinel check scores the holdout

@@ -3,7 +3,9 @@
 The CSV layout is the common card-transaction format: a Time column that
 gets dropped, anonymized features V1..V28, an Amount column, and a 0/1
 Class label. Everything downstream works on the resulting 29 feature
-columns.
+columns. load_csv parses the body in parts on every usable CPU, forked
+children writing into one table in shared memory, with the bits and the
+error messages of one whole-body parse (see its docstring).
 
 All randomized helpers take explicit seeds and derive independent streams
 through numpy SeedSequence, so repeated runs reproduce byte-identical
@@ -12,8 +14,12 @@ splits and samples.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import mmap
 import os
+import signal
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -42,24 +48,34 @@ N_FEATURES = 29  # V1..V28 plus Amount
 # 8 B per row per column, and 8 columns shuffle as fast as one whole-row
 # gather did, where fewer columns per step cost up to a fifth more time.
 _SHUFFLE_COLUMNS = 8
+# Rows per np.loadtxt call in a part of load_csv: the call's own table is
+# 1 MB, however large the part.
+_CHUNK_ROWS = 4096
+# The least body, in bytes, that earns a part of load_csv: forking and
+# reaping a child took 3-8 ms in a 120 MB process, and a core parses about
+# 30 MB/s, so a 2 MB part (about 70 ms) pays for its child about ten times.
+_MIN_PART_BYTES = 1 << 21
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a transaction CSV into (features, labels), dropping Time.
 
-    The body is parsed in one ``np.loadtxt`` call; quoted fields (the
-    Kaggle file quotes its header and Class) and empty lines are fine.
-    Raises DataError with the offending row and column named, so a
-    truncated download or a stray locale comma is diagnosable from the
-    message alone, and names the path when the file cannot be read.
+    Quoted fields (the Kaggle file quotes its header and Class) and empty
+    lines are fine. Raises DataError with the offending row and column
+    named, so a truncated download or a stray locale comma is diagnosable
+    from the message alone, and names the path when the file cannot be read.
 
-    The table is allocated once: ``max_rows`` is ``_row_bound``'s cap on
-    the rows, which never undercounts, so ``loadtxt`` does not grow its
-    buffer. The features are then packed at the front of that buffer, one
-    row block after another; each block's destination starts at or before
-    its source and ends before the next block's source, and numpy buffers
-    the overlapping copy. ``x`` is a C-contiguous view of the table, so
-    the pool is never held twice.
+    The body is parsed in parts, one per usable CPU and none under
+    ``_MIN_PART_BYTES``: part 0 here, each other in an ``os.fork`` child (one
+    part where there is no ``os.fork`` or ``os.sched_getaffinity``).
+    ``_row_bound`` splits the file and bounds each part's rows. A part runs
+    ``np.loadtxt`` over its span, decoded as ``open`` decodes it,
+    ``_CHUNK_ROWS`` rows a call, into its region of one table in shared
+    anonymous memory, so each row has the bits of a whole-file parse. After
+    any fault in any part (a token, a width other than 31, a Class other
+    than 0/1, a decode error) the body goes through one ``np.loadtxt`` call
+    here, so a refused file raises the message it always did. ``x`` is a
+    C-contiguous view of the table (see ``_pack``): the pool is held once.
     """
     try:
         with open(path) as fh:
@@ -72,11 +88,18 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                     f"{path}: unexpected header; expected {CSV_HEADER[:3]}...{CSV_HEADER[-2:]}, "
                     f"got {header[:3]}...{header[-2:] if len(header) >= 2 else header}"
                 )
+            parts = min(_usable_cpus(), os.path.getsize(path) // _MIN_PART_BYTES)
+            spans = _row_bound(path, max(parts, 1))
+            rows = sum(bound for *_, bound in spans)
+            table = np.frombuffer(mmap.mmap(-1, 8 * rows * len(CSV_HEADER)), np.float64)
+            regions = _parse_parts(path, fh, spans, table.reshape(rows, len(CSV_HEADER)))
+            if regions:
+                return _pack(table.reshape(rows, len(CSV_HEADER)), regions)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # an empty body
                     table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                       ndmin=2, dtype=np.float64, max_rows=_row_bound(path))
+                                       ndmin=2, dtype=np.float64, max_rows=rows)
             except UnicodeDecodeError:  # a ValueError, but a read fault
                 raise
             except ValueError as exc:
@@ -84,41 +107,174 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         if table is not None:
             if table.shape[0] == 0:
                 raise DataError(f"{path}: no data rows")
-            labels = table[:, -1]
-            if table.shape[1] == len(CSV_HEADER) and np.all((labels == 0.0) | (labels == 1.0)):
-                labels, n = labels.copy(), table.shape[0]
-                x = table.reshape(-1)[:n * N_FEATURES].reshape(n, N_FEATURES)
-                for rows in row_blocks(n):
-                    x[rows] = table[rows, 1:-1]
-                return x, labels
+            if _valid(table):
+                return _pack(table, [(0, table.shape[0])])
             fault = f"rows are not {len(CSV_HEADER)} fields with a 0/1 Class"
         raise DataError(f"{path}: {_first_fault(path) or fault}")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _row_bound(path) -> int:
-    """An upper bound on the rows of a text file as ``open`` splits its lines.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork a part."""
+    fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if fork else 1
 
-    Universal newlines end a line at every \\n and at every \\r not followed
-    by \\n, so the count of both, less the \\r\\n pairs, plus one for an
-    unterminated last line, bounds the lines. A valid row is at least 61
-    bytes (31 one-character fields and 30 commas), which caps the bound
-    at one row per 61 bytes, so a file of empty lines cannot make
-    ``loadtxt`` preallocate a huge table.
+
+def _valid(table) -> bool:
+    labels = table[:, -1]
+    return table.shape[1] == len(CSV_HEADER) and bool(np.all((labels == 0.0) | (labels == 1.0)))
+
+
+def _parse_parts(path, fh, spans, table):
+    """Parse span 0 here and every other span in a forked child, each into its
+    region of ``table``: [(region start, rows)], or None after a fault in any
+    part or when no part holds a row.
+
+    A child runs inside ``try/finally: os._exit``, so it never returns into
+    the caller, runs no exit handler and writes nothing. Every child is
+    reaped before this returns; if part 0 faults or is interrupted, or the
+    wait is, the children not yet reaped are sent SIGKILL first.
     """
-    cap = os.path.getsize(path) // (2 * len(CSV_HEADER) - 1) + 1
-    buf = np.empty(1 << 19, dtype=np.uint8)  # reused: the count allocates O(buffer)
-    lines, cr_last = 1, False
+    starts = np.cumsum([0] + [bound for *_, bound in spans]).tolist()
+    counts = np.frombuffer(mmap.mmap(-1, 8 * len(spans)), np.int64)
+
+    def parse(k):
+        counts[k] = _parse_part(path, fh, spans[k], table[starts[k]:starts[k + 1]])
+
+    pids, ok = [], True
+    try:
+        for k in range(1, len(spans)):
+            if (pid := os.fork()) == 0:
+                status = 1
+                try:
+                    parse(k)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        parse(0)
+        while pids:  # a child leaves the list once reaped
+            ok &= os.waitpid(pids[-1], 0)[1] == 0
+            pids.pop()
+    except (OSError, ValueError):  # a fault: load_csv parses the body again
+        ok = False
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return list(zip(starts, counts.tolist())) if ok and counts.any() else None
+
+
+def _parse_part(path, fh, span, region) -> int:
+    """Parse bytes [start, stop) of the file into ``region``, ``_CHUNK_ROWS`` rows
+    a call: the row count, or ValueError at a row ``load_csv`` refuses."""
+    start, stop, _ = span
+    with open(path, "rb") as raw, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty chunk
+        raw.seek(start)
+        text = io.TextIOWrapper(_Span(raw, stop - start), fh.encoding, fh.errors)
+        if start == 0:
+            text.readline()  # the header
+        done, n = 0, _CHUNK_ROWS
+        while n == _CHUNK_ROWS:
+            chunk = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
+                               ndmin=2, dtype=np.float64, max_rows=_CHUNK_ROWS)
+            n = chunk.shape[0]
+            if n and (done + n > len(region) or not _valid(chunk)):
+                raise ValueError("a row load_csv refuses")
+            region[done:done + n] = chunk
+            done += n
+    return done
+
+
+class _Span(io.RawIOBase):
+    """The next ``size`` bytes of a binary file, as a stream of their own."""
+
+    def __init__(self, raw, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(memoryview(buf)[:self._left])
+        self._left -= n
+        return n
+
+
+def _pack(table, regions):
+    """(x, y) from the rows of ``regions``, (start, rows) pairs of ``table``: the
+    labels copied out, then the features moved to the front of the table one
+    row block at a time (each destination ends before the next source)."""
+    y = np.concatenate([table[start:start + n, -1] for start, n in regions])
+    x, done = table.reshape(-1)[:y.size * N_FEATURES].reshape(y.size, N_FEATURES), 0
+    for start, n in regions:
+        for rows in row_blocks(n):
+            x[done + rows.start:done + rows.stop] = table[start:start + n][rows, 1:-1]
+        done += n
+    return x, y
+
+
+def _row_bound(path, parts: int = 1) -> list:
+    """At most ``parts`` byte spans of a text file, of about equal size, as
+    [(start, stop, rows)] with an upper bound on each span's rows.
+
+    A span ends right after a \n byte with an even count of " bytes before
+    it (the header holds an even count), so no span starts inside a quoted
+    field or a \r\n pair; a CR-only file is one span. Universal newlines
+    end a line at every \n and every \r not followed by \n, so a span's
+    count of both, less the \r\n pairs, plus one, bounds its lines. A valid
+    row is at least 61 bytes (31 one-character fields and 30 commas), which
+    caps the bound, so a file of empty lines cannot make the table huge.
+    """
+    size = os.path.getsize(path)
+    cuts, lines = [0], [1]
+    buf = bytearray(1 << 19)  # reused: the counts allocate O(buffer)
+    pos = quotes = 0
+    cr_last = False
     with open(path, "rb", buffering=0) as raw:
-        while lines <= cap and (n := raw.readinto(buf)):
-            chunk = buf[:n]
-            cr = np.flatnonzero(chunk == 13)
-            pairs = np.count_nonzero(chunk[cr[cr < n - 1] + 1] == 10)
-            pairs += bool(cr_last and chunk[0] == 10)  # a pair split across two reads
-            lines += np.count_nonzero(chunk == 10) + cr.size - pairs
-            cr_last = bool(chunk[n - 1] == 13)
-    return min(int(lines), cap)
+        while n := raw.readinto(buf):
+            at = 0
+            while len(cuts) < parts and (i := max(size * len(cuts) // parts - pos, at)) < n:
+                cut = _even_cut(buf, i, n, quotes)
+                if cut < 0 or pos + cut >= size:
+                    break
+                lines[-1] += _line_ends(buf, at, cut, cr_last)
+                cuts.append(pos + cut)
+                lines.append(1)
+                at, cr_last = cut, False
+            lines[-1] += _line_ends(buf, at, n, cr_last)
+            if buf.find(b'"', 0, n) >= 0:
+                quotes += np.count_nonzero(np.frombuffer(buf, np.uint8, n) == 34)
+            pos, cr_last = pos + n, buf[n - 1] == 13
+    row = 2 * len(CSV_HEADER) - 1
+    return [(a, b, min(k, (b - a) // row + 1))
+            for a, b, k in zip(cuts, cuts[1:] + [size], lines)]
+
+
+def _even_cut(buf, i: int, n: int, quotes: int) -> int:
+    """The offset just past the first \n of ``buf[i:n]`` with an even count of
+    " bytes before it (``quotes`` of them before ``buf``), or -1."""
+    odd = (quotes + buf.count(b'"', 0, i)) % 2
+    while (j := buf.find(b"\n", i, n)) >= 0:
+        odd ^= buf.count(b'"', i, j) % 2
+        if not odd:
+            return j + 1
+        i = j + 1
+    return -1
+
+
+def _line_ends(buf, start: int, stop: int, cr_before: bool) -> int:
+    """The \n and \r bytes of ``buf[start:stop]``, less its \r\n pairs and the
+    pair whose \r ends the bytes before it when ``cr_before``."""
+    chunk = np.frombuffer(buf, np.uint8, stop - start, start)
+    ends = int(np.count_nonzero(chunk == 10))
+    if buf.find(b"\r", start, stop) >= 0:
+        cr = np.flatnonzero(chunk == 13)
+        ends += cr.size - int(np.count_nonzero(chunk[cr[cr < chunk.size - 1] + 1] == 10))
+    return ends - bool(cr_before and stop > start and buf[start] == 10)
 
 
 def _first_fault(path) -> str | None:

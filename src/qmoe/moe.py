@@ -229,13 +229,14 @@ def route_rows(model: CombinedModel, probs: np.ndarray, routed: np.ndarray,
     """Hand the rows flagged in the boolean mask ``routed`` to the secondary.
 
     ``handed`` holds those rows, in order; the secondary scores them in one
-    call. ``probs`` holds the calibrated primary probabilities of every row
-    and is never written to, so one scoring of a batch serves every gamma.
+    call. ``probs`` holds the calibrated primary probabilities of every row;
+    the routed rows' scores are written into it, and it is returned as the
+    prediction's ``probs``. A caller that reads the primary's scores after
+    the call passes a copy.
     """
     if routed.any():
-        scored = apply_temperature(model.secondary_scaler, model.secondary.predict_proba(handed))
-        probs = probs.copy()
-        probs[routed] = scored
+        probs[routed] = apply_temperature(model.secondary_scaler,
+                                          model.secondary.predict_proba(handed))
     labels = np.where(routed, model.tau_secondary, model.tau_primary)
     np.greater(probs, labels, out=labels)  # 1.0 where a row clears its expert's threshold
     return RoutedPrediction(probs=probs, labels=labels, routed=routed)

@@ -1,10 +1,12 @@
 """Data-layer tests: CSV round trips, scaling, sampling, splits, synth."""
 
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from qmoe import data
 from qmoe.data import (
     CSV_HEADER,
     N_FEATURES,
@@ -349,8 +351,9 @@ def test_scaler_fits_train_only():
     assert refit.transform([[1.0]])[0, 0] == 0.5
 
 
-# The body is parsed in one np.loadtxt call; what it accepts and refuses,
-# with the messages of the row-by-row re-scan that names a fault.
+# The body is parsed by np.loadtxt, in parts and chunks of rows that keep a
+# whole-file parse's bits; what it accepts and refuses, with the messages of
+# the row-by-row re-scan that names a fault.
 
 ROW = ",".join(["0.5"] * (len(CSV_HEADER) - 1)) + ",1"
 
@@ -569,18 +572,30 @@ def test_every_line_ending_loads_every_row(tmp_path, ending, last):
         assert a.tobytes() == b.tobytes()
 
 
-def test_a_file_of_empty_lines_is_not_sized_by_its_line_count(tmp_path):
+def _mapped_bytes(x):
+    """The bytes of the shared table ``x`` is a view of."""
+    base = x
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.nbytes
+
+
+def test_a_file_of_empty_lines_is_not_sized_by_its_line_count(tmp_path, monkeypatch):
     import tracemalloc
 
+    monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
     path = _write(tmp_path, ",".join(CSV_HEADER) + "\n" + ROW + "\n" + "\n" * 200_000)
-    tracemalloc.start()
-    try:
-        x, y = load_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert x.shape == (1, N_FEATURES) and np.array_equal(y, [1.0])
-    assert peak < 8e6  # a table of 200,001 rows would take 50 MB
+    for cpus in (1, 2):
+        monkeypatch.setattr(data, "_usable_cpus", lambda cpus=cpus: cpus)
+        tracemalloc.start()  # sees the chunks and the labels; the table is mapped
+        try:
+            x, y = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (1, N_FEATURES) and np.array_equal(y, [1.0])
+        assert peak < 8e6
+        assert _mapped_bytes(x) < 1e6  # a table of 200,001 rows would take 50 MB
 
 
 def test_quoted_fields_spanning_a_line_break(tmp_path):
@@ -598,3 +613,115 @@ def test_quoted_fields_spanning_a_line_break(tmp_path):
     path = _write(tmp_path, ",".join(CSV_HEADER) + '\n"0.5\n0.5",' + rest + "\n")
     with pytest.raises(DataError, match=rf"^{path}: line 2, column Time: cannot parse '0.5\\n0.5'"):
         load_csv(path)
+
+
+# load_csv parses parts of the body in forked children (forced here by a
+# small minimum part size): no child outlives the call, whatever happens.
+
+def _pool(tmp_path, rows=40, name="pool.csv"):
+    rng = np.random.default_rng(8)
+    path = tmp_path / name
+    save_csv(path, rng.normal(size=(rows, N_FEATURES)), (np.arange(rows) % 3 == 0) * 1.0)
+    return path
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def three_parts(monkeypatch):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+    monkeypatch.setattr(data, "_CHUNK_ROWS", 4)
+
+
+def test_parts_load_what_one_part_loads_and_leave_no_child(tmp_path, monkeypatch, three_parts):
+    path = _pool(tmp_path)
+    assert len(data._row_bound(path, 3)) == 3
+    several = load_csv(path)
+    _no_children_left()
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+    one = load_csv(path)
+    for a, b in zip(several, one):
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+    assert several[0].shape == (40, N_FEATURES)
+
+
+def test_a_fault_in_a_child_part_is_named_as_one_parse_names_it(tmp_path, capfd, three_parts):
+    path = _pool(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].replace(",", ",x", 1)  # the last row: the last child's part
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{path}: line 41, column V1: cannot parse 'x"):
+        load_csv(path)
+    _no_children_left()
+    assert capfd.readouterr().err == ""  # the children wrote nothing
+
+
+def test_an_interrupt_in_part_0_kills_the_children(tmp_path, monkeypatch, three_parts):
+    import time
+
+    parent, loadtxt = os.getpid(), np.loadtxt
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)  # a child that is not killed holds the test up
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        load_csv(_pool(tmp_path))
+    _no_children_left()
+    assert time.perf_counter() - start < 10
+
+
+@pytest.fixture(scope="module")
+def three_blocks(tmp_path_factory):
+    return _pool(tmp_path_factory.mktemp("blocks"), rows=3 * _BLOCK_ROWS + 5)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_packing_holds_one_row_block_at_a_time(three_blocks, monkeypatch, cpus):
+    import tracemalloc
+
+    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+    path = three_blocks
+    tracemalloc.start()  # the table is mapped: what it sees is the call's own scratch
+    try:
+        x, y = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (3 * _BLOCK_ROWS + 5, N_FEATURES) and x.flags.c_contiguous
+    # One chunk's table (1 MB), one row block's buffered copy (1.9 MB) and
+    # the labels; packing the table in one slice copy would buffer 5.7 MB.
+    assert peak < x.nbytes / 2
+
+
+def test_splits_fall_between_rows_of_quoted_line_ends(tmp_path, monkeypatch, three_parts):
+    # Every Class is quoted around a line end, so about half the line ends
+    # sit inside a quoted field; a split there would fault its part and
+    # send the whole body through one call.
+    ends = ("\n", "\r\n", "\r")
+    rows = [ROW[:-1] + '"' + str(i % 2) + ends[i % 3] + '"' for i in range(30)]
+    raw = (",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n").encode()
+    path = tmp_path / "spans.csv"
+    path.write_bytes(raw)
+    regions, parse_parts = [], data._parse_parts
+    monkeypatch.setattr(data, "_parse_parts",
+                        lambda *args: regions.append(parse_parts(*args)) or regions[-1])
+    for parts in range(2, 7):
+        starts = [start for start, _, _ in data._row_bound(path, parts)]
+        assert len(starts) == parts
+        for start in starts[1:]:
+            assert raw[start - 1] == ord("\n") and raw[:start].count(b'"') % 2 == 0
+        monkeypatch.setattr(data, "_usable_cpus", lambda parts=parts: parts)
+        x, y = load_csv(path)
+        assert regions[-1] is not None  # every part parsed: no fault, no second parse
+        assert x.shape == (30, N_FEATURES) and np.all(x == 0.5)
+        assert np.array_equal(y, np.arange(30) % 2)

@@ -39,7 +39,14 @@ tracemalloc peak, then generates the paper-scale table once per
 interpreter and runs one ``bench.fit_pipeline`` fold on it (the default
 ``RunConfig``, seed 0), recording the process peak RSS after the
 generation and after the fold, its wall time, and a digest of both the
-table and the ``FoldRecord``, and writes BENCH_synth.json.
+table and the ``FoldRecord``, and writes BENCH_synth.json; ``parse``
+times ``data.load_csv`` on the serve-paper pool (142,404 rows) and on a
+284,807-row file, each written once by a set-up interpreter before the
+timers, at one part and at one part per usable CPU (a parent without
+parts parses in one either way), recording the usable CPUs and, from
+untraced calls, the peak RSS of the timing process (``RUSAGE_SELF``) and
+of its largest child (``RUSAGE_CHILDREN``, which counts the pages a
+forked child shares with the parent), and writes BENCH_parse.json.
 
 BENCH_qsim.json, BENCH_gate.json, BENCH_ingest.json and BENCH_fold.json
 stay as records of topics since folded into others. ``qsim`` timed the
@@ -84,6 +91,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import textwrap
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,6 +155,10 @@ class Topic:
     kernels: tuple  # one dict of named inputs per timed shape
     setup: str  # timer code defining call() from ``kernel`` (and ``rng``, except under _ONCE)
     note: str = ""  # a known cost of the change, written next to the title
+    # Code run once per kernel, in an interpreter of its own before the timers,
+    # with the kernel (plus the run's ``scratch`` directory) as JSON in argv[1];
+    # the timers then see the same ``scratch``.
+    prepare: str = ""
 
 
 TOPICS = {
@@ -388,6 +400,39 @@ def _either(call: str, first: Topic, second: Topic) -> str:
             f"else:{textwrap.indent(second.setup, '    ')}")
 
 
+TOPICS["parse"] = Topic(
+    title="load_csv parses the body in parts, one per usable CPU: part 0 in the process and "
+          "each other part in a forked child, every part into its region of one table in "
+          "shared anonymous memory, packed to the front in row blocks",
+    kernels=tuple({"name": f"{rows:,} rows, {label}", "call": "load_csv", "rows": rows,
+                   "parts": parts}
+                  for rows in (142_404, 284_807)
+                  for parts, label in ((1, "one part"), (None, "a part per usable CPU"))),
+    prepare="""
+import json, os, sys
+from qmoe import data
+kernel = json.loads(sys.argv[1])
+path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
+if not os.path.exists(path):
+    x, y, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
+    data.save_csv(path, x, y)
+""",
+    setup="""
+import os, resource, tracemalloc
+from qmoe import data
+path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
+if kernel["parts"] == 1 and hasattr(data, "_usable_cpus"):
+    data._usable_cpus = lambda: 1
+peak_mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
+recorded = {"usable_cpus": len(os.sched_getaffinity(0))}
+def call():
+    data.load_csv(path)
+    if not tracemalloc.is_tracing():  # the traced call's own overhead is not the parse's
+        recorded.update(rss_mb=peak_mb(resource.RUSAGE_SELF),
+                        children_rss_mb=peak_mb(resource.RUSAGE_CHILDREN))
+""",
+)
+
 TOPICS["codes"] = Topic(
     title="leaf-code forest scoring (see predict) over one scaled, transposed block: "
           "combined_predict scales each block into one (features, rows) workspace that the "
@@ -442,14 +487,17 @@ def timer_script(topic: Topic, kernel: dict) -> str:
     return (_ONCE if kernel.get("once") else _TIMER).format(setup=topic.setup)
 
 
+def _env(checkout: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def _invoke(checkout: Path, topic: Topic, kernel: dict) -> dict:
     """``REPEATS`` call times in ms and one call's tracemalloc peak in bytes,
     from one fresh interpreter on ``checkout``."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
         [sys.executable, "-c", timer_script(topic, kernel), json.dumps(kernel), str(REPEATS)],
-        env=env, check=True, capture_output=True, text=True,
+        env=_env(checkout), check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout)
 
@@ -617,25 +665,31 @@ def main(argv=None) -> int:
                   f"{row.get('verdict', '')}")
 
     kernels = []
-    for kernel in topic.kernels:
-        before, after = time_kernel(parent, change, topic, kernel)
-        verdict = kernel_verdict(before, after)
-        entry = {**kernel, "parent": before, "change": after,
-                 "speedup": before["median_ms"] / after["median_ms"], "verdict": verdict}
-        per_run = ["/".join(f"{m:.2f}" for m in side["invocation_medians_ms"])
-                   for side in (before, after)]
-        print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms "
-              f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}; tracemalloc peak "
-              f"{before['tracemalloc_peak_mb']:.1f} -> {after['tracemalloc_peak_mb']:.1f} MB")
-        if "invocation_digest" in before:
-            entry["digests_equal"] = len({*before["invocation_digest"],
-                                          *after["invocation_digest"]}) == 1
-            for name, side in (("parent", before), ("change", after)):
-                rss = zip(side["invocation_rss_before_mb"], side["invocation_rss_after_mb"])
-                print(f"  {name} peak RSS before -> after: "
-                      + ", ".join(f"{a:.1f} -> {b:.1f} MB" for a, b in rss))
-            print(f"  digests equal: {entry['digests_equal']}")
-        kernels.append(entry)
+    with tempfile.TemporaryDirectory() as scratch:  # what the topic's prepare writes
+        for kernel in topic.kernels:
+            timed = kernel
+            if topic.prepare:
+                timed = {**kernel, "scratch": scratch}
+                subprocess.run([sys.executable, "-c", topic.prepare, json.dumps(timed)],
+                               env=_env(change), check=True)
+            before, after = time_kernel(parent, change, topic, timed)
+            verdict = kernel_verdict(before, after)
+            entry = {**kernel, "parent": before, "change": after,
+                     "speedup": before["median_ms"] / after["median_ms"], "verdict": verdict}
+            per_run = ["/".join(f"{m:.2f}" for m in side["invocation_medians_ms"])
+                       for side in (before, after)]
+            print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms "
+                  f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}; tracemalloc peak "
+                  f"{before['tracemalloc_peak_mb']:.1f} -> {after['tracemalloc_peak_mb']:.1f} MB")
+            if "invocation_digest" in before:
+                entry["digests_equal"] = len({*before["invocation_digest"],
+                                              *after["invocation_digest"]}) == 1
+                for name, side in (("parent", before), ("change", after)):
+                    rss = zip(side["invocation_rss_before_mb"], side["invocation_rss_after_mb"])
+                    print(f"  {name} peak RSS before -> after: "
+                          + ", ".join(f"{a:.1f} -> {b:.1f} MB" for a, b in rss))
+                print(f"  digests equal: {entry['digests_equal']}")
+            kernels.append(entry)
 
     doc = {
         "topic": topic.title,
