@@ -3,9 +3,10 @@
 The CSV layout is the common card-transaction format: a Time column that
 gets dropped, anonymized features V1..V28, an Amount column, and a 0/1
 Class label. Everything downstream works on the resulting 29 feature
-columns. load_csv parses the body in parts on every usable CPU, forked
-children writing into one table in shared memory, with the bits and the
-error messages of one whole-body parse (see its docstring).
+columns. load_csv has one body parser: it parses the body in parts on
+every usable CPU, forked children writing into one table in shared memory,
+each row with the bits of a whole-body parse. A refused file is re-read
+row by row only to name its bad line (see its docstring).
 
 All randomized helpers take explicit seeds and derive independent streams
 through numpy SeedSequence, so repeated runs reproduce byte-identical
@@ -55,6 +56,8 @@ _CHUNK_ROWS = 4096
 # reaping a child took 3-8 ms in a 120 MB process, and a core parses about
 # 30 MB/s, so a 2 MB part (about 70 ms) pays for its child about ten times.
 _MIN_PART_BYTES = 1 << 21
+# The shortest valid row, in bytes: 31 one-character fields and 30 commas.
+_MIN_ROW_BYTES = 2 * len(CSV_HEADER) - 1
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -66,16 +69,16 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     from the message alone, and names the path when the file cannot be read.
 
     The body is parsed in parts, one per usable CPU and none under
-    ``_MIN_PART_BYTES``: part 0 here, each other in an ``os.fork`` child (one
-    part where there is no ``os.fork`` or ``os.sched_getaffinity``).
-    ``_row_bound`` splits the file and bounds each part's rows. A part runs
-    ``np.loadtxt`` over its span, decoded as ``open`` decodes it,
-    ``_CHUNK_ROWS`` rows a call, into its region of one table in shared
+    ``_MIN_PART_BYTES`` (one part where there is no ``os.fork`` or
+    ``os.sched_getaffinity``). ``_row_bound`` splits the file and bounds each
+    part's rows; ``_parse_parts`` parses them into one table in shared
     anonymous memory, so each row has the bits of a whole-file parse. After
-    any fault in any part (a token, a width other than 31, a Class other
-    than 0/1, a decode error) the body goes through one ``np.loadtxt`` call
-    here, so a refused file raises the message it always did. ``x`` is a
-    C-contiguous view of the table (see ``_pack``): the pool is held once.
+    a fault in any part, ``_first_fault`` re-reads the body and names the bad
+    line. When it names none (a fork refused, a child lost, rows ended by a
+    lone \r outrunning their part's \n count), the first table is dropped
+    and the body is parsed again as one span in the process, bounded by its
+    bytes alone. ``x`` is a C-contiguous view of the table (see ``_pack``):
+    the pool is held once.
     """
     try:
         with open(path) as fh:
@@ -88,29 +91,19 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                     f"{path}: unexpected header; expected {CSV_HEADER[:3]}...{CSV_HEADER[-2:]}, "
                     f"got {header[:3]}...{header[-2:] if len(header) >= 2 else header}"
                 )
-            parts = min(_usable_cpus(), os.path.getsize(path) // _MIN_PART_BYTES)
-            spans = _row_bound(path, max(parts, 1))
-            rows = sum(bound for *_, bound in spans)
-            table = np.frombuffer(mmap.mmap(-1, 8 * rows * len(CSV_HEADER)), np.float64)
-            regions = _parse_parts(path, fh, spans, table.reshape(rows, len(CSV_HEADER)))
-            if regions:
-                return _pack(table.reshape(rows, len(CSV_HEADER)), regions)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # an empty body
-                    table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                       ndmin=2, dtype=np.float64, max_rows=rows)
-            except UnicodeDecodeError:  # a ValueError, but a read fault
-                raise
-            except ValueError as exc:
-                table, fault = None, str(exc)
-        if table is not None:
-            if table.shape[0] == 0:
-                raise DataError(f"{path}: no data rows")
-            if _valid(table):
-                return _pack(table, [(0, table.shape[0])])
-            fault = f"rows are not {len(CSV_HEADER)} fields with a 0/1 Class"
-        raise DataError(f"{path}: {_first_fault(path) or fault}")
+            size = os.path.getsize(path)
+            parts = min(_usable_cpus(), size // _MIN_PART_BYTES)
+            loaded = _parse_parts(path, fh, _row_bound(path, max(parts, 1)))
+            if loaded is None:
+                if fault := _first_fault(path):
+                    raise DataError(f"{path}: {fault}")
+                loaded = _parse_parts(path, fh, [(0, size, size // _MIN_ROW_BYTES + 1)])
+        if loaded is None:
+            raise DataError(f"{path}: rows are not {len(CSV_HEADER)} fields with a 0/1 Class")
+        table, regions = loaded
+        if not any(n for _, n in regions):
+            raise DataError(f"{path}: no data rows")
+        return _pack(table, regions)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
@@ -121,22 +114,20 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if fork else 1
 
 
-def _valid(table) -> bool:
-    labels = table[:, -1]
-    return table.shape[1] == len(CSV_HEADER) and bool(np.all((labels == 0.0) | (labels == 1.0)))
-
-
-def _parse_parts(path, fh, spans, table):
+def _parse_parts(path, fh, spans):
     """Parse span 0 here and every other span in a forked child, each into its
-    region of ``table``: [(region start, rows)], or None after a fault in any
-    part or when no part holds a row.
+    region of one table mapped for the spans' row bounds: (table, [(region
+    start, rows)]), or None after a fault in any part.
 
     A child runs inside ``try/finally: os._exit``, so it never returns into
     the caller, runs no exit handler and writes nothing. Every child is
     reaped before this returns; if part 0 faults or is interrupted, or the
-    wait is, the children not yet reaped are sent SIGKILL first.
+    wait is, the children not yet reaped are sent SIGKILL first. A fault
+    drops the table with this call.
     """
     starts = np.cumsum([0] + [bound for *_, bound in spans]).tolist()
+    table = np.frombuffer(mmap.mmap(-1, 8 * starts[-1] * len(CSV_HEADER)), np.float64)
+    table = table.reshape(starts[-1], len(CSV_HEADER))
     counts = np.frombuffer(mmap.mmap(-1, 8 * len(spans)), np.int64)
 
     def parse(k):
@@ -157,14 +148,14 @@ def _parse_parts(path, fh, spans, table):
         while pids:  # a child leaves the list once reaped
             ok &= os.waitpid(pids[-1], 0)[1] == 0
             pids.pop()
-    except (OSError, ValueError):  # a fault: load_csv parses the body again
+    except (OSError, ValueError):  # a refused fork or a fault in part 0
         ok = False
     finally:
         for pid in pids:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return list(zip(starts, counts.tolist())) if ok and counts.any() else None
+    return (table, list(zip(starts, counts.tolist()))) if ok else None
 
 
 def _parse_part(path, fh, span, region) -> int:
@@ -182,7 +173,9 @@ def _parse_part(path, fh, span, region) -> int:
             chunk = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
                                ndmin=2, dtype=np.float64, max_rows=_CHUNK_ROWS)
             n = chunk.shape[0]
-            if n and (done + n > len(region) or not _valid(chunk)):
+            labels = chunk[:, -1]
+            if n and (done + n > len(region) or chunk.shape[1] != len(CSV_HEADER)
+                      or not np.all((labels == 0.0) | (labels == 1.0))):
                 raise ValueError("a row load_csv refuses")
             region[done:done + n] = chunk
             done += n
@@ -223,34 +216,32 @@ def _row_bound(path, parts: int = 1) -> list:
 
     A span ends right after a \n byte with an even count of " bytes before
     it (the header holds an even count), so no span starts inside a quoted
-    field or a \r\n pair; a CR-only file is one span. Universal newlines
-    end a line at every \n and every \r not followed by \n, so a span's
-    count of both, less the \r\n pairs, plus one, bounds its lines. A valid
-    row is at least 61 bytes (31 one-character fields and 30 commas), which
-    caps the bound, so a file of empty lines cannot make the table huge.
+    field or a \r\n pair; a CR-only file is one span. A span's \n count
+    plus one bounds its lines when every line but its last ends in \n or
+    \r\n (rows ended by a lone \r outrun it, and their part faults). A valid
+    row is at least ``_MIN_ROW_BYTES``, which caps the bound, so a file of
+    empty lines cannot make the table huge.
     """
     size = os.path.getsize(path)
     cuts, lines = [0], [1]
     buf = bytearray(1 << 19)  # reused: the counts allocate O(buffer)
     pos = quotes = 0
-    cr_last = False
     with open(path, "rb", buffering=0) as raw:
         while n := raw.readinto(buf):
-            at = 0
+            ends, at = np.frombuffer(buf, np.uint8, n) == 10, 0
             while len(cuts) < parts and (i := max(size * len(cuts) // parts - pos, at)) < n:
                 cut = _even_cut(buf, i, n, quotes)
                 if cut < 0 or pos + cut >= size:
                     break
-                lines[-1] += _line_ends(buf, at, cut, cr_last)
+                lines[-1] += int(np.count_nonzero(ends[at:cut]))
                 cuts.append(pos + cut)
                 lines.append(1)
-                at, cr_last = cut, False
-            lines[-1] += _line_ends(buf, at, n, cr_last)
+                at = cut
+            lines[-1] += int(np.count_nonzero(ends[at:]))
             if buf.find(b'"', 0, n) >= 0:
                 quotes += np.count_nonzero(np.frombuffer(buf, np.uint8, n) == 34)
-            pos, cr_last = pos + n, buf[n - 1] == 13
-    row = 2 * len(CSV_HEADER) - 1
-    return [(a, b, min(k, (b - a) // row + 1))
+            pos += n
+    return [(a, b, min(k, (b - a) // _MIN_ROW_BYTES + 1))
             for a, b, k in zip(cuts, cuts[1:] + [size], lines)]
 
 
@@ -264,17 +255,6 @@ def _even_cut(buf, i: int, n: int, quotes: int) -> int:
             return j + 1
         i = j + 1
     return -1
-
-
-def _line_ends(buf, start: int, stop: int, cr_before: bool) -> int:
-    """The \n and \r bytes of ``buf[start:stop]``, less its \r\n pairs and the
-    pair whose \r ends the bytes before it when ``cr_before``."""
-    chunk = np.frombuffer(buf, np.uint8, stop - start, start)
-    ends = int(np.count_nonzero(chunk == 10))
-    if buf.find(b"\r", start, stop) >= 0:
-        cr = np.flatnonzero(chunk == 13)
-        ends += cr.size - int(np.count_nonzero(chunk[cr[cr < chunk.size - 1] + 1] == 10))
-    return ends - bool(cr_before and stop > start and buf[start] == 10)
 
 
 def _first_fault(path) -> str | None:
@@ -297,6 +277,12 @@ def _first_fault(path) -> str | None:
 
 
 def _is_float(s: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``s`` as a float: Python's float grammar on
+    the stripped token, in ASCII and without underscores (numpy parses with
+    ``PyOS_string_to_double``, which takes neither; ``float()`` takes both)."""
+    s = s.strip()
+    if not s.isascii() or "_" in s:
+        return False
     try:
         float(s)
         return True

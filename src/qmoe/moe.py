@@ -15,9 +15,10 @@ primary alone. gamma = 1.0 does the same by construction (probabilities
 cannot exceed 1), giving a built-in no-routing reference point.
 
 Serving only compares the gate with gamma and never materialises it:
-combined_predict asks the router for GBDTModel.proba_above, which stops
-scoring a row once it can no longer clear gamma and scores nothing at
-gamma = 1.0, yet flags the rows router.predict_proba(x) > gamma would.
+combined_predict runs the router's gbdt._Gate (the early exit behind
+GBDTModel.proba_above) on its own workspace, which stops scoring a row
+once it can no longer clear gamma and scores nothing at gamma = 1.0, yet
+flags the rows router.predict_proba(x) > gamma would.
 fit_fold, which reads one gate at every gamma of its grid, scores the
 router in full once and compares that.
 

@@ -389,6 +389,25 @@ def test_nan_and_inf_tokens_still_load(tmp_path):
     assert np.isnan(x[0, 0]) and x[0, 1] == np.inf and x[0, 2] == -np.inf
 
 
+# Tokens where float() and numpy's reader part ways (underscores, non-ASCII
+# digits) or both strip (non-ASCII spaces), and a few each refuses.
+TOKENS = ["1_0", "1__0", "_1", "\u0661\u0662", "1\u0663", "\uff11", "\u00b2", "\u00bd",
+          "\u00a01", "1\u00a0", "1\u00a02", "\u20031.5\u2003", "\u3000-2", "1\u20282",
+          " 1 ", "1 2", "\t2\t", "inf", "-Infinity", "infinit", "nan", "-NaN", "nan(1)",
+          "0x10", "0x1p3", "0b1", "1d5", "1e999", "1e", ".", "+-1", "", " "]
+
+
+@pytest.mark.parametrize("token", TOKENS, ids=[ascii(t) for t in TOKENS])
+def test_is_float_accepts_what_loadtxt_reads(token):
+    try:
+        np.loadtxt([f"0,{token}"], delimiter=",", quotechar='"', comments=None,
+                   dtype=np.float64)
+        reads = True
+    except ValueError:
+        reads = False
+    assert data._is_float(token) == reads
+
+
 def test_empty_lines_are_skipped(tmp_path):
     text = ",".join(CSV_HEADER) + "\n" + ROW + "\n\n" + ROW + "\r\n\n"
     x, y = load_csv(_write(tmp_path, text))
@@ -410,8 +429,11 @@ def test_underscore_digits_are_refused_naming_the_path(tmp_path):
     (ROW + "\n\n" + ROW.replace("0.5", "x", 1) + "\n", "line 4, column Time: cannot parse 'x'"),
     (ROW + "\n" + ROW[:-1] + "0.5\n", "line 3: Class must be 0 or 1, got '0.5'"),
     (ROW + "\n" + ROW[:-1] + "nan\n", "line 3: Class must be 0 or 1, got 'nan'"),
+    (ROW.replace("0.5", "1_0", 1) + "\n", "line 2, column Time: cannot parse '1_0'"),
+    (ROW[:-1] + "1_0\n", "line 2, column Class: cannot parse '1_0'"),
 ], ids=["30 fields everywhere", "whitespace line", "hash in a field", "hash in Class",
-        "fault after an empty line", "Class 0.5", "Class nan"])
+        "fault after an empty line", "Class 0.5", "Class nan", "underscore in Time",
+        "underscore in Class"])
 def test_refused_bodies_keep_their_messages(tmp_path, body, message):
     path = _write(tmp_path, ",".join(CSV_HEADER) + "\n" + body)
     with pytest.raises(DataError, match=f"^{path}: {message}"):
@@ -437,11 +459,18 @@ def _undecodable(tmp_path):
     return path
 
 
+def _undecodable_body(tmp_path):
+    path = tmp_path / "latin-body.csv"
+    path.write_bytes((",".join(CSV_HEADER) + "\n" + ROW + "\n").encode() + b"\xff" + ROW.encode())
+    return path
+
+
 @pytest.mark.parametrize("make", [
     lambda tmp_path: tmp_path / "absent.csv",
     lambda tmp_path: tmp_path,
     _undecodable,
-], ids=["missing", "directory", "not utf-8"])
+    _undecodable_body,
+], ids=["missing", "directory", "not utf-8", "body not utf-8"])
 def test_unreadable_files_are_data_errors(tmp_path, make):
     path = make(tmp_path)
     with pytest.raises(DataError, match=f"^cannot read {path}: "):
@@ -679,6 +708,43 @@ def test_an_interrupt_in_part_0_kills_the_children(tmp_path, monkeypatch, three_
     assert time.perf_counter() - start < 10
 
 
+def test_a_refused_fork_parses_the_body_in_one_part(tmp_path, monkeypatch, three_parts):
+    import errno
+
+    path = _pool(tmp_path)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+    one = load_csv(path)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+
+    def refused():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    got = load_csv(path)
+    _no_children_left()
+    for a, b in zip(got, one):
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
+def test_a_part_of_rows_ended_by_lone_cr_loads_as_its_lf_twin(tmp_path, monkeypatch, three_parts):
+    lines = _pool(tmp_path).read_text().splitlines()
+    want = load_csv(_write(tmp_path, "\n".join(lines) + "\n", "lf.csv"))
+    path = tmp_path / "cr.csv"
+    path.write_bytes(("\n".join(lines[:30]) + "\n" + "\r".join(lines[30:]) + "\n").encode())
+    # Its rows outrun the last part's \n count, so that part faults.
+    spans = data._row_bound(path, 3)
+    tail = path.read_bytes()[spans[-1][0]:].decode()
+    assert len(spans) == 3 and spans[-1][2] < len(tail.splitlines())
+    calls, parse_parts = [], data._parse_parts
+    monkeypatch.setattr(data, "_parse_parts",
+                        lambda *args: calls.append(len(args[2])) or parse_parts(*args))
+    got = load_csv(path)
+    assert calls == [3, 1]  # then one span in the process
+    _no_children_left()
+    for a, b in zip(got, want):
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture(scope="module")
 def three_blocks(tmp_path_factory):
     return _pool(tmp_path_factory.mktemp("blocks"), rows=3 * _BLOCK_ROWS + 5)
@@ -701,6 +767,28 @@ def test_packing_holds_one_row_block_at_a_time(three_blocks, monkeypatch, cpus):
     # One chunk's table (1 MB), one row block's buffered copy (1.9 MB) and
     # the labels; packing the table in one slice copy would buffer 5.7 MB.
     assert peak < x.nbytes / 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_refused_file_is_not_parsed_into_a_second_table(three_blocks, tmp_path, monkeypatch,
+                                                          cpus):
+    import tracemalloc
+
+    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+    lines = three_blocks.read_text().splitlines()
+    lines[-1] = lines[-1].replace(",", ",x", 1)
+    path = _write(tmp_path, "\n".join(lines) + "\n", "bad.csv")
+    x_bytes = (len(lines) - 1) * N_FEATURES * 8
+    tracemalloc.start()  # the parts' table is mapped; a private whole-body table would show
+    try:
+        with pytest.raises(DataError, match=f"^{path}: line {len(lines)}, column V1: "):
+            load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _no_children_left()
+    assert peak < x_bytes / 2
 
 
 def test_splits_fall_between_rows_of_quoted_line_ends(tmp_path, monkeypatch, three_parts):
