@@ -15,12 +15,10 @@ splits and samples.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import mmap
 import os
-import signal
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -28,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InputError, binary_labels, feature_rows, row_blocks
+from .workers import fork_map
+from .workers import usable_cpus as _usable_cpus  # the name tests and tools patch
 
 __all__ = [
     "CSV_HEADER",
@@ -72,13 +72,14 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     ``_MIN_PART_BYTES`` (one part where there is no ``os.fork`` or
     ``os.sched_getaffinity``). ``_row_bound`` splits the file and bounds each
     part's rows; ``_parse_parts`` parses them into one table in shared
-    anonymous memory, so each row has the bits of a whole-file parse. After
-    a fault in any part, ``_first_fault`` re-reads the body and names the bad
-    line. When it names none (a fork refused, a child lost, rows ended by a
-    lone \r outrunning their part's \n count), the first table is dropped
-    and the body is parsed again as one span in the process, bounded by its
-    bytes alone. ``x`` is a C-contiguous view of the table (see ``_pack``):
-    the pool is held once.
+    anonymous memory, so each row has the bits of a whole-file parse (a part
+    whose fork is refused, or whose child is lost, is parsed in the process).
+    After a fault in any part, ``_first_fault`` re-reads the body and names
+    the bad line. When it names none (rows ended by a lone \r outrunning
+    their part's \n count), the first table is dropped and the body is
+    parsed again as one span in the process, bounded by its bytes alone.
+    ``x`` is a C-contiguous view of the table (see ``_pack``): the pool is
+    held once.
     """
     try:
         with open(path) as fh:
@@ -108,54 +109,23 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork a part."""
-    fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    return len(os.sched_getaffinity(0)) if fork else 1
-
-
 def _parse_parts(path, fh, spans):
-    """Parse span 0 here and every other span in a forked child, each into its
-    region of one table mapped for the spans' row bounds: (table, [(region
-    start, rows)]), or None after a fault in any part.
-
-    A child runs inside ``try/finally: os._exit``, so it never returns into
-    the caller, runs no exit handler and writes nothing. Every child is
-    reaped before this returns; if part 0 faults or is interrupted, or the
-    wait is, the children not yet reaped are sent SIGKILL first. A fault
-    drops the table with this call.
-    """
+    """Parse span 0 here and every other span in a forked child (``fork_map``),
+    each into its region of one table mapped for the spans' row bounds:
+    (table, [(region start, rows)]), or None after a fault in any part. A
+    fault drops the table with this call."""
     starts = np.cumsum([0] + [bound for *_, bound in spans]).tolist()
     table = np.frombuffer(mmap.mmap(-1, 8 * starts[-1] * len(CSV_HEADER)), np.float64)
     table = table.reshape(starts[-1], len(CSV_HEADER))
-    counts = np.frombuffer(mmap.mmap(-1, 8 * len(spans)), np.int64)
 
     def parse(k):
-        counts[k] = _parse_part(path, fh, spans[k], table[starts[k]:starts[k + 1]])
+        return _parse_part(path, fh, spans[k], table[starts[k]:starts[k + 1]])
 
-    pids, ok = [], True
     try:
-        for k in range(1, len(spans)):
-            if (pid := os.fork()) == 0:
-                status = 1
-                try:
-                    parse(k)
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        parse(0)
-        while pids:  # a child leaves the list once reaped
-            ok &= os.waitpid(pids[-1], 0)[1] == 0
-            pids.pop()
-    except (OSError, ValueError):  # a refused fork or a fault in part 0
-        ok = False
-    finally:
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return (table, list(zip(starts, counts.tolist()))) if ok else None
+        counts = fork_map(parse, len(spans))
+    except (OSError, ValueError):  # a row load_csv refuses, or a read fault
+        return None
+    return table, list(zip(starts, counts))
 
 
 def _parse_part(path, fh, span, region) -> int:

@@ -329,9 +329,10 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
     the last epoch's, or with a validation set the model scored in the best
     epoch. Training then stops once validation average precision has not
     improved for `patience` epochs, and the report keeps the best epoch's
-    validation probabilities. A non-finite epoch loss, or non-finite
-    weights tripping a scoring check (validation scores included), raises
-    a ConfigurationError naming the epoch and learning_rate.
+    validation probabilities. A non-finite epoch loss, a non-finite Adam
+    second moment at the end of an epoch, or non-finite weights tripping a
+    scoring check (validation scores included), raises a ConfigurationError
+    naming the epoch and learning_rate.
     """
     x, y = labeled_rows(x, y, config.n_features)
     use_val = x_val is not None and y_val is not None
@@ -369,6 +370,8 @@ def fit_hybrid(config: HybridConfig, x, y, x_val=None, y_val=None):
             raise _diverged(config, epoch, exc) from exc
         if not np.isfinite(total_sum):
             raise _diverged(config, epoch, f"mean loss {total_sum / n}")
+        if not np.isfinite(opt.v).all():  # an overflowed moment freezes its updates
+            raise _diverged(config, epoch, "Adam's second moment overflowed")
         report.epochs.append(
             EpochStats(
                 epoch=epoch,

@@ -33,6 +33,7 @@ from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams, router_params
 from qmoe.hybrid import HybridConfig, HybridModel
 from qmoe.moe import GAMMA_GRID
+from test_data import _no_children_left
 from test_hybrid import fresh_hybrid
 
 ARM_KEYS = {"aucpr", "ap", "precision", "recall", "routed_fraction", "latency_seconds"}
@@ -935,3 +936,101 @@ def test_fit_fold_names_the_non_finite_dataset_row(dataset, part, value):
     bad[row, 7] = value
     with pytest.raises(InputError, match=rf"finite.*row indices \[{row}\]"):
         fit_fold(CONFIG, bad, y, train_idx, heldout_idx, 0, 0)
+
+
+# cross_validate fits its folds on one worker per usable CPU, the process
+# itself and forked children (patched here to 1, 2 and 3 workers over
+# CONFIG's 6 folds): the report and the errors are those of a serial run,
+# and no child outlives the call.
+
+WORKERS = (1, 2, 3)
+
+
+def _report_bytes(dataset, out_dir):
+    save_report(cross_validate(*dataset, CONFIG), out_dir)
+    return (out_dir / "report.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def serial_report_bytes(dataset, tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "_usable_cpus", lambda: 1)
+        return _report_bytes(dataset, tmp_path_factory.mktemp("serial"))
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_report_bytes_do_not_depend_on_the_workers(dataset, serial_report_bytes, tmp_path,
+                                                   monkeypatch, workers):
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    assert _report_bytes(dataset, tmp_path) == serial_report_bytes
+    _no_children_left()
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_a_refused_fork_fits_its_folds_in_the_process(dataset, serial_report_bytes, tmp_path,
+                                                      monkeypatch, workers):
+    import errno
+
+    def refused():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(os, "fork", refused)
+    assert _report_bytes(dataset, tmp_path) == serial_report_bytes
+    _no_children_left()
+
+
+def _failing_at(monkeypatch, failing):
+    """Make ``bench.fit_fold`` raise at the folds numbered ``failing``, in whichever
+    process fits them; the others are fitted as usual."""
+    real = bench.fit_fold
+
+    def fit_fold(config, x, y, train_idx, heldout_idx, repeat, fold):
+        i = repeat * config.n_splits + fold
+        if i in failing:
+            raise InputError(f"fold {i} refused")
+        return real(config, x, y, train_idx, heldout_idx, repeat, fold)
+
+    monkeypatch.setattr(bench, "fit_fold", fit_fold)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_a_fold_failing_in_a_child_raises_as_the_serial_cv_does(dataset, capfd, monkeypatch,
+                                                                workers):
+    _failing_at(monkeypatch, {1})  # worker 1's first fold: a child's at 2 and 3 workers
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    with pytest.raises(InputError, match="^fold 1 refused$"):
+        cross_validate(*dataset, CONFIG)
+    _no_children_left()
+    assert capfd.readouterr().err == ""  # the children wrote nothing
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_the_lowest_failing_fold_names_the_error(dataset, monkeypatch, workers):
+    # Fold 1 fails on worker 1, after worker 0 has failed at fold 4 (2 workers)
+    # or fold 3 (3 workers): the lower worker does not win, the lower fold does.
+    _failing_at(monkeypatch, {1, 3, 4})
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    with pytest.raises(InputError, match="^fold 1 refused$"):
+        cross_validate(*dataset, CONFIG)
+    _no_children_left()
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_an_interrupt_in_the_parents_fold_kills_the_children(dataset, monkeypatch, workers):
+    import time
+
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)  # a child that is not killed holds the test up
+
+    monkeypatch.setattr(bench, "fit_fold", interrupted)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cross_validate(*dataset, CONFIG)
+    _no_children_left()
+    assert time.perf_counter() - start < 10

@@ -9,7 +9,7 @@ import pytest
 
 from qmoe.bench import RunConfig, fit_pipeline, load_model, pipeline_predict, save_model
 from qmoe.calibration import apply_temperature
-from qmoe import cli
+from qmoe import bench, cli
 from qmoe.cli import ENV_DATASET, main
 from qmoe.data import load_csv, save_csv, synthesize
 from qmoe.errors import ModelIOError
@@ -114,6 +114,21 @@ def test_bench_names_a_diverged_hybrid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: hybrid training diverged in epoch 0 (")
     assert "learning_rate 1e+300 may be too large" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # Adam's second moment overflows
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bench_names_a_finite_divergence(tmp_path, capsys, monkeypatch, workers):
+    # At 1e30 the loss stays finite while Adam's updates freeze. At 2 workers
+    # fold 1 diverges in a child too; fold 0's error, the parent's, is raised.
+    config = dict(TINY_CONFIG, hybrid={**TINY_CONFIG["hybrid"], "learning_rate": 1e30})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: hybrid training diverged in epoch 0 (Adam's second moment "
+                   "overflowed); learning_rate 1e+30 may be too large\n")
 
 
 def test_bench_writes_report_and_latency_reads_it(workspace, tmp_path, capsys):

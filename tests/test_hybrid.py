@@ -538,6 +538,20 @@ def test_a_diverged_hybrid_is_named(with_validation):
         fit_hybrid(config, x, y, *validation)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_a_finite_divergence_is_named():
+    # At a learning rate of 1e30 Adam's second moment overflows in the first
+    # steps while its first moment and the loss stay finite: the updates
+    # froze, and three epochs used to end at a loss near 1e240 unnamed.
+    x, y = np.random.default_rng(5).normal(size=(40, 4)), np.array([0.0, 1.0] * 20)
+    config = HybridConfig(seed=1, **{**TINY, "learning_rate": 1e30, "epochs": 3,
+                                     "patience": 3})
+    message = (r"^hybrid training diverged in epoch 0 \(Adam's second moment overflowed\); "
+               r"learning_rate 1e\+30 may be too large$")
+    with pytest.raises(ConfigurationError, match=message):
+        fit_hybrid(config, x, y, _X_VAL, _Y_VAL)
+
+
 def test_a_non_finite_epoch_loss_is_named(monkeypatch):
     real = hybrid._batch_gradients
 

@@ -96,6 +96,25 @@ def test_time_kernel_keeps_what_a_once_timer_adds(monkeypatch):
         setup=synth.setup)
 
 
+
+def test_an_untraced_kernel_runs_its_invocations_without_a_peak(monkeypatch):
+    # The cv topic's paper CV: one untraced run a side, its CPU seconds, usable
+    # CPUs and children's peak RSS kept per invocation.
+    calls = []
+
+    def fake_invoke(checkout, topic, kernel):
+        calls.append(checkout)
+        return {"samples": [70.0], "peak_bytes": None, "cpu_s": 140.0, "cores_usable": 2,
+                "children_rss_mb": 90.0, "digest": "d"}
+
+    monkeypatch.setattr(tools_bench, "_invoke", fake_invoke)
+    paper = tools_bench.TOPICS["cv"].kernels[-1]
+    assert paper["untraced"] and paper["invocations"] == 1
+    before, after = tools_bench.time_kernel("parent", "change", None, paper)
+    assert calls == ["parent", "change"]
+    assert before["tracemalloc_peak_mb"] is None and before["invocation_peaks_mb"] == []
+    assert after["invocation_cpu_s"] == [140.0] and after["invocation_cores_usable"] == [2]
+
 def _fake_checkout(tmp_path, records):
     """A checkout with a three-line ``src/`` and untraced cv-desk results."""
     (tmp_path / "src" / "pkg").mkdir(parents=True)

@@ -46,7 +46,14 @@ timers, at one part and at one part per usable CPU (a parent without
 parts parses in one either way), recording the usable CPUs and, from
 untraced calls, the peak RSS of the timing process (``RUSAGE_SELF``) and
 of its largest child (``RUSAGE_CHILDREN``, which counts the pages a
-forked child shares with the parent), and writes BENCH_parse.json.
+forked child shares with the parent), and writes BENCH_parse.json;
+``cv`` runs ``bench.run_cv`` plus ``save_report`` once per interpreter,
+untraced: the cv-desk config at seed 0 (three interpreters a side) and the
+paper-scale CV (284,807 synthetic rows, the default ``RunConfig``, seed 0;
+one interpreter a side), recording the wall time, the CPU seconds of the
+process and its children, the usable CPUs, the peak RSS of the process and
+of its largest forked child (``RUSAGE_CHILDREN``), and a digest of
+``report.json``, and writes BENCH_cv.json.
 
 BENCH_qsim.json, BENCH_gate.json, BENCH_ingest.json and BENCH_fold.json
 stay as records of topics since folded into others. ``qsim`` timed the
@@ -74,7 +81,8 @@ sides alternating which goes first, so load drift on the host reaches both
 sides alike. After its timed calls each interpreter makes one more under
 ``tracemalloc`` and records that call's peak of traced memory. A kernel
 marked ``once`` instead runs one cold call per interpreter (see
-``_ONCE``). It records the median and interquartile range of each side's
+``_ONCE``), and one marked ``invocations`` runs that many interpreters a
+side. It records the median and interquartile range of each side's
 pooled calls, the median of each invocation, and a verdict: "faster" only
 when every invocation median of the change beats every one of the parent
 and the pooled medians differ by more than the parent's pooled
@@ -127,25 +135,33 @@ print(json.dumps({{"samples": samples, "peak_bytes": peak, **recorded}}))
 """
 
 # One cold call per interpreter, for a kernel that owns the process: the
-# peak RSS before and after it (ru_maxrss is in KiB on Linux), its wall
-# time and ``digest`` of its result, then one traced call. The set-up
-# defines ``call`` and ``digest`` from ``kernel``.
+# peak RSS before and after it (ru_maxrss is in KiB on Linux) and that of its
+# largest forked child (RUSAGE_CHILDREN), its wall time, its CPU seconds
+# (children included), the usable CPUs and ``digest`` of its result, then one
+# traced call unless the kernel is marked ``untraced``. The set-up defines
+# ``call`` and ``digest`` from ``kernel``.
 _ONCE = """
-import json, resource, sys, time, tracemalloc
+import json, os, resource, sys, time, tracemalloc
 kernel = json.loads(sys.argv[1])
 {setup}
-peak_rss_mb = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-before = peak_rss_mb()
+peak_rss_mb = lambda who=resource.RUSAGE_SELF: resource.getrusage(who).ru_maxrss / 1024
+cpu_s = lambda: sum(u.ru_utime + u.ru_stime for u in (
+    resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)))
+before, cpu = peak_rss_mb(), cpu_s()
 start = time.perf_counter()
 out = call()
 seconds = time.perf_counter() - start
-after = peak_rss_mb()
-tracemalloc.start()
-call()
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
+cpu, after = cpu_s() - cpu, peak_rss_mb()
+peak = None
+if not kernel.get("untraced"):
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
 print(json.dumps({{"samples": [seconds], "peak_bytes": peak, "rss_before_mb": before,
-                  "rss_after_mb": after, "digest": digest(out)}}))
+                  "rss_after_mb": after, "children_rss_mb": peak_rss_mb(resource.RUSAGE_CHILDREN),
+                  "cpu_s": cpu, "cores_usable": len(os.sched_getaffinity(0)),
+                  "digest": digest(out)}}))
 """
 
 
@@ -468,6 +484,38 @@ TOPICS["raw"] = Topic(
     setup=TOPICS["serve"].setup + _FAULTS,
 )
 
+# The cv topic runs the whole CV once per interpreter, untraced: the desk CV
+# is perfbench cv-desk's config at seed 0 (its DESK_HYBRID, 20,000 rows),
+# the paper CV the default RunConfig at 284,807 rows, one run a side.
+_DESK_HYBRID = dict(n_features=29, encoder_hidden=(64, 32), n_qubits=3, n_layers=2,
+                    head_hidden=8, recon_weight=0.5, batch_size=8, epochs=5,
+                    learning_rate=0.01, patience=5, seed=0)
+
+TOPICS["cv"] = Topic(
+    title="cross_validate fits its folds on every usable CPU through fork_map, the one fork "
+          "loop, which load_csv parses through too: worker w of W fits folds w, w + W, ... "
+          "walking the lazy splits itself, the process is worker 0, and the report is a "
+          "serial run's",
+    kernels=(
+        {"name": "desk CV: cv-desk config, 20,000 rows, 15 folds, seed 0", "rows": 20_000,
+         "desk": True, "once": True, "untraced": True},
+        {"name": "paper CV: default RunConfig, 284,807 rows, 15 folds, seed 0",
+         "rows": 284_807, "desk": False, "once": True, "untraced": True, "invocations": 1},
+    ),
+    setup=f"""
+import hashlib, tempfile
+from qmoe import bench, hybrid
+desk = {{"hybrid": hybrid.HybridConfig(**{_DESK_HYBRID!r})}} if kernel["desk"] else {{}}
+config = bench.RunConfig(synth_rows=kernel["rows"], seed=0, **desk)
+def call():
+    with tempfile.TemporaryDirectory() as out:
+        bench.save_report(bench.run_cv(config), out)
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            return fh.read()
+digest = lambda report: hashlib.sha256(report).hexdigest()
+""",
+)
+
 
 def _quantile(ordered: list, frac: float) -> float:
     pos = frac * (len(ordered) - 1)
@@ -505,17 +553,17 @@ def _invoke(checkout: Path, topic: Topic, kernel: dict) -> dict:
 def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple:
     """(parent, change) timings of one kernel, the invocations interleaved."""
     runs = ([], [])
-    for i in range(INVOCATIONS):
+    for i in range(kernel.get("invocations", INVOCATIONS)):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             runs[side].append(_invoke((parent, change)[side], topic, kernel))
     out = []
     for invocations in runs:
         ms = [[1e3 * t for t in run["samples"]] for run in invocations]
         q = _quartiles([t for samples in ms for t in samples])
-        peaks = [run["peak_bytes"] / 1e6 for run in invocations]
+        peaks = [run["peak_bytes"] / 1e6 for run in invocations if run["peak_bytes"] is not None]
         out.append({"median_ms": q["median"], "iqr_ms": q["q3"] - q["q1"], "repeats": q["runs"],
                     "invocation_medians_ms": [_quartiles(s)["median"] for s in ms],
-                    "tracemalloc_peak_mb": _quartiles(peaks)["median"],
+                    "tracemalloc_peak_mb": _quartiles(peaks)["median"] if peaks else None,
                     "invocation_peaks_mb": peaks,
                     # whatever else the timer reports (the _ONCE timer's RSS and digest)
                     **{f"invocation_{key}": [run[key] for run in invocations]
@@ -678,16 +726,22 @@ def main(argv=None) -> int:
                      "speedup": before["median_ms"] / after["median_ms"], "verdict": verdict}
             per_run = ["/".join(f"{m:.2f}" for m in side["invocation_medians_ms"])
                        for side in (before, after)]
+            peaks = [side["tracemalloc_peak_mb"] for side in (before, after)]
             print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms "
-                  f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}; tracemalloc peak "
-                  f"{before['tracemalloc_peak_mb']:.1f} -> {after['tracemalloc_peak_mb']:.1f} MB")
+                  f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}"
+                  + ("" if None in peaks else f"; tracemalloc peak {peaks[0]:.1f} -> "
+                                              f"{peaks[1]:.1f} MB"))
             if "invocation_digest" in before:
                 entry["digests_equal"] = len({*before["invocation_digest"],
                                               *after["invocation_digest"]}) == 1
                 for name, side in (("parent", before), ("change", after)):
                     rss = zip(side["invocation_rss_before_mb"], side["invocation_rss_after_mb"])
                     print(f"  {name} peak RSS before -> after: "
-                          + ", ".join(f"{a:.1f} -> {b:.1f} MB" for a, b in rss))
+                          + ", ".join(f"{a:.1f} -> {b:.1f} MB" for a, b in rss)
+                          + "; children's peak RSS "
+                          + ", ".join(f"{c:.1f} MB" for c in side["invocation_children_rss_mb"])
+                          + "; CPU " + ", ".join(f"{c:.1f} s" for c in side["invocation_cpu_s"])
+                          + f" on {side['invocation_cores_usable']} usable CPUs")
                 print(f"  digests equal: {entry['digests_equal']}")
             kernels.append(entry)
 
