@@ -58,6 +58,7 @@ _CHUNK_ROWS = 4096
 _MIN_PART_BYTES = 1 << 21
 # The shortest valid row, in bytes: 31 one-character fields and 30 commas.
 _MIN_ROW_BYTES = 2 * len(CSV_HEADER) - 1
+_OUTRUN = "rows outran a part's bound"  # what _parse_parts returns when they do
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -74,12 +75,12 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     part's rows; ``_parse_parts`` parses them into one table in shared
     anonymous memory, so each row has the bits of a whole-file parse (a part
     whose fork is refused, or whose child is lost, is parsed in the process).
-    After a fault in any part, ``_first_fault`` re-reads the body and names
-    the bad line. When it names none (rows ended by a lone \r outrunning
-    their part's \n count), the first table is dropped and the body is
-    parsed again as one span in the process, bounded by its bytes alone.
-    ``x`` is a C-contiguous view of the table (see ``_pack``): the pool is
-    held once.
+    When rows ended by a lone \r outrun their part's \n count, the first
+    table is dropped and the body is parsed again as one span in the
+    process, bounded by its bytes alone. After a refused row, in the parts
+    or in that one span, ``_first_fault`` re-reads the body and names the
+    bad line. ``x`` is a C-contiguous view of the table (see ``_pack``): the
+    pool is held once.
     """
     try:
         with open(path) as fh:
@@ -95,10 +96,10 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
             size = os.path.getsize(path)
             parts = min(_usable_cpus(), size // _MIN_PART_BYTES)
             loaded = _parse_parts(path, fh, _row_bound(path, max(parts, 1)))
-            if loaded is None:
-                if fault := _first_fault(path):
-                    raise DataError(f"{path}: {fault}")
+            if loaded is _OUTRUN:  # rows ended by a lone \r outran a part's \n count
                 loaded = _parse_parts(path, fh, [(0, size, size // _MIN_ROW_BYTES + 1)])
+            if loaded is None and (fault := _first_fault(path)):
+                raise DataError(f"{path}: {fault}")
         if loaded is None:
             raise DataError(f"{path}: rows are not {len(CSV_HEADER)} fields with a 0/1 Class")
         table, regions = loaded
@@ -112,8 +113,9 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def _parse_parts(path, fh, spans):
     """Parse span 0 here and every other span in a forked child (``fork_map``),
     each into its region of one table mapped for the spans' row bounds:
-    (table, [(region start, rows)]), or None after a fault in any part. A
-    fault drops the table with this call."""
+    (table, [(region start, rows)]); None after a refused row or a read fault
+    in any part, or else ``_OUTRUN`` when a part's rows outran its bound. Either
+    drops the table with this call."""
     starts = np.cumsum([0] + [bound for *_, bound in spans]).tolist()
     table = np.frombuffer(mmap.mmap(-1, 8 * starts[-1] * len(CSV_HEADER)), np.float64)
     table = table.reshape(starts[-1], len(CSV_HEADER))
@@ -125,12 +127,14 @@ def _parse_parts(path, fh, spans):
         counts = fork_map(parse, len(spans))
     except (OSError, ValueError):  # a row load_csv refuses, or a read fault
         return None
-    return table, list(zip(starts, counts))
+    return _OUTRUN if min(counts) < 0 else (table, list(zip(starts, counts)))
 
 
 def _parse_part(path, fh, span, region) -> int:
     """Parse bytes [start, stop) of the file into ``region``, ``_CHUNK_ROWS`` rows
-    a call: the row count, or ValueError at a row ``load_csv`` refuses."""
+    a call: the row count, ValueError at a row ``load_csv`` refuses, or -1 once
+    the rows outrun ``region``. A span bounded by its bytes never does: each
+    row that is not refused holds at least ``_MIN_ROW_BYTES``."""
     start, stop, _ = span
     with open(path, "rb") as raw, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty chunk
@@ -144,9 +148,11 @@ def _parse_part(path, fh, span, region) -> int:
                                ndmin=2, dtype=np.float64, max_rows=_CHUNK_ROWS)
             n = chunk.shape[0]
             labels = chunk[:, -1]
-            if n and (done + n > len(region) or chunk.shape[1] != len(CSV_HEADER)
+            if n and (chunk.shape[1] != len(CSV_HEADER)
                       or not np.all((labels == 0.0) | (labels == 1.0))):
                 raise ValueError("a row load_csv refuses")
+            if done + n > len(region):
+                return -1
             region[done:done + n] = chunk
             done += n
     return done
@@ -188,9 +194,9 @@ def _row_bound(path, parts: int = 1) -> list:
     it (the header holds an even count), so no span starts inside a quoted
     field or a \r\n pair; a CR-only file is one span. A span's \n count
     plus one bounds its lines when every line but its last ends in \n or
-    \r\n (rows ended by a lone \r outrun it, and their part faults). A valid
-    row is at least ``_MIN_ROW_BYTES``, which caps the bound, so a file of
-    empty lines cannot make the table huge.
+    \r\n (rows ended by a lone \r outrun it, and load_csv parses again). A
+    valid row is at least ``_MIN_ROW_BYTES``, which caps the bound, so a file
+    of empty lines cannot make the table huge.
     """
     size = os.path.getsize(path)
     cuts, lines = [0], [1]

@@ -321,17 +321,18 @@ def _add(forest: list, xt: np.ndarray, margin: np.ndarray) -> np.ndarray:
 class _Gate:
     """``proba_above(x, gamma)`` over the row blocks of one call: ``block`` settles a
     block's rows or pools its survivors, and ``finish`` runs the pool on to the
-    last tree, gathering its rows from ``x`` (see the module docstring).
+    last tree, gathering its rows from ``x`` (see the module docstring). The gate
+    is written into ``above``, an all-False boolean array of x's rows, when given.
     """
 
-    def __init__(self, model: GBDTModel, x: np.ndarray, gamma: float):
+    def __init__(self, model: GBDTModel, x: np.ndarray, gamma: float, above=None):
         self.forest, self.reach, span = model._forest
         self.cut = -np.inf
         if gamma > 0.0:
             cut = float(np.log(gamma) - np.log1p(-gamma))
             self.cut = cut - _SLACK * (len(self.forest) * span + abs(cut) + 1.0 / (1.0 - gamma))
         self.x, self.gamma, self.base = x, gamma, model.base_score
-        self.above = np.zeros(x.shape[0], dtype=bool)
+        self.above = np.zeros(x.shape[0], dtype=bool) if above is None else above
         self.pool: list = []  # (tree index, row ids, margins) per block handed over
 
     def block(self, rows: slice, xt: np.ndarray) -> None:

@@ -22,28 +22,40 @@ flags the rows router.predict_proba(x) > gamma would.
 fit_fold, which reads one gate at every gamma of its grid, scores the
 router in full once and compares that.
 
+A call of at least 2 * _MIN_PART_ROWS rows runs on every usable CPU: it is
+split into contiguous row ranges, part 0 scored in the process and every
+other part in a forked child (workers.fork_map), each part writing its rows
+of the outputs straight into one anonymous shared mapping that the returned
+arrays view. The folded forests and both forests' scoring plans are built in
+the process before the fork, so the model keeps them and no child rebuilds
+them. CPU affinity (taskset) is the only control; Python 3.12 and later
+warn when a process that runs threads forks (see workers). Each part then
+serves its rows as a one-part call serves all of them, with the same bits.
+
 Serving walks its input in row blocks of the forests' own size. Given a
 data.MinMaxScaler, it first folds the scaler into both forests' split
 thresholds (MinMaxScaler.raw_thresholds): the map is monotone per column,
 so a raw threshold sends every finite raw row where the model sends its
 scaled row. The folded copies are built on the first call for a scaler
-and kept, never saved. A call keeps one (features, rows) workspace: each
+and kept, never saved. A part keeps one (features, rows) workspace: each
 checked raw block is copied into it, in the transposed layout the forests
 score, and the primary and the gate's block phase both read it, each tree
 by its leaf-code groups (see gbdt). The rows the gate pools are gathered
-from the input into the same workspace once the blocks are done. So a call
+from the input into the same workspace once the blocks are done. So a part
 holds one block and the outputs, never a copy of the pool, and allocates
 nothing block-sized per block. The scaler touches only the routed rows,
 gathered raw after the loop and scaled once, in place. The trees score row
-by row, so blocks keep their bits. The secondary scores in padded 512-row
-chunks, so it keeps them too; it gets every routed row of the call in one
-batch because one call pads the fewest chunks. Each forest builds its
-scoring plan once, on its model's first scoring, and reads it in every
-later block and call.
+by row, so blocks and parts keep their bits. The secondary scores in padded
+512-row chunks, so it keeps them too; it gets every routed row of a part in
+one batch because one batch pads the fewest chunks, so a part pads at most
+one chunk more than a one-part call. Each forest builds its scoring plan
+once, on its model's first scoring, and reads it in every later block,
+part and call.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +65,8 @@ from .errors import ConfigurationError, InputError, binary_labels, require_finit
 from .gbdt import GBDTModel, GBDTParams, _Gate, fit_gbdt
 from .hybrid import HybridModel
 from .metrics import pr_curve
+from .workers import fork_map
+from .workers import usable_cpus as _usable_cpus  # the name tests and tools patch
 
 __all__ = [
     "GAMMA_GRID",
@@ -66,6 +80,11 @@ __all__ = [
 ]
 
 GAMMA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
+# The fewest rows that earn a part of combined_predict: forking and reaping a
+# child (fork_map of two no-op tasks) took 4.0-5.4 ms in a serving process,
+# and one core scores 32,768 rows of the served pipeline in about 18 ms at
+# gamma 1.0 and 37 ms at 0.5, so a part pays for its child 3 to 7 times.
+_MIN_PART_ROWS = 1 << 15
 
 
 def youden_threshold(scores, labels) -> float:
@@ -153,44 +172,90 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     ``x`` holds the rows the experts read, or raw rows that ``scaler`` (a
     data.MinMaxScaler) maps to them; then both forests read the raw rows
     through folded thresholds (``_raw_forests``), and the scaler touches only
-    the routed rows. Per row block of ``errors.row_blocks``: a finite check
-    (scaling would clip an infinity into range), naming rows of the whole
-    input, so the outcome never depends on whether the gate would have
-    routed a bad row; the copy into the call's one (features, rows)
-    workspace; the primary and the gate's block phase on it (gbdt._Gate),
-    whose pooled rows are then gathered into the same workspace. The
-    secondary scores every routed row, gathered from ``x`` and scaled once,
-    in one call; that sparsity is the whole point of the gate. Hard labels
-    apply the owning expert's threshold.
+    the routed rows. Hard labels apply the owning expert's threshold.
+
+    A call of at least ``2 * _MIN_PART_ROWS`` rows is split into one
+    contiguous row range per usable CPU, none under ``_MIN_PART_ROWS`` rows:
+    part 0 runs in the process and every other part in a forked child
+    (``workers.fork_map``). Each part writes its rows of ``probs``, ``labels``
+    and ``routed`` straight into one anonymous shared mapping, which the
+    returned arrays view. The checks of gamma, the shape and the scaler's
+    width, the folded forests and both forests' scoring plans all come first,
+    in the process, so no child rebuilds them and the model keeps them. A
+    part's finite check names rows of the whole input, so a bad row raises
+    the error of a one-part call, and ``fork_map`` raises the lowest part's
+    fault. The rows keep their bits whatever the split: the trees score row
+    by row, the gate gives a surviving row ``predict_margin``'s adds in order,
+    and the secondary scores fixed, padded chunks, at most one more padded
+    chunk per part. Python 3.12 and later warn (DeprecationWarning) when a
+    process that runs threads forks; the package starts no thread of its own.
+    Smaller calls, and an empty input, run as one part in the process.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InputError(f"expected a 2-D array of rows, got shape {x.shape}")
-    primary, router = model.primary, model.router
-    if scaler is not None:
-        primary, router = _raw_forests(model, scaler)
-    probs = np.empty(x.shape[0])
-    blocks = list(row_blocks(max(x.shape[0], 1)))  # an empty input still checks
-    workspace = np.empty(x[blocks[0]].size)  # the first block is the largest
-    gate = _Gate(router, x, gamma) if gamma < 1.0 else None  # a shut gate reads no tree
-    for rows in blocks:
-        block = x[rows]
+    forests = (model.primary, model.router) if scaler is None else _raw_forests(model, scaler)
+    n = x.shape[0]
+    parts = min(_usable_cpus(), n // _MIN_PART_ROWS)
+    if parts < 2:
+        return _predict_rows(model, forests, x, gamma, scaler, slice(0, n))
+    for forest in forests[:2 if gamma < 1.0 else 1]:  # a shut gate reads no router tree
+        forest._forest  # its plan, built here once rather than in every child
+    shared = np.frombuffer(mmap.mmap(-1, 17 * n), np.uint8)  # zeros: no row is routed yet
+    out = RoutedPrediction(probs=shared[:8 * n].view(np.float64),
+                           labels=shared[8 * n:16 * n].view(np.float64),
+                           routed=shared[16 * n:].view(bool))
+    cuts = [n * k // parts for k in range(parts + 1)]
+
+    def score(k):  # returns nothing: a child's rows are already in the mapping
+        _predict_rows(model, forests, x, gamma, scaler, slice(cuts[k], cuts[k + 1]), out)
+
+    fork_map(score, parts)
+    return out
+
+
+def _predict_rows(model: CombinedModel, forests: tuple, x: np.ndarray, gamma: float, scaler,
+                  rows: slice, out: RoutedPrediction | None = None) -> RoutedPrediction:
+    """The prediction of ``x[rows]``, written into the same rows of ``out``'s
+    arrays (``routed`` holding False there) when given, else into new ones.
+
+    Per row block of ``errors.row_blocks``: a finite check (scaling would
+    clip an infinity into range), naming rows of all of ``x``, so the outcome
+    never depends on whether the gate would have routed a bad row, nor on
+    the part that meets it; the copy into the part's one (features, rows)
+    workspace; the primary and the gate's block phase on it (gbdt._Gate),
+    whose pooled rows are then gathered into the same workspace. The
+    secondary scores every routed row, gathered from ``x`` and scaled once,
+    in one call; that sparsity is the whole point of the gate.
+    """
+    primary, router = forests
+    part = x[rows]
+    probs = np.empty(part.shape[0]) if out is None else out.probs[rows]
+    routed = None if out is None else out.routed[rows]
+    blocks = list(row_blocks(max(part.shape[0], 1)))  # an empty input still checks
+    workspace = np.empty(part[blocks[0]].size)  # the first block is the largest
+    gate = _Gate(router, part, gamma, routed) if gamma < 1.0 else None  # shut: reads no tree
+    for block_rows in blocks:
+        block = part[block_rows]
         if not np.isfinite(block).all():
             require_finite_rows(x)
         xt = workspace[: block.size].reshape(block.shape[::-1])  # (features, rows)
         xt.T[...] = block
         # The primary reads xt.T as rows, which its block loop transposes back to xt.
-        probs[rows] = apply_temperature(model.primary_scaler, primary.predict_proba(xt.T))
+        probs[block_rows] = apply_temperature(model.primary_scaler, primary.predict_proba(xt.T))
         if gate is not None:
-            gate.block(rows, xt)
-    routed = np.zeros(x.shape[0], dtype=bool) if gate is None else gate.finish(workspace)
+            gate.block(block_rows, xt)
+    if gate is not None:
+        routed = gate.finish(workspace)
+    elif routed is None:
+        routed = np.zeros(part.shape[0], dtype=bool)
     del workspace, xt  # not held through the secondary's own peak
-    handed = x[routed]
+    handed = part[routed]
     if scaler is not None:
         scaler.transform(handed, out=handed)  # the gathered copy is scaled in place
-    return route_rows(model, probs, routed, handed)
+    return route_rows(model, probs, routed, handed, None if out is None else out.labels[rows])
 
 
 def _raw_forests(model: CombinedModel, scaler) -> tuple:
@@ -226,18 +291,21 @@ def _raw_forest(forest: GBDTModel, scaler) -> GBDTModel:
 
 
 def route_rows(model: CombinedModel, probs: np.ndarray, routed: np.ndarray,
-               handed: np.ndarray) -> RoutedPrediction:
+               handed: np.ndarray, labels: np.ndarray | None = None) -> RoutedPrediction:
     """Hand the rows flagged in the boolean mask ``routed`` to the secondary.
 
     ``handed`` holds those rows, in order; the secondary scores them in one
     call. ``probs`` holds the calibrated primary probabilities of every row;
     the routed rows' scores are written into it, and it is returned as the
     prediction's ``probs``. A caller that reads the primary's scores after
-    the call passes a copy.
+    the call passes a copy. The hard labels are written into ``labels`` when
+    given, else into a new array.
     """
     if routed.any():
         probs[routed] = apply_temperature(model.secondary_scaler,
                                           model.secondary.predict_proba(handed))
-    labels = np.where(routed, model.tau_secondary, model.tau_primary)
+    labels = np.empty_like(probs) if labels is None else labels
+    labels[...] = model.tau_primary
+    labels[routed] = model.tau_secondary
     np.greater(probs, labels, out=labels)  # 1.0 where a row clears its expert's threshold
     return RoutedPrediction(probs=probs, labels=labels, routed=routed)

@@ -106,9 +106,12 @@ def mlp_forward(spec: MLPSpec, params, x):
         )
     acts = [batch]
     for w, b in params[:-1]:
-        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+        h = acts[-1] @ w.T
+        h += b  # in place: the same adds as ``a @ w.T + b``, without a second array
+        acts.append(np.maximum(h, 0.0, out=h))
     w, b = params[-1]
-    out = acts[-1] @ w.T + b
+    out = acts[-1] @ w.T
+    out += b
     acts.append(sigmoid(out) if spec.output_activation == "sigmoid" else out)
     return acts[-1], acts
 

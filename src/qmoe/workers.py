@@ -2,8 +2,9 @@
 forked child that sends its result back through a pipe.
 
 ``fork_map`` is the package's one fork loop. ``load_csv`` parses the parts
-of a file's body through it, and ``cross_validate`` fits its folds through
-it. A child shares the parent's memory copy-on-write and inherits its BLAS
+of a file's body through it, ``cross_validate`` fits its folds through it,
+and ``combined_predict`` scores the row ranges of a large call through it. A
+child shares the parent's memory copy-on-write and inherits its BLAS
 thread setting; it returns only what its task returns, pickled. Python 3.12
 and later warn (DeprecationWarning) when a process that runs threads forks;
 the package starts no thread of its own.

@@ -745,6 +745,46 @@ def test_a_part_of_rows_ended_by_lone_cr_loads_as_its_lf_twin(tmp_path, monkeypa
         assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
 
 
+def _cr_tail(tmp_path, lines, name):
+    """A file of ``lines`` whose rows from the 30th on end in a lone \r."""
+    path = tmp_path / name
+    path.write_bytes(("\n".join(lines[:30]) + "\n" + "\r".join(lines[30:]) + "\n").encode())
+    return path
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_rows_ended_by_lone_cr_are_parsed_again_without_the_row_scan(tmp_path, monkeypatch,
+                                                                     three_parts, cpus):
+    # Rows that outrun their part's \n count are not a refused row: the body
+    # is parsed again as one span, and nothing re-reads it row by row.
+    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    lines = _pool(tmp_path).read_text().splitlines()
+    want = load_csv(_write(tmp_path, "\n".join(lines) + "\n", "lf.csv"))
+
+    def unexpected(path):
+        raise AssertionError("the body was re-read row by row")
+
+    monkeypatch.setattr(data, "_first_fault", unexpected)
+    got = load_csv(_cr_tail(tmp_path, lines, "cr.csv"))
+    _no_children_left()
+    for a, b in zip(got, want):
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_bad_token_among_rows_ended_by_lone_cr_is_named(tmp_path, monkeypatch, three_parts,
+                                                          cpus):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    lines = _pool(tmp_path).read_text().splitlines()
+    for at in (2, 35):  # a row ended by \n, and one ended by a lone \r
+        bad = list(lines)
+        bad[at] = bad[at].replace(",", ",x", 1)
+        path = _cr_tail(tmp_path, bad, f"bad-{at}.csv")
+        with pytest.raises(DataError, match=f"^{path}: line {at + 1}, column V1: cannot parse 'x"):
+            load_csv(path)
+        _no_children_left()
+
+
 @pytest.fixture(scope="module")
 def three_blocks(tmp_path_factory):
     return _pool(tmp_path_factory.mktemp("blocks"), rows=3 * _BLOCK_ROWS + 5)

@@ -1,5 +1,6 @@
-"""Routing tests: threshold placement, correction targets, gate behavior, and the
-serving path against a reference that scores the router in full."""
+"""Routing tests: threshold placement, correction targets, gate behavior, the
+serving path against a reference that scores the router in full, and a call
+split into parts on forked children."""
 
 from dataclasses import replace
 from functools import cached_property
@@ -7,11 +8,12 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from qmoe import errors
+from qmoe import errors, moe
 from qmoe.calibration import TemperatureScaler, apply_temperature, fit_temperature
 from qmoe.data import MinMaxScaler
 from qmoe.errors import InputError
 from qmoe.gbdt import GBDTModel, GBDTParams, fit_gbdt, router_params
+from qmoe.hybrid import HybridConfig, _init_training
 from qmoe.moe import (
     GAMMA_GRID,
     CombinedModel,
@@ -20,6 +22,7 @@ from qmoe.moe import (
     router_targets,
     youden_threshold,
 )
+from test_data import _no_children_left
 
 IDENTITY = TemperatureScaler(temperature=1.0, nll=0.0, iterations=0)
 
@@ -444,3 +447,151 @@ def test_a_scaler_of_another_width_is_an_input_error():
     for gamma in (0.5, 1.0):
         with pytest.raises(InputError, match="the scaler reads 3 features, the experts 2"):
             combined_predict(model, np.c_[x, x[:, :1]], gamma, wide)
+
+
+# A call of at least 2 * _MIN_PART_ROWS rows is split into row ranges, part 0
+# in the process and each other part in a forked child (forced here by a
+# small minimum part size): every output keeps a one-part call's bits, and
+# no child outlives the call.
+
+PART_ROWS = errors._BLOCK_ROWS  # three parts of 3 * PART_ROWS + 5 rows hold two blocks each
+
+
+@pytest.fixture
+def small_parts(monkeypatch):
+    monkeypatch.setattr(moe, "_MIN_PART_ROWS", PART_ROWS)
+
+
+def _pool_rows(x, n_rows=3 * PART_ROWS + 5):
+    rng = np.random.default_rng(n_rows)
+    return x[rng.integers(len(x), size=n_rows)] + rng.normal(0.0, 0.05, size=(n_rows, 2))
+
+
+def _hybrid_secondary():
+    cfg = HybridConfig(n_features=2, encoder_hidden=(4,), n_qubits=2, n_layers=1, head_hidden=4)
+    return _init_training(cfg, np.random.default_rng(5)).served()
+
+
+@pytest.mark.parametrize("secondary", ["gbdt", "hybrid"])
+@pytest.mark.parametrize("scalers", [(None, None), (SCALER, SCALER)],
+                         ids=["scaled rows", "raw rows"])
+def test_parts_keep_the_bits_of_one_part(monkeypatch, small_parts, scalers, secondary):
+    fit_scaler, scaler = scalers
+    x, model = _routed_model(12, fit_scaler)
+    if secondary == "hybrid":  # padded 512-row chunks: a part pads at most one more
+        model = replace(model, secondary=_hybrid_secondary())
+    rows = _pool_rows(x)
+    for gamma in (1.0, 0.5, 0.05):
+        outs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(moe, "_usable_cpus", lambda cpus=cpus: cpus)
+            outs.append(combined_predict(model, rows, gamma, scaler))
+            _no_children_left()
+        want = _composed_predict(model, rows, gamma, scaler)
+        for out in outs:
+            for name, got, expected in zip(("probs", "labels", "routed"),
+                                           (out.probs, out.labels, out.routed), want):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        assert outs[0].routed.any() == (gamma < 1.0)
+        assert isinstance(outs[2].probs.base, np.ndarray)  # a view of the shared mapping
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_bad_row_in_the_last_part_raises_the_one_part_error(monkeypatch, capfd, small_parts,
+                                                              value):
+    x, model = _routed_model(12, SCALER)
+    rows = _pool_rows(x)
+    rows[[-7, -2], [0, 1]] = value  # both in the last part's last block
+    messages = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(moe, "_usable_cpus", lambda cpus=cpus: cpus)
+        for gamma in (1.0, 0.5):
+            with pytest.raises(InputError) as caught:
+                combined_predict(model, rows, gamma, SCALER)
+            messages.append(str(caught.value))
+            _no_children_left()
+    n = len(rows)
+    assert messages == [f"feature rows must be finite; 2 rows hold NaN or infinity, "
+                        f"first at row indices {[n - 7, n - 2]}"] * 4
+    assert capfd.readouterr().err == ""  # the children wrote nothing
+
+
+def test_bad_arguments_raise_before_any_fork(monkeypatch, small_parts):
+    x, model = _routed_model(12, SCALER)
+    rows = _pool_rows(x)
+    forked = []
+    monkeypatch.setattr(moe, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(moe, "fork_map", lambda task, n: forked.append(n))
+    wide = MinMaxScaler(low=np.zeros(3), span=np.ones(3))
+    for args in ((rows, 0.0, SCALER), (rows, 1.5, None), (rows[None], 0.5, SCALER),
+                 (np.c_[rows, rows[:, :1]], 0.5, wide)):
+        with pytest.raises(InputError):
+            combined_predict(model, *args)
+    assert forked == []
+    combined_predict(model, rows, 0.5, SCALER)
+    assert forked == [3]
+
+
+@pytest.mark.parametrize("scaler", [None, SCALER], ids=["scaled rows", "raw rows"])
+def test_the_parent_builds_each_plan_once_before_the_fork(monkeypatch, tmp_path, small_parts,
+                                                          scaler):
+    import os
+
+    x, fitted = _routed_model(13, scaler)
+    rows = _pool_rows(x)
+    monkeypatch.setattr(moe, "_usable_cpus", lambda: 3)
+    log, real = tmp_path / "plans.txt", GBDTModel._forest.func
+
+    def logged(self):  # one line per plan built, in whichever process builds it
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {id(self)}\n")
+        return real(self)
+
+    plan = cached_property(logged)
+    plan.__set_name__(GBDTModel, "_forest")
+    monkeypatch.setattr(GBDTModel, "_forest", plan)
+    # Copies hold no plan yet: _routed_model scored the primary and the router.
+    model = replace(fitted, primary=replace(fitted.primary), router=replace(fitted.router))
+    combined_predict(model, rows, 1.0, scaler)
+    _no_children_left()
+    primary, router = (model.primary, model.router) if scaler is None else model._raw[1]
+    assert log.read_text().split() == [str(os.getpid()), str(id(primary))]  # a shut gate: no router
+    for gamma in (0.5, 0.05, 0.5):
+        combined_predict(model, rows, gamma, scaler)
+        _no_children_left()
+    assert log.read_text().split() == [str(os.getpid()), str(id(primary)),
+                                       str(os.getpid()), str(id(router))]
+
+
+def test_a_part_returns_nothing_through_its_pipe(monkeypatch, small_parts):
+    x, model = _routed_model(12)
+    returned, fork_map = [], moe.fork_map
+    monkeypatch.setattr(moe, "fork_map", lambda task, n: returned.extend(fork_map(task, n)))
+    monkeypatch.setattr(moe, "_usable_cpus", lambda: 3)
+    out = combined_predict(model, _pool_rows(x), 0.5)
+    _no_children_left()
+    assert returned == [None] * 3  # each child's rows are in the mapping: nothing is pickled
+    assert out.routed.any()
+
+
+def test_an_interrupt_in_part_0_kills_the_children(monkeypatch, small_parts):
+    import os
+    import time
+
+    x, model = _routed_model(12)
+    rows = _pool_rows(x)
+    parent, temperature = os.getpid(), moe.apply_temperature
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)  # a child that is not killed holds the test up
+        return temperature(*args)
+
+    monkeypatch.setattr(moe, "apply_temperature", interrupted)
+    monkeypatch.setattr(moe, "_usable_cpus", lambda: 3)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        combined_predict(model, rows, 0.5)
+    _no_children_left()
+    assert time.perf_counter() - start < 10

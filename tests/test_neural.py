@@ -289,6 +289,38 @@ def test_backward_equals_reference_bytes(out_act):
     assert grads[0][0][2].any()  # the unit carries gradient on other rows
 
 
+def reference_forward(spec, params, x):
+    """mlp_forward as whole-array expressions: each layer's ``a @ w.T + b``."""
+    acts = [x]
+    for w, b in params[:-1]:
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    w, b = params[-1]
+    out = acts[-1] @ w.T + b
+    acts.append(sigmoid(out) if spec.output_activation == "sigmoid" else out)
+    return acts
+
+
+@pytest.mark.parametrize("config", [
+    {},  # the paper hybrid: a 29-256-128-64-6 encoder
+    {"encoder_hidden": (64, 32), "n_qubits": 3, "n_layers": 2, "head_hidden": 8},  # the desk's
+    {"head_all_qubits": True},
+], ids=["paper", "desk", "head on every qubit"])
+def test_forward_in_place_equals_the_whole_array_expressions(config):
+    from qmoe.hybrid import HybridConfig
+
+    cfg = HybridConfig(**config)
+    rng = np.random.default_rng(17)
+    head_width = cfg.head_spec.layer_sizes[0]
+    for spec, x in ((cfg.encoder_spec, rng.uniform(0.0, 1.0, size=(512, cfg.n_features))),
+                    (cfg.head_spec, rng.uniform(-1.0, 1.0, size=(512, head_width)))):
+        params = init_mlp_params(spec, rng)
+        out, acts = mlp_forward(spec, params, x)
+        want = reference_forward(spec, params, x)
+        assert len(acts) == len(want) and out is acts[-1]
+        for got, expected in zip(acts, want):
+            assert_same_bytes(got, expected)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------

@@ -53,7 +53,13 @@ paper-scale CV (284,807 synthetic rows, the default ``RunConfig``, seed 0;
 one interpreter a side), recording the wall time, the CPU seconds of the
 process and its children, the usable CPUs, the peak RSS of the process and
 of its largest forked child (``RUSAGE_CHILDREN``), and a digest of
-``report.json``, and writes BENCH_cv.json.
+``report.json``, and writes BENCH_cv.json; ``parts`` times the whole-pool
+``pipeline_predict`` calls of ``serve`` at gamma 1.0 and 0.5, each at one
+part and at one part per usable CPU (a parent without parts scores in one
+either way), recording each call's minor page faults as ``raw`` does, the
+usable CPUs and, from untraced calls, the peak RSS of the timing process
+(``RUSAGE_SELF``) and of its largest forked child (``RUSAGE_CHILDREN``),
+and writes BENCH_parts.json.
 
 BENCH_qsim.json, BENCH_gate.json, BENCH_ingest.json and BENCH_fold.json
 stay as records of topics since folded into others. ``qsim`` timed the
@@ -514,6 +520,39 @@ def call():
             return fh.read()
 digest = lambda report: hashlib.sha256(report).hexdigest()
 """,
+)
+
+# The parts topic: the serve topic's whole-pool calls, each at one part and at
+# one part per usable CPU, recording the minor faults of each call (_FAULTS)
+# and, from untraced calls, the peak RSS of the timing process and of its
+# largest forked child: perfbench's peak_rss_mb reads the process alone.
+_PARTS = """
+import os, tracemalloc
+if kernel["parts"] == 1 and hasattr(moe, "_usable_cpus"):
+    moe._usable_cpus = lambda: 1
+peak_mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
+recorded["usable_cpus"] = len(os.sched_getaffinity(0))
+counted = call
+def call():
+    counted()
+    if not tracemalloc.is_tracing():  # the traced call's own overhead is not the call's
+        recorded.update(rss_mb=peak_mb(resource.RUSAGE_SELF),
+                        children_rss_mb=peak_mb(resource.RUSAGE_CHILDREN))
+"""
+
+TOPICS["parts"] = Topic(
+    title="combined_predict scores a call of at least 2 * _MIN_PART_ROWS rows on every "
+          "usable CPU: one contiguous row range per part, part 0 in the process and each "
+          "other part in a forked child (fork_map), every part writing its rows of probs, "
+          "labels and routed into one shared anonymous mapping",
+    kernels=tuple({"name": f"gamma {gamma}, {label}", "call": "pipeline_predict",
+                   "gamma": gamma, "rows": 142_404, "parts": parts}
+                  for gamma in (1.0, 0.5)
+                  for parts, label in ((1, "one part"), (None, "a part per usable CPU"))),
+    setup=TOPICS["serve"].setup + _FAULTS + _PARTS,
+    note="A parent checkout has no parts: it scores every kernel in one part. The minor "
+         "faults of a parallel call are the parent process's only; its outputs now sit in "
+         "a shared mapping made afresh per call, so their pages fault on every call.",
 )
 
 
