@@ -18,19 +18,21 @@ asserts in its own field. Reports contain no wall-clock values, so
 two runs with one seed serialize identically.
 
 cross_validate fits the folds on every usable CPU, one worker per CPU up
-to the fold count: the process and forked children (``fork_map``). The
-CPU affinity is the control (``taskset -c 0`` runs serially). Each fold
-is seeded by its (repeat, fold), so the report bytes do not depend on the
-worker count. Memory is the parent plus up to W - 1 children, each holding
-one fold; children inherit the parent's BLAS thread setting. Python 3.12
-and later warn when a process that runs threads forks (CI runs 3.10 and
-3.11).
+to the fold count: the process and forked children (``fork_map``), each
+fitting one contiguous range of folds in order, so the lowest failing
+worker holds the lowest failing fold. The CPU affinity is the control
+(``taskset -c 0`` runs serially). Each fold is seeded by its (repeat,
+fold), so the report bytes do not depend on the worker count. Memory is
+the parent plus up to W - 1 children, each holding one fold; children
+inherit the parent's BLAS thread setting. Python 3.12 and later warn when
+a process that runs threads forks (CI runs 3.10 and 3.11).
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -413,43 +415,34 @@ def _aggregate(folds: list) -> dict:
 def cross_validate(x, y, config: RunConfig) -> BenchReport:
     """The full repeated stratified CV over already-loaded arrays.
 
-    Worker w of ``W = min(usable CPUs, folds)`` fits folds w, w + W, ... in
-    order (``fork_map``; the process is worker 0). When folds fail, the
-    error of the lowest failing fold is raised, the one a serial run
-    reaches first.
+    Worker w of ``W = min(usable CPUs, folds)`` fits the w-th of W contiguous
+    fold ranges in order (``fork_map``; the process is worker 0). A worker
+    stops at its first failing fold, and ``fork_map`` raises the lowest
+    failing worker's error: that of the lowest failing fold, the one a
+    serial run reaches first.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_folds = config.n_splits * config.n_repeats
     workers = min(_usable_cpus(), n_folds)
-    done = fork_map(lambda w: _fit_folds(x, y, config, w, workers), workers)
-    failed = {w + workers * len(records): error for w, (records, error) in enumerate(done)
-              if error is not None}  # the fold each failing worker stopped at
-    if failed:
-        raise failed[min(failed)]
-    folds = [done[i % workers][0][i // workers] for i in range(n_folds)]
+    cuts = [n_folds * w // workers for w in range(workers + 1)]
+    done = fork_map(lambda w: _fit_folds(x, y, config, cuts[w], cuts[w + 1]), workers)
+    folds = [record for records in done for record in records]
     return BenchReport(
         config=asdict(config), folds=folds, aggregates=_aggregate(folds)
     )
 
 
-def _fit_folds(x, y, config: RunConfig, worker: int, workers: int):
-    """(records, error): the ``FoldRecord`` of folds ``worker``, ``worker + workers``,
-    ... in order, up to the first that raises, and that fold's exception or None.
+def _fit_folds(x, y, config: RunConfig, start: int, stop: int) -> list:
+    """The ``FoldRecord`` of folds ``start`` to ``stop - 1``, in order.
 
     The worker walks the lazy split generator itself, so it holds one split
     at a time.
     """
-    records = []
-    splits = stratified_repeated_kfold(y, config.n_splits, config.n_repeats, config.seed)
-    for i, (train_idx, heldout_idx) in enumerate(splits):
-        if i % workers == worker:
-            repeat, fold = divmod(i, config.n_splits)
-            try:
-                records.append(fit_fold(config, x, y, train_idx, heldout_idx, repeat, fold)[0])
-            except Exception as exc:  # raised by cross_validate if no earlier fold fails
-                return records, exc
-    return records, None
+    splits = itertools.islice(
+        stratified_repeated_kfold(y, config.n_splits, config.n_repeats, config.seed), start, stop)
+    return [fit_fold(config, x, y, train_idx, heldout_idx, *divmod(i, config.n_splits))[0]
+            for i, (train_idx, heldout_idx) in enumerate(splits, start)]
 
 
 def load_dataset(config: RunConfig):

@@ -52,29 +52,30 @@ model once its trees are final and nothing mutates them after, so a plan
 never goes stale; other trees make another model (dataclasses.replace),
 which checks them as every model does when it is built.
 
-A router only needs to know whether predict_proba(x) > gamma, so
-GBDTModel.proba_above answers that without finishing every row: the early
-exit of additive ensembles (Cambazoglu et al., WSDM 2010). Its _Gate
-scores each row block tree by tree, as predict_margin does, and every
-_CHECK_TREES trees marks dead the rows whose margin so far, plus the
-largest scaled leaf of each tree still to come, falls below logit(gamma)
-less a slack. Once at most half a block is alive, the block hands those
-rows' ids and margins to a pool and stops. After the last block the pool
-runs on in boosting order: it merges the rows each block handed over at a
-check when it reaches that check, prunes, and scores the trees up to the
-next check on batches of at most one block, gathered from the input. So
-the trees of a block's tail run on the survivors of every block at once,
-not a few hundred rows per call, and nothing is compacted per block. The
-slack is _SLACK times the sum of three terms: the tree count times a
-bound on every partial margin (|base| plus each tree's largest absolute
-leaf), which covers the rounding of the remaining adds and of the bound
-itself; |logit(gamma)|, for the rounding of the logit; and 1 / (1 -
-gamma), for the sigmoid's own rounding, which a margin gap must outweigh
-where the sigmoid is flat. A dead row therefore could not have cleared
-gamma, and a row that lives gets predict_margin's adds in its order, in
-its block or in the pool, so its sigmoid(margin) > gamma reads the same
-bits by construction. At gamma >= 1 nothing is scored, since a sigmoid
-never exceeds 1.
+A router only needs to know whether predict_proba(x) > gamma, so serving
+(moe.combined_predict, its one caller) asks a _Gate, which answers that
+without finishing every row: the early exit of additive ensembles
+(Cambazoglu et al., WSDM 2010). The gate scores each row block tree by
+tree, as predict_margin does, and every _CHECK_TREES trees marks dead
+the rows whose margin so far, plus the largest scaled leaf of each tree
+still to come, falls below logit(gamma) less a slack. Once at most half
+a block is alive, the block hands those rows' ids and margins to a pool
+and stops. After the last block the pool runs on in boosting order: it
+merges the rows each block handed over at a check when it reaches that
+check, prunes, and scores the trees up to the next check on batches of
+at most one block, gathered from the input. So the trees of a block's
+tail run on the survivors of every block at once, not a few hundred rows
+per call, and nothing is compacted per block. The slack is _SLACK times
+the sum of three terms: the tree count times a bound on every partial
+margin (|base| plus each tree's largest absolute leaf), which covers the
+rounding of the remaining adds and of the bound itself; |logit(gamma)|,
+for the rounding of the logit; and 1 / (1 - gamma), for the sigmoid's
+own rounding, which a margin gap must outweigh where the sigmoid is
+flat. A dead row therefore could not have cleared gamma, and a row that
+lives gets predict_margin's adds in its order, in its block or in the
+pool, so its sigmoid(margin) > gamma reads the same bits by
+construction. A gate is built only for gamma < 1: at gamma >= 1 no row
+clears, since a sigmoid never exceeds 1, and the caller scores nothing.
 """
 
 from __future__ import annotations
@@ -86,14 +87,14 @@ from typing import Optional
 import numpy as np
 import numpy.typing as npt
 
-from .errors import _BLOCK_ROWS, ConfigurationError, feature_rows, labeled_rows, row_blocks
+from .errors import ConfigurationError, feature_rows, labeled_rows, row_blocks
 from .neural import log_loss, sigmoid
 
 __all__ = ["GBDTParams", "Tree", "GBDTModel", "router_params", "fit_gbdt"]
 
 _PRIOR_EPS = 1e-6
-_CHECK_TREES = 8  # trees proba_above scores between two prunings of a block
-_SLACK = 2.0**-40  # relative slack of proba_above's cut; see the module docstring
+_CHECK_TREES = 8  # trees the gate scores between two prunings of a block
+_SLACK = 2.0**-40  # relative slack of the gate's cut; see the module docstring
 _GROUP_SPLITS = 8  # splits per leaf-code group: one bit each of a uint8 code
 _GATHER_ROWS = 256  # pooled rows gathered per step: 59 kB at 29 features, below mmap size
 
@@ -300,16 +301,6 @@ class GBDTModel:
     def predict_proba(self, x) -> np.ndarray:
         return sigmoid(self.predict_margin(x))
 
-    def proba_above(self, x, gamma: float) -> np.ndarray:
-        """``predict_proba(x) > gamma`` bit for bit, each row scored only until it is settled."""
-        x = feature_rows(x, self.n_features)
-        if gamma >= 1.0:
-            return np.zeros(x.shape[0], dtype=bool)
-        gate = _Gate(self, x, gamma)
-        for rows, xt in _row_blocks(x):
-            gate.block(rows, xt)
-        return gate.finish(np.empty(x[:_BLOCK_ROWS].size))
-
 
 def _add(forest: list, xt: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """``margin`` plus the trees of ``forest`` (plans) on the columns of ``xt``, in order."""
@@ -319,20 +310,20 @@ def _add(forest: list, xt: np.ndarray, margin: np.ndarray) -> np.ndarray:
 
 
 class _Gate:
-    """``proba_above(x, gamma)`` over the row blocks of one call: ``block`` settles a
-    block's rows or pools its survivors, and ``finish`` runs the pool on to the
-    last tree, gathering its rows from ``x`` (see the module docstring). The gate
-    is written into ``above``, an all-False boolean array of x's rows, when given.
+    """``predict_proba(x) > gamma``, for gamma < 1, over the row blocks of one call,
+    written into ``above``, an all-False boolean array of x's rows: ``block``
+    settles a block's rows or pools its survivors, and ``finish`` runs the pool on
+    to the last tree, gathering its rows from ``x`` (see the module docstring).
     """
 
-    def __init__(self, model: GBDTModel, x: np.ndarray, gamma: float, above=None):
+    def __init__(self, model: GBDTModel, x: np.ndarray, gamma: float, above: np.ndarray):
         self.forest, self.reach, span = model._forest
         self.cut = -np.inf
         if gamma > 0.0:
             cut = float(np.log(gamma) - np.log1p(-gamma))
             self.cut = cut - _SLACK * (len(self.forest) * span + abs(cut) + 1.0 / (1.0 - gamma))
         self.x, self.gamma, self.base = x, gamma, model.base_score
-        self.above = np.zeros(x.shape[0], dtype=bool) if above is None else above
+        self.above = above
         self.pool: list = []  # (tree index, row ids, margins) per block handed over
 
     def block(self, rows: slice, xt: np.ndarray) -> None:
@@ -348,8 +339,9 @@ class _Gate:
             _add(self.forest[k:k + _CHECK_TREES], xt, margin)
         self.above[rows] = alive & (sigmoid(margin) > self.gamma)
 
-    def finish(self, buffer: np.ndarray) -> np.ndarray:
-        """The gate of every row, once the pooled rows have met every tree or the cut."""
+    def finish(self, buffer: np.ndarray) -> None:
+        """Gate the pooled rows once they have met every tree or the cut, gathering
+        each batch into ``buffer``, which holds at least one block of ``x``."""
         ids, margin, width = np.empty(0, dtype=np.intp), np.empty(0), self.x.shape[1]
         first = min((k for k, _, _ in self.pool), default=len(self.forest))
         for k in range(first, len(self.forest), _CHECK_TREES):
@@ -365,7 +357,6 @@ class _Gate:
                     xt[:, i:i + _GATHER_ROWS] = self.x[part[i:i + _GATHER_ROWS]].T
                 _add(self.forest[k:k + _CHECK_TREES], xt, margin[batch])
         self.above[ids] = sigmoid(margin) > self.gamma
-        return self.above
 
 
 class _TreeBuilder:

@@ -15,22 +15,23 @@ primary alone. gamma = 1.0 does the same by construction (probabilities
 cannot exceed 1), giving a built-in no-routing reference point.
 
 Serving only compares the gate with gamma and never materialises it:
-combined_predict runs the router's gbdt._Gate (the early exit behind
-GBDTModel.proba_above) on its own workspace, which stops scoring a row
-once it can no longer clear gamma and scores nothing at gamma = 1.0, yet
-flags the rows router.predict_proba(x) > gamma would.
-fit_fold, which reads one gate at every gamma of its grid, scores the
-router in full once and compares that.
+combined_predict is the one caller of the router's gbdt._Gate, the early
+exit that stops scoring a row once it can no longer clear gamma, yet flags
+the rows router.predict_proba(x) > gamma would. At gamma = 1.0 it builds no
+gate and reads no router tree. fit_fold, which reads one gate at every
+gamma of its grid, scores the router in full once and compares that.
 
-A call of at least 2 * _MIN_PART_ROWS rows runs on every usable CPU: it is
-split into contiguous row ranges, part 0 scored in the process and every
-other part in a forked child (workers.fork_map), each part writing its rows
-of the outputs straight into one anonymous shared mapping that the returned
-arrays view. The folded forests and both forests' scoring plans are built in
-the process before the fork, so the model keeps them and no child rebuilds
-them. CPU affinity (taskset) is the only control; Python 3.12 and later
-warn when a process that runs threads forks (see workers). Each part then
-serves its rows as a one-part call serves all of them, with the same bits.
+Every call writes its outputs into one zeroed table that the returned
+arrays view, through workers.fork_map. A call of at least 2 *
+_MIN_PART_ROWS rows runs on every usable CPU: it is split into contiguous
+row ranges, part 0 scored in the process and every other part in a forked
+child, each part writing its rows straight into the table, an anonymous
+shared mapping. A smaller call is one part, in the process, and its table
+is private. The folded forests and the forests' scoring plans are built in
+the process first, so the model keeps them and no child rebuilds them. CPU
+affinity (taskset) is the only control; Python 3.12 and later warn when a
+process that runs threads forks (see workers). Each part serves its rows
+as a one-part call serves all of them, with the same bits.
 
 Serving walks its input in row blocks of the forests' own size. Given a
 data.MinMaxScaler, it first folds the scaler into both forests' split
@@ -174,12 +175,14 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     through folded thresholds (``_raw_forests``), and the scaler touches only
     the routed rows. Hard labels apply the owning expert's threshold.
 
-    A call of at least ``2 * _MIN_PART_ROWS`` rows is split into one
-    contiguous row range per usable CPU, none under ``_MIN_PART_ROWS`` rows:
-    part 0 runs in the process and every other part in a forked child
-    (``workers.fork_map``). Each part writes its rows of ``probs``, ``labels``
-    and ``routed`` straight into one anonymous shared mapping, which the
-    returned arrays view. The checks of gamma, the shape and the scaler's
+    Every call fills one zeroed table of 17 bytes a row, which the returned
+    ``probs``, ``labels`` and ``routed`` view, through ``workers.fork_map``. A
+    call of at least ``2 * _MIN_PART_ROWS`` rows is split into one contiguous
+    row range per usable CPU, none under ``_MIN_PART_ROWS`` rows: part 0 runs
+    in the process and every other part in a forked child, and the table is
+    an anonymous shared mapping that each part writes its rows into. Smaller
+    calls, an empty one included, are one part, in the process, with the
+    table in private memory. The checks of gamma, the shape and the scaler's
     width, the folded forests and both forests' scoring plans all come first,
     in the process, so no child rebuilds them and the model keeps them. A
     part's finite check names rows of the whole input, so a bad row raises
@@ -189,7 +192,6 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     and the secondary scores fixed, padded chunks, at most one more padded
     chunk per part. Python 3.12 and later warn (DeprecationWarning) when a
     process that runs threads forks; the package starts no thread of its own.
-    Smaller calls, and an empty input, run as one part in the process.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
@@ -197,19 +199,20 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     if x.ndim != 2:
         raise InputError(f"expected a 2-D array of rows, got shape {x.shape}")
     forests = (model.primary, model.router) if scaler is None else _raw_forests(model, scaler)
-    n = x.shape[0]
-    parts = min(_usable_cpus(), n // _MIN_PART_ROWS)
-    if parts < 2:
-        return _predict_rows(model, forests, x, gamma, scaler, slice(0, n))
     for forest in forests[:2 if gamma < 1.0 else 1]:  # a shut gate reads no router tree
         forest._forest  # its plan, built here once rather than in every child
-    shared = np.frombuffer(mmap.mmap(-1, 17 * n), np.uint8)  # zeros: no row is routed yet
-    out = RoutedPrediction(probs=shared[:8 * n].view(np.float64),
-                           labels=shared[8 * n:16 * n].view(np.float64),
-                           routed=shared[16 * n:].view(bool))
+    n = x.shape[0]
+    parts = max(1, min(_usable_cpus(), n // _MIN_PART_ROWS))
+    # Zeroed, as no row is routed yet: shared pages when a forked part writes
+    # them, else private ones, so an empty table maps nothing (mmap refuses 0).
+    table = (np.frombuffer(mmap.mmap(-1, 17 * n), np.uint8) if parts > 1
+             else np.zeros(17 * n, np.uint8))
+    out = RoutedPrediction(probs=table[:8 * n].view(np.float64),
+                           labels=table[8 * n:16 * n].view(np.float64),
+                           routed=table[16 * n:].view(bool))
     cuts = [n * k // parts for k in range(parts + 1)]
 
-    def score(k):  # returns nothing: a child's rows are already in the mapping
+    def score(k):  # returns nothing: a child's rows are already in the table
         _predict_rows(model, forests, x, gamma, scaler, slice(cuts[k], cuts[k + 1]), out)
 
     fork_map(score, parts)
@@ -217,9 +220,9 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
 
 
 def _predict_rows(model: CombinedModel, forests: tuple, x: np.ndarray, gamma: float, scaler,
-                  rows: slice, out: RoutedPrediction | None = None) -> RoutedPrediction:
-    """The prediction of ``x[rows]``, written into the same rows of ``out``'s
-    arrays (``routed`` holding False there) when given, else into new ones.
+                  rows: slice, out: RoutedPrediction) -> None:
+    """Write the prediction of ``x[rows]`` into the same rows of ``out``'s arrays,
+    whose ``routed`` holds False there.
 
     Per row block of ``errors.row_blocks``: a finite check (scaling would
     clip an infinity into range), naming rows of all of ``x``, so the outcome
@@ -232,8 +235,7 @@ def _predict_rows(model: CombinedModel, forests: tuple, x: np.ndarray, gamma: fl
     """
     primary, router = forests
     part = x[rows]
-    probs = np.empty(part.shape[0]) if out is None else out.probs[rows]
-    routed = None if out is None else out.routed[rows]
+    probs, routed = out.probs[rows], out.routed[rows]
     blocks = list(row_blocks(max(part.shape[0], 1)))  # an empty input still checks
     workspace = np.empty(part[blocks[0]].size)  # the first block is the largest
     gate = _Gate(router, part, gamma, routed) if gamma < 1.0 else None  # shut: reads no tree
@@ -248,14 +250,12 @@ def _predict_rows(model: CombinedModel, forests: tuple, x: np.ndarray, gamma: fl
         if gate is not None:
             gate.block(block_rows, xt)
     if gate is not None:
-        routed = gate.finish(workspace)
-    elif routed is None:
-        routed = np.zeros(part.shape[0], dtype=bool)
+        gate.finish(workspace)
     del workspace, xt  # not held through the secondary's own peak
     handed = part[routed]
     if scaler is not None:
         scaler.transform(handed, out=handed)  # the gathered copy is scaled in place
-    return route_rows(model, probs, routed, handed, None if out is None else out.labels[rows])
+    route_rows(model, probs, routed, handed, out.labels[rows])
 
 
 def _raw_forests(model: CombinedModel, scaler) -> tuple:

@@ -940,8 +940,8 @@ def test_fit_fold_names_the_non_finite_dataset_row(dataset, part, value):
 
 # cross_validate fits its folds on one worker per usable CPU, the process
 # itself and forked children (patched here to 1, 2 and 3 workers over
-# CONFIG's 6 folds): the report and the errors are those of a serial run,
-# and no child outlives the call.
+# CONFIG's 6 folds, in contiguous ranges of 6, 3 and 2): the report and the
+# errors are those of a serial run, and no child outlives the call.
 
 WORKERS = (1, 2, 3)
 
@@ -997,9 +997,9 @@ def _failing_at(monkeypatch, failing):
 @pytest.mark.parametrize("workers", WORKERS)
 def test_a_fold_failing_in_a_child_raises_as_the_serial_cv_does(dataset, capfd, monkeypatch,
                                                                 workers):
-    _failing_at(monkeypatch, {1})  # worker 1's first fold: a child's at 2 and 3 workers
+    _failing_at(monkeypatch, {5})  # the last worker's last fold: a child's at 2 and 3 workers
     monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
-    with pytest.raises(InputError, match="^fold 1 refused$"):
+    with pytest.raises(InputError, match="^fold 5 refused$"):
         cross_validate(*dataset, CONFIG)
     _no_children_left()
     assert capfd.readouterr().err == ""  # the children wrote nothing
@@ -1007,11 +1007,12 @@ def test_a_fold_failing_in_a_child_raises_as_the_serial_cv_does(dataset, capfd, 
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_the_lowest_failing_fold_names_the_error(dataset, monkeypatch, workers):
-    # Fold 1 fails on worker 1, after worker 0 has failed at fold 4 (2 workers)
-    # or fold 3 (3 workers): the lower worker does not win, the lower fold does.
-    _failing_at(monkeypatch, {1, 3, 4})
+    # Folds 3 and 5 fail: on one child at 2 workers, which stops at fold 3, and
+    # on two children at 3 workers, where fold 3's worker is the lower one.
+    # Either way the serial CV's first error is raised.
+    _failing_at(monkeypatch, {3, 5})
     monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
-    with pytest.raises(InputError, match="^fold 1 refused$"):
+    with pytest.raises(InputError, match="^fold 3 refused$"):
         cross_validate(*dataset, CONFIG)
     _no_children_left()
 

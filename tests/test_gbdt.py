@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qmoe import data, errors, gbdt
-from qmoe.errors import ConfigurationError, InputError
+from qmoe.errors import ConfigurationError, InputError, feature_rows
 from qmoe.gbdt import GBDTModel, GBDTParams, Tree, fit_gbdt, router_params
 from qmoe.neural import sigmoid
 
@@ -876,8 +876,23 @@ def test_a_replaced_forest_scores_exactly_its_own_trees(monkeypatch):
         assert_same_bytes(short.predict_margin(probe), reference_margin(short, probe))
         assert sum(scored) == k * probe.shape[0]  # k trees over every row
         gate = sigmoid(reference_margin(short, probe))
-        assert np.array_equal(short.proba_above(probe, 0.5), gate > 0.5)
+        assert np.array_equal(gate_above(short, probe, 0.5), gate > 0.5)
     assert_same_bytes(model.predict_margin(probe), reference_margin(model, probe))
+
+
+def gate_above(model, x, gamma):
+    """``model.predict_proba(x) > gamma`` through ``gbdt._Gate``, as serving drives it:
+    the rows checked for the model's width, then each row block, then the pool
+    in one block's buffer; at gamma >= 1, where serving builds no gate, no row."""
+    x = feature_rows(x, model.n_features)
+    above = np.zeros(x.shape[0], dtype=bool)
+    if gamma >= 1.0:
+        return above
+    gate = gbdt._Gate(model, x, gamma, above)
+    for rows, xt in gbdt._row_blocks(x):
+        gate.block(rows, xt)
+    gate.finish(np.empty(x[: errors._BLOCK_ROWS].size))
+    return above
 
 
 def _fitted_router(rng):
@@ -892,8 +907,8 @@ def test_gate_equals_thresholded_proba_on_a_fitted_router():
     gammas = [1.0, 0.99, 0.9, 0.5, 0.1, 1e-3, 0.0, -0.5, float(np.median(proba)),
               float(proba.max()), float(np.sort(proba)[-50]), np.nextafter(float(proba.max()), 0.0)]
     for gamma in gammas:
-        assert np.array_equal(model.proba_above(x, gamma), proba > gamma), gamma
-    assert model.proba_above(x, 0.5).any()
+        assert np.array_equal(gate_above(model, x, gamma), proba > gamma), gamma
+    assert gate_above(model, x, 0.5).any()
 
 
 def test_gate_scores_only_rows_that_can_still_clear(monkeypatch):
@@ -906,16 +921,16 @@ def test_gate_scores_only_rows_that_can_still_clear(monkeypatch):
         return score_tree(plan, xt)
 
     monkeypatch.setattr(gbdt, "_score_tree", counting)
-    assert not model.proba_above(x, 1.0).any()
+    assert not gate_above(model, x, 1.0).any()
     assert scored == []  # a sigmoid never exceeds 1: nothing is scored
-    model.proba_above(x, 0.5)
+    gate_above(model, x, 0.5)
     assert 0 < sum(scored) < 0.5 * len(model.trees) * x.shape[0]
 
 
 def test_gate_checks_the_input_shape():
     model, x = _fitted_router(np.random.default_rng(23))
     with pytest.raises(InputError):
-        model.proba_above(x[:, :3], 1.0)
+        gate_above(model, x[:, :3], 1.0)
 
 
 def test_gate_keeps_rows_whose_margin_meets_the_bound():
@@ -938,7 +953,7 @@ def test_gate_keeps_rows_whose_margin_meets_the_bound():
                           n_features=1, base_score=float(rng.normal() * 3), trees=trees)
         proba = sigmoid(reference_margin(model, x))
         for gamma in (proba[0], np.nextafter(proba[0], 0.0), np.nextafter(proba[0], 1.0)):
-            assert np.array_equal(model.proba_above(x, gamma), proba > gamma), gamma
+            assert np.array_equal(gate_above(model, x, gamma), proba > gamma), gamma
 
 
 def _staggered_gate_case(n_rows):
@@ -976,21 +991,22 @@ def test_pooled_gate_equals_thresholded_proba(n_rows):
     proba = model.predict_proba(x)
     for gamma in (1e-3, 0.5, 0.9, np.nextafter(1.0, 0.0), 1.0):
         for rows in (x, np.asfortranarray(x)):  # the pool gathers from either layout
-            above = model.proba_above(rows, gamma)
+            above = gate_above(model, rows, gamma)
             want = proba > gamma
             assert above.dtype == want.dtype and above.tobytes() == want.tobytes(), gamma
-    assert model.proba_above(x, 0.5).any() == bool(n_rows)
+    assert gate_above(model, x, 0.5).any() == bool(n_rows)
 
 
 def test_the_gate_pool_merges_blocks_handed_over_at_different_checks():
     model, x = _staggered_gate_case(3 * errors._BLOCK_ROWS + 100)
-    gate = gbdt._Gate(model, x, 0.5)
+    above = np.zeros(x.shape[0], dtype=bool)
+    gate = gbdt._Gate(model, x, 0.5, above)
     for rows, xt in gbdt._row_blocks(x):
         gate.block(rows, xt)
     # Blocks of kind 0, 1 and 2 hand over at checks 8, 16 and 24; the last
     # 100 rows, all kind 0, at 8.
     assert [k for k, _, _ in gate.pool] == [8, 16, 24, 8]
     assert all(2 * ids.size <= errors._BLOCK_ROWS for _, ids, _ in gate.pool)
-    above = gate.finish(np.empty(x[: errors._BLOCK_ROWS].size))
+    gate.finish(np.empty(x[: errors._BLOCK_ROWS].size))
     assert np.array_equal(above, model.predict_proba(x) > 0.5)
     assert above[gate.pool[2][1]].any()  # rows that joined the pool last still clear

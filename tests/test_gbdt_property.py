@@ -18,6 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 from test_gbdt import (  # noqa: E402
     assert_matches_reference,
     assert_walks_match_reference,
+    gate_above,
     random_rows,
     random_tree,
 )
@@ -141,6 +142,6 @@ def test_gate_equals_thresholded_proba_property(case):
         gate = float(proba[row])
         gammas += [gate, np.nextafter(gate, 0.0), np.nextafter(gate, 1.0)]
     for gamma in gammas:
-        above = model.proba_above(x, gamma)
+        above = gate_above(model, x, gamma)
         assert above.dtype == bool and above.shape == proba.shape
         assert np.array_equal(above, proba > gamma), gamma

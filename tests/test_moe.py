@@ -365,10 +365,10 @@ ZERO_SPAN = MinMaxScaler(low=SCALER.low, span=np.array([0.0, 3.5]))
 
 def _composed_predict(model, x, gamma, scaler):
     """The experts' own calls in turn: the primary's predict_proba, the
-    router's proba_above, then the secondary on the routed rows."""
+    router's predict_proba against gamma, then the secondary on the routed rows."""
     x = x if scaler is None else scaler.transform(x)
     probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
-    routed = model.router.proba_above(x, gamma)
+    routed = model.router.predict_proba(x) > gamma
     probs[routed] = apply_temperature(model.secondary_scaler,
                                       model.secondary.predict_proba(x[routed]))
     cut = np.where(routed, model.tau_secondary, model.tau_primary)
@@ -494,6 +494,26 @@ def test_parts_keep_the_bits_of_one_part(monkeypatch, small_parts, scalers, seco
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
         assert outs[0].routed.any() == (gamma < 1.0)
         assert isinstance(outs[2].probs.base, np.ndarray)  # a view of the shared mapping
+
+
+@pytest.mark.parametrize("scalers", [(None, None), (SCALER, SCALER)],
+                         ids=["scaled rows", "raw rows"])
+def test_zero_rows_get_an_empty_table_without_a_mapping(monkeypatch, small_parts, scalers):
+    # mmap refuses a length of 0, so an empty call must not map its table.
+    fit_scaler, scaler = scalers
+    x, model = _routed_model(12, fit_scaler)
+    mapped, real = [], moe.mmap.mmap
+    monkeypatch.setattr(moe.mmap, "mmap", lambda *args: mapped.append(args) or real(*args))
+    for cpus in (1, 3):
+        monkeypatch.setattr(moe, "_usable_cpus", lambda cpus=cpus: cpus)
+        for gamma in (0.5, 1.0):
+            out = combined_predict(model, np.empty((0, 2)), gamma, scaler)
+            _no_children_left()
+            for got, dtype in zip((out.probs, out.labels, out.routed),
+                                  (np.float64, np.float64, bool)):
+                assert got.dtype == dtype and got.shape == (0,)
+            assert out.routed_fraction == 0.0
+    assert mapped == []
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -499,9 +499,9 @@ _DESK_HYBRID = dict(n_features=29, encoder_hidden=(64, 32), n_qubits=3, n_layers
 
 TOPICS["cv"] = Topic(
     title="cross_validate fits its folds on every usable CPU through fork_map, the one fork "
-          "loop, which load_csv parses through too: worker w of W fits folds w, w + W, ... "
-          "walking the lazy splits itself, the process is worker 0, and the report is a "
-          "serial run's",
+          "loop, which load_csv parses through too: worker w of W fits the w-th of W "
+          "contiguous fold ranges, walking the lazy splits itself, the process is worker 0, "
+          "and the report is a serial run's",
     kernels=(
         {"name": "desk CV: cv-desk config, 20,000 rows, 15 folds, seed 0", "rows": 20_000,
          "desk": True, "once": True, "untraced": True},
