@@ -17,15 +17,13 @@ sentinel gamma must match the baseline bit for bit, which the record
 asserts in its own field. Reports contain no wall-clock values, so
 two runs with one seed serialize identically.
 
-cross_validate fits the folds on every usable CPU, one worker per CPU up
-to the fold count: the process and forked children (``fork_map``), each
-fitting one contiguous range of folds in order, so the lowest failing
-worker holds the lowest failing fold. The CPU affinity is the control
-(``taskset -c 0`` runs serially). Each fold is seeded by its (repeat,
-fold), so the report bytes do not depend on the worker count. Memory is
-the parent plus up to W - 1 children, each holding one fold; children
-inherit the parent's BLAS thread setting. Python 3.12 and later warn when
-a process that runs threads forks (CI runs 3.10 and 3.11).
+cross_validate fits the fold ranges of ``workers.parts`` through
+``workers.fork_map``: the process fits the first range and a forked child
+each other one, each range in order, so the lowest failing range holds the
+lowest failing fold (see ``workers`` for the fork facts; ``taskset -c 0``
+runs serially). Each fold is seeded by its (repeat, fold), so the report
+bytes do not depend on the worker count. Memory is the parent plus one
+child per range past the first, each holding one fold.
 """
 
 from __future__ import annotations
@@ -66,8 +64,7 @@ from .moe import (
     router_targets,
     youden_threshold,
 )
-from .workers import fork_map
-from .workers import usable_cpus as _usable_cpus
+from .workers import fork_map, parts
 
 __all__ = [
     "RunConfig",
@@ -415,34 +412,31 @@ def _aggregate(folds: list) -> dict:
 def cross_validate(x, y, config: RunConfig) -> BenchReport:
     """The full repeated stratified CV over already-loaded arrays.
 
-    Worker w of ``W = min(usable CPUs, folds)`` fits the w-th of W contiguous
-    fold ranges in order (``fork_map``; the process is worker 0). A worker
-    stops at its first failing fold, and ``fork_map`` raises the lowest
-    failing worker's error: that of the lowest failing fold, the one a
-    serial run reaches first.
+    Each fold range of ``workers.parts`` is fitted in order by one worker
+    (``fork_map``; the process fits the first). A worker stops at its first
+    failing fold, and ``fork_map`` raises the first failing range's error:
+    that of the lowest failing fold, the one a serial run reaches first.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_folds = config.n_splits * config.n_repeats
-    workers = min(_usable_cpus(), n_folds)
-    cuts = [n_folds * w // workers for w in range(workers + 1)]
-    done = fork_map(lambda w: _fit_folds(x, y, config, cuts[w], cuts[w + 1]), workers)
+    done = fork_map(lambda folds: _fit_folds(x, y, config, folds), parts(n_folds))
     folds = [record for records in done for record in records]
     return BenchReport(
         config=asdict(config), folds=folds, aggregates=_aggregate(folds)
     )
 
 
-def _fit_folds(x, y, config: RunConfig, start: int, stop: int) -> list:
-    """The ``FoldRecord`` of folds ``start`` to ``stop - 1``, in order.
+def _fit_folds(x, y, config: RunConfig, folds: slice) -> list:
+    """The ``FoldRecord`` of each fold in the range ``folds``, in order.
 
     The worker walks the lazy split generator itself, so it holds one split
     at a time.
     """
-    splits = itertools.islice(
-        stratified_repeated_kfold(y, config.n_splits, config.n_repeats, config.seed), start, stop)
+    splits = itertools.islice(stratified_repeated_kfold(
+        y, config.n_splits, config.n_repeats, config.seed), folds.start, folds.stop)
     return [fit_fold(config, x, y, train_idx, heldout_idx, *divmod(i, config.n_splits))[0]
-            for i, (train_idx, heldout_idx) in enumerate(splits, start)]
+            for i, (train_idx, heldout_idx) in enumerate(splits, folds.start)]
 
 
 def load_dataset(config: RunConfig):

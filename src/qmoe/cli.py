@@ -50,7 +50,7 @@ from .bench import (
     save_report,
 )
 from .data import load_csv, save_csv, synthesize
-from .errors import DataError, InputError, QmoeError, require_finite_rows
+from .errors import ConfigurationError, DataError, InputError, QmoeError, require_finite_rows
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 
 ENV_DATASET = "QMOE_DATASET"
@@ -66,6 +66,8 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     if getattr(args, "rows", None) is not None:
+        if (path := updates.get("csv_path", config.csv_path)) is not None:
+            raise ConfigurationError(f"--rows sizes synthetic data, but the data is the CSV {path}")
         updates["synth_rows"] = args.rows
     return replace(config, **updates) if updates else config
 

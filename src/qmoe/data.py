@@ -3,10 +3,10 @@
 The CSV layout is the common card-transaction format: a Time column that
 gets dropped, anonymized features V1..V28, an Amount column, and a 0/1
 Class label. Everything downstream works on the resulting 29 feature
-columns. load_csv has one body parser: it parses the body in parts on
-every usable CPU, forked children writing into one table in shared memory,
-each row with the bits of a whole-body parse. A refused file is re-read
-row by row only to name its bad line (see its docstring).
+columns. load_csv has one body parser: it parses the byte parts of
+``workers.parts`` through ``workers.fork_map`` (fork facts in ``workers``)
+into one table in shared memory, each row with the bits of a whole-body
+parse. A refused file is re-read row by row only to name its bad line.
 
 All randomized helpers take explicit seeds and derive independent streams
 through numpy SeedSequence, so repeated runs reproduce byte-identical
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InputError, binary_labels, feature_rows, row_blocks
-from .workers import fork_map
-from .workers import usable_cpus as _usable_cpus  # the name tests and tools patch
+from .workers import fork_map, parts
 
 __all__ = [
     "CSV_HEADER",
@@ -69,12 +68,11 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     named, so a truncated download or a stray locale comma is diagnosable
     from the message alone, and names the path when the file cannot be read.
 
-    The body is parsed in parts, one per usable CPU and none under
-    ``_MIN_PART_BYTES`` (one part where there is no ``os.fork`` or
-    ``os.sched_getaffinity``). ``_row_bound`` splits the file and bounds each
-    part's rows; ``_parse_parts`` parses them into one table in shared
-    anonymous memory, so each row has the bits of a whole-file parse (a part
-    whose fork is refused, or whose child is lost, is parsed in the process).
+    The body is parsed in the parts of ``workers.parts``, none under
+    ``_MIN_PART_BYTES``. ``_row_bound`` moves each part's start to a row's
+    start and bounds each part's rows; ``_parse_parts`` parses them into one
+    shared anonymous table, each row with the bits of a whole-file parse (a
+    part whose fork is refused, or whose child is lost, is parsed here).
     When rows ended by a lone \r outrun their part's \n count, the first
     table is dropped and the body is parsed again as one span in the
     process, bounded by its bytes alone. After a refused row, in the parts
@@ -94,8 +92,7 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                     f"got {header[:3]}...{header[-2:] if len(header) >= 2 else header}"
                 )
             size = os.path.getsize(path)
-            parts = min(_usable_cpus(), size // _MIN_PART_BYTES)
-            loaded = _parse_parts(path, fh, _row_bound(path, max(parts, 1)))
+            loaded = _parse_parts(path, fh, _row_bound(path, parts(size, _MIN_PART_BYTES)))
             if loaded is _OUTRUN:  # rows ended by a lone \r outran a part's \n count
                 loaded = _parse_parts(path, fh, [(0, size, size // _MIN_ROW_BYTES + 1)])
             if loaded is None and (fault := _first_fault(path)):
@@ -119,12 +116,9 @@ def _parse_parts(path, fh, spans):
     starts = np.cumsum([0] + [bound for *_, bound in spans]).tolist()
     table = np.frombuffer(mmap.mmap(-1, 8 * starts[-1] * len(CSV_HEADER)), np.float64)
     table = table.reshape(starts[-1], len(CSV_HEADER))
-
-    def parse(k):
-        return _parse_part(path, fh, spans[k], table[starts[k]:starts[k + 1]])
-
+    jobs = [(span, table[a:b]) for span, a, b in zip(spans, starts, starts[1:])]
     try:
-        counts = fork_map(parse, len(spans))
+        counts = fork_map(lambda job: _parse_part(path, fh, *job), jobs)
     except (OSError, ValueError):  # a row load_csv refuses, or a read fault
         return None
     return _OUTRUN if min(counts) < 0 else (table, list(zip(starts, counts)))
@@ -186,26 +180,29 @@ def _pack(table, regions):
     return x, y
 
 
-def _row_bound(path, parts: int = 1) -> list:
-    """At most ``parts`` byte spans of a text file, of about equal size, as
-    [(start, stop, rows)] with an upper bound on each span's rows.
+def _row_bound(path, spans: list) -> list:
+    """The byte ``spans`` of a text file (contiguous slices from 0 to its size,
+    as ``workers.parts`` cuts them) as [(start, stop, rows)], each start moved
+    forward to a row's start, with an upper bound on each span's rows.
 
-    A span ends right after a \n byte with an even count of " bytes before
-    it (the header holds an even count), so no span starts inside a quoted
-    field or a \r\n pair; a CR-only file is one span. A span's \n count
-    plus one bounds its lines when every line but its last ends in \n or
-    \r\n (rows ended by a lone \r outrun it, and load_csv parses again). A
-    valid row is at least ``_MIN_ROW_BYTES``, which caps the bound, so a file
-    of empty lines cannot make the table huge.
+    A span starts right after the first \n byte at or past its slice's start
+    with an even count of " bytes before it (the header holds an even count),
+    so no span starts inside a quoted field or a \r\n pair. A slice with no
+    such \n before the end of the file merges into the span before it, so a
+    CR-only file is one span. A span's \n count plus one bounds its lines
+    when every line but its last ends in \n or \r\n (rows ended by a lone \r
+    outrun it, and load_csv parses again). A valid row is at least
+    ``_MIN_ROW_BYTES``, which caps the bound, so a file of empty lines cannot
+    make the table huge.
     """
-    size = os.path.getsize(path)
+    size = spans[-1].stop
     cuts, lines = [0], [1]
     buf = bytearray(1 << 19)  # reused: the counts allocate O(buffer)
     pos = quotes = 0
     with open(path, "rb", buffering=0) as raw:
         while n := raw.readinto(buf):
             ends, at = np.frombuffer(buf, np.uint8, n) == 10, 0
-            while len(cuts) < parts and (i := max(size * len(cuts) // parts - pos, at)) < n:
+            while len(cuts) < len(spans) and (i := max(spans[len(cuts)].start - pos, at)) < n:
                 cut = _even_cut(buf, i, n, quotes)
                 if cut < 0 or pos + cut >= size:
                     break
@@ -267,9 +264,10 @@ def _is_float(s: str) -> bool:
 
 
 def save_csv(path, x: np.ndarray, y: np.ndarray) -> None:
-    """Write (features, labels) in the load_csv layout; Time is the row index."""
+    """Write (features, labels) in the load_csv layout; Time is the row index.
+    Labels other than 0 and 1 are an InputError, and no file is written."""
     x = feature_rows(x, N_FEATURES)
-    y = np.asarray(y)
+    y = binary_labels(y, "Class")  # before the file is opened: a refused label writes nothing
     if y.shape != (x.shape[0],):
         raise InputError(f"labels {y.shape} do not match {x.shape[0]} rows")
     try:

@@ -22,15 +22,13 @@ gate and reads no router tree. fit_fold, which reads one gate at every
 gamma of its grid, scores the router in full once and compares that.
 
 Every call writes its outputs into one zeroed table that the returned
-arrays view, through workers.fork_map. A call of at least 2 *
-_MIN_PART_ROWS rows runs on every usable CPU: it is split into contiguous
-row ranges, part 0 scored in the process and every other part in a forked
-child, each part writing its rows straight into the table, an anonymous
-shared mapping. A smaller call is one part, in the process, and its table
-is private. The folded forests and the forests' scoring plans are built in
-the process first, so the model keeps them and no child rebuilds them. CPU
-affinity (taskset) is the only control; Python 3.12 and later warn when a
-process that runs threads forks (see workers). Each part serves its rows
+arrays view, through workers.fork_map over the row ranges of
+workers.parts, none under _MIN_PART_ROWS rows: part 0 scored in the
+process and every other part in a forked child (see workers), each part
+writing its rows straight into the table, an anonymous shared mapping. A
+call of one part, in the process, keeps its table private. The folded
+forests and the forests' scoring plans are built in the process first, so
+the model keeps them and no child rebuilds them. Each part serves its rows
 as a one-part call serves all of them, with the same bits.
 
 Serving walks its input in row blocks of the forests' own size. Given a
@@ -66,8 +64,7 @@ from .errors import ConfigurationError, InputError, binary_labels, require_finit
 from .gbdt import GBDTModel, GBDTParams, _Gate, fit_gbdt
 from .hybrid import HybridModel
 from .metrics import pr_curve
-from .workers import fork_map
-from .workers import usable_cpus as _usable_cpus  # the name tests and tools patch
+from .workers import fork_map, parts
 
 __all__ = [
     "GAMMA_GRID",
@@ -176,22 +173,20 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     the routed rows. Hard labels apply the owning expert's threshold.
 
     Every call fills one zeroed table of 17 bytes a row, which the returned
-    ``probs``, ``labels`` and ``routed`` view, through ``workers.fork_map``. A
-    call of at least ``2 * _MIN_PART_ROWS`` rows is split into one contiguous
-    row range per usable CPU, none under ``_MIN_PART_ROWS`` rows: part 0 runs
-    in the process and every other part in a forked child, and the table is
-    an anonymous shared mapping that each part writes its rows into. Smaller
-    calls, an empty one included, are one part, in the process, with the
-    table in private memory. The checks of gamma, the shape and the scaler's
-    width, the folded forests and both forests' scoring plans all come first,
-    in the process, so no child rebuilds them and the model keeps them. A
-    part's finite check names rows of the whole input, so a bad row raises
-    the error of a one-part call, and ``fork_map`` raises the lowest part's
-    fault. The rows keep their bits whatever the split: the trees score row
-    by row, the gate gives a surviving row ``predict_margin``'s adds in order,
-    and the secondary scores fixed, padded chunks, at most one more padded
-    chunk per part. Python 3.12 and later warn (DeprecationWarning) when a
-    process that runs threads forks; the package starts no thread of its own.
+    ``probs``, ``labels`` and ``routed`` view, through ``workers.fork_map``
+    over the row ranges of ``workers.parts(n, _MIN_PART_ROWS)``: part 0 runs
+    in the process and every other part in a forked child. With two or more
+    parts the table is an anonymous shared mapping that each part writes its
+    rows into; with one, an empty call included, it is private memory. The
+    checks of gamma, the shape and the scaler's width, the folded forests and
+    both forests' scoring plans all come first, in the process, so no child
+    rebuilds them and the model keeps them. A part's finite check names rows
+    of the whole input, so a bad row raises the error of a one-part call, and
+    ``fork_map`` raises the lowest part's fault. The rows keep their bits
+    whatever the split: the trees score row by row, the gate gives a
+    surviving row ``predict_margin``'s adds in order, and the secondary
+    scores fixed, padded chunks, at most one more padded chunk per part. The
+    fork facts are in ``workers``.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
@@ -202,20 +197,16 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     for forest in forests[:2 if gamma < 1.0 else 1]:  # a shut gate reads no router tree
         forest._forest  # its plan, built here once rather than in every child
     n = x.shape[0]
-    parts = max(1, min(_usable_cpus(), n // _MIN_PART_ROWS))
+    ranges = parts(n, _MIN_PART_ROWS)
     # Zeroed, as no row is routed yet: shared pages when a forked part writes
     # them, else private ones, so an empty table maps nothing (mmap refuses 0).
-    table = (np.frombuffer(mmap.mmap(-1, 17 * n), np.uint8) if parts > 1
+    table = (np.frombuffer(mmap.mmap(-1, 17 * n), np.uint8) if len(ranges) > 1
              else np.zeros(17 * n, np.uint8))
     out = RoutedPrediction(probs=table[:8 * n].view(np.float64),
                            labels=table[8 * n:16 * n].view(np.float64),
                            routed=table[16 * n:].view(bool))
-    cuts = [n * k // parts for k in range(parts + 1)]
-
-    def score(k):  # returns nothing: a child's rows are already in the table
-        _predict_rows(model, forests, x, gamma, scaler, slice(cuts[k], cuts[k + 1]), out)
-
-    fork_map(score, parts)
+    # Each part returns nothing: a child's rows are already in the table.
+    fork_map(lambda rows: _predict_rows(model, forests, x, gamma, scaler, rows, out), ranges)
     return out
 
 

@@ -1,11 +1,16 @@
-"""Tasks on every usable CPU: task 0 in the process, each other task in a
-forked child that sends its result back through a pipe.
+"""The package's one split rule and its one fork loop.
 
-``fork_map`` is the package's one fork loop. ``load_csv`` parses the parts
-of a file's body through it, ``cross_validate`` fits its folds through it,
-and ``combined_predict`` scores the row ranges of a large call through it. A
-child shares the parent's memory copy-on-write and inherits its BLAS
-thread setting; it returns only what its task returns, pickled. Python 3.12
+``parts`` cuts a job into contiguous slices, one per usable CPU, and
+``fork_map`` maps a task over them: the first in the process, each other in
+a forked child that sends its result back through a pipe. ``load_csv`` parses
+a file's byte parts, ``cross_validate`` fits its fold ranges and
+``combined_predict`` scores a large call's row ranges through them. CPU
+affinity is the only control: ``taskset -c 0`` runs one part, in the process.
+
+Every forked caller relies on these facts. A child shares the parent's memory
+copy-on-write, so it reads the parent's arrays without a copy; it hands back
+only what its task returns, pickled, or what it writes into a shared mapping
+the parent made. It inherits the parent's BLAS thread setting. Python 3.12
 and later warn (DeprecationWarning) when a process that runs threads forks;
 the package starts no thread of its own.
 """
@@ -24,9 +29,17 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if fork else 1
 
 
-def fork_map(task, n: int) -> list:
-    """``[task(0), ..., task(n - 1)]``: task 0 runs in the process, task k in
-    forked child k.
+def parts(n: int, least: int = 1) -> list:
+    """Contiguous slices of ``range(n)`` of about equal size: one per usable
+    CPU, none shorter than ``least``, and one slice when ``n < 2 * least``
+    (``[slice(0, 0)]`` when ``n`` is 0). Slice k starts at ``n * k // count``."""
+    count = max(1, min(usable_cpus(), n // least))
+    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
+def fork_map(task, items) -> list:
+    """``[task(item) for item in items]``: the first item's task runs in the
+    process, each other item's in a forked child.
 
     A child runs inside ``try/finally: os._exit``, so it never returns into
     the caller, runs no exit handler and writes nothing but its pipe: the
@@ -35,23 +48,24 @@ def fork_map(task, n: int) -> list:
     the pipe's buffer cannot stall the child. A task whose fork is refused, or
     whose child ends without a result (killed, or holding a result that does
     not pickle), runs again in the process. When tasks raise, every child is
-    still reaped, and then the exception of the lowest-numbered failing task
-    is raised. An interrupt, or any fault outside a task, sends SIGKILL to
+    still reaped, and then the exception of the first failing item's task is
+    raised. An interrupt, or any fault outside a task, sends SIGKILL to
     every child not yet reaped, and reaps it, before it propagates.
     """
-    children = {}  # task -> (pid, the read end of its pipe), until the child is reaped
+    n = len(items)
+    children = {}  # item index -> (pid, the read end of its pipe), until the child is reaped
     try:
         for k in range(1, n):
-            if (child := _spawn(task, k)) is not None:
+            if (child := _spawn(task, items[k])) is not None:
                 children[k] = child
-        outcomes = {k: _run(task, k) for k in range(n) if k not in children}
+        outcomes = {k: _run(task, items[k]) for k in range(n) if k not in children}
         for k in list(children):
             pid, pipe = children[k]
             sent = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del children[k]
             pipe.close()
-            outcomes[k] = (status == 0 and _unpickled(sent)) or _run(task, k)
+            outcomes[k] = (status == 0 and _unpickled(sent)) or _run(task, items[k])
     finally:
         for pid, pipe in children.values():
             pipe.close()
@@ -63,17 +77,17 @@ def fork_map(task, n: int) -> list:
     return [outcomes[k][1] for k in range(n)]
 
 
-def _run(task, k: int) -> tuple:
-    """``(True, task(k))``, or ``(False, the exception it raised)``."""
+def _run(task, item) -> tuple:
+    """``(True, task(item))``, or ``(False, the exception it raised)``."""
     try:
-        return True, task(k)
+        return True, task(item)
     except Exception as exc:  # fork_map hands it to its caller
         return False, exc
 
 
-def _spawn(task, k: int):
-    """``(pid, pipe)`` of a forked child running task k, or None when the pipe
-    or the fork is refused."""
+def _spawn(task, item):
+    """``(pid, pipe)`` of a forked child running ``task(item)``, or None when the
+    pipe or the fork is refused."""
     try:
         read, write = os.pipe()
     except OSError:
@@ -88,7 +102,7 @@ def _spawn(task, k: int):
         status = 1
         try:
             os.close(read)
-            sent = pickle.dumps(_run(task, k))
+            sent = pickle.dumps(_run(task, item))
             with open(write, "wb") as pipe:
                 pipe.write(sent)
             status = 0

@@ -954,14 +954,14 @@ def _report_bytes(dataset, out_dir):
 @pytest.fixture(scope="module")
 def serial_report_bytes(dataset, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bench, "_usable_cpus", lambda: 1)
+        mp.setattr("qmoe.workers.usable_cpus", lambda: 1)
         return _report_bytes(dataset, tmp_path_factory.mktemp("serial"))
 
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_report_bytes_do_not_depend_on_the_workers(dataset, serial_report_bytes, tmp_path,
                                                    monkeypatch, workers):
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: workers)
     assert _report_bytes(dataset, tmp_path) == serial_report_bytes
     _no_children_left()
 
@@ -974,7 +974,7 @@ def test_a_refused_fork_fits_its_folds_in_the_process(dataset, serial_report_byt
     def refused():
         raise OSError(errno.EAGAIN, "fork refused")
 
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: workers)
     monkeypatch.setattr(os, "fork", refused)
     assert _report_bytes(dataset, tmp_path) == serial_report_bytes
     _no_children_left()
@@ -998,7 +998,7 @@ def _failing_at(monkeypatch, failing):
 def test_a_fold_failing_in_a_child_raises_as_the_serial_cv_does(dataset, capfd, monkeypatch,
                                                                 workers):
     _failing_at(monkeypatch, {5})  # the last worker's last fold: a child's at 2 and 3 workers
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: workers)
     with pytest.raises(InputError, match="^fold 5 refused$"):
         cross_validate(*dataset, CONFIG)
     _no_children_left()
@@ -1011,7 +1011,7 @@ def test_the_lowest_failing_fold_names_the_error(dataset, monkeypatch, workers):
     # on two children at 3 workers, where fold 3's worker is the lower one.
     # Either way the serial CV's first error is raised.
     _failing_at(monkeypatch, {3, 5})
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: workers)
     with pytest.raises(InputError, match="^fold 3 refused$"):
         cross_validate(*dataset, CONFIG)
     _no_children_left()
@@ -1029,7 +1029,7 @@ def test_an_interrupt_in_the_parents_fold_kills_the_children(dataset, monkeypatc
         time.sleep(30)  # a child that is not killed holds the test up
 
     monkeypatch.setattr(bench, "fit_fold", interrupted)
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: workers)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         cross_validate(*dataset, CONFIG)

@@ -124,7 +124,7 @@ def test_bench_names_a_finite_divergence(tmp_path, capsys, monkeypatch, workers)
     config = dict(TINY_CONFIG, hybrid={**TINY_CONFIG["hybrid"], "learning_rate": 1e30})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: workers)
     assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == ("error: hybrid training diverged in epoch 0 (Adam's second moment "
@@ -263,6 +263,29 @@ def test_data_flag_beats_env_var(workspace, monkeypatch, capsys):
     assert main(["evaluate", "--model", workspace["model"],
                  "--data", workspace["csv"]]) == 0
     assert json.loads(capsys.readouterr().out)["rows"] == 1200
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+@pytest.mark.parametrize("source", ["--data", "csv_path", ENV_DATASET])
+def test_rows_with_csv_data_exits_1(command, source, workspace, monkeypatch, tmp_path, capsys):
+    # --rows sizes synthetic data only; before, a CSV run ignored it and the
+    # report's config still recorded it as synth_rows.
+    config, argv = dict(TINY_CONFIG), []
+    if source == "--data":
+        argv = ["--data", workspace["csv"]]
+    elif source == "csv_path":
+        config["csv_path"] = workspace["csv"]
+    else:
+        monkeypatch.setenv(ENV_DATASET, workspace["csv"])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = ["--model", str(tmp_path / "model.json")] if command == "train" else [
+        "--out", str(tmp_path / "bench")]
+    assert main([command, "--config", str(cfg), "--rows", "2000", *argv, *out]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: --rows sizes synthetic data, but the data is the CSV "
+                   f"{workspace['csv']}\n")
+    assert set(os.listdir(tmp_path)) == {"config.json"}  # nothing was written
 
 
 def test_missing_dataset_is_a_structured_error(workspace, monkeypatch, capsys):

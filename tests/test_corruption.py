@@ -34,6 +34,7 @@ from qmoe import data
 from qmoe.errors import ConfigurationError, ModelIOError, QmoeError
 from qmoe.gbdt import GBDTParams
 from qmoe.hybrid import HybridConfig
+from test_data import _row_bound
 
 SUBSTITUTES = ("x", None, True, 1.5, [], {}, -1, 0, 5, float("nan"), float("inf"))
 CUTS = 300
@@ -224,13 +225,13 @@ def test_corrupted_csv_files_load_alike_in_one_part_and_in_several(tmp_path, mon
     path.write_text(text)
     monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
     monkeypatch.setattr(data, "_CHUNK_ROWS", 2)
-    assert len(data._row_bound(path, 3)) == 3
+    assert len(_row_bound(path, 3)) == 3
     differ = []
     for what, mutant in _csv_mutants(text):
         path.write_bytes(mutant.encode())
         outcomes = []
         for cpus in (1, 3):
-            monkeypatch.setattr(data, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
             outcomes.append(_outcome(path))
         if outcomes[0] != outcomes[1]:
             differ.append(f"{what}: {outcomes[0]!r:.80} against {outcomes[1]!r:.80}")

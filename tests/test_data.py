@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmoe import data
+from qmoe import data, workers
 from qmoe.data import (
     CSV_HEADER,
     N_FEATURES,
@@ -40,6 +40,16 @@ def test_csv_header_is_the_card_layout(tmp_path):
     first = path.read_text().splitlines()[0]
     assert first.split(",") == CSV_HEADER
     assert first.startswith("Time,V1,") and first.endswith("Amount,Class")
+
+
+@pytest.mark.parametrize("label", [0.7, 2.0, np.nan])
+def test_save_csv_refuses_a_label_load_csv_would_refuse_or_read_back_changed(tmp_path, label):
+    # 0.7 was written as 0, 2.0 as a 2 load_csv refuses, and NaN raised a bare
+    # ValueError after the header was written.
+    path = tmp_path / "txn.csv"
+    with pytest.raises(InputError, match="^Class labels must be 0 or 1; 1 are not"):
+        save_csv(path, np.zeros((3, N_FEATURES)), np.array([0.0, label, 1.0]))
+    assert not path.exists()
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -615,7 +625,7 @@ def test_a_file_of_empty_lines_is_not_sized_by_its_line_count(tmp_path, monkeypa
     monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
     path = _write(tmp_path, ",".join(CSV_HEADER) + "\n" + ROW + "\n" + "\n" * 200_000)
     for cpus in (1, 2):
-        monkeypatch.setattr(data, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
         tracemalloc.start()  # sees the chunks and the labels; the table is mapped
         try:
             x, y = load_csv(path)
@@ -659,19 +669,26 @@ def _no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _row_bound(path, cpus):
+    """``data._row_bound`` of the byte parts ``workers.parts`` cuts at ``cpus`` usable CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qmoe.workers.usable_cpus", lambda: cpus)
+        return data._row_bound(path, workers.parts(os.path.getsize(path)))
+
+
 @pytest.fixture
 def three_parts(monkeypatch):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
     monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
     monkeypatch.setattr(data, "_CHUNK_ROWS", 4)
 
 
 def test_parts_load_what_one_part_loads_and_leave_no_child(tmp_path, monkeypatch, three_parts):
     path = _pool(tmp_path)
-    assert len(data._row_bound(path, 3)) == 3
+    assert len(_row_bound(path, 3)) == 3
     several = load_csv(path)
     _no_children_left()
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 1)
     one = load_csv(path)
     for a, b in zip(several, one):
         assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
@@ -712,9 +729,9 @@ def test_a_refused_fork_parses_the_body_in_one_part(tmp_path, monkeypatch, three
     import errno
 
     path = _pool(tmp_path)
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 1)
     one = load_csv(path)
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
 
     def refused():
         raise OSError(errno.EAGAIN, "fork refused")
@@ -732,7 +749,7 @@ def test_a_part_of_rows_ended_by_lone_cr_loads_as_its_lf_twin(tmp_path, monkeypa
     path = tmp_path / "cr.csv"
     path.write_bytes(("\n".join(lines[:30]) + "\n" + "\r".join(lines[30:]) + "\n").encode())
     # Its rows outrun the last part's \n count, so that part faults.
-    spans = data._row_bound(path, 3)
+    spans = _row_bound(path, 3)
     tail = path.read_bytes()[spans[-1][0]:].decode()
     assert len(spans) == 3 and spans[-1][2] < len(tail.splitlines())
     calls, parse_parts = [], data._parse_parts
@@ -757,7 +774,7 @@ def test_rows_ended_by_lone_cr_are_parsed_again_without_the_row_scan(tmp_path, m
                                                                      three_parts, cpus):
     # Rows that outrun their part's \n count are not a refused row: the body
     # is parsed again as one span, and nothing re-reads it row by row.
-    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: cpus)
     lines = _pool(tmp_path).read_text().splitlines()
     want = load_csv(_write(tmp_path, "\n".join(lines) + "\n", "lf.csv"))
 
@@ -774,7 +791,7 @@ def test_rows_ended_by_lone_cr_are_parsed_again_without_the_row_scan(tmp_path, m
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_a_bad_token_among_rows_ended_by_lone_cr_is_named(tmp_path, monkeypatch, three_parts,
                                                           cpus):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: cpus)
     lines = _pool(tmp_path).read_text().splitlines()
     for at in (2, 35):  # a row ended by \n, and one ended by a lone \r
         bad = list(lines)
@@ -794,7 +811,7 @@ def three_blocks(tmp_path_factory):
 def test_packing_holds_one_row_block_at_a_time(three_blocks, monkeypatch, cpus):
     import tracemalloc
 
-    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: cpus)
     monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
     path = three_blocks
     tracemalloc.start()  # the table is mapped: what it sees is the call's own scratch
@@ -814,7 +831,7 @@ def test_a_refused_file_is_not_parsed_into_a_second_table(three_blocks, tmp_path
                                                           cpus):
     import tracemalloc
 
-    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: cpus)
     monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
     lines = three_blocks.read_text().splitlines()
     lines[-1] = lines[-1].replace(",", ",x", 1)
@@ -844,11 +861,11 @@ def test_splits_fall_between_rows_of_quoted_line_ends(tmp_path, monkeypatch, thr
     monkeypatch.setattr(data, "_parse_parts",
                         lambda *args: regions.append(parse_parts(*args)) or regions[-1])
     for parts in range(2, 7):
-        starts = [start for start, _, _ in data._row_bound(path, parts)]
+        starts = [start for start, _, _ in _row_bound(path, parts)]
         assert len(starts) == parts
         for start in starts[1:]:
             assert raw[start - 1] == ord("\n") and raw[:start].count(b'"') % 2 == 0
-        monkeypatch.setattr(data, "_usable_cpus", lambda parts=parts: parts)
+        monkeypatch.setattr("qmoe.workers.usable_cpus", lambda parts=parts: parts)
         x, y = load_csv(path)
         assert regions[-1] is not None  # every part parsed: no fault, no second parse
         assert x.shape == (30, N_FEATURES) and np.all(x == 0.5)

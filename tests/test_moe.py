@@ -484,7 +484,7 @@ def test_parts_keep_the_bits_of_one_part(monkeypatch, small_parts, scalers, seco
     for gamma in (1.0, 0.5, 0.05):
         outs = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(moe, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
             outs.append(combined_predict(model, rows, gamma, scaler))
             _no_children_left()
         want = _composed_predict(model, rows, gamma, scaler)
@@ -505,7 +505,7 @@ def test_zero_rows_get_an_empty_table_without_a_mapping(monkeypatch, small_parts
     mapped, real = [], moe.mmap.mmap
     monkeypatch.setattr(moe.mmap, "mmap", lambda *args: mapped.append(args) or real(*args))
     for cpus in (1, 3):
-        monkeypatch.setattr(moe, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
         for gamma in (0.5, 1.0):
             out = combined_predict(model, np.empty((0, 2)), gamma, scaler)
             _no_children_left()
@@ -524,7 +524,7 @@ def test_a_bad_row_in_the_last_part_raises_the_one_part_error(monkeypatch, capfd
     rows[[-7, -2], [0, 1]] = value  # both in the last part's last block
     messages = []
     for cpus in (1, 3):
-        monkeypatch.setattr(moe, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
         for gamma in (1.0, 0.5):
             with pytest.raises(InputError) as caught:
                 combined_predict(model, rows, gamma, SCALER)
@@ -540,8 +540,8 @@ def test_bad_arguments_raise_before_any_fork(monkeypatch, small_parts):
     x, model = _routed_model(12, SCALER)
     rows = _pool_rows(x)
     forked = []
-    monkeypatch.setattr(moe, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(moe, "fork_map", lambda task, n: forked.append(n))
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
+    monkeypatch.setattr(moe, "fork_map", lambda task, items: forked.append(len(items)))
     wide = MinMaxScaler(low=np.zeros(3), span=np.ones(3))
     for args in ((rows, 0.0, SCALER), (rows, 1.5, None), (rows[None], 0.5, SCALER),
                  (np.c_[rows, rows[:, :1]], 0.5, wide)):
@@ -559,7 +559,7 @@ def test_the_parent_builds_each_plan_once_before_the_fork(monkeypatch, tmp_path,
 
     x, fitted = _routed_model(13, scaler)
     rows = _pool_rows(x)
-    monkeypatch.setattr(moe, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
     log, real = tmp_path / "plans.txt", GBDTModel._forest.func
 
     def logged(self):  # one line per plan built, in whichever process builds it
@@ -586,8 +586,9 @@ def test_the_parent_builds_each_plan_once_before_the_fork(monkeypatch, tmp_path,
 def test_a_part_returns_nothing_through_its_pipe(monkeypatch, small_parts):
     x, model = _routed_model(12)
     returned, fork_map = [], moe.fork_map
-    monkeypatch.setattr(moe, "fork_map", lambda task, n: returned.extend(fork_map(task, n)))
-    monkeypatch.setattr(moe, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(moe, "fork_map",
+                        lambda task, items: returned.extend(fork_map(task, items)))
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
     out = combined_predict(model, _pool_rows(x), 0.5)
     _no_children_left()
     assert returned == [None] * 3  # each child's rows are in the mapping: nothing is pickled
@@ -609,7 +610,7 @@ def test_an_interrupt_in_part_0_kills_the_children(monkeypatch, small_parts):
         return temperature(*args)
 
     monkeypatch.setattr(moe, "apply_temperature", interrupted)
-    monkeypatch.setattr(moe, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         combined_predict(model, rows, 0.5)

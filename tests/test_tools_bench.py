@@ -3,6 +3,7 @@ the topic tables, and the result records read from the checkout's current source
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -114,6 +115,31 @@ def test_an_untraced_kernel_runs_its_invocations_without_a_peak(monkeypatch):
     assert calls == ["parent", "change"]
     assert before["tracemalloc_peak_mb"] is None and before["invocation_peaks_mb"] == []
     assert after["invocation_cpu_s"] == [140.0] and after["invocation_cores_usable"] == [2]
+
+
+@pytest.mark.parametrize("name", ["parse", "parts", "cv"])
+def test_only_one_part_kernels_are_pinned_to_the_lowest_usable_cpu(name):
+    # A one-part kernel runs on one CPU through the affinity alone, on either
+    # checkout; the cv kernels, and every kernel of one part per CPU, keep all.
+    lowest = min(os.sched_getaffinity(0))
+    for kernel in tools_bench.TOPICS[name].kernels:
+        assert "parts" in kernel
+        want = {**kernel, "cpu": lowest} if kernel["parts"] == 1 else kernel
+        assert tools_bench.pinned(kernel) == want
+
+
+def test_a_pinned_interpreter_reads_one_usable_cpu():
+    checkout = Path(__file__).resolve().parents[1]
+    topic = tools_bench.Topic(title="affinity", kernels=(), setup="""
+import os
+call = lambda: None
+recorded = {"cpus": sorted(os.sched_getaffinity(0))}
+""")
+    cpu = min(os.sched_getaffinity(0))
+    assert tools_bench._invoke(checkout, topic, {"parts": 1, "cpu": cpu})["cpus"] == [cpu]
+    unpinned = tools_bench._invoke(checkout, topic, {"parts": None})["cpus"]
+    assert unpinned == sorted(os.sched_getaffinity(0))
+
 
 def _fake_checkout(tmp_path, records):
     """A checkout with a three-line ``src/`` and untraced cv-desk results."""

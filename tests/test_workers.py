@@ -1,18 +1,19 @@
-"""fork_map: task 0 in the process, every other task in a forked child."""
+"""parts, the one split rule, and fork_map: the first item's task in the
+process, every other item's in a forked child."""
 
 import errno
 import os
 
 import pytest
 
-from qmoe.workers import fork_map
+from qmoe.workers import fork_map, parts
 from test_data import _no_children_left
 
 
 def test_results_come_back_in_task_order_past_the_pipe_buffer():
     parent = os.getpid()
     # Each child's result is 1 MB, far past a 64 KB pipe buffer.
-    got = fork_map(lambda k: (k, os.getpid() == parent, bytes([k]) * (1 << 20)), 3)
+    got = fork_map(lambda k: (k, os.getpid() == parent, bytes([k]) * (1 << 20)), range(3))
     _no_children_left()
     assert [(k, here) for k, here, _ in got] == [(0, True), (1, False), (2, False)]
     assert all(blob == bytes([k]) * (1 << 20) for k, _, blob in got)
@@ -28,7 +29,7 @@ def test_a_task_whose_child_ends_without_a_result_runs_in_the_process():
             return lambda: k  # a result that does not pickle
         return k, "here"
 
-    got = fork_map(task, 3)
+    got = fork_map(task, range(3))
     _no_children_left()
     assert got == [(0, "here"), (1, "here"), (2, "here")]
 
@@ -39,7 +40,7 @@ def test_a_refused_fork_runs_the_task_in_the_process(monkeypatch):
 
     monkeypatch.setattr(os, "fork", refused)
     parent = os.getpid()
-    assert fork_map(lambda k: (k, os.getpid() == parent), 3) == [(0, True), (1, True),
+    assert fork_map(lambda k: (k, os.getpid() == parent), range(3)) == [(0, True), (1, True),
                                                                    (2, True)]
 
 
@@ -50,6 +51,46 @@ def test_the_lowest_failing_task_raises_after_every_child_is_reaped(capfd):
         return k
 
     with pytest.raises(KeyError, match="'task 1'"):
-        fork_map(task, 3)
+        fork_map(task, range(3))
     _no_children_left()
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 7, 15, 100, 1001])
+def test_parts_cut_at_n_times_k_over_the_part_count(monkeypatch, cpus, n):
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: cpus)
+    p = min(cpus, n)
+    assert parts(n) == [slice(n * k // p, n * (k + 1) // p) for k in range(p)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fewer_than_twice_least_is_one_part_and_nothing_is_one_empty_part(monkeypatch, cpus):
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: cpus)
+    assert parts(0) == parts(0, 5) == [slice(0, 0)]
+    for n in (1, 5, 9):
+        assert parts(n, 5) == [slice(0, n)]
+    assert len(parts(10, 5)) == min(cpus, 2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
+def test_the_part_count_never_exceeds_the_cpus_nor_n_over_least(monkeypatch, cpus):
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: cpus)
+    for n in range(0, 60):
+        for least in (1, 2, 3, 7, 64):
+            got = parts(n, least)
+            assert 1 <= len(got) <= max(1, min(cpus, n // least))
+            assert got[0].start == 0 and got[-1].stop == n  # contiguous, covering range(n)
+            assert all(a.stop == b.start for a, b in zip(got, got[1:]))
+            assert len(got) == 1 or min(p.stop - p.start for p in got) >= least
+
+
+def test_fork_map_returns_results_in_item_order_for_any_items():
+    parent = os.getpid()
+    ranges = [slice(0, 3), slice(3, 5), slice(5, 9)]
+    got = fork_map(lambda rows: (list(range(9))[rows], os.getpid() == parent), ranges)
+    _no_children_left()
+    assert got == [([0, 1, 2], True), ([3, 4], False), ([5, 6, 7, 8], False)]
+    pairs = [("b", 2), ("a", 1), ("c", 3)]
+    assert fork_map(lambda pair: pair[0] * pair[1], pairs) == ["bb", "a", "ccc"]
+    _no_children_left()

@@ -81,7 +81,11 @@ call median and rows/s. Each workload also records, per output digest
 (cv-desk's report, train-paper's predictions, serve-paper's outputs per
 gamma), whether the two checkouts wrote the same one at every paired seed.
 It then times the topic's kernel from each checkout's ``src/`` on every
-entry of its table, with BLAS pinned to one thread. Each side runs in
+entry of its table, with BLAS pinned to one thread. A kernel of one part
+(``"parts": 1``) runs each interpreter bound to the lowest usable CPU
+(``os.sched_setaffinity``), recorded as the kernel's ``cpu``: both
+checkouts then read one usable CPU, and the verdict cannot follow the CPU
+an invocation lands on. Every other kernel keeps every CPU. Each side runs in
 ``INVOCATIONS`` fresh interpreters of ``REPEATS`` timed calls, the two
 sides alternating which goes first, so load drift on the host reaches both
 sides alike. After its timed calls each interpreter makes one more under
@@ -443,8 +447,6 @@ if not os.path.exists(path):
 import os, resource, tracemalloc
 from qmoe import data
 path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
-if kernel["parts"] == 1 and hasattr(data, "_usable_cpus"):
-    data._usable_cpus = lambda: 1
 peak_mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
 recorded = {"usable_cpus": len(os.sched_getaffinity(0))}
 def call():
@@ -504,9 +506,10 @@ TOPICS["cv"] = Topic(
           "and the report is a serial run's",
     kernels=(
         {"name": "desk CV: cv-desk config, 20,000 rows, 15 folds, seed 0", "rows": 20_000,
-         "desk": True, "once": True, "untraced": True},
+         "desk": True, "once": True, "untraced": True, "parts": None},
         {"name": "paper CV: default RunConfig, 284,807 rows, 15 folds, seed 0",
-         "rows": 284_807, "desk": False, "once": True, "untraced": True, "invocations": 1},
+         "rows": 284_807, "desk": False, "once": True, "untraced": True, "invocations": 1,
+         "parts": None},
     ),
     setup=f"""
 import hashlib, tempfile
@@ -528,8 +531,6 @@ digest = lambda report: hashlib.sha256(report).hexdigest()
 # largest forked child: perfbench's peak_rss_mb reads the process alone.
 _PARTS = """
 import os, tracemalloc
-if kernel["parts"] == 1 and hasattr(moe, "_usable_cpus"):
-    moe._usable_cpus = lambda: 1
 peak_mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
 recorded["usable_cpus"] = len(os.sched_getaffinity(0))
 counted = call
@@ -579,12 +580,21 @@ def _env(checkout: Path) -> dict:
                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
+def pinned(kernel: dict) -> dict:
+    """``kernel`` with ``cpu``, the lowest usable CPU, when it runs one part
+    (``"parts": 1``); any other kernel as it is, free to use every CPU."""
+    return {**kernel, "cpu": min(os.sched_getaffinity(0))} if kernel.get("parts") == 1 else kernel
+
+
 def _invoke(checkout: Path, topic: Topic, kernel: dict) -> dict:
     """``REPEATS`` call times in ms and one call's tracemalloc peak in bytes,
-    from one fresh interpreter on ``checkout``."""
+    from one fresh interpreter on ``checkout``, bound to the kernel's ``cpu``
+    when it has one (see ``pinned``)."""
+    cpu = kernel.get("cpu")
     out = subprocess.run(
         [sys.executable, "-c", timer_script(topic, kernel), json.dumps(kernel), str(REPEATS)],
         env=_env(checkout), check=True, capture_output=True, text=True,
+        preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}),
     )
     return json.loads(out.stdout)
 
@@ -753,7 +763,7 @@ def main(argv=None) -> int:
 
     kernels = []
     with tempfile.TemporaryDirectory() as scratch:  # what the topic's prepare writes
-        for kernel in topic.kernels:
+        for kernel in map(pinned, topic.kernels):
             timed = kernel
             if topic.prepare:
                 timed = {**kernel, "scratch": scratch}
