@@ -12,10 +12,11 @@ of scoring.
 
 Every fold entry carries a baseline arm (calibrated primary alone), one
 arm per gate value, and a sentinel arm at gamma = 1.0 where the gate
-cannot open. The holdout scored afresh through combined_predict at the
-sentinel gamma must match the baseline bit for bit, which the record
-asserts in its own field. Reports contain no wall-clock values, so
-two runs with one seed serialize identically.
+cannot open. Every arm is combined_predict's output on the holdout at its
+gamma, the path that serves a saved pipeline, so the report scores what
+serving scores. The sentinel arm's output must match the baseline bit for
+bit, which the record asserts in its own field. Reports contain no
+wall-clock values, so two runs with one seed serialize identically.
 
 cross_validate fits the fold ranges of ``workers.parts`` through
 ``workers.fork_map``: the process fits the first range and a forked child
@@ -60,7 +61,6 @@ from .moe import (
     CombinedModel,
     combined_predict,
     fit_router,
-    route_rows,
     router_targets,
     youden_threshold,
 )
@@ -349,23 +349,18 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
             router=router, tau_primary=tau1, tau_secondary=tau2,
         )
 
-        # Both trees score the holdout once; every arm reuses the scores.
+        # The baseline is the calibrated primary alone; every arm is served.
         n_hold = int(y_hold.size)
         base_probs = apply_temperature(scaler1, primary.predict_proba(x_hold))
         base_hard = (base_probs > tau1).astype(np.float64)
         baseline = _arm_metrics(y_hold, base_probs, base_hard, 0.0, n_hold, notes)
-        gate = router.predict_proba(x_hold)
 
         arms = {}
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
-            routed = gate > gamma
-            # base_probs stays the baseline's: the arm writes its routed rows into a copy.
-            out = route_rows(combined, base_probs.copy(), routed, x_hold[routed])
+            out = combined_predict(combined, x_hold, gamma)
             arms[str(gamma)] = _arm_metrics(y_hold, out.probs, out.labels,
                                             out.routed_fraction, n_hold, notes)
-        # The arms share base_probs, so the sentinel check scores the holdout
-        # afresh through the serving path instead.
-        sentinel = combined_predict(combined, x_hold, SENTINEL_GAMMA)
+        # out is now the sentinel arm's, the only output kept: the record checks it.
 
     for w in caught:
         message = str(w.message)
@@ -376,8 +371,8 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         temperature_primary=scaler1.temperature, temperature_secondary=scaler2.temperature,
         primary_trees=len(primary.trees), hybrid_epochs=len(train_report.epochs),
         baseline=baseline, combined=arms,
-        sentinel_equals_baseline=bool(np.array_equal(sentinel.probs, base_probs)
-                                      and np.array_equal(sentinel.labels, base_hard)),
+        sentinel_equals_baseline=bool(np.array_equal(out.probs, base_probs)
+                                      and np.array_equal(out.labels, base_hard)),
         warnings=notes,
     )
     return record, Pipeline(scaler=scaler, combined=combined)

@@ -18,7 +18,12 @@ without either. train, calibrate and bench check where they will write
 before any work: a model file's directory must exist, and bench creates
 its report directory. Structured errors exit 1 with a message on stderr,
 as does running out of memory, named with the command; argparse handles
-usage errors with exit 2.
+usage errors with exit 2. The CLI owns its process, so only ``main`` turns
+SIGTERM and SIGHUP into ``SystemExit(128 + signal number)``, the status a shell
+reports for a process the signal killed, and restores the old handlers when it
+returns. Every ``finally`` runs on the way out: ``fork_map`` kills and reaps
+its workers and ``_write`` removes its temp file. SIGKILL runs no handler: its
+workers run on.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from dataclasses import replace
 
@@ -54,6 +60,14 @@ from .errors import ConfigurationError, DataError, InputError, QmoeError, requir
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 
 ENV_DATASET = "QMOE_DATASET"
+_STOP_SIGNALS = [getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name)]
+
+
+def _stop(signum, frame) -> None:
+    """Exit 128 + ``signum`` through every ``finally``; no ``except Exception`` holds it."""
+    for stop in _STOP_SIGNALS:  # a second signal must not cut the cleanup short
+        signal.signal(stop, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -241,6 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    previous = {stop: signal.signal(stop, _stop) for stop in _STOP_SIGNALS}
     try:
         return args.func(args)
     except QmoeError as exc:
@@ -250,6 +265,9 @@ def main(argv=None) -> int:
         print(f"error: qmoe {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
               file=sys.stderr)
         return 1
+    finally:
+        for stop, handler in previous.items():
+            signal.signal(stop, handler)
 
 
 if __name__ == "__main__":

@@ -392,7 +392,8 @@ def undersample(y, majority_ratio: float = 1.0, seed: int = 0) -> np.ndarray:
     minority = 1 if counts[1] <= counts[0] else 0
     keep = np.nonzero(y == minority)[0]
     pool = np.nonzero(y != minority)[0]
-    want = min(pool.size, int(round(keep.size * majority_ratio)))
+    # min first: a product past the largest double is inf, which int() refuses.
+    want = int(round(min(keep.size * majority_ratio, pool.size)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     picked = rng.choice(pool, size=want, replace=False)
     return np.sort(np.concatenate([keep, picked]))

@@ -18,8 +18,7 @@ Serving only compares the gate with gamma and never materialises it:
 combined_predict is the one caller of the router's gbdt._Gate, the early
 exit that stops scoring a row once it can no longer clear gamma, yet flags
 the rows router.predict_proba(x) > gamma would. At gamma = 1.0 it builds no
-gate and reads no router tree. fit_fold, which reads one gate at every
-gamma of its grid, scores the router in full once and compares that.
+gate and reads no router tree.
 
 Every call writes its outputs into one zeroed table that the returned
 arrays view, through workers.fork_map over the row ranges of
@@ -60,7 +59,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import TemperatureScaler, apply_temperature
-from .errors import ConfigurationError, InputError, binary_labels, require_finite_rows, row_blocks
+from .errors import (ConfigurationError, InputError, binary_labels, feature_rows,
+                     require_finite_rows, row_blocks)
 from .gbdt import GBDTModel, GBDTParams, _Gate, fit_gbdt
 from .hybrid import HybridModel
 from .metrics import pr_curve
@@ -74,7 +74,6 @@ __all__ = [
     "CombinedModel",
     "RoutedPrediction",
     "combined_predict",
-    "route_rows",
 ]
 
 GAMMA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -172,27 +171,29 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     through folded thresholds (``_raw_forests``), and the scaler touches only
     the routed rows. Hard labels apply the owning expert's threshold.
 
+    The checks come first, in the process: gamma, the scaler's width, then
+    the rows' width (``errors.feature_rows``, naming the whole input's
+    shape). The folded forests and both forests' scoring plans are built
+    there too, so no child rebuilds them and the model keeps them.
     Every call fills one zeroed table of 17 bytes a row, which the returned
     ``probs``, ``labels`` and ``routed`` view, through ``workers.fork_map``
     over the row ranges of ``workers.parts(n, _MIN_PART_ROWS)``: part 0 runs
     in the process and every other part in a forked child. With two or more
     parts the table is an anonymous shared mapping that each part writes its
-    rows into; with one, an empty call included, it is private memory. The
-    checks of gamma, the shape and the scaler's width, the folded forests and
-    both forests' scoring plans all come first, in the process, so no child
-    rebuilds them and the model keeps them. A part's finite check names rows
-    of the whole input, so a bad row raises the error of a one-part call, and
-    ``fork_map`` raises the lowest part's fault. The rows keep their bits
-    whatever the split: the trees score row by row, the gate gives a
-    surviving row ``predict_margin``'s adds in order, and the secondary
-    scores fixed, padded chunks, at most one more padded chunk per part. The
-    fork facts are in ``workers``.
+    rows into; with one, an empty call included, it is private memory. A
+    part's finite check names rows of the whole input, so a bad row raises
+    the error of a one-part call, and ``fork_map`` raises the lowest part's
+    fault. The rows keep their bits whatever the split: the trees score row
+    by row, the gate gives a surviving row ``predict_margin``'s adds in
+    order, and the secondary scores fixed, padded chunks, at most one more
+    padded chunk per part. The fork facts are in ``workers``.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"expected a 2-D array of rows, got shape {x.shape}")
+    if scaler is not None and scaler.low.shape != (model.primary.n_features,):
+        raise InputError(f"the scaler reads {scaler.low.shape[0]} features, "
+                         f"the experts {model.primary.n_features}")
+    x = feature_rows(x, model.primary.n_features)
     forests = (model.primary, model.router) if scaler is None else _raw_forests(model, scaler)
     for forest in forests[:2 if gamma < 1.0 else 1]:  # a shut gate reads no router tree
         forest._forest  # its plan, built here once rather than in every child
@@ -243,10 +244,15 @@ def _predict_rows(model: CombinedModel, forests: tuple, x: np.ndarray, gamma: fl
     if gate is not None:
         gate.finish(workspace)
     del workspace, xt  # not held through the secondary's own peak
-    handed = part[routed]
-    if scaler is not None:
-        scaler.transform(handed, out=handed)  # the gathered copy is scaled in place
-    route_rows(model, probs, routed, handed, out.labels[rows])
+    if routed.any():
+        handed = part[routed]
+        if scaler is not None:
+            scaler.transform(handed, out=handed)  # the gathered copy is scaled in place
+        probs[routed] = apply_temperature(model.secondary_scaler,
+                                          model.secondary.predict_proba(handed))
+    labels = out.labels[rows]  # 1.0 where a row clears its owning expert's threshold
+    np.greater(probs, model.tau_primary, out=labels)
+    labels[routed] = probs[routed] > model.tau_secondary
 
 
 def _raw_forests(model: CombinedModel, scaler) -> tuple:
@@ -258,9 +264,6 @@ def _raw_forests(model: CombinedModel, scaler) -> tuple:
     for a scaler and both forests, kept on ``model`` keyed by their
     identity, and never saved: the codec writes a model's fields only.
     """
-    if scaler.low.shape != (model.primary.n_features,):
-        raise InputError(f"the scaler reads {scaler.low.shape[0]} features, "
-                         f"the experts {model.primary.n_features}")
     key = (scaler, model.primary, model.router)
     cached = getattr(model, "_raw", None)
     if cached is None or any(a is not b for a, b in zip(cached[0], key)):
@@ -279,24 +282,3 @@ def _raw_forest(forest: GBDTModel, scaler) -> GBDTModel:
     threshold[split] = scaler.raw_thresholds(feature[split], threshold[split])
     parts = np.split(threshold, np.cumsum([tree.feature.size for tree in trees])[:-1])
     return replace(forest, trees=[replace(t, threshold=p) for t, p in zip(trees, parts)])
-
-
-def route_rows(model: CombinedModel, probs: np.ndarray, routed: np.ndarray,
-               handed: np.ndarray, labels: np.ndarray | None = None) -> RoutedPrediction:
-    """Hand the rows flagged in the boolean mask ``routed`` to the secondary.
-
-    ``handed`` holds those rows, in order; the secondary scores them in one
-    call. ``probs`` holds the calibrated primary probabilities of every row;
-    the routed rows' scores are written into it, and it is returned as the
-    prediction's ``probs``. A caller that reads the primary's scores after
-    the call passes a copy. The hard labels are written into ``labels`` when
-    given, else into a new array.
-    """
-    if routed.any():
-        probs[routed] = apply_temperature(model.secondary_scaler,
-                                          model.secondary.predict_proba(handed))
-    labels = np.empty_like(probs) if labels is None else labels
-    labels[...] = model.tau_primary
-    labels[routed] = model.tau_secondary
-    np.greater(probs, labels, out=labels)  # 1.0 where a row clears its expert's threshold
-    return RoutedPrediction(probs=probs, labels=labels, routed=routed)

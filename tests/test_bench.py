@@ -28,7 +28,7 @@ from qmoe.bench import (
     save_report,
 )
 from qmoe.calibration import apply_temperature
-from qmoe.data import MinMaxScaler, split_eval, synthesize
+from qmoe.data import MinMaxScaler, split_eval, stratified_repeated_kfold, synthesize
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams, router_params
 from qmoe.hybrid import HybridConfig, HybridModel
@@ -369,9 +369,38 @@ def test_load_model_rejects_bad_files(tmp_path):
         load_model(malformed)
 
 
+def test_every_arm_equals_the_full_router_oracle(dataset):
+    # The path fit_fold's arms once took: the router scored in full and
+    # compared with gamma, the secondary scoring the routed rows in one call,
+    # each label at its owning expert's threshold. Every arm's metrics must
+    # equal those of combined_predict's output bit for bit.
+    x, y = dataset
+    train_idx, heldout_idx = next(stratified_repeated_kfold(y, CONFIG.n_splits, 1, CONFIG.seed))
+    record, pipeline = fit_fold(CONFIG, x, y, train_idx, heldout_idx, 0, 0)
+    holdout = split_eval(y, heldout_idx, seed=_fold_seeds(CONFIG.seed, 0, 0)[0]).holdout
+    x_hold, y_hold = pipeline.scaler.transform(x[holdout]), y[holdout]
+    combined = pipeline.combined
+    base = apply_temperature(combined.primary_scaler, combined.primary.predict_proba(x_hold))
+    gate = combined.router.predict_proba(x_hold)
+    routed_any = False
+    for gamma in (*CONFIG.gamma_grid, bench.SENTINEL_GAMMA):
+        routed = gate > gamma
+        routed_any |= routed.any()
+        probs = base.copy()
+        if routed.any():
+            probs[routed] = apply_temperature(combined.secondary_scaler,
+                                              combined.secondary.predict_proba(x_hold[routed]))
+        labels = probs > np.where(routed, combined.tau_secondary, combined.tau_primary)
+        want = bench._arm_metrics(y_hold, probs, labels.astype(np.float64), routed.mean(),
+                                  y_hold.size, [])
+        assert json.dumps(record.combined[str(gamma)]) == json.dumps(want), gamma  # NaN equals NaN
+    assert routed_any  # the secondary scored some arm's rows
+
+
 def test_sentinel_check_sees_a_one_ulp_difference(dataset, monkeypatch):
-    # The arms reuse the baseline's scores, so only a fresh scoring of the
-    # holdout can tell the sentinel apart from the baseline.
+    # Every arm, the sentinel's included, is combined_predict's output, while
+    # the baseline scores the primary alone, so the check sees a one-ulp
+    # difference in the sentinel arm's scores.
     real = bench.combined_predict
 
     def nudged(*args, **kwargs):

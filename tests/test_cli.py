@@ -1,12 +1,17 @@
 """End-to-end command line tests, run in process through main()."""
 
+import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import qmoe
 from qmoe.bench import RunConfig, fit_pipeline, load_model, pipeline_predict, save_model
 from qmoe.calibration import apply_temperature
 from qmoe import bench, cli
@@ -595,6 +600,15 @@ def test_latency_negative_points_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: report {path} is malformed") and "routed_fraction" in err
 
 
+def test_train_with_a_huge_majority_ratio_keeps_every_row(workspace, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "majority_ratio": 1e308}))
+    assert main(["train", "--config", str(config), "--data", workspace["csv"],
+                 "--model", str(tmp_path / "model.json")]) == 0
+    sizes = json.loads(capsys.readouterr().out)["sizes"]
+    assert sizes["balanced"] == sizes["train"]
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--frobnicate"])
@@ -605,3 +619,56 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])  # a subcommand is required
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+def test_a_stop_signal_exits_128_plus_its_number(signum, monkeypatch, tmp_path):
+    before = {stop: signal.getsignal(stop) for stop in (signal.SIGTERM, signal.SIGHUP)}
+    monkeypatch.setattr(cli, "run_cv", lambda config: os.kill(os.getpid(), signum))
+    with pytest.raises(SystemExit) as stopped:
+        main(["bench", "--rows", "100", "--out", str(tmp_path / "out")])
+    assert stopped.value.code == 128 + signum
+    # main restores the handlers it replaced: the caller owns its process.
+    assert {stop: signal.getsignal(stop) for stop in before} == before
+    assert main(["latency", "--report", str(tmp_path / "none")]) == 1
+    assert {stop: signal.getsignal(stop) for stop in before} == before
+
+
+def _children(pid: int) -> list:
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:  # the forks of its main thread
+        return fh.read().split()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux and a second usable CPU, so the CV forks a worker")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+def test_a_stopped_bench_leaves_no_worker_and_no_temp_file(signum, tmp_path):
+    # Two folds of thousands of epochs each: the parent fits one, a forked worker the other.
+    slow = {**TINY_CONFIG, "hybrid": {**TINY_CONFIG["hybrid"], "epochs": 10_000,
+                                      "patience": 10_000}}
+    config, out = tmp_path / "slow.json", tmp_path / "out"
+    config.write_text(json.dumps(slow))
+    src = os.path.dirname(os.path.dirname(qmoe.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "qmoe.cli", "bench", "--config", str(config),
+                             "--out", str(out)], env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not _children(proc.pid):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        start = time.monotonic()
+        _, err = proc.communicate(timeout=30)
+        assert time.monotonic() - start < 1.0
+        assert proc.returncode == 128 + signum
+        assert err == ""  # no traceback
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # nothing is left of the run's process group
+        assert list(out.glob("*.tmp")) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()

@@ -116,6 +116,12 @@ def test_undersample_keeps_minority_and_balances():
     assert (y[idx3] == 0).sum() == 90
 
 
+@pytest.mark.parametrize("ratio", [1e300, 1e308, np.inf])  # 30 * 1e308 overflows to inf
+def test_undersample_past_the_pool_keeps_every_row(ratio):
+    y = np.r_[np.ones(30), np.zeros(270)]
+    assert np.array_equal(undersample(y, majority_ratio=ratio, seed=5), np.arange(300))
+
+
 def test_undersample_is_seeded():
     y = np.r_[np.ones(10), np.zeros(90)]
     a = undersample(y, seed=1)

@@ -2,6 +2,7 @@
 serving path against a reference that scores the router in full, and a call
 split into parts on forked children."""
 
+import re
 from dataclasses import replace
 from functools import cached_property
 
@@ -543,10 +544,16 @@ def test_bad_arguments_raise_before_any_fork(monkeypatch, small_parts):
     monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
     monkeypatch.setattr(moe, "fork_map", lambda task, items: forked.append(len(items)))
     wide = MinMaxScaler(low=np.zeros(3), span=np.ones(3))
+    three = np.c_[rows, rows[:, :1]]
     for args in ((rows, 0.0, SCALER), (rows, 1.5, None), (rows[None], 0.5, SCALER),
-                 (np.c_[rows, rows[:, :1]], 0.5, wide)):
+                 (three, 0.5, wide)):
         with pytest.raises(InputError):
             combined_predict(model, *args)
+    # Rows of the wrong width, with the experts' scaler or none, name the whole input.
+    for scaler in (SCALER, None):
+        with pytest.raises(InputError, match=re.escape(
+                f"expected rows with 2 features, got shape ({len(rows)}, 3)")):
+            combined_predict(model, three, 0.5, scaler)
     assert forked == []
     combined_predict(model, rows, 0.5, SCALER)
     assert forked == [3]
