@@ -132,7 +132,7 @@ class RunConfig:
         object.__setattr__(self, "gamma_grid", grid)
         if self.n_splits < 2 or self.n_repeats < 1:
             raise ConfigurationError("need n_splits >= 2 and n_repeats >= 1")
-        if self.majority_ratio <= 0:
+        if not self.majority_ratio > 0:
             raise ConfigurationError(f"majority_ratio must be positive, got {self.majority_ratio}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")

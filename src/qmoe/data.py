@@ -381,7 +381,7 @@ def undersample(y, majority_ratio: float = 1.0, seed: int = 0) -> np.ndarray:
     InputError that names the offending labels.
     """
     y = np.asarray(y)
-    if majority_ratio <= 0:
+    if not majority_ratio > 0:
         raise InputError(f"majority_ratio must be positive, got {majority_ratio}")
     if y.ndim != 1 or y.size == 0:
         raise InputError(f"undersampling needs a non-empty 1-D label array, got shape {y.shape}")

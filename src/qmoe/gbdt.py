@@ -125,11 +125,11 @@ class GBDTParams:
             raise ConfigurationError(f"n_estimators must be >= 1, got {self.n_estimators}")
         if self.max_depth < 1:
             raise ConfigurationError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.reg_lambda <= 0:
+        if not self.reg_lambda > 0:
             raise ConfigurationError(f"reg_lambda must be positive, got {self.reg_lambda}")
-        if self.min_split_gain < 0 or self.min_child_weight < 0:
+        if not (self.min_split_gain >= 0 and self.min_child_weight >= 0):
             raise ConfigurationError("min_split_gain and min_child_weight must be >= 0")
         if self.early_stopping_rounds < 0:
             raise ConfigurationError("early_stopping_rounds must be >= 0")
@@ -310,7 +310,7 @@ def _add(forest: list, xt: np.ndarray, margin: np.ndarray) -> np.ndarray:
 
 
 class _Gate:
-    """``predict_proba(x) > gamma``, for gamma < 1, over the row blocks of one call,
+    """``predict_proba(x) > gamma``, for 0 < gamma < 1, over the row blocks of one call,
     written into ``above``, an all-False boolean array of x's rows: ``block``
     settles a block's rows or pools its survivors, and ``finish`` runs the pool on
     to the last tree, gathering its rows from ``x`` (see the module docstring).
@@ -318,10 +318,8 @@ class _Gate:
 
     def __init__(self, model: GBDTModel, x: np.ndarray, gamma: float, above: np.ndarray):
         self.forest, self.reach, span = model._forest
-        self.cut = -np.inf
-        if gamma > 0.0:
-            cut = float(np.log(gamma) - np.log1p(-gamma))
-            self.cut = cut - _SLACK * (len(self.forest) * span + abs(cut) + 1.0 / (1.0 - gamma))
+        cut = float(np.log(gamma) - np.log1p(-gamma))
+        self.cut = cut - _SLACK * (len(self.forest) * span + abs(cut) + 1.0 / (1.0 - gamma))
         self.x, self.gamma, self.base = x, gamma, model.base_score
         self.above = above
         self.pool: list = []  # (tree index, row ids, margins) per block handed over

@@ -105,7 +105,7 @@ class HybridConfig:
             )
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
             raise ConfigurationError("batch_size, epochs, and patience must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")

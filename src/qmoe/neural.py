@@ -195,7 +195,7 @@ class AdamState:
 
 
 def adam_init(params: np.ndarray, learning_rate: float = 1e-3) -> AdamState:
-    if learning_rate <= 0:
+    if not learning_rate > 0:
         raise ConfigurationError(f"learning rate must be positive, got {learning_rate}")
     return AdamState(np.zeros_like(params), np.zeros_like(params), learning_rate)
 

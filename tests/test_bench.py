@@ -28,11 +28,12 @@ from qmoe.bench import (
     save_report,
 )
 from qmoe.calibration import apply_temperature
-from qmoe.data import MinMaxScaler, split_eval, stratified_repeated_kfold, synthesize
+from qmoe.data import MinMaxScaler, split_eval, stratified_repeated_kfold, synthesize, undersample
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams, router_params
 from qmoe.hybrid import HybridConfig, HybridModel
 from qmoe.moe import GAMMA_GRID
+from qmoe.neural import adam_init
 from test_data import _no_children_left
 from test_hybrid import fresh_hybrid
 
@@ -92,6 +93,29 @@ def test_run_config_rejects_nested_seeds(nested):
     match = r"hybrid\.seed must be 0, got 7: every fold derives its seeds from the run's seed"
     with pytest.raises(ConfigurationError, match=match):
         RunConfig(hybrid=HybridConfig(seed=7))
+
+
+NAN = float("nan")
+
+
+# Every range check a NaN would pass as ``x <= 0`` or ``x < 0``. A JSON config
+# cannot carry NaN (load_config refuses it), so only code reaches these.
+@pytest.mark.parametrize("build, error, field", [
+    (lambda: RunConfig(majority_ratio=NAN), ConfigurationError, "majority_ratio"),
+    (lambda: undersample(np.array([0.0, 1.0, 0.0]), majority_ratio=NAN), InputError,
+     "majority_ratio"),
+    (lambda: GBDTParams(learning_rate=NAN), ConfigurationError, "learning_rate"),
+    (lambda: GBDTParams(reg_lambda=NAN), ConfigurationError, "reg_lambda"),
+    (lambda: GBDTParams(min_split_gain=NAN), ConfigurationError, "min_split_gain"),
+    (lambda: GBDTParams(min_child_weight=NAN), ConfigurationError, "min_child_weight"),
+    (lambda: HybridConfig(learning_rate=NAN), ConfigurationError, "learning_rate"),
+    (lambda: adam_init(np.zeros(3), NAN), ConfigurationError, "learning rate"),
+], ids=["RunConfig.majority_ratio", "undersample", "GBDTParams.learning_rate",
+        "GBDTParams.reg_lambda", "GBDTParams.min_split_gain", "GBDTParams.min_child_weight",
+        "HybridConfig.learning_rate", "adam_init"])
+def test_a_nan_fails_every_range_check_by_name(build, error, field):
+    with pytest.raises(error, match=field):
+        build()
 
 
 def test_latency_model_arithmetic():

@@ -904,8 +904,11 @@ def _fitted_router(rng):
 def test_gate_equals_thresholded_proba_on_a_fitted_router():
     model, x = _fitted_router(np.random.default_rng(21))
     proba = sigmoid(reference_margin(model, x))
-    gammas = [1.0, 0.99, 0.9, 0.5, 0.1, 1e-3, 0.0, -0.5, float(np.median(proba)),
-              float(proba.max()), float(np.sort(proba)[-50]), np.nextafter(float(proba.max()), 0.0)]
+    # Serving builds a gate only for 0 < gamma < 1 and refuses gamma <= 0 or NaN
+    # (test_moe's gamma check), so the smallest positive double is the low end.
+    gammas = [1.0, 0.99, 0.9, 0.5, 0.1, 1e-3, np.nextafter(0.0, 1.0),
+              float(np.median(proba)), float(proba.max()), float(np.sort(proba)[-50]),
+              np.nextafter(float(proba.max()), 0.0)]
     for gamma in gammas:
         assert np.array_equal(gate_above(model, x, gamma), proba > gamma), gamma
     assert gate_above(model, x, 0.5).any()

@@ -135,12 +135,13 @@ def gate_cases(draw):
 def test_gate_equals_thresholded_proba_property(case):
     model, x, picks = case
     proba = model.predict_proba(x)
-    gammas = [1.0, 0.9, 0.5, 0.1, 1e-6, 1e-300, 5e-324, 0.0, np.nextafter(1.0, 0.0),
-              float("nan")]
+    # Serving builds a gate only for 0 < gamma < 1 and refuses gamma <= 0 or NaN
+    # (test_moe's gamma check), so 5e-324 is the low end.
+    gammas = [1.0, 0.9, 0.5, 0.1, 1e-6, 1e-300, 5e-324, np.nextafter(1.0, 0.0)]
     for row in picks if proba.size else ():
         # A row's exact gate value, and the floats on either side of it.
         gate = float(proba[row])
-        gammas += [gate, np.nextafter(gate, 0.0), np.nextafter(gate, 1.0)]
+        gammas += [g for g in (gate, np.nextafter(gate, 0.0), np.nextafter(gate, 1.0)) if g > 0.0]
     for gamma in gammas:
         above = gate_above(model, x, gamma)
         assert above.dtype == bool and above.shape == proba.shape

@@ -220,7 +220,7 @@ def test_combined_predict_validates_gamma():
         secondary=secondary, secondary_scaler=IDENTITY,
         router=router, tau_primary=0.5, tau_secondary=0.5,
     )
-    for bad in (0.0, -0.2, 1.0001):
+    for bad in (0.0, -0.2, 1.0001, float("nan")):
         with pytest.raises(InputError):
             combined_predict(model, x, bad)
     out = combined_predict(model, x, 1.0)  # the boundary itself is legal

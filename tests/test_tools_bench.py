@@ -4,6 +4,7 @@ the topic tables, and the result records read from the checkout's current source
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -117,7 +118,7 @@ def test_an_untraced_kernel_runs_its_invocations_without_a_peak(monkeypatch):
     assert after["invocation_cpu_s"] == [140.0] and after["invocation_cores_usable"] == [2]
 
 
-@pytest.mark.parametrize("name", ["parse", "parts", "cv"])
+@pytest.mark.parametrize("name", ["serve", "cv"])
 def test_only_one_part_kernels_are_pinned_to_the_lowest_usable_cpu(name):
     # A one-part kernel runs on one CPU through the affinity alone, on either
     # checkout; the cv kernels, and every kernel of one part per CPU, keep all.
@@ -139,6 +140,30 @@ recorded = {"cpus": sorted(os.sched_getaffinity(0))}
     assert tools_bench._invoke(checkout, topic, {"parts": 1, "cpu": cpu})["cpus"] == [cpu]
     unpinned = tools_bench._invoke(checkout, topic, {"parts": None})["cpus"]
     assert unpinned == sorted(os.sched_getaffinity(0))
+
+
+def test_the_serve_set_up_records_its_figures_on_this_checkout(tmp_path):
+    # serve's real prepare and timer, on small kernels: the pool file is
+    # written once, for load_csv only, and every call reports its figures.
+    checkout = Path(__file__).resolve().parents[1]
+    serve = tools_bench.TOPICS["serve"]
+    kernels = [{"call": "load_csv", "rows": 2000, "parts": None},
+               tools_bench.pinned({"call": "pipeline_predict", "gamma": 0.5, "rows": 2000,
+                                   "parts": 1})]
+    for kernel in kernels:
+        kernel["scratch"] = str(tmp_path)
+        subprocess.run([sys.executable, "-c", serve.prepare, json.dumps(kernel)],
+                       env=tools_bench._env(checkout), check=True)
+    assert [p.name for p in tmp_path.iterdir()] == ["pool-2000.csv"]
+    for kernel in kernels:
+        run = tools_bench._invoke(checkout, serve, kernel)
+        assert len(run["samples"]) == tools_bench.REPEATS and run["peak_bytes"] > 0
+        cpus = 1 if kernel["parts"] == 1 else len(os.sched_getaffinity(0))
+        assert run["usable_cpus"] == cpus
+        assert run["rss_mb"] > 0 and run["children_rss_mb"] >= 0
+        # the warm-up, the timed calls and the traced call
+        assert len(run["minflt"]) == tools_bench.REPEATS + 2
+    assert run["fold_ms"] > 0 and all(faults >= 0 for faults in run["minflt"])
 
 
 def _fake_checkout(tmp_path, records):

@@ -11,24 +11,26 @@ fits at the cv-desk, train-paper and paper-fold analysis sizes, the
 train-paper primary and a 16k-row fit) and writes BENCH_gbdt.json,
 ``predict`` times ``GBDTModel.predict_margin`` on the serving forests and
 on dense depth-6 and depth-4 forests, and writes BENCH_predict.json;
-``codes`` times the ``predict`` kernels and the ``serve`` kernels, each
-with its own topic's set-up, and writes BENCH_codes.json; ``raw`` times
-the ``serve`` kernels, recording each call's minor page faults
-(``ru_minflt``, the warm-up's first, with the last call's outputs kept
-through the next) and, where the checkout has one, the one-time fold of
-the scaler into both forests, and writes BENCH_raw.json;
 ``hybrid`` times ``mlp_forward`` plus ``mlp_backward`` on the paper
 encoder, one ``_batch_gradients`` step on the training buffer and
 ``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
 BENCH_hybrid.json; ``model`` times ``bench.save_model`` and
 ``bench.load_model`` on the train-paper pipeline at seed 0 (fit once per
 interpreter, outside the timed calls), recording the model file's bytes,
-and writes BENCH_model.json; ``serve`` times
-``data.load_csv`` on a 142,404-row ``save_csv`` file (written once,
-outside the timed calls) and whole-pool ``bench.pipeline_predict`` calls
-at gamma 1.0, 0.9 and 0.5 on the serve-paper shape (the train-paper
-pipeline at seed 0, fit once per interpreter outside the timed calls,
-over that pool), and writes BENCH_serve.json; ``circuit`` times
+and writes BENCH_model.json; ``serve`` times ``data.load_csv`` on the
+serve-paper pool (142,404 rows) and on a 284,807-row file, each written
+once by a set-up interpreter before the timers, and whole-pool
+``bench.pipeline_predict`` calls at gamma 1.0, 0.9 and 0.5 on the
+serve-paper shape (the train-paper pipeline at seed 0, fit once per
+interpreter outside the timed calls, over that pool), each at one part and
+at one part per usable CPU (a parent without parts runs one either way).
+It records each call's minor page faults (``ru_minflt``, the warm-up's
+first, with the last scoring call's outputs kept through the next), the
+usable CPUs, from untraced calls the peak RSS of the timing process
+(``RUSAGE_SELF``) and of its largest child (``RUSAGE_CHILDREN``, which
+counts the pages a forked child shares with the parent), and, where the
+checkout has one, the one-time fold of the scaler into both forests, and
+writes BENCH_serve.json; ``circuit`` times
 ``qsim.batch_expectations`` on 512-row scoring chunks and
 ``qsim.batch_parameter_shift`` on training batches at the desk and paper
 circuit shapes, and both at 8, 9 and 10 qubits (the crossover that sets
@@ -39,36 +41,29 @@ tracemalloc peak, then generates the paper-scale table once per
 interpreter and runs one ``bench.fit_pipeline`` fold on it (the default
 ``RunConfig``, seed 0), recording the process peak RSS after the
 generation and after the fold, its wall time, and a digest of both the
-table and the ``FoldRecord``, and writes BENCH_synth.json; ``parse``
-times ``data.load_csv`` on the serve-paper pool (142,404 rows) and on a
-284,807-row file, each written once by a set-up interpreter before the
-timers, at one part and at one part per usable CPU (a parent without
-parts parses in one either way), recording the usable CPUs and, from
-untraced calls, the peak RSS of the timing process (``RUSAGE_SELF``) and
-of its largest child (``RUSAGE_CHILDREN``, which counts the pages a
-forked child shares with the parent), and writes BENCH_parse.json;
-``cv`` runs ``bench.run_cv`` plus ``save_report`` once per interpreter,
-untraced: the cv-desk config at seed 0 (three interpreters a side) and the
-paper-scale CV (284,807 synthetic rows, the default ``RunConfig``, seed 0;
-one interpreter a side), recording the wall time, the CPU seconds of the
+table and the ``FoldRecord``, and writes BENCH_synth.json; ``cv`` runs
+``bench.run_cv`` plus ``save_report`` once per interpreter, untraced: the
+cv-desk config at seed 0 (three interpreters a side) and the paper-scale
+CV (284,807 synthetic rows, the default ``RunConfig``, seed 0; one
+interpreter a side), recording the wall time, the CPU seconds of the
 process and its children, the usable CPUs, the peak RSS of the process and
 of its largest forked child (``RUSAGE_CHILDREN``), and a digest of
-``report.json``, and writes BENCH_cv.json; ``parts`` times the whole-pool
-``pipeline_predict`` calls of ``serve`` at gamma 1.0 and 0.5, each at one
-part and at one part per usable CPU (a parent without parts scores in one
-either way), recording each call's minor page faults as ``raw`` does, the
-usable CPUs and, from untraced calls, the peak RSS of the timing process
-(``RUSAGE_SELF``) and of its largest forked child (``RUSAGE_CHILDREN``),
-and writes BENCH_parts.json.
+``report.json``, and writes BENCH_cv.json.
 
-BENCH_qsim.json, BENCH_gate.json, BENCH_ingest.json and BENCH_fold.json
+BENCH_qsim.json, BENCH_gate.json, BENCH_ingest.json, BENCH_fold.json,
+BENCH_codes.json, BENCH_raw.json, BENCH_parse.json and BENCH_parts.json
 stay as records of topics since folded into others. ``qsim`` timed the
 two circuit calls that ``circuit`` times, at every shape the hybrid runs;
 ``gate`` timed the whole-pool ``pipeline_predict`` calls that ``serve``
 times; ``ingest`` timed ``load_csv`` on the serve pool, as ``serve``
 does, and ``MinMaxScaler.transform`` on the whole pool, which no caller
 runs since serving scales one row block at a time; ``fold`` timed the
-paper-scale ``bench.fit_pipeline`` fold that ``synth`` times.
+paper-scale ``bench.fit_pipeline`` fold that ``synth`` times; ``codes``
+timed the ``predict`` and ``serve`` kernels in one file; ``raw`` timed
+the ``serve`` kernels with their minor faults and the scaler's fold,
+``parse`` the ``load_csv`` kernels and ``parts`` the gamma 1.0 and 0.5
+calls, each at one part and at one part per usable CPU with the peak RSS,
+all of which ``serve`` now records.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -110,7 +105,6 @@ import platform
 import subprocess
 import sys
 import tempfile
-import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -292,34 +286,62 @@ call = {"mlp": mlp, "_batch_gradients": lambda: hybrid._batch_gradients(training
         title="serving in O(block) memory: load_csv allocates its table once and packs the "
               "features inside it; pipeline_predict scores the pool in row blocks of the "
               "forests' size and hands the secondary every routed row in one call",
-        # serve-paper's set-up and calls: load_csv of its 142,404-row pool,
-        # written once by save_csv before the timed calls, and whole-pool
-        # pipeline_predict on its pipeline (train-paper's fit_pipeline at
-        # seed 0: 50k rows at fraud rate 0.01, one epoch of the paper hybrid)
-        # at the gate that routes nothing, one that routes about 0.4% of rows
-        # and serve-paper's routed gamma. The memory figure is each call's
-        # tracemalloc peak.
-        kernels=(
-            {"call": "load_csv", "rows": 142_404},
-            *({"call": "pipeline_predict", "gamma": gamma, "rows": 142_404}
-              for gamma in (1.0, 0.9, 0.5)),
-        ),
+        # serve-paper's calls: load_csv of its 142,404-row pool and of a
+        # 284,807-row file, each written once by ``prepare``, and whole-pool
+        # pipeline_predict of that pool on its pipeline (train-paper's
+        # fit_pipeline at seed 0: 50k rows at fraud rate 0.01, one epoch of the
+        # paper hybrid) at the gate that routes nothing, one that routes about
+        # 0.4% of rows and serve-paper's routed gamma. Each runs at one part
+        # and at one part per usable CPU (a parent without parts runs one
+        # either way).
+        kernels=tuple({**kernel, "parts": parts}
+                      for kernel in ({"call": "load_csv", "rows": 142_404},
+                                     {"call": "load_csv", "rows": 284_807},
+                                     *({"call": "pipeline_predict", "gamma": gamma,
+                                        "rows": 142_404} for gamma in (1.0, 0.9, 0.5)))
+                      for parts in (1, None)),
+        prepare="""
+import json, os, sys
+from qmoe import data
+kernel = json.loads(sys.argv[1])
+path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
+if kernel["call"] == "load_csv" and not os.path.exists(path):
+    x, y, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
+    data.save_csv(path, x, y)
+""",
+        # ``call`` also records its minor page faults (ru_minflt), with the last
+        # scoring call's outputs kept through the next, as perfbench keeps
+        # them, and, from untraced calls, the peak RSS of the timing process
+        # and of its largest forked child: perfbench's peak_rss_mb reads the
+        # process alone. A checkout that folds its scaler into the forests
+        # records that one-time fold, timed before the first call.
         setup="""
-import atexit, os, shutil, tempfile
-from qmoe import bench, data, hybrid
-pool, labels, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
+import os, resource, tracemalloc
+from qmoe import bench, data, hybrid, moe
+recorded = {"usable_cpus": len(os.sched_getaffinity(0)), "minflt": []}
 if kernel["call"] == "load_csv":
-    tmp = tempfile.mkdtemp()
-    atexit.register(shutil.rmtree, tmp)
-    path = os.path.join(tmp, "pool.csv")
-    data.save_csv(path, pool, labels)
-    del pool, labels
-    call = lambda: data.load_csv(path)
+    path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
+    def timed():  # keeps no table, so the peak RSS is one parse's
+        data.load_csv(path)
 else:
+    pool, _, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
     x, y, _ = data.synthesize(50_000, 0.01, seed=0)
     config = bench.RunConfig(hybrid=hybrid.HybridConfig(epochs=1), seed=0)
     _, pipeline = bench.fit_pipeline(x, y, config)
-    call = lambda: bench.pipeline_predict(pipeline, pool, kernel["gamma"])
+    timed = lambda: bench.pipeline_predict(pipeline, pool, kernel["gamma"])
+    if hasattr(moe, "_raw_forests"):
+        start = time.perf_counter()
+        moe._raw_forests(pipeline.combined, pipeline.scaler)  # both forests, once
+        recorded["fold_ms"] = 1e3 * (time.perf_counter() - start)
+usage = lambda who=resource.RUSAGE_SELF: resource.getrusage(who)
+kept = [None]  # the last call's outputs
+def call():
+    before = usage().ru_minflt
+    kept[0] = timed()
+    recorded["minflt"].append(usage().ru_minflt - before)
+    if not tracemalloc.is_tracing():  # the traced call's own overhead is not the call's
+        recorded.update(rss_mb=usage().ru_maxrss / 1024,
+                        children_rss_mb=usage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
 """,
     ),
     "circuit": Topic(
@@ -419,79 +441,6 @@ else:
 }
 
 
-
-def _either(call: str, first: Topic, second: Topic) -> str:
-    """A set-up that runs ``first``'s for a kernel of ``call``, else ``second``'s."""
-    return (f"if kernel['call'] == {call!r}:{textwrap.indent(first.setup, '    ')}"
-            f"else:{textwrap.indent(second.setup, '    ')}")
-
-
-TOPICS["parse"] = Topic(
-    title="load_csv parses the body in parts, one per usable CPU: part 0 in the process and "
-          "each other part in a forked child, every part into its region of one table in "
-          "shared anonymous memory, packed to the front in row blocks",
-    kernels=tuple({"name": f"{rows:,} rows, {label}", "call": "load_csv", "rows": rows,
-                   "parts": parts}
-                  for rows in (142_404, 284_807)
-                  for parts, label in ((1, "one part"), (None, "a part per usable CPU"))),
-    prepare="""
-import json, os, sys
-from qmoe import data
-kernel = json.loads(sys.argv[1])
-path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
-if not os.path.exists(path):
-    x, y, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
-    data.save_csv(path, x, y)
-""",
-    setup="""
-import os, resource, tracemalloc
-from qmoe import data
-path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
-peak_mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
-recorded = {"usable_cpus": len(os.sched_getaffinity(0))}
-def call():
-    data.load_csv(path)
-    if not tracemalloc.is_tracing():  # the traced call's own overhead is not the parse's
-        recorded.update(rss_mb=peak_mb(resource.RUSAGE_SELF),
-                        children_rss_mb=peak_mb(resource.RUSAGE_CHILDREN))
-""",
-)
-
-TOPICS["codes"] = Topic(
-    title="leaf-code forest scoring (see predict) over one scaled, transposed block: "
-          "combined_predict scales each block into one (features, rows) workspace that the "
-          "primary and the gate both read, and scales the routed rows once after the loop",
-    kernels=TOPICS["predict"].kernels + TOPICS["serve"].kernels,
-    setup=_either("predict_margin", TOPICS["predict"], TOPICS["serve"]),
-)
-
-# Appended to the serve set-up: ``call`` also reads its own minor page faults
-# (ru_minflt) with the last call's outputs kept through the next, as
-# perfbench keeps them, and a checkout that folds its scaler into the
-# forests records that one-time fold, timed before the first call.
-_FAULTS = """
-import resource
-from qmoe import moe
-recorded = {}
-if kernel["call"] == "pipeline_predict" and hasattr(moe, "_raw_forests"):
-    start = time.perf_counter()
-    moe._raw_forests(pipeline.combined, pipeline.scaler)  # both forests, once
-    recorded["fold_ms"] = 1e3 * (time.perf_counter() - start)
-recorded["minflt"], kept, timed = [], [None], call
-def call():
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    kept[0] = timed()
-    recorded["minflt"].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-TOPICS["raw"] = Topic(
-    title="serving reads raw rows: the scaler folds into both forests' split thresholds "
-          "(MinMaxScaler.raw_thresholds, built on the first call), and the gate finishes "
-          "the rows its blocks hand over at half a block in one pool, in boosting order",
-    kernels=TOPICS["serve"].kernels,
-    setup=TOPICS["serve"].setup + _FAULTS,
-)
-
 # The cv topic runs the whole CV once per interpreter, untraced: the desk CV
 # is perfbench cv-desk's config at seed 0 (its DESK_HYBRID, 20,000 rows),
 # the paper CV the default RunConfig at 284,807 rows, one run a side.
@@ -524,38 +473,6 @@ def call():
 digest = lambda report: hashlib.sha256(report).hexdigest()
 """,
 )
-
-# The parts topic: the serve topic's whole-pool calls, each at one part and at
-# one part per usable CPU, recording the minor faults of each call (_FAULTS)
-# and, from untraced calls, the peak RSS of the timing process and of its
-# largest forked child: perfbench's peak_rss_mb reads the process alone.
-_PARTS = """
-import os, tracemalloc
-peak_mb = lambda who: resource.getrusage(who).ru_maxrss / 1024
-recorded["usable_cpus"] = len(os.sched_getaffinity(0))
-counted = call
-def call():
-    counted()
-    if not tracemalloc.is_tracing():  # the traced call's own overhead is not the call's
-        recorded.update(rss_mb=peak_mb(resource.RUSAGE_SELF),
-                        children_rss_mb=peak_mb(resource.RUSAGE_CHILDREN))
-"""
-
-TOPICS["parts"] = Topic(
-    title="combined_predict scores a call of at least 2 * _MIN_PART_ROWS rows on every "
-          "usable CPU: one contiguous row range per part, part 0 in the process and each "
-          "other part in a forked child (fork_map), every part writing its rows of probs, "
-          "labels and routed into one shared anonymous mapping",
-    kernels=tuple({"name": f"gamma {gamma}, {label}", "call": "pipeline_predict",
-                   "gamma": gamma, "rows": 142_404, "parts": parts}
-                  for gamma in (1.0, 0.5)
-                  for parts, label in ((1, "one part"), (None, "a part per usable CPU"))),
-    setup=TOPICS["serve"].setup + _FAULTS + _PARTS,
-    note="A parent checkout has no parts: it scores every kernel in one part. The minor "
-         "faults of a parallel call are the parent process's only; its outputs now sit in "
-         "a shared mapping made afresh per call, so their pages fault on every call.",
-)
-
 
 def _quantile(ordered: list, frac: float) -> float:
     pos = frac * (len(ordered) - 1)
