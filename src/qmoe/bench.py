@@ -52,7 +52,8 @@ from .data import (
     synthesize,
     undersample,
 )
-from .errors import ConfigurationError, InputError, ModelIOError, require_finite_rows, row_blocks
+from .errors import (ConfigurationError, InputError, ModelIOError, replacing,
+                     require_finite_rows, row_blocks)
 from .gbdt import GBDTParams, fit_gbdt, router_params
 from .hybrid import HybridConfig, fit_hybrid
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
@@ -222,17 +223,13 @@ class Pipeline:
     combined: CombinedModel
 
     def __post_init__(self) -> None:
-        # The scaler and all three experts must agree on the feature count.
-        combined = self.combined
-        widths = {"primary": combined.primary.n_features, "router": combined.router.n_features,
-                  "secondary": combined.secondary.config.n_features}
-        if len(set(widths.values())) != 1:
-            raise ConfigurationError(f"the experts' feature counts differ: {widths}")
+        # The scaler must read the experts' width; CombinedModel checks that they share one.
+        width = self.combined.primary.n_features
         for name in ("low", "span"):
             shape = getattr(self.scaler, name).shape
-            if shape != (widths["primary"],):
+            if shape != (width,):
                 raise ConfigurationError(f"scaler {name} has shape {shape}, "
-                                         f"the experts read {widths['primary']} features")
+                                         f"the experts read {width} features")
 
 
 def pipeline_predict(pipeline: Pipeline, x_raw, gamma: float):
@@ -474,35 +471,27 @@ def save_report(report: BenchReport, out_dir) -> None:
     doc = json.loads(json.dumps(report_to_dict(report)), parse_constant=lambda _: None)
     _write(os.path.join(out_dir, "report.json"), doc, indent=2, sort_keys=True)
 
-    rows = [["repeat", "fold", "arm", *_ARM_METRICS]]
+    folds = [["repeat", "fold", "arm", *_ARM_METRICS]]
     for f in report.folds:
         # labeled honestly: the reference expert is our own GBDT
         for arm, metrics in _arms(f.baseline, f.combined):
-            rows.append([f.repeat, f.fold, arm, *[repr(metrics[m]) for m in _ARM_METRICS]])
-    _write_csv(os.path.join(out_dir, "folds.csv"), rows)
+            folds.append([f.repeat, f.fold, arm, *[repr(metrics[m]) for m in _ARM_METRICS]])
 
-    rows = [["arm", "metric", "mean", "std", "median", "n_valid"]]
+    aggregates = [["arm", "metric", "mean", "std", "median", "n_valid"]]
     for arm, stats in _arms(report.aggregates["baseline"], report.aggregates["combined"]):
         for metric in _ARM_METRICS:
             s = stats[metric]
-            rows.append([arm, metric, repr(s["mean"]), repr(s["std"]), repr(s["median"]),
-                         s["n_valid"]])
-    _write_csv(os.path.join(out_dir, "aggregates.csv"), rows)
+            aggregates.append([arm, metric, repr(s["mean"]), repr(s["std"]), repr(s["median"]),
+                               s["n_valid"]])
+    for name, rows in (("folds.csv", folds), ("aggregates.csv", aggregates)):
+        with replacing(os.path.join(out_dir, name), ModelIOError) as fh:
+            csv.writer(fh).writerows(rows)
 
 
 def _arms(baseline: dict, combined: dict) -> list:
     """``(name, entry)`` for the baseline arm, then each gated arm by rising gamma."""
     return [("gbdt-baseline", baseline),
             *((arm, combined[arm]) for arm in sorted(combined, key=float))]
-
-
-def _write_csv(path, rows) -> None:
-    """``rows`` as a CSV file at ``path``; an unwritable path is a ModelIOError."""
-    try:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    except OSError as exc:
-        raise ModelIOError(f"cannot write {path}: {exc}") from None
 
 
 # --- the file codec ---------------------------------------------------------
@@ -546,22 +535,12 @@ def _encodable(value):
 def _write(path, doc, **json_options) -> None:
     """``doc`` as strict JSON at ``path``: the bytes of ``json.dumps(doc,
     allow_nan=False, **json_options)`` and a newline, with dataclasses as
-    their fields and arrays as lists. The text streams into a temp file that
-    then replaces ``path``; a fault, NaN included, leaves ``path`` as it was.
+    their fields and arrays as lists, streamed through ``errors.replacing``,
+    so a fault, NaN included, leaves ``path`` as it was.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(doc, fh, allow_nan=False, default=_encodable, **json_options)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.lexists(tmp):
-                os.unlink(tmp)
-            raise
-    except (OSError, ValueError) as exc:
-        raise ModelIOError(f"cannot write {path}: {exc}") from exc
+    with replacing(path, ModelIOError) as fh:
+        json.dump(doc, fh, allow_nan=False, default=_encodable, **json_options)
+        fh.write("\n")
 
 
 def _read(path, fmt: str, cls):

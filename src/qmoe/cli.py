@@ -14,16 +14,19 @@ Dataset resolution for train and bench: an explicit --data flag, then
 the config file's csv_path, then the QMOE_DATASET environment variable,
 then the built-in synthetic generator. evaluate and calibrate score a
 labeled file, so they read only --data, then QMOE_DATASET, and fail
-without either. train, calibrate and bench check where they will write
-before any work: a model file's directory must exist, and bench creates
-its report directory. Structured errors exit 1 with a message on stderr,
-as does running out of memory, named with the command; argparse handles
-usage errors with exit 2. The CLI owns its process, so only ``main`` turns
-SIGTERM and SIGHUP into ``SystemExit(128 + signal number)``, the status a shell
-reports for a process the signal killed, and restores the old handlers when it
-returns. Every ``finally`` runs on the way out: ``fork_map`` kills and reaps
-its workers and ``_write`` removes its temp file. SIGKILL runs no handler: its
-workers run on.
+without either. synth, train, calibrate and bench check where they will
+write before any work: an output file's directory must exist, and bench
+creates its report directory. Every output file is written through
+``errors.replacing``, so a failed or stopped command leaves the old file.
+Structured errors exit 1 with a message on stderr, as does running out of
+memory, named with the command; argparse handles usage errors with exit 2.
+The CLI owns its process, so only ``main`` turns SIGTERM and SIGHUP into
+``SystemExit(128 + signal number)``, the status a shell reports for a
+process the signal killed, and restores the old handlers when it returns.
+Every ``finally`` runs on the way out: ``fork_map`` kills and reaps its
+workers and ``errors.replacing`` removes its temp file. SIGKILL runs no
+handler and can leave a temp file behind, but on Linux the kernel kills its
+workers with it (see ``workers``); elsewhere they run on.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ def _load_labeled(args) -> tuple:
 
 
 def _cmd_synth(args) -> int:
+    check_model_path(args.out)
     x, y, _ = synthesize(args.rows, args.fraud_rate, seed=args.seed)
     save_csv(args.out, x, y)
     print(f"wrote {args.rows} rows ({int(y.sum())} positive) to {args.out}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InputError, binary_labels, feature_rows, row_blocks
+from .errors import DataError, InputError, binary_labels, feature_rows, replacing, row_blocks
 from .workers import fork_map, parts
 
 __all__ = [
@@ -265,19 +265,18 @@ def _is_float(s: str) -> bool:
 
 def save_csv(path, x: np.ndarray, y: np.ndarray) -> None:
     """Write (features, labels) in the load_csv layout; Time is the row index.
-    Labels other than 0 and 1 are an InputError, and no file is written."""
+    Labels other than 0 and 1 are an InputError, and no file is written. The
+    rows stream through ``errors.replacing``, so a fault or an interrupt
+    leaves a file already at ``path`` as it was."""
     x = feature_rows(x, N_FEATURES)
     y = binary_labels(y, "Class")  # before the file is opened: a refused label writes nothing
     if y.shape != (x.shape[0],):
         raise InputError(f"labels {y.shape} do not match {x.shape[0]} rows")
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for i in range(x.shape[0]):
-                writer.writerow([float(i)] + [repr(float(v)) for v in x[i]] + [int(y[i])])
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+    with replacing(path, DataError) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for i in range(x.shape[0]):
+            writer.writerow([float(i)] + [repr(float(v)) for v in x[i]] + [int(y[i])])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
-"""Exception hierarchy shared by every module in the package, and the row
-rules every fit and every scoring of raw rows applies: finite rows, 0/1
-labels, the feature width, and passes that hold one row block at a time."""
+"""Exception hierarchy shared by every module in the package, the row
+rules every fit and every scoring of raw rows applies (finite rows, 0/1
+labels, the feature width, and passes that hold one row block at a time),
+and the one write rule every output file follows: ``replacing`` streams it
+into a temp file that replaces the target whole."""
+
+import contextlib
+import os
 
 import numpy as np
 
@@ -25,6 +30,28 @@ class DataError(QmoeError, ValueError):
 
 class ModelIOError(QmoeError, RuntimeError):
     """Corrupt, truncated, or incompatible model or report files."""
+
+
+@contextlib.contextmanager
+def replacing(path, error):
+    """A text file to write, opened as ``{path}.{pid}.tmp`` with ``newline=""``,
+    that replaces ``path`` when the block completes.
+
+    Any exception, ``KeyboardInterrupt`` and ``SystemExit`` included, removes
+    the temp file and leaves ``path`` as it was; an OSError or ValueError
+    comes back as ``error(f"cannot write {path}: ...")``.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, (OSError, ValueError)):
+            raise error(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def row_blocks(n: int):

@@ -195,6 +195,10 @@ class HybridModel:
                                      f"needs {cfg.n_params} parameters")
         self.encoder, self.theta, self.head, _ = _views(cfg, self.params)
 
+    @property
+    def n_features(self) -> int:
+        return self.config.n_features
+
     def predict_proba(self, x) -> np.ndarray:
         """Fraud probabilities; the decoder never runs here.
 

@@ -146,6 +146,11 @@ class CombinedModel:
     tau_secondary: float
 
     def __post_init__(self) -> None:
+        # A stand-in secondary built in code may declare no width; it reads the primary's.
+        widths = {name: getattr(self, name).n_features for name in ("primary", "router")}
+        widths["secondary"] = getattr(self.secondary, "n_features", widths["primary"])
+        if len(set(widths.values())) != 1:
+            raise ConfigurationError(f"the experts' feature counts differ: {widths}")
         for name in ("tau_primary", "tau_secondary"):  # Youden's cuts, 0 and 1 included
             tau = getattr(self, name)
             if not 0.0 <= tau <= 1.0:

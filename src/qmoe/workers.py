@@ -10,17 +10,29 @@ affinity is the only control: ``taskset -c 0`` runs one part, in the process.
 Every forked caller relies on these facts. A child shares the parent's memory
 copy-on-write, so it reads the parent's arrays without a copy; it hands back
 only what its task returns, pickled, or what it writes into a shared mapping
-the parent made. It inherits the parent's BLAS thread setting. Python 3.12
-and later warn (DeprecationWarning) when a process that runs threads forks;
-the package starts no thread of its own.
+the parent made. It inherits the parent's BLAS thread setting. On Linux a
+child also dies with its parent: it asks the kernel (``prctl``'s
+``PR_SET_PDEATHSIG``) for SIGKILL when the parent ends, and exits at once if
+the parent ended before that request, so even a SIGKILLed caller leaves no
+worker running. Elsewhere a SIGKILLed caller's children run on to the end of
+their tasks. Python 3.12 and later warn (DeprecationWarning) when a process
+that runs threads forks; the package starts no thread of its own.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import os
 import pickle
 import signal
+import sys
+
+_PR_SET_PDEATHSIG = 1
+try:  # libc's prctl, resolved once here, not in each child
+    _prctl = ctypes.CDLL(None).prctl if sys.platform.startswith("linux") else None
+except (OSError, AttributeError):
+    _prctl = None
 
 
 def usable_cpus() -> int:
@@ -87,11 +99,12 @@ def _run(task, item) -> tuple:
 
 def _spawn(task, item):
     """``(pid, pipe)`` of a forked child running ``task(item)``, or None when the
-    pipe or the fork is refused."""
+    pipe or the fork is refused. On Linux the child dies with this process."""
     try:
         read, write = os.pipe()
     except OSError:
         return None
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -101,6 +114,10 @@ def _spawn(task, item):
     if pid == 0:
         status = 1
         try:
+            if _prctl is not None:  # die with the parent, even a SIGKILLed one
+                _prctl(_PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGKILL))
+                if os.getppid() != parent:  # it died before the request took hold
+                    os._exit(status)
             os.close(read)
             sent = pickle.dumps(_run(task, item))
             with open(write, "wb") as pipe:

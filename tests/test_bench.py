@@ -32,9 +32,9 @@ from qmoe.data import MinMaxScaler, split_eval, stratified_repeated_kfold, synth
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
 from qmoe.gbdt import GBDTParams, router_params
 from qmoe.hybrid import HybridConfig, HybridModel
-from qmoe.moe import GAMMA_GRID
+from qmoe.moe import GAMMA_GRID, fit_router
 from qmoe.neural import adam_init
-from test_data import _no_children_left
+from test_data import FAULTS, _no_children_left, expect_kept, fail_part_way
 from test_hybrid import fresh_hybrid
 
 ARM_KEYS = {"aucpr", "ap", "precision", "recall", "routed_fraction", "latency_seconds"}
@@ -299,6 +299,34 @@ def test_save_model_refuses_non_finite_numbers(model_doc, tmp_path):
         save_model(pipeline, path)
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+
+@pytest.mark.parametrize("exc", FAULTS, ids=["fault", "interrupt"])
+@pytest.mark.parametrize("existing", [b"the old file\n", None], ids=["existing", "new"])
+@pytest.mark.parametrize("name, writer, nth", [
+    ("report.json", "json", 1), ("folds.csv", "csv", 1), ("aggregates.csv", "csv", 2),
+], ids=["report.json", "folds.csv", "aggregates.csv"])
+def test_save_report_replaces_each_file_whole(one_class_report, tmp_path, monkeypatch, name,
+                                              writer, nth, existing, exc):
+    # Before, the two CSVs were opened for writing: a fault part way left the
+    # rows written so far in place of the old file.
+    target = tmp_path / name
+    if existing is not None:
+        target.write_bytes(existing)
+    fail_part_way(monkeypatch, writer, exc, nth)
+    expect_kept(target, exc, ModelIOError, lambda: save_report(one_class_report, tmp_path))
+
+
+@pytest.mark.parametrize("exc", FAULTS, ids=["fault", "interrupt"])
+@pytest.mark.parametrize("existing", [b"the old file\n", None], ids=["existing", "new"])
+def test_save_model_replaces_its_target_whole(model_doc, tmp_path, monkeypatch, existing, exc):
+    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
+    target = tmp_path / "out" / "model.json"
+    target.parent.mkdir()
+    if existing is not None:
+        target.write_bytes(existing)
+    fail_part_way(monkeypatch, "json", exc)
+    expect_kept(target, exc, ModelIOError, lambda: save_model(pipeline, target))
 
 
 def test_written_files_are_the_json_text_of_their_document(model_doc, one_class_report,
@@ -752,6 +780,18 @@ def test_a_combined_model_checks_its_thresholds(model_doc, tmp_path, name):
     combined = _load_edited(model_doc, lambda t: None, tmp_path).combined
     with pytest.raises(ConfigurationError, match=rf"^{name} must be in \[0, 1\], found 1.5"):
         replace(combined, **{name: 1.5})
+
+
+def test_a_combined_model_checks_its_experts_widths(model_doc, tmp_path):
+    # Before the check moved into CombinedModel, only Pipeline ran it: a router
+    # fit on 10 of the 29 features, built in code, routed rows with no error.
+    combined = _load_edited(model_doc, lambda t: None, tmp_path).combined
+    rng = np.random.default_rng(4)
+    narrow = fit_router(rng.normal(size=(200, 10)), (rng.random(200) < 0.3) * 1.0,
+                        router_params())
+    with pytest.raises(ConfigurationError, match=r"^the experts' feature counts differ: "
+                       r"\{'primary': 29, 'router': 10, 'secondary': 29\}"):
+        replace(combined, router=narrow)
 
 
 def test_a_pipeline_checks_its_scaler_width(model_doc, tmp_path):

@@ -341,7 +341,9 @@ def _below_a_file(tmp_path):
     ("train", "--model", lambda tmp_path: _below_a_file(tmp_path) / "m.json", "fit_pipeline"),
     ("calibrate", "--out", lambda tmp_path: tmp_path / "no-such-dir" / "c.json", "load_model"),
     ("bench", "--out", _below_a_file, "run_cv"),
-], ids=["train model", "train model below a file", "calibrate out", "bench out below a file"])
+    ("synth", "--out", lambda tmp_path: tmp_path / "no-such-dir" / "x.csv", "synthesize"),
+], ids=["train model", "train model below a file", "calibrate out", "bench out below a file",
+        "synth out"])
 def test_unwritable_output_path_exits_1(command, flag, make, work, workspace, tmp_path, capsys,
                                         monkeypatch):
     # The path is checked before the work: before, the whole fit or CV ran first.
@@ -350,9 +352,10 @@ def test_unwritable_output_path_exits_1(command, flag, make, work, workspace, tm
 
     monkeypatch.setattr(cli, work, never)
     path = str(make(tmp_path))
-    source = (["--model", workspace["model"]] if command == "calibrate"
-              else ["--config", workspace["config"]])
-    assert main([command, *source, "--data", workspace["csv"], flag, path]) == 1
+    source = {"calibrate": ["--model", workspace["model"], "--data", workspace["csv"]],
+              "synth": ["--rows", "1200"]}.get(
+        command, ["--config", workspace["config"], "--data", workspace["csv"]])
+    assert main([command, *source, flag, path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and path in err
     assert "Traceback" not in err
@@ -639,26 +642,51 @@ def _children(pid: int) -> list:
         return fh.read().split()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs Linux and a second usable CPU, so the CV forks a worker")
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
-def test_a_stopped_bench_leaves_no_worker_and_no_temp_file(signum, tmp_path):
-    # Two folds of thousands of epochs each: the parent fits one, a forked worker the other.
+def _state(pid: int):
+    """The state letter in ``/proc/<pid>/stat`` (``Z`` for a zombie), or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@contextlib.contextmanager
+def _slow_bench(tmp_path):
+    """A ``qmoe bench`` subprocess, in a session of its own, once its first CV
+    worker exists: two folds of thousands of epochs each, the parent fitting
+    one and a forked worker the other. The session is killed on the way out."""
     slow = {**TINY_CONFIG, "hybrid": {**TINY_CONFIG["hybrid"], "epochs": 10_000,
                                       "patience": 10_000}}
-    config, out = tmp_path / "slow.json", tmp_path / "out"
+    config = tmp_path / "slow.json"
     config.write_text(json.dumps(slow))
     src = os.path.dirname(os.path.dirname(qmoe.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "qmoe.cli", "bench", "--config", str(config),
-                             "--out", str(out)], env=env, start_new_session=True,
+                             "--out", str(tmp_path / "out")], env=env, start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 60
         while not _children(proc.pid):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
+        yield proc
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+_FORKS_A_WORKER = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs Linux and a second usable CPU, so the CV forks a worker")
+
+
+@_FORKS_A_WORKER
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+def test_a_stopped_bench_leaves_no_worker_and_no_temp_file(signum, tmp_path):
+    with _slow_bench(tmp_path) as proc:
         proc.send_signal(signum)
         start = time.monotonic()
         _, err = proc.communicate(timeout=30)
@@ -667,8 +695,21 @@ def test_a_stopped_bench_leaves_no_worker_and_no_temp_file(signum, tmp_path):
         assert err == ""  # no traceback
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # nothing is left of the run's process group
-        assert list(out.glob("*.tmp")) == []
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+        assert list((tmp_path / "out").glob("*.tmp")) == []
+
+
+@_FORKS_A_WORKER
+def test_a_killed_bench_leaves_no_running_worker(tmp_path):
+    # SIGKILL runs no handler. Before, the worker was reparented and fitted its
+    # fold to the end; now the kernel kills it with its parent. A dead worker
+    # may stay a zombie where nothing reaps the reparented process.
+    with _slow_bench(tmp_path) as proc:
+        workers = [int(pid) for pid in _children(proc.pid)]
+        assert workers
+        proc.kill()
+        proc.wait(timeout=30)
+        assert proc.returncode == -signal.SIGKILL
+        deadline = time.monotonic() + 1.0
+        while running := [pid for pid in workers if _state(pid) not in (None, "Z")]:
+            assert time.monotonic() < deadline, f"workers {running} outlived their parent"
+            time.sleep(0.01)

@@ -1,6 +1,10 @@
 """Data-layer tests: CSV round trips, scaling, sampling, splits, synth."""
 
+import csv
+import itertools
+import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -497,6 +501,77 @@ def test_unwritable_path_is_a_data_error(tmp_path):
     path = tmp_path / "no-such-dir" / "x.csv"
     with pytest.raises(DataError, match=f"^cannot write {path}: "):
         save_csv(path, np.zeros((1, N_FEATURES)), np.zeros(1))
+
+
+# Every file qmoe writes goes through errors.replacing: a fault or an interrupt
+# part way through the text leaves the target as it was and no temp file.
+
+FAULTS = [OSError(28, "No space left on device"), KeyboardInterrupt()]
+
+
+def fail_part_way(monkeypatch, writer: str, exc: BaseException, nth: int = 1) -> None:
+    """Make the ``nth`` ``csv.writer`` (``writer="csv"``) or ``json.dump`` call
+    (``"json"``) write part of its text, then raise ``exc``."""
+    calls = itertools.count(1)
+    if writer == "csv":
+        real_writer = csv.writer
+
+        class PartWay:
+            def __init__(self, out):
+                self.out, self.rows = out, 0
+
+            def writerow(self, row):
+                self.out.writerow(row)
+                self.rows += 1
+                if self.rows == 2:
+                    raise exc
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        def faulty(fh, *args, **kwargs):
+            out = real_writer(fh, *args, **kwargs)
+            return PartWay(out) if next(calls) == nth else out
+
+        monkeypatch.setattr(csv, "writer", faulty)
+    else:
+        real_dump = json.dump
+
+        def faulty(doc, fh, **kwargs):
+            if next(calls) != nth:
+                return real_dump(doc, fh, **kwargs)
+            fh.write(json.dumps(doc, **kwargs)[:200])
+            raise exc
+
+        monkeypatch.setattr(json, "dump", faulty)
+
+
+def expect_kept(target, exc: BaseException, error, write) -> None:
+    """``write()`` raises ``exc`` (an OSError as ``error`` naming ``target``) and
+    leaves ``target``, whether it existed or not, and no temp file beside it."""
+    before = target.read_bytes() if target.exists() else None
+    if isinstance(exc, OSError):
+        raises = pytest.raises(error, match=f"^cannot write {re.escape(str(target))}: ")
+    else:
+        raises = pytest.raises(type(exc))
+    with raises:
+        write()
+    assert (target.read_bytes() if target.exists() else None) == before
+    assert list(target.parent.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("exc", FAULTS, ids=["fault", "interrupt"])
+@pytest.mark.parametrize("existing", [b"the old file\n", None], ids=["existing", "new"])
+def test_save_csv_replaces_its_target_whole(tmp_path, monkeypatch, exc, existing):
+    # Before, save_csv opened its target for writing: a fault part way left
+    # the rows written so far in place of the old file.
+    target = tmp_path / "txn.csv"
+    if existing is not None:
+        target.write_bytes(existing)
+    fail_part_way(monkeypatch, "csv", exc)
+    expect_kept(target, exc, DataError,
+                lambda: save_csv(target, np.zeros((5, N_FEATURES)), np.zeros(5)))
 
 
 def test_minmax_transform_matches_the_expression_and_leaves_its_input():

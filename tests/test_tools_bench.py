@@ -1,5 +1,5 @@
-"""tools/bench.py: the kernel verdict, which only the invocation medians decide,
-the topic tables, and the result records read from the checkout's current source."""
+"""tools/bench.py: the topic tables, the kernel timings of each side, and the
+result records read from the checkout's current source."""
 
 import importlib.util
 import json
@@ -14,38 +14,6 @@ _SPEC = importlib.util.spec_from_file_location(
     "tools_bench", Path(__file__).resolve().parents[1] / "tools" / "bench.py")
 tools_bench = sys.modules["tools_bench"] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tools_bench)
-
-
-def _side(*medians, median=None, iqr=0.0, repeats=None):
-    """A side of one kernel: its invocation medians, and its pooled median
-    (the median of the invocation medians unless given), IQR and sample
-    count (five samples per invocation unless given)."""
-    pooled = sorted(medians)[len(medians) // 2] if median is None else median
-    return {"invocation_medians_ms": list(medians), "median_ms": pooled, "iqr_ms": iqr,
-            "repeats": 5 * len(medians) if repeats is None else repeats}
-
-
-@pytest.mark.parametrize("parent, change, verdict", [
-    (_side(10.0, 11.0, 12.0), _side(8.0, 9.0, 9.9), "faster"),
-    (_side(10.0, 11.0, 12.0), _side(12.1, 13.0, 12.5), "slower"),
-    # One parent invocation is faster than every change invocation, although
-    # the parent's pooled median is the slower one.
-    (_side(24.76, 25.03, 17.74), _side(19.82, 21.41, 21.18), "unresolved"),
-    (_side(10.0, 11.0, 12.0), _side(10.0, 9.0, 8.0), "unresolved"),
-    # The invocation medians separate, but the pooled medians differ by less
-    # than the parent's spread: three invocations a side do not tell host
-    # drift from code.
-    (_side(10.0, 10.5, 11.0, iqr=3.0), _side(9.0, 9.4, 9.8), "unresolved"),
-    (_side(10.0, 10.5, 11.0, iqr=3.0), _side(11.2, 11.6, 12.0), "unresolved"),
-    # The same medians against a tight parent are resolved.
-    (_side(10.0, 10.5, 11.0, iqr=0.8), _side(9.0, 9.4, 9.8), "faster"),
-    (_side(10.0, 10.5, 11.0, iqr=0.8), _side(11.2, 11.6, 12.0), "slower"),
-    # A once kernel: three invocations of one sample a side. Disjoint, yet
-    # three samples give no spread to judge a difference by.
-    (_side(10.0, 11.0, 12.0, repeats=3), _side(8.0, 9.0, 9.9, repeats=3), "unresolved"),
-])
-def test_kernel_verdict_needs_every_invocation(parent, change, verdict):
-    assert tools_bench.kernel_verdict(parent, change) == verdict
 
 
 @pytest.mark.parametrize("name", sorted(tools_bench.TOPICS))

@@ -79,7 +79,7 @@ It then times the topic's kernel from each checkout's ``src/`` on every
 entry of its table, with BLAS pinned to one thread. A kernel of one part
 (``"parts": 1``) runs each interpreter bound to the lowest usable CPU
 (``os.sched_setaffinity``), recorded as the kernel's ``cpu``: both
-checkouts then read one usable CPU, and the verdict cannot follow the CPU
+checkouts then read one usable CPU, and the timings cannot follow the CPU
 an invocation lands on. Every other kernel keeps every CPU. Each side runs in
 ``INVOCATIONS`` fresh interpreters of ``REPEATS`` timed calls, the two
 sides alternating which goes first, so load drift on the host reaches both
@@ -88,12 +88,11 @@ sides alike. After its timed calls each interpreter makes one more under
 marked ``once`` instead runs one cold call per interpreter (see
 ``_ONCE``), and one marked ``invocations`` runs that many interpreters a
 side. It records the median and interquartile range of each side's
-pooled calls, the median of each invocation, and a verdict: "faster" only
-when every invocation median of the change beats every one of the parent
-and the pooled medians differ by more than the parent's pooled
-interquartile range, "slower" for the reverse, and "unresolved"
-otherwise. Three invocations a side can separate by host drift alone, and
-a pooled median can still move by a quarter between invocations.
+pooled calls, the median of each invocation and the parent's median over
+the change's (``speedup``), and no verdict: three invocations a side can
+separate by host drift alone (kernels of identical code have read both
+"faster" and "slower"), and a pooled median can still move by a quarter
+between invocations. Only the end-to-end summaries above judge a change.
 """
 
 from __future__ import annotations
@@ -537,23 +536,6 @@ def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple
     return tuple(out)
 
 
-def kernel_verdict(parent: dict, change: dict) -> str:
-    """"faster" or "slower" when each side pooled at least 5 samples, the two
-    sides' invocation medians do not overlap, and their pooled medians differ
-    by more than the parent's pooled IQR. A ``once`` kernel pools one sample
-    per invocation, and an IQR of three samples is no spread estimate."""
-    before, after = parent["invocation_medians_ms"], change["invocation_medians_ms"]
-    if min(parent["repeats"], change["repeats"]) < 5:
-        return "unresolved"
-    if abs(change["median_ms"] - parent["median_ms"]) <= parent["iqr_ms"]:
-        return "unresolved"
-    if max(after) < min(before):
-        return "faster"
-    if min(after) > max(before):
-        return "slower"
-    return "unresolved"
-
-
 def src_lines(checkout: Path) -> int:
     """The line count of ``checkout``'s ``src/**/*.py``, as perfbench records it."""
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
@@ -687,14 +669,13 @@ def main(argv=None) -> int:
                 subprocess.run([sys.executable, "-c", topic.prepare, json.dumps(timed)],
                                env=_env(change), check=True)
             before, after = time_kernel(parent, change, topic, timed)
-            verdict = kernel_verdict(before, after)
             entry = {**kernel, "parent": before, "change": after,
-                     "speedup": before["median_ms"] / after["median_ms"], "verdict": verdict}
+                     "speedup": before["median_ms"] / after["median_ms"]}
             per_run = ["/".join(f"{m:.2f}" for m in side["invocation_medians_ms"])
                        for side in (before, after)]
             peaks = [side["tracemalloc_peak_mb"] for side in (before, after)]
             print(f"kernel {kernel}: {before['median_ms']:.2f} ms -> {after['median_ms']:.2f} ms "
-                  f"(invocations {per_run[0]} -> {per_run[1]} ms) {verdict}"
+                  f"(invocations {per_run[0]} -> {per_run[1]} ms)"
                   + ("" if None in peaks else f"; tracemalloc peak {peaks[0]:.1f} -> "
                                               f"{peaks[1]:.1f} MB"))
             if "invocation_digest" in before:
