@@ -20,9 +20,12 @@ creates its report directory. Every output file is written through
 ``errors.replacing``, so a failed or stopped command leaves the old file.
 Structured errors exit 1 with a message on stderr, as does running out of
 memory, named with the command; argparse handles usage errors with exit 2.
-The CLI owns its process, so only ``main`` turns SIGTERM and SIGHUP into
-``SystemExit(128 + signal number)``, the status a shell reports for a
-process the signal killed, and restores the old handlers when it returns.
+The CLI owns its process, so only ``main`` turns SIGTERM, SIGHUP and
+SIGINT into ``SystemExit(128 + signal number)``, the status a shell reports
+for a process the signal killed, and restores the old handlers when it
+returns. A signal the caller ignores stays ignored: ``nohup qmoe ...`` runs
+on after SIGHUP, and a background job of a non-interactive shell after
+SIGINT. Ctrl-C thus exits 130 without a traceback.
 Every ``finally`` runs on the way out: ``fork_map`` kills and reaps its
 workers and ``errors.replacing`` removes its temp file. SIGKILL runs no
 handler and can leave a temp file behind, but on Linux the kernel kills its
@@ -63,7 +66,8 @@ from .errors import ConfigurationError, DataError, InputError, QmoeError, requir
 from .metrics import auprc_trapezoid, average_precision, pr_curve, precision_recall
 
 ENV_DATASET = "QMOE_DATASET"
-_STOP_SIGNALS = [getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name)]
+_STOP_SIGNALS = [getattr(signal, name) for name in ("SIGTERM", "SIGHUP", "SIGINT")
+                 if hasattr(signal, name)]
 
 
 def _stop(signum, frame) -> None:
@@ -259,7 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    previous = {stop: signal.signal(stop, _stop) for stop in _STOP_SIGNALS}
+    previous = {stop: signal.getsignal(stop) for stop in _STOP_SIGNALS}
+    for stop, handler in previous.items():
+        if handler != signal.SIG_IGN:  # nohup's SIGHUP, a background job's SIGINT
+            signal.signal(stop, _stop)
     try:
         return args.func(args)
     except QmoeError as exc:

@@ -62,14 +62,20 @@ def fork_map(task, items) -> list:
     not pickle), runs again in the process. When tasks raise, every child is
     still reaped, and then the exception of the first failing item's task is
     raised. An interrupt, or any fault outside a task, sends SIGKILL to
-    every child not yet reaped, and reaps it, before it propagates.
+    every child not yet reaped, and reaps it, before it propagates. Signals
+    wait from each fork until its child is recorded, so a signal handler's
+    exception cannot leave a child behind.
     """
     n = len(items)
     children = {}  # item index -> (pid, the read end of its pipe), until the child is reaped
     try:
         for k in range(1, n):
-            if (child := _spawn(task, items[k])) is not None:
-                children[k] = child
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                if (child := _spawn(task, items[k], held)) is not None:
+                    children[k] = child
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
         outcomes = {k: _run(task, items[k]) for k in range(n) if k not in children}
         for k in list(children):
             pid, pipe = children[k]
@@ -97,9 +103,10 @@ def _run(task, item) -> tuple:
         return False, exc
 
 
-def _spawn(task, item):
-    """``(pid, pipe)`` of a forked child running ``task(item)``, or None when the
-    pipe or the fork is refused. On Linux the child dies with this process."""
+def _spawn(task, item, mask):
+    """``(pid, pipe)`` of a forked child running ``task(item)`` under the signal
+    ``mask``, or None when the pipe or the fork is refused. On Linux the child
+    dies with this process."""
     try:
         read, write = os.pipe()
     except OSError:
@@ -114,6 +121,7 @@ def _spawn(task, item):
     if pid == 0:
         status = 1
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if _prctl is not None:  # die with the parent, even a SIGKILLed one
                 _prctl(_PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGKILL))
                 if os.getppid() != parent:  # it died before the request took hold

@@ -624,9 +624,10 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT])
 def test_a_stop_signal_exits_128_plus_its_number(signum, monkeypatch, tmp_path):
-    before = {stop: signal.getsignal(stop) for stop in (signal.SIGTERM, signal.SIGHUP)}
+    before = {stop: signal.getsignal(stop)
+              for stop in (signal.SIGTERM, signal.SIGHUP, signal.SIGINT)}
     monkeypatch.setattr(cli, "run_cv", lambda config: os.kill(os.getpid(), signum))
     with pytest.raises(SystemExit) as stopped:
         main(["bench", "--rows", "100", "--out", str(tmp_path / "out")])
@@ -652,10 +653,12 @@ def _state(pid: int):
 
 
 @contextlib.contextmanager
-def _slow_bench(tmp_path):
+def _slow_bench(tmp_path, ignored=()):
     """A ``qmoe bench`` subprocess, in a session of its own, once its first CV
     worker exists: two folds of thousands of epochs each, the parent fitting
-    one and a forked worker the other. The session is killed on the way out."""
+    one and a forked worker the other. It starts with the ``ignored`` signals
+    ignored, as ``nohup`` starts its command. The session is killed on the
+    way out."""
     slow = {**TINY_CONFIG, "hybrid": {**TINY_CONFIG["hybrid"], "epochs": 10_000,
                                       "patience": 10_000}}
     config = tmp_path / "slow.json"
@@ -665,7 +668,8 @@ def _slow_bench(tmp_path):
         "PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "qmoe.cli", "bench", "--config", str(config),
                              "--out", str(tmp_path / "out")], env=env, start_new_session=True,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            preexec_fn=lambda: [signal.signal(s, signal.SIG_IGN) for s in ignored])
     try:
         deadline = time.monotonic() + 60
         while not _children(proc.pid):
@@ -684,7 +688,7 @@ _FORKS_A_WORKER = pytest.mark.skipif(
 
 
 @_FORKS_A_WORKER
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT])
 def test_a_stopped_bench_leaves_no_worker_and_no_temp_file(signum, tmp_path):
     with _slow_bench(tmp_path) as proc:
         proc.send_signal(signum)
@@ -696,6 +700,20 @@ def test_a_stopped_bench_leaves_no_worker_and_no_temp_file(signum, tmp_path):
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # nothing is left of the run's process group
         assert list((tmp_path / "out").glob("*.tmp")) == []
+
+
+@_FORKS_A_WORKER
+def test_a_bench_started_with_sighup_ignored_runs_on_after_it(tmp_path):
+    # nohup ignores SIGHUP before it runs its command. Before, main replaced
+    # that with its stop handler, and the bench exited 129 on SIGHUP.
+    with _slow_bench(tmp_path, ignored=[signal.SIGHUP]) as proc:
+        proc.send_signal(signal.SIGHUP)
+        time.sleep(1.0)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert err == ""
 
 
 @_FORKS_A_WORKER

@@ -180,6 +180,7 @@ def test_secondary_runs_only_on_routed_rows():
     class Counting:
         def __init__(self, inner):
             self.inner = inner
+            self.n_features = inner.n_features
 
         def predict_proba(self, x):
             calls.append(x.shape[0])

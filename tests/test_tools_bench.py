@@ -21,8 +21,7 @@ def test_every_topic_has_a_title_and_kernels(name):
     topic = tools_bench.TOPICS[name]
     assert topic.title.strip()
     assert topic.kernels and all(isinstance(kernel, dict) and kernel for kernel in topic.kernels)
-    for kernel in topic.kernels:
-        compile(tools_bench.timer_script(topic, kernel), f"<{name} timer>", "exec")
+    compile(tools_bench._TIMER.format(setup=topic.setup), f"<{name} timer>", "exec")
 
 
 def test_time_kernel_reports_each_sides_times_and_tracemalloc_peaks(monkeypatch):
@@ -59,12 +58,29 @@ def test_time_kernel_keeps_what_a_once_timer_adds(monkeypatch):
     assert before["invocation_rss_before_mb"] == [100.0, 103.0, 104.0]  # the sides alternate
     assert after["invocation_rss_after_mb"] == [151.0, 152.0, 155.0]
     assert after["invocation_digest"] == ["d"] * 3
-    synth = tools_bench.TOPICS["synth"]
-    assert tools_bench.timer_script(synth, synth.kernels[-1]) == tools_bench._ONCE.format(
-        setup=synth.setup)
-    assert tools_bench.timer_script(synth, synth.kernels[0]) == tools_bench._TIMER.format(
-        setup=synth.setup)
 
+
+@pytest.mark.parametrize("marks", [{}, {"once": True, "untraced": True}])
+def test_every_kernel_reports_the_same_figures(marks):
+    # One timer for every kernel: a once kernel skips the warm-up and makes one
+    # timed call, an untraced one skips the traced call, and both report every
+    # figure an ordinary kernel reports.
+    checkout = Path(__file__).resolve().parents[1]
+    topic = tools_bench.Topic(title="trivial", kernels=(), setup="""
+call = lambda: sum(range(1000))
+digest = str
+recorded = {"set_up": 1}
+""")
+    run = tools_bench._invoke(checkout, topic, {"name": "trivial", **marks})
+    assert set(run) == {"samples", "peak_bytes", "rss_before_mb", "rss_after_mb",
+                        "children_rss_mb", "cpu_s", "cores_usable", "digest", "set_up"}
+    assert run["digest"] == "499500" and run["set_up"] == 1
+    assert 0 < run["rss_before_mb"] <= run["rss_after_mb"] and run["children_rss_mb"] >= 0
+    assert run["cpu_s"] >= 0 and run["cores_usable"] == len(os.sched_getaffinity(0))
+    if marks:
+        assert len(run["samples"]) == 1 and run["peak_bytes"] is None
+    else:
+        assert len(run["samples"]) == tools_bench.REPEATS and run["peak_bytes"] >= 0
 
 
 def test_an_untraced_kernel_runs_its_invocations_without_a_peak(monkeypatch):
@@ -127,8 +143,8 @@ def test_the_serve_set_up_records_its_figures_on_this_checkout(tmp_path):
         run = tools_bench._invoke(checkout, serve, kernel)
         assert len(run["samples"]) == tools_bench.REPEATS and run["peak_bytes"] > 0
         cpus = 1 if kernel["parts"] == 1 else len(os.sched_getaffinity(0))
-        assert run["usable_cpus"] == cpus
-        assert run["rss_mb"] > 0 and run["children_rss_mb"] >= 0
+        assert run["cores_usable"] == cpus
+        assert run["rss_after_mb"] > 0 and run["children_rss_mb"] >= 0
         # the warm-up, the timed calls and the traced call
         assert len(run["minflt"]) == tools_bench.REPEATS + 2
     assert run["fold_ms"] > 0 and all(faults >= 0 for faults in run["minflt"])

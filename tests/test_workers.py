@@ -3,6 +3,8 @@ process, every other item's in a forked child."""
 
 import errno
 import os
+import signal
+import time
 
 import pytest
 
@@ -54,6 +56,37 @@ def test_the_lowest_failing_task_raises_after_every_child_is_reaped(capfd):
         fork_map(task, range(3))
     _no_children_left()
     assert capfd.readouterr().err == ""
+
+
+def test_a_signal_as_a_fork_returns_still_kills_and_reaps_its_child(monkeypatch):
+    # A stop signal whose handler ran as os.fork returned, before fork_map had
+    # recorded the child, left that child running past the exit it raised.
+    forked, real_fork = [], os.fork
+
+    def fork():
+        if pid := real_fork():
+            forked.append(pid)
+            os.kill(os.getpid(), signal.SIGUSR1)
+        return pid
+
+    def stop(signum, frame):
+        raise SystemExit(128 + signum)
+
+    monkeypatch.setattr(os, "fork", fork)
+    previous = signal.signal(signal.SIGUSR1, stop)
+    try:
+        with pytest.raises(SystemExit):
+            fork_map(lambda k: time.sleep(60 * k), range(2))
+        _no_children_left()
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+        for pid in forked:  # the child a failing fork_map left
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+    assert len(forked) == 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -6,49 +6,8 @@ both checkouts over the same seeds (alternate which checkout runs first):
     python3 perfbench/run.py --workload <w> --seed <s> --seconds 40
     python3 tools/bench.py <topic> --parent ../parent-checkout
 
-The topic picks the kernel table: ``gbdt`` times ``gbdt.fit_gbdt`` (router
-fits at the cv-desk, train-paper and paper-fold analysis sizes, the
-train-paper primary and a 16k-row fit) and writes BENCH_gbdt.json,
-``predict`` times ``GBDTModel.predict_margin`` on the serving forests and
-on dense depth-6 and depth-4 forests, and writes BENCH_predict.json;
-``hybrid`` times ``mlp_forward`` plus ``mlp_backward`` on the paper
-encoder, one ``_batch_gradients`` step on the training buffer and
-``HybridModel.predict_proba`` at the paper ``HybridConfig``, and writes
-BENCH_hybrid.json; ``model`` times ``bench.save_model`` and
-``bench.load_model`` on the train-paper pipeline at seed 0 (fit once per
-interpreter, outside the timed calls), recording the model file's bytes,
-and writes BENCH_model.json; ``serve`` times ``data.load_csv`` on the
-serve-paper pool (142,404 rows) and on a 284,807-row file, each written
-once by a set-up interpreter before the timers, and whole-pool
-``bench.pipeline_predict`` calls at gamma 1.0, 0.9 and 0.5 on the
-serve-paper shape (the train-paper pipeline at seed 0, fit once per
-interpreter outside the timed calls, over that pool), each at one part and
-at one part per usable CPU (a parent without parts runs one either way).
-It records each call's minor page faults (``ru_minflt``, the warm-up's
-first, with the last scoring call's outputs kept through the next), the
-usable CPUs, from untraced calls the peak RSS of the timing process
-(``RUSAGE_SELF``) and of its largest child (``RUSAGE_CHILDREN``, which
-counts the pages a forked child shares with the parent), and, where the
-checkout has one, the one-time fold of the scaler into both forests, and
-writes BENCH_serve.json; ``circuit`` times
-``qsim.batch_expectations`` on 512-row scoring chunks and
-``qsim.batch_parameter_shift`` on training batches at the desk and paper
-circuit shapes, and both at 8, 9 and 10 qubits (the crossover that sets
-``qsim.MAX_QUBITS``; the spec is built past the cap's check on both
-sides), and writes BENCH_circuit.json; ``synth`` times
-``data.synthesize`` at 20,000, 50,000 and 284,807 rows with its
-tracemalloc peak, then generates the paper-scale table once per
-interpreter and runs one ``bench.fit_pipeline`` fold on it (the default
-``RunConfig``, seed 0), recording the process peak RSS after the
-generation and after the fold, its wall time, and a digest of both the
-table and the ``FoldRecord``, and writes BENCH_synth.json; ``cv`` runs
-``bench.run_cv`` plus ``save_report`` once per interpreter, untraced: the
-cv-desk config at seed 0 (three interpreters a side) and the paper-scale
-CV (284,807 synthetic rows, the default ``RunConfig``, seed 0; one
-interpreter a side), recording the wall time, the CPU seconds of the
-process and its children, the usable CPUs, the peak RSS of the process and
-of its largest forked child (``RUSAGE_CHILDREN``), and a digest of
-``report.json``, and writes BENCH_cv.json.
+The topic picks a kernel table of ``TOPICS``; the comment above a topic's
+kernels says what they time and ``_TIMER``'s what each interpreter records.
 
 BENCH_qsim.json, BENCH_gate.json, BENCH_ingest.json, BENCH_fold.json,
 BENCH_codes.json, BENCH_raw.json, BENCH_parse.json and BENCH_parts.json
@@ -81,18 +40,15 @@ entry of its table, with BLAS pinned to one thread. A kernel of one part
 (``os.sched_setaffinity``), recorded as the kernel's ``cpu``: both
 checkouts then read one usable CPU, and the timings cannot follow the CPU
 an invocation lands on. Every other kernel keeps every CPU. Each side runs in
-``INVOCATIONS`` fresh interpreters of ``REPEATS`` timed calls, the two
-sides alternating which goes first, so load drift on the host reaches both
-sides alike. After its timed calls each interpreter makes one more under
-``tracemalloc`` and records that call's peak of traced memory. A kernel
-marked ``once`` instead runs one cold call per interpreter (see
-``_ONCE``), and one marked ``invocations`` runs that many interpreters a
-side. It records the median and interquartile range of each side's
-pooled calls, the median of each invocation and the parent's median over
-the change's (``speedup``), and no verdict: three invocations a side can
-separate by host drift alone (kernels of identical code have read both
-"faster" and "slower"), and a pooled median can still move by a quarter
-between invocations. Only the end-to-end summaries above judge a change.
+``INVOCATIONS`` fresh interpreters of ``_TIMER``, or as many as the
+kernel's ``invocations``, the two sides alternating which goes first, so
+load drift on the host reaches both sides alike. It records the median and
+interquartile range of each side's pooled calls, the median of each
+invocation and the parent's median over the change's (``speedup``), and no
+verdict: three invocations a side can separate by host drift alone (kernels
+of identical code have read both "faster" and "slower"), and a pooled
+median can still move by a quarter between invocations. Only the
+end-to-end summaries above judge a change.
 """
 
 from __future__ import annotations
@@ -113,58 +69,48 @@ WORKLOADS = ("cv-desk", "train-paper", "serve-paper")
 REPEATS = 7
 INVOCATIONS = 3  # fresh interpreters per side and kernel
 
-# The timer runs in a fresh interpreter: ``kernel`` is one table entry, and
-# the topic's set-up defines ``call`` from it. A set-up may also define
-# ``recorded``, a dict of figures the timer reports beside its samples.
+# The one timer, run in a fresh interpreter: ``kernel`` is one table entry, and
+# the topic's set-up defines ``call`` from it (``rng`` and ``usage``, the
+# process's rusage, are there to build it). The set-up may also define
+# ``digest``, a string from the last timed call's result, and ``recorded``, a
+# dict of figures reported beside the timer's own. After a warm-up the timer
+# times ``repeats`` calls, or one cold call for a kernel marked ``once``,
+# keeping only the last result. It reports the peak RSS (ru_maxrss, in KiB
+# on Linux) of the process after the set-up and after the timed calls, that
+# of its largest forked child (RUSAGE_CHILDREN, which counts the pages a
+# forked child shares with its parent), the CPU seconds of the timed calls
+# (children included) and the usable CPUs; then it makes one more call under
+# tracemalloc for its peak of traced memory, unless the kernel is marked
+# ``untraced``.
 _TIMER = """
-import json, sys, time
+import json, os, resource, sys, time, tracemalloc
 import numpy as np
 kernel, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 rng = np.random.default_rng(0)
+usage = lambda who=resource.RUSAGE_SELF: resource.getrusage(who)
 {setup}
-call()  # warm-up
-samples = []
-for _ in range(repeats):
+cpu_s = lambda: sum(u.ru_utime + u.ru_stime for u in (usage(), usage(resource.RUSAGE_CHILDREN)))
+rss_before_mb = usage().ru_maxrss / 1024
+if not kernel.get("once"):
+    call()  # warm-up
+samples, cpu = [], cpu_s()
+for _ in range(1 if kernel.get("once") else repeats):
+    out = None  # the last result goes before the next call, outside its time
     start = time.perf_counter()
-    call()
+    out = call()
     samples.append(time.perf_counter() - start)
-import tracemalloc
-tracemalloc.start()
-call()
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-recorded = globals().get("recorded", {{}})
-print(json.dumps({{"samples": samples, "peak_bytes": peak, **recorded}}))
-"""
-
-# One cold call per interpreter, for a kernel that owns the process: the
-# peak RSS before and after it (ru_maxrss is in KiB on Linux) and that of its
-# largest forked child (RUSAGE_CHILDREN), its wall time, its CPU seconds
-# (children included), the usable CPUs and ``digest`` of its result, then one
-# traced call unless the kernel is marked ``untraced``. The set-up defines
-# ``call`` and ``digest`` from ``kernel``.
-_ONCE = """
-import json, os, resource, sys, time, tracemalloc
-kernel = json.loads(sys.argv[1])
-{setup}
-peak_rss_mb = lambda who=resource.RUSAGE_SELF: resource.getrusage(who).ru_maxrss / 1024
-cpu_s = lambda: sum(u.ru_utime + u.ru_stime for u in (
-    resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)))
-before, cpu = peak_rss_mb(), cpu_s()
-start = time.perf_counter()
-out = call()
-seconds = time.perf_counter() - start
-cpu, after = cpu_s() - cpu, peak_rss_mb()
-peak = None
+figures = {{"samples": samples, "peak_bytes": None, "rss_before_mb": rss_before_mb,
+           "rss_after_mb": usage().ru_maxrss / 1024, "cpu_s": cpu_s() - cpu,
+           "children_rss_mb": usage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+           "cores_usable": len(os.sched_getaffinity(0))}}
+if "digest" in globals():
+    figures["digest"] = digest(out)
 if not kernel.get("untraced"):
     tracemalloc.start()
     call()
-    peak = tracemalloc.get_traced_memory()[1]
+    figures["peak_bytes"] = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-print(json.dumps({{"samples": [seconds], "peak_bytes": peak, "rss_before_mb": before,
-                  "rss_after_mb": after, "children_rss_mb": peak_rss_mb(resource.RUSAGE_CHILDREN),
-                  "cpu_s": cpu, "cores_usable": len(os.sched_getaffinity(0)),
-                  "digest": digest(out)}}))
+print(json.dumps({{**figures, **globals().get("recorded", {{}})}}))
 """
 
 
@@ -172,7 +118,7 @@ print(json.dumps({{"samples": [seconds], "peak_bytes": peak, "rss_before_mb": be
 class Topic:
     title: str  # the "topic" field of the file
     kernels: tuple  # one dict of named inputs per timed shape
-    setup: str  # timer code defining call() from ``kernel`` (and ``rng``, except under _ONCE)
+    setup: str  # timer code defining call() from ``kernel``, ``rng`` and ``usage``
     note: str = ""  # a known cost of the change, written next to the title
     # Code run once per kernel, in an interpreter of its own before the timers,
     # with the kernel (plus the run's ``scratch`` directory) as JSON in argv[1];
@@ -308,16 +254,15 @@ if kernel["call"] == "load_csv" and not os.path.exists(path):
     x, y, _ = data.synthesize(kernel["rows"], 0.00172, seed=0)
     data.save_csv(path, x, y)
 """,
-        # ``call`` also records its minor page faults (ru_minflt), with the last
-        # scoring call's outputs kept through the next, as perfbench keeps
-        # them, and, from untraced calls, the peak RSS of the timing process
-        # and of its largest forked child: perfbench's peak_rss_mb reads the
+        # ``call`` also records its minor page faults (ru_minflt), the
+        # warm-up's first, with the last scoring call's outputs kept through
+        # the next, as perfbench keeps them; the timer's children_rss_mb adds
+        # the forked parts' peak to perfbench's peak_rss_mb, which reads the
         # process alone. A checkout that folds its scaler into the forests
         # records that one-time fold, timed before the first call.
         setup="""
-import os, resource, tracemalloc
 from qmoe import bench, data, hybrid, moe
-recorded = {"usable_cpus": len(os.sched_getaffinity(0)), "minflt": []}
+recorded = {"minflt": []}
 if kernel["call"] == "load_csv":
     path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
     def timed():  # keeps no table, so the peak RSS is one parse's
@@ -332,15 +277,11 @@ else:
         start = time.perf_counter()
         moe._raw_forests(pipeline.combined, pipeline.scaler)  # both forests, once
         recorded["fold_ms"] = 1e3 * (time.perf_counter() - start)
-usage = lambda who=resource.RUSAGE_SELF: resource.getrusage(who)
 kept = [None]  # the last call's outputs
 def call():
     before = usage().ru_minflt
     kept[0] = timed()
     recorded["minflt"].append(usage().ru_minflt - before)
-    if not tracemalloc.is_tracing():  # the traced call's own overhead is not the call's
-        recorded.update(rss_mb=usage().ru_maxrss / 1024,
-                        children_rss_mb=usage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
 """,
     ),
     "circuit": Topic(
@@ -388,7 +329,8 @@ call = lambda: getattr(qsim, kernel["call"])(spec, params, feats, qubits)
               "over the target, arrays one row block at a time",
         # train-paper's pipeline (fit_pipeline at seed 0: 50k rows at fraud
         # rate 0.01, one epoch of the paper hybrid), fit once per interpreter
-        # outside the timed calls; each side writes with its own save_model.
+        # outside the timed calls; each side writes with its own save_model
+        # and records the model file's bytes.
         kernels=({"call": "save_model"}, {"call": "load_model"}),
         setup="""
 import atexit, os, shutil, tempfile
@@ -412,8 +354,10 @@ call = {"save_model": lambda: bench.save_model(pipeline, path),
               "columns at a time",
         # The generator at the cv-desk (20k), train-paper (50k) and real
         # dataset's (284,807) row counts; then, once per interpreter, the
-        # paper-scale table and one fold fit on it: fold 0 of the first
-        # repeat, whose balanced set is 784 rows of a 227,845-row split.
+        # paper-scale table and one fold fit on it (the default RunConfig,
+        # seed 0): fold 0 of the first repeat, whose balanced set is 784 rows
+        # of a 227,845-row split. Its digest is the table's and the
+        # FoldRecord's.
         kernels=(
             *({"name": "synthesize", "call": "synthesize", "rows": rows}
               for rows in (20_000, 50_000, 284_807)),
@@ -440,9 +384,10 @@ else:
 }
 
 
-# The cv topic runs the whole CV once per interpreter, untraced: the desk CV
-# is perfbench cv-desk's config at seed 0 (its DESK_HYBRID, 20,000 rows),
-# the paper CV the default RunConfig at 284,807 rows, one run a side.
+# The cv topic runs the whole CV (run_cv plus save_report) once per
+# interpreter, untraced: the desk CV is perfbench cv-desk's config at seed 0
+# (its DESK_HYBRID, 20,000 rows), the paper CV the default RunConfig at
+# 284,807 rows, one run a side. Its digest is report.json's.
 _DESK_HYBRID = dict(n_features=29, encoder_hidden=(64, 32), n_qubits=3, n_layers=2,
                     head_hidden=8, recon_weight=0.5, batch_size=8, epochs=5,
                     learning_rate=0.01, patience=5, seed=0)
@@ -486,11 +431,6 @@ def _quartiles(samples: list) -> dict:
             "q3": _quantile(ordered, 0.75), "runs": len(ordered)}
 
 
-def timer_script(topic: Topic, kernel: dict) -> str:
-    """The script that times ``kernel``: ``_ONCE`` for a kernel marked ``once``."""
-    return (_ONCE if kernel.get("once") else _TIMER).format(setup=topic.setup)
-
-
 def _env(checkout: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -503,12 +443,13 @@ def pinned(kernel: dict) -> dict:
 
 
 def _invoke(checkout: Path, topic: Topic, kernel: dict) -> dict:
-    """``REPEATS`` call times in ms and one call's tracemalloc peak in bytes,
-    from one fresh interpreter on ``checkout``, bound to the kernel's ``cpu``
-    when it has one (see ``pinned``)."""
+    """``_TIMER``'s figures for ``kernel`` (call times in seconds), from one
+    fresh interpreter on ``checkout``, bound to the kernel's ``cpu`` when it
+    has one (see ``pinned``)."""
     cpu = kernel.get("cpu")
     out = subprocess.run(
-        [sys.executable, "-c", timer_script(topic, kernel), json.dumps(kernel), str(REPEATS)],
+        [sys.executable, "-c", _TIMER.format(setup=topic.setup), json.dumps(kernel),
+         str(REPEATS)],
         env=_env(checkout), check=True, capture_output=True, text=True,
         preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}),
     )
@@ -530,7 +471,7 @@ def time_kernel(parent: Path, change: Path, topic: Topic, kernel: dict) -> tuple
                     "invocation_medians_ms": [_quartiles(s)["median"] for s in ms],
                     "tracemalloc_peak_mb": _quartiles(peaks)["median"] if peaks else None,
                     "invocation_peaks_mb": peaks,
-                    # whatever else the timer reports (the _ONCE timer's RSS and digest)
+                    # the timer's other figures and the set-up's ``recorded``
                     **{f"invocation_{key}": [run[key] for run in invocations]
                        for key in invocations[0] if key not in ("samples", "peak_bytes")}})
     return tuple(out)
@@ -678,17 +619,17 @@ def main(argv=None) -> int:
                   f"(invocations {per_run[0]} -> {per_run[1]} ms)"
                   + ("" if None in peaks else f"; tracemalloc peak {peaks[0]:.1f} -> "
                                               f"{peaks[1]:.1f} MB"))
+            for name, side in (("parent", before), ("change", after)):
+                rss = zip(side["invocation_rss_before_mb"], side["invocation_rss_after_mb"])
+                print(f"  {name} peak RSS before -> after: "
+                      + ", ".join(f"{a:.1f} -> {b:.1f} MB" for a, b in rss)
+                      + "; children's peak RSS "
+                      + ", ".join(f"{c:.1f} MB" for c in side["invocation_children_rss_mb"])
+                      + "; CPU " + ", ".join(f"{c:.1f} s" for c in side["invocation_cpu_s"])
+                      + f" on {side['invocation_cores_usable']} usable CPUs")
             if "invocation_digest" in before:
                 entry["digests_equal"] = len({*before["invocation_digest"],
                                               *after["invocation_digest"]}) == 1
-                for name, side in (("parent", before), ("change", after)):
-                    rss = zip(side["invocation_rss_before_mb"], side["invocation_rss_after_mb"])
-                    print(f"  {name} peak RSS before -> after: "
-                          + ", ".join(f"{a:.1f} -> {b:.1f} MB" for a, b in rss)
-                          + "; children's peak RSS "
-                          + ", ".join(f"{c:.1f} MB" for c in side["invocation_children_rss_mb"])
-                          + "; CPU " + ", ".join(f"{c:.1f} s" for c in side["invocation_cpu_s"])
-                          + f" on {side['invocation_cores_usable']} usable CPUs")
                 print(f"  digests equal: {entry['digests_equal']}")
             kernels.append(entry)
 
