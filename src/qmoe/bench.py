@@ -242,12 +242,12 @@ def _fold_seeds(master_seed: int, repeat: int, fold: int):
     return tuple(int(v) for v in ss.generate_state(3))
 
 
-def _arm_metrics(y, probs, hard, routed_fraction: float, n_points: int, notes: list) -> dict:
-    """AUCPR/AP/precision/recall for one arm; NaN, with a note added to
-    ``notes``, when holdout is one-class."""
+def _arm_metrics(y, probs, hard, routed_fraction: float, notes: list) -> dict:
+    """AUCPR/AP/precision/recall for one arm over the ``len(y)`` holdout rows;
+    NaN, with a note added to ``notes``, when holdout is one-class."""
     out = {
         "routed_fraction": float(routed_fraction),
-        "latency_seconds": latency_estimate(n_points, routed_fraction),
+        "latency_seconds": latency_estimate(len(y), routed_fraction),
     }
     if np.unique(y).size < 2:
         note = "holdout split has one class; ranking metrics are NaN"
@@ -347,16 +347,15 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         )
 
         # The baseline is the calibrated primary alone; every arm is served.
-        n_hold = int(y_hold.size)
         base_probs = apply_temperature(scaler1, primary.predict_proba(x_hold))
         base_hard = (base_probs > tau1).astype(np.float64)
-        baseline = _arm_metrics(y_hold, base_probs, base_hard, 0.0, n_hold, notes)
+        baseline = _arm_metrics(y_hold, base_probs, base_hard, 0.0, notes)
 
         arms = {}
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
             out = combined_predict(combined, x_hold, gamma)
             arms[str(gamma)] = _arm_metrics(y_hold, out.probs, out.labels,
-                                            out.routed_fraction, n_hold, notes)
+                                            out.routed_fraction, notes)
         # out is now the sentinel arm's, the only output kept: the record checks it.
 
     for w in caught:

@@ -5,7 +5,7 @@ gets dropped, anonymized features V1..V28, an Amount column, and a 0/1
 Class label. Everything downstream works on the resulting 29 feature
 columns. load_csv has one body parser: it parses the byte parts of
 ``workers.parts`` through ``workers.fork_map`` (fork facts in ``workers``)
-into one table in shared memory, each row with the bits of a whole-body
+into the shared (x, y) it returns, each row with the bits of a whole-body
 parse. A refused file is re-read row by row only to name its bad line.
 
 All randomized helpers take explicit seeds and derive independent streams
@@ -57,7 +57,7 @@ _CHUNK_ROWS = 4096
 _MIN_PART_BYTES = 1 << 21
 # The shortest valid row, in bytes: 31 one-character fields and 30 commas.
 _MIN_ROW_BYTES = 2 * len(CSV_HEADER) - 1
-_OUTRUN = "rows outran a part's bound"  # what _parse_parts returns when they do
+_OUTRUN = "a part's rows missed its count"  # what _parse_parts returns when they do
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -70,15 +70,14 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     The body is parsed in the parts of ``workers.parts``, none under
     ``_MIN_PART_BYTES``. ``_row_bound`` moves each part's start to a row's
-    start and bounds each part's rows; ``_parse_parts`` parses them into one
-    shared anonymous table, each row with the bits of a whole-file parse (a
-    part whose fork is refused, or whose child is lost, is parsed here).
-    When rows ended by a lone \r outrun their part's \n count, the first
-    table is dropped and the body is parsed again as one span in the
-    process, bounded by its bytes alone. After a refused row, in the parts
+    start and counts its rows; ``_parse_parts`` parses each part into its
+    rows of the (x, y) returned, C-contiguous views of one shared mapping
+    laid out [x | y], each row with the bits of a whole-file parse (a part
+    whose fork is refused, or whose child is lost, is parsed here). When a
+    part's rows miss its count, the body is parsed again as one span in the
+    process, counted by its bytes alone. After a refused row, in the parts
     or in that one span, ``_first_fault`` re-reads the body and names the
-    bad line. ``x`` is a C-contiguous view of the table (see ``_pack``): the
-    pool is held once.
+    bad line.
     """
     try:
         with open(path) as fh:
@@ -93,42 +92,47 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 )
             size = os.path.getsize(path)
             loaded = _parse_parts(path, fh, _row_bound(path, parts(size, _MIN_PART_BYTES)))
-            if loaded is _OUTRUN:  # rows ended by a lone \r outran a part's \n count
+            if loaded is _OUTRUN:
                 loaded = _parse_parts(path, fh, [(0, size, size // _MIN_ROW_BYTES + 1)])
             if loaded is None and (fault := _first_fault(path)):
                 raise DataError(f"{path}: {fault}")
         if loaded is None:
             raise DataError(f"{path}: rows are not {len(CSV_HEADER)} fields with a 0/1 Class")
-        table, regions = loaded
-        if not any(n for _, n in regions):
+        if not loaded[1].size:
             raise DataError(f"{path}: no data rows")
-        return _pack(table, regions)
+        return loaded
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_parts(path, fh, spans):
     """Parse span 0 here and every other span in a forked child (``fork_map``),
-    each into its region of one table mapped for the spans' row bounds:
-    (table, [(region start, rows)]); None after a refused row or a read fault
-    in any part, or else ``_OUTRUN`` when a part's rows outran its bound. Either
-    drops the table with this call."""
-    starts = np.cumsum([0] + [bound for *_, bound in spans]).tolist()
-    table = np.frombuffer(mmap.mmap(-1, 8 * starts[-1] * len(CSV_HEADER)), np.float64)
-    table = table.reshape(starts[-1], len(CSV_HEADER))
-    jobs = [(span, table[a:b]) for span, a, b in zip(spans, starts, starts[1:])]
+    each into its counted rows of one shared mapping laid out [x | y]: the
+    (x, y) parsed; None after a refused row or a read fault in any span; or
+    ``_OUTRUN`` when a span before the last parses fewer rows than its count
+    (blank lines, quoted line ends) or any span more (lone \r line ends).
+    Either drops the mapping with this call."""
+    counts = [rows for *_, rows in spans]
+    starts = np.cumsum([0] + counts).tolist()
+    n = starts[-1]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * (N_FEATURES + 1) * max(n, 1)), np.float64)
+    x, y = flat[:n * N_FEATURES].reshape(n, N_FEATURES), flat[n * N_FEATURES:][:n]
+    jobs = [(span, x[a:b], y[a:b]) for span, a, b in zip(spans, starts, starts[1:])]
     try:
-        counts = fork_map(lambda job: _parse_part(path, fh, *job), jobs)
+        parsed = fork_map(lambda job: _parse_part(path, fh, *job), jobs)
     except (OSError, ValueError):  # a row load_csv refuses, or a read fault
         return None
-    return _OUTRUN if min(counts) < 0 else (table, list(zip(starts, counts)))
+    if parsed[:-1] != counts[:-1] or parsed[-1] < 0:
+        return _OUTRUN
+    n -= counts[-1] - parsed[-1]  # the last span may end in lines that are not rows
+    return x[:n], y[:n]
 
 
-def _parse_part(path, fh, span, region) -> int:
-    """Parse bytes [start, stop) of the file into ``region``, ``_CHUNK_ROWS`` rows
-    a call: the row count, ValueError at a row ``load_csv`` refuses, or -1 once
-    the rows outrun ``region``. A span bounded by its bytes never does: each
-    row that is not refused holds at least ``_MIN_ROW_BYTES``."""
+def _parse_part(path, fh, span, x, y) -> int:
+    """Parse bytes [start, stop) of the file into the rows ``x`` and labels ``y``,
+    ``_CHUNK_ROWS`` rows a call: the row count, ValueError at a row ``load_csv``
+    refuses, or -1 once the rows outrun ``y``. A span counted by its bytes
+    never does: each row that is not refused holds at least ``_MIN_ROW_BYTES``."""
     start, stop, _ = span
     with open(path, "rb") as raw, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty chunk
@@ -140,14 +144,15 @@ def _parse_part(path, fh, span, region) -> int:
         while n == _CHUNK_ROWS:
             chunk = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
                                ndmin=2, dtype=np.float64, max_rows=_CHUNK_ROWS)
-            n = chunk.shape[0]
+            if not (n := chunk.shape[0]):
+                break
             labels = chunk[:, -1]
-            if n and (chunk.shape[1] != len(CSV_HEADER)
-                      or not np.all((labels == 0.0) | (labels == 1.0))):
+            if chunk.shape[1] != len(CSV_HEADER) or not np.all((labels == 0.0) | (labels == 1.0)):
                 raise ValueError("a row load_csv refuses")
-            if done + n > len(region):
+            if done + n > len(y):
                 return -1
-            region[done:done + n] = chunk
+            x[done:done + n] = chunk[:, 1:-1]
+            y[done:done + n] = labels
             done += n
     return done
 
@@ -167,36 +172,23 @@ class _Span(io.RawIOBase):
         return n
 
 
-def _pack(table, regions):
-    """(x, y) from the rows of ``regions``, (start, rows) pairs of ``table``: the
-    labels copied out, then the features moved to the front of the table one
-    row block at a time (each destination ends before the next source)."""
-    y = np.concatenate([table[start:start + n, -1] for start, n in regions])
-    x, done = table.reshape(-1)[:y.size * N_FEATURES].reshape(y.size, N_FEATURES), 0
-    for start, n in regions:
-        for rows in row_blocks(n):
-            x[done + rows.start:done + rows.stop] = table[start:start + n][rows, 1:-1]
-        done += n
-    return x, y
-
-
 def _row_bound(path, spans: list) -> list:
     """The byte ``spans`` of a text file (contiguous slices from 0 to its size,
     as ``workers.parts`` cuts them) as [(start, stop, rows)], each start moved
-    forward to a row's start, with an upper bound on each span's rows.
+    forward to a row's start, with each span's rows counted.
 
     A span starts right after the first \n byte at or past its slice's start
     with an even count of " bytes before it (the header holds an even count),
     so no span starts inside a quoted field or a \r\n pair. A slice with no
     such \n before the end of the file merges into the span before it, so a
-    CR-only file is one span. A span's \n count plus one bounds its lines
-    when every line but its last ends in \n or \r\n (rows ended by a lone \r
-    outrun it, and load_csv parses again). A valid row is at least
-    ``_MIN_ROW_BYTES``, which caps the bound, so a file of empty lines cannot
-    make the table huge.
+    CR-only file is one span. A span's rows are its \n count, less the header
+    in span 0, plus one in the last span if the file does not end in \n:
+    exact when every line is one row. A valid row is at least
+    ``_MIN_ROW_BYTES``, which caps the count, so a file of empty lines cannot
+    make the mapping huge.
     """
     size = spans[-1].stop
-    cuts, lines = [0], [1]
+    cuts, lines = [0], [-1]
     buf = bytearray(1 << 19)  # reused: the counts allocate O(buffer)
     pos = quotes = 0
     with open(path, "rb", buffering=0) as raw:
@@ -208,12 +200,13 @@ def _row_bound(path, spans: list) -> list:
                     break
                 lines[-1] += int(np.count_nonzero(ends[at:cut]))
                 cuts.append(pos + cut)
-                lines.append(1)
+                lines.append(0)
                 at = cut
             lines[-1] += int(np.count_nonzero(ends[at:]))
             if buf.find(b'"', 0, n) >= 0:
                 quotes += np.count_nonzero(np.frombuffer(buf, np.uint8, n) == 34)
             pos += n
+    lines[-1] += int(not ends[-1])  # a last line with no line end
     return [(a, b, min(k, (b - a) // _MIN_ROW_BYTES + 1))
             for a, b, k in zip(cuts, cuts[1:] + [size], lines)]
 

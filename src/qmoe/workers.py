@@ -6,6 +6,8 @@ a forked child that sends its result back through a pipe. ``load_csv`` parses
 a file's byte parts, ``cross_validate`` fits its fold ranges and
 ``combined_predict`` scores a large call's row ranges through them. CPU
 affinity is the only control: ``taskset -c 0`` runs one part, in the process.
+Forks go one level deep: inside a ``fork_map`` of two or more items, in its
+children too, ``parts`` gives one part, so a CV worker's scoring forks nothing.
 
 Every forked caller relies on these facts. A child shares the parent's memory
 copy-on-write, so it reads the parent's arrays without a copy; it hands back
@@ -33,6 +35,7 @@ try:  # libc's prctl, resolved once here, not in each child
     _prctl = ctypes.CDLL(None).prctl if sys.platform.startswith("linux") else None
 except (OSError, AttributeError):
     _prctl = None
+_forked = False  # whether a fork_map of two or more items runs: parts then gives one
 
 
 def usable_cpus() -> int:
@@ -44,8 +47,9 @@ def usable_cpus() -> int:
 def parts(n: int, least: int = 1) -> list:
     """Contiguous slices of ``range(n)`` of about equal size: one per usable
     CPU, none shorter than ``least``, and one slice when ``n < 2 * least``
-    (``[slice(0, 0)]`` when ``n`` is 0). Slice k starts at ``n * k // count``."""
-    count = max(1, min(usable_cpus(), n // least))
+    (``[slice(0, 0)]`` when ``n`` is 0), and one slice inside a ``fork_map`` of
+    two or more items. Slice k starts at ``n * k // count``."""
+    count = 1 if _forked else max(1, min(usable_cpus(), n // least))
     return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
 
@@ -66,7 +70,9 @@ def fork_map(task, items) -> list:
     wait from each fork until its child is recorded, so a signal handler's
     exception cannot leave a child behind.
     """
-    n = len(items)
+    global _forked
+    n, outer = len(items), _forked
+    _forked = outer or n > 1
     children = {}  # item index -> (pid, the read end of its pipe), until the child is reaped
     try:
         for k in range(1, n):
@@ -85,6 +91,7 @@ def fork_map(task, items) -> list:
             pipe.close()
             outcomes[k] = (status == 0 and _unpickled(sent)) or _run(task, items[k])
     finally:
+        _forked = outer
         for pid, pipe in children.values():
             pipe.close()
             with contextlib.suppress(ProcessLookupError, ChildProcessError):

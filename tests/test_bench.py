@@ -443,8 +443,7 @@ def test_every_arm_equals_the_full_router_oracle(dataset):
             probs[routed] = apply_temperature(combined.secondary_scaler,
                                               combined.secondary.predict_proba(x_hold[routed]))
         labels = probs > np.where(routed, combined.tau_secondary, combined.tau_primary)
-        want = bench._arm_metrics(y_hold, probs, labels.astype(np.float64), routed.mean(),
-                                  y_hold.size, [])
+        want = bench._arm_metrics(y_hold, probs, labels.astype(np.float64), routed.mean(), [])
         assert json.dumps(record.combined[str(gamma)]) == json.dumps(want), gamma  # NaN equals NaN
     assert routed_any  # the secondary scored some arm's rows
 

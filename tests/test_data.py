@@ -693,7 +693,7 @@ def test_every_line_ending_loads_every_row(tmp_path, ending, last):
 
 
 def _mapped_bytes(x):
-    """The bytes of the shared table ``x`` is a view of."""
+    """The bytes of the shared mapping ``x`` is a view of."""
     base = x
     while isinstance(base, np.ndarray):
         base = base.base
@@ -707,7 +707,7 @@ def test_a_file_of_empty_lines_is_not_sized_by_its_line_count(tmp_path, monkeypa
     path = _write(tmp_path, ",".join(CSV_HEADER) + "\n" + ROW + "\n" + "\n" * 200_000)
     for cpus in (1, 2):
         monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
-        tracemalloc.start()  # sees the chunks and the labels; the table is mapped
+        tracemalloc.start()  # sees the chunks; the rows are mapped
         try:
             x, y = load_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
@@ -715,7 +715,7 @@ def test_a_file_of_empty_lines_is_not_sized_by_its_line_count(tmp_path, monkeypa
             tracemalloc.stop()
         assert x.shape == (1, N_FEATURES) and np.array_equal(y, [1.0])
         assert peak < 8e6
-        assert _mapped_bytes(x) < 1e6  # a table of 200,001 rows would take 50 MB
+        assert _mapped_bytes(x) < 1e6  # a mapping of 200,001 rows would take 48 MB
 
 
 def test_quoted_fields_spanning_a_line_break(tmp_path):
@@ -755,6 +755,14 @@ def _row_bound(path, cpus):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("qmoe.workers.usable_cpus", lambda: cpus)
         return data._row_bound(path, workers.parts(os.path.getsize(path)))
+
+
+def _count_parse_parts(monkeypatch) -> list:
+    """The span count of each ``data._parse_parts`` call from here on."""
+    calls, parse_parts = [], data._parse_parts
+    monkeypatch.setattr(data, "_parse_parts",
+                        lambda *args: calls.append(len(args[2])) or parse_parts(*args))
+    return calls
 
 
 @pytest.fixture
@@ -833,9 +841,7 @@ def test_a_part_of_rows_ended_by_lone_cr_loads_as_its_lf_twin(tmp_path, monkeypa
     spans = _row_bound(path, 3)
     tail = path.read_bytes()[spans[-1][0]:].decode()
     assert len(spans) == 3 and spans[-1][2] < len(tail.splitlines())
-    calls, parse_parts = [], data._parse_parts
-    monkeypatch.setattr(data, "_parse_parts",
-                        lambda *args: calls.append(len(args[2])) or parse_parts(*args))
+    calls = _count_parse_parts(monkeypatch)
     got = load_csv(path)
     assert calls == [3, 1]  # then one span in the process
     _no_children_left()
@@ -889,21 +895,21 @@ def three_blocks(tmp_path_factory):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_packing_holds_one_row_block_at_a_time(three_blocks, monkeypatch, cpus):
+def test_parsing_holds_one_chunk_at_a_time(three_blocks, monkeypatch, cpus):
     import tracemalloc
 
     monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: cpus)
     monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
     path = three_blocks
-    tracemalloc.start()  # the table is mapped: what it sees is the call's own scratch
+    tracemalloc.start()  # the rows are mapped: what it sees is the call's own scratch
     try:
         x, y = load_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert x.shape == (3 * _BLOCK_ROWS + 5, N_FEATURES) and x.flags.c_contiguous
-    # One chunk's table (1 MB), one row block's buffered copy (1.9 MB) and
-    # the labels; packing the table in one slice copy would buffer 5.7 MB.
+    # One chunk's table (1 MB): the parts write their rows in place, so no
+    # copy of the features or labels is made.
     assert peak < x.nbytes / 2
 
 
@@ -918,7 +924,7 @@ def test_a_refused_file_is_not_parsed_into_a_second_table(three_blocks, tmp_path
     lines[-1] = lines[-1].replace(",", ",x", 1)
     path = _write(tmp_path, "\n".join(lines) + "\n", "bad.csv")
     x_bytes = (len(lines) - 1) * N_FEATURES * 8
-    tracemalloc.start()  # the parts' table is mapped; a private whole-body table would show
+    tracemalloc.start()  # the parts' rows are mapped; a private whole-body table would show
     try:
         with pytest.raises(DataError, match=f"^{path}: line {len(lines)}, column V1: "):
             load_csv(path)
@@ -931,23 +937,55 @@ def test_a_refused_file_is_not_parsed_into_a_second_table(three_blocks, tmp_path
 
 def test_splits_fall_between_rows_of_quoted_line_ends(tmp_path, monkeypatch, three_parts):
     # Every Class is quoted around a line end, so about half the line ends
-    # sit inside a quoted field; a split there would fault its part and
-    # send the whole body through one call.
+    # sit inside a quoted field; a split there would fault its part. Those
+    # line ends also make part 0 parse fewer rows than its \n count, so the
+    # body is parsed again as one span.
     ends = ("\n", "\r\n", "\r")
     rows = [ROW[:-1] + '"' + str(i % 2) + ends[i % 3] + '"' for i in range(30)]
     raw = (",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n").encode()
     path = tmp_path / "spans.csv"
     path.write_bytes(raw)
-    regions, parse_parts = [], data._parse_parts
-    monkeypatch.setattr(data, "_parse_parts",
-                        lambda *args: regions.append(parse_parts(*args)) or regions[-1])
+    calls = _count_parse_parts(monkeypatch)
     for parts in range(2, 7):
         starts = [start for start, _, _ in _row_bound(path, parts)]
         assert len(starts) == parts
         for start in starts[1:]:
             assert raw[start - 1] == ord("\n") and raw[:start].count(b'"') % 2 == 0
         monkeypatch.setattr("qmoe.workers.usable_cpus", lambda parts=parts: parts)
+        calls.clear()
         x, y = load_csv(path)
-        assert regions[-1] is not None  # every part parsed: no fault, no second parse
+        assert calls == [parts, 1]
         assert x.shape == (30, N_FEATURES) and np.all(x == 0.5)
         assert np.array_equal(y, np.arange(30) % 2)
+
+
+# A regular file (one row per line) is counted exactly, so its parts write
+# the rows load_csv returns and the body is parsed once. A part before the
+# last that parses fewer rows than its count sends the body through one span.
+
+def test_a_regular_file_is_parsed_once_into_its_rows(tmp_path, monkeypatch, three_parts):
+    path = _pool(tmp_path)
+    calls = _count_parse_parts(monkeypatch)
+    x, y = load_csv(path)
+    assert calls == [3]
+    assert x.shape == (40, N_FEATURES) and y.shape == (40,)
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    assert _mapped_bytes(x) == _mapped_bytes(y) == 40 * (N_FEATURES + 1) * 8
+    _no_children_left()
+
+
+@pytest.mark.parametrize("blank, made", [
+    (lambda lines: lines[:3] + [""] + lines[3:], [3, 1]),
+    (lambda lines: lines + ["", "", ""], [3]),
+], ids=["in part 0: parsed again", "trailing, in the last part: parsed once"])
+def test_blank_lines_send_the_body_through_one_span_only_before_the_last_part(
+        tmp_path, monkeypatch, three_parts, blank, made):
+    lines = _pool(tmp_path).read_text().splitlines()
+    want = load_csv(_write(tmp_path, "\n".join(lines) + "\n", "clean.csv"))
+    path = _write(tmp_path, "\n".join(blank(lines)) + "\n", "blank.csv")
+    calls = _count_parse_parts(monkeypatch)
+    got = load_csv(path)
+    assert calls == made
+    _no_children_left()
+    for a, b in zip(got, want):
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()

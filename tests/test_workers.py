@@ -118,6 +118,28 @@ def test_the_part_count_never_exceeds_the_cpus_nor_n_over_least(monkeypatch, cpu
             assert len(got) == 1 or min(p.stop - p.start for p in got) >= least
 
 
+def test_forks_go_one_level_deep(monkeypatch):
+    # Inside a map of two or more items, its in-process task and each child
+    # see one part, so no task forks again; a one-item map forks nothing and
+    # leaves the parts as they are.
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
+    assert fork_map(lambda _: len(parts(10**6)), [0, 1, 2]) == [1, 1, 1]
+    _no_children_left()
+    assert len(parts(10**6)) == 3
+    assert fork_map(lambda _: len(parts(10**6)), [0]) == [3]
+
+
+def test_a_failing_map_leaves_the_parts_as_they_were(monkeypatch):
+    def refused():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", refused)  # both tasks run, and fail, in the process
+    with pytest.raises(ZeroDivisionError):
+        fork_map(lambda k: 1 / 0, [0, 1])
+    assert len(parts(10**6)) == 3
+
+
 def test_fork_map_returns_results_in_item_order_for_any_items():
     parent = os.getpid()
     ranges = [slice(0, 3), slice(3, 5), slice(5, 9)]
