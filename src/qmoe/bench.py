@@ -2,13 +2,13 @@
 
 One fold's protocol, in order: undersample the training rows to a
 balanced set by their labels, fit the scaler on the training rows only,
-scale the balanced set and the held-out rows (never the whole training
-split), train both experts (the boosted primary and the hybrid
-secondary), fit temperature scalers and Youden thresholds on the
-validation part of the held-out rows, build router targets from
-calibrated probabilities on the analysis part, train the router there,
-and score the holdout part last. Holdout rows influence nothing upstream
-of scoring.
+train the boosted primary on the raw balanced set, scale it (never the
+whole training split) and train the hybrid secondary, fit temperature
+scalers and Youden thresholds on the validation part of the held-out rows,
+build router targets from calibrated probabilities on the analysis part,
+train the router there, and score the holdout part last. Only the hybrid
+reads scaled rows: exact greedy splits read only each column's order.
+Holdout rows influence nothing upstream of scoring.
 
 Every fold entry carries a baseline arm (calibrated primary alone), one
 arm per gate value, and a sentinel arm at gamma = 1.0 where the gate
@@ -16,7 +16,9 @@ cannot open. Every arm is combined_predict's output on the holdout at its
 gamma, the path that serves a saved pipeline, so the report scores what
 serving scores. The sentinel arm's output must match the baseline bit for
 bit, which the record asserts in its own field. Reports contain no
-wall-clock values, so two runs with one seed serialize identically.
+wall-clock values, so two runs with one seed on one BLAS kernel serialize
+identically; across kernels (OpenBLAS picks them per CPU at load time) the
+hybrid's products round differently, and only ``tau_secondary`` moves.
 
 cross_validate fits the fold ranges of ``workers.parts`` through
 ``workers.fork_map``: the process fits the first range and a forked child
@@ -95,10 +97,10 @@ SENTINEL_GAMMA = 1.0  # gate never opens; the built-in no-routing arm
 
 _MODEL_FORMAT = "qmoe-pipeline"
 _REPORT_FORMAT = "qmoe-report"
-# format -> (noun, version). Model version 4 holds the hybrid as its config
-# and the flat params predict_proba reads, without the training-only
-# decoder; reports are unchanged since version 2.
-_FORMATS = {_MODEL_FORMAT: ("model file", 4), _REPORT_FORMAT: ("report", 2)}
+# format -> (noun, version). Model version 5 holds forests fit on raw rows;
+# a version-4 file's split thresholds read scaled rows, so it is refused
+# rather than served wrongly. Reports are unchanged since version 2.
+_FORMATS = {_MODEL_FORMAT: ("model file", 5), _REPORT_FORMAT: ("report", 2)}
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,7 @@ class Pipeline:
 
 
 def pipeline_predict(pipeline: Pipeline, x_raw, gamma: float):
-    """Score raw rows; combined_predict checks and scales them block by block."""
+    """Score raw rows: the forests read them, and the scaler maps the routed ones."""
     return combined_predict(pipeline.combined, x_raw, gamma, pipeline.scaler)
 
 
@@ -281,11 +283,11 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
     The fold copies only the rows it reads: the balanced set, picked from
     the training labels alone, and the three held-out parts. The scaler
     reads the training rows' min and max block by block, so the training
-    split is never copied whole; scaling is row by row, so the balanced
-    rows scale to the same bits as in a scaled copy of the split.
+    split is never copied whole. The balanced set and validation part are
+    scaled in place for the hybrid once the primary has read them, and the
+    analysis part into a temporary for the hybrid's scores alone.
     """
-    # Checked on the raw rows: the scaler would clip an infinity into range.
-    require_finite_rows(x)
+    require_finite_rows(x)  # a tree would send an infinity one way, the scaler clip it
     split_seed, sample_seed, hybrid_seed = _fold_seeds(config.seed, repeat, fold)
     notes = []
 
@@ -296,10 +298,8 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         balanced = train_idx[undersample(y[train_idx], majority_ratio=config.majority_ratio,
                                          seed=sample_seed)]
         scaler = fit_minmax(x, train_idx)
-        x_bal = scaler.transform(x[balanced])
-        x_val = scaler.transform(x[parts.validation])
-        x_ana = scaler.transform(x[parts.analysis])
-        x_hold = scaler.transform(x[parts.holdout])
+        x_bal, x_val = x[balanced], x[parts.validation]
+        x_ana, x_hold = x[parts.analysis], x[parts.holdout]
         y_bal, y_val = y[balanced], y[parts.validation]
         y_ana, y_hold = y[parts.analysis], y[parts.holdout]
         sizes = {name: {"rows": int(rows.size), "positives": int(y[rows].sum())}
@@ -308,6 +308,9 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
                                     ("analysis", parts.analysis), ("holdout", parts.holdout))}
 
         primary = fit_gbdt(config.expert, x_bal, y_bal, x_val, y_val)
+        p1_val = primary.predict_proba(x_val)
+        scaler.transform(x_bal, out=x_bal)  # the primary reads neither again
+        scaler.transform(x_val, out=x_val)
 
         hybrid_cfg = replace(config.hybrid, seed=hybrid_seed)
         if np.unique(y_val).size < 2:
@@ -316,7 +319,6 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         else:
             secondary, train_report = fit_hybrid(hybrid_cfg, x_bal, y_bal, x_val, y_val)
 
-        p1_val = primary.predict_proba(x_val)
         p2_val = train_report.val_probs  # the best epoch's, which the roll-back restored
         if p2_val is None:
             p2_val = secondary.predict_proba(x_val)
@@ -332,7 +334,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
         targets = router_targets(
             y_ana,
             apply_temperature(scaler1, primary.predict_proba(x_ana)),
-            apply_temperature(scaler2, secondary.predict_proba(x_ana)),
+            apply_temperature(scaler2, secondary.predict_proba(scaler.transform(x_ana))),
             tau1,
             tau2,
         )
@@ -353,7 +355,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
 
         arms = {}
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
-            out = combined_predict(combined, x_hold, gamma)
+            out = combined_predict(combined, x_hold, gamma, scaler)
             arms[str(gamma)] = _arm_metrics(y_hold, out.probs, out.labels,
                                             out.routed_fraction, notes)
         # out is now the sentinel arm's, the only output kept: the record checks it.

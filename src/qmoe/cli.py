@@ -180,10 +180,9 @@ def _cmd_calibrate(args) -> int:
     pipeline = load_model(args.model)
     x, y = _load_labeled(args)
     require_finite_rows(x)  # before scaling, which would clip an infinity into range
-    scaled = pipeline.scaler.transform(x)
     combined = pipeline.combined
-    p1 = combined.primary.predict_proba(scaled)
-    p2 = combined.secondary.predict_proba(scaled)
+    p1 = combined.primary.predict_proba(x)  # the forests read raw rows, the hybrid scaled ones
+    p2 = combined.secondary.predict_proba(pipeline.scaler.transform(x))
     scalers, taus = fit_calibration(p1, p2, y)
     degenerate = any(scaler.degenerate for scaler in scalers)
     notes = []

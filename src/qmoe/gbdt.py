@@ -136,7 +136,8 @@ class GBDTParams:
 
 
 def router_params() -> GBDTParams:
-    """Shallow defaults for routing duty: depth 3, 100 rounds."""
+    """Shallow defaults for routing duty: depth 3, 100 rounds. moe.fit_router fits
+    without a validation set, so early_stopping_rounds (20) changes nothing."""
     return GBDTParams(n_estimators=100, max_depth=3)
 
 

@@ -25,36 +25,33 @@ arrays view, through workers.fork_map over the row ranges of
 workers.parts, none under _MIN_PART_ROWS rows: part 0 scored in the
 process and every other part in a forked child (see workers), each part
 writing its rows straight into the table, an anonymous shared mapping. A
-call of one part, in the process, keeps its table private. The folded
-forests and the forests' scoring plans are built in the process first, so
-the model keeps them and no child rebuilds them. Each part serves its rows
-as a one-part call serves all of them, with the same bits.
+call of one part, in the process, keeps its table private. The forests'
+scoring plans are built in the process first, so the model keeps them and
+no child rebuilds them. Each part serves its rows as a one-part call
+serves all of them, with the same bits.
 
-Serving walks its input in row blocks of the forests' own size. Given a
-data.MinMaxScaler, it first folds the scaler into both forests' split
-thresholds (MinMaxScaler.raw_thresholds): the map is monotone per column,
-so a raw threshold sends every finite raw row where the model sends its
-scaled row. The folded copies are built on the first call for a scaler
-and kept, never saved. A part keeps one (features, rows) workspace: each
-checked raw block is copied into it, in the transposed layout the forests
-score, and the primary and the gate's block phase both read it, each tree
-by its leaf-code groups (see gbdt). The rows the gate pools are gathered
-from the input into the same workspace once the blocks are done. So a part
-holds one block and the outputs, never a copy of the pool, and allocates
-nothing block-sized per block. The scaler touches only the routed rows,
-gathered raw after the loop and scaled once, in place. The trees score row
-by row, so blocks and parts keep their bits. The secondary scores in padded
-512-row chunks, so it keeps them too; it gets every routed row of a part in
-one batch because one batch pads the fewest chunks, so a part pads at most
-one chunk more than a one-part call. Each forest builds its scoring plan
-once, on its model's first scoring, and reads it in every later block,
-part and call.
+Serving walks its input in row blocks of the forests' own size. Both
+forests are fit on raw rows, so they read the input as it is. A part keeps
+one (features, rows) workspace: each checked block is copied into it, in
+the transposed layout the forests score, and the primary and the gate's
+block phase both read it, each tree by its leaf-code groups (see gbdt).
+The rows the gate pools are gathered from the input into the same
+workspace once the blocks are done. So a part holds one block and the
+outputs, never a copy of the pool, and allocates nothing block-sized per
+block. A data.MinMaxScaler, when given, maps only the routed rows to the
+secondary's input, gathered after the loop and scaled once, in place. The
+trees score row by row, so blocks and parts keep their bits. The secondary
+scores in padded 512-row chunks, so it keeps them too; it gets every
+routed row of a part in one batch because one batch pads the fewest
+chunks, so a part pads at most one chunk more than a one-part call. Each
+forest builds its scoring plan once, on its model's first scoring, and
+reads it in every later block, part and call.
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,15 +167,15 @@ class RoutedPrediction:
 def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> RoutedPrediction:
     """Score rows, handing those the router flags to the secondary expert.
 
-    ``x`` holds the rows the experts read, or raw rows that ``scaler`` (a
-    data.MinMaxScaler) maps to them; then both forests read the raw rows
-    through folded thresholds (``_raw_forests``), and the scaler touches only
-    the routed rows. Hard labels apply the owning expert's threshold.
+    ``x`` holds the rows both forests read. ``scaler`` (a data.MinMaxScaler),
+    when given, maps the routed rows to the secondary's input; without it
+    the secondary reads them as they are. Hard labels apply the owning
+    expert's threshold.
 
     The checks come first, in the process: gamma, the scaler's width, then
     the rows' width (``errors.feature_rows``, naming the whole input's
-    shape). The folded forests and both forests' scoring plans are built
-    there too, so no child rebuilds them and the model keeps them.
+    shape). Both forests' scoring plans are built there too, so no child
+    rebuilds them and the model keeps them.
     Every call fills one zeroed table of 17 bytes a row, which the returned
     ``probs``, ``labels`` and ``routed`` view, through ``workers.fork_map``
     over the row ranges of ``workers.parts(n, _MIN_PART_ROWS)``: part 0 runs
@@ -198,8 +195,7 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
         raise InputError(f"the scaler reads {scaler.low.shape[0]} features, "
                          f"the experts {model.primary.n_features}")
     x = feature_rows(x, model.primary.n_features)
-    forests = (model.primary, model.router) if scaler is None else _raw_forests(model, scaler)
-    for forest in forests[:2 if gamma < 1.0 else 1]:  # a shut gate reads no router tree
+    for forest in (model.primary, model.router)[:2 if gamma < 1.0 else 1]:  # shut: no router
         forest._forest  # its plan, built here once rather than in every child
     n = x.shape[0]
     ranges = parts(n, _MIN_PART_ROWS)
@@ -211,25 +207,25 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
                            labels=table[8 * n:16 * n].view(np.float64),
                            routed=table[16 * n:].view(bool))
     # Each part returns nothing: a child's rows are already in the table.
-    fork_map(lambda rows: _predict_rows(model, forests, x, gamma, scaler, rows, out), ranges)
+    fork_map(lambda rows: _predict_rows(model, x, gamma, scaler, rows, out), ranges)
     return out
 
 
-def _predict_rows(model: CombinedModel, forests: tuple, x: np.ndarray, gamma: float, scaler,
-                  rows: slice, out: RoutedPrediction) -> None:
+def _predict_rows(model: CombinedModel, x: np.ndarray, gamma: float, scaler, rows: slice,
+                  out: RoutedPrediction) -> None:
     """Write the prediction of ``x[rows]`` into the same rows of ``out``'s arrays,
     whose ``routed`` holds False there.
 
-    Per row block of ``errors.row_blocks``: a finite check (scaling would
-    clip an infinity into range), naming rows of all of ``x``, so the outcome
-    never depends on whether the gate would have routed a bad row, nor on
-    the part that meets it; the copy into the part's one (features, rows)
-    workspace; the primary and the gate's block phase on it (gbdt._Gate),
-    whose pooled rows are then gathered into the same workspace. The
-    secondary scores every routed row, gathered from ``x`` and scaled once,
-    in one call; that sparsity is the whole point of the gate.
+    Per row block of ``errors.row_blocks``: a finite check, naming rows of
+    all of ``x``, so the outcome never depends on whether the gate would
+    have routed a bad row, nor on the part that meets it; the copy into the
+    part's one (features, rows) workspace; the primary and the gate's block
+    phase on it (gbdt._Gate), whose pooled rows are then gathered into the
+    same workspace. The secondary scores every routed row, gathered from
+    ``x`` and scaled once, in one call; that sparsity is the whole point of
+    the gate.
     """
-    primary, router = forests
+    primary, router = model.primary, model.router
     part = x[rows]
     probs, routed = out.probs[rows], out.routed[rows]
     blocks = list(row_blocks(max(part.shape[0], 1)))  # an empty input still checks
@@ -258,31 +254,3 @@ def _predict_rows(model: CombinedModel, forests: tuple, x: np.ndarray, gamma: fl
     np.greater(probs, model.tau_primary, out=labels)
     labels[routed] = probs[routed] > model.tau_secondary
 
-
-def _raw_forests(model: CombinedModel, scaler) -> tuple:
-    """The primary and the router as copies whose split thresholds read raw rows.
-
-    Each threshold is ``scaler.raw_thresholds`` of its split, so a copy
-    sends every finite raw row where the model sends its scaled row, and
-    scores it with the same bits. The copies are built on the first call
-    for a scaler and both forests, kept on ``model`` keyed by their
-    identity, and never saved: the codec writes a model's fields only.
-    """
-    key = (scaler, model.primary, model.router)
-    cached = getattr(model, "_raw", None)
-    if cached is None or any(a is not b for a, b in zip(cached[0], key)):
-        cached = model._raw = key, tuple(_raw_forest(f, scaler) for f in key[1:])
-    return cached[1]
-
-
-def _raw_forest(forest: GBDTModel, scaler) -> GBDTModel:
-    """``forest`` with every split's threshold folded through ``scaler``, all at once."""
-    trees = forest.trees
-    if not trees:
-        return forest
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    split = feature >= 0
-    threshold[split] = scaler.raw_thresholds(feature[split], threshold[split])
-    parts = np.split(threshold, np.cumsum([tree.feature.size for tree in trees])[:-1])
-    return replace(forest, trees=[replace(t, threshold=p) for t, p in zip(trees, parts)])

@@ -18,7 +18,9 @@ child also dies with its parent: it asks the kernel (``prctl``'s
 the parent ended before that request, so even a SIGKILLed caller leaves no
 worker running. Elsewhere a SIGKILLed caller's children run on to the end of
 their tasks. Python 3.12 and later warn (DeprecationWarning) when a process
-that runs threads forks; the package starts no thread of its own.
+that runs threads forks. The package starts no thread of its own, but
+numpy's OpenBLAS starts threads at import for its default thread count
+(one per CPU) unless OPENBLAS_NUM_THREADS sets it.
 """
 
 from __future__ import annotations

@@ -368,12 +368,12 @@ def test_04_router_targets_cloned_expert_and_monotone_routing():
         router=base.router, tau_primary=base.tau_primary,
         tau_secondary=base.tau_primary,
     )
-    xs = pipeline.scaler.transform(x)
-    base_probs = apply_temperature(base.primary_scaler, base.primary.predict_proba(xs))
+    # The forests read raw rows, so the cloned pair serves them without a scaler.
+    base_probs = apply_temperature(base.primary_scaler, base.primary.predict_proba(x))
     base_hard = (base_probs > base.tau_primary).astype(np.float64)
     clone_ok = True
     for gamma in GAMMA_GRID:
-        out = combined_predict(cloned, xs, gamma)
+        out = combined_predict(cloned, x, gamma)
         clone_ok = clone_ok and np.array_equal(out.probs, base_probs)
         clone_ok = clone_ok and np.array_equal(out.labels, base_hard)
         clone_ok = clone_ok and (

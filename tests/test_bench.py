@@ -2,13 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from qmoe import bench, errors, hybrid
+from qmoe import bench, data, errors, hybrid
 from qmoe.bench import (
     TASK_SECONDS,
     RunConfig,
@@ -30,9 +32,9 @@ from qmoe.bench import (
 from qmoe.calibration import apply_temperature
 from qmoe.data import MinMaxScaler, split_eval, stratified_repeated_kfold, synthesize, undersample
 from qmoe.errors import ConfigurationError, InputError, ModelIOError
-from qmoe.gbdt import GBDTParams, router_params
+from qmoe.gbdt import GBDTParams, fit_gbdt, router_params
 from qmoe.hybrid import HybridConfig, HybridModel
-from qmoe.moe import GAMMA_GRID, fit_router
+from qmoe.moe import GAMMA_GRID, CombinedModel, fit_router
 from qmoe.neural import adam_init
 from test_data import FAULTS, _no_children_left, expect_kept, fail_part_way
 from test_hybrid import fresh_hybrid
@@ -194,6 +196,84 @@ def test_cross_validate_is_bit_deterministic(dataset, report):
     )
 
 
+# The console-script smoke step's config, and the report fields a BLAS kernel
+# may move: the hybrid's GEMMs round by the kernel, so its validation scores,
+# hence their Youden cut, may move by ulps. Its temperature read the same here.
+SMOKE_CONFIG = {"synth_rows": 1500, "synth_fraud_rate": 0.02,
+                "hybrid": {"encoder_hidden": [8], "n_qubits": 2, "n_layers": 1, "head_hidden": 4,
+                           "batch_size": 16, "epochs": 2, "patience": 2},
+                "expert": {"n_estimators": 20, "max_depth": 3},
+                "router": {"n_estimators": 10, "max_depth": 3},
+                "n_splits": 2, "n_repeats": 1, "seed": 5}
+KERNEL_FIELDS = {"tau_secondary"}
+_CORE_AND_REPORT = """
+import ctypes, sys
+from qmoe.bench import load_config, run_cv, save_report
+corename = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+save_report(run_cv(load_config(sys.argv[2])), sys.argv[3])
+print(corename().decode())
+"""
+
+
+def _dynamic_openblas():
+    """The path of numpy's OpenBLAS and its core name, or a skip unless it is a
+    DYNAMIC_ARCH build, which picks its kernels at load time (OPENBLAS_CORETYPE)."""
+    import ctypes
+    import glob
+    import platform
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    if platform.machine() != "x86_64" or len(libs) != 1:
+        pytest.skip("needs numpy's own scipy-openblas on x86-64")
+    lib = ctypes.CDLL(libs[0])
+    if not hasattr(lib, "scipy_openblas_get_config64_"):
+        pytest.skip("needs the 64-bit-integer scipy-openblas")
+    for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_corename64_"):
+        getattr(lib, name).restype = ctypes.c_char_p
+    if b"DYNAMIC_ARCH" not in lib.scipy_openblas_get_config64_():
+        pytest.skip("numpy's OpenBLAS has one kernel set")
+    return libs[0], lib.scipy_openblas_get_corename64_().decode()
+
+
+def _leaves(doc, key=None):
+    """``(key, leaf)`` for every scalar of a JSON document, in order."""
+    if isinstance(doc, dict):
+        return [leaf for k, v in doc.items() for leaf in _leaves(v, k)]
+    if isinstance(doc, list):
+        return [leaf for v in doc for leaf in _leaves(v, key)]
+    return [(key, doc)]
+
+
+def test_a_report_under_another_blas_kernel_moves_only_the_named_fields(tmp_path):
+    # Equal bytes per seed on one BLAS kernel; on another (a forced core type,
+    # in a subprocess, as OpenBLAS reads it at load time), only KERNEL_FIELDS
+    # may move, within rel 1e-12.
+    path, core = _dynamic_openblas()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(__file__), os.pardir, "src"), os.environ.get("PYTHONPATH")])))
+    if "OPENBLAS_CORETYPE" in env:  # this process runs a forced core; the child, the CPU's own
+        del env["OPENBLAS_CORETYPE"]
+    else:
+        env["OPENBLAS_CORETYPE"] = "Prescott"  # SSE3, which every x86-64 CPU runs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMOKE_CONFIG))
+    save_report(bench.run_cv(load_config(config)), tmp_path / "here")
+    child = subprocess.run([sys.executable, "-c", _CORE_AND_REPORT, path, str(config),
+                            str(tmp_path / "there")], env=env, check=True, capture_output=True,
+                           text=True).stdout.strip()
+    assert child != core
+    here, there = (_leaves(json.loads((tmp_path / side / "report.json").read_text()))
+                   for side in ("here", "there"))
+    assert [key for key, _ in here] == [key for key, _ in there]
+    for (key, a), (_, b) in zip(here, there):
+        if key in KERNEL_FIELDS:
+            assert b == pytest.approx(a, rel=1e-12, abs=0.0), key
+        else:
+            assert json.dumps(a) == json.dumps(b), key
+
+
 def test_save_report_files(report, tmp_path):
     save_report(report, tmp_path)
     assert sorted(os.listdir(tmp_path)) == ["aggregates.csv", "folds.csv", "report.json"]
@@ -259,11 +339,11 @@ def test_report_file_is_strict_json_and_round_trips(one_class_report, tmp_path):
 
 def test_version_1_files_are_refused(model_doc, report, tmp_path):
     # Version 2 dropped GBDTParams.seed and RunConfig.out_dir and writes NaN as
-    # null; model files then moved on to version 3 (one hybrid params list)
-    # and 4 (no decoder in it).
+    # null; model files then moved on to version 3 (one hybrid params list),
+    # 4 (no decoder in it) and 5 (forests fit on raw rows).
     path = tmp_path / "model.json"
     path.write_text(json.dumps({**model_doc, "version": 1}))
-    with pytest.raises(ModelIOError, match="has version 1, this build reads 4"):
+    with pytest.raises(ModelIOError, match="has version 1, this build reads 5"):
         load_model(path)
     save_report(report, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
@@ -334,7 +414,7 @@ def test_written_files_are_the_json_text_of_their_document(model_doc, one_class_
     # The writer streams the text; its bytes are those of one json.dumps call.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     save_model(pipeline, tmp_path / "model.json")
-    doc = {"format": "qmoe-pipeline", "version": 4, **asdict(pipeline)}
+    doc = {"format": "qmoe-pipeline", "version": 5, **asdict(pipeline)}
     text = json.dumps(doc, allow_nan=False, default=lambda array: array.tolist())
     assert (tmp_path / "model.json").read_text() == text + "\n"
     save_report(one_class_report, tmp_path / "out")
@@ -408,7 +488,7 @@ def test_load_model_rejects_bad_files(tmp_path):
     with pytest.raises(ModelIOError, match="version"):
         load_model(wrong_version)
     truncated = tmp_path / "trunc.json"
-    truncated.write_text('{"format": "qmoe-pipeline", "version": 4, "scaler"')
+    truncated.write_text('{"format": "qmoe-pipeline", "version": 5, "scaler"')
     with pytest.raises(ModelIOError, match="cannot read"):
         load_model(truncated)
     deep = tmp_path / "deep.json"
@@ -416,21 +496,26 @@ def test_load_model_rejects_bad_files(tmp_path):
     with pytest.raises(ModelIOError, match="cannot read model file"):
         load_model(deep)
     malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"format": "qmoe-pipeline", "version": 4, "combined": {}}')
+    malformed.write_text('{"format": "qmoe-pipeline", "version": 5, "combined": {}}')
     with pytest.raises(ModelIOError, match="is malformed"):
         load_model(malformed)
 
 
-def test_every_arm_equals_the_full_router_oracle(dataset):
-    # The path fit_fold's arms once took: the router scored in full and
-    # compared with gamma, the secondary scoring the routed rows in one call,
-    # each label at its owning expert's threshold. Every arm's metrics must
-    # equal those of combined_predict's output bit for bit.
+def _first_fold(dataset):
+    """The record and pipeline of the first fold, with its raw holdout rows and labels."""
     x, y = dataset
     train_idx, heldout_idx = next(stratified_repeated_kfold(y, CONFIG.n_splits, 1, CONFIG.seed))
     record, pipeline = fit_fold(CONFIG, x, y, train_idx, heldout_idx, 0, 0)
     holdout = split_eval(y, heldout_idx, seed=_fold_seeds(CONFIG.seed, 0, 0)[0]).holdout
-    x_hold, y_hold = pipeline.scaler.transform(x[holdout]), y[holdout]
+    return record, pipeline, x[holdout], y[holdout]
+
+
+def test_every_arm_equals_the_full_router_oracle(dataset):
+    # The path fit_fold's arms once took: the router scored in full on the raw
+    # rows and compared with gamma, the secondary scoring the routed rows,
+    # scaled, in one call, each label at its owning expert's threshold. Every
+    # arm's metrics must equal those of combined_predict's output bit for bit.
+    record, pipeline, x_hold, y_hold = _first_fold(dataset)
     combined = pipeline.combined
     base = apply_temperature(combined.primary_scaler, combined.primary.predict_proba(x_hold))
     gate = combined.router.predict_proba(x_hold)
@@ -440,12 +525,51 @@ def test_every_arm_equals_the_full_router_oracle(dataset):
         routed_any |= routed.any()
         probs = base.copy()
         if routed.any():
+            handed = pipeline.scaler.transform(x_hold[routed])
             probs[routed] = apply_temperature(combined.secondary_scaler,
-                                              combined.secondary.predict_proba(x_hold[routed]))
+                                              combined.secondary.predict_proba(handed))
         labels = probs > np.where(routed, combined.tau_secondary, combined.tau_primary)
         want = bench._arm_metrics(y_hold, probs, labels.astype(np.float64), routed.mean(), [])
         assert json.dumps(record.combined[str(gamma)]) == json.dumps(want), gamma  # NaN equals NaN
     assert routed_any  # the secondary scored some arm's rows
+
+
+def test_every_arm_equals_the_fold_pipeline_served_on_raw_rows(dataset):
+    # The report scores what serving scores: each arm is pipeline_predict of
+    # the fold's own pipeline on the raw holdout rows.
+    record, pipeline, x_hold, y_hold = _first_fold(dataset)
+    for gamma in (*CONFIG.gamma_grid, bench.SENTINEL_GAMMA):
+        out = pipeline_predict(pipeline, x_hold, gamma)
+        want = bench._arm_metrics(y_hold, out.probs, out.labels, out.routed_fraction, [])
+        assert json.dumps(record.combined[str(gamma)]) == json.dumps(want), gamma
+    assert any(arm["routed_fraction"] > 0 for arm in record.combined.values())
+
+
+@pytest.mark.parametrize("name", ["expert", "router"])
+def test_a_forest_fit_on_raw_rows_equals_the_one_fit_on_scaled_rows(name):
+    # Exact greedy splits read only each column's order, which min-max scaling
+    # keeps on the training rows: every array but the thresholds is equal, and
+    # each raw threshold scales to the scaled forest's threshold. The primary
+    # stops early on a validation part; the router fits without one.
+    params = getattr(RunConfig(), name)
+    x, y, _ = synthesize(3000, 0.05, seed=31)
+    scaler = data.fit_minmax(x[:2000])
+
+    def fit(rows):  # on the first 2,000 rows; the primary validates on the rest
+        val = (rows[2000:], y[2000:]) if name == "expert" else ()
+        return fit_gbdt(params, rows[:2000], y[:2000], *val)
+
+    raw, scaled = fit(x), fit(scaler.transform(x))
+    assert len(raw.trees) == len(scaled.trees) > 1 and raw.base_score == scaled.base_score
+    for a, b in zip(raw.trees, scaled.trees):
+        for field in ("feature", "left", "right", "value"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        split = np.flatnonzero(a.feature >= 0)
+        rows = np.zeros((split.size, x.shape[1]))
+        rows[np.arange(split.size), a.feature[split]] = a.threshold[split]
+        mapped = scaler.transform(rows)[np.arange(split.size), a.feature[split]]
+        assert mapped.tobytes() == b.threshold[split].tobytes()
+        assert a.threshold[a.feature < 0].tobytes() == b.threshold[b.feature < 0].tobytes()
 
 
 def test_sentinel_check_sees_a_one_ulp_difference(dataset, monkeypatch):
@@ -716,7 +840,16 @@ def test_version_3_files_are_refused(model_doc, tmp_path):
     hybrid_doc["params"] = params[:encoder] + decoder + params[encoder:]
     path = tmp_path / "version-3.json"
     path.write_text(json.dumps({**doc, "version": 3}))
-    with pytest.raises(ModelIOError, match="has version 3, this build reads 4"):
+    with pytest.raises(ModelIOError, match="has version 3, this build reads 5"):
+        load_model(path)
+
+
+def test_version_4_files_are_refused(model_doc, tmp_path):
+    # A version-4 file has the layout of version 5, but its forests were fit
+    # on scaled rows: served raw rows, they would score wrongly without error.
+    path = tmp_path / "version-4.json"
+    path.write_text(json.dumps({**model_doc, "version": 4}))
+    with pytest.raises(ModelIOError, match="has version 4, this build reads 5"):
         load_model(path)
 
 
@@ -822,7 +955,7 @@ def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     n_rows = 3 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=21)
-    gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
+    gate = pipeline.combined.router.predict_proba(x)
     routing_gamma = float(np.quantile(gate, 0.95))
     cuts = [0, 1, 700, errors._BLOCK_ROWS + 3, 2 * errors._BLOCK_ROWS, n_rows - 5, n_rows]
     for gamma in (1.0, routing_gamma):
@@ -843,7 +976,7 @@ def test_pipeline_predict_is_batch_invariant_at_the_paper_shape(model_doc, tmp_p
     pipeline.combined.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
     n_rows = 3 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=23)
-    gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
+    gate = pipeline.combined.router.predict_proba(x)
     gamma = float(np.quantile(gate, 0.9))
     cuts = [0, 1, 3, 700, errors._BLOCK_ROWS + 3, 2 * errors._BLOCK_ROWS, n_rows - 1, n_rows]
     whole = pipeline_predict(pipeline, x, gamma)
@@ -864,16 +997,16 @@ def test_pipeline_predict_equals_the_whole_pool_oracle_at_the_paper_shape(model_
     combined.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
     n_rows = 16 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=22)
-    xs = pipeline.scaler.transform(x)
-    gate = combined.router.predict_proba(xs)
+    gate = combined.router.predict_proba(x)
     gamma = float(np.quantile(gate, 0.99))
     routed = gate > gamma
     assert np.unique(np.flatnonzero(routed) // errors._BLOCK_ROWS).size >= 2
-    probs = apply_temperature(combined.primary_scaler, combined.primary.predict_proba(xs))
+    probs = apply_temperature(combined.primary_scaler, combined.primary.predict_proba(x))
+    handed = pipeline.scaler.transform(x[routed])
     probs[routed] = apply_temperature(combined.secondary_scaler,
-                                      combined.secondary.predict_proba(xs[routed]))
+                                      combined.secondary.predict_proba(handed))
     labels = (probs > np.where(routed, combined.tau_secondary, combined.tau_primary))
-    del xs, gate
+    del gate, handed
     tracemalloc.start()
     try:
         out = pipeline_predict(pipeline, x, gamma)
@@ -896,7 +1029,7 @@ def test_a_whole_pool_call_holds_a_few_blocks(model_doc, tmp_path, routed_share)
     x, _, _ = synthesize(8 * errors._BLOCK_ROWS, 0.05, seed=23)
     gamma = 1.0
     if routed_share:
-        gate = pipeline.combined.router.predict_proba(pipeline.scaler.transform(x))
+        gate = pipeline.combined.router.predict_proba(x)
         gamma = float(np.quantile(gate, 1.0 - routed_share))
     pipeline_predict(pipeline, x[:10], gamma)  # each forest's plan is built before the trace
     tracemalloc.start()
@@ -911,13 +1044,13 @@ def test_a_whole_pool_call_holds_a_few_blocks(model_doc, tmp_path, routed_share)
 
 
 def test_serving_saves_nothing_of_the_folded_forests(model_doc, tmp_path):
-    # The raw-threshold copies are built on the first call and kept on the
-    # combined model, outside its fields: the model file keeps its bytes.
+    # The forests read raw rows as fit, so serving folds nothing into them and
+    # keeps nothing on the combined model: the model file keeps its bytes.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     save_model(pipeline, tmp_path / "before.json")
     x, _, _ = synthesize(1000, 0.05, seed=23)
-    pipeline_predict(pipeline, x, 0.5)
-    assert pipeline.combined._raw[0][0] is pipeline.scaler
+    assert pipeline_predict(pipeline, x, 0.5).routed.any()
+    assert set(vars(pipeline.combined)) == {f.name for f in fields(CombinedModel)}
     save_model(pipeline, tmp_path / "after.json")
     assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
 

@@ -13,7 +13,7 @@ import pytest
 
 import qmoe
 from qmoe.bench import RunConfig, fit_pipeline, load_model, pipeline_predict, save_model
-from qmoe.calibration import apply_temperature
+from qmoe.calibration import apply_temperature, fit_temperature
 from qmoe import bench, cli
 from qmoe.cli import ENV_DATASET, main
 from qmoe.data import load_csv, save_csv, synthesize
@@ -183,10 +183,14 @@ def test_calibrate_refits_temperatures(workspace, tmp_path, capsys):
     assert len(recal.combined.primary.trees) == len(base.combined.primary.trees)
     # the thresholds are Youden-refit on the recalibrated scores of the same rows
     x, y = load_csv(workspace["csv"])
-    scaled = base.scaler.transform(x)
-    for expert, scaler, tau in (("primary", "primary_scaler", "tau_primary"),
-                                ("secondary", "secondary_scaler", "tau_secondary")):
-        probs = getattr(base.combined, expert).predict_proba(scaled)
+    # The forests read raw rows, the hybrid scaled ones.
+    for expert, scaler, tau, rows in (
+            ("primary", "primary_scaler", "tau_primary", x),
+            ("secondary", "secondary_scaler", "tau_secondary", base.scaler.transform(x))):
+        probs = getattr(base.combined, expert).predict_proba(rows)
+        # The temperature tells the rows apart: the Youden cut here is the
+        # lowest score either way.
+        assert getattr(recal.combined, scaler).temperature == fit_temperature(probs, y).temperature
         want = youden_threshold(apply_temperature(getattr(recal.combined, scaler), probs), y)
         assert getattr(recal.combined, tau) == payload[tau] == want
     assert payload["warnings"] == []
@@ -429,8 +433,8 @@ def test_evaluate_non_finite_model_exits_1(workspace, tmp_path, capsys):
 
 def test_version_2_model_files_are_refused(workspace, tmp_path, capsys):
     # Version 2 wrote the hybrid behind a "kind" tag, as per-layer
-    # [weights, bias] lists and a separate theta; version 4 reads one params
-    # list without the decoder.
+    # [weights, bias] lists and a separate theta; version 5 reads one params
+    # list without the decoder, beside forests fit on raw rows.
     hybrid = load_model(workspace["model"]).combined.secondary
     doc = json.loads(open(workspace["model"]).read())
 
@@ -447,11 +451,11 @@ def test_version_2_model_files_are_refused(workspace, tmp_path, capsys):
     }
     old = tmp_path / "version-2.json"
     old.write_text(json.dumps(doc))
-    with pytest.raises(ModelIOError, match="has version 2, this build reads 4"):
+    with pytest.raises(ModelIOError, match="has version 2, this build reads 5"):
         load_model(old)
     assert main(["evaluate", "--model", str(old), "--data", workspace["csv"]]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "has version 2, this build reads 4" in err
+    assert err.startswith("error: ") and "has version 2, this build reads 5" in err
     assert "Traceback" not in err
 
 

@@ -118,8 +118,9 @@ def test_router_with_no_corrections_never_routes():
 
 def _fitted_pair(seed=0, scaler=None):
     """Primary that only sees feature 0, on data whose positives split
-    between a feature-0 signal and a feature-1 signal; both fit on the rows
-    ``scaler`` maps the returned ones to, if given."""
+    between a feature-0 signal and a feature-1 signal. The primary is fit on
+    the returned rows, the secondary on the rows ``scaler`` maps them to, if
+    given, as a fold fits its forests and its hybrid."""
     rng = np.random.default_rng(seed)
     n = 400
     y = (rng.random(n) < 0.3).astype(float)
@@ -131,7 +132,7 @@ def _fitted_pair(seed=0, scaler=None):
     x[half, 1] += 2.0
     seen = x if scaler is None else scaler.transform(x)
     primary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2),
-                       seen[:, :1].repeat(2, axis=1) * [1, 0], y)
+                       x[:, :1].repeat(2, axis=1) * [1, 0], y)
     secondary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2), seen, y)
     return x, y, primary, secondary
 
@@ -268,11 +269,11 @@ def _reference_predict(model, x, gamma):
 def _routed_model(seed, scaler=None):
     x, y, primary, secondary = _fitted_pair(seed, scaler)
     seen = x if scaler is None else scaler.transform(x)
-    z = router_targets(y, primary.predict_proba(seen), secondary.predict_proba(seen), 0.5, 0.5)
+    z = router_targets(y, primary.predict_proba(x), secondary.predict_proba(seen), 0.5, 0.5)
     model = CombinedModel(
-        primary=primary, primary_scaler=fit_temperature(primary.predict_proba(seen), y),
+        primary=primary, primary_scaler=fit_temperature(primary.predict_proba(x), y),
         secondary=secondary, secondary_scaler=fit_temperature(secondary.predict_proba(seen), y),
-        router=fit_router(seen, z, router_params()), tau_primary=0.45, tau_secondary=0.55,
+        router=fit_router(x, z, router_params()), tau_primary=0.45, tau_secondary=0.55,
     )
     return x, model
 
@@ -361,35 +362,38 @@ def test_each_forest_builds_its_plan_once_per_model(monkeypatch):
 
 
 SCALER = MinMaxScaler(low=np.array([-0.5, -0.6]), span=np.array([3.0, 3.5]))  # clips some rows
-# Serves models fit under SCALER: every feature-0 split then sends all rows one way.
+# Serves models fit under SCALER: the secondary then reads 0 in feature 0.
 ZERO_SPAN = MinMaxScaler(low=SCALER.low, span=np.array([0.0, 3.5]))
+# In the ids, "scaled rows" serves without a scaler (every expert reads the
+# rows as given), "raw rows" and "zero span" with one for the secondary.
 
 
 def _composed_predict(model, x, gamma, scaler):
     """The experts' own calls in turn: the primary's predict_proba, the
-    router's predict_proba against gamma, then the secondary on the routed rows."""
-    x = x if scaler is None else scaler.transform(x)
+    router's predict_proba against gamma, both on ``x``, then the secondary
+    on the routed rows, mapped through ``scaler`` if given."""
     probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
     routed = model.router.predict_proba(x) > gamma
+    handed = x[routed] if scaler is None else scaler.transform(x[routed])
     probs[routed] = apply_temperature(model.secondary_scaler,
-                                      model.secondary.predict_proba(x[routed]))
+                                      model.secondary.predict_proba(handed))
     cut = np.where(routed, model.tau_secondary, model.tau_primary)
     return probs, (probs > cut).astype(np.float64), routed
 
 
-def _edge_rows(model, scaler, rng):
-    """Raw rows on each folded threshold of the primary and the router, on the
-    floats either side of it, and far beyond the fitted range."""
+def _edge_rows(model, rng):
+    """Rows on each split threshold of the primary and the router, on the
+    doubles either side of it, and far beyond the fitted range."""
     splits = [(f, t) for forest in (model.primary, model.router) for tree in forest.trees
               for f, t in zip(tree.feature, tree.threshold) if f >= 0]
     features, thresholds = np.array(splits).T
     features = features.astype(int)
-    raw = scaler.raw_thresholds(features, thresholds)
-    values = np.concatenate([raw, np.nextafter(raw, -np.inf), np.nextafter(raw, np.inf),
-                             rng.choice([-1e300, -50.0, 40.0, 1e300], size=raw.size)])
+    values = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf),
+                             np.nextafter(thresholds, np.inf),
+                             rng.choice([-1e300, -50.0, 40.0, 1e300], size=thresholds.size)])
     rows = rng.normal(0.5, 2.0, size=(values.size, 2))
     rows[np.arange(values.size), np.tile(features, 4)] = values
-    return rows[np.isfinite(rows).all(axis=1)]
+    return rows
 
 
 @pytest.mark.parametrize("scalers", [(None, None), (SCALER, SCALER), (SCALER, ZERO_SPAN)],
@@ -398,18 +402,18 @@ def _edge_rows(model, scaler, rng):
                                     errors._BLOCK_ROWS + 1, 3 * errors._BLOCK_ROWS])
 def test_combined_predict_equals_the_experts_composed(scalers, n_rows):
     # One workspace block serves the primary and the gate, whose pooled rows
-    # are gathered into it after the loop; with a scaler both forests read
-    # the raw rows through folded thresholds and only the routed rows are
-    # scaled. Every gamma, at one block and one row either side, and at
-    # three, with rows on every folded threshold and beyond the fitted
-    # range, must give the bits of the experts called one after another.
+    # are gathered into it after the loop; both forests read the rows as
+    # given, and a scaler maps only the routed rows for the secondary. Every
+    # gamma, at one block and one row either side, and at three, with rows
+    # on every split threshold, the doubles either side of it and far beyond
+    # the fitted range, must give the bits of the experts called one after
+    # another.
     fit_scaler, scaler = scalers
     x, model = _routed_model(12, fit_scaler)
     rng = np.random.default_rng(n_rows)
     rows = x[rng.integers(len(x), size=n_rows)] + rng.normal(0.0, 0.05, size=(n_rows, 2))
-    if scaler is not None:
-        edges = _edge_rows(model, scaler, rng)
-        rows[rng.choice(n_rows, size=min(n_rows, len(edges)), replace=False)] = edges[:n_rows]
+    edges = _edge_rows(model, rng)
+    rows[rng.choice(n_rows, size=min(n_rows, len(edges)), replace=False)] = edges[:n_rows]
     for gamma in (0.5, 0.9, 1.0):
         out = combined_predict(model, rows, gamma, scaler)
         want = _composed_predict(model, rows, gamma, scaler)
@@ -417,30 +421,6 @@ def test_combined_predict_equals_the_experts_composed(scalers, n_rows):
                                        (out.probs, out.labels, out.routed), want):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
         assert out.routed.any() == (gamma < 1.0)
-
-
-def test_raw_forests_are_built_once_per_scaler_and_pair_of_forests(monkeypatch):
-    x, model = _routed_model(12, SCALER)
-    folded = []
-    fold = MinMaxScaler.raw_thresholds
-
-    def counting(self, features, thresholds):
-        folded.append(id(self))
-        return fold(self, features, thresholds)
-
-    monkeypatch.setattr(MinMaxScaler, "raw_thresholds", counting)
-    first = combined_predict(model, x, 0.5, SCALER)
-    for gamma in (1.0, 0.5):
-        combined_predict(model, x, gamma, SCALER)
-    assert folded == [id(SCALER)] * 2  # each forest once, on the first call
-    equal = MinMaxScaler(low=SCALER.low.copy(), span=SCALER.span.copy())  # not the same one
-    again = combined_predict(model, x, 0.5, equal)
-    assert folded == [id(SCALER)] * 2 + [id(equal)] * 2
-    assert again.probs.tobytes() == first.probs.tobytes()
-    model.router = replace(model.router)  # a new forest is folded afresh
-    combined_predict(model, x, 0.5, equal)
-    assert len(folded) == 6
-    assert not hasattr(replace(model), "_raw")  # copies of the model hold no folded forests
 
 
 def test_a_scaler_of_another_width_is_an_input_error():
@@ -582,13 +562,12 @@ def test_the_parent_builds_each_plan_once_before_the_fork(monkeypatch, tmp_path,
     model = replace(fitted, primary=replace(fitted.primary), router=replace(fitted.router))
     combined_predict(model, rows, 1.0, scaler)
     _no_children_left()
-    primary, router = (model.primary, model.router) if scaler is None else model._raw[1]
-    assert log.read_text().split() == [str(os.getpid()), str(id(primary))]  # a shut gate: no router
+    pid, primary, router = str(os.getpid()), str(id(model.primary)), str(id(model.router))
+    assert log.read_text().split() == [pid, primary]  # a shut gate: no router
     for gamma in (0.5, 0.05, 0.5):
         combined_predict(model, rows, gamma, scaler)
         _no_children_left()
-    assert log.read_text().split() == [str(os.getpid()), str(id(primary)),
-                                       str(os.getpid()), str(id(router))]
+    assert log.read_text().split() == [pid, primary, pid, router]
 
 
 def test_a_part_returns_nothing_through_its_pipe(monkeypatch, small_parts):

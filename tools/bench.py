@@ -16,13 +16,14 @@ two circuit calls that ``circuit`` times, at every shape the hybrid runs;
 ``gate`` timed the whole-pool ``pipeline_predict`` calls that ``serve``
 times; ``ingest`` timed ``load_csv`` on the serve pool, as ``serve``
 does, and ``MinMaxScaler.transform`` on the whole pool, which no caller
-runs since serving scales one row block at a time; ``fold`` timed the
+runs since serving scales only the routed rows; ``fold`` timed the
 paper-scale ``bench.fit_pipeline`` fold that ``synth`` times; ``codes``
 timed the ``predict`` and ``serve`` kernels in one file; ``raw`` timed
-the ``serve`` kernels with their minor faults and the scaler's fold,
+the ``serve`` kernels with their minor faults and the scaler's fold into
+the forests' thresholds (gone since the forests are fit on raw rows),
 ``parse`` the ``load_csv`` kernels and ``parts`` the gamma 1.0 and 0.5
 calls, each at one part and at one part per usable CPU with the peak RSS,
-all of which ``serve`` now records.
+all of which ``serve`` now records but the fold.
 
 For each of the three perfbench workloads it copies every untraced result
 record (environment included) of the parent checkout and of this one from
@@ -258,10 +259,9 @@ if kernel["call"] == "load_csv" and not os.path.exists(path):
         # warm-up's first, with the last scoring call's outputs kept through
         # the next, as perfbench keeps them; the timer's children_rss_mb adds
         # the forked parts' peak to perfbench's peak_rss_mb, which reads the
-        # process alone. A checkout that folds its scaler into the forests
-        # records that one-time fold, timed before the first call.
+        # process alone.
         setup="""
-from qmoe import bench, data, hybrid, moe
+from qmoe import bench, data, hybrid
 recorded = {"minflt": []}
 if kernel["call"] == "load_csv":
     path = os.path.join(kernel["scratch"], f"pool-{kernel['rows']}.csv")
@@ -273,10 +273,6 @@ else:
     config = bench.RunConfig(hybrid=hybrid.HybridConfig(epochs=1), seed=0)
     _, pipeline = bench.fit_pipeline(x, y, config)
     timed = lambda: bench.pipeline_predict(pipeline, pool, kernel["gamma"])
-    if hasattr(moe, "_raw_forests"):
-        start = time.perf_counter()
-        moe._raw_forests(pipeline.combined, pipeline.scaler)  # both forests, once
-        recorded["fold_ms"] = 1e3 * (time.perf_counter() - start)
 kept = [None]  # the last call's outputs
 def call():
     before = usage().ru_minflt
@@ -539,7 +535,12 @@ def compare(parent: list, change: list, better: str, bound) -> dict:
 
 
 def summarise(parent: dict, change: dict, metrics: list) -> dict:
+    """Each metric of ``compare`` over the seeds both sides ran; exits naming
+    each side's seeds when they share none, as no pair is left to compare."""
     seeds = sorted(set(parent) & set(change))
+    if not seeds:
+        sys.exit(f"the checkouts' results share no seed: the parent ran seeds {sorted(parent)}, "
+                 f"the change {sorted(change)}; run perfbench at the same seeds in both")
     summary = {}
     for m in metrics:
         values = [[runs[s]["result"]["metrics"][m["name"]]["value"] for s in seeds]
