@@ -8,12 +8,14 @@ scalers and Youden thresholds on the validation part of the held-out rows,
 build router targets from calibrated probabilities on the analysis part,
 train the router there, and score the holdout part last. Only the hybrid
 reads scaled rows: exact greedy splits read only each column's order.
-Holdout rows influence nothing upstream of scoring.
+Holdout rows influence nothing upstream of scoring. The fold's model is one
+moe.CombinedModel, the scaler its first field, and a model file holds
+exactly that model.
 
 Every fold entry carries a baseline arm (calibrated primary alone), one
 arm per gate value, and a sentinel arm at gamma = 1.0 where the gate
-cannot open. Every arm is combined_predict's output on the holdout at its
-gamma, the path that serves a saved pipeline, so the report scores what
+cannot open. Every arm is combined_predict's output on the raw holdout at
+its gamma, the path that serves a saved model, so the report scores what
 serving scores. The sentinel arm's output must match the baseline bit for
 bit, which the record asserts in its own field. Reports contain no
 wall-clock values, so two runs with one seed on one BLAS kernel serialize
@@ -46,7 +48,7 @@ import numpy as np
 
 from .calibration import apply_temperature, fit_temperature
 from .data import (
-    MinMaxScaler,
+    N_FEATURES,
     fit_minmax,
     load_csv,
     split_eval,
@@ -85,7 +87,6 @@ __all__ = [
     "save_report",
     "load_report",
     "load_config",
-    "Pipeline",
     "pipeline_predict",
     "save_model",
     "load_model",
@@ -97,10 +98,11 @@ SENTINEL_GAMMA = 1.0  # gate never opens; the built-in no-routing arm
 
 _MODEL_FORMAT = "qmoe-pipeline"
 _REPORT_FORMAT = "qmoe-report"
-# format -> (noun, version). Model version 5 holds forests fit on raw rows;
-# a version-4 file's split thresholds read scaled rows, so it is refused
-# rather than served wrongly. Reports are unchanged since version 2.
-_FORMATS = {_MODEL_FORMAT: ("model file", 5), _REPORT_FORMAT: ("report", 2)}
+# format -> (noun, version). Model version 6 is one flat CombinedModel, its
+# scaler first; version 5 nested it under "combined" beside the scaler, and
+# version 4's split thresholds read scaled rows, so each is refused rather
+# than misread. Reports are unchanged since version 2.
+_FORMATS = {_MODEL_FORMAT: ("model file", 6), _REPORT_FORMAT: ("report", 2)}
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,10 @@ class RunConfig:
         if self.hybrid.seed != 0:
             raise ConfigurationError(f"hybrid.seed must be 0, got {self.hybrid.seed}: every "
                                      f"fold derives its seeds from the run's seed")
+        if self.hybrid.n_features != N_FEATURES:
+            raise ConfigurationError(f"hybrid.n_features must be {N_FEATURES}, got "
+                                     f"{self.hybrid.n_features}: the hybrid reads every "
+                                     f"feature column")
 
 
 # Seconds per quantum task on the reference hardware: server, compile and
@@ -217,26 +223,9 @@ class BenchReport:
                                          f"routed_fraction in [0, 1], found {fraction!r}")
 
 
-@dataclass
-class Pipeline:
-    """A deployable unit: the feature scaler plus the routed expert pair."""
-
-    scaler: MinMaxScaler
-    combined: CombinedModel
-
-    def __post_init__(self) -> None:
-        # The scaler must read the experts' width; CombinedModel checks that they share one.
-        width = self.combined.primary.n_features
-        for name in ("low", "span"):
-            shape = getattr(self.scaler, name).shape
-            if shape != (width,):
-                raise ConfigurationError(f"scaler {name} has shape {shape}, "
-                                         f"the experts read {width} features")
-
-
-def pipeline_predict(pipeline: Pipeline, x_raw, gamma: float):
-    """Score raw rows: the forests read them, and the scaler maps the routed ones."""
-    return combined_predict(pipeline.combined, x_raw, gamma, pipeline.scaler)
+def pipeline_predict(model: CombinedModel, x_raw, gamma: float):
+    """Score raw rows through the deployable model: ``combined_predict``."""
+    return combined_predict(model, x_raw, gamma)
 
 
 def _fold_seeds(master_seed: int, repeat: int, fold: int):
@@ -278,7 +267,7 @@ def fit_calibration(p1, p2, y):
 
 def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
              repeat: int, fold: int):
-    """Run one fold end to end; returns (record, pipeline).
+    """Run one fold end to end; returns (record, model), the model a CombinedModel.
 
     The fold copies only the rows it reads: the balanced set, picked from
     the training labels alone, and the three held-out parts. The scaler
@@ -343,7 +332,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
             notes.append("router targets were all zero; gate stays shut at every gamma")
 
         combined = CombinedModel(
-            primary=primary, primary_scaler=scaler1,
+            scaler=scaler, primary=primary, primary_scaler=scaler1,
             secondary=secondary, secondary_scaler=scaler2,
             router=router, tau_primary=tau1, tau_secondary=tau2,
         )
@@ -355,7 +344,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
 
         arms = {}
         for gamma in (*config.gamma_grid, SENTINEL_GAMMA):
-            out = combined_predict(combined, x_hold, gamma, scaler)
+            out = combined_predict(combined, x_hold, gamma)
             arms[str(gamma)] = _arm_metrics(y_hold, out.probs, out.labels,
                                             out.routed_fraction, notes)
         # out is now the sentinel arm's, the only output kept: the record checks it.
@@ -373,7 +362,7 @@ def fit_fold(config: RunConfig, x, y, train_idx, heldout_idx,
                                       and np.array_equal(out.labels, base_hard)),
         warnings=notes,
     )
-    return record, Pipeline(scaler=scaler, combined=combined)
+    return record, combined
 
 
 def _stats(values) -> dict:
@@ -394,10 +383,9 @@ def _aggregate(folds: list) -> dict:
     baseline = {
         m: _stats([f.baseline[m] for f in folds]) for m in _ARM_METRICS
     }
-    arms = folds[0].combined.keys()
     combined = {
         arm: {m: _stats([f.combined[arm][m] for f in folds]) for m in _ARM_METRICS}
-        for arm in arms
+        for arm in folds[0].combined
     }
     return {"baseline": baseline, "combined": combined}
 
@@ -446,7 +434,7 @@ def run_cv(config: RunConfig) -> BenchReport:
 
 
 def fit_pipeline(x, y, config: RunConfig):
-    """Train one deployable pipeline on the first CV split of the data."""
+    """Train one deployable CombinedModel on the first CV split of the data."""
     train_idx, heldout_idx = next(stratified_repeated_kfold(y, config.n_splits, 1, config.seed))
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -664,9 +652,9 @@ def check_model_path(path) -> None:
         raise ModelIOError(f"cannot write {path}: no directory {directory}")
 
 
-def save_model(pipeline: Pipeline, path) -> None:
-    _write(path, {**_header(_MODEL_FORMAT), **_encodable(pipeline)})
+def save_model(model: CombinedModel, path) -> None:
+    _write(path, {**_header(_MODEL_FORMAT), **_encodable(model)})
 
 
-def load_model(path) -> Pipeline:
-    return _read(path, _MODEL_FORMAT, Pipeline)
+def load_model(path) -> CombinedModel:
+    return _read(path, _MODEL_FORMAT, CombinedModel)

@@ -45,7 +45,6 @@ import numpy as np
 
 from .bench import (
     TASK_SECONDS,
-    Pipeline,
     RunConfig,
     check_model_path,
     fit_calibration,
@@ -112,8 +111,8 @@ def _cmd_train(args) -> int:
     check_model_path(args.model)
     config = _resolve_config(args)
     x, y = load_dataset(config)
-    record, pipeline = fit_pipeline(x, y, config)
-    save_model(pipeline, args.model)
+    record, model = fit_pipeline(x, y, config)
+    save_model(model, args.model)
     summary = {
         "model": args.model,
         "sizes": record.sizes,
@@ -127,9 +126,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pipeline = load_model(args.model)
+    model = load_model(args.model)
     x, y = _load_labeled(args)
-    out = pipeline_predict(pipeline, x, args.gamma)
+    out = pipeline_predict(model, x, args.gamma)
     precision, recall = precision_recall(out.labels, y)
     curve = pr_curve(out.probs, y) if np.unique(y).size > 1 else None
     result = {
@@ -177,27 +176,22 @@ def _cmd_latency(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     check_model_path(args.out)
-    pipeline = load_model(args.model)
+    model = load_model(args.model)
     x, y = _load_labeled(args)
     require_finite_rows(x)  # before scaling, which would clip an infinity into range
-    combined = pipeline.combined
-    p1 = combined.primary.predict_proba(x)  # the forests read raw rows, the hybrid scaled ones
-    p2 = combined.secondary.predict_proba(pipeline.scaler.transform(x))
+    p1 = model.primary.predict_proba(x)  # the forests read raw rows, the hybrid scaled ones
+    p2 = model.secondary.predict_proba(model.scaler.transform(x))
     scalers, taus = fit_calibration(p1, p2, y)
     degenerate = any(scaler.degenerate for scaler in scalers)
     notes = []
     if taus is None:  # t = 1 would leave the old thresholds on the wrong scale
         notes.append("calibration data has one class; kept the old temperatures "
                      "and thresholds")
-        scalers = combined.primary_scaler, combined.secondary_scaler
-        taus = combined.tau_primary, combined.tau_secondary
+        scalers = model.primary_scaler, model.secondary_scaler
+        taus = model.tau_primary, model.tau_secondary
     (scaler1, scaler2), (tau1, tau2) = scalers, taus
-    updated = Pipeline(
-        scaler=pipeline.scaler,
-        combined=replace(combined, primary_scaler=scaler1, secondary_scaler=scaler2,
-                         tau_primary=tau1, tau_secondary=tau2),
-    )
-    save_model(updated, args.out)
+    save_model(replace(model, primary_scaler=scaler1, secondary_scaler=scaler2,
+                       tau_primary=tau1, tau_secondary=tau2), args.out)
     print(json.dumps({
         "model": args.out,
         "temperature_primary": scaler1.temperature,

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InputError, binary_labels, feature_rows, replacing, row_blocks
+from .errors import (ConfigurationError, DataError, InputError, binary_labels, feature_rows,
+                     replacing, row_blocks)
 from .workers import fork_map, parts
 
 __all__ = [
@@ -280,16 +281,31 @@ class MinMaxScaler:
     range (routine on held-out data) cannot leak past the unit box.
     Constant columns map to 0. It is the hybrid secondary's input map
     alone: the forests are fit on raw rows, as exact greedy splits read
-    only the order of each column's values.
+    only the order of each column's values. ``low`` and ``span`` are one
+    1-D length, and no span is negative: fit_minmax's span is a max less a
+    min, and ``transform`` would read a negative one as 1.
     """
 
     low: np.ndarray
     span: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.low.ndim != 1 or self.low.shape != self.span.shape:
+            raise ConfigurationError(f"low and span must be 1-D of one length, found shapes "
+                                     f"{self.low.shape} and {self.span.shape}")
+        if (self.span < 0).any():
+            bad = int(np.flatnonzero(self.span < 0)[0])
+            raise ConfigurationError(f"span must not be negative, found {self.span[bad]} "
+                                     f"at index {bad}")
+
+    @property
+    def n_features(self) -> int:
+        return self.low.shape[0]
+
     def transform(self, x, out=None) -> np.ndarray:
         """The scaled rows, written into ``out`` (any array of x's shape, a
         transposed view included) when given."""
-        x = feature_rows(x, self.low.shape[0])
+        x = feature_rows(x, self.n_features)
         safe_span = np.where(self.span > 0, self.span, 1.0)
         out = np.empty_like(x) if out is None else out  # one buffer: no whole-array temporaries
         np.subtract(x.T, self.low[:, None], out=out.T)  # column-wise: fast into a transpose too

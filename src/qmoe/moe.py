@@ -38,7 +38,7 @@ block phase both read it, each tree by its leaf-code groups (see gbdt).
 The rows the gate pools are gathered from the input into the same
 workspace once the blocks are done. So a part holds one block and the
 outputs, never a copy of the pool, and allocates nothing block-sized per
-block. A data.MinMaxScaler, when given, maps only the routed rows to the
+block. The model's data.MinMaxScaler maps only the routed rows to the
 secondary's input, gathered after the loop and scaled once, in place. The
 trees score row by row, so blocks and parts keep their bits. The secondary
 scores in padded 512-row chunks, so it keeps them too; it gets every
@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import TemperatureScaler, apply_temperature
+from .data import MinMaxScaler
 from .errors import (ConfigurationError, InputError, binary_labels, feature_rows,
                      require_finite_rows, row_blocks)
 from .gbdt import GBDTModel, GBDTParams, _Gate, fit_gbdt
@@ -132,8 +133,11 @@ def fit_router(x, targets, params: GBDTParams) -> GBDTModel:
 
 @dataclass
 class CombinedModel:
-    """Everything needed to score rows through the routed pair."""
+    """Everything needed to score raw rows through the routed pair: the
+    forests read them as they are, and ``scaler`` maps the routed ones to
+    the hybrid secondary's input."""
 
+    scaler: MinMaxScaler
     primary: GBDTModel
     primary_scaler: TemperatureScaler
     secondary: HybridModel
@@ -144,9 +148,9 @@ class CombinedModel:
 
     def __post_init__(self) -> None:
         widths = {name: getattr(self, name).n_features
-                  for name in ("primary", "router", "secondary")}
+                  for name in ("scaler", "primary", "router", "secondary")}
         if len(set(widths.values())) != 1:
-            raise ConfigurationError(f"the experts' feature counts differ: {widths}")
+            raise ConfigurationError(f"the model's feature counts differ: {widths}")
         for name in ("tau_primary", "tau_secondary"):  # Youden's cuts, 0 and 1 included
             tau = getattr(self, name)
             if not 0.0 <= tau <= 1.0:
@@ -164,18 +168,17 @@ class RoutedPrediction:
         return float(self.routed.mean()) if self.routed.size else 0.0
 
 
-def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> RoutedPrediction:
-    """Score rows, handing those the router flags to the secondary expert.
+def combined_predict(model: CombinedModel, x, gamma: float) -> RoutedPrediction:
+    """Score raw rows, handing those the router flags to the secondary expert.
 
-    ``x`` holds the rows both forests read. ``scaler`` (a data.MinMaxScaler),
-    when given, maps the routed rows to the secondary's input; without it
-    the secondary reads them as they are. Hard labels apply the owning
-    expert's threshold.
+    Both forests read ``x`` as it is, and ``model.scaler`` maps the routed
+    rows to the secondary's input. Hard labels apply the owning expert's
+    threshold.
 
-    The checks come first, in the process: gamma, the scaler's width, then
-    the rows' width (``errors.feature_rows``, naming the whole input's
-    shape). Both forests' scoring plans are built there too, so no child
-    rebuilds them and the model keeps them.
+    The checks come first, in the process: gamma, then the rows' width
+    (``errors.feature_rows``, naming the whole input's shape); the model
+    checked its own widths when it was built. Both forests' scoring plans
+    are built there too, so no child rebuilds them and the model keeps them.
     Every call fills one zeroed table of 17 bytes a row, which the returned
     ``probs``, ``labels`` and ``routed`` view, through ``workers.fork_map``
     over the row ranges of ``workers.parts(n, _MIN_PART_ROWS)``: part 0 runs
@@ -191,9 +194,6 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
-    if scaler is not None and scaler.low.shape != (model.primary.n_features,):
-        raise InputError(f"the scaler reads {scaler.low.shape[0]} features, "
-                         f"the experts {model.primary.n_features}")
     x = feature_rows(x, model.primary.n_features)
     for forest in (model.primary, model.router)[:2 if gamma < 1.0 else 1]:  # shut: no router
         forest._forest  # its plan, built here once rather than in every child
@@ -207,11 +207,11 @@ def combined_predict(model: CombinedModel, x, gamma: float, scaler=None) -> Rout
                            labels=table[8 * n:16 * n].view(np.float64),
                            routed=table[16 * n:].view(bool))
     # Each part returns nothing: a child's rows are already in the table.
-    fork_map(lambda rows: _predict_rows(model, x, gamma, scaler, rows, out), ranges)
+    fork_map(lambda rows: _predict_rows(model, x, gamma, rows, out), ranges)
     return out
 
 
-def _predict_rows(model: CombinedModel, x: np.ndarray, gamma: float, scaler, rows: slice,
+def _predict_rows(model: CombinedModel, x: np.ndarray, gamma: float, rows: slice,
                   out: RoutedPrediction) -> None:
     """Write the prediction of ``x[rows]`` into the same rows of ``out``'s arrays,
     whose ``routed`` holds False there.
@@ -246,8 +246,7 @@ def _predict_rows(model: CombinedModel, x: np.ndarray, gamma: float, scaler, row
     del workspace, xt  # not held through the secondary's own peak
     if routed.any():
         handed = part[routed]
-        if scaler is not None:
-            scaler.transform(handed, out=handed)  # the gathered copy is scaled in place
+        model.scaler.transform(handed, out=handed)  # the gathered copy is scaled in place
         probs[routed] = apply_temperature(model.secondary_scaler,
                                           model.secondary.predict_proba(handed))
     labels = out.labels[rows]  # 1.0 where a row clears its owning expert's threshold

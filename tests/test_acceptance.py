@@ -30,6 +30,7 @@ from qmoe.moe import GAMMA_GRID, CombinedModel, combined_predict, router_targets
 from qmoe.neural import MLPSpec, bce_loss, init_mlp_params, mlp_backward, mlp_forward, mse_loss
 from qmoe.qsim import AnsatzSpec, batch_expectations, batch_parameter_shift
 from test_hybrid import evaluate_loss
+from test_moe import Unscaled
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -355,20 +356,21 @@ def test_04_router_targets_cloned_expert_and_monotone_routing():
         router=GBDTParams(n_estimators=20, max_depth=3),
         n_splits=3, n_repeats=1, seed=11,
     )
-    _, pipeline = fit_pipeline(x, y, cfg)
+    _, base = fit_pipeline(x, y, cfg)
 
-    fractions = [pipeline_predict(pipeline, x, g).routed_fraction
+    fractions = [pipeline_predict(base, x, g).routed_fraction
                  for g in (*GAMMA_GRID, 1.0)]
     monotone_ok = all(a >= b for a, b in zip(fractions, fractions[1:]))
 
-    base = pipeline.combined
+    # The stand-in scaler hands the routed rows over as they are, so the
+    # cloned secondary reads the raw rows the primary reads.
     cloned = CombinedModel(
+        scaler=Unscaled(base.primary.n_features),
         primary=base.primary, primary_scaler=base.primary_scaler,
         secondary=base.primary, secondary_scaler=base.primary_scaler,
         router=base.router, tau_primary=base.tau_primary,
         tau_secondary=base.tau_primary,
     )
-    # The forests read raw rows, so the cloned pair serves them without a scaler.
     base_probs = apply_temperature(base.primary_scaler, base.primary.predict_proba(x))
     base_hard = (base_probs > base.tau_primary).astype(np.float64)
     clone_ok = True

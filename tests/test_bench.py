@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,6 @@ from qmoe.bench import (
     load_config,
     load_model,
     load_report,
-    Pipeline,
     pipeline_predict,
     report_to_dict,
     save_model,
@@ -95,6 +95,19 @@ def test_run_config_rejects_nested_seeds(nested):
     match = r"hybrid\.seed must be 0, got 7: every fold derives its seeds from the run's seed"
     with pytest.raises(ConfigurationError, match=match):
         RunConfig(hybrid=HybridConfig(seed=7))
+
+
+def test_run_config_refuses_another_hybrid_width(tmp_path):
+    # Every dataset a run reads has N_FEATURES columns. Before this check a
+    # config's other width failed only in fold 0, once its primary was fit,
+    # against the training rows, in a message that named no field.
+    match = r"^hybrid\.n_features must be 29, got 10: the hybrid reads every feature column"
+    with pytest.raises(ConfigurationError, match=match):
+        RunConfig(hybrid=HybridConfig(n_features=10))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"hybrid": {"n_features": 10}}))
+    with pytest.raises(ConfigurationError, match=match):
+        load_config(path)
 
 
 NAN = float("nan")
@@ -309,12 +322,12 @@ def test_latency_table_matches_aggregates(report):
 def one_class_report():
     # Two positives cannot reach every holdout, so some ranking metrics are NaN.
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(80, 3))
+    x = rng.normal(size=(80, data.N_FEATURES))
     y = np.zeros(80)
     y[:2] = 1.0
     cfg = RunConfig(
-        hybrid=HybridConfig(n_features=3, encoder_hidden=(4,), n_qubits=2, n_layers=1,
-                            head_hidden=2, batch_size=8, epochs=1),
+        hybrid=HybridConfig(encoder_hidden=(4,), n_qubits=2, n_layers=1, head_hidden=2,
+                            batch_size=8, epochs=1),
         expert=GBDTParams(n_estimators=5, max_depth=2),
         router=GBDTParams(n_estimators=5, max_depth=2),
         n_splits=2, n_repeats=1, seed=3,
@@ -340,10 +353,11 @@ def test_report_file_is_strict_json_and_round_trips(one_class_report, tmp_path):
 def test_version_1_files_are_refused(model_doc, report, tmp_path):
     # Version 2 dropped GBDTParams.seed and RunConfig.out_dir and writes NaN as
     # null; model files then moved on to version 3 (one hybrid params list),
-    # 4 (no decoder in it) and 5 (forests fit on raw rows).
+    # 4 (no decoder in it), 5 (forests fit on raw rows) and 6 (one flat
+    # CombinedModel).
     path = tmp_path / "model.json"
     path.write_text(json.dumps({**model_doc, "version": 1}))
-    with pytest.raises(ModelIOError, match="has version 1, this build reads 5"):
+    with pytest.raises(ModelIOError, match="has version 1, this build reads 6"):
         load_model(path)
     save_report(report, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
@@ -369,7 +383,7 @@ def test_save_model_refuses_non_finite_numbers(model_doc, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_doc))
     pipeline = load_model(path)
-    pipeline.combined.secondary.theta[3] = np.nan
+    pipeline.secondary.theta[3] = np.nan
     target = tmp_path / "nan-theta.json"
     with pytest.raises(ModelIOError, match=f"cannot write {target}"):
         save_model(pipeline, target)
@@ -414,7 +428,7 @@ def test_written_files_are_the_json_text_of_their_document(model_doc, one_class_
     # The writer streams the text; its bytes are those of one json.dumps call.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     save_model(pipeline, tmp_path / "model.json")
-    doc = {"format": "qmoe-pipeline", "version": 5, **asdict(pipeline)}
+    doc = {"format": "qmoe-pipeline", "version": 6, **asdict(pipeline)}
     text = json.dumps(doc, allow_nan=False, default=lambda array: array.tolist())
     assert (tmp_path / "model.json").read_text() == text + "\n"
     save_report(one_class_report, tmp_path / "out")
@@ -428,8 +442,8 @@ def test_save_model_holds_no_array_as_one_list(model_doc, tmp_path):
     # The paper hybrid's 49,319 params as one list of Python floats take about
     # 1.6 MB, and the file's text about 1 MB; the writer holds one row block.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
-    pipeline.combined.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
-    assert pipeline.combined.secondary.params.size == 49_319
+    pipeline.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
+    assert pipeline.secondary.params.size == 49_319
     tracemalloc.start()
     try:
         save_model(pipeline, tmp_path / "paper.json")
@@ -488,7 +502,7 @@ def test_load_model_rejects_bad_files(tmp_path):
     with pytest.raises(ModelIOError, match="version"):
         load_model(wrong_version)
     truncated = tmp_path / "trunc.json"
-    truncated.write_text('{"format": "qmoe-pipeline", "version": 5, "scaler"')
+    truncated.write_text('{"format": "qmoe-pipeline", "version": 6, "scaler"')
     with pytest.raises(ModelIOError, match="cannot read"):
         load_model(truncated)
     deep = tmp_path / "deep.json"
@@ -496,7 +510,7 @@ def test_load_model_rejects_bad_files(tmp_path):
     with pytest.raises(ModelIOError, match="cannot read model file"):
         load_model(deep)
     malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"format": "qmoe-pipeline", "version": 5, "combined": {}}')
+    malformed.write_text('{"format": "qmoe-pipeline", "version": 6, "scaler": {}}')
     with pytest.raises(ModelIOError, match="is malformed"):
         load_model(malformed)
 
@@ -515,8 +529,7 @@ def test_every_arm_equals_the_full_router_oracle(dataset):
     # rows and compared with gamma, the secondary scoring the routed rows,
     # scaled, in one call, each label at its owning expert's threshold. Every
     # arm's metrics must equal those of combined_predict's output bit for bit.
-    record, pipeline, x_hold, y_hold = _first_fold(dataset)
-    combined = pipeline.combined
+    record, combined, x_hold, y_hold = _first_fold(dataset)
     base = apply_temperature(combined.primary_scaler, combined.primary.predict_proba(x_hold))
     gate = combined.router.predict_proba(x_hold)
     routed_any = False
@@ -525,7 +538,7 @@ def test_every_arm_equals_the_full_router_oracle(dataset):
         routed_any |= routed.any()
         probs = base.copy()
         if routed.any():
-            handed = pipeline.scaler.transform(x_hold[routed])
+            handed = combined.scaler.transform(x_hold[routed])
             probs[routed] = apply_temperature(combined.secondary_scaler,
                                               combined.secondary.predict_proba(handed))
         labels = probs > np.where(routed, combined.tau_secondary, combined.tau_primary)
@@ -597,7 +610,7 @@ def model_doc(dataset, tmp_path_factory):
 
 def _split_tree(doc):
     """The first primary tree whose root splits, as an editable dict."""
-    return next(t for t in doc["combined"]["primary"]["trees"] if t["feature"][0] >= 0)
+    return next(t for t in doc["primary"]["trees"] if t["feature"][0] >= 0)
 
 
 def _load_edited(doc, edit, tmp_path):
@@ -626,7 +639,7 @@ def chain(t, n_splits):
 
 def test_load_model_rejects_a_tree_deeper_than_max_depth(model_doc, tmp_path):
     # A chain of 10,000 splits loaded before, and scored one split at a time.
-    depth = model_doc["combined"]["primary"]["params"]["max_depth"]
+    depth = model_doc["primary"]["params"]["max_depth"]
     _load_edited(model_doc, lambda t: chain(t, depth), tmp_path)
     for n_splits in (depth + 1, 10_000):
         with pytest.raises(ModelIOError, match=rf"tree \d+, node {2 * depth}: a split at depth "
@@ -665,7 +678,7 @@ def test_load_model_rejects_leaf_feature_mismatch(model_doc, tmp_path):
 
 def test_load_model_rejects_feature_out_of_range(model_doc, tmp_path):
     # Before validation this escaped from predict as a bare IndexError.
-    n_features = model_doc["combined"]["primary"]["n_features"]
+    n_features = model_doc["primary"]["n_features"]
 
     def edit(t):
         t["feature"][0] = n_features
@@ -687,10 +700,11 @@ def test_load_model_rejects_mis_shaped_hybrid(model_doc, tmp_path):
 
     for edit in (short_params, long_params, wider_head):
         doc = json.loads(json.dumps(model_doc))
-        edit(doc["combined"]["secondary"])
+        edit(doc["secondary"])
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelIOError, match="edited.json is malformed: combined secondary hybrid params has shape"):
+        with pytest.raises(ModelIOError,
+                           match="edited.json is malformed: secondary hybrid params has shape"):
             load_model(path)
 
 
@@ -707,7 +721,7 @@ def _set(path, value):
 def _in_first_split(role, edit):
     """``edit`` applied to the first splitting tree of ``role`` ("primary" or "router")."""
     def apply(doc):
-        edit(next(t for t in doc["combined"][role]["trees"] if t["feature"][0] >= 0))
+        edit(next(t for t in doc[role]["trees"] if t["feature"][0] >= 0))
     return apply
 
 
@@ -719,7 +733,7 @@ def _in_params(part, value):
     """An edit that puts ``value`` into the hybrid's params at the flat offset
     of ``part(model)``, read off a model whose params count 0, 1, 2, ..."""
     def edit(doc):
-        hybrid = doc["combined"]["secondary"]
+        hybrid = doc["secondary"]
         config = HybridConfig(**hybrid["config"])
         counting = HybridModel(config, np.arange(config.n_params, dtype=np.float64))
         hybrid["params"][int(part(counting))] = value
@@ -735,7 +749,7 @@ NON_FINITE_EDITS = {
     "tree threshold": (_in_first_split("primary", _set(["threshold", 0], float("nan"))),
                        r"trees\[\d+\] threshold must be finite, found nan at index 0"),
     "tree leaf value": (_in_first_split("router", _leaf_value), r"trees\[\d+\] value must be finite"),
-    "base_score": (_set(["combined", "router", "base_score"], float("-inf")),
+    "base_score": (_set(["router", "base_score"], float("-inf")),
                    "base_score must be finite"),
     "hybrid weights": (_in_params(lambda m: m.encoder[0][0][2, 1], float("nan")),
                        _NON_FINITE_PARAMS.format("nan", 2 * 29 + 1)),
@@ -747,15 +761,37 @@ NON_FINITE_EDITS = {
               _NON_FINITE_PARAMS.format("nan", 452 + 3)),
     "scaler low": (_set(["scaler", "low", 5], float("nan")), "scaler low must be finite"),
     "scaler span": (_set(["scaler", "span", 0], float("inf")), "scaler span must be finite"),
-    "tau_primary": (_set(["combined", "tau_primary"], float("nan")),
+    "tau_primary": (_set(["tau_primary"], float("nan")),
                     "tau_primary must be finite"),
-    "tau_secondary": (_set(["combined", "tau_secondary"], float("inf")),
+    "tau_secondary": (_set(["tau_secondary"], float("inf")),
                       "tau_secondary must be finite"),
-    "primary temperature": (_set(["combined", "primary_scaler", "temperature"], float("nan")),
+    "primary temperature": (_set(["primary_scaler", "temperature"], float("nan")),
                             "primary_scaler temperature must be finite"),
-    "secondary temperature": (_set(["combined", "secondary_scaler", "temperature"], 0.0),
+    "secondary temperature": (_set(["secondary_scaler", "temperature"], 0.0),
                               "secondary_scaler temperature must be positive"),
 }
+
+
+# Finite scaler fields that are refused all the same: transform would read
+# a negative span as 1, and a 2-D low fails only at the first routed row.
+SCALER_EDITS = {
+    "scaler span": (_set(["scaler", "span", 3], -0.5),
+                    r"scaler span must not be negative, found -0.5 at index 3$"),
+    "scaler low": (_set(["scaler", "low"], [[0.0] * data.N_FEATURES]),
+                   r"scaler low and span must be 1-D of one length, found shapes \(1, 29\) "
+                   r"and \(29,\)$"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(SCALER_EDITS))
+def test_load_model_rejects_a_hostile_scaler(model_doc, tmp_path, group):
+    edit, match = SCALER_EDITS[group]
+    doc = json.loads(json.dumps(model_doc))
+    edit(doc)
+    path = tmp_path / "scaler.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelIOError, match=match):
+        load_model(path)
 
 
 def _drop(path):
@@ -770,15 +806,14 @@ def _drop(path):
 
 # level -> (path to the object, one of its keys, the dataclass it decodes to)
 FIELD_LEVELS = {
-    "top level": ([], "scaler", "Pipeline"),
+    "combined": ([], "scaler", "CombinedModel"),  # the top level
     "scaler": (["scaler"], "span", "MinMaxScaler"),
-    "combined": (["combined"], "tau_secondary", "CombinedModel"),
-    "gbdt": (["combined", "router"], "best_iteration", "GBDTModel"),
-    "gbdt params": (["combined", "primary", "params"], "max_depth", "GBDTParams"),
-    "tree": (["combined", "primary", "trees", 0], "value", "Tree"),
-    "hybrid": (["combined", "secondary"], "params", "HybridModel"),
-    "hybrid config": (["combined", "secondary", "config"], "patience", "HybridConfig"),
-    "temperature scaler": (["combined", "secondary_scaler"], "nll", "TemperatureScaler"),
+    "gbdt": (["router"], "best_iteration", "GBDTModel"),
+    "gbdt params": (["primary", "params"], "max_depth", "GBDTParams"),
+    "tree": (["primary", "trees", 0], "value", "Tree"),
+    "hybrid": (["secondary"], "params", "HybridModel"),
+    "hybrid config": (["secondary", "config"], "patience", "HybridConfig"),
+    "temperature scaler": (["secondary_scaler"], "nll", "TemperatureScaler"),
 }
 
 
@@ -814,24 +849,24 @@ def test_model_file_key_order(model_doc):
     # file's bytes; a reordered dataclass field would show up here.
     gbdt_keys = ["params", "n_features", "base_score", "degenerate", "best_iteration", "trees"]
     temperature_keys = ["temperature", "nll", "iterations", "degenerate"]
-    combined = model_doc["combined"]
-    assert list(model_doc) == ["format", "version", "scaler", "combined"]
-    assert list(combined) == ["primary", "primary_scaler", "secondary", "secondary_scaler",
-                              "router", "tau_primary", "tau_secondary"]
-    assert list(combined["primary"]) == gbdt_keys
-    assert list(combined["router"]) == gbdt_keys
-    assert list(combined["primary"]["trees"][0]) == ["feature", "threshold", "left", "right",
-                                                     "value"]
-    assert list(combined["secondary"]) == ["config", "params"]
-    assert list(combined["primary_scaler"]) == temperature_keys
-    assert list(combined["secondary_scaler"]) == temperature_keys
+    assert list(model_doc) == ["format", "version", "scaler", "primary", "primary_scaler",
+                               "secondary", "secondary_scaler", "router", "tau_primary",
+                               "tau_secondary"]
+    assert list(model_doc["scaler"]) == ["low", "span"]
+    assert list(model_doc["primary"]) == gbdt_keys
+    assert list(model_doc["router"]) == gbdt_keys
+    assert list(model_doc["primary"]["trees"][0]) == ["feature", "threshold", "left", "right",
+                                                      "value"]
+    assert list(model_doc["secondary"]) == ["config", "params"]
+    assert list(model_doc["primary_scaler"]) == temperature_keys
+    assert list(model_doc["secondary_scaler"]) == temperature_keys
 
 
 def test_version_3_files_are_refused(model_doc, tmp_path):
     # Version 3 held the decoder in the hybrid's params, between the encoder
     # and theta; its params are longer than a version-4 config reads.
     doc = json.loads(json.dumps(model_doc))
-    hybrid_doc = doc["combined"]["secondary"]
+    hybrid_doc = doc["secondary"]
     config = HybridConfig(**hybrid_doc["config"])
     sizes = config.decoder_spec.layer_sizes
     decoder = [0.0] * sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
@@ -840,16 +875,34 @@ def test_version_3_files_are_refused(model_doc, tmp_path):
     hybrid_doc["params"] = params[:encoder] + decoder + params[encoder:]
     path = tmp_path / "version-3.json"
     path.write_text(json.dumps({**doc, "version": 3}))
-    with pytest.raises(ModelIOError, match="has version 3, this build reads 5"):
+    with pytest.raises(ModelIOError, match="has version 3, this build reads 6"):
         load_model(path)
+
+
+def _nested(doc):
+    """``doc`` in the layout of versions 4 and 5: the scaler beside the rest
+    of the model, nested under "combined"."""
+    rest = {k: v for k, v in doc.items() if k not in ("format", "version", "scaler")}
+    return {"format": doc["format"], "version": doc["version"], "scaler": doc["scaler"],
+            "combined": rest}
 
 
 def test_version_4_files_are_refused(model_doc, tmp_path):
     # A version-4 file has the layout of version 5, but its forests were fit
     # on scaled rows: served raw rows, they would score wrongly without error.
     path = tmp_path / "version-4.json"
-    path.write_text(json.dumps({**model_doc, "version": 4}))
-    with pytest.raises(ModelIOError, match="has version 4, this build reads 5"):
+    path.write_text(json.dumps({**_nested(model_doc), "version": 4}))
+    with pytest.raises(ModelIOError, match="has version 4, this build reads 6"):
+        load_model(path)
+
+
+def test_version_5_files_are_refused(model_doc, tmp_path):
+    # Version 5 held the same model with its scaler outside it: the version
+    # names the layout, so the file is refused by its version, not read as
+    # a malformed version 6.
+    path = tmp_path / "version-5.json"
+    path.write_text(json.dumps({**_nested(model_doc), "version": 5}))
+    with pytest.raises(ModelIOError, match=r"version-5\.json has version 5, this build reads 6$"):
         load_model(path)
 
 
@@ -859,7 +912,7 @@ def test_only_a_hybrid_secondary_is_persisted(model_doc, tmp_path):
     path = tmp_path / "model.json"
     for tag in ({"kind": "gbdt"}, {"kind": "forest"}, {}):
         doc = json.loads(json.dumps(model_doc))
-        doc["combined"]["secondary"] = {**tag, **doc["combined"]["primary"]}
+        doc["secondary"] = {**tag, **doc["primary"]}
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelIOError, match="malformed: HybridModel has unknown fields"):
             load_model(path)
@@ -873,11 +926,20 @@ def test_load_model_checks_the_scaler_width(model_doc, tmp_path):
         doc["scaler"][name].pop()
         path = tmp_path / f"short-{name}.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelIOError,
-                           match=f"short-{name}.json is malformed: scaler {name} has shape"):
+        with pytest.raises(ModelIOError, match=f"short-{name}.json is malformed: scaler low "
+                                               f"and span must be 1-D of one length"):
             load_model(path)
     doc = json.loads(json.dumps(model_doc))
-    doc["combined"]["router"]["n_features"] += 1
+    for name in ("low", "span"):
+        doc["scaler"][name].pop()
+    path = tmp_path / "short-scaler.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelIOError, match=re.escape("short-scaler.json is malformed: the "
+                                                     "model's feature counts differ: "
+                                                     "{'scaler': 28, 'primary': 29")):
+        load_model(path)
+    doc = json.loads(json.dumps(model_doc))
+    doc["router"]["n_features"] += 1
     path = tmp_path / "wide-router.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelIOError, match="feature counts differ"):
@@ -890,17 +952,17 @@ def test_load_model_checks_the_thresholds(model_doc, tmp_path, name):
     # below 0 all of them; Youden's endpoints 0 and 1 themselves are legal.
     for value in (0.0, 1.0):
         doc = json.loads(json.dumps(model_doc))
-        doc["combined"][name] = value
+        doc[name] = value
         path = tmp_path / f"edge-{value}.json"
         path.write_text(json.dumps(doc))
-        assert getattr(load_model(path).combined, name) == value
+        assert getattr(load_model(path), name) == value
     for value in (5.0, -1.0, np.nextafter(1.0, 2.0), -5e-324):
         doc = json.loads(json.dumps(model_doc))
-        doc["combined"][name] = value
+        doc[name] = value
         path = tmp_path / "bad-tau.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelIOError,
-                           match=rf"bad-tau.json is malformed: combined {name} must be in \[0, 1\]"):
+                           match=rf"bad-tau.json is malformed: {name} must be in \[0, 1\]"):
             load_model(path)
 
 
@@ -909,31 +971,32 @@ def test_a_combined_model_checks_its_thresholds(model_doc, tmp_path, name):
     # Before the check moved into CombinedModel, only load_model ran it:
     # replace(combined, tau_primary=1.5), as qmoe calibrate builds its model,
     # made a model that saved and labeled none of its expert's rows positive.
-    combined = _load_edited(model_doc, lambda t: None, tmp_path).combined
+    combined = _load_edited(model_doc, lambda t: None, tmp_path)
     with pytest.raises(ConfigurationError, match=rf"^{name} must be in \[0, 1\], found 1.5"):
         replace(combined, **{name: 1.5})
 
 
 def test_a_combined_model_checks_its_experts_widths(model_doc, tmp_path):
-    # Before the check moved into CombinedModel, only Pipeline ran it: a router
-    # fit on 10 of the 29 features, built in code, routed rows with no error.
-    combined = _load_edited(model_doc, lambda t: None, tmp_path).combined
+    # Before the check moved into CombinedModel, a router fit on 10 of the 29
+    # features, built in code, routed rows with no error.
+    combined = _load_edited(model_doc, lambda t: None, tmp_path)
     rng = np.random.default_rng(4)
     narrow = fit_router(rng.normal(size=(200, 10)), (rng.random(200) < 0.3) * 1.0,
                         router_params())
-    with pytest.raises(ConfigurationError, match=r"^the experts' feature counts differ: "
-                       r"\{'primary': 29, 'router': 10, 'secondary': 29\}"):
+    with pytest.raises(ConfigurationError, match=r"^the model's feature counts differ: "
+                       r"\{'scaler': 29, 'primary': 29, 'router': 10, 'secondary': 29\}"):
         replace(combined, router=narrow)
 
 
 def test_a_pipeline_checks_its_scaler_width(model_doc, tmp_path):
-    # Before the check moved into Pipeline, a 28-column scaler over 29-feature
-    # experts was built in code and failed only at its first scoring.
-    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
-    narrow = MinMaxScaler(low=pipeline.scaler.low[:28], span=pipeline.scaler.span[:28])
-    with pytest.raises(ConfigurationError,
-                       match=r"^scaler low has shape \(28,\), the experts read 29 features"):
-        Pipeline(scaler=narrow, combined=pipeline.combined)
+    # Before the width check ran where the model is built, a 28-column scaler
+    # over 29-feature experts was built in code and failed only at its first
+    # scoring.
+    model = _load_edited(model_doc, lambda t: None, tmp_path)
+    narrow = MinMaxScaler(low=model.scaler.low[:28], span=model.scaler.span[:28])
+    with pytest.raises(ConfigurationError, match=r"^the model's feature counts differ: "
+                       r"\{'scaler': 28, 'primary': 29, 'router': 29, 'secondary': 29\}"):
+        replace(model, scaler=narrow)
 
 
 def test_scoring_leaves_the_model_file_unchanged(model_doc, tmp_path):
@@ -955,7 +1018,7 @@ def test_pipeline_predict_is_batch_invariant(model_doc, tmp_path):
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
     n_rows = 3 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=21)
-    gate = pipeline.combined.router.predict_proba(x)
+    gate = pipeline.router.predict_proba(x)
     routing_gamma = float(np.quantile(gate, 0.95))
     cuts = [0, 1, 700, errors._BLOCK_ROWS + 3, 2 * errors._BLOCK_ROWS, n_rows - 5, n_rows]
     for gamma in (1.0, routing_gamma):
@@ -973,10 +1036,10 @@ def test_pipeline_predict_is_batch_invariant_at_the_paper_shape(model_doc, tmp_p
     # the secondary: uneven slices, each routing a different number of
     # rows to it, score every row as one call over the pool does.
     pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
-    pipeline.combined.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
+    pipeline.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
     n_rows = 3 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=23)
-    gate = pipeline.combined.router.predict_proba(x)
+    gate = pipeline.router.predict_proba(x)
     gamma = float(np.quantile(gate, 0.9))
     cuts = [0, 1, 3, 700, errors._BLOCK_ROWS + 3, 2 * errors._BLOCK_ROWS, n_rows - 1, n_rows]
     whole = pipeline_predict(pipeline, x, gamma)
@@ -992,8 +1055,7 @@ def test_pipeline_predict_equals_the_whole_pool_oracle_at_the_paper_shape(model_
     # The paper's 6-qubit hybrid is not batch-invariant, so block serving
     # must hand it the routed rows of every block in one call, as one
     # whole-pool scoring does; and it must hold O(block) memory.
-    pipeline = _load_edited(model_doc, lambda t: None, tmp_path)
-    combined = pipeline.combined
+    combined = _load_edited(model_doc, lambda t: None, tmp_path)
     combined.secondary = fresh_hybrid(HybridConfig(), np.random.default_rng(5))
     n_rows = 16 * errors._BLOCK_ROWS + 100
     x, _, _ = synthesize(n_rows, 0.05, seed=22)
@@ -1002,14 +1064,14 @@ def test_pipeline_predict_equals_the_whole_pool_oracle_at_the_paper_shape(model_
     routed = gate > gamma
     assert np.unique(np.flatnonzero(routed) // errors._BLOCK_ROWS).size >= 2
     probs = apply_temperature(combined.primary_scaler, combined.primary.predict_proba(x))
-    handed = pipeline.scaler.transform(x[routed])
+    handed = combined.scaler.transform(x[routed])
     probs[routed] = apply_temperature(combined.secondary_scaler,
                                       combined.secondary.predict_proba(handed))
     labels = (probs > np.where(routed, combined.tau_secondary, combined.tau_primary))
     del gate, handed
     tracemalloc.start()
     try:
-        out = pipeline_predict(pipeline, x, gamma)
+        out = pipeline_predict(combined, x, gamma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1029,7 +1091,7 @@ def test_a_whole_pool_call_holds_a_few_blocks(model_doc, tmp_path, routed_share)
     x, _, _ = synthesize(8 * errors._BLOCK_ROWS, 0.05, seed=23)
     gamma = 1.0
     if routed_share:
-        gate = pipeline.combined.router.predict_proba(x)
+        gate = pipeline.router.predict_proba(x)
         gamma = float(np.quantile(gate, 1.0 - routed_share))
     pipeline_predict(pipeline, x[:10], gamma)  # each forest's plan is built before the trace
     tracemalloc.start()
@@ -1050,7 +1112,7 @@ def test_serving_saves_nothing_of_the_folded_forests(model_doc, tmp_path):
     save_model(pipeline, tmp_path / "before.json")
     x, _, _ = synthesize(1000, 0.05, seed=23)
     assert pipeline_predict(pipeline, x, 0.5).routed.any()
-    assert set(vars(pipeline.combined)) == {f.name for f in fields(CombinedModel)}
+    assert set(vars(pipeline)) == {f.name for f in fields(CombinedModel)}
     save_model(pipeline, tmp_path / "after.json")
     assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
 
@@ -1115,12 +1177,12 @@ def test_degenerate_holdout_is_flagged_not_dropped():
     # Two positives cannot reach every sub-split: holdout gets none, the
     # fold keeps its entry with NaN ranking metrics and says why.
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(80, 3))
+    x = rng.normal(size=(80, data.N_FEATURES))
     y = np.zeros(80)
     y[:2] = 1.0
     cfg = RunConfig(
         hybrid=HybridConfig(
-            n_features=3, encoder_hidden=(4,), n_qubits=2, n_layers=1,
+            encoder_hidden=(4,), n_qubits=2, n_layers=1,
             head_hidden=2, batch_size=8, epochs=1, seed=0,
         ),
         expert=GBDTParams(n_estimators=5, max_depth=2),

@@ -180,19 +180,21 @@ def test_calibrate_refits_temperatures(workspace, tmp_path, capsys):
     recal = load_model(out)
     base = load_model(workspace["model"])
     # the experts themselves are untouched
-    assert len(recal.combined.primary.trees) == len(base.combined.primary.trees)
+    assert len(recal.primary.trees) == len(base.primary.trees)
     # the thresholds are Youden-refit on the recalibrated scores of the same rows
     x, y = load_csv(workspace["csv"])
     # The forests read raw rows, the hybrid scaled ones.
     for expert, scaler, tau, rows in (
             ("primary", "primary_scaler", "tau_primary", x),
             ("secondary", "secondary_scaler", "tau_secondary", base.scaler.transform(x))):
-        probs = getattr(base.combined, expert).predict_proba(rows)
+        probs = getattr(base, expert).predict_proba(rows)
         # The temperature tells the rows apart: the Youden cut here is the
         # lowest score either way.
-        assert getattr(recal.combined, scaler).temperature == fit_temperature(probs, y).temperature
-        want = youden_threshold(apply_temperature(getattr(recal.combined, scaler), probs), y)
-        assert getattr(recal.combined, tau) == payload[tau] == want
+        assert getattr(recal, scaler).temperature == fit_temperature(probs, y).temperature
+        want = youden_threshold(apply_temperature(getattr(recal, scaler), probs), y)
+        assert getattr(recal, tau) == payload[tau] == want
+    for name in ("low", "span"):  # the scaler too
+        assert getattr(recal.scaler, name).tobytes() == getattr(base.scaler, name).tobytes()
     assert payload["warnings"] == []
 
 
@@ -213,8 +215,7 @@ def test_calibrate_keeps_the_operating_point_on_fresh_data(tmp_path, capsys):
     capsys.readouterr()
     old = pipeline_predict(pipeline, x_cal, 1.0)
     new = pipeline_predict(load_model(out), x_cal, 1.0)
-    assert load_model(out).combined.primary_scaler.temperature != (
-        pipeline.combined.primary_scaler.temperature)
+    assert load_model(out).primary_scaler.temperature != pipeline.primary_scaler.temperature
     assert np.array_equal(new.labels, old.probs > youden_threshold(old.probs, y_cal))
 
 
@@ -233,12 +234,12 @@ def test_calibrate_on_one_class_data_keeps_the_thresholds(workspace, tmp_path, c
     assert payload["degenerate"]
     for name in ("primary", "secondary"):
         # The t = 1 fallback would leave the old thresholds on the wrong scale.
-        kept = getattr(old.combined, f"{name}_scaler").temperature
+        kept = getattr(old, f"{name}_scaler").temperature
         assert kept != 1.0
-        assert getattr(new.combined, f"{name}_scaler").temperature == kept
+        assert getattr(new, f"{name}_scaler").temperature == kept
         assert payload[f"temperature_{name}"] == kept
-        tau = getattr(old.combined, f"tau_{name}")
-        assert getattr(new.combined, f"tau_{name}") == payload[f"tau_{name}"] == tau
+        tau = getattr(old, f"tau_{name}")
+        assert getattr(new, f"tau_{name}") == payload[f"tau_{name}"] == tau
     for gamma in (1.0, 0.5):
         assert np.array_equal(pipeline_predict(new, x, gamma).labels,
                               pipeline_predict(old, x, gamma).labels)
@@ -380,20 +381,38 @@ def test_evaluate_non_finite_row_exits_1(workspace, tmp_path, capsys):
 
 def test_evaluate_mis_shaped_hybrid_exits_1(workspace, tmp_path, capsys):
     doc = json.loads(open(workspace["model"]).read())
-    doc["combined"]["secondary"]["params"].append(0.0)
+    doc["secondary"]["params"].append(0.0)
     bad_model = tmp_path / "params.json"
     bad_model.write_text(json.dumps(doc))
     assert main(["evaluate", "--model", str(bad_model),
                  "--data", workspace["csv"]]) == 1
-    assert (f"error: model file {bad_model} is malformed: combined secondary hybrid params "
-            f"has shape"
+    assert (f"error: model file {bad_model} is malformed: secondary hybrid params has shape"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda scaler: scaler.update(span=[-v for v in scaler["span"]]),
+     "scaler span must not be negative, found -"),
+    (lambda scaler: scaler["span"].pop(),
+     "scaler low and span must be 1-D of one length, found shapes (29,) and (28,)"),
+], ids=["negative span", "ragged span"])
+def test_evaluate_hostile_scaler_exits_1(workspace, tmp_path, capsys, edit, message):
+    # Before the scaler checked its own fields, every span negated served
+    # with exit 0, each routed row's scaled features read as if the span were 1.
+    doc = json.loads(open(workspace["model"]).read())
+    edit(doc["scaler"])
+    bad_model = tmp_path / "scaler.json"
+    bad_model.write_text(json.dumps(doc))
+    assert main(["evaluate", "--model", str(bad_model), "--data", workspace["csv"],
+                 "--gamma", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model file {bad_model} is malformed: {message}")
 
 
 def test_evaluate_too_deep_model_exits_1(workspace, tmp_path, capsys):
     # A hand-edited chain of 10,000 splits used to load and score.
     doc = json.loads(open(workspace["model"]).read())
-    tree = doc["combined"]["primary"]["trees"][0]
+    tree = doc["primary"]["trees"][0]
     n = 2 * 10_000 + 1
     tree.update(feature=[0, -1] * 10_000 + [-1], threshold=[0.5] * n, value=[0.0] * n,
                 left=[c for k in range(10_000) for c in (2 * k + 2, -1)] + [-1],
@@ -421,21 +440,22 @@ def test_out_of_memory_exits_1(workspace, monkeypatch, capsys):
 
 def test_evaluate_non_finite_model_exits_1(workspace, tmp_path, capsys):
     doc = json.loads(open(workspace["model"]).read())
-    doc["combined"]["secondary"]["params"][0] = float("nan")
+    doc["secondary"]["params"][0] = float("nan")
     bad_model = tmp_path / "nan-params.json"
     bad_model.write_text(json.dumps(doc))
     assert main(["evaluate", "--model", str(bad_model), "--data", workspace["csv"],
                  "--gamma", "0.5"]) == 1
     err = capsys.readouterr().err
-    assert (f"error: model file {bad_model} is malformed: combined secondary params must be "
+    assert (f"error: model file {bad_model} is malformed: secondary params must be "
             f"finite, found nan at index 0") in err
 
 
 def test_version_2_model_files_are_refused(workspace, tmp_path, capsys):
     # Version 2 wrote the hybrid behind a "kind" tag, as per-layer
-    # [weights, bias] lists and a separate theta; version 5 reads one params
-    # list without the decoder, beside forests fit on raw rows.
-    hybrid = load_model(workspace["model"]).combined.secondary
+    # [weights, bias] lists and a separate theta; version 6 reads one params
+    # list without the decoder, beside forests fit on raw rows, all in one
+    # flat model.
+    hybrid = load_model(workspace["model"]).secondary
     doc = json.loads(open(workspace["model"]).read())
 
     def layers(pairs):
@@ -444,24 +464,24 @@ def test_version_2_model_files_are_refused(workspace, tmp_path, capsys):
     sizes = hybrid.config.decoder_spec.layer_sizes
     decoder = [(np.zeros((b, a)), np.zeros(b)) for a, b in zip(sizes, sizes[1:])]
     doc["version"] = 2
-    doc["combined"]["secondary"] = {
-        "kind": "hybrid", "config": doc["combined"]["secondary"]["config"],
+    doc["secondary"] = {
+        "kind": "hybrid", "config": doc["secondary"]["config"],
         "encoder": layers(hybrid.encoder), "decoder": layers(decoder),
         "theta": hybrid.theta.tolist(), "head": layers(hybrid.head),
     }
     old = tmp_path / "version-2.json"
     old.write_text(json.dumps(doc))
-    with pytest.raises(ModelIOError, match="has version 2, this build reads 5"):
+    with pytest.raises(ModelIOError, match="has version 2, this build reads 6"):
         load_model(old)
     assert main(["evaluate", "--model", str(old), "--data", workspace["csv"]]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "has version 2, this build reads 5" in err
+    assert err.startswith("error: ") and "has version 2, this build reads 6" in err
     assert "Traceback" not in err
 
 
 def test_evaluate_cyclic_model_exits_1(workspace, tmp_path, capsys):
     doc = json.loads(open(workspace["model"]).read())
-    tree = next(t for t in doc["combined"]["router"]["trees"] if t["feature"][0] >= 0)
+    tree = next(t for t in doc["router"]["trees"] if t["feature"][0] >= 0)
     tree["left"][0] = 0
     bad_model = tmp_path / "cyclic.json"
     bad_model.write_text(json.dumps(doc))
@@ -585,6 +605,18 @@ def test_nested_seed_exits_1(nested, workspace, tmp_path, capsys):
         assert err.startswith("error: GBDTParams has unknown fields ['seed']")
     assert str(cfg) in err
     assert set(os.listdir(tmp_path)) == {"config.json"}  # nothing was written
+
+
+def test_another_hybrid_width_exits_1_before_any_work(tmp_path, capsys):
+    # Before, bench made its report directory, fit fold 0's primary and then
+    # exited 1 with "training rows have 29 features, expected 10", naming no field.
+    doc = dict(TINY_CONFIG, hybrid={**TINY_CONFIG["hybrid"], "n_features": 10})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "bench")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hybrid.n_features must be 29, got 10") and str(cfg) in err
+    assert set(os.listdir(tmp_path)) == {"config.json"}  # no report directory
 
 
 def test_latency_negative_points_exits_1(tmp_path, capsys):

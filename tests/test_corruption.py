@@ -40,8 +40,8 @@ SUBSTITUTES = ("x", None, True, 1.5, [], {}, -1, 0, 5, float("nan"), float("inf"
 CUTS = 300
 
 CONFIG = RunConfig(
-    hybrid=HybridConfig(n_features=3, encoder_hidden=(4,), n_qubits=2, n_layers=1,
-                        head_hidden=2, batch_size=16, epochs=1),
+    hybrid=HybridConfig(encoder_hidden=(4,), n_qubits=2, n_layers=1, head_hidden=2,
+                        batch_size=16, epochs=1),
     expert=GBDTParams(n_estimators=3, max_depth=2),
     router=GBDTParams(n_estimators=2, max_depth=2),
     gamma_grid=(0.5,), n_splits=2, n_repeats=1, seed=1,
@@ -50,7 +50,7 @@ CONFIG = RunConfig(
 
 def _data(rows, positives, seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(rows, 3))
+    x = rng.normal(size=(rows, data.N_FEATURES))
     y = np.zeros(rows)
     y[:positives] = 1.0
     x[:positives] += 1.5  # the positives sit apart, so trees split
@@ -149,7 +149,7 @@ def report_text(tmp_path_factory):
 
 
 def test_the_files_under_test_have_structure(model_text, report_text):
-    model = json.loads(model_text)["combined"]
+    model = json.loads(model_text)
     for role in ("primary", "router"):
         assert any(t["feature"][0] >= 0 for t in model[role]["trees"]), role
     assert "null" in report_text

@@ -15,6 +15,7 @@ from qmoe.data import (
     CSV_HEADER,
     N_FEATURES,
     EvalSplit,
+    MinMaxScaler,
     fit_minmax,
     load_csv,
     save_csv,
@@ -23,7 +24,8 @@ from qmoe.data import (
     synthesize,
     undersample,
 )
-from qmoe.errors import _BLOCK_ROWS, DataError, InputError, require_finite_rows
+from qmoe.errors import (_BLOCK_ROWS, ConfigurationError, DataError, InputError,
+                         require_finite_rows)
 
 
 def test_csv_round_trip(tmp_path):
@@ -105,6 +107,21 @@ def test_minmax_constant_column_maps_to_zero():
     out = scaler.transform([[3.0, 1.5], [7.0, 1.0]])
     assert out[:, 0] == pytest.approx([0.0, 0.0])
     assert out[:, 1] == pytest.approx([0.5, 0.0])
+
+
+def test_a_scaler_checks_its_own_fields():
+    # Before these checks a negative span was served as a span of 1, and a
+    # ragged or 2-D scaler failed only at its first transform.
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "span must not be negative, found -2.0 at index 1")):
+        MinMaxScaler(low=np.zeros(3), span=np.array([1.0, -2.0, -1.0]))
+    for low, span in ((np.zeros(3), np.ones(2)), (np.zeros((1, 3)), np.ones((1, 3))),
+                      (np.zeros(()), np.ones(()))):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"low and span must be 1-D of one length, found shapes {low.shape} and "
+                f"{span.shape}")):
+            MinMaxScaler(low=low, span=span)
+    assert MinMaxScaler(low=np.ones(3), span=np.zeros(3)).n_features == 3  # constant columns
 
 
 def test_undersample_keeps_minority_and_balances():

@@ -11,8 +11,8 @@ import pytest
 
 from qmoe import errors, moe
 from qmoe.calibration import TemperatureScaler, apply_temperature, fit_temperature
-from qmoe.data import MinMaxScaler
-from qmoe.errors import InputError
+from qmoe.data import MinMaxScaler, fit_minmax
+from qmoe.errors import ConfigurationError, InputError
 from qmoe.gbdt import GBDTModel, GBDTParams, fit_gbdt, router_params
 from qmoe.hybrid import HybridConfig, _init_training
 from qmoe.moe import (
@@ -26,6 +26,20 @@ from qmoe.moe import (
 from test_data import _no_children_left
 
 IDENTITY = TemperatureScaler(temperature=1.0, nll=0.0, iterations=0)
+SCALER = MinMaxScaler(low=np.array([-0.5, -0.6]), span=np.array([3.0, 3.5]))  # clips some rows
+# Serves models fit under SCALER: the secondary then reads 0 in feature 0.
+ZERO_SPAN = MinMaxScaler(low=SCALER.low, span=np.array([0.0, 3.5]))
+
+
+class Unscaled:
+    """Stands in for a model's scaler, handing the secondary the routed rows
+    as they are, so that the secondary can be the primary itself."""
+
+    def __init__(self, n_features):
+        self.n_features = n_features
+
+    def transform(self, x, out=None):
+        return x
 
 
 def oracle_youden(scores, labels):
@@ -116,11 +130,11 @@ def test_router_with_no_corrections_never_routes():
     assert np.all(probs < min(GAMMA_GRID))
 
 
-def _fitted_pair(seed=0, scaler=None):
+def _fitted_pair(seed=0):
     """Primary that only sees feature 0, on data whose positives split
     between a feature-0 signal and a feature-1 signal. The primary is fit on
-    the returned rows, the secondary on the rows ``scaler`` maps them to, if
-    given, as a fold fits its forests and its hybrid."""
+    the returned rows, the secondary on the rows SCALER maps them to, as a
+    fold fits its forests and its hybrid."""
     rng = np.random.default_rng(seed)
     n = 400
     y = (rng.random(n) < 0.3).astype(float)
@@ -130,10 +144,9 @@ def _fitted_pair(seed=0, scaler=None):
     x[easy, 0] += 2.0
     x[half, 0] -= 2.0  # these positives are invisible to feature 0
     x[half, 1] += 2.0
-    seen = x if scaler is None else scaler.transform(x)
     primary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2),
                        x[:, :1].repeat(2, axis=1) * [1, 0], y)
-    secondary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2), seen, y)
+    secondary = fit_gbdt(GBDTParams(n_estimators=30, max_depth=2), SCALER.transform(x), y)
     return x, y, primary, secondary
 
 
@@ -145,7 +158,7 @@ def test_combined_with_cloned_secondary_equals_baseline():
     scaler = fit_temperature(primary.predict_proba(x), y)
     router = fit_router(x, (rng.random(200) < 0.3).astype(float), router_params())
     model = CombinedModel(
-        primary=primary, primary_scaler=scaler,
+        scaler=Unscaled(3), primary=primary, primary_scaler=scaler,
         secondary=primary, secondary_scaler=scaler,
         router=router, tau_primary=0.4, tau_secondary=0.4,
     )
@@ -164,6 +177,7 @@ def test_routed_fraction_is_monotone_in_gamma():
     z = (x[:, 1] > 0.5).astype(float)
     router = fit_router(x, z, router_params())
     model = CombinedModel(
+        scaler=fit_minmax(x),
         primary=fit_gbdt(GBDTParams(n_estimators=5, max_depth=2), x, z),
         primary_scaler=IDENTITY,
         secondary=fit_gbdt(GBDTParams(n_estimators=5, max_depth=2), x, z),
@@ -189,11 +203,11 @@ def test_secondary_runs_only_on_routed_rows():
 
     x, y, primary, secondary = _fitted_pair(seed=12)
     p1 = primary.predict_proba(x)
-    p2 = secondary.predict_proba(x)
+    p2 = secondary.predict_proba(SCALER.transform(x))
     z = router_targets(y, p1, p2, 0.5, 0.5)
     router = fit_router(x, z, router_params())
     model = CombinedModel(
-        primary=primary, primary_scaler=IDENTITY,
+        scaler=SCALER, primary=primary, primary_scaler=IDENTITY,
         secondary=Counting(secondary), secondary_scaler=IDENTITY,
         router=router, tau_primary=0.5, tau_secondary=0.5,
     )
@@ -218,7 +232,7 @@ def test_combined_predict_validates_gamma():
     x, y, primary, secondary = _fitted_pair(seed=1)
     router = fit_router(x, np.zeros(len(y)), router_params())
     model = CombinedModel(
-        primary=primary, primary_scaler=IDENTITY,
+        scaler=SCALER, primary=primary, primary_scaler=IDENTITY,
         secondary=secondary, secondary_scaler=IDENTITY,
         router=router, tau_primary=0.5, tau_secondary=0.5,
     )
@@ -239,9 +253,10 @@ def test_router_targets_validation():
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 def test_non_finite_rows_fail_the_same_at_every_gamma(gamma):
     x, y, primary, secondary = _fitted_pair(seed=12)
-    z = router_targets(y, primary.predict_proba(x), secondary.predict_proba(x), 0.5, 0.5)
+    z = router_targets(y, primary.predict_proba(x), secondary.predict_proba(SCALER.transform(x)),
+                       0.5, 0.5)
     model = CombinedModel(
-        primary=primary, primary_scaler=IDENTITY,
+        scaler=SCALER, primary=primary, primary_scaler=IDENTITY,
         secondary=secondary, secondary_scaler=IDENTITY,
         router=fit_router(x, z, router_params()), tau_primary=0.5, tau_secondary=0.5,
     )
@@ -261,16 +276,18 @@ def _reference_predict(model, x, gamma):
     probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
     routed = model.router.predict_proba(x) > gamma
     probs[routed] = apply_temperature(model.secondary_scaler,
-                                      model.secondary.predict_proba(x[routed]))
+                                      model.secondary.predict_proba(
+                                          model.scaler.transform(x[routed])))
     cut = np.where(routed, model.tau_secondary, model.tau_primary)
     return probs, (probs > cut).astype(np.float64), routed
 
 
-def _routed_model(seed, scaler=None):
-    x, y, primary, secondary = _fitted_pair(seed, scaler)
-    seen = x if scaler is None else scaler.transform(x)
+def _routed_model(seed):
+    x, y, primary, secondary = _fitted_pair(seed)
+    seen = SCALER.transform(x)
     z = router_targets(y, primary.predict_proba(x), secondary.predict_proba(seen), 0.5, 0.5)
     model = CombinedModel(
+        scaler=SCALER,
         primary=primary, primary_scaler=fit_temperature(primary.predict_proba(x), y),
         secondary=secondary, secondary_scaler=fit_temperature(secondary.predict_proba(seen), y),
         router=fit_router(x, z, router_params()), tau_primary=0.45, tau_secondary=0.55,
@@ -361,20 +378,17 @@ def test_each_forest_builds_its_plan_once_per_model(monkeypatch):
     assert np.array_equal(whole.probs, _reference_predict(model, rows, 0.5)[0])
 
 
-SCALER = MinMaxScaler(low=np.array([-0.5, -0.6]), span=np.array([3.0, 3.5]))  # clips some rows
-# Serves models fit under SCALER: the secondary then reads 0 in feature 0.
-ZERO_SPAN = MinMaxScaler(low=SCALER.low, span=np.array([0.0, 3.5]))
-# In the ids, "scaled rows" serves without a scaler (every expert reads the
-# rows as given), "raw rows" and "zero span" with one for the secondary.
+# In the ids, "raw rows" serves a model with the scaler it was fit under,
+# "zero span" with ZERO_SPAN in its place.
 
 
-def _composed_predict(model, x, gamma, scaler):
+def _composed_predict(model, x, gamma):
     """The experts' own calls in turn: the primary's predict_proba, the
     router's predict_proba against gamma, both on ``x``, then the secondary
-    on the routed rows, mapped through ``scaler`` if given."""
+    on the routed rows, mapped through the model's scaler."""
     probs = apply_temperature(model.primary_scaler, model.primary.predict_proba(x))
     routed = model.router.predict_proba(x) > gamma
-    handed = x[routed] if scaler is None else scaler.transform(x[routed])
+    handed = model.scaler.transform(x[routed])
     probs[routed] = apply_temperature(model.secondary_scaler,
                                       model.secondary.predict_proba(handed))
     cut = np.where(routed, model.tau_secondary, model.tau_primary)
@@ -396,39 +410,40 @@ def _edge_rows(model, rng):
     return rows
 
 
-@pytest.mark.parametrize("scalers", [(None, None), (SCALER, SCALER), (SCALER, ZERO_SPAN)],
-                         ids=["scaled rows", "raw rows", "zero span"])
+@pytest.mark.parametrize("scaler", [SCALER, ZERO_SPAN], ids=["raw rows", "zero span"])
 @pytest.mark.parametrize("n_rows", [errors._BLOCK_ROWS - 1, errors._BLOCK_ROWS,
                                     errors._BLOCK_ROWS + 1, 3 * errors._BLOCK_ROWS])
-def test_combined_predict_equals_the_experts_composed(scalers, n_rows):
+def test_combined_predict_equals_the_experts_composed(scaler, n_rows):
     # One workspace block serves the primary and the gate, whose pooled rows
     # are gathered into it after the loop; both forests read the rows as
-    # given, and a scaler maps only the routed rows for the secondary. Every
+    # given, and the scaler maps only the routed rows for the secondary. Every
     # gamma, at one block and one row either side, and at three, with rows
     # on every split threshold, the doubles either side of it and far beyond
     # the fitted range, must give the bits of the experts called one after
     # another.
-    fit_scaler, scaler = scalers
-    x, model = _routed_model(12, fit_scaler)
+    x, model = _routed_model(12)
+    model = replace(model, scaler=scaler)
     rng = np.random.default_rng(n_rows)
     rows = x[rng.integers(len(x), size=n_rows)] + rng.normal(0.0, 0.05, size=(n_rows, 2))
     edges = _edge_rows(model, rng)
     rows[rng.choice(n_rows, size=min(n_rows, len(edges)), replace=False)] = edges[:n_rows]
     for gamma in (0.5, 0.9, 1.0):
-        out = combined_predict(model, rows, gamma, scaler)
-        want = _composed_predict(model, rows, gamma, scaler)
+        out = combined_predict(model, rows, gamma)
+        want = _composed_predict(model, rows, gamma)
         for name, got, expected in zip(("probs", "labels", "routed"),
                                        (out.probs, out.labels, out.routed), want):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
         assert out.routed.any() == (gamma < 1.0)
 
 
-def test_a_scaler_of_another_width_is_an_input_error():
-    x, model = _routed_model(12, SCALER)
+def test_a_scaler_of_another_width_is_a_configuration_error():
+    # Before the scaler joined the model, each call checked the one it was given.
+    _, model = _routed_model(12)
     wide = MinMaxScaler(low=np.zeros(3), span=np.ones(3))
-    for gamma in (0.5, 1.0):
-        with pytest.raises(InputError, match="the scaler reads 3 features, the experts 2"):
-            combined_predict(model, np.c_[x, x[:, :1]], gamma, wide)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "the model's feature counts differ: "
+            "{'scaler': 3, 'primary': 2, 'router': 2, 'secondary': 2}")):
+        replace(model, scaler=wide)
 
 
 # A call of at least 2 * _MIN_PART_ROWS rows is split into row ranges, part 0
@@ -455,11 +470,10 @@ def _hybrid_secondary():
 
 
 @pytest.mark.parametrize("secondary", ["gbdt", "hybrid"])
-@pytest.mark.parametrize("scalers", [(None, None), (SCALER, SCALER)],
-                         ids=["scaled rows", "raw rows"])
-def test_parts_keep_the_bits_of_one_part(monkeypatch, small_parts, scalers, secondary):
-    fit_scaler, scaler = scalers
-    x, model = _routed_model(12, fit_scaler)
+@pytest.mark.parametrize("scaler", [SCALER, ZERO_SPAN], ids=["raw rows", "zero span"])
+def test_parts_keep_the_bits_of_one_part(monkeypatch, small_parts, scaler, secondary):
+    x, model = _routed_model(12)
+    model = replace(model, scaler=scaler)
     if secondary == "hybrid":  # padded 512-row chunks: a part pads at most one more
         model = replace(model, secondary=_hybrid_secondary())
     rows = _pool_rows(x)
@@ -467,9 +481,9 @@ def test_parts_keep_the_bits_of_one_part(monkeypatch, small_parts, scalers, seco
         outs = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
-            outs.append(combined_predict(model, rows, gamma, scaler))
+            outs.append(combined_predict(model, rows, gamma))
             _no_children_left()
-        want = _composed_predict(model, rows, gamma, scaler)
+        want = _composed_predict(model, rows, gamma)
         for out in outs:
             for name, got, expected in zip(("probs", "labels", "routed"),
                                            (out.probs, out.labels, out.routed), want):
@@ -478,18 +492,15 @@ def test_parts_keep_the_bits_of_one_part(monkeypatch, small_parts, scalers, seco
         assert isinstance(outs[2].probs.base, np.ndarray)  # a view of the shared mapping
 
 
-@pytest.mark.parametrize("scalers", [(None, None), (SCALER, SCALER)],
-                         ids=["scaled rows", "raw rows"])
-def test_zero_rows_get_an_empty_table_without_a_mapping(monkeypatch, small_parts, scalers):
+def test_zero_rows_get_an_empty_table_without_a_mapping(monkeypatch, small_parts):
     # mmap refuses a length of 0, so an empty call must not map its table.
-    fit_scaler, scaler = scalers
-    x, model = _routed_model(12, fit_scaler)
+    x, model = _routed_model(12)
     mapped, real = [], moe.mmap.mmap
     monkeypatch.setattr(moe.mmap, "mmap", lambda *args: mapped.append(args) or real(*args))
     for cpus in (1, 3):
         monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
         for gamma in (0.5, 1.0):
-            out = combined_predict(model, np.empty((0, 2)), gamma, scaler)
+            out = combined_predict(model, np.empty((0, 2)), gamma)
             _no_children_left()
             for got, dtype in zip((out.probs, out.labels, out.routed),
                                   (np.float64, np.float64, bool)):
@@ -501,7 +512,7 @@ def test_zero_rows_get_an_empty_table_without_a_mapping(monkeypatch, small_parts
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_a_bad_row_in_the_last_part_raises_the_one_part_error(monkeypatch, capfd, small_parts,
                                                               value):
-    x, model = _routed_model(12, SCALER)
+    x, model = _routed_model(12)
     rows = _pool_rows(x)
     rows[[-7, -2], [0, 1]] = value  # both in the last part's last block
     messages = []
@@ -509,7 +520,7 @@ def test_a_bad_row_in_the_last_part_raises_the_one_part_error(monkeypatch, capfd
         monkeypatch.setattr("qmoe.workers.usable_cpus", lambda cpus=cpus: cpus)
         for gamma in (1.0, 0.5):
             with pytest.raises(InputError) as caught:
-                combined_predict(model, rows, gamma, SCALER)
+                combined_predict(model, rows, gamma)
             messages.append(str(caught.value))
             _no_children_left()
     n = len(rows)
@@ -519,33 +530,27 @@ def test_a_bad_row_in_the_last_part_raises_the_one_part_error(monkeypatch, capfd
 
 
 def test_bad_arguments_raise_before_any_fork(monkeypatch, small_parts):
-    x, model = _routed_model(12, SCALER)
+    x, model = _routed_model(12)
     rows = _pool_rows(x)
     forked = []
     monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
     monkeypatch.setattr(moe, "fork_map", lambda task, items: forked.append(len(items)))
-    wide = MinMaxScaler(low=np.zeros(3), span=np.ones(3))
-    three = np.c_[rows, rows[:, :1]]
-    for args in ((rows, 0.0, SCALER), (rows, 1.5, None), (rows[None], 0.5, SCALER),
-                 (three, 0.5, wide)):
+    for args in ((rows, 0.0), (rows, 1.5), (rows[None], 0.5)):
         with pytest.raises(InputError):
             combined_predict(model, *args)
-    # Rows of the wrong width, with the experts' scaler or none, name the whole input.
-    for scaler in (SCALER, None):
-        with pytest.raises(InputError, match=re.escape(
-                f"expected rows with 2 features, got shape ({len(rows)}, 3)")):
-            combined_predict(model, three, 0.5, scaler)
+    # Rows of the wrong width name the whole input.
+    with pytest.raises(InputError, match=re.escape(
+            f"expected rows with 2 features, got shape ({len(rows)}, 3)")):
+        combined_predict(model, np.c_[rows, rows[:, :1]], 0.5)
     assert forked == []
-    combined_predict(model, rows, 0.5, SCALER)
+    combined_predict(model, rows, 0.5)
     assert forked == [3]
 
 
-@pytest.mark.parametrize("scaler", [None, SCALER], ids=["scaled rows", "raw rows"])
-def test_the_parent_builds_each_plan_once_before_the_fork(monkeypatch, tmp_path, small_parts,
-                                                          scaler):
+def test_the_parent_builds_each_plan_once_before_the_fork(monkeypatch, tmp_path, small_parts):
     import os
 
-    x, fitted = _routed_model(13, scaler)
+    x, fitted = _routed_model(13)
     rows = _pool_rows(x)
     monkeypatch.setattr("qmoe.workers.usable_cpus", lambda: 3)
     log, real = tmp_path / "plans.txt", GBDTModel._forest.func
@@ -560,12 +565,12 @@ def test_the_parent_builds_each_plan_once_before_the_fork(monkeypatch, tmp_path,
     monkeypatch.setattr(GBDTModel, "_forest", plan)
     # Copies hold no plan yet: _routed_model scored the primary and the router.
     model = replace(fitted, primary=replace(fitted.primary), router=replace(fitted.router))
-    combined_predict(model, rows, 1.0, scaler)
+    combined_predict(model, rows, 1.0)
     _no_children_left()
     pid, primary, router = str(os.getpid()), str(id(model.primary)), str(id(model.router))
     assert log.read_text().split() == [pid, primary]  # a shut gate: no router
     for gamma in (0.5, 0.05, 0.5):
-        combined_predict(model, rows, gamma, scaler)
+        combined_predict(model, rows, gamma)
         _no_children_left()
     assert log.read_text().split() == [pid, primary, pid, router]
 
